@@ -351,6 +351,17 @@ def _load_inputs(cfg: RunConfig):
     return panel, tuple(years)
 
 
+def _design_matrices(cfg: RunConfig, panel, cs):
+    """(positive-flow, full) design matrices of one cross-section; each is
+    None when no configured model needs it."""
+    dm_pos = dm_full = None
+    if "OLS" in cfg.models:
+        dm_pos = build_design_matrix(cs, panel, cfg.covariates, positive_only=True)
+    if any(tag != "OLS" for tag in cfg.models):
+        dm_full = build_design_matrix(cs, panel, cfg.covariates)
+    return dm_pos, dm_full
+
+
 def _config_from_args(args) -> RunConfig:
     overrides = {
         "dyads": args.dyads,
@@ -420,12 +431,11 @@ def _fit_one(tag: str, year: int, dm_pos, dm_full):
             # ZIP zero stage, so link probabilities are its complement
             return fit_logit(dm_full, response=(dm_full.y == 0.0).astype(float))
         return fit_zip(dm_full)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"year {year} model {tag}: {exc}", exc.last_coefficients, exc.trace
-        ) from exc
-    except ValidationError as exc:
-        raise ValidationError(f"year {year} model {tag}: {exc}") from exc
+    except (ConvergenceError, ValidationError) as exc:
+        # name the cell but keep the exception itself: its subtype and
+        # payload (trace, collinear columns) must reach the caller
+        exc.args = (f"year {year} model {tag}: {exc}",)
+        raise
 
 
 _VARIANT_ORDER = ("OLS", "PPML", "ZIP_poisson", "ZIP_logit", "LOGIT")
@@ -533,11 +543,7 @@ def cmd_fit(args) -> None:
     written = []
     for year in years:
         cs = build_cross_section(panel, year)
-        dm_pos = dm_full = None
-        if "OLS" in cfg.models:
-            dm_pos = build_design_matrix(cs, panel, cfg.covariates, positive_only=True)
-        if any(tag != "OLS" for tag in cfg.models):
-            dm_full = build_design_matrix(cs, panel, cfg.covariates)
+        dm_pos, dm_full = _design_matrices(cfg, panel, cs)
         fits = {}
         for tag in cfg.models:
             fits[tag] = _fit_one(tag, year, dm_pos, dm_full)
@@ -631,11 +637,7 @@ def cmd_predict(args) -> None:
     for year in years:
         cs = build_cross_section(panel, year)
         ids = cs.country_ids
-        dm_pos = dm_full = None
-        if "OLS" in cfg.models:
-            dm_pos = build_design_matrix(cs, panel, cfg.covariates, positive_only=True)
-        if any(tag != "OLS" for tag in cfg.models):
-            dm_full = build_design_matrix(cs, panel, cfg.covariates)
+        dm_pos, dm_full = _design_matrices(cfg, panel, cs)
         rho = density(cs.network())
         for tag in cfg.models:
             fit_path = _require_artifact(cfg.out, f"{year}/{tag}/fit.json", "fit")
@@ -646,9 +648,7 @@ def cmd_predict(args) -> None:
                 written.append(_write_prediction(cfg.out, year, predict_ppml(fit, dm_full, ids)))
             elif tag == "ZIP":
                 written.append(_write_prediction(cfg.out, year, predict_zip(fit, dm_full, ids)))
-                lp = link_probabilities(fit, dm_full, ids)
-                written.extend(_write_binary(cfg.out, year, tag, lp, cs, rho))
-            else:
+            if tag in ("ZIP", "LOGIT"):
                 lp = link_probabilities(fit, dm_full, ids)
                 written.extend(_write_binary(cfg.out, year, tag, lp, cs, rho))
             _log(
@@ -683,21 +683,23 @@ def _link_probs_from_artifact(cfg: RunConfig, year: int, tag: str) -> LinkProbab
 def _cell_network(cfg: RunConfig, year: int, tag: str):
     """Point-prediction network of one cell, read back from predict artifacts.
 
-    Returns (country_ids, network, transform) where the transform is the
-    one under which this network's weighted statistics are meaningful.
+    Returns (country_ids, network, transform, pred) where the transform is
+    the one under which this network's weighted statistics are meaningful
+    and ``pred`` is the decoded PredictedWeights (None for the logit,
+    whose network is its thresholded adjacency).
     """
     if tag == "LOGIT":
         path = _require_artifact(cfg.out, f"{year}/{tag}/binary.json", "predict")
         payload = _read_json(path)
         a = np.array(payload["adjacency"], dtype=np.int8)
         net = TradeNetwork(a.astype(float), a)
-        return tuple(payload["country_ids"]), net, "identity"
+        return tuple(payload["country_ids"]), net, "identity", None
     path = _require_artifact(cfg.out, f"{year}/{tag}/prediction.json", "predict")
     pred = _pred_from_payload(_read_json(path))
     if tag == "OLS":
         # predicted logs on the observed support; already on the log scale
-        return pred.country_ids, TradeNetwork(pred.value, pred.mask), "identity"
-    return pred.country_ids, TradeNetwork(pred.value), cfg.transforms[tag]
+        return pred.country_ids, TradeNetwork(pred.value, pred.mask), "identity", pred
+    return pred.country_ids, TradeNetwork(pred.value), cfg.transforms[tag], pred
 
 
 def _stats_rows(net: TradeNetwork, ids, transforms) -> list:
@@ -744,7 +746,7 @@ def cmd_netstats(args) -> None:
         _write_csv(_prepare(cfg.out, rel), _STATS_FIELDS, rows)
         written.append(rel)
         for tag in cfg.models:
-            ids, net, transform = _cell_network(cfg, year, tag)
+            ids, net, transform, _ = _cell_network(cfg, year, tag)
             rel = f"{year}/{tag}/node_stats.csv"
             _write_csv(_prepare(cfg.out, rel), _STATS_FIELDS, _stats_rows(net, ids, (transform,)))
             written.append(rel)
@@ -761,27 +763,16 @@ def cmd_netstats(args) -> None:
 def _cell_prediction(cfg: RunConfig, year: int, tag: str):
     """ModelPrediction for one cell plus the observed-side transform."""
     seed = cell_seed(cfg.seed, year, tag)
+    _, net, transform, pred = _cell_network(cfg, year, tag)
     if tag == "LOGIT":
         lp = _link_probs_from_artifact(cfg, year, tag)
-        _, net, _ = _cell_network(cfg, year, tag)
         ensemble = sample_bernoulli_ensemble(lp, cfg.replications, seed)
-        return ModelPrediction(tag, net, ensemble, "identity"), "identity"
-    path = _require_artifact(cfg.out, f"{year}/{tag}/prediction.json", "predict")
-    pred = _pred_from_payload(_read_json(path))
-    transform = cfg.transforms[tag]
-    if tag == "OLS":
-        net = TradeNetwork(pred.value, pred.mask)
-        ensemble = sample_weighted_ensemble(pred, cfg.replications, seed)
-        # the configured transform applies to the observed side; the
-        # predicted side is already on the log scale
-        return ModelPrediction(tag, net, ensemble, "identity"), transform
-    net = TradeNetwork(pred.value)
-    if tag == "ZIP":
-        lp = _link_probs_from_artifact(cfg, year, tag)
-        ensemble = sample_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
-    else:
-        ensemble = sample_weighted_ensemble(pred, cfg.replications, seed)
-    return ModelPrediction(tag, net, ensemble, transform), transform
+        return ModelPrediction(tag, net, ensemble, transform), transform
+    lp = _link_probs_from_artifact(cfg, year, tag) if tag == "ZIP" else None
+    ensemble = sample_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
+    # for OLS the configured transform applies to the observed side; the
+    # predicted side is already on the log scale
+    return ModelPrediction(tag, net, ensemble, transform), cfg.transforms[tag]
 
 
 def cmd_compare(args) -> None:

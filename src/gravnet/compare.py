@@ -20,6 +20,8 @@ from scipy.special import kolmogorov, ndtri
 
 from .errors import ValidationError
 from .netstats import (
+    STAT_KINDS,
+    WEIGHT_TRANSFORMS,
     TradeNetwork,
     all_statistics,
     compute_statistic,
@@ -181,11 +183,17 @@ def ensemble_summary(
     Raises
     ------
     ValidationError
-        If fewer than two replications exist, or the statistic is
-        undefined in every replication.
+        If fewer than two replications exist, the kind or transform is
+        unknown, or the statistic is undefined in every replication.
     """
     if ens.m < 2:
         raise ValidationError(f"need at least 2 replications, got {ens.m}")
+    if kind not in STAT_KINDS and kind != "density":
+        raise ValidationError(f"unknown statistic kind {kind!r}")
+    if transform not in WEIGHT_TRANSFORMS:
+        raise ValidationError(
+            f"unknown weight transform {transform!r}; expected one of {WEIGHT_TRANSFORMS}"
+        )
     values = []
     dropped = 0
     for r in range(ens.m):
@@ -402,56 +410,3 @@ def report_as_dict(report: ComparisonReport) -> dict:
             for c in report.correlations
         ],
     }
-
-
-def ks_rows(report: ComparisonReport) -> list[dict]:
-    """Rows for the K-S grid CSV: statistic by model, D and p."""
-    return [
-        {
-            "year": report.year,
-            "model": s.model_tag,
-            "kind": s.kind,
-            "d_statistic": s.ks.d_statistic,
-            "p_value": s.ks.p_value,
-            "n_observed": s.ks.n1,
-            "n_predicted": s.ks.n2,
-        }
-        for s in report.statistics
-    ]
-
-
-def averages_rows(report: ComparisonReport) -> list[dict]:
-    """Rows for the averages CSV: observed and predicted with bands."""
-    rows = []
-    for s in report.statistics:
-        row = {
-            "year": report.year,
-            "model": s.model_tag,
-            "kind": s.kind,
-            "observed": s.observed_avg,
-            "predicted": s.predicted_avg,
-            "ci_low": "",
-            "ci_high": "",
-            "ensemble_mean": "",
-        }
-        if s.summary is not None:
-            row["ci_low"] = s.summary.ci_low
-            row["ci_high"] = s.summary.ci_high
-            row["ensemble_mean"] = s.summary.mean
-        rows.append(row)
-    return rows
-
-
-def correlations_rows(report: ComparisonReport) -> list[dict]:
-    """Rows for the correlations CSV in figure-ready long format."""
-    return [
-        {
-            "year": report.year,
-            "model": c.model_tag,
-            "x": c.kind_x,
-            "y": c.kind_y,
-            "observed_r": c.observed_r,
-            "predicted_r": c.predicted_r,
-        }
-        for c in report.correlations
-    ]

@@ -221,23 +221,43 @@ def fit_ols(dm) -> FitResult:
     )
 
 
+def _poisson_moments(eta):
+    mu = np.exp(eta)
+    return mu, mu
+
+
 def _poisson_q(y, eta, mu, omega):
     # omega-weighted Poisson log likelihood, lgamma normalizer included
     return float(np.sum(omega * (y * eta - mu - gammaln(y + 1.0))))
 
 
-def _poisson_irls(X, y, omega, start, tol=IRLS_TOL, max_iter=MAX_IRLS_ITERATIONS):
-    """Weighted Poisson IRLS. Returns (beta, trace, converged, diverged)."""
+def _logit_moments(eta):
+    prob = expit(eta)
+    return prob, prob * (1.0 - prob)
+
+
+def _bernoulli_q(r, eta, prob, omega):
+    # log_expit keeps the tails finite where log(prob) would underflow
+    return float(np.sum(omega * (r * log_expit(eta) + (1.0 - r) * log_expit(-eta))))
+
+
+def _irls(X, y, omega, start, moments, loglik, tol=IRLS_TOL, max_iter=MAX_IRLS_ITERATIONS):
+    """Weighted IRLS for a canonical-link GLM (Poisson or logit).
+
+    ``moments(eta)`` returns the (mean, variance) at the linear predictor
+    and ``loglik(y, eta, mean, omega)`` the omega-weighted log likelihood.
+    Responses may be fractional.  Returns (beta, trace, converged, diverged).
+    """
     beta = np.asarray(start, dtype=float)
     eta = X @ beta
-    mu = np.exp(eta)
-    ll = _poisson_q(y, eta, mu, omega)
+    mean, var = moments(eta)
+    ll = loglik(y, eta, mean, omega)
     trace = [ll]
     if not np.isfinite(ll):
         return beta, trace, False, True
     for _ in range(max_iter):
-        w = omega * mu
-        wz = omega * (mu * eta + y - mu)
+        w = omega * var
+        wz = omega * (var * eta + y - mean)
         try:
             target = _solve_weighted(X, w, wz)
         except np.linalg.LinAlgError:
@@ -251,8 +271,8 @@ def _poisson_irls(X, y, omega, start, tol=IRLS_TOL, max_iter=MAX_IRLS_ITERATIONS
         for _half in range(MAX_STEP_HALVINGS):
             candidate = beta + fraction * direction
             eta_new = X @ candidate
-            mu_new = np.exp(eta_new)
-            ll_new = _poisson_q(y, eta_new, mu_new, omega)
+            mean_new, var_new = moments(eta_new)
+            ll_new = loglik(y, eta_new, mean_new, omega)
             if np.isfinite(ll_new) and ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
                 accepted = True
                 break
@@ -262,54 +282,7 @@ def _poisson_irls(X, y, omega, start, tol=IRLS_TOL, max_iter=MAX_IRLS_ITERATIONS
         step = np.linalg.norm(candidate - beta)
         beta = candidate
         eta = eta_new
-        mu = mu_new
-        trace.append(ll_new)
-        if np.linalg.norm(beta) > DIVERGENCE_NORM:
-            return beta, trace, False, True
-        if abs(ll_new - ll) <= tol * (1.0 + abs(ll)) and step <= STEP_TOL * (
-            1.0 + np.linalg.norm(beta)
-        ):
-            return beta, trace, True, False
-        ll = ll_new
-    return beta, trace, False, False
-
-
-def _bernoulli_q(r, eta, omega):
-    return float(np.sum(omega * (r * log_expit(eta) + (1.0 - r) * log_expit(-eta))))
-
-
-def _logit_irls(X, r, omega, start, tol=IRLS_TOL, max_iter=MAX_IRLS_ITERATIONS):
-    """Weighted logit IRLS for responses r in [0, 1] (fractional allowed)."""
-    beta = np.asarray(start, dtype=float)
-    eta = X @ beta
-    ll = _bernoulli_q(r, eta, omega)
-    trace = [ll]
-    if not np.isfinite(ll):
-        return beta, trace, False, True
-    for _ in range(max_iter):
-        prob = expit(eta)
-        w = omega * prob * (1.0 - prob)
-        wz = omega * (prob * (1.0 - prob) * eta + r - prob)
-        try:
-            target = _solve_weighted(X, w, wz)
-        except np.linalg.LinAlgError:
-            return beta, trace, False, True
-        direction = target - beta
-        fraction = 1.0
-        accepted = False
-        for _half in range(MAX_STEP_HALVINGS):
-            candidate = beta + fraction * direction
-            eta_new = X @ candidate
-            ll_new = _bernoulli_q(r, eta_new, omega)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
-                accepted = True
-                break
-            fraction *= 0.5
-        if not accepted:
-            return beta, trace, False, True
-        step = np.linalg.norm(candidate - beta)
-        beta = candidate
-        eta = eta_new
+        mean, var = mean_new, var_new
         trace.append(ll_new)
         if np.linalg.norm(beta) > DIVERGENCE_NORM:
             return beta, trace, False, True
@@ -343,7 +316,7 @@ def fit_poisson_pml(dm) -> FitResult:
         raise ValidationError("Poisson response must be non-negative")
 
     start = _ols_log1p_start(X, y)
-    beta, trace, converged, diverged = _poisson_irls(X, y, 1.0, start)
+    beta, trace, converged, diverged = _irls(X, y, 1.0, start, _poisson_moments, _poisson_q)
     if diverged or not converged:
         raise ConvergenceError(
             "Poisson IRLS did not converge"
@@ -398,7 +371,7 @@ def fit_logit(dm, response=None) -> FitResult:
         raise ValidationError("logit response needs both classes present")
 
     start = np.zeros(X.shape[1])
-    beta, trace, converged, diverged = _logit_irls(X, a, 1.0, start)
+    beta, trace, converged, diverged = _irls(X, a, 1.0, start, _logit_moments, _bernoulli_q)
     # A finite logit MLE exists only when no coefficient vector classifies
     # every row correctly, so a perfectly-separating iterate is proof of
     # separation even if the likelihood change already went quiet.
@@ -469,8 +442,10 @@ def _zip_em(X, y, theta, gamma, tol=EM_TOL, max_iter=MAX_EM_ITERATIONS):
         z_hat[zero] = np.exp(log_expit(u[zero]) - log_p0)
 
         # M-steps: fractional-response logit and case-weighted Poisson
-        theta, _, th_ok, th_div = _logit_irls(X, z_hat, 1.0, theta)
-        gamma, _, ga_ok, ga_div = _poisson_irls(X, y, 1.0 - z_hat, gamma)
+        theta, _, th_ok, th_div = _irls(X, z_hat, 1.0, theta, _logit_moments, _bernoulli_q)
+        gamma, _, ga_ok, ga_div = _irls(
+            X, y, 1.0 - z_hat, gamma, _poisson_moments, _poisson_q
+        )
         if th_div or ga_div or not (th_ok and ga_ok):
             raise ConvergenceError(
                 "ZIP M-step failed to converge",
@@ -531,7 +506,7 @@ def _zip_information(X, y, theta, gamma):
     return -np.vstack([top, bottom])
 
 
-def _fit_zip_core(X, y, names):
+def _fit_zip_core(X, y):
     theta0 = np.zeros(X.shape[1])
     gamma0 = _ols_log1p_start(X, y)
     theta, gamma, trace, converged = _zip_em(X, y, theta0, gamma0)
@@ -562,7 +537,7 @@ def fit_zip(dm) -> ZipFitResult:
             "ZIP requires both zero and positive responses present"
         )
 
-    theta, gamma, trace = _fit_zip_core(X, y, dm.columns)
+    theta, gamma, trace = _fit_zip_core(X, y)
     loglik = trace[-1]
     iterations = len(trace) - 1
 
@@ -578,8 +553,8 @@ def fit_zip(dm) -> ZipFitResult:
 
     # Pseudo-R2 against the intercept-only ZIP null, fitted by the same EM
     ones = np.ones((len(y), 1))
-    n_theta, n_gamma, n_trace = _fit_zip_core(ones, y, ("const",))
-    pseudo = 1.0 - loglik / n_trace[-1]
+    null_trace = _fit_zip_core(ones, y)[2]
+    pseudo = 1.0 - loglik / null_trace[-1]
 
     common = dict(
         r2_or_pseudo=pseudo,

@@ -146,17 +146,33 @@ def _layout(dm: DesignMatrix, country_ids: tuple[str, ...] | None):
     return ids, src, dst
 
 
-def _require_full_grid(dm: DesignMatrix, ids: tuple[str, ...]) -> None:
+def _grid(dm: DesignMatrix, country_ids: tuple[str, ...] | None, full: bool = True):
+    """Grid layout of the design rows and a scatter onto it.
+
+    Returns ``(ids, scatter)``; ``scatter(values, dtype)`` is an n-by-n
+    array holding the per-row ``values`` at their dyads and zero elsewhere.
+    With ``full`` the rows must cover every ordered pair.
+    """
+    ids, src, dst = _layout(dm, country_ids)
     n = len(ids)
-    if dm.n_obs != n * (n - 1):
+    if full and dm.n_obs != n * (n - 1):
         raise ValidationError(
             f"expected one design row per ordered pair ({n * (n - 1)}), got {dm.n_obs}"
         )
 
+    def scatter(values, dtype=float) -> np.ndarray:
+        out = np.zeros((n, n), dtype=dtype)
+        out[src, dst] = values
+        return out
 
-def _check_fit_against(dm: DesignMatrix, fit: FitResult, want_tag: str) -> None:
-    if fit.model_tag != want_tag:
-        raise ValidationError(f"expected a {want_tag} fit, got {fit.model_tag}")
+    return ids, scatter
+
+
+def _check_fit_against(dm: DesignMatrix, fit: FitResult, *want_tags: str) -> None:
+    if fit.model_tag not in want_tags:
+        raise ValidationError(
+            f"expected a {' or '.join(want_tags)} fit, got {fit.model_tag}"
+        )
     if tuple(fit.names) != tuple(dm.columns):
         raise SchemaError(
             "fit and design matrix disagree on covariates: "
@@ -177,6 +193,17 @@ def _guard_overflow(eta: np.ndarray, dm: DesignMatrix, stage: str) -> None:
             f"{stage} linear predictor {eta[k]:.1f} for dyad "
             f"({exporter}, {importer}) overflows exp()"
         )
+
+
+def _zip_stages(zip_fit: ZipFitResult, dm: DesignMatrix, country_ids):
+    """Checked grid plus the per-row zero probability psi and count mean mu."""
+    _check_fit_against(dm, zip_fit.logit_part, "ZIP_LOGIT")
+    _check_fit_against(dm, zip_fit.poisson_part, "ZIP_POISSON")
+    ids, scatter = _grid(dm, country_ids)
+    u = _linear_predictor(dm, zip_fit.logit_part)
+    v = _linear_predictor(dm, zip_fit.poisson_part)
+    _guard_overflow(v, dm, "count")
+    return ids, scatter, expit(u), np.exp(v)
 
 
 def predict_ols(
@@ -211,16 +238,11 @@ def predict_ols(
         raise ValidationError("OLS fit carries no residual variance")
     if not np.all(dm.y > 0):
         raise ValidationError("OLS predictions require a positive-flow design matrix")
-    ids, src, dst = _layout(dm, country_ids)
-    n = len(ids)
-    eta = _linear_predictor(dm, fit)
-    value = np.zeros((n, n))
-    variance = np.zeros((n, n))
-    mask = np.zeros((n, n), dtype=np.int8)
-    value[src, dst] = eta
-    variance[src, dst] = fit.sigma2
-    mask[src, dst] = 1
-    return PredictedWeights("OLS", ids, value, variance, mask)
+    ids, scatter = _grid(dm, country_ids, full=False)
+    value = scatter(_linear_predictor(dm, fit))
+    return PredictedWeights(
+        "OLS", ids, value, scatter(fit.sigma2), scatter(1, dtype=np.int8)
+    )
 
 
 def predict_ppml(
@@ -240,15 +262,11 @@ def predict_ppml(
         message names the first offending dyad.
     """
     _check_fit_against(dm, fit, "PPML")
-    ids, src, dst = _layout(dm, country_ids)
-    _require_full_grid(dm, ids)
-    n = len(ids)
+    ids, scatter = _grid(dm, country_ids)
     eta = _linear_predictor(dm, fit)
     _guard_overflow(eta, dm, "count")
-    value = np.zeros((n, n))
-    value[src, dst] = np.exp(eta)
-    mask = np.ones((n, n), dtype=np.int8)
-    np.fill_diagonal(mask, 0)
+    value = scatter(np.exp(eta))
+    mask = _off_diagonal_mask(len(ids)).astype(np.int8)
     return PredictedWeights("PPML", ids, value, value.copy(), mask)
 
 
@@ -264,22 +282,10 @@ def predict_zip(
     ``mu * (1 - psi) * (1 + mu * psi)``, the variance of the zero-inflated
     Poisson mixture.
     """
-    _check_fit_against(dm, zip_fit.logit_part, "ZIP_LOGIT")
-    _check_fit_against(dm, zip_fit.poisson_part, "ZIP_POISSON")
-    ids, src, dst = _layout(dm, country_ids)
-    _require_full_grid(dm, ids)
-    n = len(ids)
-    u = _linear_predictor(dm, zip_fit.logit_part)
-    v = _linear_predictor(dm, zip_fit.poisson_part)
-    _guard_overflow(v, dm, "count")
-    psi = expit(u)
-    mu = np.exp(v)
-    value = np.zeros((n, n))
-    variance = np.zeros((n, n))
-    value[src, dst] = (1.0 - psi) * mu
-    variance[src, dst] = mu * (1.0 - psi) * (1.0 + mu * psi)
-    mask = np.ones((n, n), dtype=np.int8)
-    np.fill_diagonal(mask, 0)
+    ids, scatter, psi, mu = _zip_stages(zip_fit, dm, country_ids)
+    value = scatter((1.0 - psi) * mu)
+    variance = scatter(mu * (1.0 - psi) * (1.0 + mu * psi))
+    mask = _off_diagonal_mask(len(ids)).astype(np.int8)
     return PredictedWeights("ZIP", ids, value, variance, mask)
 
 
@@ -299,20 +305,10 @@ def link_probabilities(
     diagonal is zero by convention.
     """
     logit = fit.logit_part if isinstance(fit, ZipFitResult) else fit
-    if logit.model_tag not in ("LOGIT", "ZIP_LOGIT"):
-        raise ValidationError(f"expected a logit-family fit, got {logit.model_tag}")
-    if tuple(logit.names) != tuple(dm.columns):
-        raise SchemaError(
-            "fit and design matrix disagree on covariates: "
-            f"{list(logit.names)} vs {list(dm.columns)}"
-        )
-    ids, src, dst = _layout(dm, country_ids)
-    _require_full_grid(dm, ids)
-    n = len(ids)
-    u = dm.X @ logit.coefficients
-    xi = np.zeros((n, n))
+    _check_fit_against(dm, logit, "LOGIT", "ZIP_LOGIT")
+    ids, scatter = _grid(dm, country_ids)
     # expit is strictly inside (0, 1) for finite arguments, so xi is too.
-    xi[src, dst] = 1.0 - expit(u)
+    xi = scatter(1.0 - expit(_linear_predictor(dm, logit)))
     return LinkProbabilityMatrix(ids, xi)
 
 
@@ -332,23 +328,10 @@ def zero_flow_probability(
     """
     if form not in ("consistent", "printed"):
         raise ValidationError(f"unknown zero-probability form {form!r}")
-    _check_fit_against(dm, zip_fit.logit_part, "ZIP_LOGIT")
-    _check_fit_against(dm, zip_fit.poisson_part, "ZIP_POISSON")
-    ids, src, dst = _layout(dm, country_ids)
-    _require_full_grid(dm, ids)
-    n = len(ids)
-    u = _linear_predictor(dm, zip_fit.logit_part)
-    v = _linear_predictor(dm, zip_fit.poisson_part)
-    _guard_overflow(v, dm, "count")
-    psi = expit(u)
-    mu = np.exp(v)
+    _, scatter, psi, mu = _zip_stages(zip_fit, dm, country_ids)
     if form == "consistent":
-        vals = psi + (1.0 - psi) * np.exp(-mu)
-    else:
-        vals = psi + (1.0 - psi) * mu
-    out = np.zeros((n, n))
-    out[src, dst] = vals
-    return out
+        return scatter(psi + (1.0 - psi) * np.exp(-mu))
+    return scatter(psi + (1.0 - psi) * mu)
 
 
 def _off_diagonal_mask(n: int) -> np.ndarray:

@@ -8,6 +8,7 @@ the per-module tests.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,12 +24,13 @@ from gravnet.cli import (
     MODEL_TAGS,
     RunConfig,
     _fit_from_payload,
+    _fit_one,
     _hash_file,
     cell_seed,
     load_config,
     main,
 )
-from gravnet.errors import ValidationError
+from gravnet.errors import SingularDesignError, ValidationError
 from gravnet.estimation import fit_poisson_pml
 from gravnet.panel import (
     DESIGN_COLUMNS,
@@ -186,6 +188,19 @@ def test_zip_on_zero_free_panel_fails_cleanly(lognormal_panel, tmp_path, capsys)
     assert "model ZIP" in err
     # nothing half-written: no fit artifacts, no manifest entries
     assert list((tmp_path / "out").glob("*/ZIP/fit.json")) == []
+
+
+def test_fit_error_keeps_its_type_and_names_the_cell(zip_panel):
+    panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
+    cs = build_cross_section(panel, 2000)
+    dm = build_design_matrix(cs, panel, COVARIATES)
+    # a duplicated regressor makes the design rank deficient
+    X = np.column_stack([dm.X, dm.X[:, 1]])
+    collinear = replace(dm, X=X, columns=dm.columns + ("ln_gdp_i_copy",))
+    with pytest.raises(SingularDesignError) as info:
+        _fit_one("PPML", 2000, None, collinear)
+    assert info.value.columns
+    assert str(info.value).startswith("year 2000 model PPML: ")
 
 
 def test_fit_artifact_reloads_to_the_same_fit(zip_panel, tmp_path):

@@ -16,11 +16,8 @@ from gravnet.compare import (
     REPORT_KINDS,
     ModelPrediction,
     analytical_var_avg_ns,
-    averages_rows,
     build_comparison_report,
-    correlations_rows,
     ensemble_summary,
-    ks_rows,
     ks_two_sample,
     report_as_dict,
 )
@@ -170,6 +167,18 @@ def test_ensemble_summary_drops_undefined_replications():
                          "ND_tot")
 
 
+@pytest.mark.parametrize(
+    "kind, transform",
+    [("FOO", "identity"), ("NS_tot", "bogus"), ("ND_tot", "bogus")],
+)
+def test_ensemble_summary_rejects_unknown_kind_or_transform(kind, transform):
+    n = 4
+    reps = np.ones((3, n, n))
+    ens = NetworkEnsemble("PPML", country_names(n), reps, seed=0)
+    with pytest.raises(ValidationError, match="unknown"):
+        ensemble_summary(ens, kind, transform)
+
+
 # ------------------------------------------------- analytical variances
 
 
@@ -314,14 +323,6 @@ def test_report_rows_and_json():
     # models appear in sorted order for deterministic artifacts
     assert [s.model_tag for s in report.statistics[: len(REPORT_KINDS)]] == \
         ["OLS"] * len(REPORT_KINDS)
-
-    kr = ks_rows(report)
-    ar = averages_rows(report)
-    cr = correlations_rows(report)
-    assert len(kr) == len(ar) == len(report.statistics)
-    assert len(cr) == len(report.correlations)
-    assert {"year", "model", "kind", "d_statistic", "p_value"} <= set(kr[0])
-    assert ar[0]["ci_low"] == ""  # no ensembles supplied
 
     payload = json.dumps(report_as_dict(report), sort_keys=True)
     assert payload == json.dumps(report_as_dict(report), sort_keys=True)
