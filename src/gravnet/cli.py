@@ -113,9 +113,9 @@ class RunConfig:
     ``years`` empty means every year present in the panel.  ``transforms``
     maps model tags to the weight transform under which that model's
     comparison against the observed network is carried out; the log-linear
-    model predicts logs directly, so its own statistics always use the
-    identity transform and its configured value applies to the observed
-    side only.
+    model predicts logs directly and the logit predicts an adjacency, so
+    their own statistics always use the identity transform and their
+    configured value applies to the observed side only.
     """
 
     dyads: str
@@ -579,7 +579,7 @@ def _write_prediction(out: str, year: int, pred: PredictedWeights) -> str:
         "country_ids": list(pred.country_ids),
         "value": pred.value.tolist(),
         "variance": pred.variance.tolist(),
-        "mask": None if pred.mask is None else pred.mask.astype(int).tolist(),
+        "mask": pred.mask.astype(int).tolist(),
     }
     _write_json(_prepare(out, rel), payload)
     return rel
@@ -662,13 +662,12 @@ def cmd_predict(args) -> None:
 
 
 def _pred_from_payload(payload: dict) -> PredictedWeights:
-    mask = payload.get("mask")
     return PredictedWeights(
         payload["model"],
         tuple(payload["country_ids"]),
         np.array(payload["value"], dtype=float),
         np.array(payload["variance"], dtype=float),
-        None if mask is None else np.array(mask, dtype=np.int8),
+        np.array(payload["mask"], dtype=np.int8),
     )
 
 
@@ -764,14 +763,11 @@ def _cell_prediction(cfg: RunConfig, year: int, tag: str):
     """ModelPrediction for one cell plus the observed-side transform."""
     seed = cell_seed(cfg.seed, year, tag)
     _, net, transform, pred = _cell_network(cfg, year, tag)
+    lp = _link_probs_from_artifact(cfg, year, tag) if tag in ("ZIP", "LOGIT") else None
     if tag == "LOGIT":
-        lp = _link_probs_from_artifact(cfg, year, tag)
         ensemble = sample_bernoulli_ensemble(lp, cfg.replications, seed)
-        return ModelPrediction(tag, net, ensemble, transform), transform
-    lp = _link_probs_from_artifact(cfg, year, tag) if tag == "ZIP" else None
-    ensemble = sample_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
-    # for OLS the configured transform applies to the observed side; the
-    # predicted side is already on the log scale
+    else:
+        ensemble = sample_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
     return ModelPrediction(tag, net, ensemble, transform), cfg.transforms[tag]
 
 

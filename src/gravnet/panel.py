@@ -36,19 +36,36 @@ DYAD_DUMMIES = (
     "contig", "comlang_off", "comcol", "colony", "curcol", "comcur", "gsp", "rta",
 )
 
+#: How each design column is filled: (source, field, logged). The source is
+#: "const", the exporter country "i", the importer country "j" or the dyad
+#: record "dyad"; a logged field must be strictly positive.
+_DESIGN_SPEC = {
+    "const": ("const", None, False),
+    "ln_gdp_i": ("i", "gdp", True),
+    "ln_gdp_j": ("j", "gdp", True),
+    "ln_dist": ("dyad", "distance", True),
+    "ln_area_i": ("i", "area", True),
+    "ln_area_j": ("j", "area", True),
+    "ln_pop_i": ("i", "population", True),
+    "ln_pop_j": ("j", "population", True),
+    "landl_i": ("i", "landlocked", False),
+    "landl_j": ("j", "landlocked", False),
+    "continent_i": ("i", "continent", False),
+    "continent_j": ("j", "continent", False),
+    "contig": ("dyad", "contig", False),
+    "comlang_off": ("dyad", "comlang_off", False),
+    "comcol": ("dyad", "comcol", False),
+    "colony": ("dyad", "colony", False),
+    "curcol": ("dyad", "curcol", False),
+    "comrelig": ("dyad", "comrelig", False),
+    "comcur": ("dyad", "comcur", False),
+    "gsp": ("dyad", "gsp", False),
+    "rta": ("dyad", "rta", False),
+}
+
 #: Canonical gravity regressors, in column order. ``_i`` marks the exporter,
 #: ``_j`` the importer.
-DESIGN_COLUMNS = (
-    "const",
-    "ln_gdp_i", "ln_gdp_j",
-    "ln_dist",
-    "ln_area_i", "ln_area_j",
-    "ln_pop_i", "ln_pop_j",
-    "landl_i", "landl_j",
-    "continent_i", "continent_j",
-    "contig", "comlang_off", "comcol", "colony", "curcol",
-    "comrelig", "comcur", "gsp", "rta",
-)
+DESIGN_COLUMNS = tuple(_DESIGN_SPEC)
 
 
 @dataclass(frozen=True)
@@ -354,15 +371,6 @@ def build_cross_section(panel: DyadPanel, year: int) -> CrossSection:
     )
 
 
-def _log_of(value, column, exporter, importer):
-    if not value > 0:
-        raise ValidationError(
-            f"dyad {exporter!r}->{importer!r}: column {column!r} requires a "
-            f"strictly positive value, got {value}"
-        )
-    return float(np.log(value))
-
-
 def build_design_matrix(
     cs: CrossSection,
     panel: DyadPanel,
@@ -374,7 +382,8 @@ def build_design_matrix(
     With ``positive_only`` the rows are restricted to dyads with a positive
     observed flow (the log-linear estimation sample); otherwise all N(N-1)
     dyads enter.  Bilateral covariates are required for every included dyad
-    unless none of the selected columns is bilateral.
+    unless none of the selected columns is bilateral.  Rows are in
+    exporter-major order.
     """
     columns = tuple(covariates) if covariates is not None else DESIGN_COLUMNS
     unknown = [c for c in columns if c not in DESIGN_COLUMNS]
@@ -383,78 +392,57 @@ def build_design_matrix(
     if len(set(columns)) != len(columns):
         raise SchemaError("duplicate design column requested")
 
-    dyadic = [
-        c for c in columns
-        if c in DYAD_DUMMIES or c in ("ln_dist", "comrelig")
-    ]
-    records = panel.dyads_for(cs.year)
-    index = {c.country_id: pos for pos, c in enumerate(cs.countries)}
+    exp_idx, imp_idx = np.nonzero(~np.eye(cs.n, dtype=bool))
+    y = cs.weights[exp_idx, imp_idx]
+    if positive_only:
+        keep = y > 0.0
+        exp_idx, imp_idx, y = exp_idx[keep], imp_idx[keep], y[keep]
+    ids = cs.country_ids
+    rows = tuple(
+        (ids[i], ids[j]) for i, j in zip(exp_idx.tolist(), imp_idx.tolist())
+    )
 
-    rows = []
-    data = []
-    flows = []
-    for exp in cs.countries:
-        for imp in cs.countries:
-            if exp.country_id == imp.country_id:
-                continue
-            flow = cs.weights[index[exp.country_id], index[imp.country_id]]
-            if positive_only and flow <= 0.0:
-                continue
-            record = records.get((exp.country_id, imp.country_id))
-            if record is None and dyadic:
+    records = []
+    if any(_DESIGN_SPEC[c][0] == "dyad" for c in columns):
+        table = panel.dyads_for(cs.year)
+        records = [table.get(row) for row in rows]
+        missing = [row for row, record in zip(rows, records) if record is None]
+        if missing:
+            exporter, importer = missing[0]
+            raise ValidationError(
+                f"dyad {exporter!r}->{importer!r} ({cs.year}) "
+                f"has no bilateral covariates"
+            )
+    gathers = {
+        "i": (cs.countries, exp_idx),
+        "j": (cs.countries, imp_idx),
+        "dyad": (records, slice(None)),
+    }
+
+    X = np.empty((len(rows), len(columns)))
+    for k, col in enumerate(columns):
+        source, name, logged = _DESIGN_SPEC[col]
+        if source == "const":
+            X[:, k] = 1.0
+            continue
+        items, index = gathers[source]
+        values = np.array([getattr(item, name) for item in items], dtype=float)[index]
+        if logged:
+            bad = np.flatnonzero(~(values > 0))
+            if bad.size:
+                exporter, importer = rows[bad[0]]
                 raise ValidationError(
-                    f"dyad {exp.country_id!r}->{imp.country_id!r} ({cs.year}) "
-                    f"has no bilateral covariates"
+                    f"dyad {exporter!r}->{importer!r}: column {col!r} requires a "
+                    f"strictly positive value, got {values[bad[0]]}"
                 )
-            values = []
-            for col in columns:
-                if col == "const":
-                    values.append(1.0)
-                elif col == "ln_gdp_i":
-                    values.append(_log_of(exp.gdp, col, exp.country_id, imp.country_id))
-                elif col == "ln_gdp_j":
-                    values.append(_log_of(imp.gdp, col, exp.country_id, imp.country_id))
-                elif col == "ln_dist":
-                    values.append(
-                        _log_of(record.distance, col, exp.country_id, imp.country_id)
-                    )
-                elif col == "ln_area_i":
-                    values.append(_log_of(exp.area, col, exp.country_id, imp.country_id))
-                elif col == "ln_area_j":
-                    values.append(_log_of(imp.area, col, exp.country_id, imp.country_id))
-                elif col == "ln_pop_i":
-                    values.append(
-                        _log_of(exp.population, col, exp.country_id, imp.country_id)
-                    )
-                elif col == "ln_pop_j":
-                    values.append(
-                        _log_of(imp.population, col, exp.country_id, imp.country_id)
-                    )
-                elif col == "landl_i":
-                    values.append(float(exp.landlocked))
-                elif col == "landl_j":
-                    values.append(float(imp.landlocked))
-                elif col == "continent_i":
-                    values.append(float(exp.continent))
-                elif col == "continent_j":
-                    values.append(float(imp.continent))
-                elif col == "comrelig":
-                    values.append(record.comrelig)
-                else:
-                    values.append(float(getattr(record, col)))
-            rows.append((exp.country_id, imp.country_id))
-            data.append(values)
-            flows.append(flow)
+            values = np.log(values)
+        X[:, k] = values
 
-    X = np.array(data, dtype=float) if data else np.empty((0, len(columns)))
-    y = np.array(flows, dtype=float)
     a = (y > 0.0).astype(np.int8)
     X.setflags(write=False)
     y.setflags(write=False)
     a.setflags(write=False)
-    return DesignMatrix(
-        year=cs.year, rows=tuple(rows), columns=columns, X=X, y=y, a=a
-    )
+    return DesignMatrix(year=cs.year, rows=rows, columns=columns, X=X, y=y, a=a)
 
 
 def _minimal_count(sorted_desc: np.ndarray, share: float) -> int:

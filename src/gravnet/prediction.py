@@ -401,10 +401,11 @@ def threshold_by_manhattan(
     """Choose the cutoff minimising Manhattan distance to an observed adjacency.
 
     Every distinct link probability is a candidate cutoff, plus zero so
-    that the all-links configuration is reachable.  The distance
-    ``sum |a_hat(s) - a|`` over ordered pairs is piecewise constant in
-    ``s`` and only changes at those candidates, so the scan is exact.
-    Ties go to the smallest cutoff.
+    that the all-links configuration is reachable.  At cutoff ``s`` the
+    distance ``sum |a_hat(s) - a|`` over ordered pairs is the number of
+    observed links with probability at most ``s`` plus the number of
+    non-links above ``s``: counts over sorted probabilities, taken for all
+    candidates at once.  Ties go to the smallest cutoff.
     """
     n = link_probs.n
     if n < 2:
@@ -415,16 +416,16 @@ def threshold_by_manhattan(
             f"observed adjacency has shape {observed.shape}, expected {(n, n)}"
         )
     off = _off_diagonal_mask(n)
-    obs = (np.asarray(observed, dtype=float) != 0).astype(np.int8)
-    candidates = np.unique(np.concatenate(([0.0], link_probs.xi[off])))
-    best_s = None
-    best_dist = None
-    for s in candidates:
-        a = _binary_from_threshold(link_probs.xi, float(s))
-        dist = int(np.abs(a[off] - obs[off]).sum())
-        if best_dist is None or dist < best_dist:
-            best_s = float(s)
-            best_dist = dist
+    xi = link_probs.xi[off]
+    linked = np.asarray(observed, dtype=float)[off] != 0
+    candidates = np.unique(np.concatenate(([0.0], xi)))
+    links, non_links = np.sort(xi[linked]), np.sort(xi[~linked])
+    dist = np.searchsorted(links, candidates, side="right") + (
+        non_links.size - np.searchsorted(non_links, candidates, side="right")
+    )
+    best = int(np.argmin(dist))
+    best_s = float(candidates[best])
+    best_dist = int(dist[best])
     a = _binary_from_threshold(link_probs.xi, best_s)
     density = a.sum() / (n * (n - 1))
     return BinaryPrediction(a, best_s, float(density), manhattan_distance=best_dist)

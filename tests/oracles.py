@@ -142,6 +142,49 @@ def loop_statistics(weights, adjacency, transform="identity"):
     return stats
 
 
+_COUNTRY_FIELDS = {
+    "gdp": "gdp", "area": "area", "pop": "population",
+    "landl": "landlocked", "continent": "continent",
+}
+
+
+def loop_design_matrix(countries, weights, dyads, columns, positive_only):
+    """Gravity design by one pass over ordered pairs, exporter-major.
+
+    ``countries`` is the ordered country records, ``weights`` the flow
+    grid and ``dyads`` the {(exporter, importer): record} table. Returns
+    (rows, X, y, a) as plain lists.
+    """
+    rows, X, y, a = [], [], [], []
+    for i, exp in enumerate(countries):
+        for j, imp in enumerate(countries):
+            flow = float(weights[i][j])
+            if i == j or (positive_only and flow <= 0.0):
+                continue
+            record = dyads.get((exp.country_id, imp.country_id))
+            values = []
+            for column in columns:
+                if column == "const":
+                    values.append(1.0)
+                    continue
+                logged = column.startswith("ln_")
+                base = column[3:] if logged else column
+                if base == "dist":
+                    value = record.distance
+                elif base.endswith("_i"):
+                    value = getattr(exp, _COUNTRY_FIELDS[base[:-2]])
+                elif base.endswith("_j"):
+                    value = getattr(imp, _COUNTRY_FIELDS[base[:-2]])
+                else:
+                    value = getattr(record, base)
+                values.append(math.log(value) if logged else float(value))
+            rows.append((exp.country_id, imp.country_id))
+            X.append(values)
+            y.append(flow)
+            a.append(1 if flow > 0.0 else 0)
+    return rows, X, y, a
+
+
 def loop_ks_statistic(sample1, sample2):
     """Two-sample Kolmogorov-Smirnov D by counting, at every pooled point."""
     x = list(sample1)

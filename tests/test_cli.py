@@ -32,6 +32,7 @@ from gravnet.cli import (
 )
 from gravnet.errors import SingularDesignError, ValidationError
 from gravnet.estimation import fit_poisson_pml
+from gravnet.netstats import compute_statistic, population_average
 from gravnet.panel import (
     DESIGN_COLUMNS,
     build_cross_section,
@@ -403,6 +404,22 @@ def test_binary_artifact_realized_density(zip_panel, tmp_path):
     want = round(payload["observed_density"] * pairs) / pairs
     assert abs(payload["matched_density"]["realized_density"] - want) < 1e-12
     assert payload["manhattan"]["distance"] >= 0
+
+
+def test_logit_observed_side_uses_configured_transform(zip_panel, tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json", zip_panel, out, models=["LOGIT"], years=[2000],
+        transforms={"LOGIT": "log_positive"},
+    )
+    run_pipeline(cfg, commands=("fit", "predict", "compare"))
+    report = json.loads((out / "2000" / "LOGIT" / "report.json").read_text())
+    (ns_tot,) = [s for s in report["statistics"] if s["kind"] == "NS_tot"]
+
+    panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
+    observed = build_cross_section(panel, 2000).network()
+    want, _ = population_average(compute_statistic(observed, "NS_tot", "log_positive"))
+    assert ns_tot["observed_avg"] == want
 
 
 def test_synth_command_writes_panel_and_manifest(tmp_path):

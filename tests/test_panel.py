@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gravnet.errors import SchemaError, ValidationError
 from gravnet.panel import (
     COUNTRY_COLUMNS,
@@ -12,11 +13,13 @@ from gravnet.panel import (
     DYAD_COLUMNS,
     CountryRecord,
     CrossSection,
+    DyadRecord,
     build_cross_section,
     build_design_matrix,
     load_panel,
     summary_stats,
 )
+from gravnet.synth import SynthSpec, write_synth_panel
 
 
 def country_row(country, year, gdp=100.0, area=50.0, population=10.0,
@@ -187,6 +190,9 @@ def test_all_zero_flows(tmp_path, small_files):
     assert stats.avg_trade == 0.0
     assert stats.flows_50 == 0
     assert stats.countries_50 == 0
+    empty = build_design_matrix(cs, panel, positive_only=True)
+    assert empty.X.shape == (0, len(DESIGN_COLUMNS))
+    assert empty.rows == () and empty.y.shape == (0,)
 
 
 def test_design_matrix_full_and_positive(small_files):
@@ -270,6 +276,54 @@ def test_design_matrix_rejects_nonpositive_log_input():
     with pytest.raises(ValidationError, match="ln_gdp"):
         build_design_matrix(cs_bad, EmptyPanel(),
                             covariates=("const", "ln_gdp_i"))
+
+    class ZeroDistancePanel:
+        def dyads_for(self, year):
+            return {
+                (e, i): DyadRecord(e, i, year, 0.0, 0.0, 0, 0, 0, 0, 0, 0.5, 0, 0, 0)
+                for e, i in [("AAA", "BBB"), ("BBB", "AAA")]
+            }
+
+    with pytest.raises(ValidationError, match="ln_dist"):
+        build_design_matrix(cs, ZeroDistancePanel(),
+                            covariates=("const", "ln_dist"))
+
+
+@pytest.fixture(scope="module")
+def synth_cross_section(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth_panel")
+    paths = write_synth_panel(
+        SynthSpec(n_countries=12, years=(2000,), noise="zip", seed=4), str(out)
+    )
+    panel = load_panel(paths["dyads"], paths["countries"])
+    return panel, build_cross_section(panel, 2000)
+
+
+@pytest.mark.parametrize("positive_only", [False, True])
+@pytest.mark.parametrize(
+    "columns",
+    [DESIGN_COLUMNS, ("rta", "const", "ln_dist", "continent_j", "ln_pop_i")],
+)
+def test_design_matrix_matches_loop_oracle(synth_cross_section, columns,
+                                           positive_only):
+    panel, cs = synth_cross_section
+    dm = build_design_matrix(cs, panel, columns, positive_only=positive_only)
+    rows, X, y, a = oracles.loop_design_matrix(
+        cs.countries, cs.weights.tolist(), panel.dyads_for(2000), columns,
+        positive_only,
+    )
+    assert 0 < len(rows) and (len(rows) < cs.n * (cs.n - 1)) == positive_only
+    assert dm.columns == columns
+    assert dm.rows == tuple(rows)
+    np.testing.assert_array_equal(dm.y, y)
+    np.testing.assert_array_equal(dm.a, a)
+    assert dm.X.shape == (len(rows), len(columns))
+    for k, column in enumerate(columns):
+        want = np.array([values[k] for values in X])
+        if column.startswith("ln_"):
+            np.testing.assert_array_max_ulp(dm.X[:, k], want, maxulp=1)
+        else:
+            np.testing.assert_array_equal(dm.X[:, k], want)
 
 
 def test_summary_density_1970_level():
