@@ -801,6 +801,7 @@ def cmd_compare(args) -> None:
                 year=year,
                 model=tag,
                 replications=cfg.replications,
+                n_dropped={s.kind: s.summary.n_dropped for s in report.statistics if s.summary},
             )
     _record_artifacts(cfg.out, written)
 

@@ -5,7 +5,9 @@ the functions here answer "how far is that from the network we saw".  Node
 statistics are compared with two-sample Kolmogorov-Smirnov tests, ensemble
 spread turns into 95% confidence intervals, and closed-form variances of
 average node strength are available for the three estimator families as an
-independent check on the Monte Carlo machinery.
+independent check on the Monte Carlo machinery.  An ensemble is walked once:
+each replication is validated into one network, and every reported statistic
+is taken from that network.
 
 Everything is pure computation over immutable inputs; replication order is
 fixed, so reports are deterministic given the inputs and the ensemble seed.
@@ -24,7 +26,6 @@ from .netstats import (
     WEIGHT_TRANSFORMS,
     TradeNetwork,
     all_statistics,
-    compute_statistic,
     density,
     population_average,
     stat_correlation,
@@ -163,50 +164,55 @@ def ks_two_sample(x, y) -> KsResult:
 
 
 def _replication_network(ens: NetworkEnsemble, r: int) -> TradeNetwork:
-    w = np.asarray(ens.replications[r], dtype=float)
-    if ens.mask is not None:
-        # log-scale draws: support is the stored mask, weights may be negative
-        return TradeNetwork(w, adjacency=np.asarray(ens.mask))
-    return TradeNetwork(w)
+    # log-scale draws carry their support as the stored mask, since their
+    # weights may be negative; level-scale draws have no mask
+    return TradeNetwork(ens.replications[r], adjacency=ens.mask)
 
 
 def ensemble_summary(
-    ens: NetworkEnsemble, kind: str, transform: str = "identity"
-) -> EnsembleSummary:
-    """Summarise one statistic's population average across replications.
+    ens: NetworkEnsemble, kinds: tuple[str, ...], transform: str = "identity"
+) -> tuple[EnsembleSummary, ...]:
+    """Summarise statistics' population averages across replications.
 
-    For node statistics the per-replication value is the average over
-    nodes where the statistic is defined; replications where it is
-    defined nowhere are dropped (and counted).  ``kind="density"``
-    summarises the scalar density instead.
+    One pass over the ensemble: each replication becomes one validated
+    network, and every requested kind is taken from it.  For node
+    statistics the per-replication value is the average over nodes where
+    the statistic is defined; replications where it is defined nowhere are
+    dropped (and counted).  The kind ``"density"`` summarises the scalar
+    density instead.  Returns one summary per entry of ``kinds``, in order.
 
     Raises
     ------
     ValidationError
-        If fewer than two replications exist, the kind or transform is
-        unknown, or the statistic is undefined in every replication.
+        If fewer than two replications exist, a kind or the transform is
+        unknown, or a statistic is undefined in every replication.
     """
     if ens.m < 2:
         raise ValidationError(f"need at least 2 replications, got {ens.m}")
-    if kind not in STAT_KINDS and kind != "density":
-        raise ValidationError(f"unknown statistic kind {kind!r}")
+    if isinstance(kinds, str):
+        raise ValidationError(f"kinds must be a sequence of kinds, not the string {kinds!r}")
+    for kind in kinds:
+        if kind not in STAT_KINDS and kind != "density":
+            raise ValidationError(f"unknown statistic kind {kind!r}")
     if transform not in WEIGHT_TRANSFORMS:
         raise ValidationError(
             f"unknown weight transform {transform!r}; expected one of {WEIGHT_TRANSFORMS}"
         )
-    values = []
-    dropped = 0
+    values = {kind: [] for kind in kinds}
+    node_kinds = [kind for kind in values if kind != "density"]
     for r in range(ens.m):
         net = _replication_network(ens, r)
-        if kind == "density":
-            values.append(density(net))
-            continue
-        try:
-            avg, _ = population_average(compute_statistic(net, kind, transform))
-        except ValidationError:
-            dropped += 1
-            continue
-        values.append(avg)
+        for kind, stat in all_statistics(net, node_kinds, transform).items():
+            try:
+                values[kind].append(population_average(stat)[0])
+            except ValidationError:
+                pass  # undefined at every node: dropped, and counted below
+        if "density" in values:
+            values["density"].append(density(net))
+    return tuple(_summarise(kind, values[kind], ens.m - len(values[kind])) for kind in kinds)
+
+
+def _summarise(kind: str, values: list, dropped: int) -> EnsembleSummary:
     if not values:
         raise ValidationError(f"{kind}: undefined in every replication")
     arr = np.asarray(values)
@@ -215,18 +221,10 @@ def ensemble_summary(
         v = float(arr[0])
         return EnsembleSummary(kind, v, 0.0, v, v, v, v, arr.size, dropped)
     mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    sd = float(arr.std(ddof=1))
     lo, hi = (float(q) for q in np.percentile(arr, [2.5, 97.5]))
     return EnsembleSummary(
-        kind=kind,
-        mean=mean,
-        sd=sd,
-        ci_low=lo,
-        ci_high=hi,
-        normal_low=mean - _Z975 * sd,
-        normal_high=mean + _Z975 * sd,
-        m=arr.size,
-        n_dropped=dropped,
+        kind, mean, sd, lo, hi, mean - _Z975 * sd, mean + _Z975 * sd, arr.size, dropped
     )
 
 
@@ -336,7 +334,12 @@ def build_comparison_report(
     for tag in sorted(predictions):
         mp = predictions[tag]
         pred_stats = all_statistics(mp.network, pair_kinds, mp.transform)
-        for kind in kinds:
+        summaries = (
+            (None,) * len(kinds)
+            if mp.ensemble is None
+            else ensemble_summary(mp.ensemble, kinds, mp.transform)
+        )
+        for kind, summary in zip(kinds, summaries):
             obs_vec = obs_stats[kind]
             pred_vec = pred_stats[kind]
             obs_avg, _ = population_average(obs_vec)
@@ -344,9 +347,6 @@ def build_comparison_report(
             ks = ks_two_sample(
                 obs_vec.values[obs_vec.defined], pred_vec.values[pred_vec.defined]
             )
-            summary = None
-            if mp.ensemble is not None:
-                summary = ensemble_summary(mp.ensemble, kind, mp.transform)
             stat_rows.append(
                 StatComparison(tag, kind, obs_avg, pred_avg, summary, ks)
             )

@@ -436,11 +436,16 @@ def _substream(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, replication]))
 
 
-def _check_sampling_args(m: int, seed: int) -> None:
+def _stack(m: int, seed: int, n: int, draw, dtype=float) -> np.ndarray:
+    """(m, n, n) stack whose replication ``r`` is ``draw(_substream(seed, r))``."""
     if m < 1:
         raise ValidationError(f"ensemble size must be at least 1, got {m}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    reps = np.empty((m, n, n), dtype=dtype)
+    for r in range(m):
+        reps[r] = draw(_substream(seed, r))
+    return reps
 
 
 def sample_bernoulli_ensemble(
@@ -453,15 +458,10 @@ def sample_bernoulli_ensemble(
     Each replication draws one uniform per matrix entry and places a link
     where it falls below the link probability.  Diagonals stay empty.
     """
-    _check_sampling_args(m, seed)
     n = link_probs.n
     xi = link_probs.xi
-    reps = np.empty((m, n, n), dtype=np.int8)
-    for r in range(m):
-        g = _substream(seed, r)
-        draw = (g.random((n, n)) < xi).astype(np.int8)
-        np.fill_diagonal(draw, 0)
-        reps[r] = draw
+    off = _off_diagonal_mask(n)
+    reps = _stack(m, seed, n, lambda g: (g.random((n, n)) < xi) & off, np.int8)
     return NetworkEnsemble("BERNOULLI", link_probs.country_ids, reps, seed)
 
 
@@ -482,27 +482,23 @@ def sample_weighted_ensemble(
     both random grids are drawn unconditionally so replication ``r`` is
     identical no matter which entries end up linked.
     """
-    _check_sampling_args(m, seed)
     n = pred.n
     off = _off_diagonal_mask(n)
+    mask = None
     if pred.model_tag == "OLS":
         sd = np.sqrt(pred.variance)
         maskf = pred.mask.astype(float)
-        reps = np.empty((m, n, n))
-        for r in range(m):
-            g = _substream(seed, r)
-            z = g.standard_normal((n, n))
-            reps[r] = (pred.value + sd * z) * maskf
-        return NetworkEnsemble("OLS", pred.country_ids, reps, seed, mask=pred.mask)
-    if pred.model_tag == "PPML":
-        reps = np.empty((m, n, n))
-        for r in range(m):
-            g = _substream(seed, r)
-            draw = g.poisson(pred.value).astype(float)
-            draw[~off] = 0.0
-            reps[r] = draw
-        return NetworkEnsemble("PPML", pred.country_ids, reps, seed)
-    if pred.model_tag == "ZIP":
+        mask = pred.mask
+
+        def draw(g):
+            return (pred.value + sd * g.standard_normal((n, n))) * maskf
+
+    elif pred.model_tag == "PPML":
+
+        def draw(g):
+            return np.where(off, g.poisson(pred.value), 0.0)
+
+    elif pred.model_tag == "ZIP":
         if link_probs is None:
             raise ValidationError("zero-inflated sampling needs link probabilities")
         if link_probs.country_ids != pred.country_ids:
@@ -510,13 +506,13 @@ def sample_weighted_ensemble(
         xi = link_probs.xi
         mu = np.zeros((n, n))
         mu[off] = pred.value[off] / xi[off]
-        reps = np.empty((m, n, n))
-        for r in range(m):
-            g = _substream(seed, r)
-            links = g.random((n, n)) < xi
-            counts = g.poisson(mu).astype(float)
-            draw = np.where(links, counts, 0.0)
-            draw[~off] = 0.0
-            reps[r] = draw
-        return NetworkEnsemble("ZIP", pred.country_ids, reps, seed)
-    raise ValidationError(f"cannot sample weighted networks for {pred.model_tag}")
+
+        def draw(g):
+            # uniforms before counts: the order is part of the seeded format
+            links = (g.random((n, n)) < xi) & off
+            return np.where(links, g.poisson(mu), 0.0)
+
+    else:
+        raise ValidationError(f"cannot sample weighted networks for {pred.model_tag}")
+    reps = _stack(m, seed, n, draw)
+    return NetworkEnsemble(pred.model_tag, pred.country_ids, reps, seed, mask=mask)

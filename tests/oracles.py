@@ -4,9 +4,21 @@ Everything here is deliberately naive: explicit Python loops transcribed term
 by term from the defining sums, sharing no code with the package. The tests
 assert agreement between the vectorized package code and these; keep them
 dumb and readable rather than fast.
+
+The one exception is ``loop_ensemble_summary``: the former per-kind ensemble
+summary, kept as the reference for the one-pass version. It reuses the
+package's network and statistic code, so it pins only the restructured
+replication loop, and agreement with it is exact.
 """
 
 import math
+
+import numpy as np
+from scipy.special import ndtri
+
+from gravnet.compare import EnsembleSummary
+from gravnet.errors import ValidationError
+from gravnet.netstats import TradeNetwork, compute_statistic, density, population_average
 
 # math.cbrt appeared in 3.11; the fallback matches it to within an ulp,
 # which is far inside every tolerance used by the tests.
@@ -195,6 +207,38 @@ def loop_ks_statistic(sample1, sample2):
         f2 = sum(1 for v in y if v <= point) / len(y)
         d_max = max(d_max, abs(f1 - f2))
     return d_max
+
+
+def loop_ensemble_summary(ens, kind, transform="identity"):
+    """Summary of one kind, rebuilding every replication's network for it."""
+    values = []
+    dropped = 0
+    for r in range(ens.m):
+        w = np.asarray(ens.replications[r], dtype=float)
+        if ens.mask is not None:
+            net = TradeNetwork(w, adjacency=np.asarray(ens.mask))
+        else:
+            net = TradeNetwork(w)
+        if kind == "density":
+            values.append(density(net))
+            continue
+        try:
+            avg, _ = population_average(compute_statistic(net, kind, transform))
+        except ValidationError:
+            dropped += 1
+            continue
+        values.append(avg)
+    arr = np.asarray(values)
+    if arr.min() == arr.max():
+        v = float(arr[0])
+        return EnsembleSummary(kind, v, 0.0, v, v, v, v, arr.size, dropped)
+    mean = float(arr.mean())
+    sd = float(arr.std(ddof=1))
+    lo, hi = (float(q) for q in np.percentile(arr, [2.5, 97.5]))
+    z = float(ndtri(0.975))
+    return EnsembleSummary(
+        kind, mean, sd, lo, hi, mean - z * sd, mean + z * sd, arr.size, dropped
+    )
 
 
 def loop_poisson_loglik(y, mu):

@@ -337,6 +337,15 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path):
     assert {r["command"] for r in records} == {
         "fit", "predict", "netstats", "compare", "report",
     }
+    # each compare cell logs its dropped replications per reported kind,
+    # read from the summaries of the report it wrote
+    compare = [r for r in records if r["command"] == "compare"]
+    assert len(compare) == 2 * 4
+    for r in compare:
+        report = json.loads((out / str(r["year"]) / r["model"] / "report.json").read_text())
+        assert r["n_dropped"] == {
+            s["kind"]: s["ensemble"]["n_dropped"] for s in report["statistics"]
+        }
 
 
 def test_pipeline_reruns_byte_identical(zip_panel, tmp_path):

@@ -1,8 +1,9 @@
 """Comparison-layer tests.
 
 The K-S statistic is checked for exact equality against a counting oracle.
-Ensemble summaries are checked on degenerate (zero-variance) ensembles and
-against binomial moments.  The closed-form average-strength variances are
+Ensemble summaries are checked on degenerate (zero-variance) ensembles,
+against binomial moments, and field for field against the per-kind loop
+oracle.  The closed-form average-strength variances are
 checked against their printed values and against Monte Carlo ensembles.
 """
 
@@ -36,7 +37,7 @@ from gravnet.prediction import (
     sample_weighted_ensemble,
 )
 
-from oracles import loop_ks_statistic
+from oracles import loop_ensemble_summary, loop_ks_statistic
 from test_prediction import country_names, make_dm, simulate_grid
 
 
@@ -120,7 +121,7 @@ def exact_ols_prediction():
 def test_ensemble_summary_degenerate_ols_collapses():
     pred = exact_ols_prediction()
     ens = sample_weighted_ensemble(pred, m=50, seed=1)
-    summary = ensemble_summary(ens, "NS_tot", "identity")
+    (summary,) = ensemble_summary(ens, ("NS_tot",), "identity")
     assert summary.sd == 0.0
     assert summary.ci_low == summary.mean == summary.ci_high
     assert summary.normal_low == summary.mean == summary.normal_high
@@ -138,7 +139,7 @@ def test_ensemble_summary_bernoulli_density_moments():
     lp = LinkProbabilityMatrix(country_names(n), xi)
     m = 10_000
     ens = sample_bernoulli_ensemble(lp, m=m, seed=3)
-    summary = ensemble_summary(ens, "density")
+    (summary,) = ensemble_summary(ens, ("density",))
     assert abs(summary.mean - 0.5) <= 3.0 * summary.sd / np.sqrt(m)
     assert summary.ci_low <= summary.mean <= summary.ci_high
     # binomial spread: per-replication density has sd sqrt(p(1-p)/pairs)
@@ -156,15 +157,15 @@ def test_ensemble_summary_drops_undefined_replications():
     ens = NetworkEnsemble("PPML", country_names(n), reps, seed=0)
 
     # partner averages are undefined on an empty network
-    summary = ensemble_summary(ens, "ANND_tot")
+    (summary,) = ensemble_summary(ens, ("ANND_tot",))
     assert summary.m == 3 and summary.n_dropped == 2
 
     all_empty = NetworkEnsemble("PPML", country_names(n), np.zeros((3, n, n)), seed=0)
     with pytest.raises(ValidationError):
-        ensemble_summary(all_empty, "ANND_tot")
+        ensemble_summary(all_empty, ("ANND_tot",))
     with pytest.raises(ValidationError):
         ensemble_summary(NetworkEnsemble("PPML", country_names(n), reps[:1], seed=0),
-                         "ND_tot")
+                         ("ND_tot",))
 
 
 @pytest.mark.parametrize(
@@ -176,7 +177,58 @@ def test_ensemble_summary_rejects_unknown_kind_or_transform(kind, transform):
     reps = np.ones((3, n, n))
     ens = NetworkEnsemble("PPML", country_names(n), reps, seed=0)
     with pytest.raises(ValidationError, match="unknown"):
-        ensemble_summary(ens, kind, transform)
+        ensemble_summary(ens, (kind,), transform)
+
+
+def test_ensemble_summary_rejects_a_bare_string():
+    ens = NetworkEnsemble("PPML", country_names(4), np.ones((3, 4, 4)), seed=0)
+    with pytest.raises(ValidationError, match="sequence of kinds"):
+        ensemble_summary(ens, "ND_tot")
+
+
+def oracle_ensembles():
+    """Small masked-OLS, PPML, ZIP and Bernoulli ensembles, plus one whose
+    replications alternate between an empty network and a ring, so the
+    partner averages and clusterings are dropped in some replications."""
+    rng = np.random.default_rng(37)
+    ids = country_names(6)
+    rows = [(e, i) for e in ids for i in ids if e != i]
+    k = len(rows)
+    X = np.column_stack([np.ones(k), rng.normal(size=k), rng.normal(size=k)])
+    y = np.exp(X @ np.array([2.0, 0.5, -0.4]) + rng.normal(scale=0.8, size=k))
+    keep = rng.random(k) < 0.7
+    dm = make_dm([r for r, kp in zip(rows, keep) if kp], X[keep], y[keep])
+    ols = predict_ols(fit_ols(dm), dm, country_ids=ids)
+
+    _, dm = simulate_grid(rng, 6, theta=(-1.0, 0.4, 0.0), gamma=(1.5, 0.4, -0.3))
+    ppml = predict_ppml(fit_poisson_pml(dm), dm)
+    zres = fit_zip(dm)
+    lp = link_probabilities(zres, dm)
+
+    ring = np.roll(np.eye(4), 1, axis=1)
+    dropped = np.stack([np.zeros((4, 4)), ring, np.zeros((4, 4)), ring, 2.5 * ring])
+    return {
+        "OLS": sample_weighted_ensemble(ols, m=40, seed=1),
+        "PPML": sample_weighted_ensemble(ppml, m=40, seed=2),
+        "ZIP": sample_weighted_ensemble(predict_zip(zres, dm), m=40, seed=3, link_probs=lp),
+        "BERNOULLI": sample_bernoulli_ensemble(lp, m=40, seed=4),
+        "DROPPED": NetworkEnsemble("PPML", country_names(4), dropped, seed=0),
+    }
+
+
+@pytest.mark.parametrize("transform", ["identity", "log_positive"])
+def test_ensemble_summary_matches_per_kind_loop_oracle(transform):
+    kinds = REPORT_KINDS + ("density",)
+    ensembles = oracle_ensembles()
+    assert not np.all(ensembles["OLS"].mask[~np.eye(6, dtype=bool)])
+    for tag, ens in ensembles.items():
+        got = ensemble_summary(ens, kinds, transform)
+        want = tuple(loop_ensemble_summary(ens, kind, transform) for kind in kinds)
+        assert got == want, tag
+    dropped = ensemble_summary(ensembles["DROPPED"], kinds, transform)
+    assert {s.kind: s.n_dropped for s in dropped if s.n_dropped} == {
+        "ANND_tot": 2, "BCC_tot": 2, "ANNS_tot": 2, "WCC_tot": 2,
+    }
 
 
 # ------------------------------------------------- analytical variances
@@ -229,7 +281,7 @@ def test_analytical_var_matches_monte_carlo():
     fit = fit_poisson_pml(dm)
     pred = predict_ppml(fit, dm)
     ens = sample_weighted_ensemble(pred, m=m, seed=21)
-    mc_var = ensemble_summary(ens, "NS_out", "identity").sd ** 2
+    mc_var = ensemble_summary(ens, ("NS_out",), "identity")[0].sd ** 2
     assert mc_var == pytest.approx(analytical_var_avg_ns(pred, "out"), rel=0.05)
 
     # zero-inflated
@@ -238,7 +290,7 @@ def test_analytical_var_matches_monte_carlo():
     zpred = predict_zip(zres, dm)
     lp = link_probabilities(zres, dm)
     zens = sample_weighted_ensemble(zpred, m=m, seed=22, link_probs=lp)
-    mc_var = ensemble_summary(zens, "NS_out", "identity").sd ** 2
+    mc_var = ensemble_summary(zens, ("NS_out",), "identity")[0].sd ** 2
     assert mc_var == pytest.approx(analytical_var_avg_ns(zpred, "out"), rel=0.05)
 
     # log-linear
@@ -252,7 +304,7 @@ def test_analytical_var_matches_monte_carlo():
     ofit = fit_ols(dm)
     opred = predict_ols(ofit, dm, country_ids=ids)
     oens = sample_weighted_ensemble(opred, m=m, seed=23)
-    mc_var = ensemble_summary(oens, "NS_out", "identity").sd ** 2
+    mc_var = ensemble_summary(oens, ("NS_out",), "identity")[0].sd ** 2
     assert mc_var == pytest.approx(analytical_var_avg_ns(opred, "out"), rel=0.05)
 
 

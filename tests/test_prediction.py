@@ -398,21 +398,56 @@ def test_threshold_by_manhattan_recovers_generating_adjacency():
 # ------------------------------------------------------------ sampling
 
 
-def test_bernoulli_ensemble_reproducible_and_counter_keyed():
+def counter_keyed_samplers():
+    """Each sampler as ``draw(m, seed) -> NetworkEnsemble`` on small fits."""
     ids, dm, zres = fitted_zip(seed=15, n=5)
     lp = link_probabilities(zres, dm)
+    zpred = predict_zip(zres, dm)
+    ppml = predict_ppml(fit_poisson_pml(dm), dm)
+    positive = dm.y > 0
+    rows = [row for row, keep in zip(dm.rows, positive) if keep]
+    ols_dm = make_dm(rows, dm.X[positive], dm.y[positive])
+    ols = predict_ols(fit_ols(ols_dm), ols_dm, country_ids=ids)
+    return {
+        "BERNOULLI": lambda m, seed: sample_bernoulli_ensemble(lp, m=m, seed=seed),
+        "OLS": lambda m, seed: sample_weighted_ensemble(ols, m=m, seed=seed),
+        "PPML": lambda m, seed: sample_weighted_ensemble(ppml, m=m, seed=seed),
+        "ZIP": lambda m, seed: sample_weighted_ensemble(zpred, m=m, seed=seed, link_probs=lp),
+    }, (zpred, lp)
 
-    e1 = sample_bernoulli_ensemble(lp, m=6, seed=42)
-    e2 = sample_bernoulli_ensemble(lp, m=6, seed=42)
+
+@pytest.mark.parametrize("tag", ["BERNOULLI", "OLS", "PPML", "ZIP"])
+def test_ensemble_reproducible_and_counter_keyed(tag):
+    samplers, _ = counter_keyed_samplers()
+    sample = samplers[tag]
+
+    e1 = sample(6, 42)
+    e2 = sample(6, 42)
     assert e1.replications.tobytes() == e2.replications.tobytes()
-    assert e1.seed == 42 and e1.model_tag == "BERNOULLI"
+    assert e1.seed == 42 and e1.model_tag == tag
 
-    e3 = sample_bernoulli_ensemble(lp, m=6, seed=43)
+    e3 = sample(6, 43)
     assert e1.replications.tobytes() != e3.replications.tobytes()
 
     # replication r depends only on (seed, r), not on the ensemble size
-    e_small = sample_bernoulli_ensemble(lp, m=2, seed=42)
+    e_small = sample(2, 42)
     np.testing.assert_array_equal(e_small.replications, e1.replications[:2])
+
+
+def test_zip_replication_follows_the_documented_recipe():
+    samplers, (zpred, lp) = counter_keyed_samplers()
+    ens = samplers["ZIP"](6, 42)
+    n = zpred.n
+    off = ~np.eye(n, dtype=bool)
+    mu = np.zeros((n, n))
+    mu[off] = zpred.value[off] / lp.xi[off]
+    for r in (0, 4):
+        # uniforms for the link grid first, then the Poisson grid
+        g = np.random.Generator(np.random.Philox(key=[42, r]))
+        links = g.random((n, n)) < lp.xi
+        counts = g.poisson(mu)
+        want = np.where(links & off, counts, 0).astype(float)
+        assert ens.replications[r].tobytes() == want.tobytes()
 
 
 def test_bernoulli_ensemble_moments():
