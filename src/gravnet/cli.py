@@ -27,11 +27,14 @@ draws of the other cells.
 
 import argparse
 import csv
+import fcntl
 import hashlib
 import io
 import json
 import os
+import resource
 import sys
+import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -54,7 +57,7 @@ from .netstats import (
     WEIGHT_TRANSFORMS,
     WEIGHTED_KINDS,
     TradeNetwork,
-    compute_statistic,
+    all_statistics,
     density,
 )
 from .panel import (
@@ -74,8 +77,8 @@ from .prediction import (
     predict_ols,
     predict_ppml,
     predict_zip,
-    sample_bernoulli_ensemble,
-    sample_weighted_ensemble,
+    stream_bernoulli_ensemble,
+    stream_weighted_ensemble,
     threshold_by_manhattan,
     threshold_matching_density,
 )
@@ -101,6 +104,7 @@ EXIT_CONVERGENCE = 3
 EXIT_DEPENDENCY = 4
 
 MANIFEST_NAME = "manifest.json"
+MANIFEST_LOCK_NAME = "manifest.json.lock"
 LOG_NAME = "run.log.jsonl"
 
 _SEED_LIMIT = 2**63
@@ -293,12 +297,17 @@ def _record_artifacts(out: str, relpaths) -> None:
     """Merge freshly written artifacts into the manifest.
 
     Called once per successful command, so the manifest only ever lists
-    output from commands that ran to completion.
+    output from commands that ran to completion.  The read-merge-write
+    holds an exclusive lock on ``manifest.json.lock``, so commands that
+    finish at the same time in one output directory keep each other's
+    entries; the manifest itself is replaced atomically.
     """
-    artifacts = _load_manifest(out)
-    for rel in relpaths:
-        artifacts[rel] = _hash_file(_artifact_path(out, rel))
-    _write_json(os.path.join(out, MANIFEST_NAME), {"artifacts": artifacts})
+    digests = {rel: _hash_file(_artifact_path(out, rel)) for rel in relpaths}
+    with open(os.path.join(out, MANIFEST_LOCK_NAME), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        artifacts = _load_manifest(out)
+        artifacts.update(digests)
+        _write_json(os.path.join(out, MANIFEST_NAME), {"artifacts": artifacts})
 
 
 def _require_artifact(out: str, rel: str, producer: str) -> str:
@@ -327,13 +336,20 @@ def _check_dependencies(cfg: RunConfig, years, needs, producer: str) -> None:
                 _require_artifact(cfg.out, f"{year}/{tag}/{name}", producer)
 
 
-def _log(out: str, command: str, message: str, **fields_) -> None:
-    """One human-readable line on stdout, one JSON record in the run log."""
+def _log(out: str, command: str, message: str, duration_s: float, **fields_) -> None:
+    """One human-readable line on stdout, one JSON record in the run log.
+
+    ``duration_s`` is the wall time of the work the record reports; the
+    record also carries the process's peak resident set size so far.
+    """
     print(f"gravnet {command}: {message}")
     record = {
         "ts": datetime.now(timezone.utc).isoformat(timespec="milliseconds"),
         "command": command,
         "message": message,
+        "duration_s": duration_s,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     record.update(fields_)
     with open(os.path.join(out, LOG_NAME), "a", encoding="utf-8") as handle:
@@ -520,6 +536,7 @@ def cmd_synth(args) -> None:
         if value is not None:
             spec_kwargs[name] = value
     spec = SynthSpec(**spec_kwargs)
+    started = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     paths = write_synth_panel(spec, args.out)
     _record_artifacts(args.out, sorted(os.path.basename(p) for p in paths.values()))
@@ -528,6 +545,7 @@ def cmd_synth(args) -> None:
         "synth",
         f"wrote a {spec.noise} panel of {spec.n_countries} countries "
         f"for {len(spec.years)} year(s)",
+        time.perf_counter() - started,
         n_countries=spec.n_countries,
         noise=spec.noise,
         seed=spec.seed,
@@ -544,11 +562,15 @@ def cmd_fit(args) -> None:
     for year in years:
         cs = build_cross_section(panel, year)
         dm_pos, dm_full = _design_matrices(cfg, panel, cs)
-        fits = {}
+        fits, fit_s = {}, {}
         for tag in cfg.models:
+            started = time.perf_counter()
             fits[tag] = _fit_one(tag, year, dm_pos, dm_full)
+            fit_s[tag] = time.perf_counter() - started
         if "ZIP" in fits and "PPML" in fits:
+            started = time.perf_counter()
             fits["ZIP"] = attach_vuong(fits["ZIP"], fits["PPML"], dm_full)
+            fit_s["ZIP"] += time.perf_counter() - started
         for tag, fit in fits.items():
             rel = f"{year}/{tag}/fit.json"
             payload = _fit_payload(fit)
@@ -559,6 +581,7 @@ def cmd_fit(args) -> None:
                 cfg.out,
                 "fit",
                 f"year {year} model {tag}: loglik {fit.loglik:.6g}",
+                fit_s[tag],
                 year=year,
                 model=tag,
                 loglik=fit.loglik,
@@ -640,6 +663,7 @@ def cmd_predict(args) -> None:
         dm_pos, dm_full = _design_matrices(cfg, panel, cs)
         rho = density(cs.network())
         for tag in cfg.models:
+            started = time.perf_counter()
             fit_path = _require_artifact(cfg.out, f"{year}/{tag}/fit.json", "fit")
             fit = _fit_from_payload(_read_json(fit_path))
             if tag == "OLS":
@@ -655,6 +679,7 @@ def cmd_predict(args) -> None:
                 cfg.out,
                 "predict",
                 f"year {year} model {tag}: predictions written",
+                time.perf_counter() - started,
                 year=year,
                 model=tag,
             )
@@ -703,10 +728,16 @@ def _cell_network(cfg: RunConfig, year: int, tag: str):
 
 def _stats_rows(net: TradeNetwork, ids, transforms) -> list:
     """Long-format node-statistic rows; binary kinds are transform-free."""
+    stats = {}
+    for transform in transforms:
+        # binary kinds do not read the weights: take them with the first
+        kinds = WEIGHTED_KINDS if stats else STAT_KINDS
+        for kind, stat in all_statistics(net, kinds, transform).items():
+            stats[kind, transform if kind in WEIGHTED_KINDS else ""] = stat
     rows = []
     for kind in STAT_KINDS:
         for transform in transforms if kind in WEIGHTED_KINDS else ("",):
-            stat = compute_statistic(net, kind, transform or "identity")
+            stat = stats[kind, transform]
             for k, cid in enumerate(ids):
                 rows.append(
                     {
@@ -745,6 +776,7 @@ def cmd_netstats(args) -> None:
         _write_csv(_prepare(cfg.out, rel), _STATS_FIELDS, rows)
         written.append(rel)
         for tag in cfg.models:
+            started = time.perf_counter()
             ids, net, transform, _ = _cell_network(cfg, year, tag)
             rel = f"{year}/{tag}/node_stats.csv"
             _write_csv(_prepare(cfg.out, rel), _STATS_FIELDS, _stats_rows(net, ids, (transform,)))
@@ -753,6 +785,7 @@ def cmd_netstats(args) -> None:
                 cfg.out,
                 "netstats",
                 f"year {year} model {tag}: statistics written",
+                time.perf_counter() - started,
                 year=year,
                 model=tag,
             )
@@ -765,9 +798,9 @@ def _cell_prediction(cfg: RunConfig, year: int, tag: str):
     _, net, transform, pred = _cell_network(cfg, year, tag)
     lp = _link_probs_from_artifact(cfg, year, tag) if tag in ("ZIP", "LOGIT") else None
     if tag == "LOGIT":
-        ensemble = sample_bernoulli_ensemble(lp, cfg.replications, seed)
+        ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
     else:
-        ensemble = sample_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
+        ensemble = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
     return ModelPrediction(tag, net, ensemble, transform), cfg.transforms[tag]
 
 
@@ -782,6 +815,7 @@ def cmd_compare(args) -> None:
         cs = build_cross_section(panel, year)
         observed = cs.network()
         for tag in cfg.models:
+            started = time.perf_counter()
             prediction, observed_transform = _cell_prediction(cfg, year, tag)
             report = build_comparison_report(
                 observed,
@@ -798,6 +832,7 @@ def cmd_compare(args) -> None:
                 "compare",
                 f"year {year} model {tag}: report written "
                 f"({cfg.replications} replications)",
+                time.perf_counter() - started,
                 year=year,
                 model=tag,
                 replications=cfg.replications,
@@ -813,6 +848,7 @@ _CORR_FIELDS = ("year", "model", "x", "y", "observed_r", "predicted_r")
 
 def cmd_report(args) -> None:
     """Aggregate per-cell comparison reports into flat CSV tables."""
+    started = time.perf_counter()
     cfg = _config_from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
     panel, years = _load_inputs(cfg)
@@ -879,6 +915,7 @@ def cmd_report(args) -> None:
         cfg.out,
         "report",
         f"aggregated {len(years)} year(s) x {len(cfg.models)} model(s)",
+        time.perf_counter() - started,
         years=list(years),
         models=list(cfg.models),
     )

@@ -6,8 +6,11 @@ statistics are compared with two-sample Kolmogorov-Smirnov tests, ensemble
 spread turns into 95% confidence intervals, and closed-form variances of
 average node strength are available for the three estimator families as an
 independent check on the Monte Carlo machinery.  An ensemble is walked once:
-each replication is validated into one network, and every reported statistic
-is taken from that network.
+each replication is validated into one network, every reported statistic is
+taken from that network, and only the per-replication averages are kept.
+Given an :class:`~gravnet.prediction.EnsembleStream`, each replication is
+drawn, summarised and dropped, so memory does not grow with the ensemble size
+beyond one scalar per replication and statistic.
 
 Everything is pure computation over immutable inputs; replication order is
 fixed, so reports are deterministic given the inputs and the ensemble seed.
@@ -15,6 +18,7 @@ fixed, so reports are deterministic given the inputs and the ensemble seed.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,7 @@ from .netstats import (
     population_average,
     stat_correlation,
 )
-from .prediction import NetworkEnsemble, PredictedWeights
+from .prediction import EnsembleStream, NetworkEnsemble, PredictedWeights
 
 REPORT_VERSION = "1"
 
@@ -117,7 +121,7 @@ class ModelPrediction:
 
     model_tag: str
     network: TradeNetwork
-    ensemble: NetworkEnsemble | None = None
+    ensemble: NetworkEnsemble | EnsembleStream | None = None
     transform: str = "identity"
 
 
@@ -163,19 +167,16 @@ def ks_two_sample(x, y) -> KsResult:
     return KsResult(d, min(max(p, 0.0), 1.0), n1, n2)
 
 
-def _replication_network(ens: NetworkEnsemble, r: int) -> TradeNetwork:
-    # log-scale draws carry their support as the stored mask, since their
-    # weights may be negative; level-scale draws have no mask
-    return TradeNetwork(ens.replications[r], adjacency=ens.mask)
-
-
 def ensemble_summary(
-    ens: NetworkEnsemble, kinds: tuple[str, ...], transform: str = "identity"
+    ens: NetworkEnsemble | EnsembleStream,
+    kinds: tuple[str, ...],
+    transform: str = "identity",
 ) -> tuple[EnsembleSummary, ...]:
     """Summarise statistics' population averages across replications.
 
-    One pass over the ensemble: each replication becomes one validated
-    network, and every requested kind is taken from it.  For node
+    One pass over the ensemble, eager or streamed: each replication becomes
+    one validated network, every requested kind is taken from it, and the
+    replication is dropped before the next is drawn.  For node
     statistics the per-replication value is the average over nodes where
     the statistic is defined; replications where it is defined nowhere are
     dropped (and counted).  The kind ``"density"`` summarises the scalar
@@ -198,10 +199,13 @@ def ensemble_summary(
         raise ValidationError(
             f"unknown weight transform {transform!r}; expected one of {WEIGHT_TRANSFORMS}"
         )
-    values = {kind: [] for kind in kinds}
+    # 8 bytes per kept value, against 32 for a list of Python floats
+    values = {kind: array("d") for kind in kinds}
     node_kinds = [kind for kind in values if kind != "density"]
-    for r in range(ens.m):
-        net = _replication_network(ens, r)
+    for w in ens:
+        # log-scale draws carry their support as the ensemble mask, since
+        # their weights may be negative; level-scale draws have no mask
+        net = TradeNetwork(w, adjacency=ens.mask)
         for kind, stat in all_statistics(net, node_kinds, transform).items():
             try:
                 values[kind].append(population_average(stat)[0])
@@ -212,7 +216,7 @@ def ensemble_summary(
     return tuple(_summarise(kind, values[kind], ens.m - len(values[kind])) for kind in kinds)
 
 
-def _summarise(kind: str, values: list, dropped: int) -> EnsembleSummary:
+def _summarise(kind: str, values: array, dropped: int) -> EnsembleSummary:
     if not values:
         raise ValidationError(f"{kind}: undefined in every replication")
     arr = np.asarray(values)

@@ -15,11 +15,17 @@ zero-filled, and are excluded from averages and correlations.
 
 The vectorized matrix-product forms used here are pinned against a naive
 triple-loop implementation in the test suite; the loop form is normative.
+
+Every statistic is read from one profile of the network: the float
+adjacency, degrees, ``A + A^T``, transformed weights, strengths and cube-rooted
+weights are each built on first use and kept, so a set of kinds computed
+together by :func:`all_statistics` builds each of them at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,73 +136,144 @@ def _ratio_stat(kind: str, numer: np.ndarray, denom: np.ndarray) -> NodeStatVect
     return NodeStatVector(kind=kind, values=values, defined=defined)
 
 
+def _defined_everywhere(kind: str, values: np.ndarray) -> NodeStatVector:
+    return NodeStatVector(kind=kind, values=values, defined=np.ones(values.size, dtype=bool))
+
+
+class _Profile:
+    """Intermediates one network's statistics share under one weight transform.
+
+    Each is built on first use and at most once, so a subset of kinds pays
+    only for the intermediates it reads.  ``a`` is the float adjacency,
+    ``w`` the transformed weights and ``w_hat`` their element-wise cube
+    roots; ``degree`` and ``strength`` map ``in``/``out``/``tot`` to the
+    column sums, row sums and their total of ``a`` and ``w``.
+    """
+
+    def __init__(self, net: TradeNetwork, transform: str = "identity"):
+        self.net = net
+        self.transform = transform
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return self.net.adjacency.astype(float)
+
+    @cached_property
+    def a_sym(self) -> np.ndarray:
+        return self.a + self.a.T
+
+    @cached_property
+    def degree(self) -> dict:
+        return _by_direction(self.a)
+
+    @cached_property
+    def k_recip(self) -> np.ndarray:
+        return (self.a * self.a.T).sum(axis=1)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return _transformed_weights(self.net, self.transform)
+
+    @cached_property
+    def strength(self) -> dict:
+        return _by_direction(self.w)
+
+    @cached_property
+    def w_hat(self) -> np.ndarray:
+        return np.cbrt(self.w)
+
+
+def _by_direction(m: np.ndarray) -> dict:
+    col, row = m.sum(axis=0), m.sum(axis=1)
+    return {"in": col, "out": row, "tot": col + row}
+
+
+def _directed(kind: str, values: dict, direction: str) -> NodeStatVector:
+    if direction not in values:
+        raise ValidationError(f"unknown direction {direction!r}")
+    return _defined_everywhere(kind, values[direction])
+
+
+def _neighbor_average(kind: str, p: _Profile, neighbor: dict, variant: str) -> NodeStatVector:
+    """Partner average of ``neighbor``, the partners' per-node values by direction."""
+    k = p.degree
+    if variant == "in_in":
+        numer, denom = p.a.T @ neighbor["in"], k["in"]
+    elif variant == "in_out":
+        numer, denom = p.a.T @ neighbor["out"], k["in"]
+    elif variant == "out_in":
+        numer, denom = p.a @ neighbor["in"], k["out"]
+    elif variant == "out_out":
+        numer, denom = p.a @ neighbor["out"], k["out"]
+    elif variant == "tot":
+        numer, denom = p.a_sym @ neighbor["tot"], k["tot"]
+    else:
+        raise ValidationError(f"unknown variant {variant!r}")
+    return _ratio_stat(kind, numer, denom)
+
+
+def _clustering(kind: str, p: _Profile, variant: str, weighted: bool) -> NodeStatVector:
+    """Shared motif machinery: triple products of m count motifs, where m is
+    the adjacency for the binary case and the element-wise cube roots of the
+    weights otherwise; the binary degrees drive the denominators."""
+    m = p.w_hat if weighted else p.a
+    mt = m.T
+    k_in, k_out, k_tot = p.degree["in"], p.degree["out"], p.degree["tot"]
+    if variant == "cyc":
+        numer = np.diag(m @ m @ m)
+        denom = k_in * k_out - p.k_recip
+    elif variant == "mid":
+        numer = np.diag(m @ mt @ m)
+        denom = k_in * k_out - p.k_recip
+    elif variant == "in":
+        numer = np.diag(mt @ m @ m)
+        denom = k_in * (k_in - 1.0)
+    elif variant == "out":
+        numer = np.diag(m @ m @ mt)
+        denom = k_out * (k_out - 1.0)
+    elif variant == "tot":
+        s = m + mt if weighted else p.a_sym
+        numer = np.diag(s @ s @ s)
+        denom = 2.0 * (k_tot * (k_tot - 1.0) - 2.0 * p.k_recip)
+    else:
+        raise ValidationError(f"unknown variant {variant!r}")
+    return _ratio_stat(kind, numer, denom)
+
+
+def _statistic(p: _Profile, kind: str) -> NodeStatVector:
+    """One catalogue statistic, read from the network's profile."""
+    family, _, rest = kind.partition("_")
+    if family == "ND":
+        return _directed(kind, p.degree, rest)
+    if family == "NS":
+        return _directed(kind, p.strength, rest)
+    if family == "ANND":
+        return _neighbor_average(kind, p, p.degree, rest)
+    if family == "ANNS":
+        return _neighbor_average(kind, p, p.strength, rest)
+    if family == "BCC":
+        return _clustering(kind, p, rest, weighted=False)
+    if family == "WCC":
+        return _clustering(kind, p, rest, weighted=True)
+    raise ValidationError(f"unknown statistic kind {kind!r}")
+
+
 def degrees(net: TradeNetwork, direction: str = "tot") -> NodeStatVector:
     """Node degree: in = number of partners exporting to the node, out =
     number it exports to, tot = their sum."""
-    a = net.adjacency.astype(float)
-    k_in = a.sum(axis=0)
-    k_out = a.sum(axis=1)
-    if direction == "in":
-        values = k_in
-    elif direction == "out":
-        values = k_out
-    elif direction == "tot":
-        values = k_in + k_out
-    else:
-        raise ValidationError(f"unknown direction {direction!r}")
-    return NodeStatVector(
-        kind=f"ND_{direction}", values=values, defined=np.ones(net.n, dtype=bool)
-    )
+    return compute_statistic(net, f"ND_{direction}")
 
 
 def strengths(
     net: TradeNetwork, direction: str = "tot", transform: str = "identity"
 ) -> NodeStatVector:
     """Node strength: sum of (transformed) link weights, by direction."""
-    w = _transformed_weights(net, transform)
-    s_in = w.sum(axis=0)
-    s_out = w.sum(axis=1)
-    if direction == "in":
-        values = s_in
-    elif direction == "out":
-        values = s_out
-    elif direction == "tot":
-        values = s_in + s_out
-    else:
-        raise ValidationError(f"unknown direction {direction!r}")
-    return NodeStatVector(
-        kind=f"NS_{direction}", values=values, defined=np.ones(net.n, dtype=bool)
-    )
+    return compute_statistic(net, f"NS_{direction}", transform)
 
 
 def reciprocal_degree(net: TradeNetwork) -> NodeStatVector:
     """Number of bilateral partners: sum_j a_ij * a_ji."""
-    a = net.adjacency.astype(float)
-    values = (a * a.T).sum(axis=1)
-    return NodeStatVector(
-        kind="ND_recip", values=values, defined=np.ones(net.n, dtype=bool)
-    )
-
-
-def _neighbor_average(
-    kind: str, a: np.ndarray, neighbor_values: dict, variant: str
-) -> NodeStatVector:
-    k_in = a.sum(axis=0)
-    k_out = a.sum(axis=1)
-    if variant == "in_in":
-        numer, denom = a.T @ neighbor_values["in"], k_in
-    elif variant == "in_out":
-        numer, denom = a.T @ neighbor_values["out"], k_in
-    elif variant == "out_in":
-        numer, denom = a @ neighbor_values["in"], k_out
-    elif variant == "out_out":
-        numer, denom = a @ neighbor_values["out"], k_out
-    elif variant == "tot":
-        numer = (a + a.T) @ neighbor_values["tot"]
-        denom = k_in + k_out
-    else:
-        raise ValidationError(f"unknown variant {variant!r}")
-    return _ratio_stat(kind, numer, denom)
+    return _defined_everywhere("ND_recip", _Profile(net).k_recip)
 
 
 def annd(net: TradeNetwork, variant: str = "tot") -> NodeStatVector:
@@ -209,11 +286,7 @@ def annd(net: TradeNetwork, variant: str = "tot") -> NodeStatVector:
     that double counting is intentional.  Undefined where the denominator
     degree is 0.
     """
-    a = net.adjacency.astype(float)
-    k_in = a.sum(axis=0)
-    k_out = a.sum(axis=1)
-    neighbor = {"in": k_in, "out": k_out, "tot": k_in + k_out}
-    return _neighbor_average(f"ANND_{variant}", a, neighbor, variant)
+    return compute_statistic(net, f"ANND_{variant}")
 
 
 def anns(
@@ -221,42 +294,7 @@ def anns(
 ) -> NodeStatVector:
     """Average nearest-neighbor strength: as :func:`annd` with neighbor
     strengths in the numerator and the node's degree in the denominator."""
-    a = net.adjacency.astype(float)
-    w = _transformed_weights(net, transform)
-    s_in = w.sum(axis=0)
-    s_out = w.sum(axis=1)
-    neighbor = {"in": s_in, "out": s_out, "tot": s_in + s_out}
-    return _neighbor_average(f"ANNS_{variant}", a, neighbor, variant)
-
-
-def _clustering(kind, m, a, variant):
-    """Shared motif machinery: m is the matrix whose triple products count
-    motifs (adjacency for the binary case, element-wise cube roots of the
-    weights otherwise); a is the binary adjacency driving the denominators."""
-    k_in = a.sum(axis=0)
-    k_out = a.sum(axis=1)
-    k_tot = k_in + k_out
-    k_recip = (a * a.T).sum(axis=1)
-    mt = m.T
-    if variant == "cyc":
-        numer = np.diag(m @ m @ m)
-        denom = k_in * k_out - k_recip
-    elif variant == "mid":
-        numer = np.diag(m @ mt @ m)
-        denom = k_in * k_out - k_recip
-    elif variant == "in":
-        numer = np.diag(mt @ m @ m)
-        denom = k_in * (k_in - 1.0)
-    elif variant == "out":
-        numer = np.diag(m @ m @ mt)
-        denom = k_out * (k_out - 1.0)
-    elif variant == "tot":
-        s = m + mt
-        numer = np.diag(s @ s @ s)
-        denom = 2.0 * (k_tot * (k_tot - 1.0) - 2.0 * k_recip)
-    else:
-        raise ValidationError(f"unknown variant {variant!r}")
-    return _ratio_stat(kind, numer, denom)
+    return compute_statistic(net, f"ANNS_{variant}", transform)
 
 
 def clustering_binary(net: TradeNetwork, variant: str = "tot") -> NodeStatVector:
@@ -267,8 +305,7 @@ def clustering_binary(net: TradeNetwork, variant: str = "tot") -> NodeStatVector
     trading), ``tot`` (all motifs, undirected total).  Entries with a
     non-positive denominator are flagged undefined.
     """
-    a = net.adjacency.astype(float)
-    return _clustering(f"BCC_{variant}", a, a, variant)
+    return compute_statistic(net, f"BCC_{variant}")
 
 
 def clustering_weighted(
@@ -280,9 +317,7 @@ def clustering_weighted(
     Weights are deliberately not rescaled into [0, 1], so the result's range
     may exceed 1.
     """
-    a = net.adjacency.astype(float)
-    w_hat = np.cbrt(_transformed_weights(net, transform))
-    return _clustering(f"WCC_{variant}", w_hat, a, variant)
+    return compute_statistic(net, f"WCC_{variant}", transform)
 
 
 def density(net: TradeNetwork) -> float:
@@ -296,27 +331,19 @@ def compute_statistic(
     net: TradeNetwork, kind: str, transform: str = "identity"
 ) -> NodeStatVector:
     """Dispatch a statistic by catalogue kind (see ``STAT_KINDS``)."""
-    family, _, rest = kind.partition("_")
-    if family == "ND":
-        return degrees(net, rest)
-    if family == "NS":
-        return strengths(net, rest, transform)
-    if family == "ANND":
-        return annd(net, rest)
-    if family == "ANNS":
-        return anns(net, rest, transform)
-    if family == "BCC":
-        return clustering_binary(net, rest)
-    if family == "WCC":
-        return clustering_weighted(net, rest, transform)
-    raise ValidationError(f"unknown statistic kind {kind!r}")
+    return _statistic(_Profile(net, transform), kind)
 
 
 def all_statistics(
     net: TradeNetwork, kinds=STAT_KINDS, transform: str = "identity"
 ) -> dict:
-    """Compute a set of catalogue statistics, keyed by kind."""
-    return {kind: compute_statistic(net, kind, transform) for kind in kinds}
+    """Compute a set of catalogue statistics, keyed by kind.
+
+    The kinds share one profile of the network, so each intermediate
+    (degrees, strengths, transformed weights, ...) is built once.
+    """
+    profile = _Profile(net, transform)
+    return {kind: _statistic(profile, kind) for kind in kinds}
 
 
 def population_average(stat: NodeStatVector) -> tuple:

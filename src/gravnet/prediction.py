@@ -19,11 +19,15 @@ Ensembles are sampled with counter-based RNG substreams: replication ``r``
 of an ensemble seeded with ``seed`` always uses
 ``Generator(Philox(key=[seed, r]))``, so any single replication can be
 reproduced without generating its predecessors and results are identical
-under any parallel execution order.
+under any parallel execution order.  An :class:`EnsembleStream` draws the
+replications one at a time as it is iterated, so a consumer that summarises
+each draw holds one n-by-n matrix, not the ``(m, n, n)`` stack; the eager
+samplers fill a :class:`NetworkEnsemble` from the same stream.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +131,44 @@ class NetworkEnsemble:
     @property
     def n(self) -> int:
         return len(self.country_ids)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.replications)
+
+
+@dataclass(frozen=True)
+class EnsembleStream:
+    """Replications drawn on demand, one n-by-n matrix at a time.
+
+    Iterating yields ``draw(Generator(Philox(key=[seed, r])))`` for ``r`` in
+    ``range(m)``, so every pass draws the same replications, in order, as
+    the eager :class:`NetworkEnsemble` of the same sampler and seed holds.
+    ``mask`` has the meaning it has there.
+    """
+
+    model_tag: str
+    country_ids: tuple[str, ...]
+    m: int
+    seed: int
+    draw: Callable[[np.random.Generator], np.ndarray]
+    mask: np.ndarray | None = field(default=None)
+
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValidationError(f"ensemble size must be at least 1, got {self.m}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        if self.mask is not None:
+            object.__setattr__(self, "mask", np.asarray(self.mask))
+            self.mask.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.country_ids)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for r in range(self.m):
+            yield self.draw(_substream(self.seed, r))
 
 
 def _layout(dm: DesignMatrix, country_ids: tuple[str, ...] | None):
@@ -436,24 +478,20 @@ def _substream(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, replication]))
 
 
-def _stack(m: int, seed: int, n: int, draw, dtype=float) -> np.ndarray:
-    """(m, n, n) stack whose replication ``r`` is ``draw(_substream(seed, r))``."""
-    if m < 1:
-        raise ValidationError(f"ensemble size must be at least 1, got {m}")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    reps = np.empty((m, n, n), dtype=dtype)
-    for r in range(m):
-        reps[r] = draw(_substream(seed, r))
-    return reps
+def _collect(stream: EnsembleStream, dtype) -> NetworkEnsemble:
+    """The eager ensemble: every replication of ``stream`` in one stack."""
+    reps = np.empty((stream.m, stream.n, stream.n), dtype=dtype)
+    for r, w in enumerate(stream):
+        reps[r] = w
+    return NetworkEnsemble(stream.model_tag, stream.country_ids, reps, stream.seed, stream.mask)
 
 
-def sample_bernoulli_ensemble(
+def stream_bernoulli_ensemble(
     link_probs: LinkProbabilityMatrix,
     m: int = DEFAULT_REPLICATIONS,
     seed: int = 0,
-) -> NetworkEnsemble:
-    """Draw binary networks with independent directed links.
+) -> EnsembleStream:
+    """Binary networks with independent directed links, drawn on demand.
 
     Each replication draws one uniform per matrix entry and places a link
     where it falls below the link probability.  Diagonals stay empty.
@@ -461,17 +499,27 @@ def sample_bernoulli_ensemble(
     n = link_probs.n
     xi = link_probs.xi
     off = _off_diagonal_mask(n)
-    reps = _stack(m, seed, n, lambda g: (g.random((n, n)) < xi) & off, np.int8)
-    return NetworkEnsemble("BERNOULLI", link_probs.country_ids, reps, seed)
+    return EnsembleStream(
+        "BERNOULLI", link_probs.country_ids, m, seed, lambda g: (g.random((n, n)) < xi) & off
+    )
 
 
-def sample_weighted_ensemble(
+def sample_bernoulli_ensemble(
+    link_probs: LinkProbabilityMatrix,
+    m: int = DEFAULT_REPLICATIONS,
+    seed: int = 0,
+) -> NetworkEnsemble:
+    """Every replication of :func:`stream_bernoulli_ensemble`, as 0/1 int8."""
+    return _collect(stream_bernoulli_ensemble(link_probs, m, seed), np.int8)
+
+
+def stream_weighted_ensemble(
     pred: PredictedWeights,
     m: int = DEFAULT_REPLICATIONS,
     seed: int = 0,
     link_probs: LinkProbabilityMatrix | None = None,
-) -> NetworkEnsemble:
-    """Draw weighted networks under the fitted model.
+) -> EnsembleStream:
+    """Weighted networks under the fitted model, drawn on demand.
 
     OLS replications add Gaussian noise with the fitted residual standard
     deviation to the predicted logs, only on the prediction mask; the
@@ -514,5 +562,14 @@ def sample_weighted_ensemble(
 
     else:
         raise ValidationError(f"cannot sample weighted networks for {pred.model_tag}")
-    reps = _stack(m, seed, n, draw)
-    return NetworkEnsemble(pred.model_tag, pred.country_ids, reps, seed, mask=mask)
+    return EnsembleStream(pred.model_tag, pred.country_ids, m, seed, draw, mask)
+
+
+def sample_weighted_ensemble(
+    pred: PredictedWeights,
+    m: int = DEFAULT_REPLICATIONS,
+    seed: int = 0,
+    link_probs: LinkProbabilityMatrix | None = None,
+) -> NetworkEnsemble:
+    """Every replication of :func:`stream_weighted_ensemble`, as float."""
+    return _collect(stream_weighted_ensemble(pred, m, seed, link_probs), float)

@@ -228,6 +228,8 @@ def loop_ensemble_summary(ens, kind, transform="identity"):
             dropped += 1
             continue
         values.append(avg)
+    if not values:
+        raise ValidationError(f"{kind}: undefined in every replication")
     arr = np.asarray(values)
     if arr.min() == arr.max():
         v = float(arr[0])

@@ -7,7 +7,10 @@ the per-module tests.
 """
 
 import json
+import math
 import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -20,12 +23,14 @@ from gravnet.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     LOG_NAME,
+    MANIFEST_LOCK_NAME,
     MANIFEST_NAME,
     MODEL_TAGS,
     RunConfig,
     _fit_from_payload,
     _fit_one,
     _hash_file,
+    _record_artifacts,
     cell_seed,
     load_config,
     main,
@@ -286,6 +291,44 @@ def test_tampered_artifact_is_rejected(zip_panel, tmp_path, capsys):
     assert "does not match the manifest" in capsys.readouterr().err
 
 
+def test_concurrent_manifest_records_keep_every_entry(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    n_threads, per_thread = 4, 25
+    for t in range(n_threads):
+        for k in range(per_thread):
+            (out / f"t{t}-{k}.txt").write_text(f"{t} {k}\n")
+    start = threading.Barrier(n_threads)
+    errors = []
+
+    def record(t):
+        try:
+            start.wait(timeout=30)
+            for k in range(per_thread):
+                _record_artifacts(str(out), [f"t{t}-{k}.txt"])
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=record, args=(t,)) for t in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    manifest = json.loads((out / MANIFEST_NAME).read_text())["artifacts"]
+    assert set(manifest) == {
+        f"t{t}-{k}.txt" for t in range(n_threads) for k in range(per_thread)
+    }
+    for rel, digest in manifest.items():
+        assert _hash_file(str(out / rel)) == digest
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 
@@ -320,7 +363,7 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path):
         os.path.relpath(os.path.join(root, name), out).replace(os.sep, "/")
         for root, _, names in os.walk(out)
         for name in names
-        if name not in (MANIFEST_NAME, LOG_NAME)
+        if name not in (MANIFEST_NAME, MANIFEST_LOCK_NAME, LOG_NAME)
     }
     assert on_disk == set(manifest)
 
@@ -334,6 +377,11 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path):
     log_lines = (out / LOG_NAME).read_text().splitlines()
     records = [json.loads(line) for line in log_lines]
     assert all("ts" in r and "command" in r and "message" in r for r in records)
+    # every record carries the wall time of its work and the peak RSS so far
+    for r in records:
+        for name in ("duration_s", "peak_rss_mb"):
+            assert isinstance(r[name], float), (name, r)
+            assert math.isfinite(r[name]) and r[name] > 0.0, (name, r)
     assert {r["command"] for r in records} == {
         "fit", "predict", "netstats", "compare", "report",
     }

@@ -2,12 +2,15 @@
 
 The K-S statistic is checked for exact equality against a counting oracle.
 Ensemble summaries are checked on degenerate (zero-variance) ensembles,
-against binomial moments, and field for field against the per-kind loop
-oracle.  The closed-form average-strength variances are
+against binomial moments, field for field against the per-kind loop
+oracle, and for memory that stays flat in the ensemble size when the
+ensemble is streamed.  The closed-form average-strength variances are
 checked against their printed values and against Monte Carlo ensembles.
 """
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from gravnet.prediction import (
     predict_zip,
     sample_bernoulli_ensemble,
     sample_weighted_ensemble,
+    stream_weighted_ensemble,
 )
 
 from oracles import loop_ensemble_summary, loop_ks_statistic
@@ -229,6 +233,46 @@ def test_ensemble_summary_matches_per_kind_loop_oracle(transform):
     assert {s.kind: s.n_dropped for s in dropped if s.n_dropped} == {
         "ANND_tot": 2, "BCC_tot": 2, "ANNS_tot": 2, "WCC_tot": 2,
     }
+
+
+def traced_peak_bytes(summarise) -> int:
+    """Peak traced memory of ``summarise()``, with interpreter caches warm.
+
+    numpy's Poisson draw at array means parks one 2-tuple per call in
+    CPython's 2-tuple free list, up to its cap of 2000.  The free list is
+    filled first, and the collector (which empties it) is off while
+    tracing, so the peak counts the summary's own memory.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        pairs = [(k, -k) for k in range(4000)]
+        del pairs  # 2 000 of these freed tuples stay on the free list
+        tracemalloc.start()
+        try:
+            summarise()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+
+
+def test_streamed_summary_memory_is_flat_in_m():
+    n = 40
+    rng = np.random.default_rng(41)
+    level = rng.uniform(0.0, 20.0, size=(n, n))
+    np.fill_diagonal(level, 0.0)
+    off = (~np.eye(n, dtype=bool)).astype(np.int8)
+    pred = PredictedWeights("PPML", country_names(n), level, level, off)
+
+    def peak(m):
+        stream = stream_weighted_ensemble(pred, m, seed=5)
+        return traced_peak_bytes(lambda: ensemble_summary(stream, REPORT_KINDS))
+
+    small, large = peak(50), peak(800)
+    assert large < 1.5 * small, (small, large)
+    assert large < 800 * n * n * 8  # one float64 stack of 800 replications
 
 
 # ------------------------------------------------- analytical variances

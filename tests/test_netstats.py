@@ -73,6 +73,40 @@ def test_all_statistics_match_loop_oracle():
         assert abs(density(net) - expected["density"]) <= 1e-12
 
 
+def test_shared_profile_matches_per_kind_calls_and_builds_weights_once(monkeypatch):
+    import gravnet.netstats as netstats
+
+    rng = np.random.default_rng(20261018)
+    family = {
+        "ND": degrees, "NS": strengths, "ANND": annd, "ANNS": anns,
+        "BCC": clustering_binary, "WCC": clustering_weighted,
+    }
+    for _ in range(10):
+        net = TradeNetwork(random_network(rng)[0])
+        for transform in ("identity", "log_positive"):
+            together = all_statistics(net, STAT_KINDS, transform)
+            for kind in STAT_KINDS:
+                name, _, rest = kind.partition("_")
+                args = (rest, transform) if kind in WEIGHTED_KINDS else (rest,)
+                for alone in (compute_statistic(net, kind, transform), family[name](net, *args)):
+                    assert alone.kind == kind
+                    np.testing.assert_array_equal(alone.values, together[kind].values)
+                    np.testing.assert_array_equal(alone.defined, together[kind].defined)
+
+    calls = []
+    original = netstats._transformed_weights
+
+    def counting(net, transform):
+        calls.append(transform)
+        return original(net, transform)
+
+    monkeypatch.setattr(netstats, "_transformed_weights", counting)
+    all_statistics(net, STAT_KINDS, "log_positive")
+    assert calls == ["log_positive"]  # shared by all 13 weighted kinds
+    all_statistics(net, BINARY_KINDS, "log_positive")
+    assert calls == ["log_positive"]  # binary kinds never read the weights
+
+
 def test_three_cycle_known_values():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 2] = w[2, 0] = 8.0
