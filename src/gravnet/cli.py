@@ -35,7 +35,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -140,7 +140,20 @@ class RunConfig:
         for name in ("dyads", "countries"):
             if not os.path.isfile(getattr(self, name)):
                 raise ValidationError(f"{name} file not found: {getattr(self, name)!r}")
-        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
+        for name, kind, what in (
+            ("years", (list, tuple), "a list"),
+            ("models", (list, tuple), "a list"),
+            ("covariates", (list, tuple), "a list"),
+            ("replications", int, "an integer"),
+            ("seed", int, "an integer"),
+            ("transforms", dict, "an object"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValidationError(f"config field {name!r} must be {what}, got {value!r}")
+        if not all(isinstance(y, int) and not isinstance(y, bool) for y in self.years):
+            raise ValidationError(f"config field 'years' must list integers, got {self.years!r}")
+        object.__setattr__(self, "years", tuple(self.years))
         models = tuple(self.models)
         if not models:
             raise ValidationError("models must be non-empty")
@@ -159,18 +172,14 @@ class RunConfig:
         if len(set(covariates)) != len(covariates):
             raise ValidationError("duplicate covariate requested")
         object.__setattr__(self, "covariates", covariates)
-        replications = int(self.replications)
-        if replications < 1:
+        if self.replications < 1:
             raise ValidationError(
                 f"replications must be at least 1, got {self.replications}"
             )
-        object.__setattr__(self, "replications", replications)
-        seed = int(self.seed)
-        if not 0 <= seed < _SEED_LIMIT:
+        if not 0 <= self.seed < _SEED_LIMIT:
             raise ValidationError(f"seed must lie in [0, 2**63), got {self.seed}")
-        object.__setattr__(self, "seed", seed)
         transforms = dict(DEFAULT_TRANSFORMS)
-        for tag, transform in dict(self.transforms).items():
+        for tag, transform in self.transforms.items():
             if tag not in MODEL_TAGS:
                 raise ValidationError(f"transform given for unknown model {tag!r}")
             if transform not in WEIGHT_TRANSFORMS:
@@ -182,17 +191,7 @@ class RunConfig:
         object.__setattr__(self, "transforms", transforms)
 
 
-_CONFIG_FIELDS = (
-    "dyads",
-    "countries",
-    "out",
-    "years",
-    "models",
-    "covariates",
-    "replications",
-    "seed",
-    "transforms",
-)
+_CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
@@ -356,7 +355,11 @@ def _log(out: str, command: str, message: str, duration_s: float, **fields_) -> 
         handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _load_inputs(cfg: RunConfig):
+def _load_inputs(args):
+    """A run stage's config, with its output directory made, its panel and
+    the years it covers."""
+    cfg = _config_from_args(args)
+    os.makedirs(cfg.out, exist_ok=True)
     panel = load_panel(cfg.dyads, cfg.countries)
     years = cfg.years or panel.years
     missing = [y for y in years if y not in panel.years]
@@ -364,7 +367,7 @@ def _load_inputs(cfg: RunConfig):
         raise ValidationError(
             f"year(s) {missing} not present in the panel; it has {list(panel.years)}"
         )
-    return panel, tuple(years)
+    return cfg, panel, tuple(years)
 
 
 def _design_matrices(cfg: RunConfig, panel, cs):
@@ -379,16 +382,8 @@ def _design_matrices(cfg: RunConfig, panel, cs):
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {
-        "dyads": args.dyads,
-        "countries": args.countries,
-        "out": args.out,
-        "years": args.years,
-        "models": args.models,
-        "covariates": args.covariates,
-        "replications": args.replications,
-        "seed": args.seed,
-    }
+    # every config field but ``transforms`` has a flag of its own name
+    overrides = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
     return load_config(args.config, overrides)
 
 
@@ -494,18 +489,9 @@ def _coefficient_table(covariates, fits: dict):
             se = float(fit.std_errors[k])
             row[label] = f"{est:.4g}{_significance(est, se)}({se:.4g})"
         rows.append(row)
-    rows.append(
-        {"regressor": "n_obs", **{lab: str(f.n_obs) for lab, f in variants}}
-    )
-    rows.append(
-        {
-            "regressor": "r2_or_pseudo",
-            **{lab: f"{f.r2_or_pseudo:.4g}" for lab, f in variants},
-        }
-    )
-    rows.append(
-        {"regressor": "loglik", **{lab: f"{f.loglik:.6g}" for lab, f in variants}}
-    )
+    for name, spec in (("n_obs", "d"), ("r2_or_pseudo", ".4g"), ("loglik", ".6g")):
+        row = {lab: format(getattr(fit, name), spec) for lab, fit in variants}
+        rows.append({"regressor": name, **row})
     zip_fit = fits.get("ZIP")
     if zip_fit is not None and zip_fit.vuong_vs_poisson is not None:
         row = {"regressor": "vuong_z", **{lab: "" for lab, _ in variants}}
@@ -520,22 +506,9 @@ def _coefficient_table(covariates, fits: dict):
 
 def cmd_synth(args) -> None:
     """Write a synthetic dyad panel whose generating parameters are recorded."""
-    spec_kwargs = {}
-    for name in (
-        "n_countries",
-        "years",
-        "noise",
-        "seed",
-        "mean_log_flow",
-        "mean_zero_score",
-        "sigma_log",
-        "gamma_slopes",
-        "theta_slopes",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            spec_kwargs[name] = value
-    spec = SynthSpec(**spec_kwargs)
+    # each SynthSpec field has a flag of its own name; unset flags keep the default
+    given = {f.name: getattr(args, f.name) for f in fields(SynthSpec)}
+    spec = SynthSpec(**{name: value for name, value in given.items() if value is not None})
     started = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     paths = write_synth_panel(spec, args.out)
@@ -555,9 +528,7 @@ def cmd_synth(args) -> None:
 
 def cmd_fit(args) -> None:
     """Estimate every configured (year, model) cell and write fit artifacts."""
-    cfg = _config_from_args(args)
-    os.makedirs(cfg.out, exist_ok=True)
-    panel, years = _load_inputs(cfg)
+    cfg, panel, years = _load_inputs(args)
     written = []
     for year in years:
         cs = build_cross_section(panel, year)
@@ -577,6 +548,7 @@ def cmd_fit(args) -> None:
             payload["year"] = year
             _write_json(_prepare(cfg.out, rel), payload)
             written.append(rel)
+            vuong = payload.get("vuong_vs_poisson")
             _log(
                 cfg.out,
                 "fit",
@@ -586,6 +558,8 @@ def cmd_fit(args) -> None:
                 model=tag,
                 loglik=fit.loglik,
                 converged=bool(fit.converged),
+                iterations=fit.iterations,
+                **({} if vuong is None else {"vuong_z": vuong}),
             )
         rel = f"{year}/coefficients.csv"
         fieldnames, rows = _coefficient_table(cfg.covariates, fits)
@@ -650,11 +624,12 @@ def _write_binary(out, year, tag, lp: LinkProbabilityMatrix, cs, rho: float) -> 
     return [xi_rel, binary_rel]
 
 
+_PREDICTORS = {"OLS": predict_ols, "PPML": predict_ppml, "ZIP": predict_zip}
+
+
 def cmd_predict(args) -> None:
     """Turn fit artifacts into predicted matrices, one set per cell."""
-    cfg = _config_from_args(args)
-    os.makedirs(cfg.out, exist_ok=True)
-    panel, years = _load_inputs(cfg)
+    cfg, panel, years = _load_inputs(args)
     _check_dependencies(cfg, years, lambda tag: ("fit.json",), "fit")
     written = []
     for year in years:
@@ -666,12 +641,9 @@ def cmd_predict(args) -> None:
             started = time.perf_counter()
             fit_path = _require_artifact(cfg.out, f"{year}/{tag}/fit.json", "fit")
             fit = _fit_from_payload(_read_json(fit_path))
-            if tag == "OLS":
-                written.append(_write_prediction(cfg.out, year, predict_ols(fit, dm_pos, ids)))
-            elif tag == "PPML":
-                written.append(_write_prediction(cfg.out, year, predict_ppml(fit, dm_full, ids)))
-            elif tag == "ZIP":
-                written.append(_write_prediction(cfg.out, year, predict_zip(fit, dm_full, ids)))
+            if tag in _PREDICTORS:
+                pred = _PREDICTORS[tag](fit, dm_pos if tag == "OLS" else dm_full, ids)
+                written.append(_write_prediction(cfg.out, year, pred))
             if tag in ("ZIP", "LOGIT"):
                 lp = link_probabilities(fit, dm_full, ids)
                 written.extend(_write_binary(cfg.out, year, tag, lp, cs, rho))
@@ -764,9 +736,7 @@ def _cell_inputs(tag: str) -> tuple:
 
 def cmd_netstats(args) -> None:
     """Tabulate node statistics for the observed and predicted networks."""
-    cfg = _config_from_args(args)
-    os.makedirs(cfg.out, exist_ok=True)
-    panel, years = _load_inputs(cfg)
+    cfg, panel, years = _load_inputs(args)
     _check_dependencies(cfg, years, _cell_inputs, "predict")
     written = []
     for year in years:
@@ -806,9 +776,7 @@ def _cell_prediction(cfg: RunConfig, year: int, tag: str):
 
 def cmd_compare(args) -> None:
     """K-S tests and ensemble bands for every cell against the observed ITN."""
-    cfg = _config_from_args(args)
-    os.makedirs(cfg.out, exist_ok=True)
-    panel, years = _load_inputs(cfg)
+    cfg, panel, years = _load_inputs(args)
     _check_dependencies(cfg, years, _cell_inputs, "predict")
     written = []
     for year in years:
@@ -849,9 +817,7 @@ _CORR_FIELDS = ("year", "model", "x", "y", "observed_r", "predicted_r")
 def cmd_report(args) -> None:
     """Aggregate per-cell comparison reports into flat CSV tables."""
     started = time.perf_counter()
-    cfg = _config_from_args(args)
-    os.makedirs(cfg.out, exist_ok=True)
-    panel, years = _load_inputs(cfg)
+    cfg, panel, years = _load_inputs(args)
     _check_dependencies(cfg, years, lambda tag: ("report.json",), "compare")
     ks_rows = []
     avg_rows = []
@@ -897,10 +863,8 @@ def cmd_report(args) -> None:
                     }
                 )
     summary_fields = [f.name for f in fields(SummaryStats)]
-    summary_rows = []
-    for year in years:
-        stats = summary_stats(build_cross_section(panel, year))
-        summary_rows.append({name: _render(getattr(stats, name)) for name in summary_fields})
+    summaries = [asdict(summary_stats(build_cross_section(panel, y))) for y in years]
+    summary_rows = [{name: _render(value) for name, value in s.items()} for s in summaries]
     written = []
     for rel, fieldnames, rows in (
         ("ks_tests.csv", _KS_FIELDS, ks_rows),
@@ -925,18 +889,18 @@ def cmd_report(args) -> None:
 # argument parsing
 
 
-def _int_list(text: str):
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind, what: str):
+    def parse(text: str):
+        try:
+            return tuple(kind(part) for part in text.split(",") if part.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+
+    return parse
 
 
-def _float_list(text: str):
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_int_list = _list_of(int, "integers")
+_float_list = _list_of(float, "numbers")
 
 
 def _name_list(text: str):

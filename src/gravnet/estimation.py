@@ -125,6 +125,10 @@ class ZipFitResult:
     def converged(self) -> bool:
         return self.poisson_part.converged
 
+    @property
+    def iterations(self) -> int:
+        return self.poisson_part.iterations
+
     def as_dict(self) -> dict:
         out = {
             "model": "ZIP",

@@ -1,19 +1,28 @@
 """Dyadic trade-panel ingestion.
 
 Loads the two canonical CSV files (directed dyad flows with bilateral
-covariates, and country-year size covariates), assembles per-year
-cross-sections as weight/adjacency matrices, builds gravity design matrices
-with logged size and distance regressors, and computes the concentration
-summary table.
+covariates, and country-year size covariates) into a columnar panel,
+assembles per-year cross-sections as weight/adjacency matrices, builds
+gravity design matrices with logged size and distance regressors, and
+computes the concentration summary table.
+
+Columns are found by their header names; there is no column mapping, so a
+file with other names must be renamed before loading.  Both files are read
+with ``csv.reader`` in blocks of rows, and each block is converted column
+by column with ``float()`` and ``int()``, so every value has the bits those
+give.  Blank lines are skipped.  Integer fields must fit in int64.  Each row
+check is one boolean mask plus its message; the fault reported is the first
+failed check of the first failing row, and its message names the file and
+the physical line on which that row ends (a quoted field may span lines).
 
 Dyads absent from the input file are treated as zero flows.  Bilateral
 covariates, however, must be present for every dyad that enters a design
 matrix; a zero flow is data, a missing covariate is not.
 """
-
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +40,9 @@ COUNTRY_COLUMNS = (
     "country", "year", "gdp", "area", "population", "landlocked", "continent",
 )
 
+#: Per-country fields a cross-section carries, one array each.
+COUNTRY_FIELDS = COUNTRY_COLUMNS[2:]
+
 #: Bilateral 0/1 covariates carried on each dyad row.
 DYAD_DUMMIES = (
     "contig", "comlang_off", "comcol", "colony", "curcol", "comcur", "gsp", "rta",
@@ -38,7 +50,7 @@ DYAD_DUMMIES = (
 
 #: How each design column is filled: (source, field, logged). The source is
 #: "const", the exporter country "i", the importer country "j" or the dyad
-#: record "dyad"; a logged field must be strictly positive.
+#: row "dyad"; a logged field must be strictly positive.
 _DESIGN_SPEC = {
     "const": ("const", None, False),
     "ln_gdp_i": ("i", "gdp", True),
@@ -69,68 +81,46 @@ DESIGN_COLUMNS = tuple(_DESIGN_SPEC)
 
 
 @dataclass(frozen=True)
-class CountryRecord:
-    country_id: str
-    gdp: float
-    area: float
-    population: float
-    landlocked: int
-    continent: int
-
-
-@dataclass(frozen=True)
-class DyadRecord:
-    exporter: str
-    importer: str
-    year: int
-    flow: float
-    distance: float
-    contig: int
-    comlang_off: int
-    comcol: int
-    colony: int
-    curcol: int
-    comrelig: float
-    comcur: int
-    gsp: int
-    rta: int
-
-
-@dataclass(frozen=True)
 class DyadPanel:
-    """Parsed panel: per-year dyad and country tables."""
+    """Parsed panel as columns, one array per field in file row order.
 
-    dyads: dict
+    ``countries`` holds the country file's fields and ``dyads`` the dyad
+    file's; each also has ``line``, the physical line on which a row ends.
+    Country ids are indices into ``ids``, the sorted ids of both files:
+    ``country`` in the country table, ``exporter`` and ``importer`` in the
+    dyad table.
+    """
+
+    ids: tuple
     countries: dict
-    n_rows: int
+    dyads: dict
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.dyads["year"])
 
     @property
     def years(self) -> tuple:
-        return tuple(sorted(set(self.dyads) | set(self.countries)))
-
-    def countries_for(self, year: int) -> dict:
-        return self.countries.get(year, {})
-
-    def dyads_for(self, year: int) -> dict:
-        return self.dyads.get(year, {})
+        return tuple(np.union1d(self.dyads["year"], self.countries["year"]).tolist())
 
 
 @dataclass(frozen=True)
 class CrossSection:
-    """One year's observed network: countries plus weight/adjacency matrices."""
+    """One year's observed network: the country ids in order, one array per
+    country field of ``COUNTRY_FIELDS`` in the same order, the
+    weight/adjacency matrices, and ``dyad_rows``, the panel's dyad row of
+    each ordered pair (-1 where the file has none)."""
 
     year: int
-    countries: tuple
+    country_ids: tuple
+    countries: dict
     weights: np.ndarray
     adjacency: np.ndarray
+    dyad_rows: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.countries)
-
-    @property
-    def country_ids(self) -> tuple:
-        return tuple(c.country_id for c in self.countries)
+        return len(self.country_ids)
 
     def network(self) -> TradeNetwork:
         return TradeNetwork(self.weights)
@@ -179,167 +169,211 @@ class SummaryStats:
     pct_flows_90: float
 
 
-def _parse_float(raw, column, path, line):
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{path}: line {line}: column {column!r} is not a number: {raw!r}"
-        ) from None
+#: Rows converted at a time; bounds the transient text a load holds.
+_BLOCK_ROWS = 4096
 
 
-def _parse_int(raw, column, path, line):
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{path}: line {line}: column {column!r} is not an integer: {raw!r}"
-        ) from None
+def _blocks(reader):
+    """Non-blank rows in blocks of ``_BLOCK_ROWS``, each row with the
+    physical line it ends on. The last block may be empty."""
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == _BLOCK_ROWS:
+                yield rows, lines
+                rows, lines = [], []
+    yield rows, lines
 
 
-def _parse_bool(raw, column, path, line):
-    value = _parse_int(raw, column, path, line)
-    if value not in (0, 1):
-        raise ValidationError(
-            f"{path}: line {line}: column {column!r} must be 0 or 1, got {raw!r}"
+class _Table:
+    """Converts one CSV file into columns, a block of rows at a time.
+
+    Every row check is recorded once per block, as a boolean mask over the
+    block's rows and the message for an offending row, in the order a row
+    is read: its fields left to right, each converted and then
+    range-checked, and last whether its key repeats an earlier row's.
+    ``raise_fault`` reports the first failed check of the first failing row.
+    """
+
+    def __init__(self, path, header, codes):
+        self.path, self.width, self.codes = path, len(header), codes
+        # a repeated header name reads its last column, as in csv.DictReader
+        self.where = {name: k for k, name in enumerate(header)}
+        self.seen = set()  # keys of the rows read so far
+
+    def start(self, rows, lines):
+        if any(len(row) < self.width for row in rows):
+            # a short row's missing fields read as None, as in csv.DictReader
+            rows = [row + [None] * (self.width - len(row)) for row in rows]
+        self.columns = list(zip(*rows)) or [()] * self.width
+        self.lines, self.size, self.checks = lines, len(rows), []
+
+    def raw(self, name) -> tuple:
+        return self.columns[self.where[name]]
+
+    def check(self, mask, message) -> None:
+        self.checks.append((mask, message))
+
+    def flags(self, test, *columns) -> np.ndarray:
+        return np.fromiter(map(test, *columns), bool, self.size)
+
+    def text(self, name) -> list:
+        """Stripped ids; a missing field reads as empty."""
+        return [(raw or "").strip() for raw in self.raw(name)]
+
+    def code(self, ids) -> np.ndarray:
+        """Ids as codes in order of first appearance over the whole load."""
+        codes = self.codes
+        return np.fromiter((codes.setdefault(c, len(codes)) for c in ids), np.intp, self.size)
+
+    def repeats(self, *columns) -> np.ndarray:
+        """Flags each row whose key columns equal an earlier row's."""
+        seen, flags = self.seen, []
+        for key in zip(*(column.tolist() for column in columns)):
+            flags.append(key in seen)
+            seen.add(key)
+        return np.array(flags, dtype=bool)
+
+    def _parsed(self, name, kind, dtype, what) -> np.ndarray:
+        raw = self.raw(name)
+        bad = np.zeros(self.size, dtype=bool)
+        try:
+            values = np.fromiter(map(kind, raw), dtype, self.size)
+        except (TypeError, ValueError, OverflowError):
+            values = np.zeros(self.size, dtype)
+            for k, text in enumerate(raw):
+                try:
+                    values[k] = kind(text)  # OverflowError outside int64
+                except (TypeError, ValueError, OverflowError):
+                    bad[k] = True
+        self.check(bad, lambda k: f"column {name!r} is not {what}: {raw[k]!r}")
+        return values
+
+    def number(self, name) -> np.ndarray:
+        return self._parsed(name, float, float, "a number")
+
+    def integer(self, name) -> np.ndarray:
+        return self._parsed(name, int, np.int64, "an integer")
+
+    def dummy(self, name) -> np.ndarray:
+        values = self.integer(name)
+        raw = self.raw(name)
+        self.check(
+            (values != 0) & (values != 1),
+            lambda k: f"column {name!r} must be 0 or 1, got {raw[k]!r}",
         )
-    return value
+        return values.astype(np.int8)
+
+    def raise_fault(self) -> None:
+        failed = np.array([mask for mask, _ in self.checks])
+        rows = np.flatnonzero(failed.any(axis=0))
+        if rows.size:
+            k = rows[0]
+            message = self.checks[int(failed[:, k].argmax())][1](k)
+            raise ValidationError(f"{self.path}: line {self.lines[k]}: {message}")
 
 
-def _open_reader(path, required, mapping):
-    mapping = dict(mapping or {})
-    unknown = set(mapping) - set(required)
-    if unknown:
-        raise SchemaError(f"{path}: column mapping names unknown fields {sorted(unknown)}")
-    handle = open(path, newline="", encoding="utf-8")
-    reader = csv.DictReader(handle)
-    header = reader.fieldnames or []
-    missing = [
-        canonical for canonical in required
-        if mapping.get(canonical, canonical) not in header
-    ]
-    if missing:
-        handle.close()
-        raise SchemaError(f"{path}: missing required column(s) {missing}")
-    return handle, reader, mapping
+def _country_block(t: _Table) -> dict:
+    country = t.text("country")
+    t.check(t.flags(operator.not_, country), lambda k: "empty country id")
+    year = t.integer("year")
+    gdp = t.number("gdp")
+    area = t.number("area")
+    population = t.number("population")
+    landlocked = t.dummy("landlocked")
+    continent = t.integer("continent")
+    t.check(
+        ~((gdp > 0) & (area > 0) & (population > 0)),
+        lambda k: "gdp, area and population must be strictly positive for "
+        f"{country[k]!r}",
+    )
+    code = t.code(country)
+    t.check(
+        t.repeats(code, year),
+        lambda k: f"duplicate country {country[k]!r} for year {year[k]}",
+    )
+    return dict(zip(COUNTRY_COLUMNS, (code, year, gdp, area, population, landlocked, continent)))
 
 
-def load_panel(dyads_path, countries_path, dyad_columns=None, country_columns=None):
+def _dyad_block(t: _Table) -> dict:
+    exporter = t.text("exporter")
+    importer = t.text("importer")
+    t.check(
+        t.flags(lambda e, i: not (e and i), exporter, importer),
+        lambda k: "empty exporter or importer id",
+    )
+    t.check(
+        t.flags(operator.eq, exporter, importer),
+        lambda k: f"exporter equals importer ({exporter[k]!r})",
+    )
+    year = t.integer("year")
+    flow = t.number("flow")
+    t.check(~(flow >= 0), lambda k: f"negative flow {float(flow[k])}")
+    distance = t.number("distance")
+    t.check(
+        ~(distance > 0),
+        lambda k: f"distance must be strictly positive, got {float(distance[k])}",
+    )
+    comrelig = t.number("comrelig")
+    t.check(
+        ~((0.0 <= comrelig) & (comrelig <= 1.0)),
+        lambda k: f"comrelig must lie in [0, 1], got {float(comrelig[k])}",
+    )
+    dummies = {name: t.dummy(name) for name in DYAD_DUMMIES}
+    codes = t.code(exporter), t.code(importer)
+    t.check(
+        t.repeats(*codes, year),
+        lambda k: f"duplicate dyad {exporter[k]!r}->{importer[k]!r} for year {year[k]}",
+    )
+    return {
+        "exporter": codes[0], "importer": codes[1], "year": year, "flow": flow,
+        "distance": distance, "comrelig": comrelig, **dummies,
+    }
+
+
+def _read_table(path, required, convert, codes) -> dict:
+    """One CSV file as named columns, converted and checked block by block."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [name for name in required if name not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required column(s) {missing}")
+        table, parts = _Table(path, header, codes), []
+        for rows, lines in _blocks(reader):
+            table.start(rows, lines)
+            part = convert(table)
+            table.raise_fault()
+            part["line"] = np.array(lines, dtype=np.int64)
+            parts.append(part)
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def load_panel(dyads_path, countries_path) -> DyadPanel:
     """Read the dyad and country CSV files into a validated panel.
 
-    ``dyad_columns`` / ``country_columns`` optionally map canonical column
-    names to the names actually used in the files.
+    The country file is read and checked first, then the dyad file.
 
     Raises
     ------
     SchemaError
         A required column is absent.
     ValidationError
-        A row fails a range or uniqueness check; the message carries the
-        file path and physical line number.
+        A row fails a conversion, range or uniqueness check; the message
+        carries the file path and physical line number.
     """
-    countries = {}
-    handle, reader, mapping = _open_reader(
-        countries_path, COUNTRY_COLUMNS, country_columns
-    )
-    with handle:
-        for row in reader:
-            line = reader.line_num
-
-            def cfield(name, row=row, line=line):
-                return row.get(mapping.get(name, name)), name, countries_path, line
-
-            raw, name, path, ln = cfield("country")
-            if not raw:
-                raise ValidationError(f"{path}: line {ln}: empty country id")
-            country_id = raw.strip()
-            year = _parse_int(*cfield("year"))
-            gdp = _parse_float(*cfield("gdp"))
-            area = _parse_float(*cfield("area"))
-            population = _parse_float(*cfield("population"))
-            landlocked = _parse_bool(*cfield("landlocked"))
-            continent = _parse_int(*cfield("continent"))
-            if not gdp > 0 or not area > 0 or not population > 0:
-                raise ValidationError(
-                    f"{countries_path}: line {line}: gdp, area and population "
-                    f"must be strictly positive for {country_id!r}"
-                )
-            table = countries.setdefault(year, {})
-            if country_id in table:
-                raise ValidationError(
-                    f"{countries_path}: line {line}: duplicate country "
-                    f"{country_id!r} for year {year}"
-                )
-            table[country_id] = CountryRecord(
-                country_id=country_id,
-                gdp=gdp,
-                area=area,
-                population=population,
-                landlocked=landlocked,
-                continent=continent,
-            )
-
-    dyads = {}
-    n_rows = 0
-    handle, reader, mapping = _open_reader(dyads_path, DYAD_COLUMNS, dyad_columns)
-    with handle:
-        for row in reader:
-            line = reader.line_num
-
-            def dfield(name, row=row, line=line):
-                return row.get(mapping.get(name, name)), name, dyads_path, line
-
-            exporter = (dfield("exporter")[0] or "").strip()
-            importer = (dfield("importer")[0] or "").strip()
-            if not exporter or not importer:
-                raise ValidationError(
-                    f"{dyads_path}: line {line}: empty exporter or importer id"
-                )
-            if exporter == importer:
-                raise ValidationError(
-                    f"{dyads_path}: line {line}: exporter equals importer "
-                    f"({exporter!r})"
-                )
-            year = _parse_int(*dfield("year"))
-            flow = _parse_float(*dfield("flow"))
-            if not flow >= 0:
-                raise ValidationError(
-                    f"{dyads_path}: line {line}: negative flow {flow}"
-                )
-            distance = _parse_float(*dfield("distance"))
-            if not distance > 0:
-                raise ValidationError(
-                    f"{dyads_path}: line {line}: distance must be strictly "
-                    f"positive, got {distance}"
-                )
-            comrelig = _parse_float(*dfield("comrelig"))
-            if not 0.0 <= comrelig <= 1.0:
-                raise ValidationError(
-                    f"{dyads_path}: line {line}: comrelig must lie in [0, 1], "
-                    f"got {comrelig}"
-                )
-            dummies = {
-                name: _parse_bool(*dfield(name)) for name in DYAD_DUMMIES
-            }
-            table = dyads.setdefault(year, {})
-            key = (exporter, importer)
-            if key in table:
-                raise ValidationError(
-                    f"{dyads_path}: line {line}: duplicate dyad "
-                    f"{exporter!r}->{importer!r} for year {year}"
-                )
-            table[key] = DyadRecord(
-                exporter=exporter,
-                importer=importer,
-                year=year,
-                flow=flow,
-                distance=distance,
-                comrelig=comrelig,
-                **dummies,
-            )
-            n_rows += 1
-
-    return DyadPanel(dyads=dyads, countries=countries, n_rows=n_rows)
+    codes = {}
+    countries = _read_table(countries_path, COUNTRY_COLUMNS, _country_block, codes)
+    dyads = _read_table(dyads_path, DYAD_COLUMNS, _dyad_block, codes)
+    ids = sorted(codes)
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[[codes[c] for c in ids]] = np.arange(len(ids))
+    countries["country"] = rank[countries["country"]]
+    dyads["exporter"] = rank[dyads["exporter"]]
+    dyads["importer"] = rank[dyads["importer"]]
+    return DyadPanel(ids=tuple(ids), countries=countries, dyads=dyads)
 
 
 def build_cross_section(panel: DyadPanel, year: int) -> CrossSection:
@@ -349,25 +383,39 @@ def build_cross_section(panel: DyadPanel, year: int) -> CrossSection:
     flows.  A dyad row whose endpoint has no country record that year is an
     inconsistency and raises.
     """
-    table = panel.countries_for(year)
-    if not table:
+    rows = np.flatnonzero(panel.countries["year"] == year)
+    if not rows.size:
         raise ValidationError(f"year {year} not present in the country table")
-    countries = tuple(table[cid] for cid in sorted(table))
-    index = {c.country_id: pos for pos, c in enumerate(countries)}
-    n = len(countries)
+    # country indices follow the sorted ids, so sorting them sorts by id
+    rows = rows[np.argsort(panel.countries["country"][rows])]
+    n = len(rows)
+    position = np.full(len(panel.ids), -1)  # of each panel country this year
+    position[panel.countries["country"][rows]] = np.arange(n)
+    dyads = np.flatnonzero(panel.dyads["year"] == year)
+    exporter = position[panel.dyads["exporter"][dyads]]
+    importer = position[panel.dyads["importer"][dyads]]
+    absent = (exporter < 0) | (importer < 0)
+    if absent.any():
+        k = dyads[absent.argmax()]
+        raise ValidationError(
+            f"dyad {panel.ids[panel.dyads['exporter'][k]]!r}->"
+            f"{panel.ids[panel.dyads['importer'][k]]!r} ({year}) references a "
+            f"country with no record that year"
+        )
     weights = np.zeros((n, n))
-    for (exporter, importer), record in panel.dyads_for(year).items():
-        if exporter not in index or importer not in index:
-            raise ValidationError(
-                f"dyad {exporter!r}->{importer!r} ({year}) references a country "
-                f"with no record that year"
-            )
-        weights[index[exporter], index[importer]] = record.flow
+    weights[exporter, importer] = panel.dyads["flow"][dyads]
+    dyad_rows = np.full((n, n), -1)
+    dyad_rows[exporter, importer] = dyads
     adjacency = (weights > 0.0).astype(np.int8)
-    weights.setflags(write=False)
-    adjacency.setflags(write=False)
+    for array in (weights, adjacency, dyad_rows):
+        array.setflags(write=False)
     return CrossSection(
-        year=year, countries=countries, weights=weights, adjacency=adjacency
+        year=year,
+        country_ids=tuple(panel.ids[k] for k in panel.countries["country"][rows].tolist()),
+        countries={name: panel.countries[name][rows] for name in COUNTRY_FIELDS},
+        weights=weights,
+        adjacency=adjacency,
+        dyad_rows=dyad_rows,
     )
 
 
@@ -402,13 +450,10 @@ def build_design_matrix(
         (ids[i], ids[j]) for i, j in zip(exp_idx.tolist(), imp_idx.tolist())
     )
 
-    records = []
+    dyad_rows = cs.dyad_rows[exp_idx, imp_idx]
     if any(_DESIGN_SPEC[c][0] == "dyad" for c in columns):
-        table = panel.dyads_for(cs.year)
-        records = [table.get(row) for row in rows]
-        missing = [row for row, record in zip(rows, records) if record is None]
-        if missing:
-            exporter, importer = missing[0]
+        if (dyad_rows < 0).any():
+            exporter, importer = rows[int(np.argmax(dyad_rows < 0))]
             raise ValidationError(
                 f"dyad {exporter!r}->{importer!r} ({cs.year}) "
                 f"has no bilateral covariates"
@@ -416,7 +461,7 @@ def build_design_matrix(
     gathers = {
         "i": (cs.countries, exp_idx),
         "j": (cs.countries, imp_idx),
-        "dyad": (records, slice(None)),
+        "dyad": (panel.dyads, dyad_rows),
     }
 
     X = np.empty((len(rows), len(columns)))
@@ -425,8 +470,8 @@ def build_design_matrix(
         if source == "const":
             X[:, k] = 1.0
             continue
-        items, index = gathers[source]
-        values = np.array([getattr(item, name) for item in items], dtype=float)[index]
+        table, index = gathers[source]
+        values = np.asarray(table[name][index], dtype=float)
         if logged:
             bad = np.flatnonzero(~(values > 0))
             if bad.size:
@@ -451,13 +496,8 @@ def _minimal_count(sorted_desc: np.ndarray, share: float) -> int:
     total = float(sorted_desc.sum())
     if total <= 0.0:
         return 0
-    target = share * total
-    cumulative = 0.0
-    for k, value in enumerate(sorted_desc, start=1):
-        cumulative += float(value)
-        if cumulative >= target:
-            return k
-    return len(sorted_desc)
+    reached = np.cumsum(sorted_desc) >= share * total  # summed in order
+    return int(reached.argmax()) + 1 if reached.any() else len(sorted_desc)
 
 
 def summary_stats(cs: CrossSection) -> SummaryStats:

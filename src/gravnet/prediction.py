@@ -222,10 +222,6 @@ def _check_fit_against(dm: DesignMatrix, fit: FitResult, *want_tags: str) -> Non
         )
 
 
-def _linear_predictor(dm: DesignMatrix, fit: FitResult) -> np.ndarray:
-    return dm.X @ fit.coefficients
-
-
 def _guard_overflow(eta: np.ndarray, dm: DesignMatrix, stage: str) -> None:
     too_big = eta > MAX_LOG_PREDICTION
     if np.any(too_big):
@@ -242,8 +238,8 @@ def _zip_stages(zip_fit: ZipFitResult, dm: DesignMatrix, country_ids):
     _check_fit_against(dm, zip_fit.logit_part, "ZIP_LOGIT")
     _check_fit_against(dm, zip_fit.poisson_part, "ZIP_POISSON")
     ids, scatter = _grid(dm, country_ids)
-    u = _linear_predictor(dm, zip_fit.logit_part)
-    v = _linear_predictor(dm, zip_fit.poisson_part)
+    u = dm.X @ zip_fit.logit_part.coefficients
+    v = dm.X @ zip_fit.poisson_part.coefficients
     _guard_overflow(v, dm, "count")
     return ids, scatter, expit(u), np.exp(v)
 
@@ -281,7 +277,7 @@ def predict_ols(
     if not np.all(dm.y > 0):
         raise ValidationError("OLS predictions require a positive-flow design matrix")
     ids, scatter = _grid(dm, country_ids, full=False)
-    value = scatter(_linear_predictor(dm, fit))
+    value = scatter(dm.X @ fit.coefficients)
     return PredictedWeights(
         "OLS", ids, value, scatter(fit.sigma2), scatter(1, dtype=np.int8)
     )
@@ -305,10 +301,10 @@ def predict_ppml(
     """
     _check_fit_against(dm, fit, "PPML")
     ids, scatter = _grid(dm, country_ids)
-    eta = _linear_predictor(dm, fit)
+    eta = dm.X @ fit.coefficients
     _guard_overflow(eta, dm, "count")
     value = scatter(np.exp(eta))
-    mask = _off_diagonal_mask(len(ids)).astype(np.int8)
+    mask = (~np.eye(len(ids), dtype=bool)).astype(np.int8)
     return PredictedWeights("PPML", ids, value, value.copy(), mask)
 
 
@@ -327,7 +323,7 @@ def predict_zip(
     ids, scatter, psi, mu = _zip_stages(zip_fit, dm, country_ids)
     value = scatter((1.0 - psi) * mu)
     variance = scatter(mu * (1.0 - psi) * (1.0 + mu * psi))
-    mask = _off_diagonal_mask(len(ids)).astype(np.int8)
+    mask = (~np.eye(len(ids), dtype=bool)).astype(np.int8)
     return PredictedWeights("ZIP", ids, value, variance, mask)
 
 
@@ -350,7 +346,7 @@ def link_probabilities(
     _check_fit_against(dm, logit, "LOGIT", "ZIP_LOGIT")
     ids, scatter = _grid(dm, country_ids)
     # expit is strictly inside (0, 1) for finite arguments, so xi is too.
-    xi = scatter(1.0 - expit(_linear_predictor(dm, logit)))
+    xi = scatter(1.0 - expit(dm.X @ logit.coefficients))
     return LinkProbabilityMatrix(ids, xi)
 
 
@@ -374,12 +370,6 @@ def zero_flow_probability(
     if form == "consistent":
         return scatter(psi + (1.0 - psi) * np.exp(-mu))
     return scatter(psi + (1.0 - psi) * mu)
-
-
-def _off_diagonal_mask(n: int) -> np.ndarray:
-    mask = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(mask, False)
-    return mask
 
 
 def _binary_from_threshold(xi: np.ndarray, s: float) -> np.ndarray:
@@ -423,7 +413,7 @@ def threshold_matching_density(
         raise ValidationError("need at least two countries to threshold")
     pairs = n * (n - 1)
     target = int(round(rho * pairs))
-    off = _off_diagonal_mask(n)
+    off = ~np.eye(n, dtype=bool)
     flat_idx = np.flatnonzero(off.ravel())
     probs = link_probs.xi.ravel()[flat_idx]
     # stable sort on negated values: equal probabilities keep row-major order
@@ -457,7 +447,7 @@ def threshold_by_manhattan(
         raise ValidationError(
             f"observed adjacency has shape {observed.shape}, expected {(n, n)}"
         )
-    off = _off_diagonal_mask(n)
+    off = ~np.eye(n, dtype=bool)
     xi = link_probs.xi[off]
     linked = np.asarray(observed, dtype=float)[off] != 0
     candidates = np.unique(np.concatenate(([0.0], xi)))
@@ -498,7 +488,7 @@ def stream_bernoulli_ensemble(
     """
     n = link_probs.n
     xi = link_probs.xi
-    off = _off_diagonal_mask(n)
+    off = ~np.eye(n, dtype=bool)
     return EnsembleStream(
         "BERNOULLI", link_probs.country_ids, m, seed, lambda g: (g.random((n, n)) < xi) & off
     )
@@ -531,7 +521,7 @@ def stream_weighted_ensemble(
     identical no matter which entries end up linked.
     """
     n = pred.n
-    off = _off_diagonal_mask(n)
+    off = ~np.eye(n, dtype=bool)
     mask = None
     if pred.model_tag == "OLS":
         sd = np.sqrt(pred.variance)

@@ -5,20 +5,26 @@ by term from the defining sums, sharing no code with the package. The tests
 assert agreement between the vectorized package code and these; keep them
 dumb and readable rather than fast.
 
-The one exception is ``loop_ensemble_summary``: the former per-kind ensemble
-summary, kept as the reference for the one-pass version. It reuses the
-package's network and statistic code, so it pins only the restructured
-replication loop, and agreement with it is exact.
+Two references are former package code rather than transcriptions.
+``loop_ensemble_summary`` is the former per-kind ensemble summary, kept as
+the reference for the one-pass version. It reuses the package's network and
+statistic code, so it pins only the restructured replication loop, and
+agreement with it is exact. ``loop_load_panel`` is the former row-by-row CSV
+loader, one frozen record per row, kept as the reference for the columnar
+one: same values, same first fault, same message.
 """
 
+import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from gravnet.compare import EnsembleSummary
-from gravnet.errors import ValidationError
+from gravnet.errors import SchemaError, ValidationError
 from gravnet.netstats import TradeNetwork, compute_statistic, density, population_average
+from gravnet.panel import COUNTRY_COLUMNS, DYAD_COLUMNS, DYAD_DUMMIES
 
 # math.cbrt appeared in 3.11; the fallback matches it to within an ulp,
 # which is far inside every tolerance used by the tests.
@@ -152,6 +158,208 @@ def loop_statistics(weights, adjacency, transform="identity"):
     links = sum(A[i][j] for i in range(n) for j in range(n) if j != i)
     stats["density"] = links / (n * (n - 1.0))
     return stats
+
+
+@dataclass(frozen=True)
+class CountryRecord:
+    country_id: str
+    gdp: float
+    area: float
+    population: float
+    landlocked: int
+    continent: int
+
+
+@dataclass(frozen=True)
+class DyadRecord:
+    exporter: str
+    importer: str
+    year: int
+    flow: float
+    distance: float
+    contig: int
+    comlang_off: int
+    comcol: int
+    colony: int
+    curcol: int
+    comrelig: float
+    comcur: int
+    gsp: int
+    rta: int
+
+
+@dataclass(frozen=True)
+class LoopPanel:
+    """Per-year record tables: {year: {country_id: CountryRecord}} and
+    {year: {(exporter, importer): DyadRecord}}."""
+
+    dyads: dict
+    countries: dict
+    n_rows: int
+
+
+def _parse_float(raw, column, path, line):
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{path}: line {line}: column {column!r} is not a number: {raw!r}"
+        ) from None
+
+
+def _parse_int(raw, column, path, line):
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{path}: line {line}: column {column!r} is not an integer: {raw!r}"
+        ) from None
+
+
+def _parse_bool(raw, column, path, line):
+    value = _parse_int(raw, column, path, line)
+    if value not in (0, 1):
+        raise ValidationError(
+            f"{path}: line {line}: column {column!r} must be 0 or 1, got {raw!r}"
+        )
+    return value
+
+
+def _open_reader(path, required, mapping):
+    mapping = dict(mapping or {})
+    unknown = set(mapping) - set(required)
+    if unknown:
+        raise SchemaError(f"{path}: column mapping names unknown fields {sorted(unknown)}")
+    handle = open(path, newline="", encoding="utf-8")
+    reader = csv.DictReader(handle)
+    header = reader.fieldnames or []
+    missing = [
+        canonical for canonical in required
+        if mapping.get(canonical, canonical) not in header
+    ]
+    if missing:
+        handle.close()
+        raise SchemaError(f"{path}: missing required column(s) {missing}")
+    return handle, reader, mapping
+
+
+def loop_load_panel(dyads_path, countries_path, dyad_columns=None, country_columns=None):
+    """The row-by-row loader the columnar ``load_panel`` replaced.
+
+    ``dyad_columns`` / ``country_columns`` optionally map canonical column
+    names to the names actually used in the files.
+
+    Raises
+    ------
+    SchemaError
+        A required column is absent.
+    ValidationError
+        A row fails a range or uniqueness check; the message carries the
+        file path and physical line number.
+    """
+    countries = {}
+    handle, reader, mapping = _open_reader(
+        countries_path, COUNTRY_COLUMNS, country_columns
+    )
+    with handle:
+        for row in reader:
+            line = reader.line_num
+
+            def cfield(name, row=row, line=line):
+                return row.get(mapping.get(name, name)), name, countries_path, line
+
+            raw, name, path, ln = cfield("country")
+            country_id = (raw or "").strip()
+            if not country_id:
+                raise ValidationError(f"{path}: line {ln}: empty country id")
+            year = _parse_int(*cfield("year"))
+            gdp = _parse_float(*cfield("gdp"))
+            area = _parse_float(*cfield("area"))
+            population = _parse_float(*cfield("population"))
+            landlocked = _parse_bool(*cfield("landlocked"))
+            continent = _parse_int(*cfield("continent"))
+            if not gdp > 0 or not area > 0 or not population > 0:
+                raise ValidationError(
+                    f"{countries_path}: line {line}: gdp, area and population "
+                    f"must be strictly positive for {country_id!r}"
+                )
+            table = countries.setdefault(year, {})
+            if country_id in table:
+                raise ValidationError(
+                    f"{countries_path}: line {line}: duplicate country "
+                    f"{country_id!r} for year {year}"
+                )
+            table[country_id] = CountryRecord(
+                country_id=country_id,
+                gdp=gdp,
+                area=area,
+                population=population,
+                landlocked=landlocked,
+                continent=continent,
+            )
+
+    dyads = {}
+    n_rows = 0
+    handle, reader, mapping = _open_reader(dyads_path, DYAD_COLUMNS, dyad_columns)
+    with handle:
+        for row in reader:
+            line = reader.line_num
+
+            def dfield(name, row=row, line=line):
+                return row.get(mapping.get(name, name)), name, dyads_path, line
+
+            exporter = (dfield("exporter")[0] or "").strip()
+            importer = (dfield("importer")[0] or "").strip()
+            if not exporter or not importer:
+                raise ValidationError(
+                    f"{dyads_path}: line {line}: empty exporter or importer id"
+                )
+            if exporter == importer:
+                raise ValidationError(
+                    f"{dyads_path}: line {line}: exporter equals importer "
+                    f"({exporter!r})"
+                )
+            year = _parse_int(*dfield("year"))
+            flow = _parse_float(*dfield("flow"))
+            if not flow >= 0:
+                raise ValidationError(
+                    f"{dyads_path}: line {line}: negative flow {flow}"
+                )
+            distance = _parse_float(*dfield("distance"))
+            if not distance > 0:
+                raise ValidationError(
+                    f"{dyads_path}: line {line}: distance must be strictly "
+                    f"positive, got {distance}"
+                )
+            comrelig = _parse_float(*dfield("comrelig"))
+            if not 0.0 <= comrelig <= 1.0:
+                raise ValidationError(
+                    f"{dyads_path}: line {line}: comrelig must lie in [0, 1], "
+                    f"got {comrelig}"
+                )
+            dummies = {
+                name: _parse_bool(*dfield(name)) for name in DYAD_DUMMIES
+            }
+            table = dyads.setdefault(year, {})
+            key = (exporter, importer)
+            if key in table:
+                raise ValidationError(
+                    f"{dyads_path}: line {line}: duplicate dyad "
+                    f"{exporter!r}->{importer!r} for year {year}"
+                )
+            table[key] = DyadRecord(
+                exporter=exporter,
+                importer=importer,
+                year=year,
+                flow=flow,
+                distance=distance,
+                comrelig=comrelig,
+                **dummies,
+            )
+            n_rows += 1
+
+    return LoopPanel(dyads=dyads, countries=countries, n_rows=n_rows)
+
 
 
 _COUNTRY_FIELDS = {

@@ -142,6 +142,28 @@ def test_config_validation(zip_panel, tmp_path):
         RunConfig(**{**good, "dyads": str(tmp_path / "nope.csv")})
 
 
+@pytest.mark.parametrize("name,value", [
+    ("years", ["x"]),
+    ("years", 2000),
+    ("years", [True]),
+    ("models", "PPML"),
+    ("covariates", "const"),
+    ("replications", "many"),
+    ("replications", 1.5),
+    ("replications", True),
+    ("seed", "7"),
+    ("seed", 1.5),
+    ("transforms", ["x"]),
+])
+def test_malformed_config_value_exits_2_naming_the_field(
+    zip_panel, tmp_path, capsys, name, value
+):
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, tmp_path / "out", **{name: value})
+    assert main(["fit", "--config", cfg]) == EXIT_VALIDATION
+    assert f"config field {name!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_errors(zip_panel, tmp_path):
     with pytest.raises(ValidationError):
         load_config(str(tmp_path / "missing.json"), None)
@@ -385,6 +407,18 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path):
     assert {r["command"] for r in records} == {
         "fit", "predict", "netstats", "compare", "report",
     }
+    # each fit cell logs the iterations its fit.json records; ZIP also
+    # logs its Vuong statistic against PPML
+    fit = [r for r in records if r["command"] == "fit"]
+    assert len(fit) == 2 * 4
+    for r in fit:
+        payload = json.loads((out / str(r["year"]) / r["model"] / "fit.json").read_text())
+        if r["model"] == "ZIP":
+            assert r["iterations"] == payload["poisson_part"]["diagnostics"]["iterations"] > 0
+            assert r["vuong_z"] == payload["vuong_vs_poisson"]
+        else:
+            assert r["iterations"] == payload["diagnostics"]["iterations"]
+            assert "vuong_z" not in r
     # each compare cell logs its dropped replications per reported kind,
     # read from the summaries of the report it wrote
     compare = [r for r in records if r["command"] == "compare"]

@@ -1,6 +1,8 @@
 import csv
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ import oracles
 from gravnet.errors import SchemaError, ValidationError
 from gravnet.panel import (
     COUNTRY_COLUMNS,
+    COUNTRY_FIELDS,
     DESIGN_COLUMNS,
     DYAD_COLUMNS,
-    CountryRecord,
     CrossSection,
-    DyadRecord,
+    DyadPanel,
     build_cross_section,
     build_design_matrix,
     load_panel,
@@ -40,6 +42,42 @@ def write_csv(path, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
     return str(path)
+
+
+def country_fields(panel, year, country_id):
+    """One country-year row of a loaded panel, as {field: value}."""
+    (row,) = np.flatnonzero(
+        (panel.countries["year"] == year)
+        & (panel.countries["country"] == panel.ids.index(country_id))
+    )
+    return {name: column[row].item() for name, column in panel.countries.items()}
+
+
+def dyad_fields(panel, year, exporter, importer):
+    """One dyad row of a loaded panel, as {field: value}."""
+    (row,) = np.flatnonzero(
+        (panel.dyads["year"] == year)
+        & (panel.dyads["exporter"] == panel.ids.index(exporter))
+        & (panel.dyads["importer"] == panel.ids.index(importer))
+    )
+    return {name: column[row].item() for name, column in panel.dyads.items()}
+
+
+def cross_section(w, year=2000, countries=None, dyad_rows=None):
+    """A hand-built cross-section of weight grid ``w``; every country has
+    the field values 1.0, 1.0, 1.0, 0, 1 unless ``countries`` says otherwise,
+    and no dyad has a panel row unless ``dyad_rows`` says otherwise."""
+    n = w.shape[0]
+    columns = dict(zip(COUNTRY_FIELDS, ([1.0] * n, [1.0] * n, [1.0] * n, [0] * n, [1] * n)))
+    columns.update(countries or {})
+    return CrossSection(
+        year=year,
+        country_ids=tuple(f"C{i:03d}" for i in range(n)),
+        countries={name: np.array(values) for name, values in columns.items()},
+        weights=w,
+        adjacency=(w > 0).astype(np.int8),
+        dyad_rows=np.full((n, n), -1) if dyad_rows is None else np.array(dyad_rows),
+    )
 
 
 @pytest.fixture
@@ -77,24 +115,22 @@ def test_load_small_panel(small_files):
     panel = load_panel(dyads, countries)
     assert panel.n_rows == 6
     assert panel.years == (2000,)
-    assert sorted(panel.countries_for(2000)) == ["AAA", "BBB", "CCC"]
-    assert panel.countries_for(2000)["BBB"].landlocked == 1
-    assert panel.dyads_for(2000)[("AAA", "BBB")].flow == 5.0
+    in_2000 = panel.countries["country"][panel.countries["year"] == 2000]
+    assert sorted(panel.ids[k] for k in in_2000) == ["AAA", "BBB", "CCC"]
+    assert country_fields(panel, 2000, "BBB")["landlocked"] == 1
+    assert dyad_fields(panel, 2000, "AAA", "BBB")["flow"] == 5.0
 
 
 def test_column_mapping(tmp_path, small_files):
+    # columns are found by their canonical header names only
     _, countries, _ = small_files
     renamed = write_csv(
         tmp_path / "renamed.csv",
         [c if c != "flow" else "trade_value" for c in DYAD_COLUMNS],
         [dyad_row("AAA", "BBB", 2000, 5.0)],
     )
-    panel = load_panel(renamed, countries, dyad_columns={"flow": "trade_value"})
-    assert panel.dyads_for(2000)[("AAA", "BBB")].flow == 5.0
     with pytest.raises(SchemaError):
         load_panel(renamed, countries)
-    with pytest.raises(SchemaError):
-        load_panel(renamed, countries, dyad_columns={"bogus": "x"})
 
 
 def test_missing_column_is_schema_error(tmp_path, small_files):
@@ -164,6 +200,11 @@ def test_build_cross_section(small_files):
     assert np.array_equal(cs.adjacency, (cs.weights > 0).astype(int))
     assert np.diag(cs.weights).tolist() == [0.0, 0.0, 0.0]
     assert cs.network().n == 3
+    # each ordered pair's dyad row: its flow is the weight, -1 for none
+    flows = panel.dyads["flow"]
+    for i, j in zip(*np.nonzero(~np.eye(3, dtype=bool))):
+        assert flows[cs.dyad_rows[i, j]] == cs.weights[i, j]
+    assert np.diag(cs.dyad_rows).tolist() == [-1, -1, -1]
     with pytest.raises(ValidationError, match="1999"):
         build_cross_section(panel, 1999)
 
@@ -213,8 +254,8 @@ def test_design_matrix_full_and_positive(small_files):
         ln_gdp_i = full.X[r, full.columns.index("ln_gdp_i")]
         assert math.exp(ln_gdp_i) == pytest.approx(gdp[exp], rel=1e-12)
         ln_dist = full.X[r, full.columns.index("ln_dist")]
-        record = panel.dyads_for(2000)[(exp, imp)]
-        assert math.exp(ln_dist) == pytest.approx(record.distance, rel=1e-12)
+        record = dyad_fields(panel, 2000, exp, imp)
+        assert math.exp(ln_dist) == pytest.approx(record["distance"], rel=1e-12)
         assert full.y[r] == flows[(exp, imp)]
     assert np.array_equal(full.a, (full.y > 0).astype(int))
 
@@ -258,34 +299,18 @@ def test_design_matrix_missing_bilateral_covariates(tmp_path, small_files):
 
 
 def test_design_matrix_rejects_nonpositive_log_input():
-    countries = tuple(
-        CountryRecord(cid, gdp, 1.0, 1.0, 0, 1)
-        for cid, gdp in [("AAA", 1.0), ("BBB", 1.0)]
-    )
+    # built by hand: the loader refuses a zero gdp or distance
     w = np.zeros((2, 2))
-    cs = CrossSection(year=2000, countries=countries, weights=w,
-                      adjacency=(w > 0).astype(int))
-    bad = CountryRecord("AAA", -1.0, 1.0, 1.0, 0, 1)
-    cs_bad = CrossSection(year=2000, countries=(bad, countries[1]), weights=w,
-                          adjacency=(w > 0).astype(int))
-
-    class EmptyPanel:
-        def dyads_for(self, year):
-            return {}
-
+    panel = DyadPanel(ids=("C000", "C001"), countries={},
+                      dyads={"distance": np.zeros(2)})
+    cs_bad = cross_section(w, countries={"gdp": [-1.0, 1.0]})
     with pytest.raises(ValidationError, match="ln_gdp"):
-        build_design_matrix(cs_bad, EmptyPanel(),
+        build_design_matrix(cs_bad, panel,
                             covariates=("const", "ln_gdp_i"))
 
-    class ZeroDistancePanel:
-        def dyads_for(self, year):
-            return {
-                (e, i): DyadRecord(e, i, year, 0.0, 0.0, 0, 0, 0, 0, 0, 0.5, 0, 0, 0)
-                for e, i in [("AAA", "BBB"), ("BBB", "AAA")]
-            }
-
+    cs = cross_section(w, dyad_rows=[[-1, 0], [1, -1]])
     with pytest.raises(ValidationError, match="ln_dist"):
-        build_design_matrix(cs, ZeroDistancePanel(),
+        build_design_matrix(cs, panel,
                             covariates=("const", "ln_dist"))
 
 
@@ -296,7 +321,8 @@ def synth_cross_section(tmp_path_factory):
         SynthSpec(n_countries=12, years=(2000,), noise="zip", seed=4), str(out)
     )
     panel = load_panel(paths["dyads"], paths["countries"])
-    return panel, build_cross_section(panel, 2000)
+    records = oracles.loop_load_panel(paths["dyads"], paths["countries"])
+    return panel, build_cross_section(panel, 2000), records
 
 
 @pytest.mark.parametrize("positive_only", [False, True])
@@ -306,10 +332,11 @@ def synth_cross_section(tmp_path_factory):
 )
 def test_design_matrix_matches_loop_oracle(synth_cross_section, columns,
                                            positive_only):
-    panel, cs = synth_cross_section
+    panel, cs, records = synth_cross_section
     dm = build_design_matrix(cs, panel, columns, positive_only=positive_only)
+    countries = tuple(records.countries[2000][cid] for cid in cs.country_ids)
     rows, X, y, a = oracles.loop_design_matrix(
-        cs.countries, cs.weights.tolist(), panel.dyads_for(2000), columns,
+        countries, cs.weights.tolist(), records.dyads[2000], columns,
         positive_only,
     )
     assert 0 < len(rows) and (len(rows) < cs.n * (cs.n - 1)) == positive_only
@@ -329,17 +356,13 @@ def test_design_matrix_matches_loop_oracle(synth_cross_section, columns,
 def test_summary_density_1970_level():
     n, links = 129, 6583
     rng = np.random.default_rng(1970)
-    countries = tuple(
-        CountryRecord(f"C{i:03d}", 1.0, 1.0, 1.0, 0, 1) for i in range(n)
-    )
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
     chosen = rng.choice(len(positions), size=links, replace=False)
     w = np.zeros((n, n))
     for idx in chosen:
         i, j = positions[idx]
         w[i, j] = rng.uniform(1.0, 100.0)
-    cs = CrossSection(year=1970, countries=countries, weights=w,
-                      adjacency=(w > 0).astype(np.int8))
+    cs = cross_section(w, year=1970)
     stats = summary_stats(cs)
     assert stats.n_flows == links
     assert round(stats.density, 4) == 0.3987
@@ -371,11 +394,7 @@ def test_concentration_counts_match_subset_scan():
         np.fill_diagonal(w, 0.0)
         if not (w > 0).any():
             continue
-        countries = tuple(
-            CountryRecord(f"C{i}", 1.0, 1.0, 1.0, 0, 1) for i in range(n)
-        )
-        cs = CrossSection(year=2000, countries=countries, weights=w,
-                          adjacency=(w > 0).astype(np.int8))
+        cs = cross_section(w)
         stats = summary_stats(cs)
         flows = sorted(w[w > 0].tolist(), reverse=True)
         totals = (w.sum(axis=0) + w.sum(axis=1)).tolist()
@@ -386,15 +405,95 @@ def test_concentration_counts_match_subset_scan():
 
 
 def test_concentration_trivial_complete_network():
-    countries = tuple(
-        CountryRecord(f"C{i}", 1.0, 1.0, 1.0, 0, 1) for i in range(3)
-    )
     w = np.ones((3, 3))
     np.fill_diagonal(w, 0.0)
-    cs = CrossSection(year=2000, countries=countries, weights=w,
-                      adjacency=(w > 0).astype(np.int8))
+    cs = cross_section(w)
     stats = summary_stats(cs)
     assert stats.density == 1.0
     assert stats.flows_50 == 3
     assert stats.avg_trade == 1.0
     assert stats.pct_flows_50 == pytest.approx(50.0)
+
+
+def test_whitespace_country_id_is_empty(tmp_path, small_files):
+    dyads, _, _ = small_files
+    path = write_csv(tmp_path / "blank_id.csv", COUNTRY_COLUMNS,
+                     [country_row("AAA", 2000), country_row("   ", 2000)])
+    for load in (load_panel, oracles.loop_load_panel):
+        with pytest.raises(ValidationError, match="line 3: empty country id"):
+            load(dyads, path)
+
+
+def test_integer_outside_int64_is_not_an_integer(tmp_path, small_files):
+    # the record loader kept Python ints of any size; the columns are int64
+    _, countries, _ = small_files
+    path = write_csv(tmp_path / "huge.csv", DYAD_COLUMNS,
+                     [dyad_row("AAA", "BBB", 2000, 1.0, rta=2**63)])
+    with pytest.raises(ValidationError,
+                       match=f"line 2: column 'rta' is not an integer: '{2**63}'"):
+        load_panel(path, countries)
+
+
+def test_blank_and_multiline_rows_keep_physical_line_numbers(tmp_path, small_files):
+    _, countries, _ = small_files
+
+    def write(rows):
+        path = tmp_path / "spread.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(DYAD_COLUMNS)
+            for row in rows:
+                fh.write("\n")
+                writer.writerow(row)
+        return str(path)
+
+    # a quoted flow spans lines 3-4; blank lines 2 and 5 are skipped
+    good = dyad_row("AAA", "BBB", 2000, "2.5\n")
+    panel = load_panel(write([good]), countries)
+    assert panel.dyads["line"].tolist() == [4]
+    assert panel.dyads["flow"].tolist() == [2.5]
+    bad = dyad_row("BBB", "AAA", 2000, -1.0)
+    with pytest.raises(ValidationError, match="line 6: negative flow -1.0"):
+        load_panel(write([good, bad]), countries)
+
+
+def test_load_panel_peak_memory_is_below_the_record_loader(tmp_path):
+    paths = write_synth_panel(
+        SynthSpec(n_countries=150, years=(2000,), noise="zip", seed=5), str(tmp_path)
+    )
+
+    def peak(load):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load(paths["dyads"], paths["countries"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(load_panel) <= peak(oracles.loop_load_panel)
+
+
+def _outcome(load, dyads, countries):
+    try:
+        load(dyads, countries)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["countries", "dyads"])
+def test_short_and_garbage_rows_fail_like_the_record_loader(tmp_path, small_files, name):
+    # each prefix of a valid row leaves its remaining fields missing, so the
+    # first missing field in reading order is the one reported
+    dyads, countries, _ = small_files
+    header, row = {
+        "countries": (COUNTRY_COLUMNS, country_row("DDD", 2000)),
+        "dyads": (DYAD_COLUMNS, dyad_row("AAA", "CCC", 1999, 1.0)),
+    }[name]
+    bad_rows = [row[:k] for k in range(len(row))] + [["x"] * len(row), ["2"] * len(row)]
+    for bad in bad_rows:
+        path = write_csv(tmp_path / "bad.csv", header, [row, bad])
+        files = {"dyads": dyads, "countries": countries, name: path}
+        want = _outcome(oracles.loop_load_panel, files["dyads"], files["countries"])
+        assert _outcome(load_panel, files["dyads"], files["countries"]) == want, bad

@@ -1,13 +1,31 @@
 """Property-based tests (hypothesis) for invariants stated in docstrings."""
 
+import csv
+import dataclasses
+import io
+import os
+import tempfile
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gravnet.panel as panel_module
 from gravnet.compare import REPORT_KINDS, ensemble_summary, ks_two_sample
-from gravnet.errors import ValidationError
+from gravnet.errors import ConvergenceError, ValidationError
+from gravnet.estimation import EM_TOL, fit_logit, fit_ols, fit_poisson_pml, fit_zip
 from gravnet.netstats import STAT_KINDS, WEIGHT_TRANSFORMS, TradeNetwork, all_statistics
+from gravnet.panel import (
+    COUNTRY_COLUMNS,
+    DYAD_COLUMNS,
+    DYAD_DUMMIES,
+    build_cross_section,
+    build_design_matrix,
+    load_panel,
+)
 from gravnet.prediction import (
     LinkProbabilityMatrix,
     PredictedWeights,
@@ -17,8 +35,9 @@ from gravnet.prediction import (
     stream_weighted_ensemble,
     threshold_by_manhattan,
 )
+from gravnet.synth import GENERATOR_COVARIATES, SynthSpec, write_synth_panel
 
-from oracles import loop_ensemble_summary
+from oracles import loop_ensemble_summary, loop_load_panel
 
 # a small value set makes tied probabilities, and ties with the observed
 # links, common
@@ -180,3 +199,222 @@ def test_ks_is_symmetric_and_invariant_under_increasing_maps(x, y, c):
         mapped = ks_two_sample(transform(x), transform(y))
         assert mapped.d_statistic == forward.d_statistic
         assert mapped.p_value == forward.p_value
+
+
+# ---------------------------------------------------------------- panel
+
+
+_PANEL_IDS = ("AAA", "BBB", "CCC")
+_POSITIVE = st.sampled_from(("0.5", "12", "3e2", " 7 ", "1_000"))
+
+
+@st.composite
+def panel_rows(draw):
+    """Valid country and dyad rows (lists of text) for one to two years."""
+    years = draw(st.lists(st.sampled_from(("1999", "2000")), min_size=1,
+                          max_size=2, unique=True))
+    flag = st.sampled_from(("0", "1"))
+    countries = [
+        [cid, year, draw(_POSITIVE), draw(_POSITIVE), draw(_POSITIVE),
+         draw(flag), draw(st.sampled_from(("1", "2", "-3")))]
+        for year in years for cid in _PANEL_IDS
+    ]
+    dyads = [
+        [e, i, year, draw(st.sampled_from(("0", "-0", "1.5", "2e1", "inf"))),
+         draw(_POSITIVE), *(draw(flag) for _ in range(5)),
+         draw(st.sampled_from(("0", "0.25", "1"))), *(draw(flag) for _ in range(3))]
+        for year in years for e in _PANEL_IDS for i in _PANEL_IDS
+        if e != i and draw(st.booleans())
+    ]
+    return countries, dyads
+
+
+#: (file, column, text) of one bad field; text None copies the exporter
+_FAULTS = (
+    ("dyads", "exporter", ""),
+    ("dyads", "importer", "  "),
+    ("dyads", "importer", None),
+    ("dyads", "year", "20x0"),
+    ("dyads", "flow", "abc"),
+    ("dyads", "flow", "-1"),
+    ("dyads", "flow", "nan"),
+    ("dyads", "distance", "1.0.0"),
+    ("dyads", "distance", "0"),
+    ("dyads", "comrelig", "1.5"),
+    ("dyads", "contig", "2"),
+    ("dyads", "rta", "1.0"),
+    ("countries", "country", "   "),
+    ("countries", "year", "x"),
+    ("countries", "gdp", "0"),
+    ("countries", "gdp", "x"),
+    ("countries", "area", "-1"),
+    ("countries", "area", "1e"),
+    ("countries", "population", "nan"),
+    ("countries", "landlocked", "2"),
+    ("countries", "continent", "2.0"),
+)
+
+
+@st.composite
+def faulty_panel(draw):
+    """The text of the two files of a small panel with up to three injected
+    faults, often in one row; blank lines and quoted multi-line fields
+    shift physical lines."""
+    tables = dict(zip(("countries", "dyads"), draw(panel_rows())))
+    headers = {"countries": COUNTRY_COLUMNS, "dyads": DYAD_COLUMNS}
+    faults = st.sampled_from(("duplicate", "short row", *_FAULTS))
+    for fault in draw(st.lists(faults, max_size=3)):
+        name = fault[0] if isinstance(fault, tuple) else draw(st.sampled_from(tuple(tables)))
+        rows = tables[name]
+        if not rows:
+            continue
+        k = draw(st.just(0) | st.integers(0, len(rows) - 1))
+        if fault == "duplicate":
+            rows.insert(draw(st.integers(k + 1, len(rows))), list(rows[k]))
+        elif fault == "short row":
+            # cut to nothing, a row is a blank line
+            rows[k] = rows[k][: draw(st.integers(0, max(len(rows[k]) - 1, 0)))]
+        else:
+            column = headers[name].index(fault[1])
+            if column < len(rows[k]):
+                rows[k][column] = rows[k][0] if fault[2] is None else fault[2]
+    texts = {}
+    for name, rows in tables.items():
+        for row in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else ():
+            # a trailing newline inside a quoted field converts as before
+            if row:
+                k = draw(st.integers(0, len(row) - 1))
+                row[k] = row[k] + "\n"
+        lines = [headers[name], *rows]
+        for at in sorted(draw(st.lists(st.integers(1, len(lines)), max_size=3)),
+                         reverse=True):
+            lines.insert(at, [])  # a blank line
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(lines)
+        texts[name] = buf.getvalue()
+    return texts
+
+
+def _outcome(load, paths):
+    try:
+        return load(paths["dyads"], paths["countries"])
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_panel(), st.sampled_from((1, 2, 5, panel_module._BLOCK_ROWS)))
+def test_load_panel_matches_record_loader(texts, block_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = os.path.join(tmp, f"{name}.csv")
+            with open(paths[name], "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+        want = _outcome(loop_load_panel, paths)
+        # small blocks put faults and repeats in different blocks
+        with mock.patch.object(panel_module, "_BLOCK_ROWS", block_rows):
+            got = _outcome(load_panel, paths)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert not isinstance(got, Exception), got
+    assert got.n_rows == want.n_rows
+    assert got.years == tuple(sorted(set(want.dyads) | set(want.countries)))
+    ids = got.ids
+    assert ids == tuple(sorted(
+        {cid for table in want.countries.values() for cid in table}
+        | {cid for table in want.dyads.values() for pair in table for cid in pair}
+    ))
+    countries, dyads = {}, {}
+    for k in range(len(got.countries["year"])):
+        record = [_hex(got.countries[c][k].item()) for c in COUNTRY_COLUMNS[1:]]
+        countries.setdefault(record[0], {})[ids[got.countries["country"][k]]] = record[1:]
+    for k in range(got.n_rows):
+        record = [_hex(got.dyads[c][k].item()) for c in DYAD_COLUMNS[2:]]
+        pair = (ids[got.dyads["exporter"][k]], ids[got.dyads["importer"][k]])
+        dyads.setdefault(record[0], {})[pair] = record
+    assert countries == {
+        year: {cid: [_hex(v) for v in dataclasses.astuple(rec)[1:]]
+               for cid, rec in table.items()}
+        for year, table in want.countries.items()
+    }
+    assert dyads == {
+        year: {pair: [_hex(v) for v in dataclasses.astuple(rec)[2:]]
+               for pair, rec in table.items()}
+        for year, table in want.dyads.items()
+    }
+
+
+# ---------------------------------------------------------------- estimation
+
+
+@pytest.fixture(scope="module")
+def synth_designs(tmp_path_factory):
+    """(positive-flow, full) designs of one n = 15 synth year, with each
+    estimator's fit on them."""
+    out = tmp_path_factory.mktemp("rescale")
+    spec = SynthSpec(n_countries=15, years=(2000,), noise="zip", seed=21)
+    paths = write_synth_panel(spec, str(out))
+    panel = load_panel(paths["dyads"], paths["countries"])
+    cs = build_cross_section(panel, 2000)
+    dm_pos, dm_full = (
+        build_design_matrix(cs, panel, GENERATOR_COVARIATES, positive_only=positive)
+        for positive in (True, False)
+    )
+    return dm_pos, dm_full, _fits(dm_pos, dm_full)
+
+
+def _fits(dm_pos, dm_full):
+    zip_fit = fit_zip(dm_full)
+    return {
+        "OLS": fit_ols(dm_pos),
+        "PPML": fit_poisson_pml(dm_full),
+        "LOGIT": fit_logit(dm_full),
+        "ZIP_poisson": zip_fit.poisson_part,
+        "ZIP_logit": zip_fit.logit_part,
+    }
+
+
+def _rescaled(column, c):
+    scale = np.ones(len(GENERATOR_COVARIATES))
+    scale[column] = c
+    return scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    column=st.integers(1, len(GENERATOR_COVARIATES) - 1),
+    c=st.floats(min_value=1e-2, max_value=1e3),
+)
+def test_rescaling_a_column_rescales_its_coefficient(synth_designs, column, c):
+    dm_pos, dm_full, want = synth_designs
+    scale = _rescaled(column, c)
+    got = _fits(*(replace(dm, X=dm.X * scale) for dm in (dm_pos, dm_full)))
+    for label, fit in got.items():
+        # EM stops on a relative log-likelihood change of EM_TOL, so the ZIP
+        # optimum is pinned only that closely; the IRLS fits far closer
+        rtol = EM_TOL if label.startswith("ZIP") else 1e-9
+        np.testing.assert_allclose(
+            fit.coefficients * scale, want[label].coefficients, rtol=rtol, err_msg=label
+        )
+        np.testing.assert_allclose(
+            fit.std_errors * scale, want[label].std_errors, rtol=rtol, err_msg=label
+        )
+        assert fit.loglik == pytest.approx(want[label].loglik, rel=rtol), label
+
+
+@pytest.mark.xfail(
+    raises=ConvergenceError, strict=True,
+    reason="the IRLS divergence ceiling is a coefficient norm, so shrinking a "
+    "regressor 1000-fold makes a converging Poisson fit look divergent",
+)
+def test_rescaling_a_column_by_1e_3_keeps_poisson_converging(synth_designs):
+    _, dm_full, want = synth_designs
+    scale = _rescaled(GENERATOR_COVARIATES.index("contig"), 1e-3)
+    fit = fit_poisson_pml(replace(dm_full, X=dm_full.X * scale))
+    np.testing.assert_allclose(fit.coefficients * scale, want["PPML"].coefficients, rtol=1e-9)
