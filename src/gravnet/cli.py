@@ -10,14 +10,18 @@ The pipeline is a chain of subcommands sharing one output directory::
     gravnet report   # aggregate the per-cell reports into flat CSV tables
 
 Artifacts live under ``out/<year>/<model>/`` and are hashed into a
-top-level ``manifest.json`` when the producing command completes; a
-downstream command looks its inputs up there and fails with the name of
-the command to run when one is missing.  Every file is written to a
-temporary name and renamed into place, so an interrupted command never
-leaves a partial artifact.  ``run.log.jsonl`` carries one timestamped
-record per logged event and is deliberately excluded from the manifest:
-with the log set aside, two runs from the same configuration and seed
-produce byte-identical output trees.
+top-level ``manifest.json`` when the producing command completes.  The
+five run commands share one stage driver, ``_Stage``.  Before any work it
+reads the manifest once and hashes every input artifact the stage's cells
+declare, so a command whose inputs are missing or modified fails with the
+name of the command to run and writes nothing.  A cell that reads an
+input hashes the bytes it read against the manifest and parses those
+same bytes, so what a stage uses is what it checked.  Every file is
+written to a temporary name and renamed into place, so an interrupted
+command never leaves a partial artifact.  ``run.log.jsonl`` carries one
+timestamped record per logged event and is deliberately excluded from
+the manifest: with the log set aside, two runs from the same
+configuration and seed produce byte-identical output trees.
 
 Randomness enters only through ensemble sampling at the compare stage.
 Each (year, model) cell derives its own substream seed from the run
@@ -243,27 +247,8 @@ def _artifact_path(out: str, rel: str) -> str:
     return os.path.join(out, *rel.split("/"))
 
 
-def _prepare(out: str, rel: str) -> str:
-    path = _artifact_path(out, rel)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    return path
-
-
 def _write_json(path: str, payload) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _write_csv(path: str, fieldnames, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
 
 
 def _render(value) -> str:
@@ -289,7 +274,8 @@ def _load_manifest(out: str) -> dict:
     path = os.path.join(out, MANIFEST_NAME)
     if not os.path.isfile(path):
         return {}
-    return _read_json(path).get("artifacts", {})
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle).get("artifacts", {})
 
 
 def _record_artifacts(out: str, relpaths) -> None:
@@ -307,32 +293,6 @@ def _record_artifacts(out: str, relpaths) -> None:
         artifacts = _load_manifest(out)
         artifacts.update(digests)
         _write_json(os.path.join(out, MANIFEST_NAME), {"artifacts": artifacts})
-
-
-def _require_artifact(out: str, rel: str, producer: str) -> str:
-    """Path to an upstream artifact, verified against the manifest."""
-    artifacts = _load_manifest(out)
-    path = _artifact_path(out, rel)
-    if rel not in artifacts or not os.path.isfile(path):
-        raise DependencyError(f"missing artifact {rel}: run 'gravnet {producer}' first")
-    if _hash_file(path) != artifacts[rel]:
-        raise DependencyError(
-            f"artifact {rel} does not match the manifest: rerun 'gravnet {producer}'"
-        )
-    return path
-
-
-def _check_dependencies(cfg: RunConfig, years, needs, producer: str) -> None:
-    """Fail before any work when an upstream artifact is missing.
-
-    ``needs`` maps a model tag to the artifact basenames its cell must
-    already provide, so a consuming command either runs to completion or
-    writes nothing at all.
-    """
-    for year in years:
-        for tag in cfg.models:
-            for name in needs(tag):
-                _require_artifact(cfg.out, f"{year}/{tag}/{name}", producer)
 
 
 def _log(out: str, command: str, message: str, duration_s: float, **fields_) -> None:
@@ -355,19 +315,89 @@ def _log(out: str, command: str, message: str, duration_s: float, **fields_) -> 
         handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _load_inputs(args):
-    """A run stage's config, with its output directory made, its panel and
-    the years it covers."""
-    cfg = _config_from_args(args)
-    os.makedirs(cfg.out, exist_ok=True)
-    panel = load_panel(cfg.dyads, cfg.countries)
-    years = cfg.years or panel.years
-    missing = [y for y in years if y not in panel.years]
-    if missing:
-        raise ValidationError(
-            f"year(s) {missing} not present in the panel; it has {list(panel.years)}"
-        )
-    return cfg, panel, tuple(years)
+class _Stage:
+    """One run command: its config, panel and years, verified inputs, and
+    the artifacts it writes.
+
+    Construction does all that can refuse the command, before any work:
+    it builds the config, makes ``out/``, loads the panel, resolves the
+    years, reads the manifest once and checks against it every input the
+    cells declare, ``<year>/<tag>/<name>`` for each ``name`` in
+    ``inputs(tag)``.  A refused command therefore writes nothing; a
+    missing or modified input names ``producer``, the command to rerun.
+    """
+
+    def __init__(self, args, name: str, producer: str = "", inputs=lambda tag: ()):
+        self.name, self.producer = name, producer
+        # every config field but ``transforms`` has a flag of its own name
+        overrides = {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
+        self.cfg = cfg = load_config(args.config, overrides)
+        os.makedirs(cfg.out, exist_ok=True)
+        self.panel = load_panel(cfg.dyads, cfg.countries)
+        years = cfg.years or self.panel.years
+        missing = [y for y in years if y not in self.panel.years]
+        if missing:
+            raise ValidationError(
+                f"year(s) {missing} not present in the panel; it has {list(self.panel.years)}"
+            )
+        self.years = tuple(years)
+        self._written = []
+        self._digests = _load_manifest(cfg.out)
+        for year in self.years:
+            for tag in cfg.models:
+                for base in inputs(tag):
+                    self._checked_bytes(f"{year}/{tag}/{base}")
+
+    def _checked_bytes(self, rel: str) -> bytes:
+        path = _artifact_path(self.cfg.out, rel)
+        if rel not in self._digests or not os.path.isfile(path):
+            raise DependencyError(f"missing artifact {rel}: run 'gravnet {self.producer}' first")
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if hashlib.sha256(data).hexdigest() != self._digests[rel]:
+            raise DependencyError(
+                f"artifact {rel} does not match the manifest: rerun 'gravnet {self.producer}'"
+            )
+        return data
+
+    def read(self, rel: str):
+        """An input's JSON, parsed from the bytes just checked against the manifest."""
+        return json.loads(self._checked_bytes(rel))
+
+    def _target(self, rel: str) -> str:
+        path = _artifact_path(self.cfg.out, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        self._written.append(rel)
+        return path
+
+    def write_json(self, rel: str, payload) -> None:
+        _write_json(self._target(rel), payload)
+
+    def write_csv(self, rel: str, fieldnames, rows) -> None:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        _atomic_write(self._target(rel), buf.getvalue())
+
+    def cells(self, year: int):
+        """Yield ``(tag, note)`` for each configured model of ``year``.
+
+        When the cell's work is done, it is logged with its wall time:
+        ``note["message"]`` after the cell's name, the rest of ``note``
+        as record fields.
+        """
+        for tag in self.cfg.models:
+            started = time.perf_counter()
+            note = {}
+            yield tag, note
+            message = f"year {year} model {tag}: {note.pop('message')}"
+            duration_s = time.perf_counter() - started
+            _log(self.cfg.out, self.name, message, duration_s, year=year, model=tag, **note)
+
+    def record(self) -> None:
+        """Merge every artifact this stage wrote into the manifest, once."""
+        _record_artifacts(self.cfg.out, self._written)
 
 
 def _design_matrices(cfg: RunConfig, panel, cs):
@@ -379,12 +409,6 @@ def _design_matrices(cfg: RunConfig, panel, cs):
     if any(tag != "OLS" for tag in cfg.models):
         dm_full = build_design_matrix(cs, panel, cfg.covariates)
     return dm_pos, dm_full
-
-
-def _config_from_args(args) -> RunConfig:
-    # every config field but ``transforms`` has a flag of its own name
-    overrides = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
-    return load_config(args.config, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -528,82 +552,60 @@ def cmd_synth(args) -> None:
 
 def cmd_fit(args) -> None:
     """Estimate every configured (year, model) cell and write fit artifacts."""
-    cfg, panel, years = _load_inputs(args)
-    written = []
-    for year in years:
-        cs = build_cross_section(panel, year)
-        dm_pos, dm_full = _design_matrices(cfg, panel, cs)
-        fits, fit_s = {}, {}
-        for tag in cfg.models:
-            started = time.perf_counter()
-            fits[tag] = _fit_one(tag, year, dm_pos, dm_full)
-            fit_s[tag] = time.perf_counter() - started
-        if "ZIP" in fits and "PPML" in fits:
-            started = time.perf_counter()
-            fits["ZIP"] = attach_vuong(fits["ZIP"], fits["PPML"], dm_full)
-            fit_s["ZIP"] += time.perf_counter() - started
-        for tag, fit in fits.items():
-            rel = f"{year}/{tag}/fit.json"
+    stage = _Stage(args, "fit")
+    for year in stage.years:
+        cs = build_cross_section(stage.panel, year)
+        dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
+        fits = {}
+        for tag, note in stage.cells(year):
+            fit = _fit_one(tag, year, dm_pos, dm_full)
+            if tag == "ZIP" and "PPML" in fits:  # models run in MODEL_TAGS order
+                fit = attach_vuong(fit, fits["PPML"], dm_full)
+            fits[tag] = fit
             payload = _fit_payload(fit)
             payload["year"] = year
-            _write_json(_prepare(cfg.out, rel), payload)
-            written.append(rel)
+            stage.write_json(f"{year}/{tag}/fit.json", payload)
             vuong = payload.get("vuong_vs_poisson")
-            _log(
-                cfg.out,
-                "fit",
-                f"year {year} model {tag}: loglik {fit.loglik:.6g}",
-                fit_s[tag],
-                year=year,
-                model=tag,
+            note.update(
+                message=f"loglik {fit.loglik:.6g}",
                 loglik=fit.loglik,
                 converged=bool(fit.converged),
                 iterations=fit.iterations,
                 **({} if vuong is None else {"vuong_z": vuong}),
             )
-        rel = f"{year}/coefficients.csv"
-        fieldnames, rows = _coefficient_table(cfg.covariates, fits)
-        _write_csv(_prepare(cfg.out, rel), fieldnames, rows)
-        written.append(rel)
-    _record_artifacts(cfg.out, written)
+        table = _coefficient_table(stage.cfg.covariates, fits)
+        stage.write_csv(f"{year}/coefficients.csv", *table)
+    stage.record()
 
 
-def _write_prediction(out: str, year: int, pred: PredictedWeights) -> str:
-    rel = f"{year}/{pred.model_tag}/prediction.json"
-    payload = {
-        "model": pred.model_tag,
-        "year": year,
-        "country_ids": list(pred.country_ids),
-        "value": pred.value.tolist(),
-        "variance": pred.variance.tolist(),
-        "mask": pred.mask.astype(int).tolist(),
-    }
-    _write_json(_prepare(out, rel), payload)
-    return rel
-
-
-def _write_binary(out, year, tag, lp: LinkProbabilityMatrix, cs, rho: float) -> list:
-    """Link probabilities plus the three thresholded binary predictions."""
-    xi_rel = f"{year}/{tag}/xi.json"
-    _write_json(
-        _prepare(out, xi_rel),
+def _write_prediction(stage: _Stage, year: int, pred: PredictedWeights) -> None:
+    stage.write_json(
+        f"{year}/{pred.model_tag}/prediction.json",
         {
-            "model": tag,
+            "model": pred.model_tag,
             "year": year,
-            "country_ids": list(lp.country_ids),
-            "xi": lp.xi.tolist(),
+            "country_ids": list(pred.country_ids),
+            "value": pred.value.tolist(),
+            "variance": pred.variance.tolist(),
+            "mask": pred.mask.astype(int).tolist(),
         },
     )
+
+
+def _write_binary(stage: _Stage, year, tag, lp: LinkProbabilityMatrix, cs, rho: float) -> None:
+    """Link probabilities plus the three thresholded binary predictions."""
+    ids = list(lp.country_ids)
+    xi = {"model": tag, "year": year, "country_ids": ids, "xi": lp.xi.tolist()}
+    stage.write_json(f"{year}/{tag}/xi.json", xi)
     induced = density_induced_binary(lp, rho)
     matched = threshold_matching_density(lp, rho)
     manhattan = threshold_by_manhattan(lp, cs.adjacency)
-    binary_rel = f"{year}/{tag}/binary.json"
-    _write_json(
-        _prepare(out, binary_rel),
+    stage.write_json(
+        f"{year}/{tag}/binary.json",
         {
             "model": tag,
             "year": year,
-            "country_ids": list(lp.country_ids),
+            "country_ids": ids,
             "observed_density": rho,
             "density_induced": {
                 "threshold": induced.threshold,
@@ -621,41 +623,30 @@ def _write_binary(out, year, tag, lp: LinkProbabilityMatrix, cs, rho: float) -> 
             "adjacency": induced.adjacency.astype(int).tolist(),
         },
     )
-    return [xi_rel, binary_rel]
-
-
-_PREDICTORS = {"OLS": predict_ols, "PPML": predict_ppml, "ZIP": predict_zip}
 
 
 def cmd_predict(args) -> None:
     """Turn fit artifacts into predicted matrices, one set per cell."""
-    cfg, panel, years = _load_inputs(args)
-    _check_dependencies(cfg, years, lambda tag: ("fit.json",), "fit")
-    written = []
-    for year in years:
-        cs = build_cross_section(panel, year)
+    stage = _Stage(args, "predict", "fit", lambda tag: ("fit.json",))
+    for year in stage.years:
+        cs = build_cross_section(stage.panel, year)
         ids = cs.country_ids
-        dm_pos, dm_full = _design_matrices(cfg, panel, cs)
+        dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
         rho = density(cs.network())
-        for tag in cfg.models:
-            started = time.perf_counter()
-            fit_path = _require_artifact(cfg.out, f"{year}/{tag}/fit.json", "fit")
-            fit = _fit_from_payload(_read_json(fit_path))
-            if tag in _PREDICTORS:
-                pred = _PREDICTORS[tag](fit, dm_pos if tag == "OLS" else dm_full, ids)
-                written.append(_write_prediction(cfg.out, year, pred))
+        for tag, note in stage.cells(year):
+            fit = _fit_from_payload(stage.read(f"{year}/{tag}/fit.json"))
+            # call layer functions by module-level name, so a rebinding is seen
+            if tag == "OLS":
+                _write_prediction(stage, year, predict_ols(fit, dm_pos, ids))
+            elif tag == "PPML":
+                _write_prediction(stage, year, predict_ppml(fit, dm_full, ids))
+            elif tag == "ZIP":
+                _write_prediction(stage, year, predict_zip(fit, dm_full, ids))
             if tag in ("ZIP", "LOGIT"):
                 lp = link_probabilities(fit, dm_full, ids)
-                written.extend(_write_binary(cfg.out, year, tag, lp, cs, rho))
-            _log(
-                cfg.out,
-                "predict",
-                f"year {year} model {tag}: predictions written",
-                time.perf_counter() - started,
-                year=year,
-                model=tag,
-            )
-    _record_artifacts(cfg.out, written)
+                _write_binary(stage, year, tag, lp, cs, rho)
+            note["message"] = "predictions written"
+    stage.record()
 
 
 def _pred_from_payload(payload: dict) -> PredictedWeights:
@@ -668,15 +659,7 @@ def _pred_from_payload(payload: dict) -> PredictedWeights:
     )
 
 
-def _link_probs_from_artifact(cfg: RunConfig, year: int, tag: str) -> LinkProbabilityMatrix:
-    path = _require_artifact(cfg.out, f"{year}/{tag}/xi.json", "predict")
-    payload = _read_json(path)
-    return LinkProbabilityMatrix(
-        tuple(payload["country_ids"]), np.array(payload["xi"], dtype=float)
-    )
-
-
-def _cell_network(cfg: RunConfig, year: int, tag: str):
+def _cell_network(stage: _Stage, year: int, tag: str):
     """Point-prediction network of one cell, read back from predict artifacts.
 
     Returns (country_ids, network, transform, pred) where the transform is
@@ -685,17 +668,15 @@ def _cell_network(cfg: RunConfig, year: int, tag: str):
     whose network is its thresholded adjacency).
     """
     if tag == "LOGIT":
-        path = _require_artifact(cfg.out, f"{year}/{tag}/binary.json", "predict")
-        payload = _read_json(path)
+        payload = stage.read(f"{year}/{tag}/binary.json")
         a = np.array(payload["adjacency"], dtype=np.int8)
         net = TradeNetwork(a.astype(float), a)
         return tuple(payload["country_ids"]), net, "identity", None
-    path = _require_artifact(cfg.out, f"{year}/{tag}/prediction.json", "predict")
-    pred = _pred_from_payload(_read_json(path))
+    pred = _pred_from_payload(stage.read(f"{year}/{tag}/prediction.json"))
     if tag == "OLS":
         # predicted logs on the observed support; already on the log scale
         return pred.country_ids, TradeNetwork(pred.value, pred.mask), "identity", pred
-    return pred.country_ids, TradeNetwork(pred.value), cfg.transforms[tag], pred
+    return pred.country_ids, TradeNetwork(pred.value), stage.cfg.transforms[tag], pred
 
 
 def _stats_rows(net: TradeNetwork, ids, transforms) -> list:
@@ -736,77 +717,57 @@ def _cell_inputs(tag: str) -> tuple:
 
 def cmd_netstats(args) -> None:
     """Tabulate node statistics for the observed and predicted networks."""
-    cfg, panel, years = _load_inputs(args)
-    _check_dependencies(cfg, years, _cell_inputs, "predict")
-    written = []
-    for year in years:
-        cs = build_cross_section(panel, year)
-        rel = f"{year}/observed_stats.csv"
+    stage = _Stage(args, "netstats", "predict", _cell_inputs)
+    for year in stage.years:
+        cs = build_cross_section(stage.panel, year)
         rows = _stats_rows(cs.network(), cs.country_ids, ("identity", "log_positive"))
-        _write_csv(_prepare(cfg.out, rel), _STATS_FIELDS, rows)
-        written.append(rel)
-        for tag in cfg.models:
-            started = time.perf_counter()
-            ids, net, transform, _ = _cell_network(cfg, year, tag)
-            rel = f"{year}/{tag}/node_stats.csv"
-            _write_csv(_prepare(cfg.out, rel), _STATS_FIELDS, _stats_rows(net, ids, (transform,)))
-            written.append(rel)
-            _log(
-                cfg.out,
-                "netstats",
-                f"year {year} model {tag}: statistics written",
-                time.perf_counter() - started,
-                year=year,
-                model=tag,
-            )
-    _record_artifacts(cfg.out, written)
+        stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
+        for tag, note in stage.cells(year):
+            ids, net, transform, _ = _cell_network(stage, year, tag)
+            rows = _stats_rows(net, ids, (transform,))
+            stage.write_csv(f"{year}/{tag}/node_stats.csv", _STATS_FIELDS, rows)
+            note["message"] = "statistics written"
+    stage.record()
 
 
-def _cell_prediction(cfg: RunConfig, year: int, tag: str):
-    """ModelPrediction for one cell plus the observed-side transform."""
+def _cell_prediction(stage: _Stage, year: int, tag: str) -> ModelPrediction:
+    """ModelPrediction of one cell, its ensemble streamed from the cell's seed."""
+    cfg = stage.cfg
     seed = cell_seed(cfg.seed, year, tag)
-    _, net, transform, pred = _cell_network(cfg, year, tag)
-    lp = _link_probs_from_artifact(cfg, year, tag) if tag in ("ZIP", "LOGIT") else None
+    _, net, transform, pred = _cell_network(stage, year, tag)
+    lp = None
+    if tag in ("ZIP", "LOGIT"):
+        xi = stage.read(f"{year}/{tag}/xi.json")
+        lp = LinkProbabilityMatrix(tuple(xi["country_ids"]), np.array(xi["xi"], dtype=float))
     if tag == "LOGIT":
         ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
     else:
         ensemble = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
-    return ModelPrediction(tag, net, ensemble, transform), cfg.transforms[tag]
+    return ModelPrediction(tag, net, ensemble, transform)
 
 
 def cmd_compare(args) -> None:
     """K-S tests and ensemble bands for every cell against the observed ITN."""
-    cfg, panel, years = _load_inputs(args)
-    _check_dependencies(cfg, years, _cell_inputs, "predict")
-    written = []
-    for year in years:
-        cs = build_cross_section(panel, year)
+    stage = _Stage(args, "compare", "predict", _cell_inputs)
+    cfg = stage.cfg
+    for year in stage.years:
+        cs = build_cross_section(stage.panel, year)
         observed = cs.network()
-        for tag in cfg.models:
-            started = time.perf_counter()
-            prediction, observed_transform = _cell_prediction(cfg, year, tag)
+        for tag, note in stage.cells(year):
             report = build_comparison_report(
                 observed,
                 cs.country_ids,
-                {tag: prediction},
+                {tag: _cell_prediction(stage, year, tag)},
                 year=year,
-                observed_transform=observed_transform,
+                observed_transform=cfg.transforms[tag],
             )
-            rel = f"{year}/{tag}/report.json"
-            _write_json(_prepare(cfg.out, rel), report_as_dict(report))
-            written.append(rel)
-            _log(
-                cfg.out,
-                "compare",
-                f"year {year} model {tag}: report written "
-                f"({cfg.replications} replications)",
-                time.perf_counter() - started,
-                year=year,
-                model=tag,
+            stage.write_json(f"{year}/{tag}/report.json", report_as_dict(report))
+            note.update(
+                message=f"report written ({cfg.replications} replications)",
                 replications=cfg.replications,
                 n_dropped={s.kind: s.summary.n_dropped for s in report.statistics if s.summary},
             )
-    _record_artifacts(cfg.out, written)
+    stage.record()
 
 
 _KS_FIELDS = ("year", "model", "kind", "d_statistic", "p_value", "n_observed", "n_predicted")
@@ -817,15 +778,12 @@ _CORR_FIELDS = ("year", "model", "x", "y", "observed_r", "predicted_r")
 def cmd_report(args) -> None:
     """Aggregate per-cell comparison reports into flat CSV tables."""
     started = time.perf_counter()
-    cfg, panel, years = _load_inputs(args)
-    _check_dependencies(cfg, years, lambda tag: ("report.json",), "compare")
-    ks_rows = []
-    avg_rows = []
-    corr_rows = []
-    for year in years:
+    stage = _Stage(args, "report", "compare", lambda tag: ("report.json",))
+    cfg = stage.cfg
+    ks_rows, avg_rows, corr_rows = [], [], []
+    for year in stage.years:
         for tag in cfg.models:
-            path = _require_artifact(cfg.out, f"{year}/{tag}/report.json", "compare")
-            payload = _read_json(path)
+            payload = stage.read(f"{year}/{tag}/report.json")
             for s in payload["statistics"]:
                 ks_rows.append(
                     {
@@ -863,24 +821,19 @@ def cmd_report(args) -> None:
                     }
                 )
     summary_fields = [f.name for f in fields(SummaryStats)]
-    summaries = [asdict(summary_stats(build_cross_section(panel, y))) for y in years]
+    summaries = [asdict(summary_stats(build_cross_section(stage.panel, y))) for y in stage.years]
     summary_rows = [{name: _render(value) for name, value in s.items()} for s in summaries]
-    written = []
-    for rel, fieldnames, rows in (
-        ("ks_tests.csv", _KS_FIELDS, ks_rows),
-        ("averages.csv", _AVG_FIELDS, avg_rows),
-        ("correlations.csv", _CORR_FIELDS, corr_rows),
-        ("summary.csv", summary_fields, summary_rows),
-    ):
-        _write_csv(_prepare(cfg.out, rel), fieldnames, rows)
-        written.append(rel)
-    _record_artifacts(cfg.out, written)
+    stage.write_csv("ks_tests.csv", _KS_FIELDS, ks_rows)
+    stage.write_csv("averages.csv", _AVG_FIELDS, avg_rows)
+    stage.write_csv("correlations.csv", _CORR_FIELDS, corr_rows)
+    stage.write_csv("summary.csv", summary_fields, summary_rows)
+    stage.record()
     _log(
         cfg.out,
         "report",
-        f"aggregated {len(years)} year(s) x {len(cfg.models)} model(s)",
+        f"aggregated {len(stage.years)} year(s) x {len(cfg.models)} model(s)",
         time.perf_counter() - started,
-        years=list(years),
+        years=list(stage.years),
         models=list(cfg.models),
     )
 

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gravnet.cli
 from gravnet.cli import (
     DEFAULT_TRANSFORMS,
     EXIT_CONVERGENCE,
@@ -311,6 +312,51 @@ def test_tampered_artifact_is_rejected(zip_panel, tmp_path, capsys):
     target.write_text(json.dumps(payload))
     assert main(["predict", "--config", cfg]) == EXIT_DEPENDENCY
     assert "does not match the manifest" in capsys.readouterr().err
+
+
+def test_refused_stage_leaves_nothing_behind(zip_panel, tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json", zip_panel, out, models=["OLS", "PPML"], years=[1995, 2000]
+    )
+    assert main(["fit", "--config", cfg]) == EXIT_OK
+    manifest = (out / MANIFEST_NAME).read_bytes()
+    listing = sorted(out.rglob("*"))
+    # the last cell's input: a stage that verified each input only as it
+    # read it would already have written every earlier cell
+    target = out / "2000" / "PPML" / "fit.json"
+    target.write_bytes(target.read_bytes() + b" ")
+    assert main(["predict", "--config", cfg]) == EXIT_DEPENDENCY
+    assert "2000/PPML/fit.json does not match the manifest" in capsys.readouterr().err
+    assert list(out.glob("1995/*/prediction.json")) == []
+    assert sorted(out.rglob("*")) == listing
+    records = [json.loads(line) for line in (out / LOG_NAME).read_text().splitlines()]
+    assert "predict" not in {r["command"] for r in records}
+    assert (out / MANIFEST_NAME).read_bytes() == manifest
+
+
+def test_predict_calls_layer_functions_through_module_names(zip_panel, tmp_path, monkeypatch):
+    # a tracer rebinds these names on gravnet.cli; a call through a reference
+    # captured at import time would bypass it
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out)
+    assert main(["fit", "--config", cfg]) == EXIT_OK
+    calls = {}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("predict_ols", "predict_ppml", "predict_zip", "link_probabilities"):
+        monkeypatch.setattr(gravnet.cli, name, counting(name, getattr(gravnet.cli, name)))
+    assert main(["predict", "--config", cfg]) == EXIT_OK
+    # one call per cell over two years; ZIP and LOGIT both need link probabilities
+    assert calls == {
+        "predict_ols": 2, "predict_ppml": 2, "predict_zip": 2, "link_probabilities": 4,
+    }
 
 
 def test_concurrent_manifest_records_keep_every_entry(tmp_path):
