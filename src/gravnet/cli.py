@@ -48,9 +48,8 @@ from scipy.special import ndtr
 from .compare import ModelPrediction, build_comparison_report, report_as_dict
 from .errors import ConvergenceError, DependencyError, ValidationError
 from .estimation import (
-    FitResult,
-    ZipFitResult,
     attach_vuong,
+    fit_from_dict,
     fit_logit,
     fit_ols,
     fit_poisson_pml,
@@ -176,9 +175,10 @@ class RunConfig:
         if len(set(covariates)) != len(covariates):
             raise ValidationError("duplicate covariate requested")
         object.__setattr__(self, "covariates", covariates)
-        if self.replications < 1:
+        if self.replications < 2:
+            # compare summarises each ensemble over at least two draws
             raise ValidationError(
-                f"replications must be at least 1, got {self.replications}"
+                f"config field 'replications' must be at least 2, got {self.replications}"
             )
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValidationError(f"seed must lie in [0, 2**63), got {self.seed}")
@@ -415,46 +415,6 @@ def _design_matrices(cfg: RunConfig, panel, cs):
 # fit artifacts
 
 
-def _fit_payload(fit) -> dict:
-    """JSON form of a fit, extended with the covariance needed to reload it."""
-    payload = fit.as_dict()
-    if isinstance(fit, ZipFitResult):
-        payload["logit_part"]["vcov"] = fit.logit_part.vcov.tolist()
-        payload["poisson_part"]["vcov"] = fit.poisson_part.vcov.tolist()
-    else:
-        payload["vcov"] = fit.vcov.tolist()
-    return payload
-
-
-def _part_from_payload(payload: dict) -> FitResult:
-    names = tuple(row["name"] for row in payload["coefficients"])
-    coefficients = np.array([row["estimate"] for row in payload["coefficients"]])
-    diagnostics = payload["diagnostics"]
-    return FitResult(
-        model_tag=payload["model"],
-        names=names,
-        coefficients=coefficients,
-        vcov=np.array(payload["vcov"]),
-        loglik=diagnostics["loglik"],
-        r2_or_pseudo=diagnostics["r2_or_pseudo"],
-        n_obs=diagnostics["n_obs"],
-        converged=diagnostics["converged"],
-        iterations=diagnostics["iterations"],
-        sigma2=diagnostics.get("sigma2"),
-    )
-
-
-def _fit_from_payload(payload: dict):
-    if payload["model"] == "ZIP":
-        return ZipFitResult(
-            logit_part=_part_from_payload(payload["logit_part"]),
-            poisson_part=_part_from_payload(payload["poisson_part"]),
-            loglik=payload["loglik"],
-            vuong_vs_poisson=payload.get("vuong_vs_poisson"),
-        )
-    return _part_from_payload(payload)
-
-
 def _fit_one(tag: str, year: int, dm_pos, dm_full):
     try:
         if tag == "OLS":
@@ -562,8 +522,7 @@ def cmd_fit(args) -> None:
             if tag == "ZIP" and "PPML" in fits:  # models run in MODEL_TAGS order
                 fit = attach_vuong(fit, fits["PPML"], dm_full)
             fits[tag] = fit
-            payload = _fit_payload(fit)
-            payload["year"] = year
+            payload = {**fit.as_dict(), "year": year}
             stage.write_json(f"{year}/{tag}/fit.json", payload)
             vuong = payload.get("vuong_vs_poisson")
             note.update(
@@ -630,20 +589,19 @@ def cmd_predict(args) -> None:
     stage = _Stage(args, "predict", "fit", lambda tag: ("fit.json",))
     for year in stage.years:
         cs = build_cross_section(stage.panel, year)
-        ids = cs.country_ids
         dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
         rho = density(cs.network())
         for tag, note in stage.cells(year):
-            fit = _fit_from_payload(stage.read(f"{year}/{tag}/fit.json"))
+            fit = fit_from_dict(stage.read(f"{year}/{tag}/fit.json"))
             # call layer functions by module-level name, so a rebinding is seen
             if tag == "OLS":
-                _write_prediction(stage, year, predict_ols(fit, dm_pos, ids))
+                _write_prediction(stage, year, predict_ols(fit, dm_pos))
             elif tag == "PPML":
-                _write_prediction(stage, year, predict_ppml(fit, dm_full, ids))
+                _write_prediction(stage, year, predict_ppml(fit, dm_full))
             elif tag == "ZIP":
-                _write_prediction(stage, year, predict_zip(fit, dm_full, ids))
+                _write_prediction(stage, year, predict_zip(fit, dm_full))
             if tag in ("ZIP", "LOGIT"):
-                lp = link_probabilities(fit, dm_full, ids)
+                lp = link_probabilities(fit, dm_full)
                 _write_binary(stage, year, tag, lp, cs, rho)
             note["message"] = "predictions written"
     stage.record()
@@ -770,9 +728,31 @@ def cmd_compare(args) -> None:
     stage.record()
 
 
-_KS_FIELDS = ("year", "model", "kind", "d_statistic", "p_value", "n_observed", "n_predicted")
-_AVG_FIELDS = ("year", "model", "kind", "observed", "predicted", "ci_low", "ci_high", "ensemble_mean")
-_CORR_FIELDS = ("year", "model", "x", "y", "observed_r", "predicted_r")
+#: csv column -> report.json key of each aggregated table, after "year";
+#: a dotted key reads a nested object, and reads empty where that is null
+_KS_COLUMNS = {
+    "model": "model", "kind": "kind", "d_statistic": "ks_d", "p_value": "ks_p",
+    "n_observed": "ks_n_observed", "n_predicted": "ks_n_predicted",
+}
+_AVG_COLUMNS = {
+    "model": "model", "kind": "kind", "observed": "observed_avg",
+    "predicted": "predicted_avg", "ci_low": "ensemble.ci_low",
+    "ci_high": "ensemble.ci_high", "ensemble_mean": "ensemble.mean",
+}
+_CORR_COLUMNS = {
+    "model": "model", "x": "x", "y": "y", "observed_r": "observed_r",
+    "predicted_r": "predicted_r",
+}
+
+
+def _report_row(year: int, entry: dict, columns: dict) -> dict:
+    row = {"year": year}
+    for column, key in columns.items():
+        value = entry
+        for part in key.split("."):
+            value = None if value is None else value[part]
+        row[column] = _render(value)
+    return row
 
 
 def cmd_report(args) -> None:
@@ -785,47 +765,16 @@ def cmd_report(args) -> None:
         for tag in cfg.models:
             payload = stage.read(f"{year}/{tag}/report.json")
             for s in payload["statistics"]:
-                ks_rows.append(
-                    {
-                        "year": year,
-                        "model": s["model"],
-                        "kind": s["kind"],
-                        "d_statistic": _render(s["ks_d"]),
-                        "p_value": _render(s["ks_p"]),
-                        "n_observed": s["ks_n_observed"],
-                        "n_predicted": s["ks_n_predicted"],
-                    }
-                )
-                band = s["ensemble"]
-                avg_rows.append(
-                    {
-                        "year": year,
-                        "model": s["model"],
-                        "kind": s["kind"],
-                        "observed": _render(s["observed_avg"]),
-                        "predicted": _render(s["predicted_avg"]),
-                        "ci_low": "" if band is None else _render(band["ci_low"]),
-                        "ci_high": "" if band is None else _render(band["ci_high"]),
-                        "ensemble_mean": "" if band is None else _render(band["mean"]),
-                    }
-                )
+                ks_rows.append(_report_row(year, s, _KS_COLUMNS))
+                avg_rows.append(_report_row(year, s, _AVG_COLUMNS))
             for c in payload["correlations"]:
-                corr_rows.append(
-                    {
-                        "year": year,
-                        "model": c["model"],
-                        "x": c["x"],
-                        "y": c["y"],
-                        "observed_r": _render(c["observed_r"]),
-                        "predicted_r": _render(c["predicted_r"]),
-                    }
-                )
+                corr_rows.append(_report_row(year, c, _CORR_COLUMNS))
     summary_fields = [f.name for f in fields(SummaryStats)]
     summaries = [asdict(summary_stats(build_cross_section(stage.panel, y))) for y in stage.years]
     summary_rows = [{name: _render(value) for name, value in s.items()} for s in summaries]
-    stage.write_csv("ks_tests.csv", _KS_FIELDS, ks_rows)
-    stage.write_csv("averages.csv", _AVG_FIELDS, avg_rows)
-    stage.write_csv("correlations.csv", _CORR_FIELDS, corr_rows)
+    stage.write_csv("ks_tests.csv", ("year", *_KS_COLUMNS), ks_rows)
+    stage.write_csv("averages.csv", ("year", *_AVG_COLUMNS), avg_rows)
+    stage.write_csv("correlations.csv", ("year", *_CORR_COLUMNS), corr_rows)
     stage.write_csv("summary.csv", summary_fields, summary_rows)
     stage.record()
     _log(

@@ -38,8 +38,11 @@ MAX_IRLS_ITERATIONS = 100
 EM_TOL = 1e-8
 MAX_EM_ITERATIONS = 500
 
-#: Coefficient-norm ceiling treated as divergence (separation in the logit).
-DIVERGENCE_NORM = 1e3
+#: Largest |linear predictor| an iterate may reach: exp() overflows IEEE
+#: doubles just above 709.  Beyond it a fit is treated as diverging
+#: (separation in the logit); a bound on X @ beta, unlike one on the
+#: coefficients, does not depend on the units of the regressors.
+MAX_LINEAR_PREDICTOR = 700.0
 
 #: IRLS also requires the last step to be this small (relative to the
 #: coefficient norm). Guards against boundary drift: with a degenerate
@@ -99,6 +102,7 @@ class FitResult:
             "model": self.model_tag,
             "coefficients": table,
             "diagnostics": diagnostics,
+            "vcov": self.vcov.tolist(),
         }
 
 
@@ -139,6 +143,30 @@ class ZipFitResult:
         if self.vuong_vs_poisson is not None:
             out["vuong_vs_poisson"] = self.vuong_vs_poisson
         return out
+
+
+def fit_from_dict(payload: dict) -> FitResult | ZipFitResult:
+    """The fit whose ``as_dict()`` is ``payload``; keys it does not write are ignored."""
+    if payload["model"] == "ZIP":
+        return ZipFitResult(
+            logit_part=fit_from_dict(payload["logit_part"]),
+            poisson_part=fit_from_dict(payload["poisson_part"]),
+            loglik=payload["loglik"],
+            vuong_vs_poisson=payload.get("vuong_vs_poisson"),
+        )
+    diagnostics = payload["diagnostics"]
+    return FitResult(
+        model_tag=payload["model"],
+        names=tuple(row["name"] for row in payload["coefficients"]),
+        coefficients=np.array([row["estimate"] for row in payload["coefficients"]]),
+        vcov=np.array(payload["vcov"]),
+        loglik=diagnostics["loglik"],
+        r2_or_pseudo=diagnostics["r2_or_pseudo"],
+        n_obs=diagnostics["n_obs"],
+        converged=diagnostics["converged"],
+        iterations=diagnostics["iterations"],
+        sigma2=diagnostics.get("sigma2"),
+    )
 
 
 @dataclass(frozen=True)
@@ -288,7 +316,7 @@ def _irls(X, y, omega, start, moments, loglik, tol=IRLS_TOL, max_iter=MAX_IRLS_I
         eta = eta_new
         mean, var = mean_new, var_new
         trace.append(ll_new)
-        if np.linalg.norm(beta) > DIVERGENCE_NORM:
+        if np.abs(eta).max() > MAX_LINEAR_PREDICTOR:
             return beta, trace, False, True
         if abs(ll_new - ll) <= tol * (1.0 + abs(ll)) and step <= STEP_TOL * (
             1.0 + np.linalg.norm(beta)
@@ -432,14 +460,13 @@ def _zip_loglik(y, u, v) -> float:
 def _zip_em(X, y, theta, gamma, tol=EM_TOL, max_iter=MAX_EM_ITERATIONS):
     """EM for the ZIP likelihood. Returns (theta, gamma, trace, converged)."""
     zero = y == 0.0
-    ll = _zip_loglik(y, X @ theta, X @ gamma)
+    u, v = X @ theta, X @ gamma
+    ll = _zip_loglik(y, u, v)
     trace = [ll]
     if not np.isfinite(ll):
         raise ConvergenceError("ZIP starting values give non-finite likelihood",
                                trace=trace)
     for _ in range(max_iter):
-        u = X @ theta
-        v = X @ gamma
         # E-step: posterior probability that a zero is structural
         z_hat = np.zeros_like(y)
         log_p0 = np.logaddexp(log_expit(u[zero]), log_expit(-u[zero]) - np.exp(v[zero]))
@@ -457,13 +484,14 @@ def _zip_em(X, y, theta, gamma, tol=EM_TOL, max_iter=MAX_EM_ITERATIONS):
                 trace=trace,
             )
 
-        ll_new = _zip_loglik(y, X @ theta, X @ gamma)
+        u, v = X @ theta, X @ gamma
+        ll_new = _zip_loglik(y, u, v)
         trace.append(ll_new)
         if ll_new < ll - 1e-8 * (1.0 + abs(ll)):
             raise ConvergenceError(
                 f"EM log-likelihood decreased ({ll} -> {ll_new})", trace=trace
             )
-        if max(np.linalg.norm(theta), np.linalg.norm(gamma)) > DIVERGENCE_NORM:
+        if max(np.abs(u).max(), np.abs(v).max()) > MAX_LINEAR_PREDICTOR:
             raise ConvergenceError(
                 "ZIP iterates diverged",
                 last_coefficients=np.concatenate([theta, gamma]),

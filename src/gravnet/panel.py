@@ -128,25 +128,54 @@ class CrossSection:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Stacked dyadic regression data: one row per ordered country pair."""
+    """Stacked dyadic regression data: one row per ordered country pair.
+
+    ``country_ids`` is the cross-section's id ordering and ``exporter`` and
+    ``importer`` hold each row's positions in it: row ``k`` is the dyad
+    ``country_ids[exporter[k]] -> country_ids[importer[k]]``, so the same
+    positions place a per-row prediction on the n-by-n grid.  The position
+    arrays are read-only.
+    """
 
     year: int
-    rows: tuple
+    country_ids: tuple
+    exporter: np.ndarray
+    importer: np.ndarray
     columns: tuple
     X: np.ndarray
     y: np.ndarray
     a: np.ndarray
 
+    def __post_init__(self) -> None:
+        n = len(self.country_ids)
+        for name in ("exporter", "importer"):
+            index = np.asarray(getattr(self, name))
+            valid = index.shape == (self.n_obs,) and (
+                index.size == 0
+                or (index.dtype.kind in "iu" and index.min() >= 0 and index.max() < n)
+            )
+            if not valid:
+                raise SchemaError(
+                    f"{name} positions must be {self.n_obs} indices into "
+                    f"{n} country ids"
+                )
+            index.setflags(write=False)
+            object.__setattr__(self, name, index)
+
     @property
     def n_obs(self) -> int:
         return self.X.shape[0]
+
+    def dyad(self, k: int) -> tuple:
+        """(exporter id, importer id) of row ``k``."""
+        return self.country_ids[self.exporter[k]], self.country_ids[self.importer[k]]
 
     def log_flows(self) -> np.ndarray:
         """ln(flow) response; valid only when every row has a positive flow."""
         if np.any(self.y <= 0.0):
             idx = int(np.argmax(self.y <= 0.0))
             raise ValidationError(
-                f"log response undefined: dyad {self.rows[idx]} has flow "
+                f"log response undefined: dyad {self.dyad(idx)} has flow "
                 f"{self.y[idx]}"
             )
         return np.log(self.y)
@@ -445,15 +474,16 @@ def build_design_matrix(
     if positive_only:
         keep = y > 0.0
         exp_idx, imp_idx, y = exp_idx[keep], imp_idx[keep], y[keep]
-    ids = cs.country_ids
-    rows = tuple(
-        (ids[i], ids[j]) for i, j in zip(exp_idx.tolist(), imp_idx.tolist())
+    X = np.empty((len(y), len(columns)))
+    dm = DesignMatrix(
+        year=cs.year, country_ids=cs.country_ids, exporter=exp_idx, importer=imp_idx,
+        columns=columns, X=X, y=y, a=(y > 0.0).astype(np.int8),
     )
 
     dyad_rows = cs.dyad_rows[exp_idx, imp_idx]
     if any(_DESIGN_SPEC[c][0] == "dyad" for c in columns):
         if (dyad_rows < 0).any():
-            exporter, importer = rows[int(np.argmax(dyad_rows < 0))]
+            exporter, importer = dm.dyad(int(np.argmax(dyad_rows < 0)))
             raise ValidationError(
                 f"dyad {exporter!r}->{importer!r} ({cs.year}) "
                 f"has no bilateral covariates"
@@ -464,7 +494,6 @@ def build_design_matrix(
         "dyad": (panel.dyads, dyad_rows),
     }
 
-    X = np.empty((len(rows), len(columns)))
     for k, col in enumerate(columns):
         source, name, logged = _DESIGN_SPEC[col]
         if source == "const":
@@ -475,7 +504,7 @@ def build_design_matrix(
         if logged:
             bad = np.flatnonzero(~(values > 0))
             if bad.size:
-                exporter, importer = rows[bad[0]]
+                exporter, importer = dm.dyad(bad[0])
                 raise ValidationError(
                     f"dyad {exporter!r}->{importer!r}: column {col!r} requires a "
                     f"strictly positive value, got {values[bad[0]]}"
@@ -483,11 +512,9 @@ def build_design_matrix(
             values = np.log(values)
         X[:, k] = values
 
-    a = (y > 0.0).astype(np.int8)
-    X.setflags(write=False)
-    y.setflags(write=False)
-    a.setflags(write=False)
-    return DesignMatrix(year=cs.year, rows=rows, columns=columns, X=X, y=y, a=a)
+    for array in (X, y, dm.a):
+        array.setflags(write=False)
+    return dm
 
 
 def _minimal_count(sorted_desc: np.ndarray, share: float) -> int:

@@ -1,7 +1,9 @@
 """Predicted trade matrices, link probabilities, and sampled network ensembles.
 
-Fitted coefficients are turned back into matrix-shaped objects here.  Three
-prediction flavours exist, one per estimator family:
+Fitted coefficients are turned back into matrix-shaped objects here.  Each
+design-matrix row is evaluated and placed at the cell its ``exporter`` and
+``importer`` positions name, on the n-by-n grid of the design's
+``country_ids``.  Three prediction flavours exist, one per estimator family:
 
 * OLS predicts conditional log flows and is only defined on the dyads the
   regression saw, so its mask is the observed positive-flow adjacency.
@@ -34,13 +36,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import PredictionOverflowError, SchemaError, ValidationError
-from .estimation import FitResult, ZipFitResult
+from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult
 from .panel import DesignMatrix
-
-# exp() overflows IEEE doubles just above 709; anything beyond this is a
-# modelling failure we want reported with the offending dyad, not an inf
-# silently propagating into ensembles.
-MAX_LOG_PREDICTION = 700.0
 
 DEFAULT_REPLICATIONS = 10_000
 
@@ -171,32 +168,14 @@ class EnsembleStream:
             yield self.draw(_substream(self.seed, r))
 
 
-def _layout(dm: DesignMatrix, country_ids: tuple[str, ...] | None):
-    """Map design-matrix rows onto positions in an n-by-n grid."""
-    if country_ids is None:
-        ids = tuple(sorted({c for pair in dm.rows for c in pair}))
-    else:
-        ids = tuple(country_ids)
-    index = {c: k for k, c in enumerate(ids)}
-    if len(index) != len(ids):
-        raise ValidationError("country identifiers are not unique")
-    try:
-        src = np.array([index[e] for e, _ in dm.rows])
-        dst = np.array([index[i] for _, i in dm.rows])
-    except KeyError as exc:
-        raise SchemaError(f"design row references unknown country {exc.args[0]!r}") from None
-    return ids, src, dst
+def _grid(dm: DesignMatrix, full: bool = True):
+    """Scatter onto the n-by-n grid of the design's countries.
 
-
-def _grid(dm: DesignMatrix, country_ids: tuple[str, ...] | None, full: bool = True):
-    """Grid layout of the design rows and a scatter onto it.
-
-    Returns ``(ids, scatter)``; ``scatter(values, dtype)`` is an n-by-n
-    array holding the per-row ``values`` at their dyads and zero elsewhere.
-    With ``full`` the rows must cover every ordered pair.
+    ``scatter(values, dtype)`` is an n-by-n array holding the per-row
+    ``values`` at their dyads and zero elsewhere.  With ``full`` the rows
+    must cover every ordered pair.
     """
-    ids, src, dst = _layout(dm, country_ids)
-    n = len(ids)
+    n = len(dm.country_ids)
     if full and dm.n_obs != n * (n - 1):
         raise ValidationError(
             f"expected one design row per ordered pair ({n * (n - 1)}), got {dm.n_obs}"
@@ -204,10 +183,10 @@ def _grid(dm: DesignMatrix, country_ids: tuple[str, ...] | None, full: bool = Tr
 
     def scatter(values, dtype=float) -> np.ndarray:
         out = np.zeros((n, n), dtype=dtype)
-        out[src, dst] = values
+        out[dm.exporter, dm.importer] = values
         return out
 
-    return ids, scatter
+    return scatter
 
 
 def _check_fit_against(dm: DesignMatrix, fit: FitResult, *want_tags: str) -> None:
@@ -223,37 +202,36 @@ def _check_fit_against(dm: DesignMatrix, fit: FitResult, *want_tags: str) -> Non
 
 
 def _guard_overflow(eta: np.ndarray, dm: DesignMatrix, stage: str) -> None:
-    too_big = eta > MAX_LOG_PREDICTION
+    # beyond the exp() limit is a modelling failure reported with the
+    # offending dyad, not an inf silently propagating into ensembles
+    too_big = eta > MAX_LINEAR_PREDICTOR
     if np.any(too_big):
         k = int(np.argmax(too_big))
-        exporter, importer = dm.rows[k]
+        exporter, importer = dm.dyad(k)
         raise PredictionOverflowError(
             f"{stage} linear predictor {eta[k]:.1f} for dyad "
             f"({exporter}, {importer}) overflows exp()"
         )
 
 
-def _zip_stages(zip_fit: ZipFitResult, dm: DesignMatrix, country_ids):
-    """Checked grid plus the per-row zero probability psi and count mean mu."""
+def _zip_stages(zip_fit: ZipFitResult, dm: DesignMatrix):
+    """Checked scatter plus the per-row zero probability psi and count mean mu."""
     _check_fit_against(dm, zip_fit.logit_part, "ZIP_LOGIT")
     _check_fit_against(dm, zip_fit.poisson_part, "ZIP_POISSON")
-    ids, scatter = _grid(dm, country_ids)
+    scatter = _grid(dm)
     u = dm.X @ zip_fit.logit_part.coefficients
     v = dm.X @ zip_fit.poisson_part.coefficients
     _guard_overflow(v, dm, "count")
-    return ids, scatter, expit(u), np.exp(v)
+    return scatter, expit(u), np.exp(v)
 
 
-def predict_ols(
-    fit: FitResult,
-    dm: DesignMatrix,
-    country_ids: tuple[str, ...] | None = None,
-) -> PredictedWeights:
+def predict_ols(fit: FitResult, dm: DesignMatrix) -> PredictedWeights:
     """Predict log flows on the observed positive dyads.
 
     The log-linear model is silent about zero flows, so the prediction
     mask is exactly the set of dyads the regression was fitted on and
-    ``value`` holds predicted logs, not levels.  The variance is the
+    ``value`` holds predicted logs, not levels.  The grid covers every
+    country of ``dm.country_ids``, trading or not.  The variance is the
     estimated residual variance, identical for every masked entry.
 
     Parameters
@@ -262,10 +240,6 @@ def predict_ols(
         An OLS fit whose covariate names match ``dm.columns``.
     dm : DesignMatrix
         The positive-flow design matrix the model was fitted on.
-    country_ids : tuple of str, optional
-        Grid layout.  Defaults to the countries appearing in ``dm.rows``;
-        pass the full cross-section ordering to embed the prediction in
-        the complete network.
 
     Returns
     -------
@@ -276,18 +250,14 @@ def predict_ols(
         raise ValidationError("OLS fit carries no residual variance")
     if not np.all(dm.y > 0):
         raise ValidationError("OLS predictions require a positive-flow design matrix")
-    ids, scatter = _grid(dm, country_ids, full=False)
+    scatter = _grid(dm, full=False)
     value = scatter(dm.X @ fit.coefficients)
     return PredictedWeights(
-        "OLS", ids, value, scatter(fit.sigma2), scatter(1, dtype=np.int8)
+        "OLS", dm.country_ids, value, scatter(fit.sigma2), scatter(1, dtype=np.int8)
     )
 
 
-def predict_ppml(
-    fit: FitResult,
-    dm: DesignMatrix,
-    country_ids: tuple[str, ...] | None = None,
-) -> PredictedWeights:
+def predict_ppml(fit: FitResult, dm: DesignMatrix) -> PredictedWeights:
     """Predict expected flow levels ``exp(x'g)`` for every ordered pair.
 
     Under the Poisson specification the conditional variance equals the
@@ -300,19 +270,16 @@ def predict_ppml(
         message names the first offending dyad.
     """
     _check_fit_against(dm, fit, "PPML")
-    ids, scatter = _grid(dm, country_ids)
+    scatter = _grid(dm)
     eta = dm.X @ fit.coefficients
     _guard_overflow(eta, dm, "count")
     value = scatter(np.exp(eta))
-    mask = (~np.eye(len(ids), dtype=bool)).astype(np.int8)
-    return PredictedWeights("PPML", ids, value, value.copy(), mask)
+    return PredictedWeights(
+        "PPML", dm.country_ids, value, value.copy(), scatter(1, dtype=np.int8)
+    )
 
 
-def predict_zip(
-    zip_fit: ZipFitResult,
-    dm: DesignMatrix,
-    country_ids: tuple[str, ...] | None = None,
-) -> PredictedWeights:
+def predict_zip(zip_fit: ZipFitResult, dm: DesignMatrix) -> PredictedWeights:
     """Predict unconditional means ``(1 - psi) * mu`` under zero inflation.
 
     ``psi`` is the fitted probability of a structural zero and ``mu`` the
@@ -320,18 +287,15 @@ def predict_zip(
     ``mu * (1 - psi) * (1 + mu * psi)``, the variance of the zero-inflated
     Poisson mixture.
     """
-    ids, scatter, psi, mu = _zip_stages(zip_fit, dm, country_ids)
+    scatter, psi, mu = _zip_stages(zip_fit, dm)
     value = scatter((1.0 - psi) * mu)
     variance = scatter(mu * (1.0 - psi) * (1.0 + mu * psi))
-    mask = (~np.eye(len(ids), dtype=bool)).astype(np.int8)
-    return PredictedWeights("ZIP", ids, value, variance, mask)
+    return PredictedWeights(
+        "ZIP", dm.country_ids, value, variance, scatter(1, dtype=np.int8)
+    )
 
 
-def link_probabilities(
-    fit: FitResult | ZipFitResult,
-    dm: DesignMatrix,
-    country_ids: tuple[str, ...] | None = None,
-) -> LinkProbabilityMatrix:
+def link_probabilities(fit: FitResult | ZipFitResult, dm: DesignMatrix) -> LinkProbabilityMatrix:
     """Probability that each directed link exists.
 
     The logit stage models the probability of a zero flow, so the link
@@ -344,17 +308,14 @@ def link_probabilities(
     """
     logit = fit.logit_part if isinstance(fit, ZipFitResult) else fit
     _check_fit_against(dm, logit, "LOGIT", "ZIP_LOGIT")
-    ids, scatter = _grid(dm, country_ids)
+    scatter = _grid(dm)
     # expit is strictly inside (0, 1) for finite arguments, so xi is too.
     xi = scatter(1.0 - expit(dm.X @ logit.coefficients))
-    return LinkProbabilityMatrix(ids, xi)
+    return LinkProbabilityMatrix(dm.country_ids, xi)
 
 
 def zero_flow_probability(
-    zip_fit: ZipFitResult,
-    dm: DesignMatrix,
-    country_ids: tuple[str, ...] | None = None,
-    form: str = "consistent",
+    zip_fit: ZipFitResult, dm: DesignMatrix, form: str = "consistent"
 ) -> np.ndarray:
     """Per-dyad probability of observing a zero flow.
 
@@ -366,7 +327,7 @@ def zero_flow_probability(
     """
     if form not in ("consistent", "printed"):
         raise ValidationError(f"unknown zero-probability form {form!r}")
-    _, scatter, psi, mu = _zip_stages(zip_fit, dm, country_ids)
+    scatter, psi, mu = _zip_stages(zip_fit, dm)
     if form == "consistent":
         return scatter(psi + (1.0 - psi) * np.exp(-mu))
     return scatter(psi + (1.0 - psi) * mu)

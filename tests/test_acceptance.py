@@ -234,12 +234,12 @@ def test_analytical_variance_matches_monte_carlo(tmp_path):
 
     cs, panel = _variance_instance("lognormal", 23, tmp_path / "ols")
     dm = build_design_matrix(cs, panel, GENERATOR_COVARIATES, positive_only=True)
-    pred = predict_ols(fit_ols(dm), dm, cs.country_ids)
+    pred = predict_ols(fit_ols(dm), dm)
     checks = [("OLS", pred, sample_weighted_ensemble(pred, m, seed=31))]
 
     cs, panel = _variance_instance("poisson", 22, tmp_path / "ppml")
     dm = build_design_matrix(cs, panel, GENERATOR_COVARIATES)
-    pred = predict_ppml(fit_poisson_pml(dm), dm, cs.country_ids)
+    pred = predict_ppml(fit_poisson_pml(dm), dm)
     off = ~np.eye(pred.n, dtype=bool)
     assert pred.value[off].min() >= 1.0
     checks.append(("PPML", pred, sample_weighted_ensemble(pred, m, seed=32)))
@@ -247,8 +247,8 @@ def test_analytical_variance_matches_monte_carlo(tmp_path):
     cs, panel = _variance_instance("zip", 21, tmp_path / "zip")
     dm = build_design_matrix(cs, panel, GENERATOR_COVARIATES)
     zf = fit_zip(dm)
-    lk = link_probabilities(zf, dm, cs.country_ids)
-    pred = predict_zip(zf, dm, cs.country_ids)
+    lk = link_probabilities(zf, dm)
+    pred = predict_zip(zf, dm)
     off = ~np.eye(pred.n, dtype=bool)
     assert (pred.value[off] / lk.xi[off]).min() >= 1.0  # count-stage means
     checks.append(
@@ -273,9 +273,9 @@ def _single_year_pvalues(seed, out_dir):
     dm_pos = build_design_matrix(cs, panel, GENERATOR_COVARIATES, positive_only=True)
     dm_full = build_design_matrix(cs, panel, GENERATOR_COVARIATES)
     observed = TradeNetwork(cs.weights)
-    po = predict_ols(fit_ols(dm_pos), dm_pos, cs.country_ids)
-    pp = predict_ppml(fit_poisson_pml(dm_full), dm_full, cs.country_ids)
-    pz = predict_zip(fit_zip(dm_full), dm_full, cs.country_ids)
+    po = predict_ols(fit_ols(dm_pos), dm_pos)
+    pp = predict_ppml(fit_poisson_pml(dm_full), dm_full)
+    pz = predict_zip(fit_zip(dm_full), dm_full)
 
     # log-scale predictions keep the observed support and are compared
     # against observed log weights; level predictions cover every dyad
@@ -345,13 +345,13 @@ def test_binary_predictors_match_density_contracts(tmp_path):
 
     logit = fit_logit(dm, response=(y == 0.0).astype(float))
     for fit in (logit, fit_zip(dm)):
-        lk = link_probabilities(fit, dm, cs.country_ids)
+        lk = link_probabilities(fit, dm)
         induced = density_induced_binary(lk, rho)
         assert abs(int(induced.adjacency.sum()) - observed_links) <= 2
         matched = threshold_matching_density(lk, rho)
         assert abs(int(matched.adjacency.sum()) - observed_links) <= 2
 
-    lk = link_probabilities(logit, dm, cs.country_ids)
+    lk = link_probabilities(logit, dm)
     m = 10_000
     ens = sample_bernoulli_ensemble(lk, m, seed=34)
     densities = ens.replications.reshape(m, -1).sum(axis=1) / pairs

@@ -28,7 +28,6 @@ from gravnet.cli import (
     MANIFEST_NAME,
     MODEL_TAGS,
     RunConfig,
-    _fit_from_payload,
     _fit_one,
     _hash_file,
     _record_artifacts,
@@ -37,7 +36,7 @@ from gravnet.cli import (
     main,
 )
 from gravnet.errors import SingularDesignError, ValidationError
-from gravnet.estimation import fit_poisson_pml
+from gravnet.estimation import fit_from_dict, fit_poisson_pml
 from gravnet.netstats import compute_statistic, population_average
 from gravnet.panel import (
     DESIGN_COLUMNS,
@@ -155,6 +154,7 @@ def test_config_validation(zip_panel, tmp_path):
     ("seed", "7"),
     ("seed", 1.5),
     ("transforms", ["x"]),
+    ("replications", 1),
 ])
 def test_malformed_config_value_exits_2_naming_the_field(
     zip_panel, tmp_path, capsys, name, value
@@ -239,7 +239,7 @@ def test_fit_artifact_reloads_to_the_same_fit(zip_panel, tmp_path):
     )
     assert main(["fit", "--config", cfg]) == EXIT_OK
     payload = json.loads((out / "2000" / "PPML" / "fit.json").read_text())
-    loaded = _fit_from_payload(payload)
+    loaded = fit_from_dict(payload)
 
     panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
     cs = build_cross_section(panel, 2000)
@@ -506,7 +506,7 @@ def test_prediction_artifact_roundtrips_exactly(zip_panel, tmp_path):
     panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
     cs = build_cross_section(panel, 2000)
     dm = build_design_matrix(cs, panel, COVARIATES)
-    pred = predict_ppml(fit_poisson_pml(dm), dm, cs.country_ids)
+    pred = predict_ppml(fit_poisson_pml(dm), dm)
     assert tuple(payload["country_ids"]) == cs.country_ids
     np.testing.assert_array_equal(np.array(payload["value"]), pred.value)
     np.testing.assert_array_equal(np.array(payload["variance"]), pred.variance)

@@ -201,8 +201,8 @@ def oracle_ensembles():
     X = np.column_stack([np.ones(k), rng.normal(size=k), rng.normal(size=k)])
     y = np.exp(X @ np.array([2.0, 0.5, -0.4]) + rng.normal(scale=0.8, size=k))
     keep = rng.random(k) < 0.7
-    dm = make_dm([r for r, kp in zip(rows, keep) if kp], X[keep], y[keep])
-    ols = predict_ols(fit_ols(dm), dm, country_ids=ids)
+    dm = make_dm(ids, [r for r, kp in zip(rows, keep) if kp], X[keep], y[keep])
+    ols = predict_ols(fit_ols(dm), dm)
 
     _, dm = simulate_grid(rng, 6, theta=(-1.0, 0.4, 0.0), gamma=(1.5, 0.4, -0.3))
     ppml = predict_ppml(fit_poisson_pml(dm), dm)
@@ -344,9 +344,9 @@ def test_analytical_var_matches_monte_carlo():
     X = np.column_stack([np.ones(k), rng.normal(size=k), rng.normal(size=k)])
     y = np.exp(X @ np.array([2.0, 0.5, -0.4]) + rng.normal(scale=0.8, size=k))
     keep = rng.random(k) < 0.7
-    dm = make_dm([r for r, kp in zip(rows, keep) if kp], X[keep], y[keep])
+    dm = make_dm(ids, [r for r, kp in zip(rows, keep) if kp], X[keep], y[keep])
     ofit = fit_ols(dm)
-    opred = predict_ols(ofit, dm, country_ids=ids)
+    opred = predict_ols(ofit, dm)
     oens = sample_weighted_ensemble(opred, m=m, seed=23)
     mc_var = ensemble_summary(oens, ("NS_out",), "identity")[0].sd ** 2
     assert mc_var == pytest.approx(analytical_var_avg_ns(opred, "out"), rel=0.05)

@@ -34,10 +34,12 @@ import oracles
 def make_dm(X, y, columns):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    rows = tuple((f"E{k}", f"I{k}") for k in range(len(y)))
+    # row k is the dyad E{k} -> I{k}
+    k = len(y)
+    ids = tuple(f"E{r}" for r in range(k)) + tuple(f"I{r}" for r in range(k))
     return DesignMatrix(
-        year=0, rows=rows, columns=tuple(columns), X=X, y=y,
-        a=(y > 0).astype(np.int8),
+        year=0, country_ids=ids, exporter=np.arange(k), importer=np.arange(k, 2 * k),
+        columns=tuple(columns), X=X, y=y, a=(y > 0).astype(np.int8),
     )
 
 

@@ -233,7 +233,7 @@ def test_all_zero_flows(tmp_path, small_files):
     assert stats.countries_50 == 0
     empty = build_design_matrix(cs, panel, positive_only=True)
     assert empty.X.shape == (0, len(DESIGN_COLUMNS))
-    assert empty.rows == () and empty.y.shape == (0,)
+    assert empty.exporter.shape == empty.importer.shape == (0,) and empty.y.shape == (0,)
 
 
 def test_design_matrix_full_and_positive(small_files):
@@ -248,7 +248,7 @@ def test_design_matrix_full_and_positive(small_files):
     const = full.X[:, full.columns.index("const")]
     assert np.array_equal(const, np.ones(6))
 
-    by_row = dict(zip(full.rows, range(6)))
+    by_row = {full.dyad(r): r for r in range(6)}
     gdp = {"AAA": 120.0, "BBB": 80.0, "CCC": 40.0}
     for (exp, imp), r in by_row.items():
         ln_gdp_i = full.X[r, full.columns.index("ln_gdp_i")]
@@ -341,7 +341,7 @@ def test_design_matrix_matches_loop_oracle(synth_cross_section, columns,
     )
     assert 0 < len(rows) and (len(rows) < cs.n * (cs.n - 1)) == positive_only
     assert dm.columns == columns
-    assert dm.rows == tuple(rows)
+    assert tuple(map(dm.dyad, range(dm.n_obs))) == tuple(rows)
     np.testing.assert_array_equal(dm.y, y)
     np.testing.assert_array_equal(dm.a, a)
     assert dm.X.shape == (len(rows), len(columns))

@@ -6,6 +6,8 @@ against brute-force scans.  Samplers are checked on their first two moments
 with Monte Carlo error bounds and on exact reproducibility.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -44,11 +46,23 @@ def full_grid_rows(ids):
     return tuple((e, i) for e in ids for i in ids if e != i)
 
 
-def make_dm(rows, X, y, year=2000, columns=COLUMNS):
+def grid_positions(ids):
+    """Exporter and importer positions of the rows of ``full_grid_rows(ids)``."""
+    index = {c: k for k, c in enumerate(ids)}
+    rows = full_grid_rows(ids)
+    return np.array([index[e] for e, _ in rows]), np.array([index[i] for _, i in rows])
+
+
+def make_dm(ids, rows, X, y, year=2000, columns=COLUMNS):
+    """Design over the countries ``ids`` whose rows are the (exporter,
+    importer) id pairs ``rows``."""
+    index = {c: k for k, c in enumerate(ids)}
     y = np.asarray(y, dtype=float)
     return DesignMatrix(
         year=year,
-        rows=tuple(rows),
+        country_ids=tuple(ids),
+        exporter=np.array([index[e] for e, _ in rows], dtype=np.intp),
+        importer=np.array([index[i] for _, i in rows], dtype=np.intp),
         columns=tuple(columns),
         X=np.asarray(X, dtype=float),
         y=y,
@@ -65,7 +79,7 @@ def simulate_grid(rng, n, theta, gamma):
     psi = expit(X @ np.asarray(theta))
     mu = np.exp(X @ np.asarray(gamma))
     y = np.where(rng.random(k) < psi, 0.0, rng.poisson(mu)).astype(float)
-    return ids, make_dm(rows, X, y)
+    return ids, make_dm(ids, rows, X, y)
 
 
 def manual_fit(tag, coefficients, columns=COLUMNS, sigma2=None):
@@ -101,7 +115,7 @@ def test_predict_ols_places_rows_on_mask():
             (ids[3], ids[2]), (ids[1], ids[2])]
     X = np.column_stack([np.ones(6), rng.normal(size=6), rng.normal(size=6)])
     y = np.exp(rng.normal(size=6) + 2.0)
-    dm = make_dm(rows, X, y)
+    dm = make_dm(ids, rows, X, y)
     fit = fit_ols(dm)
     pred = predict_ols(fit, dm)
 
@@ -124,16 +138,29 @@ def test_predict_ols_embeds_into_given_country_order():
     rows = [(ids[1], ids[3]), (ids[3], ids[1]), (ids[1], ids[4]), (ids[4], ids[3])]
     X = np.column_stack([np.ones(4), rng.normal(size=4), rng.normal(size=4)])
     y = np.exp(rng.normal(size=4))
-    dm = make_dm(rows, X, y)
+    dm = make_dm(ids, rows, X, y)
     fit = fit_ols(dm)
 
-    pred = predict_ols(fit, dm, country_ids=ids)
+    pred = predict_ols(fit, dm)
     assert pred.n == 5
     # country C00 trades with nobody here but still gets a row and column
     assert pred.mask[0].sum() == 0 and pred.mask[:, 0].sum() == 0
 
-    with pytest.raises(SchemaError):
-        predict_ols(fit, dm, country_ids=ids[:3])
+
+def test_design_positions_must_index_the_countries():
+    ids = country_names(3)
+    rows = full_grid_rows(ids)
+    X = np.ones((6, 3))
+    dm = make_dm(ids, rows, X, np.ones(6))
+    assert [dm.dyad(k) for k in range(6)] == list(rows)
+    with pytest.raises(SchemaError, match="exporter positions"):
+        replace(dm, country_ids=ids[:2])
+    with pytest.raises(SchemaError, match="importer positions"):
+        replace(dm, importer=dm.importer[:-1])
+    with pytest.raises(SchemaError, match="exporter positions"):
+        replace(dm, exporter=-dm.exporter)
+    with pytest.raises(SchemaError, match="importer positions"):
+        replace(dm, importer=dm.importer.astype(float))
 
 
 def test_predict_ols_rejects_zero_rows_and_foreign_fits():
@@ -142,8 +169,8 @@ def test_predict_ols_rejects_zero_rows_and_foreign_fits():
     rows = full_grid_rows(ids)
     X = np.column_stack([np.ones(6), rng.normal(size=6), rng.normal(size=6)])
     y = np.array([3.0, 0.0, 1.0, 2.0, 5.0, 4.0])
-    dm = make_dm(rows, X, y)
-    positive = make_dm([r for r, f in zip(rows, y) if f > 0],
+    dm = make_dm(ids, rows, X, y)
+    positive = make_dm(ids, [r for r, f in zip(rows, y) if f > 0],
                        X[y > 0], y[y > 0])
     fit = fit_ols(positive)
 
@@ -168,7 +195,7 @@ def test_predict_ppml_recomputes_levels():
     assert pred.model_tag == "PPML"
     want = np.exp(dm.X @ fit.coefficients)
     index = {c: k for k, c in enumerate(ids)}
-    got = np.array([pred.value[index[e], index[i]] for e, i in dm.rows])
+    got = np.array([pred.value[index[e], index[i]] for e, i in full_grid_rows(ids)])
     np.testing.assert_allclose(got, want, rtol=1e-12)
     np.testing.assert_array_equal(pred.variance, pred.value)
     assert np.all(np.diag(pred.mask) == 0)
@@ -181,7 +208,7 @@ def test_predict_ppml_overflow_names_first_dyad():
     fit = manual_fit("PPML", (800.0, 0.0, 0.0))
     with pytest.raises(PredictionOverflowError) as err:
         predict_ppml(fit, dm)
-    exporter, importer = dm.rows[0]
+    exporter, importer = full_grid_rows(ids)[0]
     assert exporter in str(err.value) and importer in str(err.value)
 
 
@@ -189,7 +216,7 @@ def test_predict_ppml_requires_full_grid():
     rng = np.random.default_rng(6)
     ids, dm = simulate_grid(rng, 4, theta=(0.0, 0.0, 0.0), gamma=(0.5, 0.2, 0.1))
     fit = manual_fit("PPML", (0.5, 0.0, 0.0))
-    partial = make_dm(dm.rows[:-1], dm.X[:-1], dm.y[:-1])
+    partial = make_dm(ids, full_grid_rows(ids)[:-1], dm.X[:-1], dm.y[:-1])
     with pytest.raises(ValidationError):
         predict_ppml(fit, partial)
 
@@ -203,9 +230,7 @@ def test_predict_zip_mixture_mean_and_variance():
 
     psi = expit(dm.X @ zres.logit_part.coefficients)
     mu = np.exp(dm.X @ zres.poisson_part.coefficients)
-    index = {c: k for k, c in enumerate(ids)}
-    src = np.array([index[e] for e, _ in dm.rows])
-    dst = np.array([index[i] for _, i in dm.rows])
+    src, dst = grid_positions(ids)
     np.testing.assert_allclose(pred.value[src, dst], (1 - psi) * mu, rtol=1e-12)
     np.testing.assert_allclose(
         pred.variance[src, dst], mu * (1 - psi) * (1 + mu * psi), rtol=1e-12
@@ -233,9 +258,7 @@ def test_link_probabilities_complement_the_zero_stage():
     lp = link_probabilities(zres, dm)
 
     u = dm.X @ zres.logit_part.coefficients
-    index = {c: k for k, c in enumerate(ids)}
-    src = np.array([index[e] for e, _ in dm.rows])
-    dst = np.array([index[i] for _, i in dm.rows])
+    src, dst = grid_positions(ids)
     np.testing.assert_allclose(lp.xi[src, dst], 1.0 - expit(u), rtol=1e-12)
     assert np.all(np.diag(lp.xi) == 0.0)
     off = ~np.eye(lp.n, dtype=bool)
@@ -249,7 +272,7 @@ def test_link_probabilities_accept_standalone_logit():
     lp = link_probabilities(fit, dm)
     want = 1.0 - expit(dm.X @ fit.coefficients)
     index = {c: k for k, c in enumerate(ids)}
-    got = np.array([lp.xi[index[e], index[i]] for e, i in dm.rows])
+    got = np.array([lp.xi[index[e], index[i]] for e, i in full_grid_rows(ids)])
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
     with pytest.raises(ValidationError):
@@ -263,9 +286,7 @@ def test_zero_flow_probability_forms():
     ids, dm, zres = fitted_zip(seed=9)
     psi = expit(dm.X @ zres.logit_part.coefficients)
     mu = np.exp(dm.X @ zres.poisson_part.coefficients)
-    index = {c: k for k, c in enumerate(ids)}
-    src = np.array([index[e] for e, _ in dm.rows])
-    dst = np.array([index[i] for _, i in dm.rows])
+    src, dst = grid_positions(ids)
 
     consistent = zero_flow_probability(zres, dm)
     np.testing.assert_allclose(
@@ -405,9 +426,9 @@ def counter_keyed_samplers():
     zpred = predict_zip(zres, dm)
     ppml = predict_ppml(fit_poisson_pml(dm), dm)
     positive = dm.y > 0
-    rows = [row for row, keep in zip(dm.rows, positive) if keep]
-    ols_dm = make_dm(rows, dm.X[positive], dm.y[positive])
-    ols = predict_ols(fit_ols(ols_dm), ols_dm, country_ids=ids)
+    rows = [row for row, keep in zip(full_grid_rows(ids), positive) if keep]
+    ols_dm = make_dm(ids, rows, dm.X[positive], dm.y[positive])
+    ols = predict_ols(fit_ols(ols_dm), ols_dm)
     return {
         "BERNOULLI": lambda m, seed: sample_bernoulli_ensemble(lp, m=m, seed=seed),
         "OLS": lambda m, seed: sample_weighted_ensemble(ols, m=m, seed=seed),
@@ -479,7 +500,7 @@ def test_weighted_ensemble_ols_draws_on_mask_only():
             (ids[0], ids[2]), (ids[2], ids[3])]
     X = np.column_stack([np.ones(6), rng.normal(size=6), rng.normal(size=6)])
     y = np.exp(X @ np.array([2.0, 0.5, -0.5]) + rng.normal(scale=0.6, size=6))
-    dm = make_dm(rows, X, y)
+    dm = make_dm(ids, rows, X, y)
     fit = fit_ols(dm)
     pred = predict_ols(fit, dm)
 
