@@ -433,10 +433,9 @@ def _fit_one(tag: str, year: int, dm_pos, dm_full):
         raise
 
 
-_VARIANT_ORDER = ("OLS", "PPML", "ZIP_poisson", "ZIP_logit", "LOGIT")
-
-
 def _variant_fits(fits: dict) -> list:
+    """(label, FitResult) per table column; ``fits`` is in MODEL_TAGS order
+    and ZIP expands in place, poisson part first."""
     variants = []
     for tag, fit in fits.items():
         if tag == "ZIP":
@@ -444,7 +443,6 @@ def _variant_fits(fits: dict) -> list:
             variants.append(("ZIP_logit", fit.logit_part))
         else:
             variants.append((tag, fit))
-    variants.sort(key=lambda pair: _VARIANT_ORDER.index(pair[0]))
     return variants
 
 

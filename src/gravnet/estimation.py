@@ -211,6 +211,22 @@ def _symmetrized_inverse(information):
     return (vcov + vcov.T) / 2.0
 
 
+def _fitted(tag, dm, coefficients, vcov, loglik, r2_or_pseudo, iterations, sigma2=None):
+    """The converged FitResult of one model fitted on ``dm``."""
+    return FitResult(
+        model_tag=tag,
+        names=tuple(dm.columns),
+        coefficients=coefficients,
+        vcov=vcov,
+        loglik=loglik,
+        r2_or_pseudo=r2_or_pseudo,
+        n_obs=dm.X.shape[0],
+        converged=True,
+        iterations=iterations,
+        sigma2=sigma2,
+    )
+
+
 def fit_ols(dm) -> FitResult:
     """Least squares of ln(flow) on the design columns.
 
@@ -239,18 +255,7 @@ def fit_ols(dm) -> FitResult:
     else:
         loglik = np.inf  # exact interpolation: unbounded Gaussian density
 
-    return FitResult(
-        model_tag="OLS",
-        names=tuple(dm.columns),
-        coefficients=beta,
-        vcov=vcov,
-        loglik=float(loglik),
-        r2_or_pseudo=r2,
-        n_obs=n,
-        converged=True,
-        iterations=0,
-        sigma2=sigma2,
-    )
+    return _fitted("OLS", dm, beta, vcov, float(loglik), r2, 0, sigma2=sigma2)
 
 
 def _poisson_moments(eta):
@@ -258,9 +263,13 @@ def _poisson_moments(eta):
     return mu, mu
 
 
+def _poisson_rows(y, eta, mu):
+    # per-row Poisson log likelihood, lgamma normalizer included
+    return y * eta - mu - gammaln(y + 1.0)
+
+
 def _poisson_q(y, eta, mu, omega):
-    # omega-weighted Poisson log likelihood, lgamma normalizer included
-    return float(np.sum(omega * (y * eta - mu - gammaln(y + 1.0))))
+    return float(np.sum(omega * _poisson_rows(y, eta, mu)))
 
 
 def _logit_moments(eta):
@@ -326,6 +335,22 @@ def _irls(X, y, omega, start, moments, loglik, tol=IRLS_TOL, max_iter=MAX_IRLS_I
     return beta, trace, False, False
 
 
+def _glm_fit(tag, family, dm, y, outcome, moments, null_loglik):
+    """The FitResult of a converged ``_irls`` outcome, else ConvergenceError.
+    ``null_loglik(y)`` runs only after that check: it may be log(0)."""
+    beta, trace, converged, diverged = outcome
+    if diverged or not converged:
+        raise ConvergenceError(
+            f"{family} IRLS did not converge" + (" (diverging iterates)" if diverged else ""),
+            last_coefficients=beta,
+            trace=trace,
+        )
+    X = dm.X
+    vcov = _symmetrized_inverse((X.T * moments(X @ beta)[1]) @ X)
+    loglik = trace[-1]
+    return _fitted(tag, dm, beta, vcov, loglik, 1.0 - loglik / null_loglik(y), len(trace) - 1)
+
+
 def _ols_log1p_start(X, y):
     return np.linalg.solve(X.T @ X, X.T @ np.log1p(y))
 
@@ -347,31 +372,8 @@ def fit_poisson_pml(dm) -> FitResult:
     if np.any(y < 0):
         raise ValidationError("Poisson response must be non-negative")
 
-    start = _ols_log1p_start(X, y)
-    beta, trace, converged, diverged = _irls(X, y, 1.0, start, _poisson_moments, _poisson_q)
-    if diverged or not converged:
-        raise ConvergenceError(
-            "Poisson IRLS did not converge"
-            + (" (diverging iterates)" if diverged else ""),
-            last_coefficients=beta,
-            trace=trace,
-        )
-
-    mu = np.exp(X @ beta)
-    vcov = _symmetrized_inverse((X.T * mu) @ X)
-    loglik = trace[-1]
-    pseudo = 1.0 - loglik / _poisson_null_loglik(y)
-    return FitResult(
-        model_tag="PPML",
-        names=tuple(dm.columns),
-        coefficients=beta,
-        vcov=vcov,
-        loglik=loglik,
-        r2_or_pseudo=pseudo,
-        n_obs=X.shape[0],
-        converged=True,
-        iterations=len(trace) - 1,
-    )
+    outcome = _irls(X, y, 1.0, _ols_log1p_start(X, y), _poisson_moments, _poisson_q)
+    return _glm_fit("PPML", "Poisson", dm, y, outcome, _poisson_moments, _poisson_null_loglik)
 
 
 def _bernoulli_null_loglik(a):
@@ -402,8 +404,8 @@ def fit_logit(dm, response=None) -> FitResult:
     if a.min() == a.max():
         raise ValidationError("logit response needs both classes present")
 
-    start = np.zeros(X.shape[1])
-    beta, trace, converged, diverged = _irls(X, a, 1.0, start, _logit_moments, _bernoulli_q)
+    outcome = _irls(X, a, 1.0, np.zeros(X.shape[1]), _logit_moments, _bernoulli_q)
+    beta, trace = outcome[:2]
     # A finite logit MLE exists only when no coefficient vector classifies
     # every row correctly, so a perfectly-separating iterate is proof of
     # separation even if the likelihood change already went quiet.
@@ -413,26 +415,12 @@ def fit_logit(dm, response=None) -> FitResult:
             last_coefficients=beta,
             trace=trace,
         )
-    if diverged or not converged:
-        raise ConvergenceError(
-            "logit IRLS did not converge", last_coefficients=beta, trace=trace
-        )
+    return _glm_fit("LOGIT", "logit", dm, a, outcome, _logit_moments, _bernoulli_null_loglik)
 
-    prob = expit(X @ beta)
-    vcov = _symmetrized_inverse((X.T * (prob * (1.0 - prob))) @ X)
-    loglik = trace[-1]
-    pseudo = 1.0 - loglik / _bernoulli_null_loglik(a)
-    return FitResult(
-        model_tag="LOGIT",
-        names=tuple(dm.columns),
-        coefficients=beta,
-        vcov=vcov,
-        loglik=loglik,
-        r2_or_pseudo=pseudo,
-        n_obs=X.shape[0],
-        converged=True,
-        iterations=len(trace) - 1,
-    )
+
+def _zip_log_p0(u, mu):
+    """ln P(0) = ln(psi + (1-psi) e^{-mu}) with psi = expit(u), in log space."""
+    return np.logaddexp(log_expit(u), log_expit(-u) - mu)
 
 
 def _zip_row_loglik(y, u, v):
@@ -441,8 +429,7 @@ def _zip_row_loglik(y, u, v):
     mu = np.exp(v)
     zero = y == 0.0
     out = np.empty_like(y)
-    # P(0) = psi + (1-psi) e^{-mu}, computed in log space
-    out[zero] = np.logaddexp(log_expit(u[zero]), log_expit(-u[zero]) - mu[zero])
+    out[zero] = _zip_log_p0(u[zero], mu[zero])
     pos = ~zero
     out[pos] = (
         log_expit(-u[pos])
@@ -469,7 +456,7 @@ def _zip_em(X, y, theta, gamma, tol=EM_TOL, max_iter=MAX_EM_ITERATIONS):
     for _ in range(max_iter):
         # E-step: posterior probability that a zero is structural
         z_hat = np.zeros_like(y)
-        log_p0 = np.logaddexp(log_expit(u[zero]), log_expit(-u[zero]) - np.exp(v[zero]))
+        log_p0 = _zip_log_p0(u[zero], np.exp(v[zero]))
         z_hat[zero] = np.exp(log_expit(u[zero]) - log_p0)
 
         # M-steps: fractional-response logit and case-weighted Poisson
@@ -522,7 +509,7 @@ def _zip_information(X, y, theta, gamma):
     psz = psi[zero]
     sz = s[zero]
     ez = np.exp(-muz)
-    p0 = np.exp(np.logaddexp(log_expit(uz), log_expit(-uz) - muz))
+    p0 = np.exp(_zip_log_p0(uz, muz))
     one_e = 1.0 - ez
     h_uu[zero] = sz * one_e * ((1.0 - 2.0 * psz) * p0 - sz * one_e) / p0**2
     h_uv[zero] = sz * muz * ez * (p0 + (1.0 - psz) * one_e) / p0**2
@@ -588,30 +575,10 @@ def fit_zip(dm) -> ZipFitResult:
     null_trace = _fit_zip_core(ones, y)[2]
     pseudo = 1.0 - loglik / null_trace[-1]
 
-    common = dict(
-        r2_or_pseudo=pseudo,
-        n_obs=X.shape[0],
-        converged=True,
-        iterations=iterations,
-    )
-    logit_part = FitResult(
-        model_tag="ZIP_LOGIT",
-        names=tuple(dm.columns),
-        coefficients=theta,
-        vcov=vcov[:p, :p],
-        loglik=loglik,
-        **common,
-    )
-    poisson_part = FitResult(
-        model_tag="ZIP_POISSON",
-        names=tuple(dm.columns),
-        coefficients=gamma,
-        vcov=vcov[p:, p:],
-        loglik=loglik,
-        **common,
-    )
     return ZipFitResult(
-        logit_part=logit_part, poisson_part=poisson_part, loglik=loglik
+        logit_part=_fitted("ZIP_LOGIT", dm, theta, vcov[:p, :p], loglik, pseudo, iterations),
+        poisson_part=_fitted("ZIP_POISSON", dm, gamma, vcov[p:, p:], loglik, pseudo, iterations),
+        loglik=loglik,
     )
 
 
@@ -635,7 +602,7 @@ def vuong_test(zip_result: ZipFitResult, poisson_result: FitResult, dm) -> Vuong
         X @ zip_result.poisson_part.coefficients,
     )
     eta = X @ poisson_result.coefficients
-    ll_pois = y * eta - np.exp(eta) - gammaln(y + 1.0)
+    ll_pois = _poisson_rows(y, eta, np.exp(eta))
 
     m = ll_zip - ll_pois
     sd = float(m.std())

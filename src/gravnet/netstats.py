@@ -16,6 +16,14 @@ zero-filled, and are excluded from averages and correlations.
 The vectorized matrix-product forms used here are pinned against a naive
 triple-loop implementation in the test suite; the loop form is normative.
 
+Each statistic is one catalogue kind ``<FAMILY>_<variant>`` (``STAT_KINDS``),
+computed by :func:`compute_statistic`, or by :func:`all_statistics` for
+several at once.  ``ND``/``NS`` are degrees/strengths (in: partners
+exporting to the node, out: partners it exports to, tot: both),
+``ANND``/``ANNS`` neighbor averages (:func:`_neighbor_average`) and
+``BCC``/``WCC`` binary/weighted clustering (:func:`_clustering`).  The
+weighted families read the weights after a ``WEIGHT_TRANSFORMS`` transform.
+
 Every statistic is read from one profile of the network: the float
 adjacency, degrees, ``A + A^T``, transformed weights, strengths and cube-rooted
 weights are each built on first use and kept, so a set of kinds computed
@@ -195,7 +203,16 @@ def _directed(kind: str, values: dict, direction: str) -> NodeStatVector:
 
 
 def _neighbor_average(kind: str, p: _Profile, neighbor: dict, variant: str) -> NodeStatVector:
-    """Partner average of ``neighbor``, the partners' per-node values by direction."""
+    """Partner average of ``neighbor``, the partners' per-node values by direction.
+
+    ``in_in``: average in-value (degree for ANND, strength for ANNS) of the
+    node's suppliers; ``in_out``: average out-value of its suppliers;
+    ``out_in``/``out_out``: the same over its customers.  The denominator is
+    always the node's binary degree.  The ``tot`` form sums
+    (a_ij + a_ji) x_j^tot over k_i^tot, so a reciprocated neighbor counts
+    twice in numerator and denominator alike; that double counting is
+    intentional.  Undefined where the denominator degree is 0.
+    """
     k = p.degree
     if variant == "in_in":
         numer, denom = p.a.T @ neighbor["in"], k["in"]
@@ -215,7 +232,13 @@ def _neighbor_average(kind: str, p: _Profile, neighbor: dict, variant: str) -> N
 def _clustering(kind: str, p: _Profile, variant: str, weighted: bool) -> NodeStatVector:
     """Shared motif machinery: triple products of m count motifs, where m is
     the adjacency for the binary case and the element-wise cube roots of the
-    weights otherwise; the binary degrees drive the denominators."""
+    weights otherwise; the binary degrees drive the denominators.
+
+    Variants: ``cyc`` (i->j->k->i), ``mid`` (i imports from j and exports to
+    k, j->k), ``in`` (two suppliers of i trading), ``out`` (two customers of
+    i trading), ``tot`` (all motifs, undirected total).  Weights are
+    deliberately not rescaled into [0, 1], so a weighted value may exceed 1.
+    """
     m = p.w_hat if weighted else p.a
     mt = m.T
     k_in, k_out, k_tot = p.degree["in"], p.degree["out"], p.degree["tot"]
@@ -258,66 +281,9 @@ def _statistic(p: _Profile, kind: str) -> NodeStatVector:
     raise ValidationError(f"unknown statistic kind {kind!r}")
 
 
-def degrees(net: TradeNetwork, direction: str = "tot") -> NodeStatVector:
-    """Node degree: in = number of partners exporting to the node, out =
-    number it exports to, tot = their sum."""
-    return compute_statistic(net, f"ND_{direction}")
-
-
-def strengths(
-    net: TradeNetwork, direction: str = "tot", transform: str = "identity"
-) -> NodeStatVector:
-    """Node strength: sum of (transformed) link weights, by direction."""
-    return compute_statistic(net, f"NS_{direction}", transform)
-
-
 def reciprocal_degree(net: TradeNetwork) -> NodeStatVector:
     """Number of bilateral partners: sum_j a_ij * a_ji."""
     return _defined_everywhere("ND_recip", _Profile(net).k_recip)
-
-
-def annd(net: TradeNetwork, variant: str = "tot") -> NodeStatVector:
-    """Average nearest-neighbor degree.
-
-    ``in_in``: average in-degree of the node's suppliers; ``in_out``: average
-    out-degree of its suppliers; ``out_in``/``out_out``: same over its
-    customers.  The ``tot`` form sums (a_ij + a_ji) k_j^tot over k_i^tot, so
-    a reciprocated neighbor counts twice in numerator and denominator alike;
-    that double counting is intentional.  Undefined where the denominator
-    degree is 0.
-    """
-    return compute_statistic(net, f"ANND_{variant}")
-
-
-def anns(
-    net: TradeNetwork, variant: str = "tot", transform: str = "identity"
-) -> NodeStatVector:
-    """Average nearest-neighbor strength: as :func:`annd` with neighbor
-    strengths in the numerator and the node's degree in the denominator."""
-    return compute_statistic(net, f"ANNS_{variant}", transform)
-
-
-def clustering_binary(net: TradeNetwork, variant: str = "tot") -> NodeStatVector:
-    """Directed clustering coefficient over binary motifs.
-
-    Variants: ``cyc`` (i->j->k->i), ``mid`` (i imports from j and exports to
-    k, j->k), ``in`` (two suppliers of i trading), ``out`` (two customers of i
-    trading), ``tot`` (all motifs, undirected total).  Entries with a
-    non-positive denominator are flagged undefined.
-    """
-    return compute_statistic(net, f"BCC_{variant}")
-
-
-def clustering_weighted(
-    net: TradeNetwork, variant: str = "tot", transform: str = "identity"
-) -> NodeStatVector:
-    """Weighted clustering: motif products of cube-rooted weights over the
-    binary-degree denominators.
-
-    Weights are deliberately not rescaled into [0, 1], so the result's range
-    may exceed 1.
-    """
-    return compute_statistic(net, f"WCC_{variant}", transform)
 
 
 def density(net: TradeNetwork) -> float:

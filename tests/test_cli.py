@@ -143,18 +143,18 @@ def test_config_validation(zip_panel, tmp_path):
 
 
 @pytest.mark.parametrize("name,value", [
-    ("years", ["x"]),
-    ("years", 2000),
-    ("years", [True]),
-    ("models", "PPML"),
-    ("covariates", "const"),
-    ("replications", "many"),
-    ("replications", 1.5),
-    ("replications", True),
-    ("seed", "7"),
-    ("seed", 1.5),
-    ("transforms", ["x"]),
-    ("replications", 1),
+    pytest.param("years", ["x"], id="years-string-entry"),
+    pytest.param("years", 2000, id="years-2000"),
+    pytest.param("years", [True], id="years-bool-entry"),
+    pytest.param("models", "PPML", id="models-PPML"),
+    pytest.param("covariates", "const", id="covariates-const"),
+    pytest.param("replications", "many", id="replications-many"),
+    pytest.param("replications", 1.5, id="replications-1.5"),
+    pytest.param("replications", True, id="replications-True"),
+    pytest.param("replications", 1, id="replications-1"),
+    pytest.param("seed", "7", id="seed-7"),
+    pytest.param("seed", 1.5, id="seed-1.5"),
+    pytest.param("transforms", ["x"], id="transforms-not-an-object"),
 ])
 def test_malformed_config_value_exits_2_naming_the_field(
     zip_panel, tmp_path, capsys, name, value

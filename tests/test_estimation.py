@@ -471,6 +471,26 @@ def test_vuong_favors_zip_under_heavy_inflation():
     assert updated.as_dict()["vuong_vs_poisson"] == pytest.approx(result.statistic)
 
 
+def test_vuong_statistic_matches_loop_oracles():
+    rng = np.random.default_rng(105)
+    X, y = simulate_zip(rng, 400, [0.3, 0.8], [1.0, 0.5])
+    dm = make_dm(X, y, ("const", "x"))
+    zip_fit = fit_zip(dm)
+    pois_fit = fit_poisson_pml(dm)
+    psi = expit(X @ zip_fit.logit_part.coefficients)
+    mu_zip = np.exp(X @ zip_fit.poisson_part.coefficients)
+    mu_pois = np.exp(X @ pois_fit.coefficients)
+    # per-row log-likelihood differences, each row through the loop oracles
+    m = np.array([
+        oracles.loop_zip_loglik([yi], [pi], [mi]) - oracles.loop_poisson_loglik([yi], [qi])
+        for yi, pi, mi, qi in zip(y, psi, mu_zip, mu_pois)
+    ])
+    expected = math.sqrt(len(m)) * m.mean() / m.std()
+    result = vuong_test(zip_fit, pois_fit, dm)
+    assert result.n_obs == len(y)
+    assert result.statistic == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
 def test_vuong_checks_matching_design():
     rng = np.random.default_rng(103)
     X, y = simulate_zip(rng, 200, [-0.2, 0.5], [0.8, 0.4])

@@ -10,17 +10,11 @@ from gravnet.netstats import (
     WEIGHTED_KINDS,
     TradeNetwork,
     all_statistics,
-    annd,
-    anns,
-    clustering_binary,
-    clustering_weighted,
     compute_statistic,
-    degrees,
     density,
     population_average,
     reciprocal_degree,
     stat_correlation,
-    strengths,
 )
 
 import oracles
@@ -77,21 +71,15 @@ def test_shared_profile_matches_per_kind_calls_and_builds_weights_once(monkeypat
     import gravnet.netstats as netstats
 
     rng = np.random.default_rng(20261018)
-    family = {
-        "ND": degrees, "NS": strengths, "ANND": annd, "ANNS": anns,
-        "BCC": clustering_binary, "WCC": clustering_weighted,
-    }
     for _ in range(10):
         net = TradeNetwork(random_network(rng)[0])
         for transform in ("identity", "log_positive"):
             together = all_statistics(net, STAT_KINDS, transform)
             for kind in STAT_KINDS:
-                name, _, rest = kind.partition("_")
-                args = (rest, transform) if kind in WEIGHTED_KINDS else (rest,)
-                for alone in (compute_statistic(net, kind, transform), family[name](net, *args)):
-                    assert alone.kind == kind
-                    np.testing.assert_array_equal(alone.values, together[kind].values)
-                    np.testing.assert_array_equal(alone.defined, together[kind].defined)
+                alone = compute_statistic(net, kind, transform)
+                assert alone.kind == kind
+                np.testing.assert_array_equal(alone.values, together[kind].values)
+                np.testing.assert_array_equal(alone.defined, together[kind].defined)
 
     calls = []
     original = netstats._transformed_weights
@@ -112,27 +100,27 @@ def test_three_cycle_known_values():
     w[0, 1] = w[1, 2] = w[2, 0] = 8.0
     net = TradeNetwork(w)
 
-    assert degrees(net, "in").values.tolist() == [1.0, 1.0, 1.0]
-    assert degrees(net, "tot").values.tolist() == [2.0, 2.0, 2.0]
-    assert strengths(net, "tot").values.tolist() == [16.0, 16.0, 16.0]
+    assert compute_statistic(net, "ND_in").values.tolist() == [1.0, 1.0, 1.0]
+    assert compute_statistic(net, "ND_tot").values.tolist() == [2.0, 2.0, 2.0]
+    assert compute_statistic(net, "NS_tot").values.tolist() == [16.0, 16.0, 16.0]
     assert reciprocal_degree(net).values.tolist() == [0.0, 0.0, 0.0]
     assert density(net) == pytest.approx(0.5)
 
-    assert annd(net, "in_in").values.tolist() == [1.0, 1.0, 1.0]
-    assert annd(net, "tot").values.tolist() == [2.0, 2.0, 2.0]
+    assert compute_statistic(net, "ANND_in_in").values.tolist() == [1.0, 1.0, 1.0]
+    assert compute_statistic(net, "ANND_tot").values.tolist() == [2.0, 2.0, 2.0]
 
-    cyc = clustering_binary(net, "cyc")
+    cyc = compute_statistic(net, "BCC_cyc")
     assert cyc.values.tolist() == [1.0, 1.0, 1.0]
-    mid = clustering_binary(net, "mid")
+    mid = compute_statistic(net, "BCC_mid")
     assert mid.values.tolist() == [0.0, 0.0, 0.0]
     # A node with one supplier and one customer has no in- or out-pair.
-    assert not clustering_binary(net, "in").defined.any()
-    assert not clustering_binary(net, "out").defined.any()
-    tot = clustering_binary(net, "tot")
+    assert not compute_statistic(net, "BCC_in").defined.any()
+    assert not compute_statistic(net, "BCC_out").defined.any()
+    tot = compute_statistic(net, "BCC_tot")
     assert tot.values.tolist() == [0.5, 0.5, 0.5]
 
     # cbrt(8) = 2 exactly, so the weighted cycle value is exact as well.
-    wcc = clustering_weighted(net, "cyc")
+    wcc = compute_statistic(net, "WCC_cyc")
     assert wcc.values.tolist() == [8.0, 8.0, 8.0]
 
 
@@ -143,17 +131,17 @@ def test_bidirectional_star_known_values():
         w[0, leaf] = w[leaf, 0] = 2.0
     net = TradeNetwork(w)
 
-    assert degrees(net, "tot").values.tolist() == [6.0, 2.0, 2.0, 2.0]
+    assert compute_statistic(net, "ND_tot").values.tolist() == [6.0, 2.0, 2.0, 2.0]
     assert reciprocal_degree(net).values.tolist() == [3.0, 1.0, 1.0, 1.0]
     # Hub neighbors are the leaves (k_tot 2 each); leaf neighbor is the hub.
-    assert annd(net, "tot").values.tolist() == [2.0, 6.0, 6.0, 6.0]
-    assert anns(net, "tot").values.tolist() == [4.0, 12.0, 12.0, 12.0]
+    assert compute_statistic(net, "ANND_tot").values.tolist() == [2.0, 6.0, 6.0, 6.0]
+    assert compute_statistic(net, "ANNS_tot").values.tolist() == [4.0, 12.0, 12.0, 12.0]
 
-    cyc = clustering_binary(net, "cyc")
+    cyc = compute_statistic(net, "BCC_cyc")
     assert cyc.defined.tolist() == [True, False, False, False]
     assert cyc.values[0] == 0.0
 
-    tot = clustering_binary(net, "tot")
+    tot = compute_statistic(net, "BCC_tot")
     assert tot.defined.tolist() == [True, False, False, False]
     assert tot.values[0] == 0.0
 
@@ -176,8 +164,8 @@ def test_weighted_clustering_scales_linearly_in_weights():
     w, _ = random_network(rng, n=7)
     scale = 37.5
     for variant in ("cyc", "mid", "in", "out", "tot"):
-        base = clustering_weighted(TradeNetwork(w), variant)
-        scaled = clustering_weighted(TradeNetwork(scale * w), variant)
+        base = compute_statistic(TradeNetwork(w), f"WCC_{variant}")
+        scaled = compute_statistic(TradeNetwork(scale * w), f"WCC_{variant}")
         assert scaled.defined.tolist() == base.defined.tolist()
         ok = base.defined
         np.testing.assert_allclose(
@@ -189,9 +177,9 @@ def test_strength_and_degree_handshake_sums():
     rng = np.random.default_rng(13)
     w, a = random_network(rng)
     net = TradeNetwork(w)
-    assert strengths(net, "in").values.sum() == pytest.approx(w.sum())
-    assert strengths(net, "out").values.sum() == pytest.approx(w.sum())
-    assert degrees(net, "tot").values.sum() == 2 * a.sum()
+    assert compute_statistic(net, "NS_in").values.sum() == pytest.approx(w.sum())
+    assert compute_statistic(net, "NS_out").values.sum() == pytest.approx(w.sum())
+    assert compute_statistic(net, "ND_tot").values.sum() == 2 * a.sum()
     assert reciprocal_degree(net).values.sum() % 2 == 0
 
 
@@ -201,11 +189,11 @@ def test_log_positive_transform_values():
     w[1, 0] = 1.0  # log 1 = 0: link survives in degrees, drops from strength
     w[2, 0] = 0.5  # negative log
     net = TradeNetwork(w)
-    s_out = strengths(net, "out", transform="log_positive")
+    s_out = compute_statistic(net, "NS_out", "log_positive")
     assert s_out.values[0] == pytest.approx(1.0)
     assert s_out.values[1] == 0.0
     assert s_out.values[2] == pytest.approx(math.log(0.5))
-    assert degrees(net, "out").values.tolist() == [1.0, 1.0, 1.0]
+    assert compute_statistic(net, "ND_out").values.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_explicit_adjacency_allows_negative_weights():
@@ -215,7 +203,7 @@ def test_explicit_adjacency_allows_negative_weights():
     a = np.zeros((3, 3), dtype=int)
     a[0, 1] = a[1, 2] = 1
     net = TradeNetwork(w, adjacency=a)
-    assert strengths(net, "out").values[0] == -1.5
+    assert compute_statistic(net, "NS_out").values[0] == -1.5
     with pytest.raises(ValidationError):
         TradeNetwork(w)
 
@@ -248,11 +236,11 @@ def test_unknown_kind_direction_and_transform_rejected():
     with pytest.raises(ValidationError):
         compute_statistic(net, "XYZ_in")
     with pytest.raises(ValidationError):
-        degrees(net, "sideways")
+        compute_statistic(net, "ND_sideways")
     with pytest.raises(ValidationError):
-        annd(net, "in_in_in")
+        compute_statistic(net, "ANND_in_in_in")
     with pytest.raises(ValidationError):
-        strengths(net, "in", transform="sqrt")
+        compute_statistic(net, "NS_in", "sqrt")
 
 
 def test_network_is_immutable():
@@ -271,20 +259,20 @@ def test_population_average_reports_exclusions():
     w = np.zeros((4, 4))
     w[0, 1] = w[0, 2] = 1.0  # nodes 1, 2 have suppliers; 0 and 3 do not
     net = TradeNetwork(w)
-    stat = annd(net, "in_in")
+    stat = compute_statistic(net, "ANND_in_in")
     avg, n_excluded = population_average(stat)
     assert n_excluded == 2
     assert avg == 0.0  # the lone supplier has in-degree 0
     empty = TradeNetwork(np.zeros((3, 3)))
     with pytest.raises(ValidationError):
-        population_average(annd(empty, "tot"))
+        population_average(compute_statistic(empty, "ANND_tot"))
 
 
 def test_stat_correlation_behavior():
     rng = np.random.default_rng(17)
     w, _ = random_network(rng, n=8)
     net = TradeNetwork(w)
-    nd_in = degrees(net, "in")
+    nd_in = compute_statistic(net, "ND_in")
     assert stat_correlation(nd_in, nd_in) == pytest.approx(1.0)
 
     # Constant statistic: correlation undefined.
@@ -292,21 +280,21 @@ def test_stat_correlation_behavior():
     cyc[0, 1] = cyc[1, 2] = cyc[2, 0] = 1.0
     ring = TradeNetwork(cyc)
     with pytest.raises(ValidationError):
-        stat_correlation(degrees(ring, "in"), degrees(ring, "out"))
+        stat_correlation(compute_statistic(ring, "ND_in"), compute_statistic(ring, "ND_out"))
 
     # Fewer than 3 jointly-defined nodes.
     w2 = np.zeros((4, 4))
     w2[0, 1] = w2[0, 2] = 1.0
-    two_defined = TradeNetwork(w2)
+    two_defined = compute_statistic(TradeNetwork(w2), "ANND_in_in")
     with pytest.raises(ValidationError):
-        stat_correlation(annd(two_defined, "in_in"), annd(two_defined, "in_in"))
+        stat_correlation(two_defined, two_defined)
 
 
 def test_undefined_entries_are_nan_and_excluded():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 1.0  # nodes 2, 3 isolated
     net = TradeNetwork(w)
-    stat = annd(net, "tot")
+    stat = compute_statistic(net, "ANND_tot")
     assert stat.defined.tolist() == [True, True, False, False]
     assert np.isnan(stat.values[2]) and np.isnan(stat.values[3])
     avg, n_excluded = population_average(stat)
