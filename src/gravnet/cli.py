@@ -30,10 +30,8 @@ draws of the other cells.
 """
 
 import argparse
-import csv
 import fcntl
 import hashlib
-import io
 import json
 import os
 import resource
@@ -85,7 +83,7 @@ from .prediction import (
     threshold_by_manhattan,
     threshold_matching_density,
 )
-from .synth import NOISE_KINDS, SynthSpec, _atomic_write, write_synth_panel
+from .synth import NOISE_KINDS, SynthSpec, _write_csv, _write_json, write_synth_panel
 
 MODEL_TAGS = ("OLS", "PPML", "ZIP", "LOGIT")
 
@@ -156,6 +154,8 @@ class RunConfig:
                 raise ValidationError(f"config field {name!r} must be {what}, got {value!r}")
         if not all(isinstance(y, int) and not isinstance(y, bool) for y in self.years):
             raise ValidationError(f"config field 'years' must list integers, got {self.years!r}")
+        if len(set(self.years)) != len(self.years):
+            raise ValidationError(f"config field 'years' lists a year twice, got {self.years!r}")
         object.__setattr__(self, "years", tuple(self.years))
         models = tuple(self.models)
         if not models:
@@ -245,21 +245,6 @@ def cell_seed(seed: int, year: int, model_tag: str) -> int:
 def _artifact_path(out: str, rel: str) -> str:
     # manifest keys use forward slashes on every platform
     return os.path.join(out, *rel.split("/"))
-
-
-def _write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _render(value) -> str:
-    """CSV cell text: repr for floats so values round-trip exactly."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
 
 
 def _hash_file(path: str) -> str:
@@ -374,11 +359,9 @@ class _Stage:
         _write_json(self._target(rel), payload)
 
     def write_csv(self, rel: str, fieldnames, rows) -> None:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        _atomic_write(self._target(rel), buf.getvalue())
+        """Dict rows as CSV lines; a field a row lacks writes an empty cell."""
+        rows = ([row.get(name) for name in fieldnames] for row in rows)
+        _write_csv(self._target(rel), fieldnames, rows)
 
     def cells(self, year: int):
         """Yield ``(tag, note)`` for each configured model of ``year``.
@@ -653,7 +636,7 @@ def _stats_rows(net: TradeNetwork, ids, transforms) -> list:
                         "country_id": cid,
                         "kind": kind,
                         "transform": transform,
-                        "value": _render(float(stat.values[k])) if stat.defined[k] else "",
+                        "value": float(stat.values[k]) if stat.defined[k] else None,
                     }
                 )
     return rows
@@ -749,7 +732,7 @@ def _report_row(year: int, entry: dict, columns: dict) -> dict:
         value = entry
         for part in key.split("."):
             value = None if value is None else value[part]
-        row[column] = _render(value)
+        row[column] = value
     return row
 
 
@@ -768,8 +751,7 @@ def cmd_report(args) -> None:
             for c in payload["correlations"]:
                 corr_rows.append(_report_row(year, c, _CORR_COLUMNS))
     summary_fields = [f.name for f in fields(SummaryStats)]
-    summaries = [asdict(summary_stats(build_cross_section(stage.panel, y))) for y in stage.years]
-    summary_rows = [{name: _render(value) for name, value in s.items()} for s in summaries]
+    summary_rows = [asdict(summary_stats(build_cross_section(stage.panel, y))) for y in stage.years]
     stage.write_csv("ks_tests.csv", ("year", *_KS_COLUMNS), ks_rows)
     stage.write_csv("averages.csv", ("year", *_AVG_COLUMNS), avg_rows)
     stage.write_csv("correlations.csv", ("year", *_CORR_COLUMNS), corr_rows)

@@ -282,7 +282,7 @@ def _bernoulli_q(r, eta, prob, omega):
     return float(np.sum(omega * (r * log_expit(eta) + (1.0 - r) * log_expit(-eta))))
 
 
-def _irls(X, y, omega, start, moments, loglik, tol=IRLS_TOL, max_iter=MAX_IRLS_ITERATIONS):
+def _irls(X, y, omega, start, moments, loglik):
     """Weighted IRLS for a canonical-link GLM (Poisson or logit).
 
     ``moments(eta)`` returns the (mean, variance) at the linear predictor
@@ -296,7 +296,7 @@ def _irls(X, y, omega, start, moments, loglik, tol=IRLS_TOL, max_iter=MAX_IRLS_I
     trace = [ll]
     if not np.isfinite(ll):
         return beta, trace, False, True
-    for _ in range(max_iter):
+    for _ in range(MAX_IRLS_ITERATIONS):
         w = omega * var
         wz = omega * (var * eta + y - mean)
         try:
@@ -327,7 +327,7 @@ def _irls(X, y, omega, start, moments, loglik, tol=IRLS_TOL, max_iter=MAX_IRLS_I
         trace.append(ll_new)
         if np.abs(eta).max() > MAX_LINEAR_PREDICTOR:
             return beta, trace, False, True
-        if abs(ll_new - ll) <= tol * (1.0 + abs(ll)) and step <= STEP_TOL * (
+        if abs(ll_new - ll) <= IRLS_TOL * (1.0 + abs(ll)) and step <= STEP_TOL * (
             1.0 + np.linalg.norm(beta)
         ):
             return beta, trace, True, False
@@ -444,7 +444,7 @@ def _zip_loglik(y, u, v) -> float:
     return float(_zip_row_loglik(y, u, v).sum())
 
 
-def _zip_em(X, y, theta, gamma, tol=EM_TOL, max_iter=MAX_EM_ITERATIONS):
+def _zip_em(X, y, theta, gamma):
     """EM for the ZIP likelihood. Returns (theta, gamma, trace, converged)."""
     zero = y == 0.0
     u, v = X @ theta, X @ gamma
@@ -453,7 +453,7 @@ def _zip_em(X, y, theta, gamma, tol=EM_TOL, max_iter=MAX_EM_ITERATIONS):
     if not np.isfinite(ll):
         raise ConvergenceError("ZIP starting values give non-finite likelihood",
                                trace=trace)
-    for _ in range(max_iter):
+    for _ in range(MAX_EM_ITERATIONS):
         # E-step: posterior probability that a zero is structural
         z_hat = np.zeros_like(y)
         log_p0 = _zip_log_p0(u[zero], np.exp(v[zero]))
@@ -484,7 +484,7 @@ def _zip_em(X, y, theta, gamma, tol=EM_TOL, max_iter=MAX_EM_ITERATIONS):
                 last_coefficients=np.concatenate([theta, gamma]),
                 trace=trace,
             )
-        if abs(ll_new - ll) <= tol * (1.0 + abs(ll)):
+        if abs(ll_new - ll) <= EM_TOL * (1.0 + abs(ll)):
             return theta, gamma, trace, True
         ll = ll_new
     return theta, gamma, trace, False

@@ -25,6 +25,8 @@ runs.  The draw order within a year is fixed and documented in
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -215,17 +217,26 @@ def generate_year(spec: SynthSpec, year: int) -> YearDraw:
     )
 
 
-def _format(value) -> str:
-    if isinstance(value, (np.integer, int)):
+def _render(value) -> str:
+    """CSV cell text: repr for floats so values round-trip exactly."""
+    kind = type(value)  # exact built-in types first: they fill most cells
+    if kind is float:
+        return repr(value)
+    if kind is int or isinstance(value, str):
+        return str(value)
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 via a temp file and a rename."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -234,44 +245,36 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _countries_csv(draws: list[YearDraw]) -> str:
-    lines = [",".join(COUNTRY_COLUMNS)]
-    for draw in draws:
-        c = draw.countries
-        for k, cid in enumerate(draw.country_ids):
-            lines.append(
-                ",".join(
-                    [
-                        cid,
-                        str(draw.year),
-                        _format(c["gdp"][k]),
-                        _format(c["area"][k]),
-                        _format(c["population"][k]),
-                        str(int(c["landlocked"][k])),
-                        str(int(c["continent"][k])),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+def _write_csv(path: str, header, rows) -> None:
+    """One header line, then one line per row, every cell through ``_render``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_render, row) for row in rows)
+    _atomic_write(path, buf.getvalue())
 
 
-def _dyads_csv(draws: list[YearDraw]) -> str:
-    value_columns = DYAD_COLUMNS[3:]  # flow and the bilateral covariates
-    lines = [",".join(DYAD_COLUMNS)]
-    for draw in draws:
-        n = len(draw.country_ids)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                cells = [draw.country_ids[i], draw.country_ids[j], str(draw.year)]
-                for col in value_columns:
-                    if col == "flow":
-                        cells.append(_format(draw.weights[i, j]))
-                    else:
-                        cells.append(_format(draw.dyads[col][i, j]))
-                lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _write_json(path: str, payload) -> None:
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _country_rows(draw: YearDraw):
+    c = draw.countries
+    years = [draw.year] * len(draw.country_ids)
+    return zip(draw.country_ids, years, *(c[col].tolist() for col in COUNTRY_COLUMNS[2:]))
+
+
+def _dyad_rows(draw: YearDraw):
+    """Off-diagonal dyads in exporter-major order, the order panels load in."""
+    i, j = np.nonzero(~np.eye(len(draw.country_ids), dtype=bool))
+    ids = draw.country_ids
+    values = [draw.weights[i, j]] + [draw.dyads[col][i, j] for col in DYAD_COLUMNS[4:]]
+    return zip(
+        [ids[k] for k in i.tolist()],
+        [ids[k] for k in j.tolist()],
+        [draw.year] * len(i),
+        *(v.tolist() for v in values),
+    )
 
 
 def _truth_payload(spec: SynthSpec, draws: list[YearDraw]) -> dict:
@@ -307,10 +310,7 @@ def write_synth_panel(spec: SynthSpec, out_dir: str) -> dict[str, str]:
         "countries": os.path.join(out_dir, "countries.csv"),
         "truth": os.path.join(out_dir, "truth.json"),
     }
-    _atomic_write(paths["dyads"], _dyads_csv(draws))
-    _atomic_write(paths["countries"], _countries_csv(draws))
-    _atomic_write(
-        paths["truth"],
-        json.dumps(_truth_payload(spec, draws), indent=2, sort_keys=True) + "\n",
-    )
+    _write_csv(paths["dyads"], DYAD_COLUMNS, (r for d in draws for r in _dyad_rows(d)))
+    _write_csv(paths["countries"], COUNTRY_COLUMNS, (r for d in draws for r in _country_rows(d)))
+    _write_json(paths["truth"], _truth_payload(spec, draws))
     return paths

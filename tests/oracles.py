@@ -11,7 +11,10 @@ the reference for the one-pass version. It reuses the package's network and
 statistic code, so it pins only the restructured replication loop, and
 agreement with it is exact. ``loop_load_panel`` is the former row-by-row CSV
 loader, one frozen record per row, kept as the reference for the columnar
-one: same values, same first fault, same message.
+one: same values, same first fault, same message. ``loop_countries_csv`` and
+``loop_dyads_csv`` are the former synth writers, one hand-joined line per row
+and one formatted numpy scalar per cell, kept as the reference for the
+row writer: same text, byte for byte.
 """
 
 import csv
@@ -516,3 +519,49 @@ def numeric_hessian(fun, x0, step=1e-5):
             hess[r][c] = val
             hess[c][r] = val
     return hess
+
+
+def _format(value) -> str:
+    if isinstance(value, (np.integer, int)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def loop_countries_csv(draws) -> str:
+    lines = [",".join(COUNTRY_COLUMNS)]
+    for draw in draws:
+        c = draw.countries
+        for k, cid in enumerate(draw.country_ids):
+            lines.append(
+                ",".join(
+                    [
+                        cid,
+                        str(draw.year),
+                        _format(c["gdp"][k]),
+                        _format(c["area"][k]),
+                        _format(c["population"][k]),
+                        str(int(c["landlocked"][k])),
+                        str(int(c["continent"][k])),
+                    ]
+                )
+            )
+    return "\n".join(lines) + "\n"
+
+
+def loop_dyads_csv(draws) -> str:
+    value_columns = DYAD_COLUMNS[3:]  # flow and the bilateral covariates
+    lines = [",".join(DYAD_COLUMNS)]
+    for draw in draws:
+        n = len(draw.country_ids)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                cells = [draw.country_ids[i], draw.country_ids[j], str(draw.year)]
+                for col in value_columns:
+                    if col == "flow":
+                        cells.append(_format(draw.weights[i, j]))
+                    else:
+                        cells.append(_format(draw.dyads[col][i, j]))
+                lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

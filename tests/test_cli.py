@@ -9,6 +9,7 @@ the per-module tests.
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -146,6 +147,7 @@ def test_config_validation(zip_panel, tmp_path):
     pytest.param("years", ["x"], id="years-string-entry"),
     pytest.param("years", 2000, id="years-2000"),
     pytest.param("years", [True], id="years-bool-entry"),
+    pytest.param("years", [2000, 2000], id="years-duplicate"),
     pytest.param("models", "PPML", id="models-PPML"),
     pytest.param("covariates", "const", id="covariates-const"),
     pytest.param("replications", "many", id="replications-many"),
@@ -476,23 +478,57 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path):
         }
 
 
+def output_tree(out) -> dict:
+    """Relative path -> bytes of every file under ``out`` but the run log."""
+    tree = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            if name == LOG_NAME:
+                continue
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                tree[os.path.relpath(path, out)] = handle.read()
+    return tree
+
+
 def test_pipeline_reruns_byte_identical(zip_panel, tmp_path):
     trees = []
     for run in ("a", "b"):
         out = tmp_path / run
         cfg = write_config(tmp_path / f"cfg_{run}.json", zip_panel, out, years=[2000])
         run_pipeline(cfg)
-        tree = {}
-        for root, _, names in os.walk(out):
-            for name in names:
-                if name == LOG_NAME:
-                    continue
-                path = os.path.join(root, name)
-                tree[os.path.relpath(path, out)] = open(path, "rb").read()
-        trees.append(tree)
+        trees.append(output_tree(out))
     assert trees[0].keys() == trees[1].keys()
     for rel in trees[0]:
         assert trees[0][rel] == trees[1][rel], f"{rel} differs between runs"
+
+
+def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    """A non-ASCII country id writes the same bytes under an ASCII locale."""
+    spec = SynthSpec(n_countries=8, years=(2000,), noise="zip", seed=11)
+    panel = write_synth_panel(spec, str(tmp_path / "panel"))
+    for name in ("dyads", "countries"):
+        with open(panel[name], encoding="utf-8", newline="") as handle:
+            text = handle.read().replace("C001", "C\u00f4te")
+        with open(panel[name], "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    src = os.path.dirname(os.path.dirname(gravnet.cli.__file__))
+    entry = "import sys; from gravnet.cli import main; sys.exit(main())"
+    ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    trees = []
+    for run, locale in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", ascii_locale)):
+        env = {**os.environ, "PYTHONPATH": src, **locale}
+        for command in ("fit", "predict", "netstats"):
+            done = subprocess.run(
+                [sys.executable, "-c", entry, command,
+                 "--dyads", panel["dyads"], "--countries", panel["countries"],
+                 "--out", str(tmp_path / run), "--covariates", ",".join(COVARIATES)],
+                env=env, capture_output=True,
+            )
+            assert done.returncode == EXIT_OK, (run, command, done.stderr.decode(errors="replace"))
+        trees.append(output_tree(tmp_path / run))
+    assert "C\u00f4te".encode("utf-8") in trees[0][os.path.join("2000", "observed_stats.csv")]
+    assert trees[0] == trees[1]
 
 
 def test_prediction_artifact_roundtrips_exactly(zip_panel, tmp_path):

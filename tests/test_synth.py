@@ -21,6 +21,8 @@ from gravnet.synth import (
     write_synth_panel,
 )
 
+from oracles import loop_countries_csv, loop_dyads_csv
+
 
 def recomputed_indices(draw: YearDraw, slopes):
     """Rebuild the linear index from the draw's own covariates."""
@@ -160,6 +162,16 @@ def test_written_files_are_byte_identical_across_runs(tmp_path):
     write_synth_panel(reordered, str(third))
     for name in ("dyads.csv", "countries.csv"):
         assert (first / name).read_bytes() == (third / name).read_bytes()
+
+
+@pytest.mark.parametrize("noise", ["zip", "poisson", "lognormal"])
+def test_written_files_match_the_loop_writer(tmp_path, noise):
+    spec = SynthSpec(n_countries=7, years=(2001, 1999), noise=noise, seed=23)
+    paths = write_synth_panel(spec, str(tmp_path))
+    draws = [generate_year(spec, year) for year in (1999, 2001)]
+    for name, oracle in (("dyads", loop_dyads_csv), ("countries", loop_countries_csv)):
+        with open(paths[name], "rb") as handle:
+            assert handle.read() == oracle(draws).encode("utf-8"), name
 
 
 def test_estimators_recover_generating_parameters(tmp_path):
