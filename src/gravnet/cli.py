@@ -37,13 +37,13 @@ import os
 import resource
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
 from scipy.special import ndtr
 
-from .compare import ModelPrediction, build_comparison_report, report_as_dict
+from .compare import ModelPrediction, build_comparison_report, report_as_dict, report_from_dict
 from .errors import ConvergenceError, DependencyError, ValidationError
 from .estimation import (
     attach_vuong,
@@ -358,10 +358,12 @@ class _Stage:
     def write_json(self, rel: str, payload) -> None:
         _write_json(self._target(rel), payload)
 
-    def write_csv(self, rel: str, fieldnames, rows) -> None:
-        """Dict rows as CSV lines; a field a row lacks writes an empty cell."""
-        rows = ([row.get(name) for name in fieldnames] for row in rows)
-        _write_csv(self._target(rel), fieldnames, rows)
+    def write_cell(self, year: int, tag: str, name: str, payload: dict) -> None:
+        """A cell artifact: ``payload`` plus the cell's ``model`` and ``year``."""
+        self.write_json(f"{year}/{tag}/{name}", {**payload, "model": tag, "year": year})
+
+    def write_csv(self, rel: str, header, rows) -> None:
+        _write_csv(self._target(rel), header, rows)
 
     def cells(self, year: int):
         """Yield ``(tag, note)`` for each configured model of ``year``.
@@ -445,24 +447,22 @@ def _significance(estimate: float, se: float) -> str:
 def _coefficient_table(covariates, fits: dict):
     """Wide per-year table: regressor rows, one column per model variant."""
     variants = _variant_fits(fits)
-    fieldnames = ["regressor"] + [label for label, _ in variants]
+    header = ["regressor"] + [label for label, _ in variants]
     rows = []
     for k, name in enumerate(covariates):
-        row = {"regressor": name}
-        for label, fit in variants:
+        row = [name]
+        for _, fit in variants:
             est = float(fit.coefficients[k])
             se = float(fit.std_errors[k])
-            row[label] = f"{est:.4g}{_significance(est, se)}({se:.4g})"
+            row.append(f"{est:.4g}{_significance(est, se)}({se:.4g})")
         rows.append(row)
     for name, spec in (("n_obs", "d"), ("r2_or_pseudo", ".4g"), ("loglik", ".6g")):
-        row = {lab: format(getattr(fit, name), spec) for lab, fit in variants}
-        rows.append({"regressor": name, **row})
+        rows.append([name] + [format(getattr(fit, name), spec) for _, fit in variants])
     zip_fit = fits.get("ZIP")
     if zip_fit is not None and zip_fit.vuong_vs_poisson is not None:
-        row = {"regressor": "vuong_z", **{lab: "" for lab, _ in variants}}
-        row["ZIP_poisson"] = f"{zip_fit.vuong_vs_poisson:.4g}"
-        rows.append(row)
-    return fieldnames, rows
+        vuong = f"{zip_fit.vuong_vs_poisson:.4g}"
+        rows.append(["vuong_z"] + [vuong if lab == "ZIP_poisson" else "" for lab, _ in variants])
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +503,8 @@ def cmd_fit(args) -> None:
             if tag == "ZIP" and "PPML" in fits:  # models run in MODEL_TAGS order
                 fit = attach_vuong(fit, fits["PPML"], dm_full)
             fits[tag] = fit
-            payload = {**fit.as_dict(), "year": year}
-            stage.write_json(f"{year}/{tag}/fit.json", payload)
-            vuong = payload.get("vuong_vs_poisson")
+            stage.write_cell(year, tag, "fit.json", fit.as_dict())
+            vuong = fit.vuong_vs_poisson if tag == "ZIP" else None
             note.update(
                 message=f"loglik {fit.loglik:.6g}",
                 loglik=fit.loglik,
@@ -518,53 +517,6 @@ def cmd_fit(args) -> None:
     stage.record()
 
 
-def _write_prediction(stage: _Stage, year: int, pred: PredictedWeights) -> None:
-    stage.write_json(
-        f"{year}/{pred.model_tag}/prediction.json",
-        {
-            "model": pred.model_tag,
-            "year": year,
-            "country_ids": list(pred.country_ids),
-            "value": pred.value.tolist(),
-            "variance": pred.variance.tolist(),
-            "mask": pred.mask.astype(int).tolist(),
-        },
-    )
-
-
-def _write_binary(stage: _Stage, year, tag, lp: LinkProbabilityMatrix, cs, rho: float) -> None:
-    """Link probabilities plus the three thresholded binary predictions."""
-    ids = list(lp.country_ids)
-    xi = {"model": tag, "year": year, "country_ids": ids, "xi": lp.xi.tolist()}
-    stage.write_json(f"{year}/{tag}/xi.json", xi)
-    induced = density_induced_binary(lp, rho)
-    matched = threshold_matching_density(lp, rho)
-    manhattan = threshold_by_manhattan(lp, cs.adjacency)
-    stage.write_json(
-        f"{year}/{tag}/binary.json",
-        {
-            "model": tag,
-            "year": year,
-            "country_ids": ids,
-            "observed_density": rho,
-            "density_induced": {
-                "threshold": induced.threshold,
-                "realized_density": induced.realized_density,
-            },
-            "matched_density": {
-                "threshold": matched.threshold,
-                "realized_density": matched.realized_density,
-            },
-            "manhattan": {
-                "threshold": manhattan.threshold,
-                "realized_density": manhattan.realized_density,
-                "distance": manhattan.manhattan_distance,
-            },
-            "adjacency": induced.adjacency.astype(int).tolist(),
-        },
-    )
-
-
 def cmd_predict(args) -> None:
     """Turn fit artifacts into predicted matrices, one set per cell."""
     stage = _Stage(args, "predict", "fit", lambda tag: ("fit.json",))
@@ -574,28 +526,26 @@ def cmd_predict(args) -> None:
         rho = density(cs.network())
         for tag, note in stage.cells(year):
             fit = fit_from_dict(stage.read(f"{year}/{tag}/fit.json"))
-            # call layer functions by module-level name, so a rebinding is seen
-            if tag == "OLS":
-                _write_prediction(stage, year, predict_ols(fit, dm_pos))
-            elif tag == "PPML":
-                _write_prediction(stage, year, predict_ppml(fit, dm_full))
-            elif tag == "ZIP":
-                _write_prediction(stage, year, predict_zip(fit, dm_full))
+            if tag != "LOGIT":
+                # looked up per call, so a rebinding of a layer function is seen
+                predict = {"OLS": predict_ols, "PPML": predict_ppml, "ZIP": predict_zip}[tag]
+                pred = predict(fit, dm_pos if tag == "OLS" else dm_full)
+                stage.write_cell(year, tag, "prediction.json", pred.as_dict())
             if tag in ("ZIP", "LOGIT"):
                 lp = link_probabilities(fit, dm_full)
-                _write_binary(stage, year, tag, lp, cs, rho)
+                stage.write_cell(year, tag, "xi.json", lp.as_dict())
+                induced = density_induced_binary(lp, rho)
+                binary = {
+                    "country_ids": list(lp.country_ids),
+                    "observed_density": rho,
+                    "adjacency": induced.adjacency.astype(int).tolist(),
+                    "density_induced": induced.as_dict(),
+                    "matched_density": threshold_matching_density(lp, rho).as_dict(),
+                    "manhattan": threshold_by_manhattan(lp, cs.adjacency).as_dict(),
+                }
+                stage.write_cell(year, tag, "binary.json", binary)
             note["message"] = "predictions written"
     stage.record()
-
-
-def _pred_from_payload(payload: dict) -> PredictedWeights:
-    return PredictedWeights(
-        payload["model"],
-        tuple(payload["country_ids"]),
-        np.array(payload["value"], dtype=float),
-        np.array(payload["variance"], dtype=float),
-        np.array(payload["mask"], dtype=np.int8),
-    )
 
 
 def _cell_network(stage: _Stage, year: int, tag: str):
@@ -611,7 +561,7 @@ def _cell_network(stage: _Stage, year: int, tag: str):
         a = np.array(payload["adjacency"], dtype=np.int8)
         net = TradeNetwork(a.astype(float), a)
         return tuple(payload["country_ids"]), net, "identity", None
-    pred = _pred_from_payload(stage.read(f"{year}/{tag}/prediction.json"))
+    pred = PredictedWeights.from_dict(stage.read(f"{year}/{tag}/prediction.json"))
     if tag == "OLS":
         # predicted logs on the observed support; already on the log scale
         return pred.country_ids, TradeNetwork(pred.value, pred.mask), "identity", pred
@@ -631,14 +581,8 @@ def _stats_rows(net: TradeNetwork, ids, transforms) -> list:
         for transform in transforms if kind in WEIGHTED_KINDS else ("",):
             stat = stats[kind, transform]
             for k, cid in enumerate(ids):
-                rows.append(
-                    {
-                        "country_id": cid,
-                        "kind": kind,
-                        "transform": transform,
-                        "value": float(stat.values[k]) if stat.defined[k] else None,
-                    }
-                )
+                value = float(stat.values[k]) if stat.defined[k] else None
+                rows.append((cid, kind, transform, value))
     return rows
 
 
@@ -676,8 +620,7 @@ def _cell_prediction(stage: _Stage, year: int, tag: str) -> ModelPrediction:
     _, net, transform, pred = _cell_network(stage, year, tag)
     lp = None
     if tag in ("ZIP", "LOGIT"):
-        xi = stage.read(f"{year}/{tag}/xi.json")
-        lp = LinkProbabilityMatrix(tuple(xi["country_ids"]), np.array(xi["xi"], dtype=float))
+        lp = LinkProbabilityMatrix.from_dict(stage.read(f"{year}/{tag}/xi.json"))
     if tag == "LOGIT":
         ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
     else:
@@ -709,31 +652,26 @@ def cmd_compare(args) -> None:
     stage.record()
 
 
-#: csv column -> report.json key of each aggregated table, after "year";
-#: a dotted key reads a nested object, and reads empty where that is null
-_KS_COLUMNS = {
-    "model": "model", "kind": "kind", "d_statistic": "ks_d", "p_value": "ks_p",
-    "n_observed": "ks_n_observed", "n_predicted": "ks_n_predicted",
-}
-_AVG_COLUMNS = {
-    "model": "model", "kind": "kind", "observed": "observed_avg",
-    "predicted": "predicted_avg", "ci_low": "ensemble.ci_low",
-    "ci_high": "ensemble.ci_high", "ensemble_mean": "ensemble.mean",
-}
-_CORR_COLUMNS = {
-    "model": "model", "x": "x", "y": "y", "observed_r": "observed_r",
-    "predicted_r": "predicted_r",
-}
+_KS_HEADER = ("year", "model", "kind", "d_statistic", "p_value", "n_observed", "n_predicted")
+_AVG_HEADER = ("year", "model", "kind", "observed", "predicted",
+               "ci_low", "ci_high", "ensemble_mean")
+_CORR_HEADER = ("year", "model", "x", "y", "observed_r", "predicted_r")
 
 
-def _report_row(year: int, entry: dict, columns: dict) -> dict:
-    row = {"year": year}
-    for column, key in columns.items():
-        value = entry
-        for part in key.split("."):
-            value = None if value is None else value[part]
-        row[column] = value
-    return row
+def _report_tables(reports) -> tuple:
+    """(ks_tests, averages, correlations) rows of ``(year, report)`` pairs;
+    a statistic with no ensemble leaves its band columns empty."""
+    ks_rows, avg_rows, corr_rows = [], [], []
+    for year, report in reports:
+        for s in report.statistics:
+            ks = s.ks
+            ks_rows.append((year, s.model_tag, s.kind, ks.d_statistic, ks.p_value, ks.n1, ks.n2))
+            e = s.summary
+            band = (None, None, None) if e is None else (e.ci_low, e.ci_high, e.mean)
+            avg_rows.append((year, s.model_tag, s.kind, s.observed_avg, s.predicted_avg, *band))
+        for c in report.correlations:
+            corr_rows.append((year, c.model_tag, c.kind_x, c.kind_y, c.observed_r, c.predicted_r))
+    return ks_rows, avg_rows, corr_rows
 
 
 def cmd_report(args) -> None:
@@ -741,21 +679,16 @@ def cmd_report(args) -> None:
     started = time.perf_counter()
     stage = _Stage(args, "report", "compare", lambda tag: ("report.json",))
     cfg = stage.cfg
-    ks_rows, avg_rows, corr_rows = [], [], []
-    for year in stage.years:
-        for tag in cfg.models:
-            payload = stage.read(f"{year}/{tag}/report.json")
-            for s in payload["statistics"]:
-                ks_rows.append(_report_row(year, s, _KS_COLUMNS))
-                avg_rows.append(_report_row(year, s, _AVG_COLUMNS))
-            for c in payload["correlations"]:
-                corr_rows.append(_report_row(year, c, _CORR_COLUMNS))
-    summary_fields = [f.name for f in fields(SummaryStats)]
-    summary_rows = [asdict(summary_stats(build_cross_section(stage.panel, y))) for y in stage.years]
-    stage.write_csv("ks_tests.csv", ("year", *_KS_COLUMNS), ks_rows)
-    stage.write_csv("averages.csv", ("year", *_AVG_COLUMNS), avg_rows)
-    stage.write_csv("correlations.csv", ("year", *_CORR_COLUMNS), corr_rows)
-    stage.write_csv("summary.csv", summary_fields, summary_rows)
+    ks_rows, avg_rows, corr_rows = _report_tables(
+        (year, report_from_dict(stage.read(f"{year}/{tag}/report.json")))
+        for year in stage.years
+        for tag in cfg.models
+    )
+    summaries = [summary_stats(build_cross_section(stage.panel, y)) for y in stage.years]
+    stage.write_csv("ks_tests.csv", _KS_HEADER, ks_rows)
+    stage.write_csv("averages.csv", _AVG_HEADER, avg_rows)
+    stage.write_csv("correlations.csv", _CORR_HEADER, corr_rows)
+    stage.write_csv("summary.csv", [f.name for f in fields(SummaryStats)], map(astuple, summaries))
     stage.record()
     _log(
         cfg.out,

@@ -128,7 +128,7 @@ class ModelPrediction:
 @dataclass(frozen=True)
 class ComparisonReport:
     year: int | None
-    country_ids: tuple[str, ...]
+    n_countries: int
     statistics: tuple[StatComparison, ...]
     correlations: tuple[CorrelationComparison, ...]
     report_version: str = REPORT_VERSION
@@ -232,7 +232,7 @@ def _summarise(kind: str, values: array, dropped: int) -> EnsembleSummary:
     )
 
 
-def analytical_var_avg_ns(pred: PredictedWeights, kind: str = "out") -> float:
+def analytical_var_avg_ns(pred: PredictedWeights) -> float:
     """Closed-form variance of the average node strength.
 
     The average out-strength is the total predicted weight over the node
@@ -245,10 +245,8 @@ def analytical_var_avg_ns(pred: PredictedWeights, kind: str = "out") -> float:
       giving ``rho sigma^2 (N - 1) / N`` at density ``rho``.
 
     In- and out-strengths share a grand total, so both directions have
-    the same variance; ``kind`` is validated for interface completeness.
+    the same variance.
     """
-    if kind not in ("in", "out"):
-        raise ValidationError(f"average strength direction must be in or out, got {kind!r}")
     n = pred.n
     if n < 2:
         raise ValidationError("need at least two countries")
@@ -299,7 +297,6 @@ def build_comparison_report(
     year: int | None = None,
     kinds: tuple[str, ...] = REPORT_KINDS,
     observed_transform: str = "log_positive",
-    all_pairs: bool = False,
 ) -> ComparisonReport:
     """Assemble the statistic-by-model comparison grid.
 
@@ -311,9 +308,7 @@ def build_comparison_report(
     are reported for the observed network and each predicted network.
 
     ``observed_transform`` applies to the observed network's weighted
-    statistics; each model brings its own transform.  Pass
-    ``all_pairs=True`` to expand correlations from the default four pairs
-    to every ordered pair of reported kinds.
+    statistics; each model brings its own transform.
     """
     if observed.n != len(observed_ids):
         raise ValidationError(
@@ -324,12 +319,7 @@ def build_comparison_report(
     for mp in predictions.values():
         _aligned_ids(observed_ids, mp)
 
-    pairs = (
-        tuple((a, b) for a in kinds for b in kinds if a < b)
-        if all_pairs
-        else CORRELATION_PAIRS
-    )
-    pair_kinds = sorted({k for p in pairs for k in p} | set(kinds))
+    pair_kinds = sorted({k for p in CORRELATION_PAIRS for k in p} | set(kinds))
 
     obs_stats = all_statistics(observed, pair_kinds, observed_transform)
 
@@ -354,7 +344,7 @@ def build_comparison_report(
             stat_rows.append(
                 StatComparison(tag, kind, obs_avg, pred_avg, summary, ks)
             )
-        for kx, ky in pairs:
+        for kx, ky in CORRELATION_PAIRS:
             corr_rows.append(
                 CorrelationComparison(
                     tag,
@@ -366,18 +356,20 @@ def build_comparison_report(
             )
     return ComparisonReport(
         year=year,
-        country_ids=tuple(observed_ids),
+        n_countries=len(observed_ids),
         statistics=tuple(stat_rows),
         correlations=tuple(corr_rows),
     )
 
 
+# a module-level function, not a method: callers name it through this
+# module, so a rebinding of ``compare.report_as_dict`` reaches them all
 def report_as_dict(report: ComparisonReport) -> dict:
-    """JSON-ready view of a report."""
+    """JSON-ready view of a report; :func:`report_from_dict` reads it back."""
     return {
         "report_version": report.report_version,
         "year": report.year,
-        "n_countries": len(report.country_ids),
+        "n_countries": report.n_countries,
         "statistics": [
             {
                 "model": s.model_tag,
@@ -414,3 +406,28 @@ def report_as_dict(report: ComparisonReport) -> dict:
             for c in report.correlations
         ],
     }
+
+
+def report_from_dict(payload: dict) -> ComparisonReport:
+    """The report whose :func:`report_as_dict` is ``payload``."""
+    statistics = []
+    for s in payload["statistics"]:
+        e = s["ensemble"]
+        summary = None if e is None else EnsembleSummary(
+            s["kind"], e["mean"], e["sd"], e["ci_low"], e["ci_high"],
+            e["normal_low"], e["normal_high"], e["m"], e["n_dropped"],
+        )
+        ks = KsResult(s["ks_d"], s["ks_p"], s["ks_n_observed"], s["ks_n_predicted"])
+        statistics.append(
+            StatComparison(
+                s["model"], s["kind"], s["observed_avg"], s["predicted_avg"], summary, ks
+            )
+        )
+    correlations = tuple(
+        CorrelationComparison(c["model"], c["x"], c["y"], c["observed_r"], c["predicted_r"])
+        for c in payload["correlations"]
+    )
+    return ComparisonReport(
+        payload["year"], payload["n_countries"], tuple(statistics), correlations,
+        payload["report_version"],
+    )

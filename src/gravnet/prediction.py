@@ -67,6 +67,26 @@ class PredictedWeights:
     def n(self) -> int:
         return len(self.country_ids)
 
+    def as_dict(self) -> dict:
+        return {
+            "model": self.model_tag,
+            "country_ids": list(self.country_ids),
+            "value": self.value.tolist(),
+            "variance": self.variance.tolist(),
+            "mask": self.mask.astype(int).tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> PredictedWeights:
+        """The prediction whose ``as_dict()`` is ``payload``; other keys are ignored."""
+        return cls(
+            payload["model"],
+            tuple(payload["country_ids"]),
+            np.array(payload["value"], dtype=float),
+            np.array(payload["variance"], dtype=float),
+            np.array(payload["mask"], dtype=np.int8),
+        )
+
 
 @dataclass(frozen=True)
 class LinkProbabilityMatrix:
@@ -83,6 +103,14 @@ class LinkProbabilityMatrix:
     def n(self) -> int:
         return len(self.country_ids)
 
+    def as_dict(self) -> dict:
+        return {"country_ids": list(self.country_ids), "xi": self.xi.tolist()}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> LinkProbabilityMatrix:
+        """The matrix whose ``as_dict()`` is ``payload``; other keys are ignored."""
+        return cls(tuple(payload["country_ids"]), np.array(payload["xi"], dtype=float))
+
 
 @dataclass(frozen=True)
 class BinaryPrediction:
@@ -96,6 +124,13 @@ class BinaryPrediction:
     def __post_init__(self) -> None:
         object.__setattr__(self, "adjacency", np.asarray(self.adjacency, dtype=np.int8))
         self.adjacency.setflags(write=False)
+
+    def as_dict(self) -> dict:
+        """How the adjacency was obtained; the adjacency itself is left out."""
+        out = {"threshold": self.threshold, "realized_density": self.realized_density}
+        if self.manhattan_distance is not None:
+            out["distance"] = self.manhattan_distance
+        return out
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ loader, one frozen record per row, kept as the reference for the columnar
 one: same values, same first fault, same message. ``loop_countries_csv`` and
 ``loop_dyads_csv`` are the former synth writers, one hand-joined line per row
 and one formatted numpy scalar per cell, kept as the reference for the
-row writer: same text, byte for byte.
+row writer: same text, byte for byte. ``loop_report_rows`` is the former
+report aggregation of ``gravnet report``, which walked the raw ``report.json``
+objects by dotted keys, kept as the reference for the rows the decoded,
+typed report gives.
 """
 
 import csv
@@ -565,3 +568,43 @@ def loop_dyads_csv(draws) -> str:
                         cells.append(_format(draw.dyads[col][i, j]))
                 lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+#: csv column -> report.json key of each aggregated table, after "year";
+#: a dotted key reads a nested object, and reads empty where that is null
+_KS_COLUMNS = {
+    "model": "model", "kind": "kind", "d_statistic": "ks_d", "p_value": "ks_p",
+    "n_observed": "ks_n_observed", "n_predicted": "ks_n_predicted",
+}
+_AVG_COLUMNS = {
+    "model": "model", "kind": "kind", "observed": "observed_avg",
+    "predicted": "predicted_avg", "ci_low": "ensemble.ci_low",
+    "ci_high": "ensemble.ci_high", "ensemble_mean": "ensemble.mean",
+}
+_CORR_COLUMNS = {
+    "model": "model", "x": "x", "y": "y", "observed_r": "observed_r",
+    "predicted_r": "predicted_r",
+}
+
+
+def _report_row(year: int, entry: dict, columns: dict) -> dict:
+    row = {"year": year}
+    for column, key in columns.items():
+        value = entry
+        for part in key.split("."):
+            value = None if value is None else value[part]
+        row[column] = value
+    return row
+
+
+def loop_report_rows(year, payload):
+    """Headers and dict rows of (ks_tests, averages, correlations) for one
+    parsed ``report.json``."""
+    ks_rows, avg_rows, corr_rows = [], [], []
+    for s in payload["statistics"]:
+        ks_rows.append(_report_row(year, s, _KS_COLUMNS))
+        avg_rows.append(_report_row(year, s, _AVG_COLUMNS))
+    for c in payload["correlations"]:
+        corr_rows.append(_report_row(year, c, _CORR_COLUMNS))
+    headers = [("year", *columns) for columns in (_KS_COLUMNS, _AVG_COLUMNS, _CORR_COLUMNS)]
+    return headers, (ks_rows, avg_rows, corr_rows)

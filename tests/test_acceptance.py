@@ -258,7 +258,7 @@ def test_analytical_variance_matches_monte_carlo(tmp_path):
     for tag, pred, ens in checks:
         averages = ens.replications.reshape(m, -1).sum(axis=1) / pred.n
         mc = float(averages.var(ddof=1))
-        closed = analytical_var_avg_ns(pred, "out")
+        closed = analytical_var_avg_ns(pred)
         assert abs(mc / closed - 1.0) <= 0.05, (tag, mc, closed)
     assert time.perf_counter() - start < 120.0
 

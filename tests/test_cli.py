@@ -6,6 +6,8 @@ kept small since the statistical behaviour of each stage is covered by
 the per-module tests.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -32,9 +34,19 @@ from gravnet.cli import (
     _fit_one,
     _hash_file,
     _record_artifacts,
+    _report_tables,
     cell_seed,
     load_config,
     main,
+)
+from gravnet.compare import (
+    ComparisonReport,
+    CorrelationComparison,
+    EnsembleSummary,
+    KsResult,
+    StatComparison,
+    report_as_dict,
+    report_from_dict,
 )
 from gravnet.errors import SingularDesignError, ValidationError
 from gravnet.estimation import fit_from_dict, fit_poisson_pml
@@ -46,7 +58,9 @@ from gravnet.panel import (
     load_panel,
 )
 from gravnet.prediction import DEFAULT_REPLICATIONS, predict_ppml
-from gravnet.synth import SynthSpec, write_synth_panel
+from gravnet.synth import SynthSpec, _render, write_synth_panel
+
+from oracles import loop_report_rows
 
 COVARIATES = ("const", "ln_gdp_i", "ln_gdp_j", "ln_dist", "contig", "rta")
 
@@ -501,6 +515,52 @@ def test_pipeline_reruns_byte_identical(zip_panel, tmp_path):
     assert trees[0].keys() == trees[1].keys()
     for rel in trees[0]:
         assert trees[0][rel] == trees[1][rel], f"{rel} differs between runs"
+
+
+def rendered(rows) -> list:
+    """Rows as the CSV writer spells their cells."""
+    return [[_render(value) for value in row] for row in rows]
+
+
+def test_report_csvs_match_the_dict_walking_oracle(zip_panel, tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out, years=[2000], replications=10)
+    run_pipeline(cfg)
+    cases = [
+        (2000, json.loads((out / "2000" / tag / "report.json").read_text()))
+        for tag in MODEL_TAGS
+    ]
+    # what ``gravnet report`` wrote is the oracle's rows, cell after cell
+    written = {}
+    for year, payload in cases:
+        headers, tables = loop_report_rows(year, payload)
+        for name, header, rows in zip(("ks_tests", "averages", "correlations"), headers, tables):
+            written.setdefault(name, [list(header)]).extend(rendered(r.values() for r in rows))
+    for name, want in written.items():
+        got = list(csv.reader(io.StringIO((out / f"{name}.csv").read_text())))
+        assert got == want, name
+
+
+def test_report_tables_of_a_decoded_report_match_the_oracle():
+    # a statistic without an ensemble and a correlation that is undefined
+    ks = KsResult(0.25, 0.5, 8, 7)
+    summary = EnsembleSummary("NS_tot", 1.5, 0.1, 1.25, 1.75, 1.3, 1.7, 9, 1)
+    report = ComparisonReport(
+        1999,
+        8,
+        (
+            StatComparison("PPML", "ND_tot", 3.0, 2.5, None, ks),
+            StatComparison("PPML", "NS_tot", -0.0, 1.0, summary, ks),
+        ),
+        (CorrelationComparison("PPML", "ND_tot", "BCC_tot", math.nan, 0.5),),
+    )
+    payload = json.loads(json.dumps(report_as_dict(report)))
+    _, tables = loop_report_rows(1999, payload)
+    typed = _report_tables([(1999, report_from_dict(payload))])
+    for rows, want in zip(typed, tables):
+        assert rendered(rows) == rendered(r.values() for r in want)
+    assert typed[1][0][-3:] == (None, None, None)
+    assert rendered(typed[2]) == [["1999", "PPML", "ND_tot", "BCC_tot", "nan", "0.5"]]
 
 
 def test_artifacts_are_utf8_whatever_the_locale(tmp_path):

@@ -285,8 +285,7 @@ def test_analytical_var_ppml_printed_value():
     mask = np.ones((n, n), dtype=np.int8)
     np.fill_diagonal(mask, 0)
     pred = PredictedWeights("PPML", country_names(n), value, value.copy(), mask)
-    assert analytical_var_avg_ns(pred, "out") == pytest.approx(0.1, rel=1e-12)
-    assert analytical_var_avg_ns(pred, "in") == pytest.approx(0.1, rel=1e-12)
+    assert analytical_var_avg_ns(pred) == pytest.approx(0.1, rel=1e-12)
 
 
 def test_analytical_var_ols_printed_value():
@@ -299,20 +298,18 @@ def test_analytical_var_ols_printed_value():
     variance = 2.0 * mask
     pred = PredictedWeights("OLS", country_names(n), np.zeros((n, n)), variance, mask)
     want = 0.5 * 2.0 * (n - 1) / n
-    assert analytical_var_avg_ns(pred, "out") == pytest.approx(want, rel=1e-12)
+    assert analytical_var_avg_ns(pred) == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(0.9901, abs=5e-5)
 
 
 def test_analytical_var_validation():
     pred = exact_ols_prediction()
-    with pytest.raises(ValidationError):
-        analytical_var_avg_ns(pred, "total")
     bogus = PredictedWeights(
         "LOGIT", pred.country_ids, np.asarray(pred.value),
         np.asarray(pred.variance), np.asarray(pred.mask),
     )
     with pytest.raises(ValidationError):
-        analytical_var_avg_ns(bogus, "out")
+        analytical_var_avg_ns(bogus)
 
 
 def test_analytical_var_matches_monte_carlo():
@@ -326,7 +323,7 @@ def test_analytical_var_matches_monte_carlo():
     pred = predict_ppml(fit, dm)
     ens = sample_weighted_ensemble(pred, m=m, seed=21)
     mc_var = ensemble_summary(ens, ("NS_out",), "identity")[0].sd ** 2
-    assert mc_var == pytest.approx(analytical_var_avg_ns(pred, "out"), rel=0.05)
+    assert mc_var == pytest.approx(analytical_var_avg_ns(pred), rel=0.05)
 
     # zero-inflated
     ids, dm = simulate_grid(rng, 6, theta=(-0.8, 0.5, 0.0), gamma=(1.6, 0.4, -0.3))
@@ -335,7 +332,7 @@ def test_analytical_var_matches_monte_carlo():
     lp = link_probabilities(zres, dm)
     zens = sample_weighted_ensemble(zpred, m=m, seed=22, link_probs=lp)
     mc_var = ensemble_summary(zens, ("NS_out",), "identity")[0].sd ** 2
-    assert mc_var == pytest.approx(analytical_var_avg_ns(zpred, "out"), rel=0.05)
+    assert mc_var == pytest.approx(analytical_var_avg_ns(zpred), rel=0.05)
 
     # log-linear
     ids = country_names(6)
@@ -349,7 +346,7 @@ def test_analytical_var_matches_monte_carlo():
     opred = predict_ols(ofit, dm)
     oens = sample_weighted_ensemble(opred, m=m, seed=23)
     mc_var = ensemble_summary(oens, ("NS_out",), "identity")[0].sd ** 2
-    assert mc_var == pytest.approx(analytical_var_avg_ns(opred, "out"), rel=0.05)
+    assert mc_var == pytest.approx(analytical_var_avg_ns(opred), rel=0.05)
 
 
 # ----------------------------------------------------------------- report
@@ -425,12 +422,3 @@ def test_report_rows_and_json():
     decoded = json.loads(payload)
     assert decoded["report_version"] == "1"
     assert decoded["n_countries"] == net.n
-
-
-def test_report_all_pairs_flag_expands_correlations():
-    net = observed_network(seed=38)
-    ids = country_names(net.n)
-    predictions = {"PPML": ModelPrediction("PPML", net, transform="log_positive")}
-    dense = build_comparison_report(net, ids, predictions, all_pairs=True)
-    n_kinds = len(REPORT_KINDS)
-    assert len(dense.correlations) == n_kinds * (n_kinds - 1) // 2

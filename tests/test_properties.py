@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import io
+import json
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -12,12 +14,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 import gravnet.panel as panel_module
-from gravnet.compare import REPORT_KINDS, ensemble_summary, ks_two_sample
+from gravnet.compare import (
+    REPORT_KINDS,
+    REPORT_VERSION,
+    ComparisonReport,
+    CorrelationComparison,
+    EnsembleSummary,
+    KsResult,
+    StatComparison,
+    ensemble_summary,
+    ks_two_sample,
+    report_as_dict,
+    report_from_dict,
+)
 from gravnet.errors import ValidationError
-from gravnet.estimation import EM_TOL, FitResult, fit_logit, fit_ols, fit_poisson_pml, fit_zip
+from gravnet.estimation import (
+    EM_TOL,
+    FitResult,
+    ZipFitResult,
+    fit_from_dict,
+    fit_logit,
+    fit_ols,
+    fit_poisson_pml,
+    fit_zip,
+)
 from gravnet.netstats import STAT_KINDS, WEIGHT_TRANSFORMS, TradeNetwork, all_statistics
 from gravnet.panel import (
     COUNTRY_COLUMNS,
@@ -493,3 +517,149 @@ def test_rescaling_a_column_by_1e_3_keeps_poisson_converging(synth_designs):
         np.testing.assert_allclose(
             part.coefficients * scale, want[label].coefficients, rtol=EM_TOL, err_msg=label
         )
+
+
+# ------------------------------------------------------ artifact codecs
+
+# every float64, NaN, infinities and -0.0 included
+_FLOATS = st.floats()
+_COUNTS = st.integers(min_value=0, max_value=10**9)
+_LABELS = st.text(min_size=1, max_size=6)
+
+
+def _square(n, dtype=np.float64, elements=_FLOATS):
+    return arrays(dtype, (n, n), elements=elements)
+
+
+@st.composite
+def fit_results(draw, tags=("OLS", "PPML", "LOGIT")):
+    names = tuple(draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True)))
+    p = len(names)
+    vcov = draw(_square(p))
+    # a non-negative diagonal keeps the encoded standard errors real
+    np.fill_diagonal(vcov, np.abs(np.diag(vcov)))
+    return FitResult(
+        draw(st.sampled_from(tags)),
+        names,
+        draw(arrays(np.float64, p, elements=_FLOATS)),
+        vcov,
+        draw(_FLOATS),
+        draw(_FLOATS),
+        draw(_COUNTS),
+        draw(st.booleans()),
+        draw(_COUNTS),
+        draw(st.none() | _FLOATS),
+    )
+
+
+@st.composite
+def zip_fit_results(draw):
+    return ZipFitResult(
+        draw(fit_results(("ZIP_LOGIT",))),
+        draw(fit_results(("ZIP_POISSON",))),
+        draw(_FLOATS),
+        draw(st.none() | _FLOATS),
+    )
+
+
+_COUNTRY_IDS = st.lists(_LABELS, min_size=1, max_size=5, unique=True).map(tuple)
+
+
+@st.composite
+def predicted_weights(draw):
+    ids = draw(_COUNTRY_IDS)
+    n = len(ids)
+    mask = draw(_square(n, np.int8, st.integers(0, 1)))
+    tag = draw(st.sampled_from(("OLS", "PPML", "ZIP")))
+    return PredictedWeights(tag, ids, draw(_square(n)), draw(_square(n)), mask)
+
+
+@st.composite
+def link_probability_matrices(draw):
+    ids = draw(_COUNTRY_IDS)
+    return LinkProbabilityMatrix(ids, draw(_square(len(ids))))
+
+
+@st.composite
+def stat_comparisons(draw):
+    kind = draw(st.sampled_from(REPORT_KINDS))
+    summary = st.builds(
+        EnsembleSummary, st.just(kind), *[_FLOATS] * 6, _COUNTS, _COUNTS
+    )
+    return StatComparison(
+        draw(st.sampled_from(("OLS", "PPML", "ZIP", "LOGIT"))),
+        kind,
+        draw(_FLOATS),
+        draw(_FLOATS),
+        draw(st.none() | summary),
+        draw(st.builds(KsResult, _FLOATS, _FLOATS, _COUNTS, _COUNTS)),
+    )
+
+
+_correlations = st.builds(
+    CorrelationComparison,
+    st.sampled_from(("OLS", "PPML", "ZIP", "LOGIT")),
+    st.sampled_from(REPORT_KINDS),
+    st.sampled_from(REPORT_KINDS),
+    _FLOATS | st.just(math.nan),
+    _FLOATS | st.just(math.nan),
+)
+
+_comparison_reports = st.builds(
+    ComparisonReport,
+    st.none() | st.integers(1900, 2100),
+    _COUNTS,
+    st.lists(stat_comparisons(), max_size=4).map(tuple),
+    st.lists(_correlations, max_size=4).map(tuple),
+    st.just(REPORT_VERSION),
+)
+
+
+def _as_dict(value):
+    return value.as_dict()
+
+
+#: artifact -> (values, encoder, decoder)
+_CODECS = {
+    "fit": (fit_results(), _as_dict, fit_from_dict),
+    "zip_fit": (zip_fit_results(), _as_dict, fit_from_dict),
+    "prediction": (predicted_weights(), _as_dict, PredictedWeights.from_dict),
+    "xi": (link_probability_matrices(), _as_dict, LinkProbabilityMatrix.from_dict),
+    "report": (_comparison_reports, report_as_dict, report_from_dict),
+}
+
+
+def assert_same(got, want, where="value"):
+    """Equal field by field: arrays of the same dtype and shape, equal bit
+    for bit but for NaN payloads; scalars of the same type."""
+    assert type(got) is type(want), where
+    if dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    elif isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f"), where
+        # -0.0 stays -0.0; a NaN keeps neither its sign nor its payload
+        assert np.array_equal(np.signbit(got), np.signbit(want) & ~np.isnan(want)), where
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{k}]")
+    elif isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got), where
+    else:
+        assert got == want, where
+        if isinstance(want, float):
+            assert math.copysign(1.0, got) == math.copysign(1.0, want), where
+
+
+@pytest.mark.parametrize("artifact", sorted(_CODECS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_artifact_codecs_round_trip_exactly(artifact, data):
+    values, encode, decode = _CODECS[artifact]
+    value = data.draw(values)
+    text = json.dumps(encode(value), indent=2, sort_keys=True)
+    back = decode(json.loads(text))
+    assert json.dumps(encode(back), indent=2, sort_keys=True) == text
+    assert_same(back, value)
