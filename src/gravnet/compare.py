@@ -10,7 +10,10 @@ each replication is validated into one network, every reported statistic is
 taken from that network, and only the per-replication averages are kept.
 Given an :class:`~gravnet.prediction.EnsembleStream`, each replication is
 drawn, summarised and dropped, so memory does not grow with the ensemble size
-beyond one scalar per replication and statistic.
+beyond one scalar per replication and statistic.  An ensemble with a mask
+(log-linear draws) has the mask as every replication's adjacency, so its
+binary kinds and density are taken once and only its weighted kinds are
+computed per replication.
 
 Everything is pure computation over immutable inputs; replication order is
 fixed, so reports are deterministic given the inputs and the ensemble seed.
@@ -28,6 +31,7 @@ from .errors import ValidationError
 from .netstats import (
     STAT_KINDS,
     WEIGHT_TRANSFORMS,
+    WEIGHTED_KINDS,
     TradeNetwork,
     all_statistics,
     density,
@@ -176,7 +180,9 @@ def ensemble_summary(
 
     One pass over the ensemble, eager or streamed: each replication becomes
     one validated network, every requested kind is taken from it, and the
-    replication is dropped before the next is drawn.  For node
+    replication is dropped before the next is drawn.  Kinds that cannot
+    change between replications (the binary kinds and density of a masked
+    ensemble) are taken from the first and counted for all ``m``.  For node
     statistics the per-replication value is the average over nodes where
     the statistic is defined; replications where it is defined nowhere are
     dropped (and counted).  The kind ``"density"`` summarises the scalar
@@ -201,19 +207,37 @@ def ensemble_summary(
         )
     # 8 bytes per kept value, against 32 for a list of Python floats
     values = {kind: array("d") for kind in kinds}
-    node_kinds = [kind for kind in values if kind != "density"]
-    for w in ens:
-        # log-scale draws carry their support as the ensemble mask, since
-        # their weights may be negative; level-scale draws have no mask
+    # log-scale draws carry their support as the ensemble mask, since their
+    # weights may be negative; level-scale draws have no mask.  With a mask
+    # every replication's adjacency is the mask, so the binary kinds and the
+    # density take one value, read from the first replication's network
+    once = [] if ens.mask is None else [k for k in values if k not in WEIGHTED_KINDS]
+    each = [kind for kind in values if kind not in once]
+    for r, w in enumerate(ens):
         net = TradeNetwork(w, adjacency=ens.mask)
-        for kind, stat in all_statistics(net, node_kinds, transform).items():
-            try:
-                values[kind].append(population_average(stat)[0])
-            except ValidationError:
-                pass  # undefined at every node: dropped, and counted below
-        if "density" in values:
-            values["density"].append(density(net))
+        if r == 0 and once:
+            _append_values(values, net, once, transform, ens.m)
+        _append_values(values, net, each, transform, 1)
     return tuple(_summarise(kind, values[kind], ens.m - len(values[kind])) for kind in kinds)
+
+
+def _append_values(values: dict, net: TradeNetwork, kinds, transform: str, times: int) -> None:
+    """Append each kind's value on ``net`` to ``values[kind]``, ``times`` times.
+
+    A node statistic's value is its population average; one undefined at
+    every node appends nothing, and ``ensemble_summary`` counts it dropped.
+    """
+    node_kinds = [kind for kind in kinds if kind != "density"]
+    found = {}
+    for kind, stat in all_statistics(net, node_kinds, transform).items():
+        try:
+            found[kind] = population_average(stat)[0]
+        except ValidationError:
+            pass  # undefined at every node
+    if "density" in kinds:
+        found["density"] = density(net)
+    for kind, value in found.items():
+        values[kind].extend(array("d", [value]) * times)
 
 
 def _summarise(kind: str, values: array, dropped: int) -> EnsembleSummary:

@@ -27,7 +27,17 @@ weighted families read the weights after a ``WEIGHT_TRANSFORMS`` transform.
 Every statistic is read from one profile of the network: the float
 adjacency, degrees, ``A + A^T``, transformed weights, strengths and cube-rooted
 weights are each built on first use and kept, so a set of kinds computed
-together by :func:`all_statistics` builds each of them at most once.
+together by :func:`all_statistics` builds each of them at most once.  The
+statistics are kept there too, so each is computed at most once per profile,
+and weights that are the adjacency bit for bit (0/1 weights under the
+identity) answer ``NS``/``ANNS``/``WCC`` with the ``ND``/``ANND``/``BCC``
+values already computed: the cube root of 1 is 1, so they are equal.
+
+Binary clustering counts its motifs with one matrix product and a row sum
+(:func:`_diag_of_product`): on 0/1 factors every count is an integer below
+2**53, so the result equals the triple product's diagonal bit for bit.
+Weighted clustering keeps the triple product, whose rounding the one-product
+form would change.
 """
 
 from __future__ import annotations
@@ -94,12 +104,13 @@ class TradeNetwork:
                 raise ValidationError(
                     f"adjacency shape {raw.shape} != weights shape {w.shape}"
                 )
-            if not np.isin(raw, (0, 1)).all():
+            if not ((raw == 0) | (raw == 1)).all():
                 raise ValidationError("adjacency entries must be 0 or 1")
             a = raw.astype(np.int8)
             if np.any(np.diag(a) != 0):
                 raise ValidationError("adjacency must have a zero diagonal")
-            if np.any(w[a == 0] != 0.0):
+            # w is finite here, so no NaN slips through the comparison
+            if np.any((w != 0.0) & (a == 0)):
                 raise ValidationError("weights must be zero where adjacency is zero")
         w.setflags(write=False)
         a.setflags(write=False)
@@ -116,12 +127,18 @@ class NodeStatVector:
     """Per-node values of one statistic, with an explicit defined flag.
 
     ``values`` holds NaN at undefined entries; ``defined`` marks the nodes
-    where the statistic exists.
+    where the statistic exists.  Both are read-only: a statistic read from
+    another one (see :class:`_Profile`) shares its arrays.
     """
 
     kind: str
     values: np.ndarray
     defined: np.ndarray
+
+    def __post_init__(self):
+        for name in ("values", "defined"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+            getattr(self, name).setflags(write=False)
 
 
 def _transformed_weights(net: TradeNetwork, transform: str) -> np.ndarray:
@@ -155,12 +172,15 @@ class _Profile:
     only for the intermediates it reads.  ``a`` is the float adjacency,
     ``w`` the transformed weights and ``w_hat`` their element-wise cube
     roots; ``degree`` and ``strength`` map ``in``/``out``/``tot`` to the
-    column sums, row sums and their total of ``a`` and ``w``.
+    column sums, row sums and their total of ``a`` and ``w``.  ``stats``
+    keeps every statistic computed from the profile, so each is computed
+    at most once.
     """
 
     def __init__(self, net: TradeNetwork, transform: str = "identity"):
         self.net = net
         self.transform = transform
+        self.stats = {}
 
     @cached_property
     def a(self) -> np.ndarray:
@@ -189,6 +209,16 @@ class _Profile:
     @cached_property
     def w_hat(self) -> np.ndarray:
         return np.cbrt(self.w)
+
+    @cached_property
+    def w_is_a(self) -> bool:
+        """Whether ``w`` is ``a`` bit for bit, as for 0/1 weights under the
+        identity: each weighted statistic then equals its binary twin, the
+        cube root of 1 being 1.  Bits, not values, so a -0.0 weight counts
+        as a difference."""
+        return self.transform == "identity" and np.array_equal(
+            self.w.view(np.uint64), self.a.view(np.uint64)
+        )
 
 
 def _by_direction(m: np.ndarray) -> dict:
@@ -243,28 +273,62 @@ def _clustering(kind: str, p: _Profile, variant: str, weighted: bool) -> NodeSta
     mt = m.T
     k_in, k_out, k_tot = p.degree["in"], p.degree["out"], p.degree["tot"]
     if variant == "cyc":
-        numer = np.diag(m @ m @ m)
+        factors = (m, m, m)
         denom = k_in * k_out - p.k_recip
     elif variant == "mid":
-        numer = np.diag(m @ mt @ m)
+        factors = (m, mt, m)
         denom = k_in * k_out - p.k_recip
     elif variant == "in":
-        numer = np.diag(mt @ m @ m)
+        factors = (mt, m, m)
         denom = k_in * (k_in - 1.0)
     elif variant == "out":
-        numer = np.diag(m @ m @ mt)
+        factors = (m, m, mt)
         denom = k_out * (k_out - 1.0)
     elif variant == "tot":
         s = m + mt if weighted else p.a_sym
-        numer = np.diag(s @ s @ s)
+        factors = (s, s, s)
         denom = 2.0 * (k_tot * (k_tot - 1.0) - 2.0 * p.k_recip)
     else:
         raise ValidationError(f"unknown variant {variant!r}")
-    return _ratio_stat(kind, numer, denom)
+    return _ratio_stat(kind, _diag_of_product(*factors, exact=not weighted), denom)
+
+
+def _diag_of_product(x: np.ndarray, y: np.ndarray, z: np.ndarray, exact: bool) -> np.ndarray:
+    """``diag(x @ y @ z)``.
+
+    ``exact`` says the factors are 0/1, so every entry along the way is an
+    integer count below 2**53 and exact in any summation order: one product
+    and a row sum, ``((x @ y) * z.T).sum(axis=1)``, then give the same
+    floats at about half the cost.  Other factors (cube-rooted weights) keep
+    the triple product's diagonal, whose rounding the one-product form
+    would change.
+    """
+    if exact:
+        return ((x @ y) * z.T).sum(axis=1)
+    return np.diag(x @ y @ z)
+
+
+#: The binary statistic each weighted one equals when the weights are the
+#: adjacency (``NS_in`` -> ``ND_in``, ...).
+_BINARY_TWIN = dict(zip(WEIGHTED_KINDS, BINARY_KINDS))
 
 
 def _statistic(p: _Profile, kind: str) -> NodeStatVector:
-    """One catalogue statistic, read from the network's profile."""
+    """One catalogue statistic, read from the network's profile and kept there."""
+    stat = p.stats.get(kind)
+    if stat is None:
+        twin = _BINARY_TWIN.get(kind)
+        if twin is not None and p.w_is_a:
+            same = _statistic(p, twin)
+            stat = NodeStatVector(kind, same.values, same.defined)
+        else:
+            stat = _compute(p, kind)
+        p.stats[kind] = stat
+    return stat
+
+
+def _compute(p: _Profile, kind: str) -> NodeStatVector:
+    """One catalogue statistic, computed from the profile's intermediates."""
     family, _, rest = kind.partition("_")
     if family == "ND":
         return _directed(kind, p.degree, rest)

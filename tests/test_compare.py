@@ -172,6 +172,55 @@ def test_ensemble_summary_drops_undefined_replications():
                          ("ND_tot",))
 
 
+def test_mask_ensemble_takes_its_binary_statistics_once(monkeypatch):
+    import gravnet.netstats as netstats
+
+    exact = exact_ols_prediction()
+    pred = PredictedWeights(
+        "OLS", exact.country_ids, exact.value, 0.3 * exact.mask, exact.mask
+    )
+    m = 9
+    kinds = REPORT_KINDS + ("density",)
+    want = tuple(
+        loop_ensemble_summary(sample_weighted_ensemble(pred, m=m, seed=6), kind)
+        for kind in kinds
+    )
+
+    computed = []
+    original = netstats._clustering
+
+    def counting(kind, *args, **kwargs):
+        computed.append(kind)
+        return original(kind, *args, **kwargs)
+
+    monkeypatch.setattr(netstats, "_clustering", counting)
+    got = ensemble_summary(stream_weighted_ensemble(pred, m=m, seed=6), kinds)
+    assert got == want
+    # every replication's adjacency is the mask: one BCC_tot, m of WCC_tot
+    assert computed.count("BCC_tot") == 1
+    assert computed.count("WCC_tot") == m
+
+
+def test_mask_ensemble_undefined_binary_kinds_are_dropped_every_time():
+    n = 4
+    ids = country_names(n)
+    empty = np.zeros((n, n), dtype=np.int8)
+    pred = PredictedWeights("OLS", ids, np.zeros((n, n)), np.zeros((n, n)), empty)
+    stream = stream_weighted_ensemble(pred, m=5, seed=2)
+    stack = sample_weighted_ensemble(pred, m=5, seed=2)
+
+    kept = ("ND_tot", "NS_tot", "density")
+    got = ensemble_summary(stream, kept)
+    assert got == tuple(loop_ensemble_summary(stack, kind) for kind in kept)
+    assert [(s.m, s.n_dropped) for s in got] == [(5, 0)] * 3
+    # no partners and no triangles anywhere: undefined in all 5 replications
+    for kind in ("ANND_tot", "BCC_tot", "WCC_tot"):
+        with pytest.raises(ValidationError, match=f"{kind}: undefined in every replication"):
+            loop_ensemble_summary(stack, kind)
+        with pytest.raises(ValidationError, match=f"{kind}: undefined in every replication"):
+            ensemble_summary(stream, ("ND_tot", kind))
+
+
 @pytest.mark.parametrize(
     "kind, transform",
     [("FOO", "identity"), ("NS_tot", "bogus"), ("ND_tot", "bogus")],

@@ -159,6 +159,34 @@ def test_zero_one_weights_make_weighted_equal_binary():
             assert np.array_equal(b.values[ok], v.values[ok])
 
 
+def test_each_statistic_computed_once_and_zero_one_weights_reuse_binary(monkeypatch):
+    import gravnet.netstats as netstats
+
+    computed = []
+    original = netstats._compute
+
+    def counting(p, kind):
+        computed.append(kind)
+        return original(p, kind)
+
+    monkeypatch.setattr(netstats, "_compute", counting)
+    _, a = random_network(np.random.default_rng(29), n=7)
+    zero_one = TradeNetwork(a.astype(float))
+    stats = all_statistics(zero_one, STAT_KINDS + STAT_KINDS)
+    assert sorted(computed) == sorted(BINARY_KINDS)  # once each, weighted read from binary
+    for bin_kind, wgt_kind in zip(BINARY_KINDS, WEIGHTED_KINDS):
+        assert stats[wgt_kind].kind == wgt_kind
+        assert stats[wgt_kind].values.tobytes() == stats[bin_kind].values.tobytes()
+
+    # the reuse needs the identity and the adjacency's very bits: a -0.0
+    # weight, or the log transform, sends every weighted kind to its own path
+    signed = TradeNetwork(np.where(a == 1, 1.0, -0.0))
+    for net, transform in ((zero_one, "log_positive"), (signed, "identity")):
+        computed.clear()
+        all_statistics(net, STAT_KINDS, transform)
+        assert sorted(computed) == sorted(STAT_KINDS)
+
+
 def test_weighted_clustering_scales_linearly_in_weights():
     rng = np.random.default_rng(11)
     w, _ = random_network(rng, n=7)
@@ -230,6 +258,25 @@ def test_network_validation():
     with pytest.raises(ValidationError):
         TradeNetwork(w, adjacency=bad)
 
+    # bool and float 0/1 adjacencies are accepted as int8 0/1
+    for given in (a.astype(bool), a.astype(float), a.astype(np.uint8)):
+        net = TradeNetwork(w, adjacency=given)
+        assert net.adjacency.dtype == np.int8
+        assert net.adjacency.tolist() == a.tolist()
+    for entry in (np.nan, 0.5, 2.0, -1.0):
+        off_01 = a.astype(float)
+        off_01[1, 2] = entry
+        with pytest.raises(ValidationError, match="0 or 1"):
+            TradeNetwork(w, adjacency=off_01)
+    # a nonzero weight, of either sign, off the given adjacency
+    for weight in (3.0, -3.0, 1e-300):
+        stray = w.copy()
+        stray[2, 0] = weight
+        with pytest.raises(ValidationError, match="zero where adjacency is zero"):
+            TradeNetwork(stray, adjacency=a)
+    with pytest.raises(ValidationError, match="finite"):
+        TradeNetwork(np.where(a == 1, np.nan, 0.0), adjacency=a)
+
 
 def test_unknown_kind_direction_and_transform_rejected():
     net = TradeNetwork(np.zeros((3, 3)))
@@ -253,6 +300,15 @@ def test_network_is_immutable():
         net.adjacency[0, 1] = 0
     with pytest.raises(AttributeError):
         net.weights = np.zeros((3, 3))
+
+    # statistics are read-only too; on 0/1 weights NS_tot is read from
+    # ND_tot, so an edit of one would otherwise corrupt the other
+    for kinds in (STAT_KINDS, ("ND_tot", "NS_tot")):
+        for stat in all_statistics(net, kinds).values():
+            with pytest.raises(ValueError):
+                stat.values[0] = 7.0
+            with pytest.raises(ValueError):
+                stat.defined[0] = not stat.defined[0]
 
 
 def test_population_average_reports_exclusions():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
+import gravnet.netstats as netstats
 import gravnet.panel as panel_module
 from gravnet.compare import (
     REPORT_KINDS,
@@ -207,6 +208,54 @@ def test_streamed_summary_equals_stacked_summary(tag, transform, case):
         for ens in (stream, stack):
             with pytest.raises(ValidationError, match="undefined in every replication"):
                 ensemble_summary(ens, kinds, transform)
+
+
+@pytest.mark.parametrize("tag", ["BERNOULLI", "OLS", "PPML", "ZIP"])
+@settings(max_examples=40, deadline=None)
+@given(case=sampler_inputs())
+def test_stream_replication_r_is_keyed_by_seed_and_r_alone(tag, case):
+    stream, _ = stream_and_stack(tag, case)
+    drawn = list(stream)
+    assert len(drawn) == stream.m
+    for r, w in enumerate(drawn):
+        # a generator built here, not the package's keying helper
+        fresh = stream.draw(np.random.Generator(np.random.Philox(key=[stream.seed, r])))
+        assert w.dtype == fresh.dtype and w.tobytes() == fresh.tobytes()
+    # two passes in lock step share no generator state
+    pairs = list(zip(stream, stream))
+    assert len(pairs) == stream.m
+    for (a, b), want in zip(pairs, drawn):
+        assert a.tobytes() == b.tobytes() == want.tobytes()
+
+
+@st.composite
+def zero_one_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=60))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    a = (np.random.default_rng(seed).random((n, n)) < density).astype(float)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_one_graphs())
+def test_one_product_motif_counts_equal_the_triple_product_diagonal(a):
+    at, s = a.T, a + a.T
+    factors = {
+        "cyc": (a, a, a), "mid": (a, at, a), "in": (at, a, a), "out": (a, a, at), "tot": (s, s, s)
+    }
+    for variant, (x, y, z) in factors.items():
+        got = netstats._diag_of_product(x, y, z, exact=True)
+        assert got.tobytes() == np.diag(x @ y @ z).tobytes(), variant
+    # through the statistic: binary clustering takes the one product, the
+    # weighted path on the same 0/1 weights the triple product's diagonal
+    profile = netstats._Profile(TradeNetwork(a))
+    for variant in factors:
+        one = netstats._clustering(f"BCC_{variant}", profile, variant, weighted=False)
+        triple = netstats._clustering(f"WCC_{variant}", profile, variant, weighted=True)
+        assert one.defined.tobytes() == triple.defined.tobytes(), variant
+        assert one.values.tobytes() == triple.values.tobytes(), variant
 
 
 # a coarse grid keeps distinct values distinct after exp() and cubing,
