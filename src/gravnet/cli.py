@@ -41,7 +41,6 @@ from dataclasses import astuple, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.special import ndtr
 
 from .compare import ModelPrediction, build_comparison_report, report_as_dict, report_from_dict
 from .errors import ConvergenceError, DependencyError, ValidationError
@@ -432,6 +431,8 @@ def _variant_fits(fits: dict) -> list:
 
 
 def _significance(estimate: float, se: float) -> str:
+    from scipy.special import ndtr
+
     if not np.isfinite(se) or se <= 0.0:
         return ""
     p = 2.0 * float(ndtr(-abs(estimate / se)))

@@ -25,7 +25,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov, ndtri
 
 from .errors import ValidationError
 from .netstats import (
@@ -55,7 +54,9 @@ CORRELATION_PAIRS = (
     ("ND_tot", "BCC_tot"),
 )
 
-_Z975 = float(ndtri(0.975))
+# float(scipy.special.ndtri(0.975)) bit for bit, as a literal so that
+# importing this module does not load scipy
+_Z975 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,8 @@ def ks_two_sample(x, y) -> KsResult:
     -------
     KsResult
     """
+    from scipy.special import kolmogorov
+
     x = np.sort(np.asarray(x, dtype=float).ravel())
     y = np.sort(np.asarray(y, dtype=float).ravel())
     n1, n2 = x.size, y.size

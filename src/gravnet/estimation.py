@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.special import expit, gammaln, log_expit, ndtr
 
 from .errors import (
     ConvergenceError,
@@ -177,6 +175,8 @@ class VuongResult:
 
 
 def _check_design(X: np.ndarray, names, min_rows: int = None) -> None:
+    from scipy.linalg import qr
+
     n, p = X.shape
     if len(names) != p:
         raise ValidationError(f"{len(names)} names for {p} columns")
@@ -264,6 +264,8 @@ def _poisson_moments(eta):
 
 
 def _poisson_rows(y, eta, mu):
+    from scipy.special import gammaln
+
     # per-row Poisson log likelihood, lgamma normalizer included
     return y * eta - mu - gammaln(y + 1.0)
 
@@ -273,11 +275,15 @@ def _poisson_q(y, eta, mu, omega):
 
 
 def _logit_moments(eta):
+    from scipy.special import expit
+
     prob = expit(eta)
     return prob, prob * (1.0 - prob)
 
 
 def _bernoulli_q(r, eta, prob, omega):
+    from scipy.special import log_expit
+
     # log_expit keeps the tails finite where log(prob) would underflow
     return float(np.sum(omega * (r * log_expit(eta) + (1.0 - r) * log_expit(-eta))))
 
@@ -420,12 +426,16 @@ def fit_logit(dm, response=None) -> FitResult:
 
 def _zip_log_p0(u, mu):
     """ln P(0) = ln(psi + (1-psi) e^{-mu}) with psi = expit(u), in log space."""
+    from scipy.special import log_expit
+
     return np.logaddexp(log_expit(u), log_expit(-u) - mu)
 
 
 def _zip_row_loglik(y, u, v):
     """Per-row ZIP log likelihood; u is the logit stage linear predictor
     (zero probability side), v the Poisson stage predictor."""
+    from scipy.special import gammaln, log_expit
+
     mu = np.exp(v)
     zero = y == 0.0
     out = np.empty_like(y)
@@ -446,6 +456,8 @@ def _zip_loglik(y, u, v) -> float:
 
 def _zip_em(X, y, theta, gamma):
     """EM for the ZIP likelihood. Returns (theta, gamma, trace, converged)."""
+    from scipy.special import log_expit
+
     zero = y == 0.0
     u, v = X @ theta, X @ gamma
     ll = _zip_loglik(y, u, v)
@@ -493,6 +505,8 @@ def _zip_em(X, y, theta, gamma):
 def _zip_information(X, y, theta, gamma):
     """Observed information of the ZIP likelihood at (theta, gamma),
     assembled from per-row second derivatives in (u, v) = (x'theta, x'gamma)."""
+    from scipy.special import expit
+
     u = X @ theta
     v = X @ gamma
     mu = np.exp(v)
@@ -588,6 +602,8 @@ def vuong_test(zip_result: ZipFitResult, poisson_result: FitResult, dm) -> Vuong
     Positive values favor the zero-inflated model.  Both fits must come
     from the same design matrix rows.
     """
+    from scipy.special import ndtr
+
     X = dm.X
     y = np.asarray(dm.y, dtype=float)
     names = tuple(dm.columns)

@@ -385,7 +385,9 @@ def population_average(stat: NodeStatVector) -> tuple:
     n_defined = int(stat.defined.sum())
     if n_defined == 0:
         raise ValidationError(f"{stat.kind}: statistic undefined for every node")
-    avg = float(stat.values[stat.defined].mean())
+    # what ndarray.mean computes (one add.reduce, one division by the
+    # count), bit for bit, without its Python-level dispatch
+    avg = float(stat.values[stat.defined].sum() / n_defined)
     return avg, stat.defined.size - n_defined
 
 

@@ -33,7 +33,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import PredictionOverflowError, SchemaError, ValidationError
 from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult
@@ -251,6 +250,8 @@ def _guard_overflow(eta: np.ndarray, dm: DesignMatrix, stage: str) -> None:
 
 def _zip_stages(zip_fit: ZipFitResult, dm: DesignMatrix):
     """Checked scatter plus the per-row zero probability psi and count mean mu."""
+    from scipy.special import expit
+
     _check_fit_against(dm, zip_fit.logit_part, "ZIP_LOGIT")
     _check_fit_against(dm, zip_fit.poisson_part, "ZIP_POISSON")
     scatter = _grid(dm)
@@ -341,6 +342,8 @@ def link_probabilities(fit: FitResult | ZipFitResult, dm: DesignMatrix) -> LinkP
     All off-diagonal probabilities are strictly inside (0, 1); the
     diagonal is zero by convention.
     """
+    from scipy.special import expit
+
     logit = fit.logit_part if isinstance(fit, ZipFitResult) else fit
     _check_fit_against(dm, logit, "LOGIT", "ZIP_LOGIT")
     scatter = _grid(dm)

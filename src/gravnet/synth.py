@@ -33,7 +33,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ValidationError
 from .panel import COUNTRY_COLUMNS, DYAD_COLUMNS
@@ -167,6 +166,8 @@ def generate_year(spec: SynthSpec, year: int) -> YearDraw:
     theta = None
     psi = np.zeros((n, n))
     if spec.noise == "zip":
+        from scipy.special import expit
+
         t1, t2, t3, t4, t5 = spec.theta_slopes
         score = (
             t1 * ln_gdp[:, None]

@@ -591,6 +591,32 @@ def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_stages_without_scipy_work_do_not_import_it(tmp_path):
+    """`import gravnet`, `netstats` and `report` never load scipy."""
+    spec = SynthSpec(n_countries=8, years=(2000,), noise="zip", seed=11)
+    panel = write_synth_panel(spec, str(tmp_path / "panel"))
+    args = ["--dyads", panel["dyads"], "--countries", panel["countries"],
+            "--out", str(tmp_path / "out"), "--covariates", ",".join(COVARIATES),
+            "--replications", "20"]
+    for command in ("fit", "predict", "netstats", "compare", "report"):
+        assert main([command, *args]) == EXIT_OK, command
+    src = os.path.dirname(os.path.dirname(gravnet.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    stages = (
+        "import sys; from gravnet.cli import main\n"
+        "codes = [main([command, *sys.argv[1:]]) for command in ('netstats', 'report')]\n"
+        f"print(codes); {loaded}"
+    )
+    # the stages print progress first; the script's own lines come last
+    for script, want in ((f"import sys, gravnet; {loaded}", ["[]"]),
+                         (stages, [f"[{EXIT_OK}, {EXIT_OK}]", "[]"])):
+        done = subprocess.run([sys.executable, "-c", script, *args],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-len(want):] == want
+
+
 def test_prediction_artifact_roundtrips_exactly(zip_panel, tmp_path):
     out = tmp_path / "out"
     cfg = write_config(

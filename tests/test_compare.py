@@ -14,11 +14,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from gravnet.compare import (
     CORRELATION_PAIRS,
     REPORT_KINDS,
     ModelPrediction,
+    _Z975,
     analytical_var_avg_ns,
     build_comparison_report,
     ensemble_summary,
@@ -104,6 +106,10 @@ def test_ks_rejects_empty_and_nonfinite():
         ks_two_sample([1.0], [])
     with pytest.raises(ValidationError):
         ks_two_sample([np.nan], [1.0])
+
+
+def test_z975_literal_is_the_normal_quantile_bit_for_bit():
+    assert _Z975 == float(ndtri(0.975))
 
 
 # ------------------------------------------------------- ensemble summary

@@ -258,6 +258,28 @@ def test_one_product_motif_counts_equal_the_triple_product_diagonal(a):
         assert one.values.tobytes() == triple.values.tobytes(), variant
 
 
+@st.composite
+def values_and_defined_mask(draw):
+    # sizes past 128 reach the blocked pairwise summation of add.reduce
+    n = draw(st.integers(min_value=1, max_value=300))
+    values = draw(arrays(np.float64, n, elements=st.floats(allow_nan=True, allow_infinity=True)))
+    defined = draw(arrays(np.bool_, n))
+    defined[draw(st.integers(min_value=0, max_value=n - 1))] = True
+    return values, defined
+
+
+@settings(max_examples=300, deadline=None)
+@given(values_and_defined_mask())
+def test_population_average_equals_ndarray_mean_bit_for_bit(case):
+    values, defined = case
+    stat = netstats.NodeStatVector("NS_tot", values, defined)
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the domain
+        got, n_excluded = netstats.population_average(stat)
+        want = float(values[defined].mean())
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert n_excluded == int((~defined).sum())
+
+
 # a coarse grid keeps distinct values distinct after exp() and cubing,
 # so a strictly increasing transform keeps every order and tie
 _KS_VALUES = st.integers(min_value=-160, max_value=160).map(lambda k: k / 8.0)
