@@ -406,9 +406,7 @@ def _fit_one(tag: str, year: int, dm_pos, dm_full):
         if tag == "PPML":
             return fit_poisson_pml(dm_full)
         if tag == "LOGIT":
-            # the pipeline's logit models the zero flows, mirroring the
-            # ZIP zero stage, so link probabilities are its complement
-            return fit_logit(dm_full, response=(dm_full.y == 0.0).astype(float))
+            return fit_logit(dm_full)
         return fit_zip(dm_full)
     except (ConvergenceError, ValidationError) as exc:
         # name the cell but keep the exception itself: its subtype and
@@ -549,6 +547,12 @@ def cmd_predict(args) -> None:
     stage.record()
 
 
+def _network_artifact(tag: str) -> str:
+    """The predict artifact a cell's point network is read from: the
+    logit's thresholded adjacency, every other model's predicted weights."""
+    return "binary.json" if tag == "LOGIT" else "prediction.json"
+
+
 def _cell_network(stage: _Stage, year: int, tag: str):
     """Point-prediction network of one cell, read back from predict artifacts.
 
@@ -557,12 +561,12 @@ def _cell_network(stage: _Stage, year: int, tag: str):
     and ``pred`` is the decoded PredictedWeights (None for the logit,
     whose network is its thresholded adjacency).
     """
+    payload = stage.read(f"{year}/{tag}/{_network_artifact(tag)}")
     if tag == "LOGIT":
-        payload = stage.read(f"{year}/{tag}/binary.json")
         a = np.array(payload["adjacency"], dtype=np.int8)
         net = TradeNetwork(a.astype(float), a)
         return tuple(payload["country_ids"]), net, "identity", None
-    pred = PredictedWeights.from_dict(stage.read(f"{year}/{tag}/prediction.json"))
+    pred = PredictedWeights.from_dict(payload)
     if tag == "OLS":
         # predicted logs on the observed support; already on the log scale
         return pred.country_ids, TradeNetwork(pred.value, pred.mask), "identity", pred
@@ -590,18 +594,9 @@ def _stats_rows(net: TradeNetwork, ids, transforms) -> list:
 _STATS_FIELDS = ("country_id", "kind", "transform", "value")
 
 
-def _cell_inputs(tag: str) -> tuple:
-    """Predict artifacts a cell's downstream stages read."""
-    if tag == "LOGIT":
-        return ("xi.json", "binary.json")
-    if tag == "ZIP":
-        return ("prediction.json", "xi.json", "binary.json")
-    return ("prediction.json",)
-
-
 def cmd_netstats(args) -> None:
     """Tabulate node statistics for the observed and predicted networks."""
-    stage = _Stage(args, "netstats", "predict", _cell_inputs)
+    stage = _Stage(args, "netstats", "predict", lambda tag: (_network_artifact(tag),))
     for year in stage.years:
         cs = build_cross_section(stage.panel, year)
         rows = _stats_rows(cs.network(), cs.country_ids, ("identity", "log_positive"))
@@ -626,12 +621,16 @@ def _cell_prediction(stage: _Stage, year: int, tag: str) -> ModelPrediction:
         ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
     else:
         ensemble = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
-    return ModelPrediction(tag, net, ensemble, transform)
+    return ModelPrediction(net, ensemble, transform)
 
 
 def cmd_compare(args) -> None:
     """K-S tests and ensemble bands for every cell against the observed ITN."""
-    stage = _Stage(args, "compare", "predict", _cell_inputs)
+    stage = _Stage(
+        args, "compare", "predict",
+        # the point network, and the link probabilities the ensemble draws from
+        lambda tag: (_network_artifact(tag), *(("xi.json",) if tag in ("ZIP", "LOGIT") else ())),
+    )
     cfg = stage.cfg
     for year in stage.years:
         cs = build_cross_section(stage.panel, year)

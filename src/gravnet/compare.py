@@ -121,10 +121,10 @@ class ModelPrediction:
     observed-mask network for the log-linear model).  ``transform`` is the
     weight transform under which this model's weighted statistics are
     computed; log-linear predictions already live on the log scale and use
-    the identity.
+    the identity.  Its model's tag is its key in the ``predictions`` of
+    :func:`build_comparison_report`.
     """
 
-    model_tag: str
     network: TradeNetwork
     ensemble: NetworkEnsemble | EnsembleStream | None = None
     transform: str = "identity"
@@ -292,7 +292,7 @@ def analytical_var_avg_ns(pred: PredictedWeights) -> float:
     raise ValidationError(f"no closed-form variance for model {pred.model_tag}")
 
 
-def _aligned_ids(observed_ids, mp: ModelPrediction) -> None:
+def _aligned_ids(observed_ids, tag: str, mp: ModelPrediction) -> None:
     ids = set(observed_ids)
     if mp.ensemble is not None:
         other = set(mp.ensemble.country_ids)
@@ -300,12 +300,12 @@ def _aligned_ids(observed_ids, mp: ModelPrediction) -> None:
             missing = sorted(ids - other)
             extra = sorted(other - ids)
             raise ValidationError(
-                f"{mp.model_tag}: ensemble countries differ from observed "
+                f"{tag}: ensemble countries differ from observed "
                 f"(missing {missing}, unexpected {extra})"
             )
     if mp.network.n != len(observed_ids):
         raise ValidationError(
-            f"{mp.model_tag}: predicted network has {mp.network.n} countries, "
+            f"{tag}: predicted network has {mp.network.n} countries, "
             f"observed has {len(observed_ids)}"
         )
 
@@ -343,8 +343,8 @@ def build_comparison_report(
         )
     if not predictions:
         raise ValidationError("no model predictions supplied")
-    for mp in predictions.values():
-        _aligned_ids(observed_ids, mp)
+    for tag, mp in predictions.items():
+        _aligned_ids(observed_ids, tag, mp)
 
     pair_kinds = sorted({k for p in CORRELATION_PAIRS for k in p} | set(kinds))
 

@@ -2,7 +2,7 @@
 
 Four models share one design-matrix convention: OLS on logged positive
 flows, Poisson pseudo-maximum-likelihood on levels (real-valued responses
-allowed), a logit for the binary margin, and a zero-inflated Poisson fitted
+allowed), a logit for the zero flows, and a zero-inflated Poisson fitted
 by EM with a logit zero stage and a Poisson count stage on the same
 regressors.
 
@@ -392,23 +392,22 @@ def _perfectly_separated(eta, a):
     return bool(np.all(margins > 0.0))
 
 
-def fit_logit(dm, response=None) -> FitResult:
-    """Logit fit of a binary response on the design columns.
+def fit_logit(dm) -> FitResult:
+    """Logit fit of the zero-flow indicator ``flow == 0`` on the design columns.
 
-    ``response`` defaults to the design matrix's link indicator.  Note that
-    downstream link-probability code expects a logit fitted on the
-    zero-flow indicator (1 - a), mirroring the zero stage of the ZIP model;
-    pass that explicitly when fitting for prediction.
+    The logit models the zero flows, as the zero stage of the ZIP model
+    does, so a link probability is the complement of its fitted
+    probability (see ``prediction.link_probabilities``).  Flows must be
+    non-negative and include both zeros and positives.
     """
     X = dm.X
     _check_design(X, dm.columns)
-    a = np.asarray(dm.a if response is None else response, dtype=float)
-    if a.shape != (X.shape[0],):
-        raise ValidationError("response length does not match the design matrix")
-    if not np.isin(a, (0.0, 1.0)).all():
-        raise ValidationError("logit response must be binary")
+    y = np.asarray(dm.y, dtype=float)
+    if np.any(y < 0):
+        raise ValidationError("logit flows must be non-negative")
+    a = (y == 0.0).astype(float)
     if a.min() == a.max():
-        raise ValidationError("logit response needs both classes present")
+        raise ValidationError("logit requires both zero and positive flows present")
 
     outcome = _irls(X, a, 1.0, np.zeros(X.shape[1]), _logit_moments, _bernoulli_q)
     beta, trace = outcome[:2]

@@ -137,14 +137,12 @@ class DesignMatrix:
     arrays are read-only.
     """
 
-    year: int
     country_ids: tuple
     exporter: np.ndarray
     importer: np.ndarray
     columns: tuple
     X: np.ndarray
     y: np.ndarray
-    a: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.country_ids)
@@ -476,8 +474,8 @@ def build_design_matrix(
         exp_idx, imp_idx, y = exp_idx[keep], imp_idx[keep], y[keep]
     X = np.empty((len(y), len(columns)))
     dm = DesignMatrix(
-        year=cs.year, country_ids=cs.country_ids, exporter=exp_idx, importer=imp_idx,
-        columns=columns, X=X, y=y, a=(y > 0.0).astype(np.int8),
+        country_ids=cs.country_ids, exporter=exp_idx, importer=imp_idx,
+        columns=columns, X=X, y=y,
     )
 
     dyad_rows = cs.dyad_rows[exp_idx, imp_idx]
@@ -512,7 +510,7 @@ def build_design_matrix(
             values = np.log(values)
         X[:, k] = values
 
-    for array in (X, y, dm.a):
+    for array in (X, y):
         array.setflags(write=False)
     return dm
 

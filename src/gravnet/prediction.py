@@ -117,12 +117,17 @@ class BinaryPrediction:
 
     adjacency: np.ndarray
     threshold: float
-    realized_density: float
     manhattan_distance: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "adjacency", np.asarray(self.adjacency, dtype=np.int8))
         self.adjacency.setflags(write=False)
+
+    @property
+    def realized_density(self) -> float:
+        """Share of the n(n-1) ordered pairs that are linked."""
+        n = self.adjacency.shape[0]
+        return float(self.adjacency.sum() / (n * (n - 1)))
 
     def as_dict(self) -> dict:
         """How the adjacency was obtained; the adjacency itself is left out."""
@@ -389,9 +394,7 @@ def density_induced_binary(link_probs: LinkProbabilityMatrix, rho: float) -> Bin
     n = link_probs.n
     if n < 2:
         raise ValidationError("need at least two countries to threshold")
-    a = _binary_from_threshold(link_probs.xi, rho)
-    density = a.sum() / (n * (n - 1))
-    return BinaryPrediction(a, float(rho), float(density))
+    return BinaryPrediction(_binary_from_threshold(link_probs.xi, rho), float(rho))
 
 
 def threshold_matching_density(
@@ -420,10 +423,8 @@ def threshold_matching_density(
     chosen = flat_idx[order[:target]]
     a = np.zeros(n * n, dtype=np.int8)
     a[chosen] = 1
-    a = a.reshape(n, n)
     threshold = float(probs[order[target - 1]]) if target > 0 else 0.0
-    density = a.sum() / pairs
-    return BinaryPrediction(a, threshold, float(density))
+    return BinaryPrediction(a.reshape(n, n), threshold)
 
 
 def threshold_by_manhattan(
@@ -458,8 +459,7 @@ def threshold_by_manhattan(
     best_s = float(candidates[best])
     best_dist = int(dist[best])
     a = _binary_from_threshold(link_probs.xi, best_s)
-    density = a.sum() / (n * (n - 1))
-    return BinaryPrediction(a, best_s, float(density), manhattan_distance=best_dist)
+    return BinaryPrediction(a, best_s, manhattan_distance=best_dist)
 
 
 def _substream(seed: int, replication: int) -> np.random.Generator:

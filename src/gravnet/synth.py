@@ -150,35 +150,33 @@ def generate_year(spec: SynthSpec, year: int) -> YearDraw:
     dyads["distance"] = np.exp(ln_dist)
 
     off = ~np.eye(n, dtype=bool)
-    g1, g2, g3, g4, g5 = spec.gamma_slopes
-    index = (
-        g1 * ln_gdp[:, None]
-        + g2 * ln_gdp[None, :]
-        + g3 * ln_dist
-        + g4 * dyads["contig"]
-        + g5 * dyads["rta"]
-    )
-    const_gamma = spec.mean_log_flow - float(index[off].mean())
-    log_mu = const_gamma + index
+
+    def index(slopes):
+        # the generator's regressors, in GENERATOR_COVARIATES order after const
+        s1, s2, s3, s4, s5 = slopes
+        return (
+            s1 * ln_gdp[:, None]
+            + s2 * ln_gdp[None, :]
+            + s3 * ln_dist
+            + s4 * dyads["contig"]
+            + s5 * dyads["rta"]
+        )
+
+    flow_index = index(spec.gamma_slopes)
+    const_gamma = spec.mean_log_flow - float(flow_index[off].mean())
+    log_mu = const_gamma + flow_index
     mu = np.exp(log_mu)
-    gamma = (const_gamma, g1, g2, g3, g4, g5)
+    gamma = (const_gamma, *spec.gamma_slopes)
 
     theta = None
     psi = np.zeros((n, n))
     if spec.noise == "zip":
         from scipy.special import expit
 
-        t1, t2, t3, t4, t5 = spec.theta_slopes
-        score = (
-            t1 * ln_gdp[:, None]
-            + t2 * ln_gdp[None, :]
-            + t3 * ln_dist
-            + t4 * dyads["contig"]
-            + t5 * dyads["rta"]
-        )
+        score = index(spec.theta_slopes)
         const_theta = spec.mean_zero_score - float(score[off].mean())
         psi = expit(const_theta + score)
-        theta = (const_theta, t1, t2, t3, t4, t5)
+        theta = (const_theta, *spec.theta_slopes)
 
     if spec.noise == "lognormal":
         noise = rng.standard_normal((n, n))

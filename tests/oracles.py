@@ -379,9 +379,9 @@ def loop_design_matrix(countries, weights, dyads, columns, positive_only):
 
     ``countries`` is the ordered country records, ``weights`` the flow
     grid and ``dyads`` the {(exporter, importer): record} table. Returns
-    (rows, X, y, a) as plain lists.
+    (rows, X, y) as plain lists.
     """
-    rows, X, y, a = [], [], [], []
+    rows, X, y = [], [], []
     for i, exp in enumerate(countries):
         for j, imp in enumerate(countries):
             flow = float(weights[i][j])
@@ -407,8 +407,7 @@ def loop_design_matrix(countries, weights, dyads, columns, positive_only):
             rows.append((exp.country_id, imp.country_id))
             X.append(values)
             y.append(flow)
-            a.append(1 if flow > 0.0 else 0)
-    return rows, X, y, a
+    return rows, X, y
 
 
 def loop_ks_statistic(sample1, sample2):

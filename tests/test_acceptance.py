@@ -190,7 +190,7 @@ def test_estimators_recover_generating_coefficients(tmp_path):
             # count means are large here, so the Poisson zero mass is
             # negligible and the zero indicator identifies the structural
             # zero stage
-            logit = fit_logit(dm, response=(y == 0.0).astype(float))
+            logit = fit_logit(dm)
             hits["LOGIT"] += _within_3se(logit, theta)
             zf = fit_zip(dm)
             hits["ZIP"] += _within_3se(zf.poisson_part, gamma)
@@ -283,15 +283,15 @@ def _single_year_pvalues(seed, out_dir):
     log_report = build_comparison_report(
         observed,
         cs.country_ids,
-        {"OLS": ModelPrediction("OLS", TradeNetwork(po.value, po.mask))},
+        {"OLS": ModelPrediction(TradeNetwork(po.value, po.mask))},
         observed_transform="log_positive",
     )
     level_report = build_comparison_report(
         observed,
         cs.country_ids,
         {
-            "PPML": ModelPrediction("PPML", TradeNetwork(pp.value)),
-            "ZIP": ModelPrediction("ZIP", TradeNetwork(pz.value)),
+            "PPML": ModelPrediction(TradeNetwork(pp.value)),
+            "ZIP": ModelPrediction(TradeNetwork(pz.value)),
         },
         observed_transform="identity",
     )
@@ -337,13 +337,12 @@ def test_binary_predictors_match_density_contracts(tmp_path):
     panel = load_panel(paths["dyads"], paths["countries"])
     cs = build_cross_section(panel, 2000)
     dm = build_design_matrix(cs, panel, GENERATOR_COVARIATES)
-    y = np.asarray(dm.y, dtype=float)
     n = len(cs.country_ids)
     pairs = n * (n - 1)
     rho = density(TradeNetwork(cs.weights))
     observed_links = int(round(rho * pairs))
 
-    logit = fit_logit(dm, response=(y == 0.0).astype(float))
+    logit = fit_logit(dm)
     for fit in (logit, fit_zip(dm)):
         lk = link_probabilities(fit, dm)
         induced = density_induced_binary(lk, rho)

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -314,6 +315,34 @@ def test_each_stage_names_its_missing_producer(zip_panel, tmp_path, capsys):
         assert f"gravnet {producer}" in capsys.readouterr().err
     # a command that refuses to run leaves nothing behind
     assert list(out.rglob("*")) == []
+
+
+def test_stages_need_only_the_predict_artifacts_they_read(zip_panel, tmp_path, capsys):
+    base = tmp_path / "base"
+    run_pipeline(write_config(tmp_path / "base.json", zip_panel, base, years=[2000]),
+                 ("fit", "predict"))
+
+    def copy_without(name, rel):
+        out = tmp_path / name
+        shutil.copytree(base, out)
+        if rel is not None:
+            (out / rel).unlink()
+        return write_config(tmp_path / f"{name}.json", zip_panel, out, years=[2000])
+
+    # netstats and compare read the ZIP cell's predicted weights, not its
+    # thresholded adjacency
+    for name, rel in (("whole", None), ("cut", "2000/ZIP/binary.json")):
+        run_pipeline(copy_without(name, rel), ("netstats", "compare"))
+    want = output_tree(tmp_path / "whole")
+    del want[os.path.join("2000", "ZIP", "binary.json")]
+    assert output_tree(tmp_path / "cut") == want
+
+    # the logit's point network is its adjacency; only its ensemble reads xi
+    cfg = copy_without("no_xi", "2000/LOGIT/xi.json")
+    assert main(["netstats", "--config", cfg]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg]) == EXIT_DEPENDENCY
+    assert "missing artifact 2000/LOGIT/xi.json" in capsys.readouterr().err
 
 
 def test_tampered_artifact_is_rejected(zip_panel, tmp_path, capsys):

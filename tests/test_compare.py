@@ -420,7 +420,7 @@ def test_report_point_mass_recovers_observed():
     reps = np.repeat(net.weights[None], 5, axis=0)
     ens = NetworkEnsemble("PPML", ids, reps, seed=0)
     predictions = {
-        "PPML": ModelPrediction("PPML", net, ensemble=ens, transform="log_positive"),
+        "PPML": ModelPrediction(net, ensemble=ens, transform="log_positive"),
     }
     report = build_comparison_report(net, ids, predictions, year=1999)
 
@@ -446,23 +446,23 @@ def test_report_alignment_errors():
     bad_ens = NetworkEnsemble("PPML", other_ids, reps, seed=0)
     with pytest.raises(ValidationError) as err:
         build_comparison_report(
-            net, ids, {"PPML": ModelPrediction("PPML", net, ensemble=bad_ens)}
+            net, ids, {"PPML": ModelPrediction(net, ensemble=bad_ens)}
         )
     assert "Q" in str(err.value) and ids[0] in str(err.value)
 
     small = TradeNetwork(np.zeros((3, 3)))
     with pytest.raises(ValidationError):
-        build_comparison_report(net, ids, {"PPML": ModelPrediction("PPML", small)})
+        build_comparison_report(net, ids, {"PPML": ModelPrediction(small)})
     with pytest.raises(ValidationError):
-        build_comparison_report(net, ids[:-1], {"PPML": ModelPrediction("PPML", net)})
+        build_comparison_report(net, ids[:-1], {"PPML": ModelPrediction(net)})
 
 
 def test_report_rows_and_json():
     net = observed_network(seed=37)
     ids = country_names(net.n)
     predictions = {
-        "PPML": ModelPrediction("PPML", net, transform="log_positive"),
-        "OLS": ModelPrediction("OLS", net, transform="log_positive"),
+        "PPML": ModelPrediction(net, transform="log_positive"),
+        "OLS": ModelPrediction(net, transform="log_positive"),
     }
     report = build_comparison_report(net, ids, predictions, year=2000)
 

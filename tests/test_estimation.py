@@ -38,8 +38,8 @@ def make_dm(X, y, columns):
     k = len(y)
     ids = tuple(f"E{r}" for r in range(k)) + tuple(f"I{r}" for r in range(k))
     return DesignMatrix(
-        year=0, country_ids=ids, exporter=np.arange(k), importer=np.arange(k, 2 * k),
-        columns=tuple(columns), X=X, y=y, a=(y > 0).astype(np.int8),
+        country_ids=ids, exporter=np.arange(k), importer=np.arange(k, 2 * k),
+        columns=tuple(columns), X=X, y=y,
     )
 
 
@@ -227,14 +227,16 @@ def test_poisson_shift_invariance():
 
 
 # ---------------------------------------------------------------- Logit
+# The logit models the zero flows, so a test that wants the indicator ``a``
+# fitted passes the flows ``1 - a``.
 
 
 def test_logit_intercept_only():
     X = np.ones((20, 1))
     a = np.zeros(20)
     a[:5] = 1.0
-    dm = make_dm(X, a, ("const",))
-    fit = fit_logit(dm, response=a)
+    dm = make_dm(X, 1 - a, ("const",))
+    fit = fit_logit(dm)
     assert fit.coefficients[0] == pytest.approx(math.log(1.0 / 3.0), abs=1e-8)
     assert fit.model_tag == "LOGIT"
 
@@ -245,8 +247,8 @@ def test_logit_matches_grid_search():
     x = rng.uniform(-1.5, 1.5, n)
     a = (rng.random(n) < expit(-0.3 + 1.2 * x)).astype(float)
     assert 0 < a.sum() < n
-    dm = make_dm(with_const(x), np.maximum(a, 0.0), ("const", "x"))
-    fit = fit_logit(dm, response=a)
+    dm = make_dm(with_const(x), 1 - a, ("const", "x"))
+    fit = fit_logit(dm)
 
     def objective(theta):
         p = [1.0 / (1.0 + math.exp(-(theta[0] + theta[1] * xi))) for xi in x]
@@ -262,7 +264,7 @@ def test_logit_score_equations_hold():
     n = 200
     X = np.column_stack([np.ones(n), rng.normal(0, 1, n)])
     a = (rng.random(n) < expit(X @ np.array([0.2, -0.9]))).astype(float)
-    fit = fit_logit(make_dm(X, a, ("const", "x")), response=a)
+    fit = fit_logit(make_dm(X, 1 - a, ("const", "x")))
     prob = expit(X @ fit.coefficients)
     assert np.max(np.abs(X.T @ (a - prob))) < 1e-6
 
@@ -270,17 +272,24 @@ def test_logit_score_equations_hold():
 def test_logit_perfect_separation():
     x = np.array([-2.0, -1.0, 1.0, 2.0])
     a = (x > 0).astype(float)
-    dm = make_dm(with_const(x), a, ("const", "x"))
+    dm = make_dm(with_const(x), 1 - a, ("const", "x"))
     with pytest.raises(SeparationError):
-        fit_logit(dm, response=a)
+        fit_logit(dm)
 
 
 def test_logit_requires_both_classes():
     dm = make_dm(np.ones((6, 1)), np.ones(6), ("const",))
     with pytest.raises(ValidationError):
-        fit_logit(dm, response=np.ones(6))
+        fit_logit(dm)
+    dm_zero = make_dm(np.ones((6, 1)), np.zeros(6), ("const",))
     with pytest.raises(ValidationError):
-        fit_logit(dm, response=np.array([0, 1, 2, 0, 1, 0.0]))
+        fit_logit(dm_zero)
+
+
+def test_logit_rejects_negative_flow():
+    dm = make_dm(np.ones((4, 1)), [1.0, -0.5, 0.0, 1.0], ("const",))
+    with pytest.raises(ValidationError, match="non-negative"):
+        fit_logit(dm)
 
 
 def test_logit_vcov_matches_numeric_hessian():
@@ -288,8 +297,8 @@ def test_logit_vcov_matches_numeric_hessian():
     n = 80
     x = rng.uniform(-2, 2, n)
     a = (rng.random(n) < expit(0.3 + 0.8 * x)).astype(float)
-    dm = make_dm(with_const(x), a, ("const", "x"))
-    fit = fit_logit(dm, response=a)
+    dm = make_dm(with_const(x), 1 - a, ("const", "x"))
+    fit = fit_logit(dm)
 
     def loglik(theta):
         p = [1.0 / (1.0 + math.exp(-(theta[0] + theta[1] * xi))) for xi in x]

@@ -257,7 +257,7 @@ def test_design_matrix_full_and_positive(small_files):
         record = dyad_fields(panel, 2000, exp, imp)
         assert math.exp(ln_dist) == pytest.approx(record["distance"], rel=1e-12)
         assert full.y[r] == flows[(exp, imp)]
-    assert np.array_equal(full.a, (full.y > 0).astype(int))
+    assert np.array_equal(full.y > 0, cs.adjacency[full.exporter, full.importer] == 1)
 
     positive = build_design_matrix(cs, panel, positive_only=True)
     assert positive.n_obs == int(cs.adjacency.sum()) == 4
@@ -335,7 +335,7 @@ def test_design_matrix_matches_loop_oracle(synth_cross_section, columns,
     panel, cs, records = synth_cross_section
     dm = build_design_matrix(cs, panel, columns, positive_only=positive_only)
     countries = tuple(records.countries[2000][cid] for cid in cs.country_ids)
-    rows, X, y, a = oracles.loop_design_matrix(
+    rows, X, y = oracles.loop_design_matrix(
         countries, cs.weights.tolist(), records.dyads[2000], columns,
         positive_only,
     )
@@ -343,7 +343,6 @@ def test_design_matrix_matches_loop_oracle(synth_cross_section, columns,
     assert dm.columns == columns
     assert tuple(map(dm.dyad, range(dm.n_obs))) == tuple(rows)
     np.testing.assert_array_equal(dm.y, y)
-    np.testing.assert_array_equal(dm.a, a)
     assert dm.X.shape == (len(rows), len(columns))
     for k, column in enumerate(columns):
         want = np.array([values[k] for values in X])

@@ -18,7 +18,7 @@ from gravnet.errors import (
     ValidationError,
 )
 from gravnet.estimation import FitResult, fit_logit, fit_ols, fit_poisson_pml, fit_zip
-from gravnet.panel import DesignMatrix
+from gravnet.panel import DesignMatrix, build_cross_section, build_design_matrix, load_panel
 from gravnet.prediction import (
     DEFAULT_REPLICATIONS,
     LinkProbabilityMatrix,
@@ -34,6 +34,7 @@ from gravnet.prediction import (
     threshold_matching_density,
     zero_flow_probability,
 )
+from gravnet.synth import GENERATOR_COVARIATES, SynthSpec, write_synth_panel
 
 COLUMNS = ("const", "x1", "x2")
 
@@ -53,20 +54,17 @@ def grid_positions(ids):
     return np.array([index[e] for e, _ in rows]), np.array([index[i] for _, i in rows])
 
 
-def make_dm(ids, rows, X, y, year=2000, columns=COLUMNS):
+def make_dm(ids, rows, X, y, columns=COLUMNS):
     """Design over the countries ``ids`` whose rows are the (exporter,
     importer) id pairs ``rows``."""
     index = {c: k for k, c in enumerate(ids)}
-    y = np.asarray(y, dtype=float)
     return DesignMatrix(
-        year=year,
         country_ids=tuple(ids),
         exporter=np.array([index[e] for e, _ in rows], dtype=np.intp),
         importer=np.array([index[i] for _, i in rows], dtype=np.intp),
         columns=tuple(columns),
         X=np.asarray(X, dtype=float),
-        y=y,
-        a=(y > 0).astype(np.int8),
+        y=np.asarray(y, dtype=float),
     )
 
 
@@ -267,8 +265,7 @@ def test_link_probabilities_complement_the_zero_stage():
 
 def test_link_probabilities_accept_standalone_logit():
     ids, dm, _ = fitted_zip(seed=8)
-    zero_indicator = (dm.y == 0).astype(float)
-    fit = fit_logit(dm, response=zero_indicator)
+    fit = fit_logit(dm)
     lp = link_probabilities(fit, dm)
     want = 1.0 - expit(dm.X @ fit.coefficients)
     index = {c: k for k, c in enumerate(ids)}
@@ -277,6 +274,23 @@ def test_link_probabilities_accept_standalone_logit():
 
     with pytest.raises(ValidationError):
         link_probabilities(manual_fit("PPML", (0.0, 0.0, 0.0)), dm)
+
+
+def test_logit_link_probabilities_match_the_observed_links(tmp_path):
+    # with an intercept, the logit score equation makes the fitted zero
+    # probabilities average to the zero share, so the link probabilities
+    # average to the observed density
+    spec = SynthSpec(n_countries=30, years=(2000,), noise="zip", seed=3)
+    paths = write_synth_panel(spec, str(tmp_path))
+    panel = load_panel(paths["dyads"], paths["countries"])
+    cs = build_cross_section(panel, 2000)
+    dm = build_design_matrix(cs, panel, GENERATOR_COVARIATES)
+    xi = link_probabilities(fit_logit(dm), dm).xi
+    off = ~np.eye(cs.n, dtype=bool)
+    observed = cs.adjacency[off].astype(float)
+    assert 0.0 < observed.mean() < 1.0
+    assert abs(xi[off].mean() - observed.mean()) < 1e-8
+    assert np.corrcoef(xi[off], observed)[0, 1] > 0.0
 
 
 # ------------------------------------------------- zero probabilities
