@@ -530,13 +530,12 @@ def cmd_predict(args) -> None:
                 predict = {"OLS": predict_ols, "PPML": predict_ppml, "ZIP": predict_zip}[tag]
                 pred = predict(fit, dm_pos if tag == "OLS" else dm_full)
                 stage.write_cell(year, tag, "prediction.json", pred.as_dict())
-            if tag in ("ZIP", "LOGIT"):
+            if tag in _LINK_MODELS:
                 lp = link_probabilities(fit, dm_full)
                 stage.write_cell(year, tag, "xi.json", lp.as_dict())
                 induced = density_induced_binary(lp, rho)
                 binary = {
                     "country_ids": list(lp.country_ids),
-                    "observed_density": rho,
                     "adjacency": induced.adjacency.astype(int).tolist(),
                     "density_induced": induced.as_dict(),
                     "matched_density": threshold_matching_density(lp, rho).as_dict(),
@@ -545,6 +544,10 @@ def cmd_predict(args) -> None:
                 stage.write_cell(year, tag, "binary.json", binary)
             note["message"] = "predictions written"
     stage.record()
+
+
+# the models whose fit gives link probabilities: they write xi.json and binary.json
+_LINK_MODELS = ("ZIP", "LOGIT")
 
 
 def _network_artifact(tag: str) -> str:
@@ -615,7 +618,7 @@ def _cell_prediction(stage: _Stage, year: int, tag: str) -> ModelPrediction:
     seed = cell_seed(cfg.seed, year, tag)
     _, net, transform, pred = _cell_network(stage, year, tag)
     lp = None
-    if tag in ("ZIP", "LOGIT"):
+    if tag in _LINK_MODELS:
         lp = LinkProbabilityMatrix.from_dict(stage.read(f"{year}/{tag}/xi.json"))
     if tag == "LOGIT":
         ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
@@ -629,7 +632,7 @@ def cmd_compare(args) -> None:
     stage = _Stage(
         args, "compare", "predict",
         # the point network, and the link probabilities the ensemble draws from
-        lambda tag: (_network_artifact(tag), *(("xi.json",) if tag in ("ZIP", "LOGIT") else ())),
+        lambda tag: (_network_artifact(tag), *(("xi.json",) if tag in _LINK_MODELS else ())),
     )
     cfg = stage.cfg
     for year in stage.years:

@@ -384,7 +384,8 @@ def fit_poisson_pml(dm) -> FitResult:
 
 def _bernoulli_null_loglik(a):
     share = a.mean()
-    return float(len(a) * (share * np.log(share) + (1 - share) * np.log(1 - share)))
+    eta = np.full_like(a, np.log(share / (1.0 - share)))
+    return _bernoulli_q(a, eta, np.full_like(a, share), 1.0)
 
 
 def _perfectly_separated(eta, a):
@@ -433,19 +434,14 @@ def _zip_log_p0(u, mu):
 def _zip_row_loglik(y, u, v):
     """Per-row ZIP log likelihood; u is the logit stage linear predictor
     (zero probability side), v the Poisson stage predictor."""
-    from scipy.special import gammaln, log_expit
+    from scipy.special import log_expit
 
     mu = np.exp(v)
     zero = y == 0.0
     out = np.empty_like(y)
     out[zero] = _zip_log_p0(u[zero], mu[zero])
     pos = ~zero
-    out[pos] = (
-        log_expit(-u[pos])
-        + y[pos] * v[pos]
-        - mu[pos]
-        - gammaln(y[pos] + 1.0)
-    )
+    out[pos] = log_expit(-u[pos]) + _poisson_rows(y[pos], v[pos], mu[pos])
     return out
 
 

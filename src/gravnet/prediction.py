@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PredictionOverflowError, SchemaError, ValidationError
-from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult
+from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult, _zip_log_p0
 from .panel import DesignMatrix
 
 DEFAULT_REPLICATIONS = 10_000
@@ -254,7 +254,8 @@ def _guard_overflow(eta: np.ndarray, dm: DesignMatrix, stage: str) -> None:
 
 
 def _zip_stages(zip_fit: ZipFitResult, dm: DesignMatrix):
-    """Checked scatter plus the per-row zero probability psi and count mean mu."""
+    """Checked scatter plus each row's zero-stage predictor u, zero
+    probability psi = expit(u) and count mean mu."""
     from scipy.special import expit
 
     _check_fit_against(dm, zip_fit.logit_part, "ZIP_LOGIT")
@@ -263,7 +264,7 @@ def _zip_stages(zip_fit: ZipFitResult, dm: DesignMatrix):
     u = dm.X @ zip_fit.logit_part.coefficients
     v = dm.X @ zip_fit.poisson_part.coefficients
     _guard_overflow(v, dm, "count")
-    return scatter, expit(u), np.exp(v)
+    return scatter, u, expit(u), np.exp(v)
 
 
 def predict_ols(fit: FitResult, dm: DesignMatrix) -> PredictedWeights:
@@ -328,7 +329,7 @@ def predict_zip(zip_fit: ZipFitResult, dm: DesignMatrix) -> PredictedWeights:
     ``mu * (1 - psi) * (1 + mu * psi)``, the variance of the zero-inflated
     Poisson mixture.
     """
-    scatter, psi, mu = _zip_stages(zip_fit, dm)
+    scatter, _, psi, mu = _zip_stages(zip_fit, dm)
     value = scatter((1.0 - psi) * mu)
     variance = scatter(mu * (1.0 - psi) * (1.0 + mu * psi))
     return PredictedWeights(
@@ -362,17 +363,17 @@ def zero_flow_probability(
 ) -> np.ndarray:
     """Per-dyad probability of observing a zero flow.
 
-    ``form="consistent"`` evaluates ``psi + (1 - psi) * exp(-mu)``, the
-    zero mass of the mixture.  ``form="printed"`` instead evaluates
-    ``psi + (1 - psi) * mu``, a variant that circulates in applied work
-    but is not a probability (it exceeds one for large ``mu``); it is
-    provided for replication only.
+    ``form="consistent"`` gives the zero mass of the mixture, evaluated in
+    log space by ``estimation._zip_log_p0``.  ``form="printed"`` instead
+    evaluates ``psi + (1 - psi) * mu``, a variant that circulates in
+    applied work but is not a probability (it exceeds one for large
+    ``mu``); it is provided for replication only.
     """
     if form not in ("consistent", "printed"):
         raise ValidationError(f"unknown zero-probability form {form!r}")
-    scatter, psi, mu = _zip_stages(zip_fit, dm)
+    scatter, u, psi, mu = _zip_stages(zip_fit, dm)
     if form == "consistent":
-        return scatter(psi + (1.0 - psi) * np.exp(-mu))
+        return scatter(np.exp(_zip_log_p0(u, mu)))
     return scatter(psi + (1.0 - psi) * mu)
 
 

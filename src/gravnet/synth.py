@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .estimation import _zip_log_p0
 from .panel import COUNTRY_COLUMNS, DYAD_COLUMNS
 
 NOISE_KINDS = ("zip", "poisson", "lognormal")
@@ -169,32 +170,27 @@ def generate_year(spec: SynthSpec, year: int) -> YearDraw:
     gamma = (const_gamma, *spec.gamma_slopes)
 
     theta = None
-    psi = np.zeros((n, n))
-    if spec.noise == "zip":
+    # p0: each dyad's probability of a zero flow
+    if spec.noise == "lognormal":
+        noise = rng.standard_normal((n, n))
+        weights = np.exp(log_mu + spec.sigma_log * noise)
+        p0 = np.zeros((n, n))
+    elif spec.noise == "poisson":
+        weights = rng.poisson(mu).astype(float)
+        p0 = np.exp(-mu)
+    else:
         from scipy.special import expit
 
         score = index(spec.theta_slopes)
         const_theta = spec.mean_zero_score - float(score[off].mean())
-        psi = expit(const_theta + score)
+        u = const_theta + score
         theta = (const_theta, *spec.theta_slopes)
-
-    if spec.noise == "lognormal":
-        noise = rng.standard_normal((n, n))
-        weights = np.exp(log_mu + spec.sigma_log * noise)
-    elif spec.noise == "poisson":
-        weights = rng.poisson(mu).astype(float)
-    else:
-        structural = rng.random((n, n)) < psi
+        structural = rng.random((n, n)) < expit(u)
         counts = rng.poisson(mu).astype(float)
         weights = np.where(structural, 0.0, counts)
+        p0 = np.exp(_zip_log_p0(u, mu))
     weights = np.where(off, weights, 0.0)
-
-    if spec.noise == "lognormal":
-        expected_zero_share = 0.0
-    else:
-        expected_zero_share = float(
-            (psi + (1.0 - psi) * np.exp(-mu))[off].mean()
-        )
+    expected_zero_share = float(p0[off].mean())
 
     countries = {
         "gdp": np.exp(ln_gdp),

@@ -51,7 +51,7 @@ from gravnet.compare import (
 )
 from gravnet.errors import SingularDesignError, ValidationError
 from gravnet.estimation import fit_from_dict, fit_poisson_pml
-from gravnet.netstats import compute_statistic, population_average
+from gravnet.netstats import compute_statistic, density, population_average
 from gravnet.panel import (
     DESIGN_COLUMNS,
     build_cross_section,
@@ -621,7 +621,8 @@ def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
 
 
 def test_stages_without_scipy_work_do_not_import_it(tmp_path):
-    """`import gravnet`, `netstats` and `report` never load scipy."""
+    """`import gravnet`, `netstats`, `report` and a non-zip `synth` never
+    load scipy."""
     spec = SynthSpec(n_countries=8, years=(2000,), noise="zip", seed=11)
     panel = write_synth_panel(spec, str(tmp_path / "panel"))
     args = ["--dyads", panel["dyads"], "--countries", panel["countries"],
@@ -637,10 +638,18 @@ def test_stages_without_scipy_work_do_not_import_it(tmp_path):
         "codes = [main([command, *sys.argv[1:]]) for command in ('netstats', 'report')]\n"
         f"print(codes); {loaded}"
     )
+    synth = (
+        "import sys; from gravnet.cli import main\n"
+        f"print(main(['synth', *sys.argv[1:]])); {loaded}"
+    )
+    runs = [(f"import sys, gravnet; {loaded}", args, ["[]"]),
+            (stages, args, [f"[{EXIT_OK}, {EXIT_OK}]", "[]"])]
+    for noise in ("poisson", "lognormal"):
+        synth_args = ["--out", str(tmp_path / noise), "--n-countries", "6", "--noise", noise]
+        runs.append((synth, synth_args, [f"{EXIT_OK}", "[]"]))
     # the stages print progress first; the script's own lines come last
-    for script, want in ((f"import sys, gravnet; {loaded}", ["[]"]),
-                         (stages, [f"[{EXIT_OK}, {EXIT_OK}]", "[]"])):
-        done = subprocess.run([sys.executable, "-c", script, *args],
+    for script, argv, want in runs:
+        done = subprocess.run([sys.executable, "-c", script, *argv],
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-len(want):] == want
@@ -686,10 +695,14 @@ def test_binary_artifact_realized_density(zip_panel, tmp_path):
     a = np.array(payload["adjacency"])
     n = a.shape[0]
     assert payload["density_induced"]["realized_density"] == a.sum() / (n * (n - 1))
-    assert payload["density_induced"]["threshold"] == payload["observed_density"]
+    # the observed density is stored once, as the density-induced threshold
+    assert "observed_density" not in payload
+    panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
+    rho = density(build_cross_section(panel, 2000).network())
+    assert payload["density_induced"]["threshold"] == rho
     # the rank-matched variant hits the target count by construction
     pairs = n * (n - 1)
-    want = round(payload["observed_density"] * pairs) / pairs
+    want = round(rho * pairs) / pairs
     assert abs(payload["matched_density"]["realized_density"] - want) < 1e-12
     assert payload["manhattan"]["distance"] >= 0
 

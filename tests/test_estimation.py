@@ -19,6 +19,7 @@ from gravnet.estimation import (
     _zip_em,
     _zip_information,
     _zip_loglik,
+    _zip_row_loglik,
     attach_vuong,
     fit_logit,
     fit_ols,
@@ -215,6 +216,19 @@ def test_poisson_vcov_matches_numeric_hessian():
     np.testing.assert_allclose(fit.vcov, np.linalg.inv(-h), rtol=1e-4)
 
 
+def test_poisson_pseudo_r2_matches_loop_oracle():
+    rng = np.random.default_rng(76)
+    n = 120
+    x = rng.uniform(-1, 1, n)
+    y = rng.poisson(np.exp(0.5 + 0.8 * x)).astype(float)
+    fit = fit_poisson_pml(make_dm(with_const(x), y, ("const", "x")))
+    mu = np.exp(with_const(x) @ fit.coefficients)
+    assert fit.loglik == pytest.approx(oracles.loop_poisson_loglik(y, mu), rel=1e-12)
+    # McFadden: against the intercept-only model, whose mean is ybar
+    null = oracles.loop_poisson_loglik(y, [y.mean()] * n)
+    assert fit.r2_or_pseudo == pytest.approx(1.0 - fit.loglik / null, rel=1e-12)
+
+
 def test_poisson_shift_invariance():
     rng = np.random.default_rng(75)
     x = rng.uniform(0, 2, 80)
@@ -306,6 +320,19 @@ def test_logit_vcov_matches_numeric_hessian():
 
     h = np.array(oracles.numeric_hessian(loglik, list(fit.coefficients)))
     np.testing.assert_allclose(fit.vcov, np.linalg.inv(-h), rtol=1e-4)
+
+
+def test_logit_pseudo_r2_matches_loop_oracle():
+    rng = np.random.default_rng(84)
+    n = 150
+    x = rng.uniform(-2, 2, n)
+    a = (rng.random(n) < expit(-0.4 + 0.9 * x)).astype(float)
+    fit = fit_logit(make_dm(with_const(x), 1 - a, ("const", "x")))
+    p = expit(with_const(x) @ fit.coefficients)
+    assert fit.loglik == pytest.approx(oracles.loop_logit_loglik(a, p), rel=1e-12)
+    # McFadden: against the intercept-only model, whose probability is the share
+    null = oracles.loop_logit_loglik(a, [a.mean()] * n)
+    assert fit.r2_or_pseudo == pytest.approx(1.0 - fit.loglik / null, rel=1e-12)
 
 
 # ---------------------------------------------------------------- ZIP
@@ -424,6 +451,19 @@ def test_zip_information_matches_numeric_hessian():
     np.testing.assert_allclose(fit.poisson_part.vcov, vcov_joint[2:, 2:],
                                rtol=1e-10)
     assert np.min(np.linalg.eigvalsh(vcov_joint)) > 0.0
+
+
+def test_zip_row_loglik_matches_loop_oracle_row_by_row():
+    rng = np.random.default_rng(97)
+    n = 300
+    u = rng.normal(0.0, 1.5, n)
+    v = rng.normal(1.0, 1.0, n)
+    y = np.where(rng.random(n) < expit(u), 0.0, rng.poisson(np.exp(v))).astype(float)
+    assert (y == 0).any() and (y > 0).any()
+    rows = _zip_row_loglik(y, u, v)
+    want = [oracles.loop_zip_loglik([yi], [expit(ui)], [math.exp(vi)])
+            for yi, ui, vi in zip(y, u, v)]
+    np.testing.assert_allclose(rows, want, rtol=1e-12, atol=0.0)
 
 
 def test_zip_requires_mixed_responses():
