@@ -23,6 +23,14 @@ timestamped record per logged event and is deliberately excluded from
 the manifest: with the log set aside, two runs from the same
 configuration and seed produce byte-identical output trees.
 
+Stages read the panel from ``panel.cache`` in the output directory, a
+copy of the parsed panel keyed by the sha256 of both CSV files, and
+parse the files only when the copy is missing, damaged or was made from
+other bytes (see ``panel.read_panel``).  The first stage to parse a
+panel stores its copy; the cache is not an artifact and stays out of
+the manifest.  Every log record a stage writes names the two digests
+and whether the panel came from the cache.
+
 Randomness enters only through ensemble sampling at the compare stage.
 Each (year, model) cell derives its own substream seed from the run
 seed, so adding a year or a model to the configuration never shifts the
@@ -63,9 +71,10 @@ from .netstats import (
 from .panel import (
     DESIGN_COLUMNS,
     SummaryStats,
+    _hash_file,
     build_cross_section,
     build_design_matrix,
-    load_panel,
+    read_panel,
     summary_stats,
 )
 from .prediction import (
@@ -82,7 +91,14 @@ from .prediction import (
     threshold_by_manhattan,
     threshold_matching_density,
 )
-from .synth import NOISE_KINDS, SynthSpec, _write_csv, _write_json, write_synth_panel
+from .synth import (
+    NOISE_KINDS,
+    SynthSpec,
+    _atomic_write,
+    _write_csv,
+    _write_json,
+    write_synth_panel,
+)
 
 MODEL_TAGS = ("OLS", "PPML", "ZIP", "LOGIT")
 
@@ -106,6 +122,7 @@ EXIT_DEPENDENCY = 4
 MANIFEST_NAME = "manifest.json"
 MANIFEST_LOCK_NAME = "manifest.json.lock"
 LOG_NAME = "run.log.jsonl"
+PANEL_CACHE_NAME = "panel.cache"
 
 _SEED_LIMIT = 2**63
 
@@ -246,14 +263,6 @@ def _artifact_path(out: str, rel: str) -> str:
     return os.path.join(out, *rel.split("/"))
 
 
-def _hash_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _load_manifest(out: str) -> dict:
     path = os.path.join(out, MANIFEST_NAME)
     if not os.path.isfile(path):
@@ -309,6 +318,8 @@ class _Stage:
     cells declare, ``<year>/<tag>/<name>`` for each ``name`` in
     ``inputs(tag)``.  A refused command therefore writes nothing; a
     missing or modified input names ``producer``, the command to rerun.
+    The copy of a freshly parsed panel is stored only once every check
+    has passed.
     """
 
     def __init__(self, args, name: str, producer: str = "", inputs=lambda tag: ()):
@@ -317,7 +328,8 @@ class _Stage:
         overrides = {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
         self.cfg = cfg = load_config(args.config, overrides)
         os.makedirs(cfg.out, exist_ok=True)
-        self.panel = load_panel(cfg.dyads, cfg.countries)
+        cache = os.path.join(cfg.out, PANEL_CACHE_NAME)
+        self.panel, self.panel_source, copy = read_panel(cfg.dyads, cfg.countries, cache)
         years = cfg.years or self.panel.years
         missing = [y for y in years if y not in self.panel.years]
         if missing:
@@ -331,6 +343,8 @@ class _Stage:
             for tag in cfg.models:
                 for base in inputs(tag):
                     self._checked_bytes(f"{year}/{tag}/{base}")
+        if copy is not None:
+            _atomic_write(cache, copy)
 
     def _checked_bytes(self, rel: str) -> bytes:
         path = _artifact_path(self.cfg.out, rel)
@@ -376,8 +390,11 @@ class _Stage:
             note = {}
             yield tag, note
             message = f"year {year} model {tag}: {note.pop('message')}"
-            duration_s = time.perf_counter() - started
-            _log(self.cfg.out, self.name, message, duration_s, year=year, model=tag, **note)
+            self.log(message, time.perf_counter() - started, year=year, model=tag, **note)
+
+    def log(self, message: str, duration_s: float, **fields_) -> None:
+        """A run-log record of this command, with where its panel came from."""
+        _log(self.cfg.out, self.name, message, duration_s, panel=self.panel_source, **fields_)
 
     def record(self) -> None:
         """Merge every artifact this stage wrote into the manifest, once."""
@@ -693,9 +710,7 @@ def cmd_report(args) -> None:
     stage.write_csv("correlations.csv", _CORR_HEADER, corr_rows)
     stage.write_csv("summary.csv", [f.name for f in fields(SummaryStats)], map(astuple, summaries))
     stage.record()
-    _log(
-        cfg.out,
-        "report",
+    stage.log(
         f"aggregated {len(stage.years)} year(s) x {len(cfg.models)} model(s)",
         time.perf_counter() - started,
         years=list(stage.years),

@@ -145,10 +145,7 @@ def _transformed_weights(net: TradeNetwork, transform: str) -> np.ndarray:
     if transform == "identity":
         return net.weights
     if transform == "log_positive":
-        out = np.zeros_like(net.weights)
-        pos = net.weights > 0.0
-        out[pos] = np.log(net.weights[pos])
-        return out
+        return np.log(net.weights, out=np.zeros_like(net.weights), where=net.weights > 0.0)
     raise ValidationError(
         f"unknown weight transform {transform!r}; expected one of {WEIGHT_TRANSFORMS}"
     )
@@ -156,8 +153,7 @@ def _transformed_weights(net: TradeNetwork, transform: str) -> np.ndarray:
 
 def _ratio_stat(kind: str, numer: np.ndarray, denom: np.ndarray) -> NodeStatVector:
     defined = denom > 0
-    values = np.full(numer.shape, np.nan)
-    values[defined] = numer[defined] / denom[defined]
+    values = np.divide(numer, denom, out=np.full(numer.shape, np.nan), where=defined)
     return NodeStatVector(kind=kind, values=values, defined=defined)
 
 
@@ -382,13 +378,15 @@ def population_average(stat: NodeStatVector) -> tuple:
     Returns ``(average, n_excluded)`` where ``n_excluded`` counts the
     undefined nodes left out.  Raises if no node is defined.
     """
-    n_defined = int(stat.defined.sum())
+    n_defined = np.count_nonzero(stat.defined)
     if n_defined == 0:
         raise ValidationError(f"{stat.kind}: statistic undefined for every node")
+    n_excluded = stat.defined.size - n_defined
     # what ndarray.mean computes (one add.reduce, one division by the
-    # count), bit for bit, without its Python-level dispatch
-    avg = float(stat.values[stat.defined].sum() / n_defined)
-    return avg, stat.defined.size - n_defined
+    # count), bit for bit, without its Python-level dispatch; with every
+    # node defined the selection would copy the same values in order
+    kept = stat.values[stat.defined] if n_excluded else stat.values
+    return float(kept.sum() / n_defined), n_excluded
 
 
 def stat_correlation(x: NodeStatVector, y: NodeStatVector) -> float:

@@ -15,6 +15,10 @@ check is one boolean mask plus its message; the fault reported is the first
 failed check of the first failing row, and its message names the file and
 the physical line on which that row ends (a quoted field may span lines).
 
+``read_panel`` keeps a copy of the parsed panel, ``DyadPanel.as_bytes``,
+keyed by the sha256 of both files, and reads it instead of parsing when
+the files still have those bytes.
+
 Dyads absent from the input file are treated as zero flows.  Bilateral
 covariates, however, must be present for every dyad that enters a design
 matrix; a zero flow is data, a missing covariate is not.
@@ -22,6 +26,9 @@ matrix; a zero flow is data, a missing covariate is not.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -102,6 +109,53 @@ class DyadPanel:
     @property
     def years(self) -> tuple:
         return tuple(np.union1d(self.dyads["year"], self.countries["year"]).tolist())
+
+    def as_bytes(self, sources: dict) -> bytes:
+        """The stored copy of this panel, parsed from the files whose sha256s
+        ``sources`` gives under ``"dyads"`` and ``"countries"``.
+
+        Line one names the format version and line two holds the sha256 of
+        everything after it: a header line, which is UTF-8 JSON of the two
+        file digests, ``ids`` and each column's table, name, dtype and
+        shape, and then every column's raw bytes in header order.  The
+        bytes depend on nothing but the panel and the digests.
+        """
+        columns = [(table, name, array) for table in ("countries", "dyads")
+                   for name, array in getattr(self, table).items()]
+        header = {
+            "countries": sources["countries"],
+            "dyads": sources["dyads"],
+            "ids": list(self.ids),
+            "columns": [[table, name, a.dtype.str, list(a.shape)] for table, name, a in columns],
+        }
+        line = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        body = b"\n".join([line, b"".join(a.tobytes() for _, _, a in columns)])
+        return b"\n".join([_COPY_FORMAT, hashlib.sha256(body).hexdigest().encode(), body])
+
+    @classmethod
+    def from_bytes(cls, data: bytes, sources: dict):
+        """The panel that ``as_bytes(sources)`` stored in ``data``, or None
+        when ``data`` is no such copy: another format version, other file
+        digests, or a truncated or altered byte.  Nothing is unpickled."""
+        try:
+            version, digest, body = data.split(b"\n", 2)
+            if version != _COPY_FORMAT or digest != hashlib.sha256(body).hexdigest().encode():
+                return None
+            line, payload = body.split(b"\n", 1)
+            header = json.loads(line)
+            if any(header[name] != sources[name] for name in ("countries", "dyads")):
+                return None
+            tables, offset = {"countries": {}, "dyads": {}}, 0
+            for table, name, dtype, shape in header["columns"]:
+                dtype, count = np.dtype(dtype), math.prod(shape)
+                array = np.frombuffer(payload, dtype, count, offset).reshape(shape)
+                tables[table][name] = array.copy()  # writable, as a parse leaves it
+                offset += count * dtype.itemsize
+            if offset != len(payload):
+                return None
+            return cls(tuple(header["ids"]), tables["countries"], tables["dyads"])
+        except (ValueError, KeyError, TypeError):
+            return None
 
 
 @dataclass(frozen=True)
@@ -195,6 +249,9 @@ class SummaryStats:
     pct_flows_50: float
     pct_flows_90: float
 
+
+#: First line of a stored panel copy; a copy of another version is ignored.
+_COPY_FORMAT = b"gravnet-panel-copy 1"
 
 #: Rows converted at a time; bounds the transient text a load holds.
 _BLOCK_ROWS = 4096
@@ -401,6 +458,43 @@ def load_panel(dyads_path, countries_path) -> DyadPanel:
     dyads["exporter"] = rank[dyads["exporter"]]
     dyads["importer"] = rank[dyads["importer"]]
     return DyadPanel(ids=tuple(ids), countries=countries, dyads=dyads)
+
+
+def _hash_file(path: str) -> str:
+    """sha256 of a file's bytes, as hex."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def read_panel(dyads_path, countries_path, copy_path) -> tuple:
+    """The panel of the two files, read from its stored copy when that
+    copy was made from the same bytes.
+
+    Returns ``(panel, source, copy)``.  ``source`` holds the sha256 of each
+    file under ``"dyads"`` and ``"countries"`` and ``"cached"``, whether
+    the panel came from ``copy_path``.  On a miss (no copy, a copy of other
+    bytes, or an unreadable one) ``load_panel`` parses the files, and
+    ``copy`` is the new copy's bytes for the caller to store at
+    ``copy_path``; it is None after a hit, and when a file changed during
+    the parse, since the digests must describe the bytes parsed.  Errors
+    are ``load_panel``'s.
+    """
+    digests = {"dyads": _hash_file(dyads_path), "countries": _hash_file(countries_path)}
+    try:
+        with open(copy_path, "rb") as handle:
+            panel = DyadPanel.from_bytes(handle.read(), digests)
+    except OSError:
+        panel = None
+    if panel is not None:
+        return panel, {**digests, "cached": True}, None
+    # called by its global name, so a rebinding of the layer function is seen
+    panel = load_panel(dyads_path, countries_path)
+    after = {"dyads": _hash_file(dyads_path), "countries": _hash_file(countries_path)}
+    copy = panel.as_bytes(digests) if after == digests else None
+    return panel, {**digests, "cached": False}, copy
 
 
 def build_cross_section(panel: DyadPanel, year: int) -> CrossSection:

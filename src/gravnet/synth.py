@@ -226,13 +226,14 @@ def _render(value) -> str:
     return repr(float(value))
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 via a temp file and a rename."""
+def _atomic_write(path: str, data) -> None:
+    """Write ``data`` to ``path`` via a temp file and a rename; text is
+    written as UTF-8 whatever the locale, bytes as they are."""
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -249,8 +250,38 @@ def _write_csv(path: str, header, rows) -> None:
     _atomic_write(path, buf.getvalue())
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, nested at ``indent``.
+
+    Dicts and lists that hold a list or a dict are laid out here; a list of
+    scalars goes to ``json.dumps`` whole, so CPython's C encoder writes its
+    items.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [
+            f"{json.dumps(key if isinstance(key, str) else json.dumps(key))}: "
+            f"{_json_text(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if value and not any(isinstance(item, (list, tuple, dict)) for item in value):
+            # the item separator carries the line break and the indent
+            items = [json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]]
+        else:
+            items = [_json_text(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, _json_text(payload) + "\n")
 
 
 def _country_rows(draw: YearDraw):

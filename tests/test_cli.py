@@ -31,6 +31,7 @@ from gravnet.cli import (
     MANIFEST_LOCK_NAME,
     MANIFEST_NAME,
     MODEL_TAGS,
+    PANEL_CACHE_NAME,
     RunConfig,
     _fit_one,
     _hash_file,
@@ -443,6 +444,130 @@ def test_concurrent_manifest_records_keep_every_entry(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# panel cache
+
+
+def copied_panel(zip_panel, directory) -> dict:
+    """The zip panel's two files, copied into ``directory`` for editing."""
+    directory.mkdir()
+    return {
+        name: shutil.copy(zip_panel[name], str(directory / f"{name}.csv"))
+        for name in ("dyads", "countries")
+    }
+
+
+def edit_first_row(path, column: str, text: str) -> None:
+    """Set ``column`` of the file's first data row to ``text``."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[1][rows[0].index(column)] = text
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def last_record(out) -> dict:
+    return json.loads((out / LOG_NAME).read_text().splitlines()[-1])
+
+
+def stored_copy(paths) -> bytes:
+    """The cache bytes of a fresh parse of ``paths``."""
+    digests = {name: _hash_file(paths[name]) for name in ("dyads", "countries")}
+    return load_panel(paths["dyads"], paths["countries"]).as_bytes(digests)
+
+
+@pytest.mark.parametrize("name,column,text", [
+    ("dyads", "flow", "123456.5"),
+    ("countries", "gdp", "98765.25"),
+])
+def test_a_csv_edited_after_fit_is_parsed_again(zip_panel, tmp_path, name, column, text):
+    paths = copied_panel(zip_panel, tmp_path / "panel")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", paths, out, models=["PPML"], years=[1995])
+    run_pipeline(cfg)
+    summary = (out / "summary.csv").read_bytes()
+    edit_first_row(paths[name], column, text)
+    assert main(["report", "--config", cfg]) == EXIT_OK
+    record = last_record(out)
+    assert record["panel"]["cached"] is False
+    assert record["panel"][name] == _hash_file(paths[name])
+    # the stage saw the edit, and stored the copy of the edited files
+    assert (out / PANEL_CACHE_NAME).read_bytes() == stored_copy(paths)
+    if name == "dyads":  # the summary reads flows, not country sizes
+        assert (out / "summary.csv").read_bytes() != summary
+    assert main(["report", "--config", cfg]) == EXIT_OK
+    assert last_record(out)["panel"]["cached"] is True
+
+
+def test_an_invalid_edit_after_fit_exits_2_with_the_parser_message(zip_panel, tmp_path, capsys):
+    paths = copied_panel(zip_panel, tmp_path / "panel")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", paths, out, models=["PPML"], years=[1995])
+    assert main(["fit", "--config", cfg]) == EXIT_OK
+    cache = (out / PANEL_CACHE_NAME).read_bytes()
+    edit_first_row(paths["dyads"], "flow", "abc")
+    with pytest.raises(ValidationError) as parsed:
+        load_panel(paths["dyads"], paths["countries"])
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"gravnet: error: {parsed.value}\n"
+    assert (out / PANEL_CACHE_NAME).read_bytes() == cache
+
+
+def _truncated(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _flipped(at: int):
+    def flip(data: bytes) -> bytes:
+        k = at % len(data)
+        return data[:k] + bytes([data[k] ^ 0x10]) + data[k + 1:]
+
+    return flip
+
+
+def _old_version(data: bytes) -> bytes:
+    first, rest = data.split(b"\n", 1)
+    return first[:-1] + b"0\n" + rest
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(_truncated, id="truncated"),
+    pytest.param(_flipped(30), id="flipped-digest"),
+    pytest.param(_flipped(200), id="flipped-header"),
+    pytest.param(_flipped(-3), id="flipped-columns"),
+    pytest.param(_old_version, id="old-version"),
+    pytest.param(lambda data: b"", id="empty"),
+])
+def test_a_damaged_panel_cache_is_ignored_and_rewritten(zip_panel, tmp_path, corrupt):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out, models=["PPML"], years=[1995])
+    assert main(["fit", "--config", cfg]) == EXIT_OK
+    cache = out / PANEL_CACHE_NAME
+    good = cache.read_bytes()
+    cache.write_bytes(corrupt(good))
+    assert cache.read_bytes() != good
+    assert main(["predict", "--config", cfg]) == EXIT_OK
+    assert last_record(out)["panel"]["cached"] is False
+    assert cache.read_bytes() == good
+
+
+def test_a_refused_command_stores_no_panel_cache(zip_panel, tmp_path, capsys):
+    out = tmp_path / "out"
+    # a panel that fails to parse
+    paths = copied_panel(zip_panel, tmp_path / "panel")
+    edit_first_row(paths["countries"], "gdp", "-1")
+    cfg = write_config(tmp_path / "cfg.json", paths, out, models=["PPML"])
+    assert main(["fit", "--config", cfg]) == EXIT_VALIDATION
+    assert "gdp, area and population must be strictly positive" in capsys.readouterr().err
+    assert not (out / PANEL_CACHE_NAME).exists()
+    # a panel that parses, for a command refused after the parse
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out, models=["PPML"])
+    assert main(["fit", "--config", cfg, "--years", "1900"]) == EXIT_VALIDATION
+    assert main(["predict", "--config", cfg]) == EXIT_DEPENDENCY
+    assert os.listdir(out) == []
+
+
+# ---------------------------------------------------------------------------
 # full pipeline
 
 
@@ -469,6 +594,7 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path):
 
     manifest = json.loads((out / MANIFEST_NAME).read_text())["artifacts"]
     assert LOG_NAME not in manifest
+    assert PANEL_CACHE_NAME not in manifest
     for rel, digest in manifest.items():
         assert _hash_file(os.path.join(str(out), *rel.split("/"))) == digest
     # every artifact on disk is accounted for
@@ -476,7 +602,7 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path):
         os.path.relpath(os.path.join(root, name), out).replace(os.sep, "/")
         for root, _, names in os.walk(out)
         for name in names
-        if name not in (MANIFEST_NAME, MANIFEST_LOCK_NAME, LOG_NAME)
+        if name not in (MANIFEST_NAME, MANIFEST_LOCK_NAME, LOG_NAME, PANEL_CACHE_NAME)
     }
     assert on_disk == set(manifest)
 
@@ -498,6 +624,11 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path):
     assert {r["command"] for r in records} == {
         "fit", "predict", "netstats", "compare", "report",
     }
+    # every record names the panel's files by digest; fit parsed them, and
+    # each later stage read the copy fit stored
+    digests = {name: _hash_file(zip_panel[name]) for name in ("dyads", "countries")}
+    for r in records:
+        assert r["panel"] == {**digests, "cached": r["command"] != "fit"}, r
     # each fit cell logs the iterations its fit.json records; ZIP also
     # logs its Vuong statistic against PPML
     fit = [r for r in records if r["command"] == "fit"]

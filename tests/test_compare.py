@@ -40,6 +40,7 @@ from gravnet.prediction import (
     predict_zip,
     sample_bernoulli_ensemble,
     sample_weighted_ensemble,
+    stream_bernoulli_ensemble,
     stream_weighted_ensemble,
 )
 
@@ -288,6 +289,52 @@ def test_ensemble_summary_matches_per_kind_loop_oracle(transform):
     assert {s.kind: s.n_dropped for s in dropped if s.n_dropped} == {
         "ANND_tot": 2, "BCC_tot": 2, "ANNS_tot": 2, "WCC_tot": 2,
     }
+
+
+def sampler_case(tag: str, n: int = 20, m: int = 2000):
+    """(stream, xi, mean_w) for one sampler on an n-country prediction with
+    independent dyads: its ensemble, each dyad's link probability and each
+    dyad's expected weight."""
+    rng = np.random.default_rng(38)
+    ids = country_names(n)
+    off = ~np.eye(n, dtype=bool)
+    mu = np.where(off, rng.uniform(0.05, 3.0, (n, n)), 0.0)
+    xi = np.where(off, rng.uniform(0.1, 0.9, (n, n)), 0.0)
+    if tag == "OLS":
+        mask = (off & (rng.random((n, n)) < 0.6)).astype(np.int8)
+        value = np.where(mask, rng.normal(2.0, 1.0, (n, n)), 0.0)
+        pred = PredictedWeights("OLS", ids, value, np.where(mask, 0.5, 0.0), mask)
+        # the links are the mask and the noise has mean zero
+        return stream_weighted_ensemble(pred, m, 1), mask.astype(float), value
+    if tag == "PPML":
+        pred = PredictedWeights("PPML", ids, mu, mu, off.astype(np.int8))
+        return stream_weighted_ensemble(pred, m, 2), -np.expm1(-mu), mu
+    lp = LinkProbabilityMatrix(ids, xi)
+    if tag == "ZIP":
+        # a link needs both the zero stage and a positive count
+        pred = PredictedWeights("ZIP", ids, xi * mu, xi * mu, off.astype(np.int8))
+        return stream_weighted_ensemble(pred, m, 3, link_probs=lp), xi * -np.expm1(-mu), xi * mu
+    return stream_bernoulli_ensemble(lp, m, 4), xi, xi
+
+
+@pytest.mark.parametrize("tag", ["OLS", "PPML", "ZIP", "LOGIT"])
+def test_sampler_first_moments_match_their_closed_forms(tag):
+    """E[avg ND_tot] = 2 sum(xi) / n, E[avg NS_tot] = 2 sum(E[w]) / n and
+    E[density] = the mean off-diagonal xi, each within 4 sd / sqrt(m)."""
+    stream, xi, mean_w = sampler_case(tag)
+    n = stream.n
+    summaries = ensemble_summary(stream, ("ND_tot", "NS_tot", "density"), "identity")
+    want = (2.0 * xi.sum() / n, 2.0 * mean_w.sum() / n, xi[~np.eye(n, dtype=bool)].mean())
+    for summary, expected in zip(summaries, want):
+        assert summary.m == stream.m and summary.n_dropped == 0
+        assert abs(summary.mean - expected) <= 4.0 * summary.sd / np.sqrt(summary.m), summary
+    if tag == "OLS":
+        # every replication's links are the mask: the binary kinds are exact
+        nd, _, rho = summaries
+        assert (nd.sd, rho.sd) == (0.0, 0.0)
+        assert (nd.mean, rho.mean) == (want[0], want[2])
+    else:
+        assert all(summary.sd > 0.0 for summary in summaries)
 
 
 def traced_peak_bytes(summarise) -> int:

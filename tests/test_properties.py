@@ -54,6 +54,7 @@ from gravnet.panel import (
     build_cross_section,
     build_design_matrix,
     load_panel,
+    read_panel,
 )
 from gravnet.prediction import (
     LinkProbabilityMatrix,
@@ -67,7 +68,7 @@ from gravnet.prediction import (
     stream_weighted_ensemble,
     threshold_by_manhattan,
 )
-from gravnet.synth import GENERATOR_COVARIATES, SynthSpec, write_synth_panel
+from gravnet.synth import GENERATOR_COVARIATES, SynthSpec, _write_json, write_synth_panel
 
 from oracles import loop_ensemble_summary, loop_load_panel
 
@@ -450,6 +451,95 @@ def test_load_panel_matches_record_loader(texts, block_rows):
                for pair, rec in table.items()}
         for year, table in want.dyads.items()
     }
+
+
+def assert_same_panel(got: DyadPanel, want: DyadPanel) -> None:
+    """Equal field by field: the ids, and per table the column names in
+    order and each column's dtype, shape and bytes."""
+    assert got.ids == want.ids
+    for table in ("countries", "dyads"):
+        columns, expected = getattr(got, table), getattr(want, table)
+        assert list(columns) == list(expected), table
+        for name, array in expected.items():
+            assert (columns[name].dtype, columns[name].shape) == (array.dtype, array.shape), name
+            assert columns[name].tobytes() == array.tobytes(), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_panel())
+def test_stored_panel_copy_equals_a_fresh_parse(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = os.path.join(tmp, f"{name}.csv")
+            with open(paths[name], "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+        cache = os.path.join(tmp, "panel.cache")
+        fresh = _outcome(load_panel, paths)
+        if isinstance(fresh, Exception):
+            got = _outcome(lambda dyads, countries: read_panel(dyads, countries, cache), paths)
+            assert (type(got), str(got)) == (type(fresh), str(fresh))
+            return
+        parsed, source, copy = read_panel(paths["dyads"], paths["countries"], cache)
+        with open(cache, "wb") as fh:
+            fh.write(copy)
+        cached, again, no_copy = read_panel(paths["dyads"], paths["countries"], cache)
+    assert source["cached"] is False
+    assert again == {**source, "cached": True} and no_copy is None
+    assert_same_panel(parsed, fresh)
+    assert_same_panel(cached, fresh)
+    # a copy's bytes depend on nothing but the panel and the digests
+    assert cached.as_bytes(source) == copy
+
+
+_COPY_SOURCES = {"dyads": "d" * 64, "countries": "c" * 64}
+_COPY_PANEL = DyadPanel(
+    ids=("A", "C\u00f4te"),
+    countries={"country": np.arange(2), "gdp": np.array([1.5, -0.0])},
+    dyads={"flow": np.array([0.0, 3.25, math.inf]), "contig": np.array([0, 1, 1], np.int8)},
+)
+_COPY = _COPY_PANEL.as_bytes(_COPY_SOURCES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(_COPY) - 1), st.integers(0, 7), st.booleans())
+def test_a_damaged_panel_copy_reads_as_a_miss(at, bit, truncate):
+    damaged = _COPY[:at] if truncate else (
+        _COPY[:at] + bytes([_COPY[at] ^ (1 << bit)]) + _COPY[at + 1:]
+    )
+    assert DyadPanel.from_bytes(damaged, _COPY_SOURCES) is None
+
+
+def test_a_panel_copy_reads_back_only_for_its_own_files():
+    assert_same_panel(DyadPanel.from_bytes(_COPY, _COPY_SOURCES), _COPY_PANEL)
+    for name in _COPY_SOURCES:
+        assert DyadPanel.from_bytes(_COPY, {**_COPY_SOURCES, name: "e" * 64}) is None
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from((-0.0, math.nan, math.inf, -math.inf, "C\u00f4te d'Ivoire"))
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_json_writer_writes_what_json_dumps_writes(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "payload.json")
+        _write_json(path, payload)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 _LAYOUT_COLUMNS = ("const", "ln_gdp_i", "ln_dist")
