@@ -587,10 +587,9 @@ def _cell_network(stage: _Stage, year: int, tag: str):
         net = TradeNetwork(a.astype(float), a)
         return tuple(payload["country_ids"]), net, "identity", None
     pred = PredictedWeights.from_dict(payload)
-    if tag == "OLS":
-        # predicted logs on the observed support; already on the log scale
-        return pred.country_ids, TradeNetwork(pred.value, pred.mask), "identity", pred
-    return pred.country_ids, TradeNetwork(pred.value), stage.cfg.transforms[tag], pred
+    # OLS predicts logs on its observed support: already on the log scale
+    transform = "identity" if tag == "OLS" else stage.cfg.transforms[tag]
+    return pred.country_ids, TradeNetwork(pred.value, pred.mask), transform, pred
 
 
 def _stats_rows(net: TradeNetwork, ids, transforms) -> list:

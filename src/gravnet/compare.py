@@ -2,12 +2,11 @@
 
 Point predictions answer "what does the model say this network looks like";
 the functions here answer "how far is that from the network we saw".  Node
-statistics are compared with two-sample Kolmogorov-Smirnov tests, ensemble
-spread turns into 95% confidence intervals, and closed-form variances of
-average node strength are available for the three estimator families as an
-independent check on the Monte Carlo machinery.  An ensemble is walked once:
-each replication is validated into one network, every reported statistic is
-taken from that network, and only the per-replication averages are kept.
+statistics are compared with two-sample Kolmogorov-Smirnov tests, and
+ensemble spread turns into 95% confidence intervals.  An ensemble is walked
+once: each replication is validated into one network, every reported
+statistic is taken from that network, and only the per-replication averages
+are kept.
 Given an :class:`~gravnet.prediction.EnsembleStream`, each replication is
 drawn, summarised and dropped, so memory does not grow with the ensemble size
 beyond one scalar per replication and statistic.  An ensemble with a mask
@@ -37,7 +36,7 @@ from .netstats import (
     population_average,
     stat_correlation,
 )
-from .prediction import EnsembleStream, NetworkEnsemble, PredictedWeights
+from .prediction import EnsembleStream, NetworkEnsemble
 
 REPORT_VERSION = "1"
 
@@ -257,39 +256,6 @@ def _summarise(kind: str, values: array, dropped: int) -> EnsembleSummary:
     return EnsembleSummary(
         kind, mean, sd, lo, hi, mean - _Z975 * sd, mean + _Z975 * sd, arr.size, dropped
     )
-
-
-def analytical_var_avg_ns(pred: PredictedWeights) -> float:
-    """Closed-form variance of the average node strength.
-
-    The average out-strength is the total predicted weight over the node
-    count, so its variance is the sum of per-dyad variances over the
-    squared node count.  Each estimator family admits a closed form:
-
-    * Poisson: variance equals the mean, giving ``avg NS / N``.
-    * Zero-inflated: ``sum of mu (1 - psi) (1 + mu psi) / N^2``.
-    * Log-linear: a constant residual variance on ``L`` observed dyads,
-      giving ``rho sigma^2 (N - 1) / N`` at density ``rho``.
-
-    In- and out-strengths share a grand total, so both directions have
-    the same variance.
-    """
-    n = pred.n
-    if n < 2:
-        raise ValidationError("need at least two countries")
-    if pred.model_tag == "PPML":
-        avg_ns = float(pred.value.sum()) / n
-        return avg_ns / n
-    if pred.model_tag == "ZIP":
-        return float(pred.variance.sum()) / (n * n)
-    if pred.model_tag == "OLS":
-        links = int(pred.mask.sum())
-        rho = links / (n * (n - 1))
-        if links == 0:
-            return 0.0
-        sigma2 = float(pred.variance[np.asarray(pred.mask) == 1][0])
-        return rho * sigma2 * (n - 1) / n
-    raise ValidationError(f"no closed-form variance for model {pred.model_tag}")
 
 
 def _aligned_ids(observed_ids, tag: str, mp: ModelPrediction) -> None:

@@ -341,11 +341,6 @@ def _compute(p: _Profile, kind: str) -> NodeStatVector:
     raise ValidationError(f"unknown statistic kind {kind!r}")
 
 
-def reciprocal_degree(net: TradeNetwork) -> NodeStatVector:
-    """Number of bilateral partners: sum_j a_ij * a_ji."""
-    return _defined_everywhere("ND_recip", _Profile(net).k_recip)
-
-
 def density(net: TradeNetwork) -> float:
     """Fraction of possible directed links present: L / (N(N-1))."""
     if net.n < 2:

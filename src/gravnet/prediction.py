@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PredictionOverflowError, SchemaError, ValidationError
-from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult, _zip_log_p0
+from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult
 from .panel import DesignMatrix
 
 DEFAULT_REPLICATIONS = 10_000
@@ -43,47 +43,54 @@ DEFAULT_REPLICATIONS = 10_000
 
 @dataclass(frozen=True)
 class PredictedWeights:
-    """Matrix of point predictions with per-entry variances.
+    """Matrix of point predictions.
 
     ``value`` holds predicted log flows for OLS and predicted levels for
-    the count models; ``variance`` is the matching per-entry variance.
-    Entries outside ``mask`` are zero and carry no meaning.
+    the count models.  Only OLS has a ``mask``, its observed support;
+    entries outside it are zero and carry no meaning, and ``sigma2`` is
+    the fit's residual variance.  The count models predict every ordered
+    pair and have neither.
     """
 
     model_tag: str
     country_ids: tuple[str, ...]
     value: np.ndarray
-    variance: np.ndarray
-    mask: np.ndarray
+    mask: np.ndarray | None = None
+    sigma2: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("value", "variance", "mask"):
-            arr = getattr(self, name)
-            object.__setattr__(self, name, np.asarray(arr))
-            getattr(self, name).setflags(write=False)
+        object.__setattr__(self, "value", np.asarray(self.value))
+        self.value.setflags(write=False)
+        if self.mask is not None:
+            object.__setattr__(self, "mask", np.asarray(self.mask))
+            self.mask.setflags(write=False)
 
     @property
     def n(self) -> int:
         return len(self.country_ids)
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "model": self.model_tag,
             "country_ids": list(self.country_ids),
             "value": self.value.tolist(),
-            "variance": self.variance.tolist(),
-            "mask": self.mask.astype(int).tolist(),
         }
+        if self.mask is not None:
+            out["mask"] = self.mask.astype(int).tolist()
+        if self.sigma2 is not None:
+            out["sigma2"] = self.sigma2
+        return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> PredictedWeights:
         """The prediction whose ``as_dict()`` is ``payload``; other keys are ignored."""
+        mask = payload.get("mask")
         return cls(
             payload["model"],
             tuple(payload["country_ids"]),
             np.array(payload["value"], dtype=float),
-            np.array(payload["variance"], dtype=float),
-            np.array(payload["mask"], dtype=np.int8),
+            None if mask is None else np.array(mask, dtype=np.int8),
+            payload.get("sigma2"),
         )
 
 
@@ -253,28 +260,14 @@ def _guard_overflow(eta: np.ndarray, dm: DesignMatrix, stage: str) -> None:
         )
 
 
-def _zip_stages(zip_fit: ZipFitResult, dm: DesignMatrix):
-    """Checked scatter plus each row's zero-stage predictor u, zero
-    probability psi = expit(u) and count mean mu."""
-    from scipy.special import expit
-
-    _check_fit_against(dm, zip_fit.logit_part, "ZIP_LOGIT")
-    _check_fit_against(dm, zip_fit.poisson_part, "ZIP_POISSON")
-    scatter = _grid(dm)
-    u = dm.X @ zip_fit.logit_part.coefficients
-    v = dm.X @ zip_fit.poisson_part.coefficients
-    _guard_overflow(v, dm, "count")
-    return scatter, u, expit(u), np.exp(v)
-
-
 def predict_ols(fit: FitResult, dm: DesignMatrix) -> PredictedWeights:
     """Predict log flows on the observed positive dyads.
 
     The log-linear model is silent about zero flows, so the prediction
     mask is exactly the set of dyads the regression was fitted on and
     ``value`` holds predicted logs, not levels.  The grid covers every
-    country of ``dm.country_ids``, trading or not.  The variance is the
-    estimated residual variance, identical for every masked entry.
+    country of ``dm.country_ids``, trading or not.  ``sigma2`` is the
+    fit's residual variance, the same for every masked entry.
 
     Parameters
     ----------
@@ -295,15 +288,12 @@ def predict_ols(fit: FitResult, dm: DesignMatrix) -> PredictedWeights:
     scatter = _grid(dm, full=False)
     value = scatter(dm.X @ fit.coefficients)
     return PredictedWeights(
-        "OLS", dm.country_ids, value, scatter(fit.sigma2), scatter(1, dtype=np.int8)
+        "OLS", dm.country_ids, value, scatter(1, dtype=np.int8), fit.sigma2
     )
 
 
 def predict_ppml(fit: FitResult, dm: DesignMatrix) -> PredictedWeights:
     """Predict expected flow levels ``exp(x'g)`` for every ordered pair.
-
-    Under the Poisson specification the conditional variance equals the
-    conditional mean, so ``variance`` is a copy of ``value``.
 
     Raises
     ------
@@ -315,26 +305,24 @@ def predict_ppml(fit: FitResult, dm: DesignMatrix) -> PredictedWeights:
     scatter = _grid(dm)
     eta = dm.X @ fit.coefficients
     _guard_overflow(eta, dm, "count")
-    value = scatter(np.exp(eta))
-    return PredictedWeights(
-        "PPML", dm.country_ids, value, value.copy(), scatter(1, dtype=np.int8)
-    )
+    return PredictedWeights("PPML", dm.country_ids, scatter(np.exp(eta)))
 
 
 def predict_zip(zip_fit: ZipFitResult, dm: DesignMatrix) -> PredictedWeights:
     """Predict unconditional means ``(1 - psi) * mu`` under zero inflation.
 
     ``psi`` is the fitted probability of a structural zero and ``mu`` the
-    count-stage mean.  The per-entry variance is
-    ``mu * (1 - psi) * (1 + mu * psi)``, the variance of the zero-inflated
-    Poisson mixture.
+    count-stage mean.
     """
-    scatter, _, psi, mu = _zip_stages(zip_fit, dm)
-    value = scatter((1.0 - psi) * mu)
-    variance = scatter(mu * (1.0 - psi) * (1.0 + mu * psi))
-    return PredictedWeights(
-        "ZIP", dm.country_ids, value, variance, scatter(1, dtype=np.int8)
-    )
+    from scipy.special import expit
+
+    _check_fit_against(dm, zip_fit.logit_part, "ZIP_LOGIT")
+    _check_fit_against(dm, zip_fit.poisson_part, "ZIP_POISSON")
+    scatter = _grid(dm)
+    psi = expit(dm.X @ zip_fit.logit_part.coefficients)
+    v = dm.X @ zip_fit.poisson_part.coefficients
+    _guard_overflow(v, dm, "count")
+    return PredictedWeights("ZIP", dm.country_ids, scatter((1.0 - psi) * np.exp(v)))
 
 
 def link_probabilities(fit: FitResult | ZipFitResult, dm: DesignMatrix) -> LinkProbabilityMatrix:
@@ -356,25 +344,6 @@ def link_probabilities(fit: FitResult | ZipFitResult, dm: DesignMatrix) -> LinkP
     # expit is strictly inside (0, 1) for finite arguments, so xi is too.
     xi = scatter(1.0 - expit(dm.X @ logit.coefficients))
     return LinkProbabilityMatrix(dm.country_ids, xi)
-
-
-def zero_flow_probability(
-    zip_fit: ZipFitResult, dm: DesignMatrix, form: str = "consistent"
-) -> np.ndarray:
-    """Per-dyad probability of observing a zero flow.
-
-    ``form="consistent"`` gives the zero mass of the mixture, evaluated in
-    log space by ``estimation._zip_log_p0``.  ``form="printed"`` instead
-    evaluates ``psi + (1 - psi) * mu``, a variant that circulates in
-    applied work but is not a probability (it exceeds one for large
-    ``mu``); it is provided for replication only.
-    """
-    if form not in ("consistent", "printed"):
-        raise ValidationError(f"unknown zero-probability form {form!r}")
-    scatter, u, psi, mu = _zip_stages(zip_fit, dm)
-    if form == "consistent":
-        return scatter(np.exp(_zip_log_p0(u, mu)))
-    return scatter(psi + (1.0 - psi) * mu)
 
 
 def _binary_from_threshold(xi: np.ndarray, s: float) -> np.ndarray:
@@ -524,12 +493,13 @@ def stream_weighted_ensemble(
     off = ~np.eye(n, dtype=bool)
     mask = None
     if pred.model_tag == "OLS":
-        sd = np.sqrt(pred.variance)
-        maskf = pred.mask.astype(float)
+        if pred.mask is None or pred.sigma2 is None:
+            raise ValidationError("log-linear sampling needs the prediction's mask and sigma2")
+        sd = np.sqrt(pred.sigma2)
         mask = pred.mask
 
         def draw(g):
-            return (pred.value + sd * g.standard_normal((n, n))) * maskf
+            return np.where(mask, pred.value + sd * g.standard_normal((n, n)), 0.0)
 
     elif pred.model_tag == "PPML":
 

@@ -18,6 +18,14 @@ row writer: same text, byte for byte. ``loop_report_rows`` is the former
 report aggregation of ``gravnet report``, which walked the raw ``report.json``
 objects by dotted keys, kept as the reference for the rows the decoded,
 typed report gives.
+
+Three more are former package functions that no pipeline stage calls, kept
+here for the tests that read them. ``analytical_var_avg_ns`` is the
+closed-form variance of the average node strength, the check on the Monte
+Carlo ensembles. ``zero_flow_probability`` is the fitted ZIP zero mass,
+read through ``estimation._zip_log_p0``, the one zero mass the package
+uses. ``reciprocal_degree`` reads the package's bilateral-partner count,
+the one its clustering denominators subtract.
 """
 
 import csv
@@ -25,11 +33,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import expit, ndtri
 
 from gravnet.compare import EnsembleSummary
 from gravnet.errors import SchemaError, ValidationError
-from gravnet.netstats import TradeNetwork, compute_statistic, density, population_average
+from gravnet.estimation import _zip_log_p0
+from gravnet.netstats import (
+    TradeNetwork,
+    _defined_everywhere,
+    _Profile,
+    compute_statistic,
+    density,
+    population_average,
+)
 from gravnet.panel import COUNTRY_COLUMNS, DYAD_COLUMNS, DYAD_DUMMIES
 
 # math.cbrt appeared in 3.11; the fallback matches it to within an ulp,
@@ -607,3 +623,71 @@ def loop_report_rows(year, payload):
         corr_rows.append(_report_row(year, c, _CORR_COLUMNS))
     headers = [("year", *columns) for columns in (_KS_COLUMNS, _AVG_COLUMNS, _CORR_COLUMNS)]
     return headers, (ks_rows, avg_rows, corr_rows)
+
+
+def _placed(dm, values):
+    """n-by-n grid with each design row's value at its (exporter, importer)
+    cell and zero elsewhere."""
+    n = len(dm.country_ids)
+    out = np.zeros((n, n))
+    for k in range(dm.n_obs):
+        out[dm.exporter[k], dm.importer[k]] = values[k]
+    return out
+
+
+def _zip_stages(zip_fit, dm):
+    """Each design row's zero-stage predictor u and count mean mu."""
+    u = dm.X @ zip_fit.logit_part.coefficients
+    return u, np.exp(dm.X @ zip_fit.poisson_part.coefficients)
+
+
+def zip_mixture_variance(zip_fit, dm):
+    """Per-dyad variance mu (1 - psi) (1 + mu psi) of the fitted
+    zero-inflated Poisson mixture, psi = expit(u)."""
+    u, mu = _zip_stages(zip_fit, dm)
+    psi = expit(u)
+    return _placed(dm, mu * (1.0 - psi) * (1.0 + mu * psi))
+
+
+def zero_flow_probability(zip_fit, dm):
+    """Per-dyad zero mass psi + (1 - psi) e^{-mu} of the fitted mixture."""
+    u, mu = _zip_stages(zip_fit, dm)
+    return _placed(dm, np.exp(_zip_log_p0(u, mu)))
+
+
+def analytical_var_avg_ns(pred, zip_fit=None, dm=None):
+    """Closed-form variance of the average node strength.
+
+    The average out-strength is the total predicted weight over the node
+    count, so its variance is the sum of per-dyad variances over the
+    squared node count.  Each estimator family admits a closed form:
+
+    * Poisson: variance equals the mean, giving ``avg NS / N``.
+    * Zero-inflated: ``sum of mu (1 - psi) (1 + mu psi) / N^2``, from the
+      fit and design matrix the prediction was made from.
+    * Log-linear: a constant residual variance on ``L`` observed dyads,
+      giving ``rho sigma^2 (N - 1) / N`` at density ``rho``.
+
+    In- and out-strengths share a grand total, so both directions have
+    the same variance.
+    """
+    n = pred.n
+    if n < 2:
+        raise ValidationError("need at least two countries")
+    if pred.model_tag == "PPML":
+        avg_ns = float(pred.value.sum()) / n
+        return avg_ns / n
+    if pred.model_tag == "ZIP":
+        return float(zip_mixture_variance(zip_fit, dm).sum()) / (n * n)
+    if pred.model_tag == "OLS":
+        links = int(pred.mask.sum())
+        if links == 0:
+            return 0.0
+        rho = links / (n * (n - 1))
+        return rho * pred.sigma2 * (n - 1) / n
+    raise ValidationError(f"no closed-form variance for model {pred.model_tag}")
+
+
+def reciprocal_degree(net):
+    """``ND_recip``: the number of bilateral partners, sum_j a_ij a_ji."""
+    return _defined_everywhere("ND_recip", _Profile(net).k_recip)

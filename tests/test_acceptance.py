@@ -2,11 +2,12 @@
 
 One test per headline guarantee, in a fixed order: the frozen density
 table, estimation sample sizes, statistic-oracle equivalence, coefficient
-recovery on generated panels, the closed-form variance cross-check, the
-directional replication pattern, binary predictor contracts, pipeline
-determinism, and exactness of the K-S statistic.  Tests with a wall-clock
-budget assert it themselves, so a pass line certifies both the numbers
-and the runtime.
+recovery on generated panels, the closed-form variance cross-check (the
+closed forms are ``oracles.analytical_var_avg_ns``; the package predicts
+point values only), the directional replication pattern, binary predictor
+contracts, pipeline determinism, and exactness of the K-S statistic.  Tests
+with a wall-clock budget assert it themselves, so a pass line certifies both
+the numbers and the runtime.
 """
 
 import csv
@@ -20,7 +21,6 @@ import oracles
 from gravnet.cli import main
 from gravnet.compare import (
     ModelPrediction,
-    analytical_var_avg_ns,
     build_comparison_report,
     ks_two_sample,
 )
@@ -38,7 +38,6 @@ from gravnet.netstats import (
     TradeNetwork,
     compute_statistic,
     density,
-    reciprocal_degree,
 )
 from gravnet.panel import (
     build_cross_section,
@@ -141,7 +140,7 @@ def test_all_statistics_match_loop_oracle():
                     if defined[i]:
                         assert abs(got.values[i] - values[i]) <= 1e-12, (case, kind)
             assert abs(density(net) - expected["density"]) <= 1e-12
-            assert reciprocal_degree(net).values.tolist() == expected["ND_recip"][0]
+            assert oracles.reciprocal_degree(net).values.tolist() == expected["ND_recip"][0]
     assert time.perf_counter() - start < 30.0
 
 
@@ -235,14 +234,18 @@ def test_analytical_variance_matches_monte_carlo(tmp_path):
     cs, panel = _variance_instance("lognormal", 23, tmp_path / "ols")
     dm = build_design_matrix(cs, panel, GENERATOR_COVARIATES, positive_only=True)
     pred = predict_ols(fit_ols(dm), dm)
-    checks = [("OLS", pred, sample_weighted_ensemble(pred, m, seed=31))]
+    checks = [
+        ("OLS", pred, sample_weighted_ensemble(pred, m, seed=31),
+         oracles.analytical_var_avg_ns(pred)),
+    ]
 
     cs, panel = _variance_instance("poisson", 22, tmp_path / "ppml")
     dm = build_design_matrix(cs, panel, GENERATOR_COVARIATES)
     pred = predict_ppml(fit_poisson_pml(dm), dm)
     off = ~np.eye(pred.n, dtype=bool)
     assert pred.value[off].min() >= 1.0
-    checks.append(("PPML", pred, sample_weighted_ensemble(pred, m, seed=32)))
+    checks.append(("PPML", pred, sample_weighted_ensemble(pred, m, seed=32),
+                   oracles.analytical_var_avg_ns(pred)))
 
     cs, panel = _variance_instance("zip", 21, tmp_path / "zip")
     dm = build_design_matrix(cs, panel, GENERATOR_COVARIATES)
@@ -252,13 +255,13 @@ def test_analytical_variance_matches_monte_carlo(tmp_path):
     off = ~np.eye(pred.n, dtype=bool)
     assert (pred.value[off] / lk.xi[off]).min() >= 1.0  # count-stage means
     checks.append(
-        ("ZIP", pred, sample_weighted_ensemble(pred, m, seed=33, link_probs=lk))
+        ("ZIP", pred, sample_weighted_ensemble(pred, m, seed=33, link_probs=lk),
+         oracles.analytical_var_avg_ns(pred, zf, dm))
     )
 
-    for tag, pred, ens in checks:
+    for tag, pred, ens, closed in checks:
         averages = ens.replications.reshape(m, -1).sum(axis=1) / pred.n
         mc = float(averages.var(ddof=1))
-        closed = analytical_var_avg_ns(pred)
         assert abs(mc / closed - 1.0) <= 0.05, (tag, mc, closed)
     assert time.perf_counter() - start < 120.0
 

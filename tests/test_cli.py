@@ -789,10 +789,14 @@ def test_stages_without_scipy_work_do_not_import_it(tmp_path):
 def test_prediction_artifact_roundtrips_exactly(zip_panel, tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
-        tmp_path / "cfg.json", zip_panel, out, models=["PPML"], years=[2000]
+        tmp_path / "cfg.json", zip_panel, out, models=["PPML", "ZIP"], years=[2000]
     )
     run_pipeline(cfg, commands=("fit", "predict"))
     payload = json.loads((out / "2000" / "PPML" / "prediction.json").read_text())
+    # a count model predicts every ordered pair: no mask, no residual variance
+    for tag in ("PPML", "ZIP"):
+        keys = json.loads((out / "2000" / tag / "prediction.json").read_text()).keys()
+        assert sorted(keys) == ["country_ids", "model", "value", "year"], tag
 
     panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
     cs = build_cross_section(panel, 2000)
@@ -800,8 +804,6 @@ def test_prediction_artifact_roundtrips_exactly(zip_panel, tmp_path):
     pred = predict_ppml(fit_poisson_pml(dm), dm)
     assert tuple(payload["country_ids"]) == cs.country_ids
     np.testing.assert_array_equal(np.array(payload["value"]), pred.value)
-    np.testing.assert_array_equal(np.array(payload["variance"]), pred.variance)
-    np.testing.assert_array_equal(np.array(payload["mask"]), pred.mask)
 
 
 def test_ols_cell_network_keeps_observed_structure(zip_panel, tmp_path):
@@ -814,6 +816,10 @@ def test_ols_cell_network_keeps_observed_structure(zip_panel, tmp_path):
     panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
     cs = build_cross_section(panel, 2000)
     np.testing.assert_array_equal(np.array(payload["mask"]), cs.adjacency)
+    assert sorted(payload) == ["country_ids", "mask", "model", "sigma2", "value", "year"]
+    # the fit's one residual variance, not a matrix of copies
+    fit = json.loads((out / "2000" / "OLS" / "fit.json").read_text())
+    assert payload["sigma2"] == fit["diagnostics"]["sigma2"]
 
 
 def test_binary_artifact_realized_density(zip_panel, tmp_path):

@@ -4,7 +4,8 @@ The K-S statistic is checked for exact equality against a counting oracle.
 Ensemble summaries are checked on degenerate (zero-variance) ensembles,
 against binomial moments, field for field against the per-kind loop
 oracle, and for memory that stays flat in the ensemble size when the
-ensemble is streamed.  The closed-form average-strength variances are
+ensemble is streamed.  The closed-form average-strength variances, which
+live in ``oracles`` since the package predicts point values only, are
 checked against their printed values and against Monte Carlo ensembles.
 """
 
@@ -21,7 +22,6 @@ from gravnet.compare import (
     REPORT_KINDS,
     ModelPrediction,
     _Z975,
-    analytical_var_avg_ns,
     build_comparison_report,
     ensemble_summary,
     ks_two_sample,
@@ -44,7 +44,7 @@ from gravnet.prediction import (
     stream_weighted_ensemble,
 )
 
-from oracles import loop_ensemble_summary, loop_ks_statistic
+from oracles import analytical_var_avg_ns, loop_ensemble_summary, loop_ks_statistic
 from test_prediction import country_names, make_dm, simulate_grid
 
 
@@ -126,7 +126,7 @@ def exact_ols_prediction():
     for i, j in [(0, 1), (1, 0), (0, 2), (2, 3), (3, 1), (4, 0), (1, 4)]:
         mask[i, j] = 1
         value[i, j] = rng.normal(loc=2.0)
-    return PredictedWeights("OLS", ids, value, np.zeros((n, n)), mask)
+    return PredictedWeights("OLS", ids, value, mask, 0.0)
 
 
 def test_ensemble_summary_degenerate_ols_collapses():
@@ -183,9 +183,7 @@ def test_mask_ensemble_takes_its_binary_statistics_once(monkeypatch):
     import gravnet.netstats as netstats
 
     exact = exact_ols_prediction()
-    pred = PredictedWeights(
-        "OLS", exact.country_ids, exact.value, 0.3 * exact.mask, exact.mask
-    )
+    pred = PredictedWeights("OLS", exact.country_ids, exact.value, exact.mask, 0.3)
     m = 9
     kinds = REPORT_KINDS + ("density",)
     want = tuple(
@@ -212,7 +210,7 @@ def test_mask_ensemble_undefined_binary_kinds_are_dropped_every_time():
     n = 4
     ids = country_names(n)
     empty = np.zeros((n, n), dtype=np.int8)
-    pred = PredictedWeights("OLS", ids, np.zeros((n, n)), np.zeros((n, n)), empty)
+    pred = PredictedWeights("OLS", ids, np.zeros((n, n)), empty, 0.0)
     stream = stream_weighted_ensemble(pred, m=5, seed=2)
     stack = sample_weighted_ensemble(pred, m=5, seed=2)
 
@@ -303,16 +301,16 @@ def sampler_case(tag: str, n: int = 20, m: int = 2000):
     if tag == "OLS":
         mask = (off & (rng.random((n, n)) < 0.6)).astype(np.int8)
         value = np.where(mask, rng.normal(2.0, 1.0, (n, n)), 0.0)
-        pred = PredictedWeights("OLS", ids, value, np.where(mask, 0.5, 0.0), mask)
+        pred = PredictedWeights("OLS", ids, value, mask, 0.5)
         # the links are the mask and the noise has mean zero
         return stream_weighted_ensemble(pred, m, 1), mask.astype(float), value
     if tag == "PPML":
-        pred = PredictedWeights("PPML", ids, mu, mu, off.astype(np.int8))
+        pred = PredictedWeights("PPML", ids, mu)
         return stream_weighted_ensemble(pred, m, 2), -np.expm1(-mu), mu
     lp = LinkProbabilityMatrix(ids, xi)
     if tag == "ZIP":
         # a link needs both the zero stage and a positive count
-        pred = PredictedWeights("ZIP", ids, xi * mu, xi * mu, off.astype(np.int8))
+        pred = PredictedWeights("ZIP", ids, xi * mu)
         return stream_weighted_ensemble(pred, m, 3, link_probs=lp), xi * -np.expm1(-mu), xi * mu
     return stream_bernoulli_ensemble(lp, m, 4), xi, xi
 
@@ -365,8 +363,7 @@ def test_streamed_summary_memory_is_flat_in_m():
     rng = np.random.default_rng(41)
     level = rng.uniform(0.0, 20.0, size=(n, n))
     np.fill_diagonal(level, 0.0)
-    off = (~np.eye(n, dtype=bool)).astype(np.int8)
-    pred = PredictedWeights("PPML", country_names(n), level, level, off)
+    pred = PredictedWeights("PPML", country_names(n), level)
 
     def peak(m):
         stream = stream_weighted_ensemble(pred, m, seed=5)
@@ -384,9 +381,7 @@ def test_analytical_var_ppml_printed_value():
     n = 100
     value = np.zeros((n, n))
     value[0, 1:] = 1000.0 / (n - 1)  # avg NS_out = 10
-    mask = np.ones((n, n), dtype=np.int8)
-    np.fill_diagonal(mask, 0)
-    pred = PredictedWeights("PPML", country_names(n), value, value.copy(), mask)
+    pred = PredictedWeights("PPML", country_names(n), value)
     assert analytical_var_avg_ns(pred) == pytest.approx(0.1, rel=1e-12)
 
 
@@ -397,8 +392,7 @@ def test_analytical_var_ols_printed_value():
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
     for i, j in off[: len(off) // 2]:
         mask[i, j] = 1
-    variance = 2.0 * mask
-    pred = PredictedWeights("OLS", country_names(n), np.zeros((n, n)), variance, mask)
+    pred = PredictedWeights("OLS", country_names(n), np.zeros((n, n)), mask, 2.0)
     want = 0.5 * 2.0 * (n - 1) / n
     assert analytical_var_avg_ns(pred) == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(0.9901, abs=5e-5)
@@ -406,10 +400,7 @@ def test_analytical_var_ols_printed_value():
 
 def test_analytical_var_validation():
     pred = exact_ols_prediction()
-    bogus = PredictedWeights(
-        "LOGIT", pred.country_ids, np.asarray(pred.value),
-        np.asarray(pred.variance), np.asarray(pred.mask),
-    )
+    bogus = PredictedWeights("LOGIT", pred.country_ids, pred.value, pred.mask, pred.sigma2)
     with pytest.raises(ValidationError):
         analytical_var_avg_ns(bogus)
 
@@ -434,7 +425,7 @@ def test_analytical_var_matches_monte_carlo():
     lp = link_probabilities(zres, dm)
     zens = sample_weighted_ensemble(zpred, m=m, seed=22, link_probs=lp)
     mc_var = ensemble_summary(zens, ("NS_out",), "identity")[0].sd ** 2
-    assert mc_var == pytest.approx(analytical_var_avg_ns(zpred), rel=0.05)
+    assert mc_var == pytest.approx(analytical_var_avg_ns(zpred, zres, dm), rel=0.05)
 
     # log-linear
     ids = country_names(6)

@@ -32,9 +32,10 @@ from gravnet.prediction import (
     sample_weighted_ensemble,
     threshold_by_manhattan,
     threshold_matching_density,
-    zero_flow_probability,
 )
 from gravnet.synth import GENERATOR_COVARIATES, SynthSpec, write_synth_panel
+
+from oracles import zero_flow_probability, zip_mixture_variance
 
 COLUMNS = ("const", "x1", "x2")
 
@@ -124,10 +125,10 @@ def test_predict_ols_places_rows_on_mask():
     for (e, i), want in zip(rows, eta):
         assert pred.mask[index[e], index[i]] == 1
         assert pred.value[index[e], index[i]] == pytest.approx(want, abs=1e-12)
-        assert pred.variance[index[e], index[i]] == pytest.approx(fit.sigma2, abs=0)
     assert pred.mask.sum() == len(rows)
     assert np.all(pred.value[pred.mask == 0] == 0.0)
-    assert np.all(pred.variance[pred.mask == 0] == 0.0)
+    # one residual variance for the whole prediction
+    assert pred.sigma2 == fit.sigma2
 
 
 def test_predict_ols_embeds_into_given_country_order():
@@ -195,9 +196,9 @@ def test_predict_ppml_recomputes_levels():
     index = {c: k for k, c in enumerate(ids)}
     got = np.array([pred.value[index[e], index[i]] for e, i in full_grid_rows(ids)])
     np.testing.assert_allclose(got, want, rtol=1e-12)
-    np.testing.assert_array_equal(pred.variance, pred.value)
-    assert np.all(np.diag(pred.mask) == 0)
-    assert pred.mask.sum() == len(ids) * (len(ids) - 1)
+    assert np.all(np.diag(pred.value) == 0.0)
+    # every ordered pair is predicted: no support mask, no residual variance
+    assert pred.mask is None and pred.sigma2 is None
 
 
 def test_predict_ppml_overflow_names_first_dyad():
@@ -230,13 +231,12 @@ def test_predict_zip_mixture_mean_and_variance():
     mu = np.exp(dm.X @ zres.poisson_part.coefficients)
     src, dst = grid_positions(ids)
     np.testing.assert_allclose(pred.value[src, dst], (1 - psi) * mu, rtol=1e-12)
-    np.testing.assert_allclose(
-        pred.variance[src, dst], mu * (1 - psi) * (1 + mu * psi), rtol=1e-12
-    )
     assert pred.model_tag == "ZIP"
     assert np.all(np.diag(pred.value) == 0.0)
+    assert pred.mask is None and pred.sigma2 is None
     # mixture variance always exceeds the mean when extra zeros are present
-    assert np.all(pred.variance[src, dst] >= pred.value[src, dst])
+    variance = zip_mixture_variance(zres, dm)
+    assert np.all(variance[src, dst] >= pred.value[src, dst])
 
 
 def test_predicted_arrays_are_read_only():
@@ -244,8 +244,10 @@ def test_predicted_arrays_are_read_only():
     pred = predict_zip(zres, dm)
     with pytest.raises(ValueError):
         pred.value[0, 1] = 99.0
+    mask = 1 - np.eye(2, dtype=np.int8)
+    ols = PredictedWeights("OLS", country_names(2), np.zeros((2, 2)), mask, 1.0)
     with pytest.raises(ValueError):
-        pred.mask[0, 1] = 0
+        ols.mask[0, 1] = 0
 
 
 # ------------------------------------------------- link probabilities
@@ -297,6 +299,7 @@ def test_logit_link_probabilities_match_the_observed_links(tmp_path):
 
 
 def test_zero_flow_probability_forms():
+    # the one zero mass of the package (estimation._zip_log_p0), on a fit
     ids, dm, zres = fitted_zip(seed=9)
     psi = expit(dm.X @ zres.logit_part.coefficients)
     mu = np.exp(dm.X @ zres.poisson_part.coefficients)
@@ -308,14 +311,6 @@ def test_zero_flow_probability_forms():
     )
     assert np.all(consistent[src, dst] > 0.0)
     assert np.all(consistent[src, dst] < 1.0)
-
-    printed = zero_flow_probability(zres, dm, form="printed")
-    np.testing.assert_allclose(printed[src, dst], psi + (1 - psi) * mu, rtol=1e-12)
-    # the printed variant is not a probability: large means push it past one
-    assert printed.max() > 1.0
-
-    with pytest.raises(ValidationError):
-        zero_flow_probability(zres, dm, form="exact")
 
 
 # ------------------------------------------------------- thresholding
@@ -573,8 +568,9 @@ def test_weighted_ensemble_zip_moments():
     assert ens.model_tag == "ZIP"
     off = ~np.eye(6, dtype=bool)
 
+    variance = zip_mixture_variance(zres, dm)[off]
     means = ens.replications.mean(axis=0)[off]
-    se = np.sqrt(pred.variance[off] / m)
+    se = np.sqrt(variance / m)
     assert np.all(np.abs(means - pred.value[off]) <= 3 * se)
 
     # headline calibration: sampled variance within 5% where the count
@@ -582,7 +578,7 @@ def test_weighted_ensemble_zip_moments():
     mu = pred.value[off] / lp.xi[off]
     big = mu >= 1.0
     sample_var = ens.replications[:, off].var(axis=0, ddof=1)[big]
-    assert np.all(np.abs(sample_var / pred.variance[off][big] - 1.0) <= 0.05)
+    assert np.all(np.abs(sample_var / variance[big] - 1.0) <= 0.05)
 
     # zero fraction matches the mixture's zero mass
     zero_mass = zero_flow_probability(zres, dm)[off]
@@ -611,12 +607,12 @@ def test_sampling_argument_validation():
         sample_bernoulli_ensemble(lp, m=5, seed=-1)
 
     pred = predict_zip(zres, dm)
-    bogus = PredictedWeights(
-        "GRAVITY", pred.country_ids, np.asarray(pred.value),
-        np.asarray(pred.variance), np.asarray(pred.mask),
-    )
+    bogus = PredictedWeights("GRAVITY", pred.country_ids, np.asarray(pred.value))
     with pytest.raises(ValidationError):
         sample_weighted_ensemble(bogus, m=2, seed=0)
+    # log-linear draws need the support and the residual variance
+    with pytest.raises(ValidationError, match="mask and sigma2"):
+        sample_weighted_ensemble(PredictedWeights("OLS", pred.country_ids, pred.value), m=2)
 
     ens = sample_bernoulli_ensemble(lp, m=2, seed=0)
     with pytest.raises(ValueError):

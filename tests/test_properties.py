@@ -165,14 +165,13 @@ def stream_and_stack(tag, case):
     lp = LinkProbabilityMatrix(ids, xi)
     if tag == "BERNOULLI":
         return stream_bernoulli_ensemble(lp, m, seed), sample_bernoulli_ensemble(lp, m, seed)
-    off = (~np.eye(n, dtype=bool)).astype(np.int8)
     if tag == "OLS":
         # log-scale values of either sign on a partial support
-        pred = PredictedWeights(tag, ids, (level - 15.0) * mask, sigma2 * mask, mask)
+        pred = PredictedWeights(tag, ids, (level - 15.0) * mask, mask, sigma2)
     elif tag == "PPML":
-        pred = PredictedWeights(tag, ids, level, level, off)
+        pred = PredictedWeights(tag, ids, level)
     else:
-        pred = PredictedWeights(tag, ids, level * xi, level, off)
+        pred = PredictedWeights(tag, ids, level * xi)
     return (
         stream_weighted_ensemble(pred, m, seed, link_probs=lp),
         sample_weighted_ensemble(pred, m, seed, link_probs=lp),
@@ -603,7 +602,7 @@ def test_design_rows_carry_their_grid_positions(case):
         return
     ppml = predict_ppml(_layout_fit("PPML", beta), dm)
     np.testing.assert_array_equal(ppml.value, _placed(dm, np.exp(dm.X @ beta)))
-    np.testing.assert_array_equal(ppml.mask, on_rows)
+    assert ppml.mask is None
     lp = link_probabilities(_layout_fit("LOGIT", theta), dm)
     np.testing.assert_array_equal(lp.xi, _placed(dm, 1.0 - expit(dm.X @ theta)))
 
@@ -730,9 +729,11 @@ _COUNTRY_IDS = st.lists(_LABELS, min_size=1, max_size=5, unique=True).map(tuple)
 def predicted_weights(draw):
     ids = draw(_COUNTRY_IDS)
     n = len(ids)
-    mask = draw(_square(n, np.int8, st.integers(0, 1)))
     tag = draw(st.sampled_from(("OLS", "PPML", "ZIP")))
-    return PredictedWeights(tag, ids, draw(_square(n)), draw(_square(n)), mask)
+    if tag != "OLS":
+        return PredictedWeights(tag, ids, draw(_square(n)))
+    mask = draw(_square(n, np.int8, st.integers(0, 1)))
+    return PredictedWeights(tag, ids, draw(_square(n)), mask, draw(_FLOATS))
 
 
 @st.composite
