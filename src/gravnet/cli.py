@@ -34,10 +34,17 @@ and whether the panel came from the cache.
 Randomness enters only through ensemble sampling at the compare stage.
 Each (year, model) cell derives its own substream seed from the run
 seed, so adding a year or a model to the configuration never shifts the
-draws of the other cells.
+draws of the other cells.  Compare runs its cells on every CPU the
+process may use, one cell per worker process, and the parent writes the
+reports in cell order; because a cell's draws depend only on its seed,
+the bytes do not depend on how many CPUs there are.  With one usable CPU
+the cells run in the command's own process, so ``taskset -c 0 gravnet
+compare ...`` runs the stage serially.
 """
 
 import argparse
+import collections
+import contextlib
 import fcntl
 import hashlib
 import json
@@ -288,11 +295,19 @@ def _record_artifacts(out: str, relpaths) -> None:
         _write_json(os.path.join(out, MANIFEST_NAME), {"artifacts": artifacts})
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB."""
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _log(out: str, command: str, message: str, duration_s: float, **fields_) -> None:
     """One human-readable line on stdout, one JSON record in the run log.
 
     ``duration_s`` is the wall time of the work the record reports; the
-    record also carries the process's peak resident set size so far.
+    record also carries the process's peak resident set size so far,
+    unless ``fields_`` give ``peak_rss_mb`` of the process that did the
+    work.
     """
     print(f"gravnet {command}: {message}")
     record = {
@@ -300,8 +315,7 @@ def _log(out: str, command: str, message: str, duration_s: float, **fields_) -> 
         "command": command,
         "message": message,
         "duration_s": duration_s,
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     record.update(fields_)
     with open(os.path.join(out, LOG_NAME), "a", encoding="utf-8") as handle:
@@ -381,16 +395,20 @@ class _Stage:
     def cells(self, year: int):
         """Yield ``(tag, note)`` for each configured model of ``year``.
 
-        When the cell's work is done, it is logged with its wall time:
-        ``note["message"]`` after the cell's name, the rest of ``note``
-        as record fields.
+        When the cell's work is done, ``log_cell`` logs ``note`` with the
+        cell's wall time.
         """
         for tag in self.cfg.models:
             started = time.perf_counter()
             note = {}
             yield tag, note
-            message = f"year {year} model {tag}: {note.pop('message')}"
-            self.log(message, time.perf_counter() - started, year=year, model=tag, **note)
+            self.log_cell(year, tag, time.perf_counter() - started, note)
+
+    def log_cell(self, year: int, tag: str, duration_s: float, note: dict) -> None:
+        """A cell's record: ``note["message"]`` after the cell's name, the
+        rest of ``note`` as record fields."""
+        message = f"year {year} model {tag}: {note.pop('message')}"
+        self.log(message, duration_s, year=year, model=tag, **note)
 
     def log(self, message: str, duration_s: float, **fields_) -> None:
         """A run-log record of this command, with where its panel came from."""
@@ -573,22 +591,22 @@ def _network_artifact(tag: str) -> str:
     return "binary.json" if tag == "LOGIT" else "prediction.json"
 
 
-def _cell_network(stage: _Stage, year: int, tag: str):
-    """Point-prediction network of one cell, read back from predict artifacts.
+def _cell_network(tag: str, payload: dict, transforms: dict):
+    """Point-prediction network of one cell, from the decoded JSON of its
+    ``_network_artifact``.
 
     Returns (country_ids, network, transform, pred) where the transform is
     the one under which this network's weighted statistics are meaningful
     and ``pred`` is the decoded PredictedWeights (None for the logit,
     whose network is its thresholded adjacency).
     """
-    payload = stage.read(f"{year}/{tag}/{_network_artifact(tag)}")
     if tag == "LOGIT":
         a = np.array(payload["adjacency"], dtype=np.int8)
         net = TradeNetwork(a.astype(float), a)
         return tuple(payload["country_ids"]), net, "identity", None
     pred = PredictedWeights.from_dict(payload)
     # OLS predicts logs on its observed support: already on the log scale
-    transform = "identity" if tag == "OLS" else stage.cfg.transforms[tag]
+    transform = "identity" if tag == "OLS" else transforms[tag]
     return pred.country_ids, TradeNetwork(pred.value, pred.mask), transform, pred
 
 
@@ -621,53 +639,117 @@ def cmd_netstats(args) -> None:
         rows = _stats_rows(cs.network(), cs.country_ids, ("identity", "log_positive"))
         stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
         for tag, note in stage.cells(year):
-            ids, net, transform, _ = _cell_network(stage, year, tag)
+            payload = stage.read(f"{year}/{tag}/{_network_artifact(tag)}")
+            ids, net, transform, _ = _cell_network(tag, payload, stage.cfg.transforms)
             rows = _stats_rows(net, ids, (transform,))
             stage.write_csv(f"{year}/{tag}/node_stats.csv", _STATS_FIELDS, rows)
             note["message"] = "statistics written"
     stage.record()
 
 
-def _cell_prediction(stage: _Stage, year: int, tag: str) -> ModelPrediction:
-    """ModelPrediction of one cell, its ensemble streamed from the cell's seed."""
-    cfg = stage.cfg
+def _compare_cell(year, tag, observed, observed_ids, network, xi, cfg: RunConfig):
+    """One compare cell from picklable inputs: ``(report payload, duration_s,
+    note)``.
+
+    ``network`` and ``xi`` are the decoded JSON of the cell's
+    ``_network_artifact`` and of its ``xi.json`` (None for a model without
+    link probabilities); the ensemble streams from the cell's seed.  This
+    is all of a cell's work, run in the stage's process or in a worker, so
+    its bytes do not depend on which.  ``duration_s`` and the note's
+    ``peak_rss_mb`` are measured in the process that ran the cell.
+    """
+    started = time.perf_counter()
     seed = cell_seed(cfg.seed, year, tag)
-    _, net, transform, pred = _cell_network(stage, year, tag)
-    lp = None
-    if tag in _LINK_MODELS:
-        lp = LinkProbabilityMatrix.from_dict(stage.read(f"{year}/{tag}/xi.json"))
+    _, net, transform, pred = _cell_network(tag, network, cfg.transforms)
+    lp = None if xi is None else LinkProbabilityMatrix.from_dict(xi)
     if tag == "LOGIT":
         ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
     else:
         ensemble = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
-    return ModelPrediction(net, ensemble, transform)
+    report = build_comparison_report(
+        observed,
+        observed_ids,
+        {tag: ModelPrediction(net, ensemble, transform)},
+        year=year,
+        observed_transform=cfg.transforms[tag],
+    )
+    note = {
+        "message": f"report written ({cfg.replications} replications)",
+        "replications": cfg.replications,
+        "n_dropped": {s.kind: s.summary.n_dropped for s in report.statistics if s.summary},
+        "peak_rss_mb": _peak_rss_mb(),
+    }
+    return report_as_dict(report), time.perf_counter() - started, note
+
+
+def _compare_inputs(stage: _Stage):
+    """``((year, tag), arguments of _compare_cell)`` per cell, in cell order;
+    a cell's artifacts are read only when it is reached."""
+    for year in stage.years:
+        cs = build_cross_section(stage.panel, year)
+        observed = cs.network()
+        for tag in stage.cfg.models:
+            network = stage.read(f"{year}/{tag}/{_network_artifact(tag)}")
+            xi = stage.read(f"{year}/{tag}/xi.json") if tag in _LINK_MODELS else None
+            yield (year, tag), (year, tag, observed, cs.country_ids, network, xi, stage.cfg)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def _in_order(fn, calls, workers: int):
+    """Yield ``(key, fn(*args))`` for each ``(key, args)`` of ``calls``, in order.
+
+    With one worker each call runs in this process.  Otherwise the calls
+    run in a pool of ``workers`` processes, and ``calls`` is read only as
+    a call is submitted, at most ``2 * workers`` calls ahead of the result
+    that is due.  An error in a call re-raises here with its type.
+    Closing the generator cancels the calls not yet started and waits for
+    the pool's processes to exit.
+    """
+    if workers == 1:
+        for key, args in calls:
+            yield key, fn(*args)
+        return
+    # imported here, so the stages that run no pool do not load it
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers)
+    try:
+        pending = collections.deque()
+        for key, args in calls:
+            pending.append((key, pool.submit(fn, *args)))
+            if len(pending) == 2 * workers:
+                key, future = pending.popleft()
+                yield key, future.result()
+        for key, future in pending:
+            yield key, future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_compare(args) -> None:
-    """K-S tests and ensemble bands for every cell against the observed ITN."""
+    """K-S tests and ensemble bands for every cell against the observed ITN.
+
+    The cells run on every CPU this process may use (see ``_in_order``);
+    each report is written, and its cell logged, in cell order.
+    """
     stage = _Stage(
         args, "compare", "predict",
         # the point network, and the link probabilities the ensemble draws from
         lambda tag: (_network_artifact(tag), *(("xi.json",) if tag in _LINK_MODELS else ())),
     )
-    cfg = stage.cfg
-    for year in stage.years:
-        cs = build_cross_section(stage.panel, year)
-        observed = cs.network()
-        for tag, note in stage.cells(year):
-            report = build_comparison_report(
-                observed,
-                cs.country_ids,
-                {tag: _cell_prediction(stage, year, tag)},
-                year=year,
-                observed_transform=cfg.transforms[tag],
-            )
-            stage.write_json(f"{year}/{tag}/report.json", report_as_dict(report))
-            note.update(
-                message=f"report written ({cfg.replications} replications)",
-                replications=cfg.replications,
-                n_dropped={s.kind: s.summary.n_dropped for s in report.statistics if s.summary},
-            )
+    workers = min(_usable_cpus(), len(stage.years) * len(stage.cfg.models))
+    results = _in_order(_compare_cell, _compare_inputs(stage), workers)
+    with contextlib.closing(results):
+        for (year, tag), (payload, duration_s, note) in results:
+            stage.write_json(f"{year}/{tag}/report.json", payload)
+            stage.log_cell(year, tag, duration_s, note)
     stage.record()
 
 

@@ -16,6 +16,10 @@ computed per replication.
 
 Everything is pure computation over immutable inputs; replication order is
 fixed, so reports are deterministic given the inputs and the ensemble seed.
+``gravnet compare`` builds one report per (year, model) cell and runs its
+cells on every CPU the process may use; a report's bytes do not depend on
+the process that built it or on how many CPUs there are, and
+``taskset -c 0 gravnet compare ...`` builds them serially.
 """
 
 from __future__ import annotations

@@ -210,8 +210,13 @@ class EnsembleStream:
         return len(self.country_ids)
 
     def __iter__(self) -> Iterator[np.ndarray]:
+        # one bit generator per pass, rekeyed for each replication: a new
+        # Philox would also build an OS-entropy seed and throw it away
+        bits = np.random.Philox(key=[self.seed, 0])
+        g = np.random.Generator(bits)
         for r in range(self.m):
-            yield self.draw(_substream(self.seed, r))
+            bits.state = _keyed_state(self.seed, r)
+            yield self.draw(g)
 
 
 def _grid(dm: DesignMatrix, full: bool = True):
@@ -432,9 +437,21 @@ def threshold_by_manhattan(
     return BinaryPrediction(a, best_s, manhattan_distance=best_dist)
 
 
-def _substream(seed: int, replication: int) -> np.random.Generator:
-    # counter-based keying: replication r is reproducible in isolation
-    return np.random.Generator(np.random.Philox(key=[seed, replication]))
+def _keyed_state(seed: int, replication: int) -> dict:
+    """The state of a fresh ``Philox(key=[seed, replication])``: counter 0,
+    empty buffer.  Counter-based keying makes replication r reproducible
+    in isolation."""
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed, replication], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _collect(stream: EnsembleStream, dtype) -> NetworkEnsemble:

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -571,7 +572,9 @@ def test_a_refused_command_stores_no_panel_cache(zip_panel, tmp_path, capsys):
 # full pipeline
 
 
-def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path):
+def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path, monkeypatch):
+    # compare runs its cells in two worker processes, even on one CPU
+    monkeypatch.setattr(gravnet.cli, "_usable_cpus", lambda: 2)
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", zip_panel, out)
     run_pipeline(cfg)
@@ -650,6 +653,19 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path):
         assert r["n_dropped"] == {
             s["kind"]: s["ensemble"]["n_dropped"] for s in report["statistics"]
         }
+        assert r["replications"] == 40
+    assert [(r["year"], r["model"]) for r in compare] == [
+        (year, tag) for year in (1995, 2000) for tag in MODEL_TAGS
+    ]
+    # a cell's peak RSS is read in the process that ran it: with a stand-in
+    # that names that process, every compare cell names a worker
+    monkeypatch.setattr(gravnet.cli, "_peak_rss_mb", lambda: float(os.getpid()))
+    assert main(["compare", "--config", cfg]) == EXIT_OK
+    rerun = [json.loads(line) for line in (out / LOG_NAME).read_text().splitlines()]
+    cells = rerun[len(records):]
+    assert len(cells) == 2 * 4 and all(r["command"] == "compare" for r in cells)
+    workers = {r["peak_rss_mb"] for r in cells}
+    assert float(os.getpid()) not in workers and 1 <= len(workers) <= 2
 
 
 def output_tree(out) -> dict:
@@ -675,6 +691,49 @@ def test_pipeline_reruns_byte_identical(zip_panel, tmp_path):
     assert trees[0].keys() == trees[1].keys()
     for rel in trees[0]:
         assert trees[0][rel] == trees[1][rel], f"{rel} differs between runs"
+
+
+def test_compare_bytes_do_not_depend_on_the_worker_count(zip_panel, tmp_path, monkeypatch):
+    trees = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(gravnet.cli, "_usable_cpus", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        cfg = write_config(tmp_path / f"cfg{workers}.json", zip_panel, out)
+        run_pipeline(cfg)
+        trees[workers] = output_tree(out)
+    # two years x four models, manifest included
+    assert len([rel for rel in trees[1] if rel.endswith("report.json")]) == 2 * 4
+    assert trees[1].keys() == trees[2].keys()
+    for rel in trees[1]:
+        assert trees[1][rel] == trees[2][rel], f"{rel} differs between 1 and 2 workers"
+
+
+def test_compare_error_in_a_worker_exits_as_in_process(zip_panel, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out)
+    run_pipeline(cfg, commands=("fit", "predict"))
+    manifest = (out / MANIFEST_NAME).read_bytes()
+
+    def failing(*args, **kwargs):
+        raise SingularDesignError("cell cannot be compared", columns=["rta"])
+
+    # a forked worker inherits the patched global
+    monkeypatch.setattr(gravnet.cli, "build_comparison_report", failing)
+    messages = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(gravnet.cli, "_usable_cpus", lambda: workers)
+        assert main(["compare", "--config", cfg]) == EXIT_VALIDATION
+        messages[workers] = capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        # the exception keeps its type and payload across the process boundary
+        args = gravnet.cli.build_parser().parse_args(["compare", "--config", cfg])
+        with pytest.raises(SingularDesignError) as raised:
+            args.func(args)
+        assert raised.value.columns == ["rta"]
+        assert multiprocessing.active_children() == []
+    assert messages[1] == messages[2] == "gravnet: error: cell cannot be compared\n"
+    # no compare entry reached the manifest
+    assert (out / MANIFEST_NAME).read_bytes() == manifest
 
 
 def rendered(rows) -> list:
