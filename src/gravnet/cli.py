@@ -81,6 +81,7 @@ from .panel import (
     _hash_file,
     build_cross_section,
     build_design_matrix,
+    design_columns,
     read_panel,
     summary_stats,
 )
@@ -189,15 +190,7 @@ class RunConfig:
                 f"unknown model(s) {unknown}; expected a subset of {list(MODEL_TAGS)}"
             )
         object.__setattr__(self, "models", tuple(t for t in MODEL_TAGS if t in models))
-        covariates = tuple(self.covariates)
-        if not covariates:
-            raise ValidationError("covariates must be non-empty")
-        bad = [c for c in covariates if c not in DESIGN_COLUMNS]
-        if bad:
-            raise ValidationError(f"unknown covariate(s) {bad}")
-        if len(set(covariates)) != len(covariates):
-            raise ValidationError("duplicate covariate requested")
-        object.__setattr__(self, "covariates", covariates)
+        object.__setattr__(self, "covariates", design_columns(self.covariates))
         if self.replications < 2:
             # compare summarises each ensemble over at least two draws
             raise ValidationError(
@@ -333,7 +326,8 @@ class _Stage:
     ``inputs(tag)``.  A refused command therefore writes nothing; a
     missing or modified input names ``producer``, the command to rerun.
     The copy of a freshly parsed panel is stored only once every check
-    has passed.
+    has passed.  A cell reads its inputs through :meth:`inputs`, so it can
+    read only what it declared.
     """
 
     def __init__(self, args, name: str, producer: str = "", inputs=lambda tag: ()):
@@ -353,6 +347,7 @@ class _Stage:
         self.years = tuple(years)
         self._written = []
         self._digests = _load_manifest(cfg.out)
+        self._inputs = inputs
         for year in self.years:
             for tag in cfg.models:
                 for base in inputs(tag):
@@ -372,9 +367,11 @@ class _Stage:
             )
         return data
 
-    def read(self, rel: str):
-        """An input's JSON, parsed from the bytes just checked against the manifest."""
-        return json.loads(self._checked_bytes(rel))
+    def inputs(self, year: int, tag: str) -> list:
+        """The decoded JSON of each input the cell declared, in declared
+        order, parsed from the bytes just checked against the manifest."""
+        return [json.loads(self._checked_bytes(f"{year}/{tag}/{base}"))
+                for base in self._inputs(tag)]
 
     def _target(self, rel: str) -> str:
         path = _artifact_path(self.cfg.out, rel)
@@ -559,7 +556,7 @@ def cmd_predict(args) -> None:
         dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
         rho = density(cs.network())
         for tag, note in stage.cells(year):
-            fit = fit_from_dict(stage.read(f"{year}/{tag}/fit.json"))
+            fit = fit_from_dict(*stage.inputs(year, tag))
             if tag != "LOGIT":
                 # looked up per call, so a rebinding of a layer function is seen
                 predict = {"OLS": predict_ols, "PPML": predict_ppml, "ZIP": predict_zip}[tag]
@@ -639,7 +636,7 @@ def cmd_netstats(args) -> None:
         rows = _stats_rows(cs.network(), cs.country_ids, ("identity", "log_positive"))
         stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
         for tag, note in stage.cells(year):
-            payload = stage.read(f"{year}/{tag}/{_network_artifact(tag)}")
+            (payload,) = stage.inputs(year, tag)
             ids, net, transform, _ = _cell_network(tag, payload, stage.cfg.transforms)
             rows = _stats_rows(net, ids, (transform,))
             stage.write_csv(f"{year}/{tag}/node_stats.csv", _STATS_FIELDS, rows)
@@ -647,21 +644,22 @@ def cmd_netstats(args) -> None:
     stage.record()
 
 
-def _compare_cell(year, tag, observed, observed_ids, network, xi, cfg: RunConfig):
+def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
     """One compare cell from picklable inputs: ``(report payload, duration_s,
     note)``.
 
-    ``network`` and ``xi`` are the decoded JSON of the cell's
-    ``_network_artifact`` and of its ``xi.json`` (None for a model without
-    link probabilities); the ensemble streams from the cell's seed.  This
+    ``inputs`` is the decoded JSON of the cell's declared inputs: its
+    ``_network_artifact``, then its ``xi.json`` for a model with link
+    probabilities; the ensemble streams from the cell's seed.  This
     is all of a cell's work, run in the stage's process or in a worker, so
     its bytes do not depend on which.  ``duration_s`` and the note's
     ``peak_rss_mb`` are measured in the process that ran the cell.
     """
     started = time.perf_counter()
     seed = cell_seed(cfg.seed, year, tag)
+    network, *xi = inputs
     _, net, transform, pred = _cell_network(tag, network, cfg.transforms)
-    lp = None if xi is None else LinkProbabilityMatrix.from_dict(xi)
+    lp = LinkProbabilityMatrix.from_dict(*xi) if xi else None
     if tag == "LOGIT":
         ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
     else:
@@ -689,9 +687,8 @@ def _compare_inputs(stage: _Stage):
         cs = build_cross_section(stage.panel, year)
         observed = cs.network()
         for tag in stage.cfg.models:
-            network = stage.read(f"{year}/{tag}/{_network_artifact(tag)}")
-            xi = stage.read(f"{year}/{tag}/xi.json") if tag in _LINK_MODELS else None
-            yield (year, tag), (year, tag, observed, cs.country_ids, network, xi, stage.cfg)
+            inputs = stage.inputs(year, tag)
+            yield (year, tag), (year, tag, observed, cs.country_ids, inputs, stage.cfg)
 
 
 def _usable_cpus() -> int:
@@ -781,7 +778,7 @@ def cmd_report(args) -> None:
     stage = _Stage(args, "report", "compare", lambda tag: ("report.json",))
     cfg = stage.cfg
     ks_rows, avg_rows, corr_rows = _report_tables(
-        (year, report_from_dict(stage.read(f"{year}/{tag}/report.json")))
+        (year, report_from_dict(*stage.inputs(year, tag)))
         for year in stage.years
         for tag in cfg.models
     )

@@ -31,11 +31,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .netstats import (
-    STAT_KINDS,
-    WEIGHT_TRANSFORMS,
     WEIGHTED_KINDS,
     TradeNetwork,
     all_statistics,
+    check_statistics,
     density,
     population_average,
     stat_correlation,
@@ -204,13 +203,8 @@ def ensemble_summary(
         raise ValidationError(f"need at least 2 replications, got {ens.m}")
     if isinstance(kinds, str):
         raise ValidationError(f"kinds must be a sequence of kinds, not the string {kinds!r}")
-    for kind in kinds:
-        if kind not in STAT_KINDS and kind != "density":
-            raise ValidationError(f"unknown statistic kind {kind!r}")
-    if transform not in WEIGHT_TRANSFORMS:
-        raise ValidationError(
-            f"unknown weight transform {transform!r}; expected one of {WEIGHT_TRANSFORMS}"
-        )
+    # refused before the first draw, not at the first replication
+    check_statistics([kind for kind in kinds if kind != "density"], transform)
     # 8 bytes per kept value, against 32 for a list of Python floats
     values = {kind: array("d") for kind in kinds}
     # log-scale draws carry their support as the ensemble mask, since their

@@ -357,6 +357,20 @@ def _glm_fit(tag, family, dm, y, outcome, moments, null_loglik):
     return _fitted(tag, dm, beta, vcov, loglik, 1.0 - loglik / null_loglik(y), len(trace) - 1)
 
 
+def _count_response(dm, both_zero_and_positive: bool = False) -> np.ndarray:
+    """The float response of a count model (PPML, logit, ZIP) fitted on
+    ``dm``, once the design and the response are checked: the flows must
+    be non-negative, and include zeros and positives when asked."""
+    _check_design(dm.X, dm.columns)
+    y = np.asarray(dm.y, dtype=float)
+    if np.any(y < 0):
+        raise ValidationError("flows must be non-negative")
+    zero = y == 0.0
+    if both_zero_and_positive and (zero.all() or not zero.any()):
+        raise ValidationError("flows must include both zeros and positives")
+    return y
+
+
 def _ols_log1p_start(X, y):
     return np.linalg.solve(X.T @ X, X.T @ np.log1p(y))
 
@@ -373,11 +387,7 @@ def fit_poisson_pml(dm) -> FitResult:
     real.  Starts from OLS on ln(1+flow).
     """
     X = dm.X
-    _check_design(X, dm.columns)
-    y = np.asarray(dm.y, dtype=float)
-    if np.any(y < 0):
-        raise ValidationError("Poisson response must be non-negative")
-
+    y = _count_response(dm)
     outcome = _irls(X, y, 1.0, _ols_log1p_start(X, y), _poisson_moments, _poisson_q)
     return _glm_fit("PPML", "Poisson", dm, y, outcome, _poisson_moments, _poisson_null_loglik)
 
@@ -402,14 +412,7 @@ def fit_logit(dm) -> FitResult:
     non-negative and include both zeros and positives.
     """
     X = dm.X
-    _check_design(X, dm.columns)
-    y = np.asarray(dm.y, dtype=float)
-    if np.any(y < 0):
-        raise ValidationError("logit flows must be non-negative")
-    a = (y == 0.0).astype(float)
-    if a.min() == a.max():
-        raise ValidationError("logit requires both zero and positive flows present")
-
+    a = (_count_response(dm, both_zero_and_positive=True) == 0.0).astype(float)
     outcome = _irls(X, a, 1.0, np.zeros(X.shape[1]), _logit_moments, _bernoulli_q)
     beta, trace = outcome[:2]
     # A finite logit MLE exists only when no coefficient vector classifies
@@ -449,6 +452,13 @@ def _zip_loglik(y, u, v) -> float:
     return float(_zip_row_loglik(y, u, v).sum())
 
 
+def _zip_failure(message, theta, gamma, trace) -> ConvergenceError:
+    """A failed ZIP fit: its last (theta, gamma), stacked, and its trace."""
+    return ConvergenceError(
+        message, last_coefficients=np.concatenate([theta, gamma]), trace=trace
+    )
+
+
 def _zip_em(X, y, theta, gamma):
     """EM for the ZIP likelihood. Returns (theta, gamma, trace, converged)."""
     from scipy.special import log_expit
@@ -458,8 +468,7 @@ def _zip_em(X, y, theta, gamma):
     ll = _zip_loglik(y, u, v)
     trace = [ll]
     if not np.isfinite(ll):
-        raise ConvergenceError("ZIP starting values give non-finite likelihood",
-                               trace=trace)
+        raise _zip_failure("ZIP starting values give non-finite likelihood", theta, gamma, trace)
     for _ in range(MAX_EM_ITERATIONS):
         # E-step: posterior probability that a zero is structural
         z_hat = np.zeros_like(y)
@@ -472,25 +481,16 @@ def _zip_em(X, y, theta, gamma):
             X, y, 1.0 - z_hat, gamma, _poisson_moments, _poisson_q
         )
         if th_div or ga_div or not (th_ok and ga_ok):
-            raise ConvergenceError(
-                "ZIP M-step failed to converge",
-                last_coefficients=np.concatenate([theta, gamma]),
-                trace=trace,
-            )
+            raise _zip_failure("ZIP M-step failed to converge", theta, gamma, trace)
 
         u, v = X @ theta, X @ gamma
         ll_new = _zip_loglik(y, u, v)
         trace.append(ll_new)
         if ll_new < ll - 1e-8 * (1.0 + abs(ll)):
-            raise ConvergenceError(
-                f"EM log-likelihood decreased ({ll} -> {ll_new})", trace=trace
-            )
+            raise _zip_failure(f"EM log-likelihood decreased ({ll} -> {ll_new})",
+                               theta, gamma, trace)
         if max(np.abs(u).max(), np.abs(v).max()) > MAX_LINEAR_PREDICTOR:
-            raise ConvergenceError(
-                "ZIP iterates diverged",
-                last_coefficients=np.concatenate([theta, gamma]),
-                trace=trace,
-            )
+            raise _zip_failure("ZIP iterates diverged", theta, gamma, trace)
         if abs(ll_new - ll) <= EM_TOL * (1.0 + abs(ll)):
             return theta, gamma, trace, True
         ll = ll_new
@@ -539,11 +539,7 @@ def _fit_zip_core(X, y):
     gamma0 = _ols_log1p_start(X, y)
     theta, gamma, trace, converged = _zip_em(X, y, theta0, gamma0)
     if not converged:
-        raise ConvergenceError(
-            "ZIP EM did not converge",
-            last_coefficients=np.concatenate([theta, gamma]),
-            trace=trace,
-        )
+        raise _zip_failure("ZIP EM did not converge", theta, gamma, trace)
     return theta, gamma, trace
 
 
@@ -555,16 +551,7 @@ def fit_zip(dm) -> ZipFitResult:
     inverse observed information of the full mixture likelihood.
     """
     X = dm.X
-    _check_design(X, dm.columns)
-    y = np.asarray(dm.y, dtype=float)
-    if np.any(y < 0):
-        raise ValidationError("ZIP response must be non-negative")
-    zero = y == 0.0
-    if not zero.any() or zero.all():
-        raise ValidationError(
-            "ZIP requires both zero and positive responses present"
-        )
-
+    y = _count_response(dm, both_zero_and_positive=True)
     theta, gamma, trace = _fit_zip_core(X, y)
     loglik = trace[-1]
     iterations = len(trace) - 1
@@ -573,10 +560,8 @@ def fit_zip(dm) -> ZipFitResult:
     try:
         vcov = _symmetrized_inverse(_zip_information(X, y, theta, gamma))
     except np.linalg.LinAlgError:
-        raise ConvergenceError(
-            "ZIP information matrix is singular at the optimum",
-            last_coefficients=np.concatenate([theta, gamma]),
-            trace=trace,
+        raise _zip_failure(
+            "ZIP information matrix is singular at the optimum", theta, gamma, trace
         ) from None
 
     # Pseudo-R2 against the intercept-only ZIP null, fitted by the same EM

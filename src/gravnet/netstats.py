@@ -141,14 +141,27 @@ class NodeStatVector:
             getattr(self, name).setflags(write=False)
 
 
+def check_statistics(kinds, transform: str) -> None:
+    """Refuse a kind outside ``STAT_KINDS`` or a transform outside
+    ``WEIGHT_TRANSFORMS``, whether or not a weighted kind is asked for.
+
+    The one check of a statistics request: :func:`compute_statistic` and
+    :func:`all_statistics` run it on entry, so everything below them may
+    take the kinds and the transform as valid.
+    """
+    for kind in kinds:
+        if kind not in STAT_KINDS:
+            raise ValidationError(f"unknown statistic kind {kind!r}")
+    if transform not in WEIGHT_TRANSFORMS:
+        raise ValidationError(
+            f"unknown weight transform {transform!r}; expected one of {WEIGHT_TRANSFORMS}"
+        )
+
+
 def _transformed_weights(net: TradeNetwork, transform: str) -> np.ndarray:
-    if transform == "identity":
-        return net.weights
     if transform == "log_positive":
         return np.log(net.weights, out=np.zeros_like(net.weights), where=net.weights > 0.0)
-    raise ValidationError(
-        f"unknown weight transform {transform!r}; expected one of {WEIGHT_TRANSFORMS}"
-    )
+    return net.weights
 
 
 def _ratio_stat(kind: str, numer: np.ndarray, denom: np.ndarray) -> NodeStatVector:
@@ -222,12 +235,6 @@ def _by_direction(m: np.ndarray) -> dict:
     return {"in": col, "out": row, "tot": col + row}
 
 
-def _directed(kind: str, values: dict, direction: str) -> NodeStatVector:
-    if direction not in values:
-        raise ValidationError(f"unknown direction {direction!r}")
-    return _defined_everywhere(kind, values[direction])
-
-
 def _neighbor_average(kind: str, p: _Profile, neighbor: dict, variant: str) -> NodeStatVector:
     """Partner average of ``neighbor``, the partners' per-node values by direction.
 
@@ -248,10 +255,8 @@ def _neighbor_average(kind: str, p: _Profile, neighbor: dict, variant: str) -> N
         numer, denom = p.a @ neighbor["in"], k["out"]
     elif variant == "out_out":
         numer, denom = p.a @ neighbor["out"], k["out"]
-    elif variant == "tot":
+    else:  # tot
         numer, denom = p.a_sym @ neighbor["tot"], k["tot"]
-    else:
-        raise ValidationError(f"unknown variant {variant!r}")
     return _ratio_stat(kind, numer, denom)
 
 
@@ -280,12 +285,10 @@ def _clustering(kind: str, p: _Profile, variant: str, weighted: bool) -> NodeSta
     elif variant == "out":
         factors = (m, m, mt)
         denom = k_out * (k_out - 1.0)
-    elif variant == "tot":
+    else:  # tot
         s = m + mt if weighted else p.a_sym
         factors = (s, s, s)
         denom = 2.0 * (k_tot * (k_tot - 1.0) - 2.0 * p.k_recip)
-    else:
-        raise ValidationError(f"unknown variant {variant!r}")
     return _ratio_stat(kind, _diag_of_product(*factors, exact=not weighted), denom)
 
 
@@ -327,31 +330,34 @@ def _compute(p: _Profile, kind: str) -> NodeStatVector:
     """One catalogue statistic, computed from the profile's intermediates."""
     family, _, rest = kind.partition("_")
     if family == "ND":
-        return _directed(kind, p.degree, rest)
+        return _defined_everywhere(kind, p.degree[rest])
     if family == "NS":
-        return _directed(kind, p.strength, rest)
+        return _defined_everywhere(kind, p.strength[rest])
     if family == "ANND":
         return _neighbor_average(kind, p, p.degree, rest)
     if family == "ANNS":
         return _neighbor_average(kind, p, p.strength, rest)
-    if family == "BCC":
-        return _clustering(kind, p, rest, weighted=False)
-    if family == "WCC":
-        return _clustering(kind, p, rest, weighted=True)
-    raise ValidationError(f"unknown statistic kind {kind!r}")
+    return _clustering(kind, p, rest, weighted=family == "WCC")
+
+
+def link_density(links, n: int) -> float:
+    """Share of the n(n-1) ordered pairs of n nodes that ``links`` links
+    fill: an integer count over an integer, correctly rounded."""
+    return float(links) / (n * (n - 1))
 
 
 def density(net: TradeNetwork) -> float:
     """Fraction of possible directed links present: L / (N(N-1))."""
     if net.n < 2:
         raise ValidationError("density requires at least 2 nodes")
-    return float(net.adjacency.sum()) / (net.n * (net.n - 1))
+    return link_density(net.adjacency.sum(), net.n)
 
 
 def compute_statistic(
     net: TradeNetwork, kind: str, transform: str = "identity"
 ) -> NodeStatVector:
     """Dispatch a statistic by catalogue kind (see ``STAT_KINDS``)."""
+    check_statistics((kind,), transform)
     return _statistic(_Profile(net, transform), kind)
 
 
@@ -363,6 +369,7 @@ def all_statistics(
     The kinds share one profile of the network, so each intermediate
     (degrees, strengths, transformed weights, ...) is built once.
     """
+    check_statistics(kinds, transform)
     profile = _Profile(net, transform)
     return {kind: _statistic(profile, kind) for kind in kinds}
 

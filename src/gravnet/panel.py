@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .netstats import TradeNetwork
+from .netstats import TradeNetwork, link_density
 
 DYAD_COLUMNS = (
     "exporter", "importer", "year", "flow", "distance",
@@ -92,10 +92,9 @@ class DyadPanel:
     """Parsed panel as columns, one array per field in file row order.
 
     ``countries`` holds the country file's fields and ``dyads`` the dyad
-    file's; each also has ``line``, the physical line on which a row ends.
-    Country ids are indices into ``ids``, the sorted ids of both files:
-    ``country`` in the country table, ``exporter`` and ``importer`` in the
-    dyad table.
+    file's.  Country ids are indices into ``ids``, the sorted ids of both
+    files: ``country`` in the country table, ``exporter`` and ``importer``
+    in the dyad table.
     """
 
     ids: tuple
@@ -251,7 +250,7 @@ class SummaryStats:
 
 
 #: First line of a stored panel copy; a copy of another version is ignored.
-_COPY_FORMAT = b"gravnet-panel-copy 1"
+_COPY_FORMAT = b"gravnet-panel-copy 2"
 
 #: Rows converted at a time; bounds the transient text a load holds.
 _BLOCK_ROWS = 4096
@@ -430,7 +429,6 @@ def _read_table(path, required, convert, codes) -> dict:
             table.start(rows, lines)
             part = convert(table)
             table.raise_fault()
-            part["line"] = np.array(lines, dtype=np.int64)
             parts.append(part)
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
@@ -540,6 +538,20 @@ def build_cross_section(panel: DyadPanel, year: int) -> CrossSection:
     )
 
 
+def design_columns(covariates) -> tuple:
+    """``covariates`` as a tuple, once checked to name at least one design
+    column, each of ``DESIGN_COLUMNS`` at most once."""
+    columns = tuple(covariates)
+    if not columns:
+        raise SchemaError("no design column requested")
+    unknown = [c for c in columns if c not in DESIGN_COLUMNS]
+    if unknown:
+        raise SchemaError(f"unknown design column(s) {unknown}")
+    if len(set(columns)) != len(columns):
+        raise SchemaError("duplicate design column requested")
+    return columns
+
+
 def build_design_matrix(
     cs: CrossSection,
     panel: DyadPanel,
@@ -554,13 +566,7 @@ def build_design_matrix(
     unless none of the selected columns is bilateral.  Rows are in
     exporter-major order.
     """
-    columns = tuple(covariates) if covariates is not None else DESIGN_COLUMNS
-    unknown = [c for c in columns if c not in DESIGN_COLUMNS]
-    if unknown:
-        raise SchemaError(f"unknown design column(s) {unknown}")
-    if len(set(columns)) != len(columns):
-        raise SchemaError("duplicate design column requested")
-
+    columns = design_columns(DESIGN_COLUMNS if covariates is None else covariates)
     exp_idx, imp_idx = np.nonzero(~np.eye(cs.n, dtype=bool))
     y = cs.weights[exp_idx, imp_idx]
     if positive_only:
@@ -631,7 +637,6 @@ def summary_stats(cs: CrossSection) -> SummaryStats:
     if n < 2:
         raise ValidationError("summary statistics require at least 2 countries")
     n_flows = int(cs.adjacency.sum())
-    density = n_flows / (n * (n - 1))
     total = float(cs.weights.sum())
     avg_trade = total / n_flows if n_flows else 0.0
 
@@ -648,7 +653,7 @@ def summary_stats(cs: CrossSection) -> SummaryStats:
         year=cs.year,
         n_countries=n,
         n_flows=n_flows,
-        density=density,
+        density=link_density(n_flows, n),
         avg_trade=avg_trade,
         countries_50=countries_50,
         countries_90=countries_90,

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import PredictionOverflowError, SchemaError, ValidationError
 from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult
+from .netstats import link_density
 from .panel import DesignMatrix
 
 DEFAULT_REPLICATIONS = 10_000
@@ -133,8 +134,7 @@ class BinaryPrediction:
     @property
     def realized_density(self) -> float:
         """Share of the n(n-1) ordered pairs that are linked."""
-        n = self.adjacency.shape[0]
-        return float(self.adjacency.sum() / (n * (n - 1)))
+        return link_density(self.adjacency.sum(), self.adjacency.shape[0])
 
     def as_dict(self) -> dict:
         """How the adjacency was obtained; the adjacency itself is left out."""

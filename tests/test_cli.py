@@ -382,12 +382,12 @@ def test_refused_stage_leaves_nothing_behind(zip_panel, tmp_path, capsys):
     assert (out / MANIFEST_NAME).read_bytes() == manifest
 
 
-def test_predict_calls_layer_functions_through_module_names(zip_panel, tmp_path, monkeypatch):
-    # a tracer rebinds these names on gravnet.cli; a call through a reference
-    # captured at import time would bypass it
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path / "cfg.json", zip_panel, out)
-    assert main(["fit", "--config", cfg]) == EXIT_OK
+def count_calls(monkeypatch, names) -> dict:
+    """Wrap each of ``names`` on gravnet.cli to count its calls, by name.
+
+    A tracer rebinds these names on gravnet.cli; a call through a reference
+    captured at import time would bypass it, and read as no call here.
+    """
     calls = {}
 
     def counting(name, original):
@@ -397,13 +397,40 @@ def test_predict_calls_layer_functions_through_module_names(zip_panel, tmp_path,
 
         return wrapper
 
-    for name in ("predict_ols", "predict_ppml", "predict_zip", "link_probabilities"):
+    for name in names:
         monkeypatch.setattr(gravnet.cli, name, counting(name, getattr(gravnet.cli, name)))
+    return calls
+
+
+def test_predict_calls_layer_functions_through_module_names(zip_panel, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out)
+    assert main(["fit", "--config", cfg]) == EXIT_OK
+    calls = count_calls(
+        monkeypatch, ("predict_ols", "predict_ppml", "predict_zip", "link_probabilities")
+    )
     assert main(["predict", "--config", cfg]) == EXIT_OK
     # one call per cell over two years; ZIP and LOGIT both need link probabilities
     assert calls == {
         "predict_ols": 2, "predict_ppml": 2, "predict_zip": 2, "link_probabilities": 4,
     }
+
+
+def test_fit_and_netstats_call_layer_functions_through_module_names(
+    zip_panel, tmp_path, monkeypatch
+):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out)
+    fits = ("fit_ols", "fit_poisson_pml", "fit_logit", "fit_zip", "attach_vuong")
+    calls = count_calls(monkeypatch, (*fits, "all_statistics"))
+    assert main(["fit", "--config", cfg]) == EXIT_OK
+    # one call per cell over two years; the Vuong test once per ZIP cell
+    assert calls == dict.fromkeys(fits, 2)
+    calls.clear()
+    assert main(["predict", "--config", cfg]) == EXIT_OK
+    assert main(["netstats", "--config", cfg]) == EXIT_OK
+    # per year: the observed network under two transforms, then one per cell
+    assert calls == {"all_statistics": 2 * (2 + 4)}
 
 
 def test_concurrent_manifest_records_keep_every_entry(tmp_path):
@@ -706,6 +733,25 @@ def test_compare_bytes_do_not_depend_on_the_worker_count(zip_panel, tmp_path, mo
     assert trees[1].keys() == trees[2].keys()
     for rel in trees[1]:
         assert trees[1][rel] == trees[2][rel], f"{rel} differs between 1 and 2 workers"
+
+
+def test_in_order_reads_at_most_two_calls_per_worker_ahead():
+    pulled = 0
+
+    def calls():
+        nonlocal pulled
+        for k in range(-12, 0):
+            pulled += 1
+            yield k, (k,)
+
+    keys = []
+    # abs pickles by name, so the two workers run it for real
+    for key, value in gravnet.cli._in_order(abs, calls(), 2):
+        assert pulled <= len(keys) + 2 * 2, f"{pulled} calls read, {len(keys)} results taken"
+        assert value == -key
+        keys.append(key)
+    assert keys == list(range(-12, 0))
+    assert multiprocessing.active_children() == []
 
 
 def test_compare_error_in_a_worker_exits_as_in_process(zip_panel, tmp_path, monkeypatch, capsys):

@@ -237,6 +237,16 @@ def test_ensemble_summary_rejects_unknown_kind_or_transform(kind, transform):
     with pytest.raises(ValidationError, match="unknown"):
         ensemble_summary(ens, (kind,), transform)
 
+    class Undrawable:
+        m, mask = 3, None
+
+        def __iter__(self):
+            raise AssertionError("a replication was drawn")
+
+    # refused before the first draw, with or without "density" beside it
+    with pytest.raises(ValidationError, match="unknown"):
+        ensemble_summary(Undrawable(), ("density", kind), transform)
+
 
 def test_ensemble_summary_rejects_a_bare_string():
     ens = NetworkEnsemble("PPML", country_names(4), np.ones((3, 4, 4)), seed=0)

@@ -377,6 +377,18 @@ def test_zip_em_trace_is_monotone():
     assert np.all(diffs >= -1e-8 * (1.0 + np.abs(np.array(trace[:-1]))))
 
 
+def test_zip_failure_at_a_non_finite_start_carries_its_coefficients():
+    rng = np.random.default_rng(92)
+    X, y = simulate_zip(rng, 60, [-0.2, 0.7], [0.9, 0.6])
+    theta0, gamma0 = np.zeros(2), np.array([800.0, 0.0])  # exp(800) overflows
+    with np.errstate(over="ignore"), pytest.raises(ConvergenceError) as info:
+        _zip_em(X, y, theta0, gamma0)
+    assert "non-finite likelihood" in str(info.value)
+    # the last (theta, gamma), stacked, as every ZIP failure carries them
+    np.testing.assert_array_equal(info.value.last_coefficients, [0.0, 0.0, 800.0, 0.0])
+    assert len(info.value.trace) == 1 and not np.isfinite(info.value.trace[0])
+
+
 def test_zip_on_pure_poisson_data_nests():
     rng = np.random.default_rng(93)
     n = 400

