@@ -57,7 +57,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .compare import ModelPrediction, build_comparison_report, report_as_dict, report_from_dict
+from .compare import build_comparison_report, report_as_dict, report_from_dict
 from .errors import ConvergenceError, DependencyError, ValidationError
 from .estimation import (
     attach_vuong,
@@ -667,14 +667,17 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
     report = build_comparison_report(
         observed,
         observed_ids,
-        {tag: ModelPrediction(net, ensemble, transform)},
+        tag,
+        net,
+        ensemble,
         year=year,
+        transform=transform,
         observed_transform=cfg.transforms[tag],
     )
     note = {
         "message": f"report written ({cfg.replications} replications)",
         "replications": cfg.replications,
-        "n_dropped": {s.kind: s.summary.n_dropped for s in report.statistics if s.summary},
+        "n_dropped": {s.kind: s.summary.n_dropped for s in report.statistics},
         "peak_rss_mb": _peak_rss_mb(),
     }
     return report_as_dict(report), time.perf_counter() - started, note
@@ -757,16 +760,15 @@ _CORR_HEADER = ("year", "model", "x", "y", "observed_r", "predicted_r")
 
 
 def _report_tables(reports) -> tuple:
-    """(ks_tests, averages, correlations) rows of ``(year, report)`` pairs;
-    a statistic with no ensemble leaves its band columns empty."""
+    """(ks_tests, averages, correlations) rows of ``(year, report)`` pairs."""
     ks_rows, avg_rows, corr_rows = [], [], []
     for year, report in reports:
         for s in report.statistics:
             ks = s.ks
             ks_rows.append((year, s.model_tag, s.kind, ks.d_statistic, ks.p_value, ks.n1, ks.n2))
             e = s.summary
-            band = (None, None, None) if e is None else (e.ci_low, e.ci_high, e.mean)
-            avg_rows.append((year, s.model_tag, s.kind, s.observed_avg, s.predicted_avg, *band))
+            avg_rows.append((year, s.model_tag, s.kind, s.observed_avg, s.predicted_avg,
+                             e.ci_low, e.ci_high, e.mean))
         for c in report.correlations:
             corr_rows.append((year, c.model_tag, c.kind_x, c.kind_y, c.observed_r, c.predicted_r))
     return ks_rows, avg_rows, corr_rows

@@ -56,6 +56,10 @@ CORRELATION_PAIRS = (
     ("ND_tot", "BCC_tot"),
 )
 
+# every kind a report reads from a network: the report grid and the
+# correlation pairs
+_NETWORK_KINDS = tuple(sorted({k for p in CORRELATION_PAIRS for k in p} | set(REPORT_KINDS)))
+
 # float(scipy.special.ndtri(0.975)) bit for bit, as a literal so that
 # importing this module does not load scipy
 _Z975 = 1.959963984540054
@@ -100,7 +104,7 @@ class StatComparison:
     kind: str
     observed_avg: float
     predicted_avg: float
-    summary: EnsembleSummary | None
+    summary: EnsembleSummary
     ks: KsResult
 
 
@@ -113,23 +117,6 @@ class CorrelationComparison:
     kind_y: str
     observed_r: float
     predicted_r: float
-
-
-@dataclass(frozen=True)
-class ModelPrediction:
-    """One model's predictions, packaged for report assembly.
-
-    ``network`` is the point-prediction network (predicted weights, or an
-    observed-mask network for the log-linear model).  ``transform`` is the
-    weight transform under which this model's weighted statistics are
-    computed; log-linear predictions already live on the log scale and use
-    the identity.  Its model's tag is its key in the ``predictions`` of
-    :func:`build_comparison_report`.
-    """
-
-    network: TradeNetwork
-    ensemble: NetworkEnsemble | EnsembleStream | None = None
-    transform: str = "identity"
 
 
 @dataclass(frozen=True)
@@ -256,20 +243,19 @@ def _summarise(kind: str, values: array, dropped: int) -> EnsembleSummary:
     )
 
 
-def _aligned_ids(observed_ids, tag: str, mp: ModelPrediction) -> None:
+def _aligned_ids(observed_ids, tag: str, network: TradeNetwork, ensemble) -> None:
     ids = set(observed_ids)
-    if mp.ensemble is not None:
-        other = set(mp.ensemble.country_ids)
-        if other != ids:
-            missing = sorted(ids - other)
-            extra = sorted(other - ids)
-            raise ValidationError(
-                f"{tag}: ensemble countries differ from observed "
-                f"(missing {missing}, unexpected {extra})"
-            )
-    if mp.network.n != len(observed_ids):
+    other = set(ensemble.country_ids)
+    if other != ids:
+        missing = sorted(ids - other)
+        extra = sorted(other - ids)
         raise ValidationError(
-            f"{tag}: predicted network has {mp.network.n} countries, "
+            f"{tag}: ensemble countries differ from observed "
+            f"(missing {missing}, unexpected {extra})"
+        )
+    if network.n != len(observed_ids):
+        raise ValidationError(
+            f"{tag}: predicted network has {network.n} countries, "
             f"observed has {len(observed_ids)}"
         )
 
@@ -284,72 +270,60 @@ def _correlation_or_nan(stats: dict, kx: str, ky: str) -> float:
 def build_comparison_report(
     observed: TradeNetwork,
     observed_ids: tuple[str, ...],
-    predictions: dict[str, ModelPrediction],
+    tag: str,
+    network: TradeNetwork,
+    ensemble: NetworkEnsemble | EnsembleStream,
     year: int | None = None,
-    kinds: tuple[str, ...] = REPORT_KINDS,
+    transform: str = "identity",
     observed_transform: str = "log_positive",
 ) -> ComparisonReport:
-    """Assemble the statistic-by-model comparison grid.
+    """Compare one model's predictions with the observed network.
 
-    For every model and statistic kind: the observed population average,
-    the same average on the model's point-prediction network, a K-S test
-    between the observed and predicted node sequences (restricted to
-    nodes where each is defined), and the ensemble confidence interval
-    when an ensemble is supplied.  Correlations between paired statistics
-    are reported for the observed network and each predicted network.
+    For every kind of :data:`REPORT_KINDS`: the observed population
+    average, the same average on the point-prediction ``network``, a K-S
+    test between the observed and predicted node sequences (restricted to
+    nodes where each is defined), and the confidence band across
+    ``ensemble``.  Correlations between paired statistics are reported for
+    the observed and the predicted network.  Every row carries ``tag``.
 
-    ``observed_transform`` applies to the observed network's weighted
-    statistics; each model brings its own transform.
+    ``network`` is the point prediction (predicted weights, or an
+    observed-mask network for the log-linear model).  ``transform`` applies
+    to the weighted statistics of ``network`` and ``ensemble``; log-linear
+    predictions already live on the log scale and use the identity.
+    ``observed_transform`` applies to the observed network's.
     """
     if observed.n != len(observed_ids):
         raise ValidationError(
             f"observed network has {observed.n} nodes but {len(observed_ids)} ids"
         )
-    if not predictions:
-        raise ValidationError("no model predictions supplied")
-    for tag, mp in predictions.items():
-        _aligned_ids(observed_ids, tag, mp)
+    _aligned_ids(observed_ids, tag, network, ensemble)
 
-    pair_kinds = sorted({k for p in CORRELATION_PAIRS for k in p} | set(kinds))
-
-    obs_stats = all_statistics(observed, pair_kinds, observed_transform)
-
+    obs_stats = all_statistics(observed, _NETWORK_KINDS, observed_transform)
+    pred_stats = all_statistics(network, _NETWORK_KINDS, transform)
+    summaries = ensemble_summary(ensemble, REPORT_KINDS, transform)
     stat_rows = []
-    corr_rows = []
-    for tag in sorted(predictions):
-        mp = predictions[tag]
-        pred_stats = all_statistics(mp.network, pair_kinds, mp.transform)
-        summaries = (
-            (None,) * len(kinds)
-            if mp.ensemble is None
-            else ensemble_summary(mp.ensemble, kinds, mp.transform)
+    for kind, summary in zip(REPORT_KINDS, summaries):
+        obs_vec = obs_stats[kind]
+        pred_vec = pred_stats[kind]
+        obs_avg, _ = population_average(obs_vec)
+        pred_avg, _ = population_average(pred_vec)
+        ks = ks_two_sample(obs_vec.values[obs_vec.defined], pred_vec.values[pred_vec.defined])
+        stat_rows.append(StatComparison(tag, kind, obs_avg, pred_avg, summary, ks))
+    corr_rows = tuple(
+        CorrelationComparison(
+            tag,
+            kx,
+            ky,
+            _correlation_or_nan(obs_stats, kx, ky),
+            _correlation_or_nan(pred_stats, kx, ky),
         )
-        for kind, summary in zip(kinds, summaries):
-            obs_vec = obs_stats[kind]
-            pred_vec = pred_stats[kind]
-            obs_avg, _ = population_average(obs_vec)
-            pred_avg, _ = population_average(pred_vec)
-            ks = ks_two_sample(
-                obs_vec.values[obs_vec.defined], pred_vec.values[pred_vec.defined]
-            )
-            stat_rows.append(
-                StatComparison(tag, kind, obs_avg, pred_avg, summary, ks)
-            )
-        for kx, ky in CORRELATION_PAIRS:
-            corr_rows.append(
-                CorrelationComparison(
-                    tag,
-                    kx,
-                    ky,
-                    _correlation_or_nan(obs_stats, kx, ky),
-                    _correlation_or_nan(pred_stats, kx, ky),
-                )
-            )
+        for kx, ky in CORRELATION_PAIRS
+    )
     return ComparisonReport(
         year=year,
         n_countries=len(observed_ids),
         statistics=tuple(stat_rows),
-        correlations=tuple(corr_rows),
+        correlations=corr_rows,
     )
 
 
@@ -371,9 +345,7 @@ def report_as_dict(report: ComparisonReport) -> dict:
                 "ks_p": s.ks.p_value,
                 "ks_n_observed": s.ks.n1,
                 "ks_n_predicted": s.ks.n2,
-                "ensemble": None
-                if s.summary is None
-                else {
+                "ensemble": {
                     "mean": s.summary.mean,
                     "sd": s.summary.sd,
                     "ci_low": s.summary.ci_low,
@@ -403,11 +375,7 @@ def report_from_dict(payload: dict) -> ComparisonReport:
     """The report whose :func:`report_as_dict` is ``payload``."""
     statistics = []
     for s in payload["statistics"]:
-        e = s["ensemble"]
-        summary = None if e is None else EnsembleSummary(
-            s["kind"], e["mean"], e["sd"], e["ci_low"], e["ci_high"],
-            e["normal_low"], e["normal_high"], e["m"], e["n_dropped"],
-        )
+        summary = EnsembleSummary(s["kind"], **s["ensemble"])
         ks = KsResult(s["ks_d"], s["ks_p"], s["ks_n_observed"], s["ks_n_predicted"])
         statistics.append(
             StatComparison(

@@ -297,8 +297,11 @@ def _irls(X, y, omega, start, moments, loglik):
     """
     beta = np.asarray(start, dtype=float)
     eta = X @ beta
-    mean, var = moments(eta)
-    ll = loglik(y, eta, mean, omega)
+    # an exp that overflows makes the likelihood non-finite, and a
+    # non-finite likelihood is refused: the start fails, a candidate halves
+    with np.errstate(over="ignore"):
+        mean, var = moments(eta)
+        ll = loglik(y, eta, mean, omega)
     trace = [ll]
     if not np.isfinite(ll):
         return beta, trace, False, True
@@ -318,8 +321,9 @@ def _irls(X, y, omega, start, moments, loglik):
         for _half in range(MAX_STEP_HALVINGS):
             candidate = beta + fraction * direction
             eta_new = X @ candidate
-            mean_new, var_new = moments(eta_new)
-            ll_new = loglik(y, eta_new, mean_new, omega)
+            with np.errstate(over="ignore"):
+                mean_new, var_new = moments(eta_new)
+                ll_new = loglik(y, eta_new, mean_new, omega)
             if np.isfinite(ll_new) and ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
                 accepted = True
                 break
@@ -465,7 +469,8 @@ def _zip_em(X, y, theta, gamma):
 
     zero = y == 0.0
     u, v = X @ theta, X @ gamma
-    ll = _zip_loglik(y, u, v)
+    with np.errstate(over="ignore"):  # an overflow is a non-finite start, refused below
+        ll = _zip_loglik(y, u, v)
     trace = [ll]
     if not np.isfinite(ll):
         raise _zip_failure("ZIP starting values give non-finite likelihood", theta, gamma, trace)

@@ -61,7 +61,7 @@ from gravnet.panel import (
     load_panel,
 )
 from gravnet.prediction import DEFAULT_REPLICATIONS, predict_ppml
-from gravnet.synth import SynthSpec, _render, write_synth_panel
+from gravnet.synth import SynthSpec, _render, _write_json, write_synth_panel
 
 from oracles import loop_report_rows
 
@@ -681,6 +681,10 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path, monkeypatch):
             s["kind"]: s["ensemble"]["n_dropped"] for s in report["statistics"]
         }
         assert r["replications"] == 40
+        # every row has its band: each replication is summarised or dropped
+        for s in report["statistics"]:
+            assert isinstance(s["ensemble"], dict), s
+            assert s["ensemble"]["m"] + s["ensemble"]["n_dropped"] == 40, s
     assert [(r["year"], r["model"]) for r in compare] == [
         (year, tag) for year in (1995, 2000) for tag in MODEL_TAGS
     ]
@@ -807,16 +811,13 @@ def test_report_csvs_match_the_dict_walking_oracle(zip_panel, tmp_path):
 
 
 def test_report_tables_of_a_decoded_report_match_the_oracle():
-    # a statistic without an ensemble and a correlation that is undefined
+    # a correlation that is undefined
     ks = KsResult(0.25, 0.5, 8, 7)
     summary = EnsembleSummary("NS_tot", 1.5, 0.1, 1.25, 1.75, 1.3, 1.7, 9, 1)
     report = ComparisonReport(
         1999,
         8,
-        (
-            StatComparison("PPML", "ND_tot", 3.0, 2.5, None, ks),
-            StatComparison("PPML", "NS_tot", -0.0, 1.0, summary, ks),
-        ),
+        (StatComparison("PPML", "NS_tot", -0.0, 1.0, summary, ks),),
         (CorrelationComparison("PPML", "ND_tot", "BCC_tot", math.nan, 0.5),),
     )
     payload = json.loads(json.dumps(report_as_dict(report)))
@@ -824,8 +825,46 @@ def test_report_tables_of_a_decoded_report_match_the_oracle():
     typed = _report_tables([(1999, report_from_dict(payload))])
     for rows, want in zip(typed, tables):
         assert rendered(rows) == rendered(r.values() for r in want)
-    assert typed[1][0][-3:] == (None, None, None)
     assert rendered(typed[2]) == [["1999", "PPML", "ND_tot", "BCC_tot", "nan", "0.5"]]
+
+
+def test_the_library_rebuilds_a_pipeline_cell_byte_for_byte(zip_panel, tmp_path):
+    """A compare cell is the public API applied to the cell's predict
+    artifacts: the same report.json bytes, for OLS (log scale, masked
+    draws) and ZIP (level scale, link probabilities)."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out, models=["OLS", "ZIP"])
+    run_pipeline(cfg, commands=("fit", "predict", "compare"))
+    year = 2000
+    panel = gravnet.load_panel(zip_panel["dyads"], zip_panel["countries"])
+    cs = gravnet.build_cross_section(panel, year)
+    for tag in ("OLS", "ZIP"):
+        cell = out / str(year) / tag
+        pred = gravnet.PredictedWeights.from_dict(
+            json.loads((cell / "prediction.json").read_text())
+        )
+        link_probs = None
+        if tag == "ZIP":
+            link_probs = gravnet.LinkProbabilityMatrix.from_dict(
+                json.loads((cell / "xi.json").read_text())
+            )
+        ensemble = gravnet.stream_weighted_ensemble(
+            pred, 40, cell_seed(5, year, tag), link_probs=link_probs
+        )
+        report = gravnet.build_comparison_report(
+            gravnet.TradeNetwork(cs.weights),
+            cs.country_ids,
+            tag,
+            gravnet.TradeNetwork(pred.value, pred.mask),
+            ensemble,
+            year=year,
+            # OLS predicts logs: its network is already on the log scale
+            transform="identity" if tag == "OLS" else DEFAULT_TRANSFORMS[tag],
+            observed_transform=DEFAULT_TRANSFORMS[tag],
+        )
+        rebuilt = tmp_path / f"{tag}.json"
+        _write_json(str(rebuilt), gravnet.report_as_dict(report))
+        assert rebuilt.read_bytes() == (cell / "report.json").read_bytes(), tag
 
 
 def test_artifacts_are_utf8_whatever_the_locale(tmp_path):

@@ -20,7 +20,6 @@ from scipy.special import ndtri
 from gravnet.compare import (
     CORRELATION_PAIRS,
     REPORT_KINDS,
-    ModelPrediction,
     _Z975,
     build_comparison_report,
     ensemble_summary,
@@ -467,10 +466,9 @@ def test_report_point_mass_recovers_observed():
     ids = country_names(net.n)
     reps = np.repeat(net.weights[None], 5, axis=0)
     ens = NetworkEnsemble("PPML", ids, reps, seed=0)
-    predictions = {
-        "PPML": ModelPrediction(net, ensemble=ens, transform="log_positive"),
-    }
-    report = build_comparison_report(net, ids, predictions, year=1999)
+    report = build_comparison_report(
+        net, ids, "PPML", net, ens, year=1999, transform="log_positive"
+    )
 
     assert report.year == 1999
     assert len(report.statistics) == len(REPORT_KINDS)
@@ -486,39 +484,33 @@ def test_report_point_mass_recovers_observed():
 def test_report_alignment_errors():
     net = observed_network()
     ids = country_names(net.n)
-    with pytest.raises(ValidationError):
-        build_comparison_report(net, ids, {})
+    reps = np.repeat(net.weights[None], 3, axis=0)
+    ens = NetworkEnsemble("PPML", ids, reps, seed=0)
 
     other_ids = ("Q",) + ids[1:]
-    reps = np.repeat(net.weights[None], 3, axis=0)
     bad_ens = NetworkEnsemble("PPML", other_ids, reps, seed=0)
     with pytest.raises(ValidationError) as err:
-        build_comparison_report(
-            net, ids, {"PPML": ModelPrediction(net, ensemble=bad_ens)}
-        )
+        build_comparison_report(net, ids, "PPML", net, bad_ens)
     assert "Q" in str(err.value) and ids[0] in str(err.value)
 
     small = TradeNetwork(np.zeros((3, 3)))
     with pytest.raises(ValidationError):
-        build_comparison_report(net, ids, {"PPML": ModelPrediction(small)})
+        build_comparison_report(net, ids, "PPML", small, ens)
     with pytest.raises(ValidationError):
-        build_comparison_report(net, ids[:-1], {"PPML": ModelPrediction(net)})
+        build_comparison_report(net, ids[:-1], "PPML", net, ens)
 
 
 def test_report_rows_and_json():
     net = observed_network(seed=37)
     ids = country_names(net.n)
-    predictions = {
-        "PPML": ModelPrediction(net, transform="log_positive"),
-        "OLS": ModelPrediction(net, transform="log_positive"),
-    }
-    report = build_comparison_report(net, ids, predictions, year=2000)
+    ens = NetworkEnsemble("PPML", ids, np.repeat(net.weights[None], 3, axis=0), seed=0)
+    report = build_comparison_report(
+        net, ids, "PPML", net, ens, year=2000, transform="log_positive"
+    )
 
-    assert len(report.statistics) == 2 * len(REPORT_KINDS)
-    assert len(report.correlations) == 2 * len(CORRELATION_PAIRS)
-    # models appear in sorted order for deterministic artifacts
-    assert [s.model_tag for s in report.statistics[: len(REPORT_KINDS)]] == \
-        ["OLS"] * len(REPORT_KINDS)
+    assert len(report.statistics) == len(REPORT_KINDS)
+    assert len(report.correlations) == len(CORRELATION_PAIRS)
+    assert {s.model_tag for s in report.statistics + report.correlations} == {"PPML"}
 
     payload = json.dumps(report_as_dict(report), sort_keys=True)
     assert payload == json.dumps(report_as_dict(report), sort_keys=True)

@@ -27,7 +27,8 @@ from gravnet.estimation import (
     fit_zip,
     vuong_test,
 )
-from gravnet.panel import DesignMatrix
+from gravnet.panel import DesignMatrix, build_cross_section, build_design_matrix, load_panel
+from gravnet.synth import SynthSpec, write_synth_panel
 
 import oracles
 
@@ -240,6 +241,23 @@ def test_poisson_shift_invariance():
     np.testing.assert_allclose(mu_shift, mu_base, rtol=1e-8, atol=1e-10)
 
 
+def test_candidates_that_overflow_are_halved_away_without_a_warning(tmp_path):
+    """On this year IRLS tries candidates whose exp overflows; their
+    likelihood is not finite, so they are halved away.  PPML converges, and
+    ZIP's M-step stops with a ConvergenceError (3 of the 90 flows are
+    positive, too few to identify its count stage).  Neither prints a
+    RuntimeWarning, which the suite turns into an error."""
+    spec = SynthSpec(n_countries=10, years=(2000,), noise="zip", seed=1, mean_zero_score=3.5)
+    paths = write_synth_panel(spec, str(tmp_path))
+    panel = load_panel(paths["dyads"], paths["countries"])
+    dm = build_design_matrix(
+        build_cross_section(panel, 2000), panel, ("const", "ln_gdp_i", "ln_gdp_j", "ln_dist")
+    )
+    assert fit_poisson_pml(dm).loglik == pytest.approx(-59053.1154, abs=1e-3)
+    with pytest.raises(ConvergenceError, match="M-step"):
+        fit_zip(dm)
+
+
 # ---------------------------------------------------------------- Logit
 # The logit models the zero flows, so a test that wants the indicator ``a``
 # fitted passes the flows ``1 - a``.
@@ -381,7 +399,7 @@ def test_zip_failure_at_a_non_finite_start_carries_its_coefficients():
     rng = np.random.default_rng(92)
     X, y = simulate_zip(rng, 60, [-0.2, 0.7], [0.9, 0.6])
     theta0, gamma0 = np.zeros(2), np.array([800.0, 0.0])  # exp(800) overflows
-    with np.errstate(over="ignore"), pytest.raises(ConvergenceError) as info:
+    with pytest.raises(ConvergenceError) as info:
         _zip_em(X, y, theta0, gamma0)
     assert "non-finite likelihood" in str(info.value)
     # the last (theta, gamma), stacked, as every ZIP failure carries them

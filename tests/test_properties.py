@@ -777,7 +777,7 @@ def stat_comparisons(draw):
         kind,
         draw(_FLOATS),
         draw(_FLOATS),
-        draw(st.none() | summary),
+        draw(summary),
         draw(st.builds(KsResult, _FLOATS, _FLOATS, _COUNTS, _COUNTS)),
     )
 
