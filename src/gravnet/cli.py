@@ -16,12 +16,14 @@ reads the manifest once and hashes every input artifact the stage's cells
 declare, so a command whose inputs are missing or modified fails with the
 name of the command to run and writes nothing.  A cell that reads an
 input hashes the bytes it read against the manifest and parses those
-same bytes, so what a stage uses is what it checked.  Every file is
-written to a temporary name and renamed into place, so an interrupted
-command never leaves a partial artifact.  ``run.log.jsonl`` carries one
-timestamped record per logged event and is deliberately excluded from
-the manifest: with the log set aside, two runs from the same
-configuration and seed produce byte-identical output trees.
+same bytes, so what a stage uses is what it checked.  Each cell's work
+runs in one scope, ``_cell``, which times it for the cell's log record
+and names the cell in a validation or convergence error, whichever
+process ran it.  Every file is written to a temporary name and renamed
+into place, so an interrupted command never leaves a partial artifact.
+``run.log.jsonl`` carries one timestamped record per logged event and
+stays out of the manifest: with the log set aside, two runs from the
+same configuration and seed produce byte-identical output trees.
 
 Stages read the panel from ``panel.cache`` in the output directory, a
 copy of the parsed panel keyed by the sha256 of both CSV files, and
@@ -57,7 +59,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .compare import build_comparison_report, report_as_dict, report_from_dict
+from .compare import build_comparison_report, check_countries, report_as_dict, report_from_dict
 from .errors import ConvergenceError, DependencyError, ValidationError
 from .estimation import (
     attach_vuong,
@@ -327,7 +329,7 @@ class _Stage:
     missing or modified input names ``producer``, the command to rerun.
     The copy of a freshly parsed panel is stored only once every check
     has passed.  A cell reads its inputs through :meth:`inputs`, so it can
-    read only what it declared.
+    read only what it declared; :meth:`log_cell` logs its ``_cell`` note.
     """
 
     def __init__(self, args, name: str, producer: str = "", inputs=lambda tag: ()):
@@ -389,23 +391,11 @@ class _Stage:
     def write_csv(self, rel: str, header, rows) -> None:
         _write_csv(self._target(rel), header, rows)
 
-    def cells(self, year: int):
-        """Yield ``(tag, note)`` for each configured model of ``year``.
-
-        When the cell's work is done, ``log_cell`` logs ``note`` with the
-        cell's wall time.
-        """
-        for tag in self.cfg.models:
-            started = time.perf_counter()
-            note = {}
-            yield tag, note
-            self.log_cell(year, tag, time.perf_counter() - started, note)
-
-    def log_cell(self, year: int, tag: str, duration_s: float, note: dict) -> None:
-        """A cell's record: ``note["message"]`` after the cell's name, the
-        rest of ``note`` as record fields."""
+    def log_cell(self, year: int, tag: str, note: dict) -> None:
+        """A cell's record: ``note["message"]`` after the cell's name, the rest
+        of the ``_cell`` scope's note, ``duration_s`` among it, as fields."""
         message = f"year {year} model {tag}: {note.pop('message')}"
-        self.log(message, duration_s, year=year, model=tag, **note)
+        self.log(message, year=year, model=tag, **note)
 
     def log(self, message: str, duration_s: float, **fields_) -> None:
         """A run-log record of this command, with where its panel came from."""
@@ -414,6 +404,23 @@ class _Stage:
     def record(self) -> None:
         """Merge every artifact this stage wrote into the manifest, once."""
         _record_artifacts(self.cfg.out, self._written)
+
+
+@contextlib.contextmanager
+def _cell(year: int, tag: str):
+    """Scope of one (year, model) cell's work, in whichever process runs it:
+    yields the cell's log note and adds the work's wall time as ``duration_s``.
+    A ``ConvergenceError`` or ``ValidationError`` is re-raised as the same
+    object with the cell's name before its message, so its subtype and
+    payload (trace, collinear columns) reach the caller, from a worker too."""
+    started = time.perf_counter()
+    note = {}
+    try:
+        yield note
+    except (ConvergenceError, ValidationError) as exc:
+        exc.args = (f"year {year} model {tag}: {exc}",)
+        raise
+    note["duration_s"] = time.perf_counter() - started
 
 
 def _design_matrices(cfg: RunConfig, panel, cs):
@@ -429,22 +436,6 @@ def _design_matrices(cfg: RunConfig, panel, cs):
 
 # ---------------------------------------------------------------------------
 # fit artifacts
-
-
-def _fit_one(tag: str, year: int, dm_pos, dm_full):
-    try:
-        if tag == "OLS":
-            return fit_ols(dm_pos)
-        if tag == "PPML":
-            return fit_poisson_pml(dm_full)
-        if tag == "LOGIT":
-            return fit_logit(dm_full)
-        return fit_zip(dm_full)
-    except (ConvergenceError, ValidationError) as exc:
-        # name the cell but keep the exception itself: its subtype and
-        # payload (trace, collinear columns) must reach the caller
-        exc.args = (f"year {year} model {tag}: {exc}",)
-        raise
 
 
 def _variant_fits(fits: dict) -> list:
@@ -529,20 +520,24 @@ def cmd_fit(args) -> None:
         cs = build_cross_section(stage.panel, year)
         dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
         fits = {}
-        for tag, note in stage.cells(year):
-            fit = _fit_one(tag, year, dm_pos, dm_full)
-            if tag == "ZIP" and "PPML" in fits:  # models run in MODEL_TAGS order
-                fit = attach_vuong(fit, fits["PPML"], dm_full)
-            fits[tag] = fit
-            stage.write_cell(year, tag, "fit.json", fit.as_dict())
-            vuong = fit.vuong_vs_poisson if tag == "ZIP" else None
-            note.update(
-                message=f"loglik {fit.loglik:.6g}",
-                loglik=fit.loglik,
-                converged=bool(fit.converged),
-                iterations=fit.iterations,
-                **({} if vuong is None else {"vuong_z": vuong}),
-            )
+        for tag in stage.cfg.models:
+            with _cell(year, tag) as note:
+                # looked up per call, so a rebinding of a layer function is seen
+                fit = {"OLS": fit_ols, "PPML": fit_poisson_pml, "ZIP": fit_zip,
+                       "LOGIT": fit_logit}[tag](dm_pos if tag == "OLS" else dm_full)
+                if tag == "ZIP" and "PPML" in fits:  # models run in MODEL_TAGS order
+                    fit = attach_vuong(fit, fits["PPML"], dm_full)
+                fits[tag] = fit
+                stage.write_cell(year, tag, "fit.json", fit.as_dict())
+                vuong = fit.vuong_vs_poisson if tag == "ZIP" else None
+                note.update(
+                    message=f"loglik {fit.loglik:.6g}",
+                    loglik=fit.loglik,
+                    converged=bool(fit.converged),
+                    iterations=fit.iterations,
+                    **({} if vuong is None else {"vuong_z": vuong}),
+                )
+            stage.log_cell(year, tag, note)
         table = _coefficient_table(stage.cfg.covariates, fits)
         stage.write_csv(f"{year}/coefficients.csv", *table)
     stage.record()
@@ -555,26 +550,28 @@ def cmd_predict(args) -> None:
         cs = build_cross_section(stage.panel, year)
         dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
         rho = density(cs.network())
-        for tag, note in stage.cells(year):
-            fit = fit_from_dict(*stage.inputs(year, tag))
-            if tag != "LOGIT":
-                # looked up per call, so a rebinding of a layer function is seen
-                predict = {"OLS": predict_ols, "PPML": predict_ppml, "ZIP": predict_zip}[tag]
-                pred = predict(fit, dm_pos if tag == "OLS" else dm_full)
-                stage.write_cell(year, tag, "prediction.json", pred.as_dict())
-            if tag in _LINK_MODELS:
-                lp = link_probabilities(fit, dm_full)
-                stage.write_cell(year, tag, "xi.json", lp.as_dict())
-                induced = density_induced_binary(lp, rho)
-                binary = {
-                    "country_ids": list(lp.country_ids),
-                    "adjacency": induced.adjacency.astype(int).tolist(),
-                    "density_induced": induced.as_dict(),
-                    "matched_density": threshold_matching_density(lp, rho).as_dict(),
-                    "manhattan": threshold_by_manhattan(lp, cs.adjacency).as_dict(),
-                }
-                stage.write_cell(year, tag, "binary.json", binary)
-            note["message"] = "predictions written"
+        for tag in stage.cfg.models:
+            with _cell(year, tag) as note:
+                fit = fit_from_dict(*stage.inputs(year, tag))
+                if tag != "LOGIT":
+                    # looked up per call, so a rebinding of a layer function is seen
+                    predict = {"OLS": predict_ols, "PPML": predict_ppml, "ZIP": predict_zip}[tag]
+                    pred = predict(fit, dm_pos if tag == "OLS" else dm_full)
+                    stage.write_cell(year, tag, "prediction.json", pred.as_dict())
+                if tag in _LINK_MODELS:
+                    lp = link_probabilities(fit, dm_full)
+                    stage.write_cell(year, tag, "xi.json", lp.as_dict())
+                    induced = density_induced_binary(lp, rho)
+                    binary = {
+                        "country_ids": list(lp.country_ids),
+                        "adjacency": induced.adjacency.astype(int).tolist(),
+                        "density_induced": induced.as_dict(),
+                        "matched_density": threshold_matching_density(lp, rho).as_dict(),
+                        "manhattan": threshold_by_manhattan(lp, cs.adjacency).as_dict(),
+                    }
+                    stage.write_cell(year, tag, "binary.json", binary)
+                note["message"] = "predictions written"
+            stage.log_cell(year, tag, note)
     stage.record()
 
 
@@ -635,52 +632,56 @@ def cmd_netstats(args) -> None:
         cs = build_cross_section(stage.panel, year)
         rows = _stats_rows(cs.network(), cs.country_ids, ("identity", "log_positive"))
         stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
-        for tag, note in stage.cells(year):
-            (payload,) = stage.inputs(year, tag)
-            ids, net, transform, _ = _cell_network(tag, payload, stage.cfg.transforms)
-            rows = _stats_rows(net, ids, (transform,))
-            stage.write_csv(f"{year}/{tag}/node_stats.csv", _STATS_FIELDS, rows)
-            note["message"] = "statistics written"
+        for tag in stage.cfg.models:
+            with _cell(year, tag) as note:
+                (payload,) = stage.inputs(year, tag)
+                ids, net, transform, _ = _cell_network(tag, payload, stage.cfg.transforms)
+                check_countries(cs.country_ids, ids, "predicted")
+                rows = _stats_rows(net, ids, (transform,))
+                stage.write_csv(f"{year}/{tag}/node_stats.csv", _STATS_FIELDS, rows)
+                note["message"] = "statistics written"
+            stage.log_cell(year, tag, note)
     stage.record()
 
 
 def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
-    """One compare cell from picklable inputs: ``(report payload, duration_s,
-    note)``.
+    """One compare cell from picklable inputs: ``(report payload, note)``.
 
     ``inputs`` is the decoded JSON of the cell's declared inputs: its
     ``_network_artifact``, then its ``xi.json`` for a model with link
     probabilities; the ensemble streams from the cell's seed.  This
-    is all of a cell's work, run in the stage's process or in a worker, so
-    its bytes do not depend on which.  ``duration_s`` and the note's
-    ``peak_rss_mb`` are measured in the process that ran the cell.
+    is all of a cell's work, run in its ``_cell`` scope in the stage's
+    process or in a worker, so its bytes do not depend on which.  The
+    note's ``duration_s`` and ``peak_rss_mb`` are measured, and an error
+    is named, in the process that ran the cell.
     """
-    started = time.perf_counter()
-    seed = cell_seed(cfg.seed, year, tag)
-    network, *xi = inputs
-    _, net, transform, pred = _cell_network(tag, network, cfg.transforms)
-    lp = LinkProbabilityMatrix.from_dict(*xi) if xi else None
-    if tag == "LOGIT":
-        ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
-    else:
-        ensemble = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
-    report = build_comparison_report(
-        observed,
-        observed_ids,
-        tag,
-        net,
-        ensemble,
-        year=year,
-        transform=transform,
-        observed_transform=cfg.transforms[tag],
-    )
-    note = {
-        "message": f"report written ({cfg.replications} replications)",
-        "replications": cfg.replications,
-        "n_dropped": {s.kind: s.summary.n_dropped for s in report.statistics},
-        "peak_rss_mb": _peak_rss_mb(),
-    }
-    return report_as_dict(report), time.perf_counter() - started, note
+    with _cell(year, tag) as note:
+        seed = cell_seed(cfg.seed, year, tag)
+        network, *xi = inputs
+        _, net, transform, pred = _cell_network(tag, network, cfg.transforms)
+        lp = LinkProbabilityMatrix.from_dict(*xi) if xi else None
+        if tag == "LOGIT":
+            ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
+        else:
+            ensemble = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
+        report = build_comparison_report(
+            observed,
+            observed_ids,
+            tag,
+            net,
+            ensemble,
+            year=year,
+            transform=transform,
+            observed_transform=cfg.transforms[tag],
+        )
+        note.update(
+            message=f"report written ({cfg.replications} replications)",
+            replications=cfg.replications,
+            n_dropped={s.kind: s.summary.n_dropped for s in report.statistics},
+            peak_rss_mb=_peak_rss_mb(),
+        )
+        payload = report_as_dict(report)
+    return payload, note
 
 
 def _compare_inputs(stage: _Stage):
@@ -747,9 +748,9 @@ def cmd_compare(args) -> None:
     workers = min(_usable_cpus(), len(stage.years) * len(stage.cfg.models))
     results = _in_order(_compare_cell, _compare_inputs(stage), workers)
     with contextlib.closing(results):
-        for (year, tag), (payload, duration_s, note) in results:
+        for (year, tag), (payload, note) in results:
             stage.write_json(f"{year}/{tag}/report.json", payload)
-            stage.log_cell(year, tag, duration_s, note)
+            stage.log_cell(year, tag, note)
     stage.record()
 
 

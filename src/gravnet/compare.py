@@ -243,20 +243,13 @@ def _summarise(kind: str, values: array, dropped: int) -> EnsembleSummary:
     )
 
 
-def _aligned_ids(observed_ids, tag: str, network: TradeNetwork, ensemble) -> None:
-    ids = set(observed_ids)
-    other = set(ensemble.country_ids)
-    if other != ids:
-        missing = sorted(ids - other)
-        extra = sorted(other - ids)
+def check_countries(observed_ids, ids, what: str) -> None:
+    """Refuse ``ids`` that are not the observed countries, naming the missing and unexpected."""
+    missing = sorted(set(observed_ids) - set(ids))
+    extra = sorted(set(ids) - set(observed_ids))
+    if missing or extra:
         raise ValidationError(
-            f"{tag}: ensemble countries differ from observed "
-            f"(missing {missing}, unexpected {extra})"
-        )
-    if network.n != len(observed_ids):
-        raise ValidationError(
-            f"{tag}: predicted network has {network.n} countries, "
-            f"observed has {len(observed_ids)}"
+            f"{what} countries differ from observed (missing {missing}, unexpected {extra})"
         )
 
 
@@ -296,7 +289,11 @@ def build_comparison_report(
         raise ValidationError(
             f"observed network has {observed.n} nodes but {len(observed_ids)} ids"
         )
-    _aligned_ids(observed_ids, tag, network, ensemble)
+    check_countries(observed_ids, ensemble.country_ids, "ensemble")
+    if network.n != len(observed_ids):
+        raise ValidationError(
+            f"predicted network has {network.n} countries, observed has {len(observed_ids)}"
+        )
 
     obs_stats = all_statistics(observed, _NETWORK_KINDS, observed_transform)
     pred_stats = all_statistics(network, _NETWORK_KINDS, transform)

@@ -12,6 +12,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -34,7 +35,7 @@ from gravnet.cli import (
     MODEL_TAGS,
     PANEL_CACHE_NAME,
     RunConfig,
-    _fit_one,
+    _cell,
     _hash_file,
     _record_artifacts,
     _report_tables,
@@ -51,7 +52,12 @@ from gravnet.compare import (
     report_as_dict,
     report_from_dict,
 )
-from gravnet.errors import SingularDesignError, ValidationError
+from gravnet.errors import (
+    DependencyError,
+    SeparationError,
+    SingularDesignError,
+    ValidationError,
+)
 from gravnet.estimation import fit_from_dict, fit_poisson_pml
 from gravnet.netstats import compute_statistic, density, population_average
 from gravnet.panel import (
@@ -245,10 +251,37 @@ def test_fit_error_keeps_its_type_and_names_the_cell(zip_panel):
     # a duplicated regressor makes the design rank deficient
     X = np.column_stack([dm.X, dm.X[:, 1]])
     collinear = replace(dm, X=X, columns=dm.columns + ("ln_gdp_i_copy",))
-    with pytest.raises(SingularDesignError) as info:
-        _fit_one("PPML", 2000, None, collinear)
+    with pytest.raises(SingularDesignError) as info, _cell(2000, "PPML"):
+        fit_poisson_pml(collinear)
     assert info.value.columns
     assert str(info.value).startswith("year 2000 model PPML: ")
+
+
+def test_a_cell_scope_times_its_work_and_names_its_errors():
+    with _cell(2000, "OLS") as note:
+        note["message"] = "done"
+    assert list(note) == ["message", "duration_s"] and note["duration_s"] > 0.0
+    for exc in (
+        SingularDesignError("rank deficient", columns=["rta"]),
+        SeparationError("separated", last_coefficients=[0.5, -1.0], trace=[{"iteration": 1}]),
+        ValidationError("bad input"),
+    ):
+        message, payload = str(exc), dict(vars(exc))
+        with pytest.raises(type(exc)) as raised, _cell(1995, "ZIP") as note:
+            raise exc
+        # the same object, renamed: a failed cell's note gets no wall time
+        assert raised.value is exc and str(exc) == f"year 1995 model ZIP: {message}"
+        assert note == {}
+        # what a worker process sends back to the stage
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is type(exc) and str(copy) == str(exc)
+        assert vars(copy) == vars(exc) == payload
+    # a missing artifact already names itself; other errors are not the cell's
+    for exc in (DependencyError("missing artifact 2000/OLS/fit.json"), OSError("disk full")):
+        message = str(exc)
+        with pytest.raises(type(exc)) as raised, _cell(1995, "ZIP"):
+            raise exc
+        assert raised.value is exc and str(exc) == message
 
 
 def test_fit_artifact_reloads_to_the_same_fit(zip_panel, tmp_path):
@@ -491,6 +524,55 @@ def edit_first_row(path, column: str, text: str) -> None:
     rows[1][rows[0].index(column)] = text
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def drop_country(paths, year: int, cid: str) -> None:
+    """Remove country ``cid`` from the ``year`` rows of both panel files."""
+    for name, columns in (("dyads", ("exporter", "importer")), ("countries", ("country",))):
+        with open(paths[name], encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        at = [header.index(column) for column in columns]
+        kept = [
+            row for row in rows
+            if row[header.index("year")] != str(year) or cid not in [row[k] for k in at]
+        ]
+        assert len(kept) < len(rows)
+        with open(paths[name], "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([header, *kept])
+
+
+def test_predict_on_a_fit_with_other_covariates_names_the_cell(zip_panel, tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, tmp_path / "out")
+    run_pipeline(cfg, ("fit", "predict"))
+    refit = ["fit", "--config", cfg, "--covariates", "const,ln_dist,ln_gdp_i,ln_gdp_j"]
+    assert main(refit) == EXIT_OK
+    capsys.readouterr()
+    # the refit's fit.json matches the manifest, but not the six covariates
+    assert main(["predict", "--config", cfg]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(
+        "gravnet: error: year 1995 model OLS: fit and design matrix disagree on covariates"
+    )
+
+
+def test_a_country_dropped_after_predict_is_refused_naming_the_cell(
+    zip_panel, tmp_path, monkeypatch, capsys
+):
+    paths = copied_panel(zip_panel, tmp_path / "panel")
+    cfg = write_config(tmp_path / "cfg.json", paths, tmp_path / "out")
+    run_pipeline(cfg, ("fit", "predict"))
+    drop_country(paths, 2000, "C015")
+    capsys.readouterr()
+    refused = (
+        "gravnet: error: year 2000 model OLS: {} countries differ from observed "
+        "(missing [], unexpected ['C015'])\n"
+    )
+    # the point networks were predicted for one country more than 2000 now has
+    assert main(["netstats", "--config", cfg]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == refused.format("predicted")
+    for workers in (1, 2):
+        monkeypatch.setattr(gravnet.cli, "_usable_cpus", lambda: workers)
+        assert main(["compare", "--config", cfg]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == refused.format("ensemble")
 
 
 def last_record(out) -> dict:
@@ -781,7 +863,9 @@ def test_compare_error_in_a_worker_exits_as_in_process(zip_panel, tmp_path, monk
             args.func(args)
         assert raised.value.columns == ["rta"]
         assert multiprocessing.active_children() == []
-    assert messages[1] == messages[2] == "gravnet: error: cell cannot be compared\n"
+    assert messages[1] == messages[2] == (
+        "gravnet: error: year 1995 model OLS: cell cannot be compared\n"
+    )
     # no compare entry reached the manifest
     assert (out / MANIFEST_NAME).read_bytes() == manifest
 
