@@ -19,8 +19,12 @@ input hashes the bytes it read against the manifest and parses those
 same bytes, so what a stage uses is what it checked.  Each cell's work
 runs in one scope, ``_cell``, which times it for the cell's log record
 and names the cell in a validation or convergence error, whichever
-process ran it.  Every file is written to a temporary name and renamed
-into place, so an interrupted command never leaves a partial artifact.
+process ran it.  Every artifact is written to a temporary name, and a
+stage renames its artifacts into place only when the command completes,
+so a command that fails or is interrupted leaves every artifact and the
+manifest as they were; a cell's log record says that its work finished.
+Each model is compared on the scale it predicts: OLS with the observed
+log flows, the other models with the observed levels.
 ``run.log.jsonl`` carries one timestamped record per logged event and
 stays out of the manifest: with the log set aside, two runs from the
 same configuration and seed produce byte-identical output trees.
@@ -54,7 +58,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -71,7 +75,6 @@ from .estimation import (
 )
 from .netstats import (
     STAT_KINDS,
-    WEIGHT_TRANSFORMS,
     WEIGHTED_KINDS,
     TradeNetwork,
     all_statistics,
@@ -105,7 +108,9 @@ from .synth import (
     NOISE_KINDS,
     SynthSpec,
     _atomic_write,
-    _write_csv,
+    _csv_text,
+    _json_text,
+    _temp_write,
     _write_json,
     write_synth_panel,
 )
@@ -114,15 +119,6 @@ MODEL_TAGS = ("OLS", "PPML", "ZIP", "LOGIT")
 
 # Fixed per-model codes keep cell seeds stable when the model set changes.
 MODEL_CODES = {"OLS": 1, "PPML": 2, "ZIP": 3, "LOGIT": 4}
-
-# The log-linear comparison happens on the log scale; the level models
-# are compared in levels.  Values name the transform of the observed side.
-DEFAULT_TRANSFORMS = {
-    "OLS": "log_positive",
-    "PPML": "identity",
-    "ZIP": "identity",
-    "LOGIT": "identity",
-}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -141,12 +137,7 @@ _SEED_LIMIT = 2**63
 class RunConfig:
     """One pipeline run: input paths, cell grid, sampling budget, output tree.
 
-    ``years`` empty means every year present in the panel.  ``transforms``
-    maps model tags to the weight transform under which that model's
-    comparison against the observed network is carried out; the log-linear
-    model predicts logs directly and the logit predicts an adjacency, so
-    their own statistics always use the identity transform and their
-    configured value applies to the observed side only.
+    ``years`` empty means every year present in the panel.
     """
 
     dyads: str
@@ -157,7 +148,6 @@ class RunConfig:
     covariates: tuple = DESIGN_COLUMNS
     replications: int = DEFAULT_REPLICATIONS
     seed: int = 0
-    transforms: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("dyads", "countries", "out"):
@@ -173,7 +163,6 @@ class RunConfig:
             ("covariates", (list, tuple), "a list"),
             ("replications", int, "an integer"),
             ("seed", int, "an integer"),
-            ("transforms", dict, "an object"),
         ):
             value = getattr(self, name)
             if not isinstance(value, kind) or isinstance(value, bool):
@@ -200,17 +189,6 @@ class RunConfig:
             )
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValidationError(f"seed must lie in [0, 2**63), got {self.seed}")
-        transforms = dict(DEFAULT_TRANSFORMS)
-        for tag, transform in self.transforms.items():
-            if tag not in MODEL_TAGS:
-                raise ValidationError(f"transform given for unknown model {tag!r}")
-            if transform not in WEIGHT_TRANSFORMS:
-                raise ValidationError(
-                    f"unknown transform {transform!r} for model {tag}; "
-                    f"expected one of {WEIGHT_TRANSFORMS}"
-                )
-            transforms[tag] = transform
-        object.__setattr__(self, "transforms", transforms)
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
@@ -319,25 +297,30 @@ def _log(out: str, command: str, message: str, duration_s: float, **fields_) -> 
 
 class _Stage:
     """One run command: its config, panel and years, verified inputs, and
-    the artifacts it writes.
+    the artifacts it writes; a context manager around the command's work.
 
     Construction does all that can refuse the command, before any work:
-    it builds the config, makes ``out/``, loads the panel, resolves the
-    years, reads the manifest once and checks against it every input the
-    cells declare, ``<year>/<tag>/<name>`` for each ``name`` in
-    ``inputs(tag)``.  A refused command therefore writes nothing; a
-    missing or modified input names ``producer``, the command to rerun.
-    The copy of a freshly parsed panel is stored only once every check
-    has passed.  A cell reads its inputs through :meth:`inputs`, so it can
-    read only what it declared; :meth:`log_cell` logs its ``_cell`` note.
+    it builds the config, loads the panel, resolves the years, reads the
+    manifest once and checks against it every input the cells declare,
+    ``<year>/<tag>/<name>`` for each ``name`` in ``inputs(tag)``.  A
+    refused command therefore writes nothing, not even ``out/``; a missing
+    or modified input names ``producer``, the command to rerun.  The copy
+    of a freshly parsed panel is stored only once every check has passed.
+    A cell reads its inputs through :meth:`inputs`, so it can read only
+    what it declared; :meth:`log_cell` logs its ``_cell`` note.
+
+    Each artifact is written to a temporary file beside its final path.
+    When the ``with`` block ends normally, every one is renamed into place
+    in write order and the manifest merges their digests; when it raises,
+    the temporary files are removed, so a command that fails after
+    starting work leaves every artifact and the manifest as they were.
     """
 
     def __init__(self, args, name: str, producer: str = "", inputs=lambda tag: ()):
         self.name, self.producer = name, producer
-        # every config field but ``transforms`` has a flag of its own name
+        # every config field has a flag of its own name
         overrides = {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
         self.cfg = cfg = load_config(args.config, overrides)
-        os.makedirs(cfg.out, exist_ok=True)
         cache = os.path.join(cfg.out, PANEL_CACHE_NAME)
         self.panel, self.panel_source, copy = read_panel(cfg.dyads, cfg.countries, cache)
         years = cfg.years or self.panel.years
@@ -347,7 +330,7 @@ class _Stage:
                 f"year(s) {missing} not present in the panel; it has {list(self.panel.years)}"
             )
         self.years = tuple(years)
-        self._written = []
+        self._pending = []  # (rel, temporary file), in write order
         self._digests = _load_manifest(cfg.out)
         self._inputs = inputs
         for year in self.years:
@@ -355,7 +338,20 @@ class _Stage:
                 for base in inputs(tag):
                     self._checked_bytes(f"{year}/{tag}/{base}")
         if copy is not None:
+            os.makedirs(cfg.out, exist_ok=True)
             _atomic_write(cache, copy)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for _, tmp in self._pending:
+                os.unlink(tmp)
+            return
+        for rel, tmp in self._pending:
+            os.replace(tmp, _artifact_path(self.cfg.out, rel))
+        _record_artifacts(self.cfg.out, [rel for rel, _ in self._pending])
 
     def _checked_bytes(self, rel: str) -> bytes:
         path = _artifact_path(self.cfg.out, rel)
@@ -375,21 +371,20 @@ class _Stage:
         return [json.loads(self._checked_bytes(f"{year}/{tag}/{base}"))
                 for base in self._inputs(tag)]
 
-    def _target(self, rel: str) -> str:
+    def _write(self, rel: str, text: str) -> None:
         path = _artifact_path(self.cfg.out, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        self._written.append(rel)
-        return path
+        self._pending.append((rel, _temp_write(path, text)))
 
     def write_json(self, rel: str, payload) -> None:
-        _write_json(self._target(rel), payload)
+        self._write(rel, _json_text(payload) + "\n")
 
     def write_cell(self, year: int, tag: str, name: str, payload: dict) -> None:
         """A cell artifact: ``payload`` plus the cell's ``model`` and ``year``."""
         self.write_json(f"{year}/{tag}/{name}", {**payload, "model": tag, "year": year})
 
     def write_csv(self, rel: str, header, rows) -> None:
-        _write_csv(self._target(rel), header, rows)
+        self._write(rel, _csv_text(header, rows))
 
     def log_cell(self, year: int, tag: str, note: dict) -> None:
         """A cell's record: ``note["message"]`` after the cell's name, the rest
@@ -400,10 +395,6 @@ class _Stage:
     def log(self, message: str, duration_s: float, **fields_) -> None:
         """A run-log record of this command, with where its panel came from."""
         _log(self.cfg.out, self.name, message, duration_s, panel=self.panel_source, **fields_)
-
-    def record(self) -> None:
-        """Merge every artifact this stage wrote into the manifest, once."""
-        _record_artifacts(self.cfg.out, self._written)
 
 
 @contextlib.contextmanager
@@ -515,64 +506,63 @@ def cmd_synth(args) -> None:
 
 def cmd_fit(args) -> None:
     """Estimate every configured (year, model) cell and write fit artifacts."""
-    stage = _Stage(args, "fit")
-    for year in stage.years:
-        cs = build_cross_section(stage.panel, year)
-        dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
-        fits = {}
-        for tag in stage.cfg.models:
-            with _cell(year, tag) as note:
-                # looked up per call, so a rebinding of a layer function is seen
-                fit = {"OLS": fit_ols, "PPML": fit_poisson_pml, "ZIP": fit_zip,
-                       "LOGIT": fit_logit}[tag](dm_pos if tag == "OLS" else dm_full)
-                if tag == "ZIP" and "PPML" in fits:  # models run in MODEL_TAGS order
-                    fit = attach_vuong(fit, fits["PPML"], dm_full)
-                fits[tag] = fit
-                stage.write_cell(year, tag, "fit.json", fit.as_dict())
-                vuong = fit.vuong_vs_poisson if tag == "ZIP" else None
-                note.update(
-                    message=f"loglik {fit.loglik:.6g}",
-                    loglik=fit.loglik,
-                    converged=bool(fit.converged),
-                    iterations=fit.iterations,
-                    **({} if vuong is None else {"vuong_z": vuong}),
-                )
-            stage.log_cell(year, tag, note)
-        table = _coefficient_table(stage.cfg.covariates, fits)
-        stage.write_csv(f"{year}/coefficients.csv", *table)
-    stage.record()
+    with _Stage(args, "fit") as stage:
+        for year in stage.years:
+            cs = build_cross_section(stage.panel, year)
+            dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
+            fits = {}
+            for tag in stage.cfg.models:
+                with _cell(year, tag) as note:
+                    # looked up per call, so a rebinding of a layer function is seen
+                    fit = {"OLS": fit_ols, "PPML": fit_poisson_pml, "ZIP": fit_zip,
+                           "LOGIT": fit_logit}[tag](dm_pos if tag == "OLS" else dm_full)
+                    if tag == "ZIP" and "PPML" in fits:  # models run in MODEL_TAGS order
+                        fit = attach_vuong(fit, fits["PPML"], dm_full)
+                    fits[tag] = fit
+                    stage.write_cell(year, tag, "fit.json", fit.as_dict())
+                    vuong = fit.vuong_vs_poisson if tag == "ZIP" else None
+                    note.update(
+                        message=f"loglik {fit.loglik:.6g}",
+                        loglik=fit.loglik,
+                        converged=bool(fit.converged),
+                        iterations=fit.iterations,
+                        **({} if vuong is None else {"vuong_z": vuong}),
+                    )
+                stage.log_cell(year, tag, note)
+            table = _coefficient_table(stage.cfg.covariates, fits)
+            stage.write_csv(f"{year}/coefficients.csv", *table)
 
 
 def cmd_predict(args) -> None:
     """Turn fit artifacts into predicted matrices, one set per cell."""
-    stage = _Stage(args, "predict", "fit", lambda tag: ("fit.json",))
-    for year in stage.years:
-        cs = build_cross_section(stage.panel, year)
-        dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
-        rho = density(cs.network())
-        for tag in stage.cfg.models:
-            with _cell(year, tag) as note:
-                fit = fit_from_dict(*stage.inputs(year, tag))
-                if tag != "LOGIT":
-                    # looked up per call, so a rebinding of a layer function is seen
-                    predict = {"OLS": predict_ols, "PPML": predict_ppml, "ZIP": predict_zip}[tag]
-                    pred = predict(fit, dm_pos if tag == "OLS" else dm_full)
-                    stage.write_cell(year, tag, "prediction.json", pred.as_dict())
-                if tag in _LINK_MODELS:
-                    lp = link_probabilities(fit, dm_full)
-                    stage.write_cell(year, tag, "xi.json", lp.as_dict())
-                    induced = density_induced_binary(lp, rho)
-                    binary = {
-                        "country_ids": list(lp.country_ids),
-                        "adjacency": induced.adjacency.astype(int).tolist(),
-                        "density_induced": induced.as_dict(),
-                        "matched_density": threshold_matching_density(lp, rho).as_dict(),
-                        "manhattan": threshold_by_manhattan(lp, cs.adjacency).as_dict(),
-                    }
-                    stage.write_cell(year, tag, "binary.json", binary)
-                note["message"] = "predictions written"
-            stage.log_cell(year, tag, note)
-    stage.record()
+    with _Stage(args, "predict", "fit", lambda tag: ("fit.json",)) as stage:
+        for year in stage.years:
+            cs = build_cross_section(stage.panel, year)
+            dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
+            rho = density(cs.network())
+            for tag in stage.cfg.models:
+                with _cell(year, tag) as note:
+                    fit = fit_from_dict(*stage.inputs(year, tag))
+                    if tag != "LOGIT":
+                        # looked up per call, so a rebinding of a layer function is seen
+                        predict = {"OLS": predict_ols, "PPML": predict_ppml,
+                                   "ZIP": predict_zip}[tag]
+                        pred = predict(fit, dm_pos if tag == "OLS" else dm_full)
+                        stage.write_cell(year, tag, "prediction.json", pred.as_dict())
+                    if tag in _LINK_MODELS:
+                        lp = link_probabilities(fit, dm_full)
+                        stage.write_cell(year, tag, "xi.json", lp.as_dict())
+                        induced = density_induced_binary(lp, rho)
+                        binary = {
+                            "country_ids": list(lp.country_ids),
+                            "adjacency": induced.adjacency.astype(int).tolist(),
+                            "density_induced": induced.as_dict(),
+                            "matched_density": threshold_matching_density(lp, rho).as_dict(),
+                            "manhattan": threshold_by_manhattan(lp, cs.adjacency).as_dict(),
+                        }
+                        stage.write_cell(year, tag, "binary.json", binary)
+                    note["message"] = "predictions written"
+                stage.log_cell(year, tag, note)
 
 
 # the models whose fit gives link probabilities: they write xi.json and binary.json
@@ -585,23 +575,19 @@ def _network_artifact(tag: str) -> str:
     return "binary.json" if tag == "LOGIT" else "prediction.json"
 
 
-def _cell_network(tag: str, payload: dict, transforms: dict):
+def _cell_network(tag: str, payload: dict):
     """Point-prediction network of one cell, from the decoded JSON of its
-    ``_network_artifact``.
+    ``_network_artifact``, on the scale the model predicts.
 
-    Returns (country_ids, network, transform, pred) where the transform is
-    the one under which this network's weighted statistics are meaningful
-    and ``pred`` is the decoded PredictedWeights (None for the logit,
-    whose network is its thresholded adjacency).
+    Returns (country_ids, network, pred) where ``pred`` is the decoded
+    PredictedWeights (None for the logit, whose network is its thresholded
+    adjacency).
     """
     if tag == "LOGIT":
         a = np.array(payload["adjacency"], dtype=np.int8)
-        net = TradeNetwork(a.astype(float), a)
-        return tuple(payload["country_ids"]), net, "identity", None
+        return tuple(payload["country_ids"]), TradeNetwork(a.astype(float), a), None
     pred = PredictedWeights.from_dict(payload)
-    # OLS predicts logs on its observed support: already on the log scale
-    transform = "identity" if tag == "OLS" else transforms[tag]
-    return pred.country_ids, TradeNetwork(pred.value, pred.mask), transform, pred
+    return pred.country_ids, TradeNetwork(pred.value, pred.mask), pred
 
 
 def _stats_rows(net: TradeNetwork, ids, transforms) -> list:
@@ -627,21 +613,20 @@ _STATS_FIELDS = ("country_id", "kind", "transform", "value")
 
 def cmd_netstats(args) -> None:
     """Tabulate node statistics for the observed and predicted networks."""
-    stage = _Stage(args, "netstats", "predict", lambda tag: (_network_artifact(tag),))
-    for year in stage.years:
-        cs = build_cross_section(stage.panel, year)
-        rows = _stats_rows(cs.network(), cs.country_ids, ("identity", "log_positive"))
-        stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
-        for tag in stage.cfg.models:
-            with _cell(year, tag) as note:
-                (payload,) = stage.inputs(year, tag)
-                ids, net, transform, _ = _cell_network(tag, payload, stage.cfg.transforms)
-                check_countries(cs.country_ids, ids, "predicted")
-                rows = _stats_rows(net, ids, (transform,))
-                stage.write_csv(f"{year}/{tag}/node_stats.csv", _STATS_FIELDS, rows)
-                note["message"] = "statistics written"
-            stage.log_cell(year, tag, note)
-    stage.record()
+    with _Stage(args, "netstats", "predict", lambda tag: (_network_artifact(tag),)) as stage:
+        for year in stage.years:
+            cs = build_cross_section(stage.panel, year)
+            rows = _stats_rows(cs.network(), cs.country_ids, ("identity", "log_positive"))
+            stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
+            for tag in stage.cfg.models:
+                with _cell(year, tag) as note:
+                    (payload,) = stage.inputs(year, tag)
+                    ids, net, _ = _cell_network(tag, payload)
+                    check_countries(cs.country_ids, ids, "predicted")
+                    rows = _stats_rows(net, ids, ("identity",))
+                    stage.write_csv(f"{year}/{tag}/node_stats.csv", _STATS_FIELDS, rows)
+                    note["message"] = "statistics written"
+                stage.log_cell(year, tag, note)
 
 
 def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
@@ -658,22 +643,13 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
     with _cell(year, tag) as note:
         seed = cell_seed(cfg.seed, year, tag)
         network, *xi = inputs
-        _, net, transform, pred = _cell_network(tag, network, cfg.transforms)
+        _, net, pred = _cell_network(tag, network)
         lp = LinkProbabilityMatrix.from_dict(*xi) if xi else None
         if tag == "LOGIT":
             ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
         else:
             ensemble = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
-        report = build_comparison_report(
-            observed,
-            observed_ids,
-            tag,
-            net,
-            ensemble,
-            year=year,
-            transform=transform,
-            observed_transform=cfg.transforms[tag],
-        )
+        report = build_comparison_report(observed, observed_ids, tag, net, ensemble, year=year)
         note.update(
             message=f"report written ({cfg.replications} replications)",
             replications=cfg.replications,
@@ -747,11 +723,10 @@ def cmd_compare(args) -> None:
     )
     workers = min(_usable_cpus(), len(stage.years) * len(stage.cfg.models))
     results = _in_order(_compare_cell, _compare_inputs(stage), workers)
-    with contextlib.closing(results):
+    with stage, contextlib.closing(results):
         for (year, tag), (payload, note) in results:
             stage.write_json(f"{year}/{tag}/report.json", payload)
             stage.log_cell(year, tag, note)
-    stage.record()
 
 
 _KS_HEADER = ("year", "model", "kind", "d_statistic", "p_value", "n_observed", "n_predicted")
@@ -778,19 +753,19 @@ def _report_tables(reports) -> tuple:
 def cmd_report(args) -> None:
     """Aggregate per-cell comparison reports into flat CSV tables."""
     started = time.perf_counter()
-    stage = _Stage(args, "report", "compare", lambda tag: ("report.json",))
-    cfg = stage.cfg
-    ks_rows, avg_rows, corr_rows = _report_tables(
-        (year, report_from_dict(*stage.inputs(year, tag)))
-        for year in stage.years
-        for tag in cfg.models
-    )
-    summaries = [summary_stats(build_cross_section(stage.panel, y)) for y in stage.years]
-    stage.write_csv("ks_tests.csv", _KS_HEADER, ks_rows)
-    stage.write_csv("averages.csv", _AVG_HEADER, avg_rows)
-    stage.write_csv("correlations.csv", _CORR_HEADER, corr_rows)
-    stage.write_csv("summary.csv", [f.name for f in fields(SummaryStats)], map(astuple, summaries))
-    stage.record()
+    with _Stage(args, "report", "compare", lambda tag: ("report.json",)) as stage:
+        cfg = stage.cfg
+        ks_rows, avg_rows, corr_rows = _report_tables(
+            (year, report_from_dict(*stage.inputs(year, tag)))
+            for year in stage.years
+            for tag in cfg.models
+        )
+        summaries = [summary_stats(build_cross_section(stage.panel, y)) for y in stage.years]
+        stage.write_csv("ks_tests.csv", _KS_HEADER, ks_rows)
+        stage.write_csv("averages.csv", _AVG_HEADER, avg_rows)
+        stage.write_csv("correlations.csv", _CORR_HEADER, corr_rows)
+        stage.write_csv("summary.csv", [f.name for f in fields(SummaryStats)],
+                        map(astuple, summaries))
     stage.log(
         f"aggregated {len(stage.years)} year(s) x {len(cfg.models)} model(s)",
         time.perf_counter() - started,

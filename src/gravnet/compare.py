@@ -267,8 +267,6 @@ def build_comparison_report(
     network: TradeNetwork,
     ensemble: NetworkEnsemble | EnsembleStream,
     year: int | None = None,
-    transform: str = "identity",
-    observed_transform: str = "log_positive",
 ) -> ComparisonReport:
     """Compare one model's predictions with the observed network.
 
@@ -279,11 +277,10 @@ def build_comparison_report(
     ``ensemble``.  Correlations between paired statistics are reported for
     the observed and the predicted network.  Every row carries ``tag``.
 
-    ``network`` is the point prediction (predicted weights, or an
-    observed-mask network for the log-linear model).  ``transform`` applies
-    to the weighted statistics of ``network`` and ``ensemble``; log-linear
-    predictions already live on the log scale and use the identity.
-    ``observed_transform`` applies to the observed network's.
+    ``network`` and ``ensemble`` are taken on the scale they were
+    predicted on, and the observed side on the same scale: in logs when
+    the ensemble has a mask (log-linear draws, with ``network`` the
+    observed-mask network of predicted logs), in levels otherwise.
     """
     if observed.n != len(observed_ids):
         raise ValidationError(
@@ -295,9 +292,10 @@ def build_comparison_report(
             f"predicted network has {network.n} countries, observed has {len(observed_ids)}"
         )
 
+    observed_transform = "identity" if ensemble.mask is None else "log_positive"
     obs_stats = all_statistics(observed, _NETWORK_KINDS, observed_transform)
-    pred_stats = all_statistics(network, _NETWORK_KINDS, transform)
-    summaries = ensemble_summary(ensemble, REPORT_KINDS, transform)
+    pred_stats = all_statistics(network, _NETWORK_KINDS)
+    summaries = ensemble_summary(ensemble, REPORT_KINDS)
     stat_rows = []
     for kind, summary in zip(REPORT_KINDS, summaries):
         obs_vec = obs_stats[kind]

@@ -226,28 +226,40 @@ def _render(value) -> str:
     return repr(float(value))
 
 
-def _atomic_write(path: str, data) -> None:
-    """Write ``data`` to ``path`` via a temp file and a rename; text is
-    written as UTF-8 whatever the locale, bytes as they are."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def _temp_write(path: str, data) -> str:
+    """Write ``data`` to a new temp file beside ``path`` and return its name;
+    text is written as UTF-8 whatever the locale, bytes as they are."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return tmp
+
+
+def _atomic_write(path: str, data) -> None:
+    """Write ``data`` to ``path`` through ``_temp_write`` and a rename."""
+    tmp = _temp_write(path, data)
+    try:
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _csv_text(header, rows) -> str:
     """One header line, then one line per row, every cell through ``_render``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(map(_render, row) for row in rows)
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()
+
+
+def _write_csv(path: str, header, rows) -> None:
+    _atomic_write(path, _csv_text(header, rows))
 
 
 def _json_text(value, indent: str = "") -> str:

@@ -24,7 +24,6 @@ import pytest
 
 import gravnet.cli
 from gravnet.cli import (
-    DEFAULT_TRANSFORMS,
     EXIT_CONVERGENCE,
     EXIT_DEPENDENCY,
     EXIT_OK,
@@ -127,7 +126,6 @@ def test_config_precedence(tmp_path, zip_panel):
     assert cfg.years == (1995,)
     assert cfg.models == MODEL_TAGS
     assert cfg.replications == 40
-    assert cfg.transforms == DEFAULT_TRANSFORMS
 
 
 def test_config_defaults(zip_panel, tmp_path):
@@ -136,8 +134,6 @@ def test_config_defaults(zip_panel, tmp_path):
     assert cfg.models == MODEL_TAGS
     assert cfg.covariates == DESIGN_COLUMNS
     assert cfg.replications == DEFAULT_REPLICATIONS
-    assert cfg.transforms["OLS"] == "log_positive"
-    assert cfg.transforms["PPML"] == "identity"
 
 
 def test_config_validation(zip_panel, tmp_path):
@@ -159,10 +155,6 @@ def test_config_validation(zip_panel, tmp_path):
     with pytest.raises(ValidationError):
         RunConfig(**{**good, "covariates": ("const", "const")})
     with pytest.raises(ValidationError):
-        RunConfig(**{**good, "transforms": {"OLS": "sqrt"}})
-    with pytest.raises(ValidationError):
-        RunConfig(**{**good, "transforms": {"GRAVITY": "identity"}})
-    with pytest.raises(ValidationError):
         RunConfig(**{**good, "dyads": str(tmp_path / "nope.csv")})
 
 
@@ -179,7 +171,6 @@ def test_config_validation(zip_panel, tmp_path):
     pytest.param("replications", 1, id="replications-1"),
     pytest.param("seed", "7", id="seed-7"),
     pytest.param("seed", 1.5, id="seed-1.5"),
-    pytest.param("transforms", ["x"], id="transforms-not-an-object"),
 ])
 def test_malformed_config_value_exits_2_naming_the_field(
     zip_panel, tmp_path, capsys, name, value
@@ -187,6 +178,17 @@ def test_malformed_config_value_exits_2_naming_the_field(
     cfg = write_config(tmp_path / "cfg.json", zip_panel, tmp_path / "out", **{name: value})
     assert main(["fit", "--config", cfg]) == EXIT_VALIDATION
     assert f"config field {name!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_that_sets_transforms_is_refused(zip_panel, tmp_path, capsys):
+    """A comparison's scale follows the model's prediction; there is no
+    ``transforms`` field to set it."""
+    cfg = write_config(
+        tmp_path / "cfg.json", zip_panel, tmp_path / "out", transforms={"OLS": "identity"}
+    )
+    assert main(["fit", "--config", cfg]) == EXIT_VALIDATION
+    assert "unknown config key(s) ['transforms']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -330,6 +332,8 @@ def test_unknown_year_is_a_validation_error(zip_panel, tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", zip_panel, tmp_path / "out")
     assert main(["fit", "--config", cfg, "--years", "1900"]) == EXIT_VALIDATION
     assert "1900" in capsys.readouterr().err
+    # refused before any work: not even the output directory is made
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -557,22 +561,35 @@ def test_predict_on_a_fit_with_other_covariates_names_the_cell(zip_panel, tmp_pa
 def test_a_country_dropped_after_predict_is_refused_naming_the_cell(
     zip_panel, tmp_path, monkeypatch, capsys
 ):
+    """The refused stage also leaves every artifact and the manifest as
+    they were, though it wrote 1995's cells and 2000's observed table
+    before the failing cell, and leaves no temporary file behind."""
     paths = copied_panel(zip_panel, tmp_path / "panel")
-    cfg = write_config(tmp_path / "cfg.json", paths, tmp_path / "out")
-    run_pipeline(cfg, ("fit", "predict"))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", paths, out)
+    run_pipeline(cfg)
+    before = output_tree(out, (LOG_NAME, PANEL_CACHE_NAME))
     drop_country(paths, 2000, "C015")
     capsys.readouterr()
     refused = (
         "gravnet: error: year 2000 model OLS: {} countries differ from observed "
         "(missing [], unexpected ['C015'])\n"
     )
+
+    def unchanged():
+        after = output_tree(out, (LOG_NAME, PANEL_CACHE_NAME))
+        assert not [rel for rel in after if os.path.basename(rel).startswith(".tmp-")]
+        assert after == before
+
     # the point networks were predicted for one country more than 2000 now has
     assert main(["netstats", "--config", cfg]) == EXIT_VALIDATION
     assert capsys.readouterr().err == refused.format("predicted")
+    unchanged()
     for workers in (1, 2):
         monkeypatch.setattr(gravnet.cli, "_usable_cpus", lambda: workers)
         assert main(["compare", "--config", cfg]) == EXIT_VALIDATION
         assert capsys.readouterr().err == refused.format("ensemble")
+        unchanged()
 
 
 def last_record(out) -> dict:
@@ -674,7 +691,8 @@ def test_a_refused_command_stores_no_panel_cache(zip_panel, tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", zip_panel, out, models=["PPML"])
     assert main(["fit", "--config", cfg, "--years", "1900"]) == EXIT_VALIDATION
     assert main(["predict", "--config", cfg]) == EXIT_DEPENDENCY
-    assert os.listdir(out) == []
+    # neither command made the output directory
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -781,12 +799,13 @@ def test_pipeline_artifacts_and_manifest(zip_panel, tmp_path, monkeypatch):
     assert float(os.getpid()) not in workers and 1 <= len(workers) <= 2
 
 
-def output_tree(out) -> dict:
-    """Relative path -> bytes of every file under ``out`` but the run log."""
+def output_tree(out, skip=(LOG_NAME,)) -> dict:
+    """Relative path -> bytes of every file under ``out`` whose name is not
+    in ``skip``, the run log by default."""
     tree = {}
     for root, _, names in os.walk(out):
         for name in names:
-            if name == LOG_NAME:
+            if name in skip:
                 continue
             path = os.path.join(root, name)
             with open(path, "rb") as handle:
@@ -942,9 +961,6 @@ def test_the_library_rebuilds_a_pipeline_cell_byte_for_byte(zip_panel, tmp_path)
             gravnet.TradeNetwork(pred.value, pred.mask),
             ensemble,
             year=year,
-            # OLS predicts logs: its network is already on the log scale
-            transform="identity" if tag == "OLS" else DEFAULT_TRANSFORMS[tag],
-            observed_transform=DEFAULT_TRANSFORMS[tag],
         )
         rebuilt = tmp_path / f"{tag}.json"
         _write_json(str(rebuilt), gravnet.report_as_dict(report))
@@ -1072,20 +1088,25 @@ def test_binary_artifact_realized_density(zip_panel, tmp_path):
     assert payload["manhattan"]["distance"] >= 0
 
 
-def test_logit_observed_side_uses_configured_transform(zip_panel, tmp_path):
+def test_observed_side_takes_the_scale_the_model_predicts(zip_panel, tmp_path):
+    """OLS predicts logs, so its observed NS_tot is the average of the
+    observed logs; the logit and PPML are compared with observed levels."""
     out = tmp_path / "out"
     cfg = write_config(
-        tmp_path / "cfg.json", zip_panel, out, models=["LOGIT"], years=[2000],
-        transforms={"LOGIT": "log_positive"},
+        tmp_path / "cfg.json", zip_panel, out, models=["OLS", "PPML", "LOGIT"], years=[2000]
     )
     run_pipeline(cfg, commands=("fit", "predict", "compare"))
-    report = json.loads((out / "2000" / "LOGIT" / "report.json").read_text())
-    (ns_tot,) = [s for s in report["statistics"] if s["kind"] == "NS_tot"]
-
     panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
     observed = build_cross_section(panel, 2000).network()
-    want, _ = population_average(compute_statistic(observed, "NS_tot", "log_positive"))
-    assert ns_tot["observed_avg"] == want
+    for tag, transform in (("OLS", "log_positive"), ("PPML", "identity"),
+                           ("LOGIT", "identity")):
+        report = json.loads((out / "2000" / tag / "report.json").read_text())
+        (ns_tot,) = [s for s in report["statistics"] if s["kind"] == "NS_tot"]
+        want, _ = population_average(compute_statistic(observed, "NS_tot", transform))
+        assert ns_tot["observed_avg"] == want, tag
+    levels, _ = population_average(compute_statistic(observed, "NS_tot", "identity"))
+    logs, _ = population_average(compute_statistic(observed, "NS_tot", "log_positive"))
+    assert levels != logs
 
 
 def test_synth_command_writes_panel_and_manifest(tmp_path):

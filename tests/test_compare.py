@@ -466,9 +466,7 @@ def test_report_point_mass_recovers_observed():
     ids = country_names(net.n)
     reps = np.repeat(net.weights[None], 5, axis=0)
     ens = NetworkEnsemble("PPML", ids, reps, seed=0)
-    report = build_comparison_report(
-        net, ids, "PPML", net, ens, year=1999, transform="log_positive"
-    )
+    report = build_comparison_report(net, ids, "PPML", net, ens, year=1999)
 
     assert report.year == 1999
     assert len(report.statistics) == len(REPORT_KINDS)
@@ -504,9 +502,7 @@ def test_report_rows_and_json():
     net = observed_network(seed=37)
     ids = country_names(net.n)
     ens = NetworkEnsemble("PPML", ids, np.repeat(net.weights[None], 3, axis=0), seed=0)
-    report = build_comparison_report(
-        net, ids, "PPML", net, ens, year=2000, transform="log_positive"
-    )
+    report = build_comparison_report(net, ids, "PPML", net, ens, year=2000)
 
     assert len(report.statistics) == len(REPORT_KINDS)
     assert len(report.correlations) == len(CORRELATION_PAIRS)
