@@ -309,11 +309,12 @@ class _Stage:
     A cell reads its inputs through :meth:`inputs`, so it can read only
     what it declared; :meth:`log_cell` logs its ``_cell`` note.
 
-    Each artifact is written to a temporary file beside its final path.
+    Each artifact is written to a temporary file in ``out/`` itself.
     When the ``with`` block ends normally, every one is renamed into place
-    in write order and the manifest merges their digests; when it raises,
-    the temporary files are removed, so a command that fails after
-    starting work leaves every artifact and the manifest as they were.
+    in write order, its directory made then, and the manifest merges their
+    digests; when it raises, the temporary files are removed, so a command
+    that fails after starting work leaves every artifact, the manifest and
+    the directories as they were.
     """
 
     def __init__(self, args, name: str, producer: str = "", inputs=lambda tag: ()):
@@ -350,7 +351,9 @@ class _Stage:
                 os.unlink(tmp)
             return
         for rel, tmp in self._pending:
-            os.replace(tmp, _artifact_path(self.cfg.out, rel))
+            path = _artifact_path(self.cfg.out, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            os.replace(tmp, path)
         _record_artifacts(self.cfg.out, [rel for rel, _ in self._pending])
 
     def _checked_bytes(self, rel: str) -> bytes:
@@ -372,9 +375,7 @@ class _Stage:
                 for base in self._inputs(tag)]
 
     def _write(self, rel: str, text: str) -> None:
-        path = _artifact_path(self.cfg.out, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        self._pending.append((rel, _temp_write(path, text)))
+        self._pending.append((rel, _temp_write(self.cfg.out, text)))
 
     def write_json(self, rel: str, payload) -> None:
         self._write(rel, _json_text(payload) + "\n")

@@ -29,6 +29,7 @@ samplers fill a :class:`NetworkEnsemble` from the same stream.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -265,6 +266,24 @@ def _guard_overflow(eta: np.ndarray, dm: DesignMatrix, stage: str) -> None:
         )
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.expit(x)`` bit for bit, without importing scipy.
+
+    scipy computes ``1 / (1 + exp(-x))`` with the C library's ``exp``,
+    which ``math.exp`` also calls, so each element here has the same
+    bits; numpy's vectorised ``exp`` differs from it in the last bits.
+    """
+
+    def logistic(v: float) -> float:
+        try:
+            return 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:  # exp(-v) is inf, and 1 / (1 + inf) is 0
+            return 0.0
+
+    values = map(logistic, x.ravel().tolist())
+    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
+
+
 def predict_ols(fit: FitResult, dm: DesignMatrix) -> PredictedWeights:
     """Predict log flows on the observed positive dyads.
 
@@ -319,12 +338,10 @@ def predict_zip(zip_fit: ZipFitResult, dm: DesignMatrix) -> PredictedWeights:
     ``psi`` is the fitted probability of a structural zero and ``mu`` the
     count-stage mean.
     """
-    from scipy.special import expit
-
     _check_fit_against(dm, zip_fit.logit_part, "ZIP_LOGIT")
     _check_fit_against(dm, zip_fit.poisson_part, "ZIP_POISSON")
     scatter = _grid(dm)
-    psi = expit(dm.X @ zip_fit.logit_part.coefficients)
+    psi = _expit(dm.X @ zip_fit.logit_part.coefficients)
     v = dm.X @ zip_fit.poisson_part.coefficients
     _guard_overflow(v, dm, "count")
     return PredictedWeights("ZIP", dm.country_ids, scatter((1.0 - psi) * np.exp(v)))
@@ -341,13 +358,11 @@ def link_probabilities(fit: FitResult | ZipFitResult, dm: DesignMatrix) -> LinkP
     All off-diagonal probabilities are strictly inside (0, 1); the
     diagonal is zero by convention.
     """
-    from scipy.special import expit
-
     logit = fit.logit_part if isinstance(fit, ZipFitResult) else fit
     _check_fit_against(dm, logit, "LOGIT", "ZIP_LOGIT")
     scatter = _grid(dm)
     # expit is strictly inside (0, 1) for finite arguments, so xi is too.
-    xi = scatter(1.0 - expit(dm.X @ logit.coefficients))
+    xi = scatter(1.0 - _expit(dm.X @ logit.coefficients))
     return LinkProbabilityMatrix(dm.country_ids, xi)
 
 

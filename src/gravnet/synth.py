@@ -226,10 +226,10 @@ def _render(value) -> str:
     return repr(float(value))
 
 
-def _temp_write(path: str, data) -> str:
-    """Write ``data`` to a new temp file beside ``path`` and return its name;
+def _temp_write(directory: str, data) -> str:
+    """Write ``data`` to a new temp file in ``directory`` and return its name;
     text is written as UTF-8 whatever the locale, bytes as they are."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data.encode("utf-8") if isinstance(data, str) else data)
@@ -240,8 +240,8 @@ def _temp_write(path: str, data) -> str:
 
 
 def _atomic_write(path: str, data) -> None:
-    """Write ``data`` to ``path`` through ``_temp_write`` and a rename."""
-    tmp = _temp_write(path, data)
+    """Write ``data`` to ``path`` through ``_temp_write`` beside it and a rename."""
+    tmp = _temp_write(os.path.dirname(path) or ".", data)
     try:
         os.replace(tmp, path)
     except BaseException:

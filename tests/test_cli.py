@@ -246,6 +246,21 @@ def test_zip_on_zero_free_panel_fails_cleanly(lognormal_panel, tmp_path, capsys)
     assert list((tmp_path / "out").glob("*/ZIP/fit.json")) == []
 
 
+def test_a_failed_fit_leaves_no_new_directory(tmp_path, capsys):
+    """A stage that fails in a cell makes no directory for the artifacts
+    of the cells before it: the OLS and PPML cells here write theirs."""
+    panel, out = tmp_path / "panel", tmp_path / "out"
+    synth = ["synth", "--out", str(panel), "--n-countries", "12", "--noise", "lognormal"]
+    assert main([*synth, "--seed", "3"]) == EXIT_OK
+    code = main(["fit", "--dyads", str(panel / "dyads.csv"),
+                 "--countries", str(panel / "countries.csv"), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "year 2000 model ZIP: flows must include both zeros and positives" in (
+        capsys.readouterr().err
+    )
+    assert sorted(os.listdir(out)) == sorted([LOG_NAME, PANEL_CACHE_NAME])
+
+
 def test_fit_error_keeps_its_type_and_names_the_cell(zip_panel):
     panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
     cs = build_cross_section(panel, 2000)
@@ -996,8 +1011,8 @@ def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
 
 
 def test_stages_without_scipy_work_do_not_import_it(tmp_path):
-    """`import gravnet`, `netstats`, `report` and a non-zip `synth` never
-    load scipy."""
+    """`import gravnet`, `predict`, `netstats`, `report` and a non-zip
+    `synth` never load scipy; `predict` runs on the tree `fit` left."""
     spec = SynthSpec(n_countries=8, years=(2000,), noise="zip", seed=11)
     panel = write_synth_panel(spec, str(tmp_path / "panel"))
     args = ["--dyads", panel["dyads"], "--countries", panel["countries"],
@@ -1010,7 +1025,8 @@ def test_stages_without_scipy_work_do_not_import_it(tmp_path):
     loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     stages = (
         "import sys; from gravnet.cli import main\n"
-        "codes = [main([command, *sys.argv[1:]]) for command in ('netstats', 'report')]\n"
+        "codes = [main([command, *sys.argv[1:]])\n"
+        "         for command in ('predict', 'netstats', 'report')]\n"
         f"print(codes); {loaded}"
     )
     synth = (
@@ -1018,7 +1034,7 @@ def test_stages_without_scipy_work_do_not_import_it(tmp_path):
         f"print(main(['synth', *sys.argv[1:]])); {loaded}"
     )
     runs = [(f"import sys, gravnet; {loaded}", args, ["[]"]),
-            (stages, args, [f"[{EXIT_OK}, {EXIT_OK}]", "[]"])]
+            (stages, args, [f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}]", "[]"])]
     for noise in ("poisson", "lognormal"):
         synth_args = ["--out", str(tmp_path / noise), "--n-countries", "6", "--noise", noise]
         runs.append((synth, synth_args, [f"{EXIT_OK}", "[]"]))

@@ -7,14 +7,15 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import expit
 
 import gravnet.netstats as netstats
@@ -60,6 +61,7 @@ from gravnet.prediction import (
     EnsembleStream,
     LinkProbabilityMatrix,
     PredictedWeights,
+    _expit,
     link_probabilities,
     predict_ols,
     predict_ppml,
@@ -629,6 +631,24 @@ def test_design_rows_carry_their_grid_positions(case):
     assert ppml.mask is None
     lp = link_probabilities(_layout_fit("LOGIT", theta), dm)
     np.testing.assert_array_equal(lp.xi, _placed(dm, 1.0 - expit(dm.X @ theta)))
+
+
+_EXPIT_EDGES = (0.0, 709.78, 710.0, 745.2, 1e308, np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@example(np.array([*_EXPIT_EDGES, *(-v for v in _EXPIT_EDGES), np.nan]))
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=40),
+              elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+def test_expit_equals_scipy_bit_for_bit(x):
+    """NaN payloads and signs, ±0, subnormals, ±inf and the edges of
+    ``exp``'s overflow included, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _expit(x)
+    want = expit(x)
+    assert got.shape == want.shape == x.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------- estimation
