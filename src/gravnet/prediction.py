@@ -17,14 +17,17 @@ fitted zero probability.  Binary predictions derive from those
 probabilities either through a fixed threshold, by matching the observed
 density, or by minimising the Manhattan distance to an observed adjacency.
 
-Ensembles are sampled with counter-based RNG substreams: replication ``r``
+Ensembles are sampled with one generator per replication: replication ``r``
 of an ensemble seeded with ``seed`` always uses
-``Generator(Philox(key=[seed, r]))``, so any single replication can be
-reproduced without generating its predecessors and results are identical
-under any parallel execution order.  An :class:`EnsembleStream` draws the
-replications one at a time as it is iterated, so a consumer that summarises
-each draw holds one n-by-n matrix, not the ``(m, n, n)`` stack; the eager
-samplers fill a :class:`NetworkEnsemble` from the same stream.
+``numpy.random.default_rng([seed, r])``, PCG64 seeded by
+``SeedSequence([seed, r])``, so any single replication can be reproduced
+without generating its predecessors and results are identical under any
+parallel execution order.  A replication draws only the variates it can
+use: the ZIP sampler one count per drawn link, the OLS sampler one normal
+per masked dyad.  An :class:`EnsembleStream` draws the replications one at
+a time as it is iterated, so a consumer that summarises each draw holds one
+n-by-n matrix, not the ``(m, n, n)`` stack; the eager samplers fill a
+:class:`NetworkEnsemble` from the same stream.
 """
 
 from __future__ import annotations
@@ -184,8 +187,8 @@ class NetworkEnsemble:
 class EnsembleStream:
     """Replications drawn on demand, one n-by-n matrix at a time.
 
-    Iterating yields ``draw(Generator(Philox(key=[seed, r])))`` for ``r`` in
-    ``range(m)``, so every pass draws the same replications, in order, as
+    Iterating yields ``draw(numpy.random.default_rng([seed, r]))`` for ``r``
+    in ``range(m)``, so every pass draws the same replications, in order, as
     the eager :class:`NetworkEnsemble` of the same sampler and seed holds.
     ``mask`` has the meaning it has there.
     """
@@ -211,13 +214,8 @@ class EnsembleStream:
         return len(self.country_ids)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        # one bit generator per pass, rekeyed for each replication: a new
-        # Philox would also build an OS-entropy seed and throw it away
-        bits = np.random.Philox(key=[self.seed, 0])
-        g = np.random.Generator(bits)
         for r in range(self.m):
-            bits.state = _keyed_state(self.seed, r)
-            yield self.draw(g)
+            yield self.draw(np.random.default_rng([self.seed, r]))
 
 
 def _grid(dm: DesignMatrix, full: bool = True):
@@ -355,13 +353,14 @@ def link_probabilities(fit: FitResult | ZipFitResult, dm: DesignMatrix) -> LinkP
     on the zero-flow indicator or a zero-inflated result, whose logit part
     follows the same convention.
 
-    All off-diagonal probabilities are strictly inside (0, 1); the
-    diagonal is zero by convention.
+    All off-diagonal probabilities are in [0, 1]: exactly 0 or 1 where
+    the logistic rounds, at a zero-stage predictor beyond about +-37.
+    The diagonal is zero by convention.
     """
     logit = fit.logit_part if isinstance(fit, ZipFitResult) else fit
     _check_fit_against(dm, logit, "LOGIT", "ZIP_LOGIT")
     scatter = _grid(dm)
-    # expit is strictly inside (0, 1) for finite arguments, so xi is too.
+    # in [0, 1]; exactly 0 or 1 where the logistic rounds
     xi = scatter(1.0 - _expit(dm.X @ logit.coefficients))
     return LinkProbabilityMatrix(dm.country_ids, xi)
 
@@ -452,23 +451,6 @@ def threshold_by_manhattan(
     return BinaryPrediction(a, best_s, manhattan_distance=best_dist)
 
 
-def _keyed_state(seed: int, replication: int) -> dict:
-    """The state of a fresh ``Philox(key=[seed, replication])``: counter 0,
-    empty buffer.  Counter-based keying makes replication r reproducible
-    in isolation."""
-    return {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed, replication], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _collect(stream: EnsembleStream, dtype) -> NetworkEnsemble:
     """The eager ensemble: every replication of ``stream`` in one stack."""
     reps = np.empty((stream.m, stream.n, stream.n), dtype=dtype)
@@ -513,13 +495,14 @@ def stream_weighted_ensemble(
     """Weighted networks under the fitted model, drawn on demand.
 
     OLS replications add Gaussian noise with the fitted residual standard
-    deviation to the predicted logs, only on the prediction mask; the
-    draws live on the log scale.  Poisson replications draw counts at the
-    predicted means on every ordered pair.  Zero-inflated replications
-    first draw the binary structure from ``link_probs`` and then
-    superimpose counts at the count-stage means ``mu = value / xi``;
-    both random grids are drawn unconditionally so replication ``r`` is
-    identical no matter which entries end up linked.
+    deviation to the predicted logs, one normal per masked dyad in
+    row-major order; the draws live on the log scale and are zero off the
+    mask.  Poisson replications draw counts at the predicted means on
+    every ordered pair.  Zero-inflated replications first draw one
+    uniform per grid entry for the binary structure from ``link_probs``,
+    then one count per drawn link, in row-major order, at the count-stage
+    mean ``mu = value / xi``.  A dyad whose link probability is exactly 0
+    is never linked.
     """
     n = pred.n
     off = ~np.eye(n, dtype=bool)
@@ -529,9 +512,13 @@ def stream_weighted_ensemble(
             raise ValidationError("log-linear sampling needs the prediction's mask and sigma2")
         sd = np.sqrt(pred.sigma2)
         mask = pred.mask
+        linked = mask != 0
+        value = pred.value[linked]
 
         def draw(g):
-            return np.where(mask, pred.value + sd * g.standard_normal((n, n)), 0.0)
+            out = np.zeros((n, n))
+            out[linked] = value + sd * g.standard_normal(value.size)
+            return out
 
     elif pred.model_tag == "PPML":
 
@@ -544,13 +531,17 @@ def stream_weighted_ensemble(
         if link_probs.country_ids != pred.country_ids:
             raise ValidationError("link probabilities cover different countries")
         xi = link_probs.xi
-        mu = np.zeros((n, n))
-        mu[off] = pred.value[off] / xi[off]
+        # no uniform falls below a link probability of 0, so such a dyad is
+        # never linked and needs no count-stage mean
+        mu = np.divide(pred.value, xi, out=np.zeros((n, n)), where=off & (xi > 0))
 
         def draw(g):
-            # uniforms before counts: the order is part of the seeded format
+            # uniforms on the whole grid, then one count per drawn link in
+            # row-major order: the order is part of the seeded format
             links = (g.random((n, n)) < xi) & off
-            return np.where(links, g.poisson(mu), 0.0)
+            out = np.zeros((n, n))
+            out[links] = g.poisson(mu[links])
+            return out
 
     else:
         raise ValidationError(f"cannot sample weighted networks for {pred.model_tag}")

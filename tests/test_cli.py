@@ -1011,8 +1011,9 @@ def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
 
 
 def test_stages_without_scipy_work_do_not_import_it(tmp_path):
-    """`import gravnet`, `predict`, `netstats`, `report` and a non-zip
-    `synth` never load scipy; `predict` runs on the tree `fit` left."""
+    """`import gravnet`, `predict`, `netstats`, `compare`, `report` and a
+    non-zip `synth` never load scipy; `predict` runs on the tree `fit`
+    left.  `compare` is pinned to one CPU, so its cells run in process."""
     spec = SynthSpec(n_countries=8, years=(2000,), noise="zip", seed=11)
     panel = write_synth_panel(spec, str(tmp_path / "panel"))
     args = ["--dyads", panel["dyads"], "--countries", panel["countries"],
@@ -1033,8 +1034,14 @@ def test_stages_without_scipy_work_do_not_import_it(tmp_path):
         "import sys; from gravnet.cli import main\n"
         f"print(main(['synth', *sys.argv[1:]])); {loaded}"
     )
+    compare = (
+        "import os, sys; from gravnet.cli import main\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        f"print(main(['compare', *sys.argv[1:]])); {loaded}"
+    )
     runs = [(f"import sys, gravnet; {loaded}", args, ["[]"]),
-            (stages, args, [f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}]", "[]"])]
+            (stages, args, [f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}]", "[]"]),
+            (compare, args, [f"{EXIT_OK}", "[]"])]
     for noise in ("poisson", "lognormal"):
         synth_args = ["--out", str(tmp_path / noise), "--n-countries", "6", "--noise", noise]
         runs.append((synth, synth_args, [f"{EXIT_OK}", "[]"]))

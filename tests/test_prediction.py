@@ -6,6 +6,7 @@ against brute-force scans.  Samplers are checked on their first two moments
 with Monte Carlo error bounds and on exact reproducibility.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,14 @@ from gravnet.errors import (
     SchemaError,
     ValidationError,
 )
-from gravnet.estimation import FitResult, fit_logit, fit_ols, fit_poisson_pml, fit_zip
+from gravnet.estimation import (
+    FitResult,
+    ZipFitResult,
+    fit_logit,
+    fit_ols,
+    fit_poisson_pml,
+    fit_zip,
+)
 from gravnet.panel import DesignMatrix, build_cross_section, build_design_matrix, load_panel
 from gravnet.prediction import (
     DEFAULT_REPLICATIONS,
@@ -443,7 +451,7 @@ def counter_keyed_samplers():
         "OLS": lambda m, seed: sample_weighted_ensemble(ols, m=m, seed=seed),
         "PPML": lambda m, seed: sample_weighted_ensemble(ppml, m=m, seed=seed),
         "ZIP": lambda m, seed: sample_weighted_ensemble(zpred, m=m, seed=seed, link_probs=lp),
-    }, (zpred, lp)
+    }, (zpred, lp, ols)
 
 
 @pytest.mark.parametrize("tag", ["BERNOULLI", "OLS", "PPML", "ZIP"])
@@ -465,19 +473,54 @@ def test_ensemble_reproducible_and_counter_keyed(tag):
 
 
 def test_zip_replication_follows_the_documented_recipe():
-    samplers, (zpred, lp) = counter_keyed_samplers()
+    samplers, (zpred, lp, _) = counter_keyed_samplers()
     ens = samplers["ZIP"](6, 42)
     n = zpred.n
     off = ~np.eye(n, dtype=bool)
     mu = np.zeros((n, n))
     mu[off] = zpred.value[off] / lp.xi[off]
     for r in (0, 4):
-        # uniforms for the link grid first, then the Poisson grid
-        g = np.random.Generator(np.random.Philox(key=[42, r]))
-        links = g.random((n, n)) < lp.xi
-        counts = g.poisson(mu)
-        want = np.where(links & off, counts, 0).astype(float)
+        # uniforms for the link grid first, then one count per link, row-major
+        g = np.random.default_rng([42, r])
+        links = (g.random((n, n)) < lp.xi) & off
+        want = np.zeros((n, n))
+        for i, j in zip(*np.nonzero(links)):
+            want[i, j] = g.poisson(mu[i, j])
         assert ens.replications[r].tobytes() == want.tobytes()
+
+
+def test_ols_replication_follows_the_documented_recipe():
+    samplers, (_, _, ols) = counter_keyed_samplers()
+    ens = samplers["OLS"](6, 42)
+    n = ols.n
+    sd = np.sqrt(ols.sigma2)
+    for r in (0, 4):
+        # one normal per masked dyad, row-major; zero off the mask
+        g = np.random.default_rng([42, r])
+        want = np.zeros((n, n))
+        for i, j in zip(*np.nonzero(ols.mask)):
+            want[i, j] = ols.value[i, j] + sd * g.standard_normal()
+        assert ens.replications[r].tobytes() == want.tobytes()
+
+
+def test_zip_dyad_with_link_probability_zero_is_never_linked():
+    """``1 - expit(u)`` is exactly 0 once the zero-stage predictor u passes
+    about 36.7: that dyad has no count-stage mean and is never linked."""
+    ids = country_names(3)
+    x1 = np.array([40.0, 0, 0, 0, 0, 0])
+    X = np.column_stack([np.ones(6), x1, np.zeros(6)])
+    dm = make_dm(ids, full_grid_rows(ids), X, np.ones(6))
+    zres = ZipFitResult(
+        manual_fit("ZIP_LOGIT", [-1.0, 1.0, 0.0]), manual_fit("ZIP_POISSON", [1.0, 0.0, 0.0]), 0.0
+    )
+    lp = link_probabilities(zres, dm)
+    i, j = dm.exporter[0], dm.importer[0]
+    assert lp.xi[i, j] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = sample_weighted_ensemble(predict_zip(zres, dm), m=50, seed=3, link_probs=lp)
+    assert np.all(ens.replications[:, i, j] == 0.0)
+    assert ens.replications.sum() > 0
 
 
 def test_bernoulli_ensemble_moments():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from scipy.special import expit
+from scipy.special import expit, kolmogorov
 
 import gravnet.netstats as netstats
 import gravnet.panel as panel_module
@@ -28,6 +28,8 @@ from gravnet.compare import (
     EnsembleSummary,
     KsResult,
     StatComparison,
+    _KOLMOGOROV_CUTOVER_MIN,
+    _kolmogorov_sf,
     ensemble_summary,
     ks_two_sample,
     report_as_dict,
@@ -221,8 +223,8 @@ def test_stream_replication_r_is_keyed_by_seed_and_r_alone(tag, case):
     drawn = list(stream)
     assert len(drawn) == stream.m
     for r, w in enumerate(drawn):
-        # a generator built here, not the package's keying helper
-        fresh = stream.draw(np.random.Generator(np.random.Philox(key=[stream.seed, r])))
+        # a generator built here, not by the stream
+        fresh = stream.draw(np.random.default_rng([stream.seed, r]))
         assert w.dtype == fresh.dtype and w.tobytes() == fresh.tobytes()
     # two passes in lock step share no generator state
     pairs = list(zip(stream, stream))
@@ -231,9 +233,10 @@ def test_stream_replication_r_is_keyed_by_seed_and_r_alone(tag, case):
         assert a.tobytes() == b.tobytes() == want.tobytes()
 
 
-# one draw per generator method the samplers use, and integers; the sizes
-# leave a Philox block part-used, and int32 leaves half a word cached, so a
-# replication that inherited its predecessor's buffer would differ
+# one draw per generator method the samplers use, and integers; int32
+# leaves half a 64-bit word cached, and the normal and Poisson samplers
+# leave the bit generator mid-stream, so a replication that inherited its
+# predecessor's generator would differ
 RAW_DRAWS = {
     "random": lambda g: g.random(5),
     "poisson": lambda g: g.poisson(3.5, 7),
@@ -246,11 +249,13 @@ RAW_DRAWS = {
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1), m=st.integers(1, 6))
 def test_rekeyed_generator_draws_what_a_fresh_philox_draws(method, seed, m):
+    """Replication r draws what ``default_rng([seed, r])`` draws (PCG64
+    seeded by ``SeedSequence([seed, r])``), and nothing of r - 1's state."""
     draw = RAW_DRAWS[method]
     drawn = list(EnsembleStream("RAW", ("c0",), m, seed, draw))
     assert len(drawn) == m
     for r, w in enumerate(drawn):
-        fresh = draw(np.random.Generator(np.random.Philox(key=[seed, r])))
+        fresh = draw(np.random.default_rng([seed, r]))
         assert w.dtype == fresh.dtype and w.tobytes() == fresh.tobytes()
 
 
@@ -327,6 +332,45 @@ def test_ks_is_symmetric_and_invariant_under_increasing_maps(x, y, c):
         mapped = ks_two_sample(transform(x), transform(y))
         assert mapped.d_statistic == forward.d_statistic
         assert mapped.p_value == forward.p_value
+
+
+# scipy's two cutover points and their float neighbours, the smallest
+# subnormal, and the ends of the line
+_KOLMOGOROV_EDGES = (
+    *(
+        np.nextafter(c, toward)
+        for c in (_KOLMOGOROV_CUTOVER_MIN, 0.82)
+        for toward in (-np.inf, np.inf)
+    ),
+    _KOLMOGOROV_CUTOVER_MIN, 0.82, 0.0, -0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(_KOLMOGOROV_EDGES)
+@given(st.lists(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats(min_value=0.0, max_value=4.0),
+    ),
+    min_size=1, max_size=20,
+))
+def test_kolmogorov_sf_equals_scipy_bit_for_bit(xs):
+    """Any float, NaN and ±inf included; most draws land where the
+    Kolmogorov tail is neither 0 nor 1."""
+    for x in xs:
+        assert np.float64(_kolmogorov_sf(x)).tobytes() == kolmogorov(x).tobytes(), x
+
+
+def test_kolmogorov_sf_equals_scipy_on_the_ks_lattice():
+    """Every argument ``ks_two_sample`` can form for these sample sizes:
+    sqrt(n1 n2 / (n1 + n2)) D with D = |i/n1 - j/n2|."""
+    for n1 in (20, 30, 50, 60, 100, 200):
+        for n2 in (1, 2, 3, 7, 19, 20, 49, 50, 60, 99, 100, 101, 199, 200):
+            d = np.abs(np.arange(n1 + 1)[:, None] / n1 - np.arange(n2 + 1) / n2)
+            x = math.sqrt(n1 * n2 / (n1 + n2)) * np.unique(d)
+            got = np.array([_kolmogorov_sf(v) for v in x.tolist()])
+            np.testing.assert_array_equal(got.view(np.uint64), kolmogorov(x).view(np.uint64))
 
 
 # ---------------------------------------------------------------- panel
