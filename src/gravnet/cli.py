@@ -23,8 +23,10 @@ process ran it.  Every artifact is written to a temporary name, and a
 stage renames its artifacts into place only when the command completes,
 so a command that fails or is interrupted leaves every artifact and the
 manifest as they were; a cell's log record says that its work finished.
-Each model is compared on the scale it predicts: OLS with the observed
-log flows, the other models with the observed levels.
+``MODELS`` is the one place where a model's seed code, design, fit and
+predict functions and link artifacts are stated; each stage reads its
+row.  Each model is compared on the scale it predicts: OLS with the
+observed log flows, the other models with the observed levels.
 ``run.log.jsonl`` carries one timestamped record per logged event and
 stays out of the manifest: with the log set aside, two runs from the
 same configuration and seed produce byte-identical output trees.
@@ -66,6 +68,7 @@ import numpy as np
 from .compare import build_comparison_report, check_countries, report_as_dict, report_from_dict
 from .errors import ConvergenceError, DependencyError, ValidationError
 from .estimation import (
+    ZipFitResult,
     attach_vuong,
     fit_from_dict,
     fit_logit,
@@ -115,10 +118,36 @@ from .synth import (
     write_synth_panel,
 )
 
-MODEL_TAGS = ("OLS", "PPML", "ZIP", "LOGIT")
 
-# Fixed per-model codes keep cell seeds stable when the model set changes.
-MODEL_CODES = {"OLS": 1, "PPML": 2, "ZIP": 3, "LOGIT": 4}
+@dataclass(frozen=True)
+class _Model:
+    """One model's facts, stated once.  ``code`` is its fixed part of a cell
+    seed; ``design`` its rows, the ``"positive"`` flows or every ordered pair
+    (``"full"``); ``fit`` and ``predict`` name its layer functions in this
+    module (no ``predict``: its point network is its thresholded adjacency);
+    a ``links`` model writes ``xi.json`` and ``binary.json``; ``vuong`` names
+    the model its Vuong test is taken against, when that one runs too."""
+
+    code: int
+    design: str
+    fit: str
+    predict: str = None
+    links: bool = False
+    vuong: str = None
+
+    @property
+    def network_artifact(self) -> str:
+        """The predict artifact the model's point network is read from."""
+        return "prediction.json" if self.predict else "binary.json"
+
+
+MODELS = {
+    "OLS": _Model(1, "positive", "fit_ols", "predict_ols"),
+    "PPML": _Model(2, "full", "fit_poisson_pml", "predict_ppml"),
+    "ZIP": _Model(3, "full", "fit_zip", "predict_zip", links=True, vuong="PPML"),
+    "LOGIT": _Model(4, "full", "fit_logit", links=True),
+}
+MODEL_TAGS = tuple(MODELS)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -172,15 +201,16 @@ class RunConfig:
         if len(set(self.years)) != len(self.years):
             raise ValidationError(f"config field 'years' lists a year twice, got {self.years!r}")
         object.__setattr__(self, "years", tuple(self.years))
-        models = tuple(self.models)
-        if not models:
+        if not self.models:
             raise ValidationError("models must be non-empty")
-        unknown = [m for m in models if m not in MODEL_TAGS]
+        unknown = [m for m in self.models if m not in MODEL_TAGS]
         if unknown:
             raise ValidationError(
                 f"unknown model(s) {unknown}; expected a subset of {list(MODEL_TAGS)}"
             )
-        object.__setattr__(self, "models", tuple(t for t in MODEL_TAGS if t in models))
+        if len(set(self.models)) != len(self.models):
+            raise ValidationError(f"config field 'models' lists a model twice, got {self.models}")
+        object.__setattr__(self, "models", tuple(t for t in MODEL_TAGS if t in self.models))
         object.__setattr__(self, "covariates", design_columns(self.covariates))
         if self.replications < 2:
             # compare summarises each ensemble over at least two draws
@@ -231,7 +261,7 @@ def cell_seed(seed: int, year: int, model_tag: str) -> int:
     A fixed affine combination of the run seed, the year, and the model
     code, so each cell's draws depend on nothing but its own coordinates.
     """
-    return (seed * 1_000_003 + year * 1009 + MODEL_CODES[model_tag]) % _SEED_LIMIT
+    return (seed * 1_000_003 + year * 1009 + MODELS[model_tag].code) % _SEED_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +445,12 @@ def _cell(year: int, tag: str):
     note["duration_s"] = time.perf_counter() - started
 
 
-def _design_matrices(cfg: RunConfig, panel, cs):
-    """(positive-flow, full) design matrices of one cross-section; each is
-    None when no configured model needs it."""
-    dm_pos = dm_full = None
-    if "OLS" in cfg.models:
-        dm_pos = build_design_matrix(cs, panel, cfg.covariates, positive_only=True)
-    if any(tag != "OLS" for tag in cfg.models):
-        dm_full = build_design_matrix(cs, panel, cfg.covariates)
-    return dm_pos, dm_full
+def _design_matrices(cfg: RunConfig, panel, cs) -> dict:
+    """A cross-section's design matrix per ``design`` the configured models use."""
+    return {
+        design: build_design_matrix(cs, panel, cfg.covariates, positive_only=design == "positive")
+        for design in dict.fromkeys(MODELS[tag].design for tag in cfg.models)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +459,11 @@ def _design_matrices(cfg: RunConfig, panel, cs):
 
 def _variant_fits(fits: dict) -> list:
     """(label, FitResult) per table column; ``fits`` is in MODEL_TAGS order
-    and ZIP expands in place, poisson part first."""
+    and a zero-inflated fit expands in place, poisson part first."""
     variants = []
     for tag, fit in fits.items():
-        if tag == "ZIP":
-            variants.append(("ZIP_poisson", fit.poisson_part))
-            variants.append(("ZIP_logit", fit.logit_part))
+        if isinstance(fit, ZipFitResult):
+            variants += [(f"{tag}_poisson", fit.poisson_part), (f"{tag}_logit", fit.logit_part)]
         else:
             variants.append((tag, fit))
     return variants
@@ -472,10 +498,10 @@ def _coefficient_table(covariates, fits: dict):
         rows.append(row)
     for name, spec in (("n_obs", "d"), ("r2_or_pseudo", ".4g"), ("loglik", ".6g")):
         rows.append([name] + [format(getattr(fit, name), spec) for _, fit in variants])
-    zip_fit = fits.get("ZIP")
-    if zip_fit is not None and zip_fit.vuong_vs_poisson is not None:
-        vuong = f"{zip_fit.vuong_vs_poisson:.4g}"
-        rows.append(["vuong_z"] + [vuong if lab == "ZIP_poisson" else "" for lab, _ in variants])
+    vuong = {f"{tag}_poisson": f"{fit.vuong_vs_poisson:.4g}" for tag, fit in fits.items()
+             if getattr(fit, "vuong_vs_poisson", None) is not None}
+    if vuong:
+        rows.append(["vuong_z"] + [vuong.get(label, "") for label, _ in variants])
     return header, rows
 
 
@@ -510,18 +536,19 @@ def cmd_fit(args) -> None:
     with _Stage(args, "fit") as stage:
         for year in stage.years:
             cs = build_cross_section(stage.panel, year)
-            dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
+            dms = _design_matrices(stage.cfg, stage.panel, cs)
             fits = {}
             for tag in stage.cfg.models:
+                model = MODELS[tag]
                 with _cell(year, tag) as note:
+                    dm = dms[model.design]
                     # looked up per call, so a rebinding of a layer function is seen
-                    fit = {"OLS": fit_ols, "PPML": fit_poisson_pml, "ZIP": fit_zip,
-                           "LOGIT": fit_logit}[tag](dm_pos if tag == "OLS" else dm_full)
-                    if tag == "ZIP" and "PPML" in fits:  # models run in MODEL_TAGS order
-                        fit = attach_vuong(fit, fits["PPML"], dm_full)
+                    fit = globals()[model.fit](dm)
+                    if model.vuong in fits:  # models run in MODEL_TAGS order
+                        fit = attach_vuong(fit, fits[model.vuong], dm)
                     fits[tag] = fit
                     stage.write_cell(year, tag, "fit.json", fit.as_dict())
-                    vuong = fit.vuong_vs_poisson if tag == "ZIP" else None
+                    vuong = getattr(fit, "vuong_vs_poisson", None)
                     note.update(
                         message=f"loglik {fit.loglik:.6g}",
                         loglik=fit.loglik,
@@ -539,19 +566,19 @@ def cmd_predict(args) -> None:
     with _Stage(args, "predict", "fit", lambda tag: ("fit.json",)) as stage:
         for year in stage.years:
             cs = build_cross_section(stage.panel, year)
-            dm_pos, dm_full = _design_matrices(stage.cfg, stage.panel, cs)
+            dms = _design_matrices(stage.cfg, stage.panel, cs)
             rho = density(cs.network())
             for tag in stage.cfg.models:
+                model = MODELS[tag]
                 with _cell(year, tag) as note:
                     fit = fit_from_dict(*stage.inputs(year, tag))
-                    if tag != "LOGIT":
+                    dm = dms[model.design]
+                    if model.predict:
                         # looked up per call, so a rebinding of a layer function is seen
-                        predict = {"OLS": predict_ols, "PPML": predict_ppml,
-                                   "ZIP": predict_zip}[tag]
-                        pred = predict(fit, dm_pos if tag == "OLS" else dm_full)
+                        pred = globals()[model.predict](fit, dm)
                         stage.write_cell(year, tag, "prediction.json", pred.as_dict())
-                    if tag in _LINK_MODELS:
-                        lp = link_probabilities(fit, dm_full)
+                    if model.links:
+                        lp = link_probabilities(fit, dm)
                         stage.write_cell(year, tag, "xi.json", lp.as_dict())
                         induced = density_induced_binary(lp, rho)
                         binary = {
@@ -566,25 +593,12 @@ def cmd_predict(args) -> None:
                 stage.log_cell(year, tag, note)
 
 
-# the models whose fit gives link probabilities: they write xi.json and binary.json
-_LINK_MODELS = ("ZIP", "LOGIT")
-
-
-def _network_artifact(tag: str) -> str:
-    """The predict artifact a cell's point network is read from: the
-    logit's thresholded adjacency, every other model's predicted weights."""
-    return "binary.json" if tag == "LOGIT" else "prediction.json"
-
-
 def _cell_network(tag: str, payload: dict):
-    """Point-prediction network of one cell, from the decoded JSON of its
-    ``_network_artifact``, on the scale the model predicts.
-
-    Returns (country_ids, network, pred) where ``pred`` is the decoded
-    PredictedWeights (None for the logit, whose network is its thresholded
-    adjacency).
-    """
-    if tag == "LOGIT":
+    """(country_ids, network, pred) of one cell's point prediction, from the
+    decoded JSON of its model's ``network_artifact``, on the scale the model
+    predicts; ``pred`` is the decoded PredictedWeights, None for a model
+    without ``predict``, whose network is its thresholded adjacency."""
+    if not MODELS[tag].predict:
         a = np.array(payload["adjacency"], dtype=np.int8)
         return tuple(payload["country_ids"]), TradeNetwork(a.astype(float), a), None
     pred = PredictedWeights.from_dict(payload)
@@ -614,7 +628,7 @@ _STATS_FIELDS = ("country_id", "kind", "transform", "value")
 
 def cmd_netstats(args) -> None:
     """Tabulate node statistics for the observed and predicted networks."""
-    with _Stage(args, "netstats", "predict", lambda tag: (_network_artifact(tag),)) as stage:
+    with _Stage(args, "netstats", "predict", lambda tag: (MODELS[tag].network_artifact,)) as stage:
         for year in stage.years:
             cs = build_cross_section(stage.panel, year)
             rows = _stats_rows(cs.network(), cs.country_ids, ("identity", "log_positive"))
@@ -634,8 +648,8 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
     """One compare cell from picklable inputs: ``(report payload, note)``.
 
     ``inputs`` is the decoded JSON of the cell's declared inputs: its
-    ``_network_artifact``, then its ``xi.json`` for a model with link
-    probabilities; the ensemble streams from the cell's seed.  This
+    model's ``network_artifact``, then its ``xi.json`` for a ``links``
+    model; the ensemble streams from the cell's seed.  This
     is all of a cell's work, run in its ``_cell`` scope in the stage's
     process or in a worker, so its bytes do not depend on which.  The
     note's ``duration_s`` and ``peak_rss_mb`` are measured, and an error
@@ -646,7 +660,7 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
         network, *xi = inputs
         _, net, pred = _cell_network(tag, network)
         lp = LinkProbabilityMatrix.from_dict(*xi) if xi else None
-        if tag == "LOGIT":
+        if pred is None:
             ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
         else:
             ensemble = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
@@ -720,7 +734,7 @@ def cmd_compare(args) -> None:
     stage = _Stage(
         args, "compare", "predict",
         # the point network, and the link probabilities the ensemble draws from
-        lambda tag: (_network_artifact(tag), *(("xi.json",) if tag in _LINK_MODELS else ())),
+        lambda tag: (MODELS[tag].network_artifact, *(("xi.json",) if MODELS[tag].links else ())),
     )
     workers = min(_usable_cpus(), len(stage.years) * len(stage.cfg.models))
     results = _in_order(_compare_cell, _compare_inputs(stage), workers)

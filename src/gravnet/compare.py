@@ -11,8 +11,7 @@ Given an :class:`~gravnet.prediction.EnsembleStream`, each replication is
 drawn, summarised and dropped, so memory does not grow with the ensemble size
 beyond one scalar per replication and statistic.  An ensemble with a mask
 (log-linear draws) has the mask as every replication's adjacency, so its
-binary kinds and density are taken once and only its weighted kinds are
-computed per replication.
+binary kinds are taken once, from the first replication.
 
 Everything is pure computation over immutable inputs; replication order is
 fixed, so reports are deterministic given the inputs and the ensemble seed.
@@ -36,7 +35,6 @@ from .netstats import (
     TradeNetwork,
     all_statistics,
     check_statistics,
-    density,
     population_average,
     stat_correlation,
 )
@@ -205,66 +203,54 @@ def _kolmogorov_sf(x: float) -> float:
 
 
 def ensemble_summary(
-    ens: NetworkEnsemble | EnsembleStream,
-    kinds: tuple[str, ...],
-    transform: str = "identity",
+    ens: NetworkEnsemble | EnsembleStream, kinds: tuple[str, ...]
 ) -> tuple[EnsembleSummary, ...]:
     """Summarise statistics' population averages across replications.
 
     One pass over the ensemble, eager or streamed: each replication becomes
     one validated network, every requested kind is taken from it, and the
     replication is dropped before the next is drawn.  Kinds that cannot
-    change between replications (the binary kinds and density of a masked
-    ensemble) are taken from the first and counted for all ``m``.  For node
-    statistics the per-replication value is the average over nodes where
-    the statistic is defined; replications where it is defined nowhere are
-    dropped (and counted).  The kind ``"density"`` summarises the scalar
-    density instead.  Returns one summary per entry of ``kinds``, in order.
+    change between replications (the binary kinds of a masked ensemble)
+    are taken from the first and counted for all ``m``.  A replication's
+    value is the kind's average over the nodes where it is defined; one
+    where it is defined nowhere is dropped (and counted).  Returns one
+    summary per entry of ``kinds``, in order.
 
     Raises
     ------
     ValidationError
-        If fewer than two replications exist, a kind or the transform is
-        unknown, or a statistic is undefined in every replication.
+        If fewer than two replications exist, a kind is unknown, or a
+        statistic is undefined in every replication.
     """
     if ens.m < 2:
         raise ValidationError(f"need at least 2 replications, got {ens.m}")
     if isinstance(kinds, str):
         raise ValidationError(f"kinds must be a sequence of kinds, not the string {kinds!r}")
     # refused before the first draw, not at the first replication
-    check_statistics([kind for kind in kinds if kind != "density"], transform)
+    check_statistics(kinds, "identity")
     # 8 bytes per kept value, against 32 for a list of Python floats
     values = {kind: array("d") for kind in kinds}
     # log-scale draws carry their support as the ensemble mask, since their
-    # weights may be negative; level-scale draws have no mask.  With a mask
-    # every replication's adjacency is the mask, so the binary kinds and the
-    # density take one value, read from the first replication's network
+    # weights may be negative; every replication's adjacency is then the
+    # mask, so the binary kinds take one value, from the first replication
     once = [] if ens.mask is None else [k for k in values if k not in WEIGHTED_KINDS]
     each = [kind for kind in values if kind not in once]
     for r, w in enumerate(ens):
         net = TradeNetwork(w, adjacency=ens.mask)
         if r == 0 and once:
-            _append_values(values, net, once, transform, ens.m)
-        _append_values(values, net, each, transform, 1)
+            _append_values(values, net, once, ens.m)
+        _append_values(values, net, each, 1)
     return tuple(_summarise(kind, values[kind], ens.m - len(values[kind])) for kind in kinds)
 
 
-def _append_values(values: dict, net: TradeNetwork, kinds, transform: str, times: int) -> None:
-    """Append each kind's value on ``net`` to ``values[kind]``, ``times`` times.
-
-    A node statistic's value is its population average; one undefined at
-    every node appends nothing, and ``ensemble_summary`` counts it dropped.
-    """
-    node_kinds = [kind for kind in kinds if kind != "density"]
-    found = {}
-    for kind, stat in all_statistics(net, node_kinds, transform).items():
+def _append_values(values: dict, net: TradeNetwork, kinds, times: int) -> None:
+    """Append each kind's population average on ``net`` to ``values[kind]``,
+    ``times`` times; one undefined at every node appends nothing (dropped)."""
+    for kind, stat in all_statistics(net, kinds).items():
         try:
-            found[kind] = population_average(stat)[0]
+            value = population_average(stat)[0]
         except ValidationError:
-            pass  # undefined at every node
-    if "density" in kinds:
-        found["density"] = density(net)
-    for kind, value in found.items():
+            continue  # undefined at every node
         values[kind].extend(array("d", [value]) * times)
 
 

@@ -164,6 +164,7 @@ def test_config_validation(zip_panel, tmp_path):
     pytest.param("years", [True], id="years-bool-entry"),
     pytest.param("years", [2000, 2000], id="years-duplicate"),
     pytest.param("models", "PPML", id="models-PPML"),
+    pytest.param("models", ["OLS", "OLS"], id="models-duplicate"),
     pytest.param("covariates", "const", id="covariates-const"),
     pytest.param("replications", "many", id="replications-many"),
     pytest.param("replications", 1.5, id="replications-1.5"),
@@ -838,6 +839,36 @@ def test_pipeline_reruns_byte_identical(zip_panel, tmp_path):
     assert trees[0].keys() == trees[1].keys()
     for rel in trees[0]:
         assert trees[0][rel] == trees[1][rel], f"{rel} differs between runs"
+
+
+def test_a_cell_writes_the_same_bytes_whichever_other_models_run(tmp_path):
+    """A one-model fit, predict, netstats and compare writes its
+    ``<year>/<tag>/`` as the four-model run does, byte for byte, except
+    that ZIP's fit.json then lacks the Vuong statistic against PPML."""
+    panel = write_synth_panel(
+        SynthSpec(n_countries=14, years=(2000,), noise="zip", seed=4), str(tmp_path / "panel")
+    )
+
+    def cells(models):
+        out = tmp_path / "-".join(models)
+        cfg = write_config(
+            tmp_path / "cfg.json", panel, out, models=list(models), replications=12,
+            covariates=["const", "ln_gdp_i", "ln_gdp_j", "ln_dist"],
+        )
+        run_pipeline(cfg, commands=("fit", "predict", "netstats", "compare"))
+        return {tag: output_tree(out / "2000" / tag) for tag in models}
+
+    together = cells(MODEL_TAGS)
+    for tag in MODEL_TAGS:
+        (alone,) = cells((tag,)).values()
+        assert alone.keys() == together[tag].keys(), tag
+        for name, data in alone.items():
+            if (tag, name) == ("ZIP", "fit.json"):
+                with_vuong = json.loads(together[tag][name])
+                assert np.isfinite(with_vuong.pop("vuong_vs_poisson"))
+                assert json.loads(data) == with_vuong
+            else:
+                assert data == together[tag][name], f"{tag}/{name}"
 
 
 def test_compare_bytes_do_not_depend_on_the_worker_count(zip_panel, tmp_path, monkeypatch):

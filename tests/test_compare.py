@@ -28,7 +28,7 @@ from gravnet.compare import (
 )
 from gravnet.errors import ValidationError
 from gravnet.estimation import fit_ols, fit_poisson_pml, fit_zip
-from gravnet.netstats import TradeNetwork
+from gravnet.netstats import TradeNetwork, density
 from gravnet.prediction import (
     LinkProbabilityMatrix,
     NetworkEnsemble,
@@ -131,7 +131,7 @@ def exact_ols_prediction():
 def test_ensemble_summary_degenerate_ols_collapses():
     pred = exact_ols_prediction()
     ens = sample_weighted_ensemble(pred, m=50, seed=1)
-    (summary,) = ensemble_summary(ens, ("NS_tot",), "identity")
+    (summary,) = ensemble_summary(ens, ("NS_tot",))
     assert summary.sd == 0.0
     assert summary.ci_low == summary.mean == summary.ci_high
     assert summary.normal_low == summary.mean == summary.normal_high
@@ -149,12 +149,16 @@ def test_ensemble_summary_bernoulli_density_moments():
     lp = LinkProbabilityMatrix(country_names(n), xi)
     m = 10_000
     ens = sample_bernoulli_ensemble(lp, m=m, seed=3)
-    (summary,) = ensemble_summary(ens, ("density",))
-    assert abs(summary.mean - 0.5) <= 3.0 * summary.sd / np.sqrt(m)
-    assert summary.ci_low <= summary.mean <= summary.ci_high
+    rho = np.array([density(TradeNetwork(w)) for w in ens.replications])
+    assert abs(rho.mean() - 0.5) <= 3.0 * rho.std(ddof=1) / np.sqrt(m)
     # binomial spread: per-replication density has sd sqrt(p(1-p)/pairs)
     want_sd = np.sqrt(0.25 / (n * (n - 1)))
-    assert summary.sd == pytest.approx(want_sd, rel=0.1)
+    assert rho.std(ddof=1) == pytest.approx(want_sd, rel=0.1)
+    # the average total degree of the same draws is their density times 2(n - 1)
+    (summary,) = ensemble_summary(ens, ("ND_tot",))
+    assert summary.ci_low <= summary.mean <= summary.ci_high
+    assert summary.mean == pytest.approx(2 * (n - 1) * rho.mean(), rel=1e-12)
+    assert summary.sd == pytest.approx(2 * (n - 1) * rho.std(ddof=1), rel=1e-9)
 
 
 def test_ensemble_summary_drops_undefined_replications():
@@ -184,7 +188,7 @@ def test_mask_ensemble_takes_its_binary_statistics_once(monkeypatch):
     exact = exact_ols_prediction()
     pred = PredictedWeights("OLS", exact.country_ids, exact.value, exact.mask, 0.3)
     m = 9
-    kinds = REPORT_KINDS + ("density",)
+    kinds = REPORT_KINDS
     want = tuple(
         loop_ensemble_summary(sample_weighted_ensemble(pred, m=m, seed=6), kind)
         for kind in kinds
@@ -213,10 +217,10 @@ def test_mask_ensemble_undefined_binary_kinds_are_dropped_every_time():
     stream = stream_weighted_ensemble(pred, m=5, seed=2)
     stack = sample_weighted_ensemble(pred, m=5, seed=2)
 
-    kept = ("ND_tot", "NS_tot", "density")
+    kept = ("ND_tot", "NS_tot")
     got = ensemble_summary(stream, kept)
     assert got == tuple(loop_ensemble_summary(stack, kind) for kind in kept)
-    assert [(s.m, s.n_dropped) for s in got] == [(5, 0)] * 3
+    assert [(s.m, s.n_dropped) for s in got] == [(5, 0)] * 2
     # no partners and no triangles anywhere: undefined in all 5 replications
     for kind in ("ANND_tot", "BCC_tot", "WCC_tot"):
         with pytest.raises(ValidationError, match=f"{kind}: undefined in every replication"):
@@ -225,16 +229,12 @@ def test_mask_ensemble_undefined_binary_kinds_are_dropped_every_time():
             ensemble_summary(stream, ("ND_tot", kind))
 
 
-@pytest.mark.parametrize(
-    "kind, transform",
-    [("FOO", "identity"), ("NS_tot", "bogus"), ("ND_tot", "bogus")],
-)
-def test_ensemble_summary_rejects_unknown_kind_or_transform(kind, transform):
+def test_ensemble_summary_rejects_an_unknown_kind():
     n = 4
     reps = np.ones((3, n, n))
     ens = NetworkEnsemble("PPML", country_names(n), reps, seed=0)
     with pytest.raises(ValidationError, match="unknown"):
-        ensemble_summary(ens, (kind,), transform)
+        ensemble_summary(ens, ("FOO",))
 
     class Undrawable:
         m, mask = 3, None
@@ -242,9 +242,9 @@ def test_ensemble_summary_rejects_unknown_kind_or_transform(kind, transform):
         def __iter__(self):
             raise AssertionError("a replication was drawn")
 
-    # refused before the first draw, with or without "density" beside it
+    # refused before the first draw, with a known kind beside it
     with pytest.raises(ValidationError, match="unknown"):
-        ensemble_summary(Undrawable(), ("density", kind), transform)
+        ensemble_summary(Undrawable(), ("ND_tot", "FOO"))
 
 
 def test_ensemble_summary_rejects_a_bare_string():
@@ -283,16 +283,15 @@ def oracle_ensembles():
     }
 
 
-@pytest.mark.parametrize("transform", ["identity", "log_positive"])
-def test_ensemble_summary_matches_per_kind_loop_oracle(transform):
-    kinds = REPORT_KINDS + ("density",)
+def test_ensemble_summary_matches_per_kind_loop_oracle():
+    kinds = REPORT_KINDS
     ensembles = oracle_ensembles()
     assert not np.all(ensembles["OLS"].mask[~np.eye(6, dtype=bool)])
     for tag, ens in ensembles.items():
-        got = ensemble_summary(ens, kinds, transform)
-        want = tuple(loop_ensemble_summary(ens, kind, transform) for kind in kinds)
+        got = ensemble_summary(ens, kinds)
+        want = tuple(loop_ensemble_summary(ens, kind) for kind in kinds)
         assert got == want, tag
-    dropped = ensemble_summary(ensembles["DROPPED"], kinds, transform)
+    dropped = ensemble_summary(ensembles["DROPPED"], kinds)
     assert {s.kind: s.n_dropped for s in dropped if s.n_dropped} == {
         "ANND_tot": 2, "BCC_tot": 2, "ANNS_tot": 2, "WCC_tot": 2,
     }
@@ -326,20 +325,20 @@ def sampler_case(tag: str, n: int = 20, m: int = 2000):
 
 @pytest.mark.parametrize("tag", ["OLS", "PPML", "ZIP", "LOGIT"])
 def test_sampler_first_moments_match_their_closed_forms(tag):
-    """E[avg ND_tot] = 2 sum(xi) / n, E[avg NS_tot] = 2 sum(E[w]) / n and
-    E[density] = the mean off-diagonal xi, each within 4 sd / sqrt(m)."""
+    """E[avg ND_tot] = 2 sum(xi) / n and E[avg NS_tot] = 2 sum(E[w]) / n,
+    each within 4 sd / sqrt(m)."""
     stream, xi, mean_w = sampler_case(tag)
     n = stream.n
-    summaries = ensemble_summary(stream, ("ND_tot", "NS_tot", "density"), "identity")
-    want = (2.0 * xi.sum() / n, 2.0 * mean_w.sum() / n, xi[~np.eye(n, dtype=bool)].mean())
+    summaries = ensemble_summary(stream, ("ND_tot", "NS_tot"))
+    want = (2.0 * xi.sum() / n, 2.0 * mean_w.sum() / n)
     for summary, expected in zip(summaries, want):
         assert summary.m == stream.m and summary.n_dropped == 0
         assert abs(summary.mean - expected) <= 4.0 * summary.sd / np.sqrt(summary.m), summary
     if tag == "OLS":
         # every replication's links are the mask: the binary kinds are exact
-        nd, _, rho = summaries
-        assert (nd.sd, rho.sd) == (0.0, 0.0)
-        assert (nd.mean, rho.mean) == (want[0], want[2])
+        nd, _ = summaries
+        assert nd.sd == 0.0
+        assert nd.mean == want[0]
     else:
         assert all(summary.sd > 0.0 for summary in summaries)
 
@@ -424,7 +423,7 @@ def test_analytical_var_matches_monte_carlo():
     fit = fit_poisson_pml(dm)
     pred = predict_ppml(fit, dm)
     ens = sample_weighted_ensemble(pred, m=m, seed=21)
-    mc_var = ensemble_summary(ens, ("NS_out",), "identity")[0].sd ** 2
+    mc_var = ensemble_summary(ens, ("NS_out",))[0].sd ** 2
     assert mc_var == pytest.approx(analytical_var_avg_ns(pred), rel=0.05)
 
     # zero-inflated
@@ -433,7 +432,7 @@ def test_analytical_var_matches_monte_carlo():
     zpred = predict_zip(zres, dm)
     lp = link_probabilities(zres, dm)
     zens = sample_weighted_ensemble(zpred, m=m, seed=22, link_probs=lp)
-    mc_var = ensemble_summary(zens, ("NS_out",), "identity")[0].sd ** 2
+    mc_var = ensemble_summary(zens, ("NS_out",))[0].sd ** 2
     assert mc_var == pytest.approx(analytical_var_avg_ns(zpred, zres, dm), rel=0.05)
 
     # log-linear
@@ -447,7 +446,7 @@ def test_analytical_var_matches_monte_carlo():
     ofit = fit_ols(dm)
     opred = predict_ols(ofit, dm)
     oens = sample_weighted_ensemble(opred, m=m, seed=23)
-    mc_var = ensemble_summary(oens, ("NS_out",), "identity")[0].sd ** 2
+    mc_var = ensemble_summary(oens, ("NS_out",))[0].sd ** 2
     assert mc_var == pytest.approx(analytical_var_avg_ns(opred), rel=0.05)
 
 

@@ -183,11 +183,10 @@ def stream_and_stack(tag, case):
     )
 
 
-@pytest.mark.parametrize("transform", WEIGHT_TRANSFORMS)
 @pytest.mark.parametrize("tag", ["BERNOULLI", "OLS", "PPML", "ZIP"])
 @settings(max_examples=40, deadline=None)
 @given(case=sampler_inputs())
-def test_streamed_summary_equals_stacked_summary(tag, transform, case):
+def test_streamed_summary_equals_stacked_summary(tag, case):
     stream, stack = stream_and_stack(tag, case)
     assert stream.m == stack.m
     assert (stream.mask is None) == (stack.mask is None) == (tag != "OLS")
@@ -198,21 +197,21 @@ def test_streamed_summary_equals_stacked_summary(tag, transform, case):
         for w, want in zip(drawn, stack.replications):
             np.testing.assert_array_equal(w, want)
 
-    kinds = REPORT_KINDS + ("density",)
+    kinds = REPORT_KINDS
     want = {}
     for kind in kinds:
         try:
-            want[kind] = loop_ensemble_summary(stack, kind, transform)
+            want[kind] = loop_ensemble_summary(stack, kind)
         except ValidationError:
             pass  # undefined in every replication, e.g. clustering at n = 2
     defined = tuple(want)
-    got_stream = ensemble_summary(stream, defined, transform)
-    got_stack = ensemble_summary(stack, defined, transform)
+    got_stream = ensemble_summary(stream, defined)
+    got_stack = ensemble_summary(stack, defined)
     assert got_stream == got_stack == tuple(want.values())
     if len(defined) < len(kinds):
         for ens in (stream, stack):
             with pytest.raises(ValidationError, match="undefined in every replication"):
-                ensemble_summary(ens, kinds, transform)
+                ensemble_summary(ens, kinds)
 
 
 @pytest.mark.parametrize("tag", ["BERNOULLI", "OLS", "PPML", "ZIP"])
@@ -248,7 +247,7 @@ RAW_DRAWS = {
 @pytest.mark.parametrize("method", sorted(RAW_DRAWS))
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1), m=st.integers(1, 6))
-def test_rekeyed_generator_draws_what_a_fresh_philox_draws(method, seed, m):
+def test_replication_draws_what_a_fresh_generator_draws(method, seed, m):
     """Replication r draws what ``default_rng([seed, r])`` draws (PCG64
     seeded by ``SeedSequence([seed, r])``), and nothing of r - 1's state."""
     draw = RAW_DRAWS[method]
