@@ -66,7 +66,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .compare import build_comparison_report, check_countries, report_as_dict, report_from_dict
-from .errors import ConvergenceError, DependencyError, ValidationError
+from .errors import ConvergenceError, DependencyError, SchemaError, ValidationError
 from .estimation import (
     ZipFitResult,
     attach_vuong,
@@ -82,6 +82,7 @@ from .netstats import (
     TradeNetwork,
     all_statistics,
     density,
+    log_positive,
 )
 from .panel import (
     DESIGN_COLUMNS,
@@ -202,23 +203,27 @@ class RunConfig:
             raise ValidationError(f"config field 'years' lists a year twice, got {self.years!r}")
         object.__setattr__(self, "years", tuple(self.years))
         if not self.models:
-            raise ValidationError("models must be non-empty")
+            raise ValidationError("config field 'models' must be non-empty")
         unknown = [m for m in self.models if m not in MODEL_TAGS]
         if unknown:
             raise ValidationError(
-                f"unknown model(s) {unknown}; expected a subset of {list(MODEL_TAGS)}"
+                f"config field 'models' names unknown model(s) {unknown}; "
+                f"expected a subset of {list(MODEL_TAGS)}"
             )
         if len(set(self.models)) != len(self.models):
             raise ValidationError(f"config field 'models' lists a model twice, got {self.models}")
         object.__setattr__(self, "models", tuple(t for t in MODEL_TAGS if t in self.models))
-        object.__setattr__(self, "covariates", design_columns(self.covariates))
+        try:
+            object.__setattr__(self, "covariates", design_columns(self.covariates))
+        except SchemaError as exc:
+            raise SchemaError(f"config field 'covariates': {exc}") from None
         if self.replications < 2:
             # compare summarises each ensemble over at least two draws
             raise ValidationError(
                 f"config field 'replications' must be at least 2, got {self.replications}"
             )
         if not 0 <= self.seed < _SEED_LIMIT:
-            raise ValidationError(f"seed must lie in [0, 2**63), got {self.seed}")
+            raise ValidationError(f"config field 'seed' must lie in [0, 2**63), got {self.seed}")
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
@@ -605,21 +610,23 @@ def _cell_network(tag: str, payload: dict):
     return pred.country_ids, TradeNetwork(pred.value, pred.mask), pred
 
 
-def _stats_rows(net: TradeNetwork, ids, transforms) -> list:
-    """Long-format node-statistic rows; binary kinds are transform-free."""
+def _stats_rows(ids, scales: dict) -> list:
+    """Long-format node-statistic rows of ``scales``, ``{label: network}``,
+    networks of one adjacency: the weighted kinds once per scale, the
+    binary kinds, which read only the adjacency, once, labelled ``""``."""
     stats = {}
-    for transform in transforms:
+    for label, net in scales.items():
         # binary kinds do not read the weights: take them with the first
         kinds = WEIGHTED_KINDS if stats else STAT_KINDS
-        for kind, stat in all_statistics(net, kinds, transform).items():
-            stats[kind, transform if kind in WEIGHTED_KINDS else ""] = stat
+        for kind, stat in all_statistics(net, kinds).items():
+            stats[kind, label if kind in WEIGHTED_KINDS else ""] = stat
     rows = []
     for kind in STAT_KINDS:
-        for transform in transforms if kind in WEIGHTED_KINDS else ("",):
-            stat = stats[kind, transform]
+        for label in scales if kind in WEIGHTED_KINDS else ("",):
+            stat = stats[kind, label]
             for k, cid in enumerate(ids):
                 value = float(stat.values[k]) if stat.defined[k] else None
-                rows.append((cid, kind, transform, value))
+                rows.append((cid, kind, label, value))
     return rows
 
 
@@ -631,14 +638,16 @@ def cmd_netstats(args) -> None:
     with _Stage(args, "netstats", "predict", lambda tag: (MODELS[tag].network_artifact,)) as stage:
         for year in stage.years:
             cs = build_cross_section(stage.panel, year)
-            rows = _stats_rows(cs.network(), cs.country_ids, ("identity", "log_positive"))
+            observed = cs.network()
+            scales = {"identity": observed, "log_positive": log_positive(observed)}
+            rows = _stats_rows(cs.country_ids, scales)
             stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
             for tag in stage.cfg.models:
                 with _cell(year, tag) as note:
                     (payload,) = stage.inputs(year, tag)
                     ids, net, _ = _cell_network(tag, payload)
                     check_countries(cs.country_ids, ids, "predicted")
-                    rows = _stats_rows(net, ids, ("identity",))
+                    rows = _stats_rows(ids, {"identity": net})
                     stage.write_csv(f"{year}/{tag}/node_stats.csv", _STATS_FIELDS, rows)
                     note["message"] = "statistics written"
                 stage.log_cell(year, tag, note)

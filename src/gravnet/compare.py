@@ -35,6 +35,7 @@ from .netstats import (
     TradeNetwork,
     all_statistics,
     check_statistics,
+    log_positive,
     population_average,
     stat_correlation,
 )
@@ -219,15 +220,14 @@ def ensemble_summary(
     Raises
     ------
     ValidationError
-        If fewer than two replications exist, a kind is unknown, or a
-        statistic is undefined in every replication.
+        If fewer than two replications exist, ``kinds`` is a string or
+        names an unknown kind, or a statistic is undefined in every
+        replication.
     """
     if ens.m < 2:
         raise ValidationError(f"need at least 2 replications, got {ens.m}")
-    if isinstance(kinds, str):
-        raise ValidationError(f"kinds must be a sequence of kinds, not the string {kinds!r}")
     # refused before the first draw, not at the first replication
-    check_statistics(kinds, "identity")
+    check_statistics(kinds)
     # 8 bytes per kept value, against 32 for a list of Python floats
     values = {kind: array("d") for kind in kinds}
     # log-scale draws carry their support as the ensemble mask, since their
@@ -319,8 +319,9 @@ def build_comparison_report(
             f"predicted network has {network.n} countries, observed has {len(observed_ids)}"
         )
 
-    observed_transform = "identity" if ensemble.mask is None else "log_positive"
-    obs_stats = all_statistics(observed, _NETWORK_KINDS, observed_transform)
+    obs_stats = all_statistics(
+        observed if ensemble.mask is None else log_positive(observed), _NETWORK_KINDS
+    )
     pred_stats = all_statistics(network, _NETWORK_KINDS)
     summaries = ensemble_summary(ensemble, REPORT_KINDS)
     stat_rows = []

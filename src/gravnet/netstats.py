@@ -22,16 +22,17 @@ several at once.  ``ND``/``NS`` are degrees/strengths (in: partners
 exporting to the node, out: partners it exports to, tot: both),
 ``ANND``/``ANNS`` neighbor averages (:func:`_neighbor_average`) and
 ``BCC``/``WCC`` binary/weighted clustering (:func:`_clustering`).  The
-weighted families read the weights after a ``WEIGHT_TRANSFORMS`` transform.
+weighted families read the network's weights as given; a scale is a
+network of its own, such as :func:`log_positive`, the log scale.
 
 Every statistic is read from one profile of the network: the float
-adjacency, degrees, ``A + A^T``, transformed weights, strengths and cube-rooted
-weights are each built on first use and kept, so a set of kinds computed
-together by :func:`all_statistics` builds each of them at most once.  The
-statistics are kept there too, so each is computed at most once per profile,
-and weights that are the adjacency bit for bit (0/1 weights under the
-identity) answer ``NS``/``ANNS``/``WCC`` with the ``ND``/``ANND``/``BCC``
-values already computed: the cube root of 1 is 1, so they are equal.
+adjacency, degrees, ``A + A^T``, strengths and cube-rooted weights are each
+built on first use and kept, so a set of kinds computed together by
+:func:`all_statistics` builds each of them at most once.  The statistics are
+kept there too, so each is computed at most once per profile, and weights
+that are the adjacency bit for bit (0/1 weights) answer
+``NS``/``ANNS``/``WCC`` with the ``ND``/``ANND``/``BCC`` values already
+computed: the cube root of 1 is 1, so they are equal.
 
 Binary clustering counts its motifs with one matrix product and a row sum
 (:func:`_diag_of_product`): on 0/1 factors every count is an integer below
@@ -48,11 +49,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-
-#: Weight transforms accepted by every weighted statistic. ``log_positive``
-#: replaces each positive weight by its natural log (zeros stay zero), used
-#: when comparing level-scale observations against log-scale predictions.
-WEIGHT_TRANSFORMS = ("identity", "log_positive")
 
 BINARY_KINDS = (
     "ND_in", "ND_out", "ND_tot",
@@ -141,27 +137,27 @@ class NodeStatVector:
             getattr(self, name).setflags(write=False)
 
 
-def check_statistics(kinds, transform: str) -> None:
-    """Refuse a kind outside ``STAT_KINDS`` or a transform outside
-    ``WEIGHT_TRANSFORMS``, whether or not a weighted kind is asked for.
+def log_positive(net: TradeNetwork) -> TradeNetwork:
+    """``net`` on the log scale: each positive weight replaced by its
+    natural log, zeros kept, on ``net``'s adjacency, so a weight of 1
+    (log 0) stays a link.  The scale on which level observations meet
+    log-scale predictions."""
+    w = net.weights
+    return TradeNetwork(np.log(w, out=np.zeros_like(w), where=w > 0.0), net.adjacency)
+
+
+def check_statistics(kinds) -> None:
+    """Refuse a string of kinds, or a kind outside ``STAT_KINDS``.
 
     The one check of a statistics request: :func:`compute_statistic` and
     :func:`all_statistics` run it on entry, so everything below them may
-    take the kinds and the transform as valid.
+    take the kinds as valid.
     """
+    if isinstance(kinds, str):
+        raise ValidationError(f"kinds must be a sequence of kinds, not the string {kinds!r}")
     for kind in kinds:
         if kind not in STAT_KINDS:
             raise ValidationError(f"unknown statistic kind {kind!r}")
-    if transform not in WEIGHT_TRANSFORMS:
-        raise ValidationError(
-            f"unknown weight transform {transform!r}; expected one of {WEIGHT_TRANSFORMS}"
-        )
-
-
-def _transformed_weights(net: TradeNetwork, transform: str) -> np.ndarray:
-    if transform == "log_positive":
-        return np.log(net.weights, out=np.zeros_like(net.weights), where=net.weights > 0.0)
-    return net.weights
 
 
 def _ratio_stat(kind: str, numer: np.ndarray, denom: np.ndarray) -> NodeStatVector:
@@ -175,20 +171,19 @@ def _defined_everywhere(kind: str, values: np.ndarray) -> NodeStatVector:
 
 
 class _Profile:
-    """Intermediates one network's statistics share under one weight transform.
+    """Intermediates one network's statistics share.
 
     Each is built on first use and at most once, so a subset of kinds pays
-    only for the intermediates it reads.  ``a`` is the float adjacency,
-    ``w`` the transformed weights and ``w_hat`` their element-wise cube
-    roots; ``degree`` and ``strength`` map ``in``/``out``/``tot`` to the
-    column sums, row sums and their total of ``a`` and ``w``.  ``stats``
+    only for the intermediates it reads.  ``a`` is the float adjacency and
+    ``w_hat`` the element-wise cube roots of the network's weights;
+    ``degree`` and ``strength`` map ``in``/``out``/``tot`` to the column
+    sums, row sums and their total of ``a`` and of the weights.  ``stats``
     keeps every statistic computed from the profile, so each is computed
     at most once.
     """
 
-    def __init__(self, net: TradeNetwork, transform: str = "identity"):
+    def __init__(self, net: TradeNetwork):
         self.net = net
-        self.transform = transform
         self.stats = {}
 
     @cached_property
@@ -208,26 +203,20 @@ class _Profile:
         return (self.a * self.a.T).sum(axis=1)
 
     @cached_property
-    def w(self) -> np.ndarray:
-        return _transformed_weights(self.net, self.transform)
-
-    @cached_property
     def strength(self) -> dict:
-        return _by_direction(self.w)
+        return _by_direction(self.net.weights)
 
     @cached_property
     def w_hat(self) -> np.ndarray:
-        return np.cbrt(self.w)
+        return np.cbrt(self.net.weights)
 
     @cached_property
     def w_is_a(self) -> bool:
-        """Whether ``w`` is ``a`` bit for bit, as for 0/1 weights under the
-        identity: each weighted statistic then equals its binary twin, the
-        cube root of 1 being 1.  Bits, not values, so a -0.0 weight counts
-        as a difference."""
-        return self.transform == "identity" and np.array_equal(
-            self.w.view(np.uint64), self.a.view(np.uint64)
-        )
+        """Whether the weights are ``a`` bit for bit, as for 0/1 weights:
+        each weighted statistic then equals its binary twin, the cube root
+        of 1 being 1.  Bits, not values, so a -0.0 weight counts as a
+        difference."""
+        return np.array_equal(self.net.weights.view(np.uint64), self.a.view(np.uint64))
 
 
 def _by_direction(m: np.ndarray) -> dict:
@@ -353,24 +342,20 @@ def density(net: TradeNetwork) -> float:
     return link_density(net.adjacency.sum(), net.n)
 
 
-def compute_statistic(
-    net: TradeNetwork, kind: str, transform: str = "identity"
-) -> NodeStatVector:
+def compute_statistic(net: TradeNetwork, kind: str) -> NodeStatVector:
     """Dispatch a statistic by catalogue kind (see ``STAT_KINDS``)."""
-    check_statistics((kind,), transform)
-    return _statistic(_Profile(net, transform), kind)
+    check_statistics((kind,))
+    return _statistic(_Profile(net), kind)
 
 
-def all_statistics(
-    net: TradeNetwork, kinds=STAT_KINDS, transform: str = "identity"
-) -> dict:
+def all_statistics(net: TradeNetwork, kinds=STAT_KINDS) -> dict:
     """Compute a set of catalogue statistics, keyed by kind.
 
     The kinds share one profile of the network, so each intermediate
-    (degrees, strengths, transformed weights, ...) is built once.
+    (degrees, strengths, cube-rooted weights, ...) is built once.
     """
-    check_statistics(kinds, transform)
-    profile = _Profile(net, transform)
+    check_statistics(kinds)
+    profile = _Profile(net)
     return {kind: _statistic(profile, kind) for kind in kinds}
 
 

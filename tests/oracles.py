@@ -43,7 +43,6 @@ from gravnet.netstats import (
     _defined_everywhere,
     _Profile,
     compute_statistic,
-    density,
     population_average,
 )
 from gravnet.panel import COUNTRY_COLUMNS, DYAD_COLUMNS, DYAD_DUMMIES
@@ -438,7 +437,7 @@ def loop_ks_statistic(sample1, sample2):
     return d_max
 
 
-def loop_ensemble_summary(ens, kind, transform="identity"):
+def loop_ensemble_summary(ens, kind):
     """Summary of one kind, rebuilding every replication's network for it."""
     values = []
     dropped = 0
@@ -448,11 +447,8 @@ def loop_ensemble_summary(ens, kind, transform="identity"):
             net = TradeNetwork(w, adjacency=np.asarray(ens.mask))
         else:
             net = TradeNetwork(w)
-        if kind == "density":
-            values.append(density(net))
-            continue
         try:
-            avg, _ = population_average(compute_statistic(net, kind, transform))
+            avg, _ = population_average(compute_statistic(net, kind))
         except ValidationError:
             dropped += 1
             continue

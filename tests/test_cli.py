@@ -58,7 +58,7 @@ from gravnet.errors import (
     ValidationError,
 )
 from gravnet.estimation import fit_from_dict, fit_poisson_pml
-from gravnet.netstats import compute_statistic, density, population_average
+from gravnet.netstats import compute_statistic, density, log_positive, population_average
 from gravnet.panel import (
     DESIGN_COLUMNS,
     build_cross_section,
@@ -172,6 +172,13 @@ def test_config_validation(zip_panel, tmp_path):
     pytest.param("replications", 1, id="replications-1"),
     pytest.param("seed", "7", id="seed-7"),
     pytest.param("seed", 1.5, id="seed-1.5"),
+    pytest.param("models", [], id="models-empty"),
+    pytest.param("models", ["GRAVITY"], id="models-GRAVITY"),
+    pytest.param("seed", -1, id="seed--1"),
+    pytest.param("seed", 2**63, id="seed-2**63"),
+    pytest.param("covariates", [], id="covariates-empty"),
+    pytest.param("covariates", ["const", "ln_price"], id="covariates-ln_price"),
+    pytest.param("covariates", ["const", "const"], id="covariates-duplicate"),
 ])
 def test_malformed_config_value_exits_2_naming_the_field(
     zip_panel, tmp_path, capsys, name, value
@@ -1152,15 +1159,15 @@ def test_observed_side_takes_the_scale_the_model_predicts(zip_panel, tmp_path):
     run_pipeline(cfg, commands=("fit", "predict", "compare"))
     panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
     observed = build_cross_section(panel, 2000).network()
-    for tag, transform in (("OLS", "log_positive"), ("PPML", "identity"),
-                           ("LOGIT", "identity")):
+    logs = log_positive(observed)
+    for tag, scale in (("OLS", logs), ("PPML", observed), ("LOGIT", observed)):
         report = json.loads((out / "2000" / tag / "report.json").read_text())
         (ns_tot,) = [s for s in report["statistics"] if s["kind"] == "NS_tot"]
-        want, _ = population_average(compute_statistic(observed, "NS_tot", transform))
+        want, _ = population_average(compute_statistic(scale, "NS_tot"))
         assert ns_tot["observed_avg"] == want, tag
-    levels, _ = population_average(compute_statistic(observed, "NS_tot", "identity"))
-    logs, _ = population_average(compute_statistic(observed, "NS_tot", "log_positive"))
-    assert levels != logs
+    levels, _ = population_average(compute_statistic(observed, "NS_tot"))
+    in_logs, _ = population_average(compute_statistic(logs, "NS_tot"))
+    assert levels != in_logs
 
 
 def test_synth_command_writes_panel_and_manifest(tmp_path):

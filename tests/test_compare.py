@@ -245,6 +245,9 @@ def test_ensemble_summary_rejects_an_unknown_kind():
     # refused before the first draw, with a known kind beside it
     with pytest.raises(ValidationError, match="unknown"):
         ensemble_summary(Undrawable(), ("ND_tot", "FOO"))
+    # and a string as a string, by the statistics' one check
+    with pytest.raises(ValidationError, match="not the string 'ND_tot'"):
+        ensemble_summary(Undrawable(), "ND_tot")
 
 
 def test_ensemble_summary_rejects_a_bare_string():

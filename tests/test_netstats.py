@@ -12,6 +12,7 @@ from gravnet.netstats import (
     all_statistics,
     compute_statistic,
     density,
+    log_positive,
     population_average,
     stat_correlation,
 )
@@ -57,9 +58,9 @@ def test_all_statistics_match_loop_oracle():
         w, a = random_network(rng)
         net = TradeNetwork(w)
         assert net.adjacency.tolist() == a.tolist()
-        for transform in ("identity", "log_positive"):
+        for scale, transform in ((net, "identity"), (log_positive(net), "log_positive")):
             expected = oracles.loop_statistics(w, a, transform)
-            got = all_statistics(net, transform=transform)
+            got = all_statistics(scale)
             for kind in STAT_KINDS:
                 assert_matches(got[kind], expected[kind])
         assert_matches(oracles.reciprocal_degree(net), expected["ND_recip"])
@@ -72,26 +73,27 @@ def test_shared_profile_matches_per_kind_calls_and_builds_weights_once(monkeypat
     rng = np.random.default_rng(20261018)
     for _ in range(10):
         net = TradeNetwork(random_network(rng)[0])
-        for transform in ("identity", "log_positive"):
-            together = all_statistics(net, STAT_KINDS, transform)
+        for scale in (net, log_positive(net)):
+            together = all_statistics(scale, STAT_KINDS)
             for kind in STAT_KINDS:
-                alone = compute_statistic(net, kind, transform)
+                alone = compute_statistic(scale, kind)
                 assert alone.kind == kind
                 np.testing.assert_array_equal(alone.values, together[kind].values)
                 np.testing.assert_array_equal(alone.defined, together[kind].defined)
 
     calls = []
-    original = netstats._transformed_weights
+    original = netstats._by_direction
 
-    def counting(net, transform):
-        calls.append(transform)
-        return original(net, transform)
+    def counting(m):
+        calls.append(m)
+        return original(m)
 
-    monkeypatch.setattr(netstats, "_transformed_weights", counting)
-    all_statistics(net, STAT_KINDS, "log_positive")
-    assert calls == ["log_positive"]  # shared by all 13 weighted kinds
-    all_statistics(net, BINARY_KINDS, "log_positive")
-    assert calls == ["log_positive"]  # binary kinds never read the weights
+    monkeypatch.setattr(netstats, "_by_direction", counting)
+    all_statistics(log_positive(net), STAT_KINDS)
+    assert len(calls) == 2  # degrees and strengths, shared by all 26 kinds
+    calls.clear()
+    all_statistics(log_positive(net), BINARY_KINDS)
+    assert len(calls) == 1  # binary kinds never read the weights
 
 
 def test_three_cycle_known_values():
@@ -177,12 +179,12 @@ def test_each_statistic_computed_once_and_zero_one_weights_reuse_binary(monkeypa
         assert stats[wgt_kind].kind == wgt_kind
         assert stats[wgt_kind].values.tobytes() == stats[bin_kind].values.tobytes()
 
-    # the reuse needs the identity and the adjacency's very bits: a -0.0
-    # weight, or the log transform, sends every weighted kind to its own path
+    # the reuse needs the adjacency's very bits: a -0.0 weight, or the log
+    # scale (log 1 = 0), sends every weighted kind to its own path
     signed = TradeNetwork(np.where(a == 1, 1.0, -0.0))
-    for net, transform in ((zero_one, "log_positive"), (signed, "identity")):
+    for net in (log_positive(zero_one), signed):
         computed.clear()
-        all_statistics(net, STAT_KINDS, transform)
+        all_statistics(net, STAT_KINDS)
         assert sorted(computed) == sorted(STAT_KINDS)
 
 
@@ -215,12 +217,12 @@ def test_log_positive_transform_values():
     w[0, 1] = math.e
     w[1, 0] = 1.0  # log 1 = 0: link survives in degrees, drops from strength
     w[2, 0] = 0.5  # negative log
-    net = TradeNetwork(w)
-    s_out = compute_statistic(net, "NS_out", "log_positive")
+    logs = log_positive(TradeNetwork(w))
+    s_out = compute_statistic(logs, "NS_out")
     assert s_out.values[0] == pytest.approx(1.0)
     assert s_out.values[1] == 0.0
     assert s_out.values[2] == pytest.approx(math.log(0.5))
-    assert compute_statistic(net, "ND_out").values.tolist() == [1.0, 1.0, 1.0]
+    assert compute_statistic(logs, "ND_out").values.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_explicit_adjacency_allows_negative_weights():
@@ -277,7 +279,7 @@ def test_network_validation():
         TradeNetwork(np.where(a == 1, np.nan, 0.0), adjacency=a)
 
 
-def test_unknown_kind_direction_and_transform_rejected():
+def test_unknown_kind_and_direction_rejected():
     net = TradeNetwork(np.zeros((3, 3)))
     with pytest.raises(ValidationError):
         compute_statistic(net, "XYZ_in")
@@ -285,19 +287,16 @@ def test_unknown_kind_direction_and_transform_rejected():
         compute_statistic(net, "ND_sideways")
     with pytest.raises(ValidationError):
         compute_statistic(net, "ANND_in_in_in")
-    with pytest.raises(ValidationError):
-        compute_statistic(net, "NS_in", "sqrt")
 
 
-def test_unknown_transform_refused_even_for_binary_kinds():
-    # binary kinds never read the weights, but a bad request is still bad
+def test_unknown_kind_refused_among_known_ones():
+    # the whole request is checked, and a string is refused as a string,
+    # not walked one character at a time
     net = TradeNetwork(random_network(np.random.default_rng(5), n=5)[0])
-    with pytest.raises(ValidationError, match="unknown weight transform 'bogus'"):
-        compute_statistic(net, "ND_tot", "bogus")
-    with pytest.raises(ValidationError, match="unknown weight transform 'sqrt'"):
-        all_statistics(net, ("ND_tot", "BCC_cyc"), "sqrt")
     with pytest.raises(ValidationError, match="unknown statistic kind 'ND_sideways'"):
         all_statistics(net, ("ND_tot", "ND_sideways"))
+    with pytest.raises(ValidationError, match="not the string 'ND_tot'"):
+        all_statistics(net, "ND_tot")
 
 
 def test_network_is_immutable():

@@ -46,7 +46,13 @@ from gravnet.estimation import (
     fit_poisson_pml,
     fit_zip,
 )
-from gravnet.netstats import STAT_KINDS, WEIGHT_TRANSFORMS, TradeNetwork, all_statistics
+from gravnet.netstats import (
+    BINARY_KINDS,
+    STAT_KINDS,
+    TradeNetwork,
+    all_statistics,
+    log_positive,
+)
 from gravnet.panel import (
     COUNTRY_COLUMNS,
     COUNTRY_FIELDS,
@@ -75,7 +81,7 @@ from gravnet.prediction import (
 )
 from gravnet.synth import GENERATOR_COVARIATES, SynthSpec, _write_json, write_synth_panel
 
-from oracles import loop_ensemble_summary, loop_load_panel
+from oracles import loop_ensemble_summary, loop_load_panel, transform_weight
 
 # a small value set makes tied probabilities, and ties with the observed
 # links, common
@@ -133,14 +139,45 @@ def test_relabelling_nodes_permutes_every_statistic(case):
     w, perm = case
     relabelled = TradeNetwork(w[np.ix_(perm, perm)])  # P W P^T
     original = TradeNetwork(w)
-    for transform in WEIGHT_TRANSFORMS:
-        want = all_statistics(original, STAT_KINDS, transform)
-        got = all_statistics(relabelled, STAT_KINDS, transform)
+    for scale in (lambda net: net, log_positive):
+        want = all_statistics(scale(original), STAT_KINDS)
+        got = all_statistics(scale(relabelled), STAT_KINDS)
         for kind in STAT_KINDS:
             np.testing.assert_array_equal(got[kind].defined, want[kind].defined[perm], kind)
             np.testing.assert_allclose(
                 got[kind].values, want[kind].values[perm], rtol=1e-12, err_msg=kind
             )
+
+
+@st.composite
+def level_weights(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    # a weight of 1 is a link whose log is 0
+    cell = st.one_of(
+        st.just(0.0), st.just(1.0), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    )
+    w = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_weights())
+def test_log_positive_keeps_the_adjacency_and_logs_each_weight(w):
+    """The log scale is the same network in logs: its adjacency and so
+    every binary statistic are the level network's, byte for byte, and
+    each weight is the oracle's log to 1e-15 relative (numpy's log and
+    ``math.log`` may differ in the last bit)."""
+    net = TradeNetwork(w)
+    logs = log_positive(net)
+    assert logs.adjacency.tobytes() == net.adjacency.tobytes()
+    want = all_statistics(net, BINARY_KINDS)
+    got = all_statistics(logs, BINARY_KINDS)
+    for kind in BINARY_KINDS:
+        assert got[kind].values.tobytes() == want[kind].values.tobytes(), kind
+        assert got[kind].defined.tobytes() == want[kind].defined.tobytes(), kind
+    oracle = [[transform_weight(v, "log_positive") for v in row] for row in w.tolist()]
+    np.testing.assert_allclose(logs.weights, oracle, rtol=1e-15, atol=0.0)
 
 
 @st.composite
