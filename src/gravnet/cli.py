@@ -520,7 +520,6 @@ def cmd_synth(args) -> None:
     given = {f.name: getattr(args, f.name) for f in fields(SynthSpec)}
     spec = SynthSpec(**{name: value for name, value in given.items() if value is not None})
     started = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
     paths = write_synth_panel(spec, args.out)
     _record_artifacts(args.out, sorted(os.path.basename(p) for p in paths.values()))
     _log(
@@ -624,9 +623,8 @@ def _stats_rows(ids, scales: dict) -> list:
     for kind in STAT_KINDS:
         for label in scales if kind in WEIGHTED_KINDS else ("",):
             stat = stats[kind, label]
-            for k, cid in enumerate(ids):
-                value = float(stat.values[k]) if stat.defined[k] else None
-                rows.append((cid, kind, label, value))
+            for cid, value, defined in zip(ids, stat.values.tolist(), stat.defined.tolist()):
+                rows.append((cid, kind, label, value if defined else None))
     return rows
 
 

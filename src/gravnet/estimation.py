@@ -15,6 +15,7 @@ standard errors account for the latent zero labels being estimated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -431,11 +432,49 @@ def fit_logit(dm) -> FitResult:
     return _glm_fit("LOGIT", "logit", dm, a, outcome, _logit_moments, _bernoulli_null_loglik)
 
 
-def _zip_log_p0(u, mu):
-    """ln P(0) = ln(psi + (1-psi) e^{-mu}) with psi = expit(u), in log space."""
-    from scipy.special import log_expit
+def _per_element(func, x: np.ndarray) -> np.ndarray:
+    """``func`` of each element of the float array ``x``, as a float array."""
+    values = map(func, x.ravel().tolist())
+    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
-    return np.logaddexp(log_expit(u), log_expit(-u) - mu)
+
+def _logistic(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # exp(-v) is inf, and 1 / (1 + inf) is 0
+        return 0.0
+
+
+def _log_logistic(v: float) -> float:
+    return v - math.log1p(math.exp(v)) if v < 0.0 else -math.log1p(math.exp(-v))
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.expit(x)`` bit for bit, without importing scipy.
+
+    scipy computes ``1 / (1 + exp(-x))`` with the C library's ``exp``,
+    which ``math.exp`` also calls, so each element here has the same
+    bits; numpy's vectorised ``exp`` differs from it in the last bits.
+    One Python call per element: for the few logistic evaluations of
+    ``predict`` and ``synth``, not for the iterations of a fit.
+    """
+    return _per_element(_logistic, x)
+
+
+def _log_expit(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.log_expit(x)`` bit for bit, without importing scipy.
+
+    scipy computes ``x - log1p(exp(x))`` for ``x < 0`` and
+    ``-log1p(exp(-x))`` otherwise, with the C library's ``exp`` and
+    ``log1p``, which ``math`` also calls; neither ``exp`` can overflow.
+    """
+    return _per_element(_log_logistic, x)
+
+
+def _zip_log_p0(log_psi, log_one_minus_psi, mu):
+    """ln P(0) = ln(psi + (1-psi) e^{-mu}) in log space, from ln psi and
+    ln(1 - psi) of psi = expit(u), i.e. log_expit(u) and log_expit(-u)."""
+    return np.logaddexp(log_psi, log_one_minus_psi - mu)
 
 
 def _zip_row_loglik(y, u, v):
@@ -446,7 +485,7 @@ def _zip_row_loglik(y, u, v):
     mu = np.exp(v)
     zero = y == 0.0
     out = np.empty_like(y)
-    out[zero] = _zip_log_p0(u[zero], mu[zero])
+    out[zero] = _zip_log_p0(log_expit(u[zero]), log_expit(-u[zero]), mu[zero])
     pos = ~zero
     out[pos] = log_expit(-u[pos]) + _poisson_rows(y[pos], v[pos], mu[pos])
     return out
@@ -477,8 +516,9 @@ def _zip_em(X, y, theta, gamma):
     for _ in range(MAX_EM_ITERATIONS):
         # E-step: posterior probability that a zero is structural
         z_hat = np.zeros_like(y)
-        log_p0 = _zip_log_p0(u[zero], np.exp(v[zero]))
-        z_hat[zero] = np.exp(log_expit(u[zero]) - log_p0)
+        log_psi = log_expit(u[zero])
+        log_p0 = _zip_log_p0(log_psi, log_expit(-u[zero]), np.exp(v[zero]))
+        z_hat[zero] = np.exp(log_psi - log_p0)
 
         # M-steps: fractional-response logit and case-weighted Poisson
         theta, _, th_ok, th_div = _irls(X, z_hat, 1.0, theta, _logit_moments, _bernoulli_q)
@@ -505,7 +545,7 @@ def _zip_em(X, y, theta, gamma):
 def _zip_information(X, y, theta, gamma):
     """Observed information of the ZIP likelihood at (theta, gamma),
     assembled from per-row second derivatives in (u, v) = (x'theta, x'gamma)."""
-    from scipy.special import expit
+    from scipy.special import expit, log_expit
 
     u = X @ theta
     v = X @ gamma
@@ -523,7 +563,7 @@ def _zip_information(X, y, theta, gamma):
     psz = psi[zero]
     sz = s[zero]
     ez = np.exp(-muz)
-    p0 = np.exp(_zip_log_p0(uz, muz))
+    p0 = np.exp(_zip_log_p0(log_expit(uz), log_expit(-uz), muz))
     one_e = 1.0 - ez
     h_uu[zero] = sz * one_e * ((1.0 - 2.0 * psz) * p0 - sz * one_e) / p0**2
     h_uv[zero] = sz * muz * ez * (p0 + (1.0 - psz) * one_e) / p0**2

@@ -32,14 +32,13 @@ n-by-n matrix, not the ``(m, n, n)`` stack; the eager samplers fill a
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PredictionOverflowError, SchemaError, ValidationError
-from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult
+from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult, _expit
 from .netstats import link_density
 from .panel import DesignMatrix
 
@@ -262,24 +261,6 @@ def _guard_overflow(eta: np.ndarray, dm: DesignMatrix, stage: str) -> None:
             f"{stage} linear predictor {eta[k]:.1f} for dyad "
             f"({exporter}, {importer}) overflows exp()"
         )
-
-
-def _expit(x: np.ndarray) -> np.ndarray:
-    """``scipy.special.expit(x)`` bit for bit, without importing scipy.
-
-    scipy computes ``1 / (1 + exp(-x))`` with the C library's ``exp``,
-    which ``math.exp`` also calls, so each element here has the same
-    bits; numpy's vectorised ``exp`` differs from it in the last bits.
-    """
-
-    def logistic(v: float) -> float:
-        try:
-            return 1.0 / (1.0 + math.exp(-v))
-        except OverflowError:  # exp(-v) is inf, and 1 / (1 + inf) is 0
-            return 0.0
-
-    values = map(logistic, x.ravel().tolist())
-    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
 
 def predict_ols(fit: FitResult, dm: DesignMatrix) -> PredictedWeights:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimation import _zip_log_p0
+from .estimation import _expit, _log_expit, _zip_log_p0
 from .panel import COUNTRY_COLUMNS, DYAD_COLUMNS
 
 NOISE_KINDS = ("zip", "poisson", "lognormal")
@@ -71,17 +72,30 @@ class SynthSpec:
             raise ValidationError("years must be non-empty")
         if len(set(self.years)) != len(self.years):
             raise ValidationError("years must be unique")
+        # (seed, year) keys a year's Philox generator as two int64s; beyond
+        # them numpy overflows or casts the key through a float
+        outside = [year for year in self.years if not -(2**63) <= year < 2**63]
+        if outside:
+            raise ValidationError(f"years must lie in [-2**63, 2**63), got {outside[0]}")
+        if not 0 <= self.seed < 2**63:
+            raise ValidationError(f"seed must lie in [0, 2**63), got {self.seed}")
         if self.noise not in NOISE_KINDS:
             raise ValidationError(
                 f"unknown noise kind {self.noise!r}; expected one of {NOISE_KINDS}"
             )
+        for name in ("mean_log_flow", "mean_zero_score", "sigma_log"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma_log <= 0.0:
-            raise ValidationError("sigma_log must be positive")
+            raise ValidationError(f"sigma_log must be positive, got {self.sigma_log!r}")
         want = len(GENERATOR_COVARIATES) - 1
         if len(self.gamma_slopes) != want or len(self.theta_slopes) != want:
             raise ValidationError(f"slope vectors must have length {want}")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
+        for name in ("gamma_slopes", "theta_slopes"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValidationError(
+                    f"{name} must be finite, got {list(getattr(self, name))}"
+                )
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,19 @@ def _symmetric_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     return upper + upper.T
 
 
+def _poisson_counts(rng: np.random.Generator, mu: np.ndarray, spec: SynthSpec, year: int):
+    """Poisson draws of means ``mu``, as floats; a mean numpy refuses (NaN,
+    or above its ``lam`` limit of about 9.2e18) is a ``ValidationError``."""
+    try:
+        return rng.poisson(mu).astype(float)
+    except ValueError as exc:
+        raise ValidationError(
+            f"mean_log_flow {spec.mean_log_flow!r} with gamma_slopes "
+            f"{list(spec.gamma_slopes)} gives year {year} Poisson means "
+            f"numpy cannot draw ({exc})"
+        ) from None
+
+
 def generate_year(spec: SynthSpec, year: int) -> YearDraw:
     """Draw one year.
 
@@ -119,6 +146,10 @@ def generate_year(spec: SynthSpec, year: int) -> YearDraw:
     language, colonial ties, religion, currency, GSP, RTA), then the
     noise draws the regime needs.  Changing this order changes every
     seeded artifact, so treat it as part of the format.
+
+    A spec that gives an index, a Poisson mean or a lognormal flow numpy
+    cannot draw or the floats cannot hold raises ``ValidationError``
+    naming its fields.
     """
     if year not in spec.years:
         raise ValidationError(f"year {year} not in spec years {spec.years}")
@@ -163,32 +194,45 @@ def generate_year(spec: SynthSpec, year: int) -> YearDraw:
             + s5 * dyads["rta"]
         )
 
-    flow_index = index(spec.gamma_slopes)
-    const_gamma = spec.mean_log_flow - float(flow_index[off].mean())
-    log_mu = const_gamma + flow_index
-    mu = np.exp(log_mu)
+    # a value beyond the float range is refused below, naming the spec field
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow_index = index(spec.gamma_slopes)
+        const_gamma = spec.mean_log_flow - float(flow_index[off].mean())
+        log_mu = const_gamma + flow_index
+        mu = np.exp(log_mu)
     gamma = (const_gamma, *spec.gamma_slopes)
 
     theta = None
     # p0: each dyad's probability of a zero flow
     if spec.noise == "lognormal":
         noise = rng.standard_normal((n, n))
-        weights = np.exp(log_mu + spec.sigma_log * noise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.exp(log_mu + spec.sigma_log * noise)
+        drawn = weights[off]
+        if not 0.0 < drawn.min() <= drawn.max() < np.inf:
+            raise ValidationError(
+                f"mean_log_flow {spec.mean_log_flow!r} with sigma_log {spec.sigma_log!r} "
+                f"gives year {year} lognormal flows outside the positive floats"
+            )
         p0 = np.zeros((n, n))
     elif spec.noise == "poisson":
-        weights = rng.poisson(mu).astype(float)
+        weights = _poisson_counts(rng, mu, spec, year)
         p0 = np.exp(-mu)
     else:
-        from scipy.special import expit
-
-        score = index(spec.theta_slopes)
-        const_theta = spec.mean_zero_score - float(score[off].mean())
-        u = const_theta + score
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = index(spec.theta_slopes)
+            const_theta = spec.mean_zero_score - float(score[off].mean())
+            u = const_theta + score
+        if not np.isfinite(u).all():
+            raise ValidationError(
+                f"mean_zero_score {spec.mean_zero_score!r} with theta_slopes "
+                f"{list(spec.theta_slopes)} gives year {year} a non-finite zero-stage score"
+            )
         theta = (const_theta, *spec.theta_slopes)
-        structural = rng.random((n, n)) < expit(u)
-        counts = rng.poisson(mu).astype(float)
+        structural = rng.random((n, n)) < _expit(u)
+        counts = _poisson_counts(rng, mu, spec, year)
         weights = np.where(structural, 0.0, counts)
-        p0 = np.exp(_zip_log_p0(u, mu))
+        p0 = np.exp(_zip_log_p0(_log_expit(u), _log_expit(-u), mu))
     weights = np.where(off, weights, 0.0)
     expected_zero_share = float(p0[off].mean())
 
@@ -210,20 +254,6 @@ def generate_year(spec: SynthSpec, year: int) -> YearDraw:
         theta=theta,
         expected_zero_share=expected_zero_share,
     )
-
-
-def _render(value) -> str:
-    """CSV cell text: repr for floats so values round-trip exactly."""
-    kind = type(value)  # exact built-in types first: they fill most cells
-    if kind is float:
-        return repr(value)
-    if kind is int or isinstance(value, str):
-        return str(value)
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
 
 
 def _temp_write(directory: str, data) -> str:
@@ -250,11 +280,18 @@ def _atomic_write(path: str, data) -> None:
 
 
 def _csv_text(header, rows) -> str:
-    """One header line, then one line per row, every cell through ``_render``."""
+    """One header line, then one line per row, each row straight to ``csv.writer``.
+
+    A cell must be a ``str``, an ``int``, a ``float``, a ``numpy.int64``, a
+    ``numpy.float64`` or ``None``. The writer spells a float by its
+    shortest round-tripping ``repr``, so a value reads back with the same
+    bits, an integer in decimal and ``None`` as an empty cell. A ``bool``
+    is not a cell: the writer spells it ``True``, not ``1``.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(map(_render, row) for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -341,8 +378,8 @@ def write_synth_panel(spec: SynthSpec, out_dir: str) -> dict[str, str]:
     Files land atomically (temp file plus rename) and their bytes are a
     pure function of the spec.  Returns the three paths.
     """
-    os.makedirs(out_dir, exist_ok=True)
     draws = [generate_year(spec, year) for year in sorted(spec.years)]
+    os.makedirs(out_dir, exist_ok=True)
     paths = {
         "dyads": os.path.join(out_dir, "dyads.csv"),
         "countries": os.path.join(out_dir, "countries.csv"),

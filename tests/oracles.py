@@ -14,26 +14,30 @@ loader, one frozen record per row, kept as the reference for the columnar
 one: same values, same first fault, same message. ``loop_countries_csv`` and
 ``loop_dyads_csv`` are the former synth writers, one hand-joined line per row
 and one formatted numpy scalar per cell, kept as the reference for the
-row writer: same text, byte for byte. ``loop_report_rows`` is the former
-report aggregation of ``gravnet report``, which walked the raw ``report.json``
-objects by dotted keys, kept as the reference for the rows the decoded,
-typed report gives.
+row writer: same text, byte for byte. ``_render`` is the former cell
+renderer of the CSV writer, and ``rendered_csv_text`` the former
+``synth._csv_text``, every cell through ``_render``, kept as the reference
+for the writer that hands each row to ``csv.writer`` as it is.
+``loop_report_rows`` is the former report aggregation of
+``gravnet report``, which walked the raw ``report.json`` objects by dotted
+keys, kept as the reference for the rows the decoded, typed report gives.
 
 Three more are former package functions that no pipeline stage calls, kept
 here for the tests that read them. ``analytical_var_avg_ns`` is the
 closed-form variance of the average node strength, the check on the Monte
 Carlo ensembles. ``zero_flow_probability`` is the fitted ZIP zero mass,
 read through ``estimation._zip_log_p0``, the one zero mass the package
-uses. ``reciprocal_degree`` reads the package's bilateral-partner count,
-the one its clustering denominators subtract.
+uses, from scipy's ``log_expit``. ``reciprocal_degree`` reads the package's
+bilateral-partner count, the one its clustering denominators subtract.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtri
+from scipy.special import expit, log_expit, ndtri
 
 from gravnet.compare import EnsembleSummary
 from gravnet.errors import SchemaError, ValidationError
@@ -541,6 +545,29 @@ def _format(value) -> str:
     return repr(float(value))
 
 
+def _render(value) -> str:
+    """CSV cell text: repr for floats so values round-trip exactly."""
+    kind = type(value)  # exact built-in types first: they fill most cells
+    if kind is float:
+        return repr(value)
+    if kind is int or isinstance(value, str):
+        return str(value)
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def rendered_csv_text(header, rows) -> str:
+    """One header line, then one line per row, every cell through ``_render``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_render, row) for row in rows)
+    return buf.getvalue()
+
+
 def loop_countries_csv(draws) -> str:
     lines = [",".join(COUNTRY_COLUMNS)]
     for draw in draws:
@@ -648,7 +675,7 @@ def zip_mixture_variance(zip_fit, dm):
 def zero_flow_probability(zip_fit, dm):
     """Per-dyad zero mass psi + (1 - psi) e^{-mu} of the fitted mixture."""
     u, mu = _zip_stages(zip_fit, dm)
-    return _placed(dm, np.exp(_zip_log_p0(u, mu)))
+    return _placed(dm, np.exp(_zip_log_p0(log_expit(u), log_expit(-u), mu)))
 
 
 def analytical_var_avg_ns(pred, zip_fit=None, dm=None):

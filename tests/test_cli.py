@@ -6,6 +6,7 @@ kept small since the statistical behaviour of each stage is covered by
 the per-module tests.
 """
 
+import collections
 import csv
 import io
 import json
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 import gravnet.cli
+import gravnet.synth
 from gravnet.cli import (
     EXIT_CONVERGENCE,
     EXIT_DEPENDENCY,
@@ -66,9 +68,9 @@ from gravnet.panel import (
     load_panel,
 )
 from gravnet.prediction import DEFAULT_REPLICATIONS, predict_ppml
-from gravnet.synth import SynthSpec, _render, _write_json, write_synth_panel
+from gravnet.synth import SynthSpec, _write_json, write_synth_panel
 
-from oracles import loop_report_rows
+from oracles import _render, loop_report_rows
 
 COVARIATES = ("const", "ln_gdp_i", "ln_gdp_j", "ln_dist", "contig", "rta")
 
@@ -942,6 +944,28 @@ def test_compare_error_in_a_worker_exits_as_in_process(zip_panel, tmp_path, monk
     assert (out / MANIFEST_NAME).read_bytes() == manifest
 
 
+def test_every_csv_cell_is_a_type_the_writer_spells_as_rendered(tmp_path, monkeypatch):
+    """Each stage hands ``_csv_text`` only cells that ``csv.writer`` spells
+    as ``oracles._render`` does; a ``bool`` would read ``True``, not ``1``."""
+    allowed = {str, int, float, np.int64, np.float64, type(None)}
+    seen = collections.Counter()
+
+    def recording(original):
+        def csv_text(header, rows):
+            rows = [list(row) for row in rows]
+            seen.update(type(cell) for row in rows for cell in row)
+            return original(header, rows)
+        return csv_text
+
+    monkeypatch.setattr(gravnet.synth, "_csv_text", recording(gravnet.synth._csv_text))
+    monkeypatch.setattr(gravnet.cli, "_csv_text", recording(gravnet.cli._csv_text))
+    spec = SynthSpec(n_countries=16, years=(1995, 2000), noise="zip", seed=11)
+    panel = write_synth_panel(spec, str(tmp_path / "panel"))
+    run_pipeline(write_config(tmp_path / "cfg.json", panel, tmp_path / "out", replications=10))
+    assert seen[float] and seen[int] and seen[str] and seen[type(None)], seen
+    assert set(seen) <= allowed, seen
+
+
 def rendered(rows) -> list:
     """Rows as the CSV writer spells their cells."""
     return [[_render(value) for value in row] for row in rows]
@@ -1049,9 +1073,10 @@ def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
 
 
 def test_stages_without_scipy_work_do_not_import_it(tmp_path):
-    """`import gravnet`, `predict`, `netstats`, `compare`, `report` and a
-    non-zip `synth` never load scipy; `predict` runs on the tree `fit`
-    left.  `compare` is pinned to one CPU, so its cells run in process."""
+    """`import gravnet`, `predict`, `netstats`, `compare`, `report` and
+    `synth` with every noise, the default and benchmark `zip` among them,
+    never load scipy; `predict` runs on the tree `fit` left.  `compare` is
+    pinned to one CPU, so its cells run in process."""
     spec = SynthSpec(n_countries=8, years=(2000,), noise="zip", seed=11)
     panel = write_synth_panel(spec, str(tmp_path / "panel"))
     args = ["--dyads", panel["dyads"], "--countries", panel["countries"],
@@ -1080,7 +1105,7 @@ def test_stages_without_scipy_work_do_not_import_it(tmp_path):
     runs = [(f"import sys, gravnet; {loaded}", args, ["[]"]),
             (stages, args, [f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}]", "[]"]),
             (compare, args, [f"{EXIT_OK}", "[]"])]
-    for noise in ("poisson", "lognormal"):
+    for noise in ("zip", "poisson", "lognormal"):
         synth_args = ["--out", str(tmp_path / noise), "--n-countries", "6", "--noise", noise]
         runs.append((synth, synth_args, [f"{EXIT_OK}", "[]"]))
     # the stages print progress first; the script's own lines come last
@@ -1168,6 +1193,32 @@ def test_observed_side_takes_the_scale_the_model_predicts(zip_panel, tmp_path):
     levels, _ = population_average(compute_statistic(observed, "NS_tot"))
     in_logs, _ = population_average(compute_statistic(logs, "NS_tot"))
     assert levels != in_logs
+
+
+@pytest.mark.parametrize("flags,field", [
+    pytest.param(["--noise", "lognormal", "--sigma-log", "nan"], "sigma_log", id="sigma-log-nan"),
+    pytest.param(["--mean-zero-score", "nan"], "mean_zero_score", id="mean-zero-score-nan"),
+    pytest.param(["--mean-log-flow", "nan"], "mean_log_flow", id="mean-log-flow-nan"),
+    pytest.param(["--mean-log-flow", "inf"], "mean_log_flow", id="mean-log-flow-inf"),
+    pytest.param(["--mean-log-flow", "900"], "mean_log_flow", id="mean-log-flow-900"),
+    pytest.param(["--noise", "poisson", "--mean-log-flow", "900"], "mean_log_flow",
+                 id="poisson-mean-log-flow-900"),
+    pytest.param(["--noise", "lognormal", "--mean-log-flow", "900"], "mean_log_flow",
+                 id="lognormal-mean-log-flow-900"),
+    pytest.param(["--gamma-slopes", "1,nan,-1,0.4,0.3"], "gamma_slopes", id="gamma-slopes-nan"),
+    pytest.param(["--theta-slopes", "1e308,-0.7,0.9,-0.5,-0.4"], "theta_slopes",
+                 id="theta-slopes-overflow"),
+    pytest.param(["--seed", str(2**64)], "seed", id="seed-2**64"),
+    pytest.param(["--years", f"2000,{2**64}"], "years", id="years-2**64"),
+])
+def test_synth_refuses_what_it_cannot_draw(tmp_path, capsys, flags, field):
+    """A spec whose values numpy cannot draw, or that would write a NaN,
+    exits 2 naming the field, and makes no output directory."""
+    out = tmp_path / "panel"
+    assert main(["synth", "--out", str(out), "--n-countries", "8", *flags]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("gravnet: error: ") and field in err, err
+    assert not out.exists()
 
 
 def test_synth_command_writes_panel_and_manifest(tmp_path):

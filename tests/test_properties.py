@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from scipy.special import expit, kolmogorov
+from scipy.special import expit, kolmogorov, log_expit
 
 import gravnet.netstats as netstats
 import gravnet.panel as panel_module
@@ -40,6 +40,8 @@ from gravnet.estimation import (
     EM_TOL,
     FitResult,
     ZipFitResult,
+    _expit,
+    _log_expit,
     fit_from_dict,
     fit_logit,
     fit_ols,
@@ -69,7 +71,6 @@ from gravnet.prediction import (
     EnsembleStream,
     LinkProbabilityMatrix,
     PredictedWeights,
-    _expit,
     link_probabilities,
     predict_ols,
     predict_ppml,
@@ -79,9 +80,15 @@ from gravnet.prediction import (
     stream_weighted_ensemble,
     threshold_by_manhattan,
 )
-from gravnet.synth import GENERATOR_COVARIATES, SynthSpec, _write_json, write_synth_panel
+from gravnet.synth import (
+    GENERATOR_COVARIATES,
+    SynthSpec,
+    _csv_text,
+    _write_json,
+    write_synth_panel,
+)
 
-from oracles import loop_ensemble_summary, loop_load_panel, transform_weight
+from oracles import loop_ensemble_summary, loop_load_panel, rendered_csv_text, transform_weight
 
 # a small value set makes tied probabilities, and ties with the observed
 # links, common
@@ -729,6 +736,55 @@ def test_expit_equals_scipy_bit_for_bit(x):
     want = expit(x)
     assert got.shape == want.shape == x.shape
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# scipy's branch point, the tails where log1p(exp(x)) rounds to exp(x) or
+# to x, the edges of exp's range, and the smallest normal and subnormal
+_LOG_EXPIT_EDGES = (0.0, 5e-324, 2.2250738585072014e-308, 1e-17, 36.7, 37.0, 709.78, 710.0,
+                    745.2, 1e308, np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@example(np.array([*_LOG_EXPIT_EDGES, *(-v for v in _LOG_EXPIT_EDGES), np.nan, -np.nan]))
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=40),
+              elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+def test_log_expit_equals_scipy_bit_for_bit(x):
+    """NaN payloads and signs, ±0, subnormals, ±inf and the edges of
+    ``exp``'s range included, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_expit(x)
+    want = log_expit(x)
+    assert got.shape == want.shape == x.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# ----------------------------------------------------------------- csv cells
+
+_CELLS = st.one_of(
+    st.text(st.characters(codec="utf-8"), max_size=12)
+    | st.sampled_from([",", '"', "a,b", 'say "hi"', "two\nlines", "cr\r", " ", "C\u00f4te"]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 1e16, 1e-5, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(np.float64),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example([[0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5],
+          [np.float64(-0.0), np.float64(1e16), np.float64(1e-5), np.float64(5e-324),
+           np.float64(math.nan), np.int64(-3), None, ""],
+          [None], [""], ['a,"b"\nc', "C\u00f4te", 2**64, -1]])
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=6), max_size=8))
+def test_csv_text_equals_the_rendered_oracle(rows):
+    """``_csv_text`` hands each row to ``csv.writer`` as it is and writes
+    the text the former per-cell renderer wrote, for every cell type the
+    row producers hand it."""
+    header = ("a", "b,c")
+    assert _csv_text(header, rows) == rendered_csv_text(header, rows)
 
 
 # ---------------------------------------------------------------- estimation

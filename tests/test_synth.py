@@ -9,7 +9,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import expit, log_expit
 
+import gravnet.synth
 from gravnet.errors import ValidationError
 from gravnet.estimation import fit_ols, fit_poisson_pml, fit_zip
 from gravnet.panel import build_cross_section, build_design_matrix, load_panel
@@ -107,8 +109,6 @@ def test_zip_zero_share_matches_mixture_probability():
     draw = generate_year(spec, 2000)
     off = ~np.eye(50, dtype=bool)
 
-    from scipy.special import expit
-
     psi = expit(draw.theta[0] + recomputed_indices(draw, draw.theta[1:]))
     mu = np.exp(draw.gamma[0] + recomputed_indices(draw, draw.gamma[1:]))
     p_zero = (psi + (1.0 - psi) * np.exp(-mu))[off]
@@ -117,6 +117,45 @@ def test_zip_zero_share_matches_mixture_probability():
     realized = (draw.weights[off] == 0.0).mean()
     se = np.sqrt((p_zero * (1.0 - p_zero)).sum()) / p_zero.size
     assert abs(realized - p_zero.mean()) <= 3.0 * se
+
+
+@pytest.mark.parametrize("n,seed", [(5, 0), (12, 3), (40, 7), (90, 11)])
+def test_zip_zero_stage_equals_the_scipy_reference(monkeypatch, n, seed):
+    """A zip year's structural-zero probabilities, log zero masses,
+    structural zeros and ``expected_zero_share`` are bit for bit those
+    computed with scipy's ``expit`` and ``log_expit``.  At this flow level
+    no Poisson count is 0, so the zero flows are exactly the structural
+    ones."""
+    spec = SynthSpec(n_countries=n, years=(2000,), noise="zip", seed=seed, mean_log_flow=30.0)
+
+    def draw_with(expit_, log_expit_):
+        seen = []
+
+        def recorded(func):
+            def call(*args):
+                seen.append(func(*args))
+                return seen[-1]
+            return call
+
+        monkeypatch.setattr(gravnet.synth, "_expit", recorded(expit_))
+        monkeypatch.setattr(gravnet.synth, "_log_expit", log_expit_)
+        monkeypatch.setattr(gravnet.synth, "_zip_log_p0", recorded(gravnet.synth._zip_log_p0))
+        draw = generate_year(spec, 2000)
+        monkeypatch.undo()
+        return draw, seen
+
+    draw, seen = draw_with(gravnet.synth._expit, gravnet.synth._log_expit)
+    reference, reference_seen = draw_with(expit, log_expit)
+    for got, want in zip(seen, reference_seen, strict=True):  # psi, then ln P(0)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    off = ~np.eye(n, dtype=bool)
+    structural = draw.weights[off] == 0.0
+    assert 0 < structural.sum() < structural.size
+    np.testing.assert_array_equal(structural, reference.weights[off] == 0.0)
+    np.testing.assert_array_equal(draw.weights.view(np.uint64), reference.weights.view(np.uint64))
+    assert np.float64(draw.expected_zero_share).view(np.uint64) == (
+        np.float64(reference.expected_zero_share).view(np.uint64)
+    )
 
 
 def test_written_panel_round_trips(tmp_path):
