@@ -60,7 +60,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -96,6 +96,7 @@ from .panel import (
 )
 from .prediction import (
     DEFAULT_REPLICATIONS,
+    EnsembleStream,
     LinkProbabilityMatrix,
     PredictedWeights,
     density_induced_binary,
@@ -651,6 +652,22 @@ def cmd_netstats(args) -> None:
                 stage.log_cell(year, tag, note)
 
 
+@dataclass(frozen=True)
+class _TimedStream(EnsembleStream):
+    """An ensemble stream that adds the seconds each replication takes to
+    come out of it, its generator's set-up and its draw, to ``draw_s[0]``."""
+
+    draw_s: list = field(default_factory=lambda: [0.0])
+
+    def __iter__(self):
+        replications = super().__iter__()
+        for _ in range(self.m):
+            started = time.perf_counter()
+            w = next(replications)
+            self.draw_s[0] += time.perf_counter() - started
+            yield w
+
+
 def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
     """One compare cell from picklable inputs: ``(report payload, note)``.
 
@@ -659,8 +676,10 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
     model; the ensemble streams from the cell's seed.  This
     is all of a cell's work, run in its ``_cell`` scope in the stage's
     process or in a worker, so its bytes do not depend on which.  The
-    note's ``duration_s`` and ``peak_rss_mb`` are measured, and an error
-    is named, in the process that ran the cell.
+    note's ``duration_s``, ``draw_s`` (the part of it spent drawing
+    replications, generators' set-up included; the rest is statistics)
+    and ``peak_rss_mb`` are measured, and an error is named, in the
+    process that ran the cell.
     """
     with _cell(year, tag) as note:
         seed = cell_seed(cfg.seed, year, tag)
@@ -668,13 +687,15 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
         _, net, pred = _cell_network(tag, network)
         lp = LinkProbabilityMatrix.from_dict(*xi) if xi else None
         if pred is None:
-            ensemble = stream_bernoulli_ensemble(lp, cfg.replications, seed)
+            stream = stream_bernoulli_ensemble(lp, cfg.replications, seed)
         else:
-            ensemble = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
+            stream = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
+        ensemble = _TimedStream(**{f.name: getattr(stream, f.name) for f in fields(stream)})
         report = build_comparison_report(observed, observed_ids, tag, net, ensemble, year=year)
         note.update(
             message=f"report written ({cfg.replications} replications)",
             replications=cfg.replications,
+            draw_s=ensemble.draw_s[0],
             n_dropped={s.kind: s.summary.n_dropped for s in report.statistics},
             peak_rss_mb=_peak_rss_mb(),
         )

@@ -4,9 +4,10 @@ Point predictions answer "what does the model say this network looks like";
 the functions here answer "how far is that from the network we saw".  Node
 statistics are compared with two-sample Kolmogorov-Smirnov tests, and
 ensemble spread turns into 95% confidence intervals.  An ensemble is walked
-once: each replication is validated into one network, every reported
-statistic is taken from that network, and only the per-replication averages
-are kept.
+once: each replication becomes one network, every reported statistic is
+taken from that network, and only the per-replication averages are kept.
+Every replication's weights are checked; a masked ensemble's adjacency, and
+what the statistics build from it, only once, at the first replication.
 Given an :class:`~gravnet.prediction.EnsembleStream`, each replication is
 drawn, summarised and dropped, so memory does not grow with the ensemble size
 beyond one scalar per replication and statistic.  An ensemble with a mask
@@ -209,20 +210,23 @@ def ensemble_summary(
     """Summarise statistics' population averages across replications.
 
     One pass over the ensemble, eager or streamed: each replication becomes
-    one validated network, every requested kind is taken from it, and the
-    replication is dropped before the next is drawn.  Kinds that cannot
-    change between replications (the binary kinds of a masked ensemble)
-    are taken from the first and counted for all ``m``.  A replication's
-    value is the kind's average over the nodes where it is defined; one
-    where it is defined nowhere is dropped (and counted).  Returns one
-    summary per entry of ``kinds``, in order.
+    one network, every requested kind is taken from it, and the
+    replication is dropped before the next is drawn.  A masked ensemble's
+    adjacency is validated once, at the first replication, and handed to
+    every later one with the intermediates built from it, so a later
+    replication checks only its weights.  Kinds that cannot change between
+    replications (the binary kinds of a masked ensemble) are taken from
+    the first and counted for all ``m``.  A replication's value is the
+    kind's average over the nodes where it is defined; one where it is
+    defined nowhere is dropped (and counted).  Returns one summary per
+    entry of ``kinds``, in order.
 
     Raises
     ------
     ValidationError
         If fewer than two replications exist, ``kinds`` is a string or
-        names an unknown kind, or a statistic is undefined in every
-        replication.
+        names an unknown kind, a replication is not ``n`` by ``n`` (named
+        by its index), or a statistic is undefined in every replication.
     """
     if ens.m < 2:
         raise ValidationError(f"need at least 2 replications, got {ens.m}")
@@ -235,10 +239,19 @@ def ensemble_summary(
     # mask, so the binary kinds take one value, from the first replication
     once = [] if ens.mask is None else [k for k in values if k not in WEIGHTED_KINDS]
     each = [kind for kind in values if kind not in once]
+    shape = (ens.n, ens.n)
+    adjacency = ens.mask
     for r, w in enumerate(ens):
-        net = TradeNetwork(w, adjacency=ens.mask)
-        if r == 0 and once:
-            _append_values(values, net, once, ens.m)
+        if np.shape(w) != shape:
+            raise ValidationError(
+                f"replication {r} has shape {np.shape(w)}, expected {shape}"
+            )
+        net = TradeNetwork(w, adjacency=adjacency)
+        if r == 0:
+            if once:
+                _append_values(values, net, once, ens.m)
+            if adjacency is not None:
+                adjacency = net._support
         _append_values(values, net, each, 1)
     return tuple(_summarise(kind, values[kind], ens.m - len(values[kind])) for kind in kinds)
 

@@ -25,12 +25,15 @@ exporting to the node, out: partners it exports to, tot: both),
 weighted families read the network's weights as given; a scale is a
 network of its own, such as :func:`log_positive`, the log scale.
 
-Every statistic is read from one profile of the network: the float
-adjacency, degrees, ``A + A^T``, strengths and cube-rooted weights are each
-built on first use and kept, so a set of kinds computed together by
-:func:`all_statistics` builds each of them at most once.  The statistics are
-kept there too, so each is computed at most once per profile, and weights
-that are the adjacency bit for bit (0/1 weights) answer
+Every statistic is read from one profile of the network: strengths and
+cube-rooted weights, and, from the network's validated adjacency (its
+``_support``), the float adjacency, degrees, ``A + A^T``, reciprocated-partner
+counts and ratio denominators.  Each is built on first use and kept, so a
+set of kinds computed together by :func:`all_statistics` builds each of them
+at most once, and networks handed one support (the replications of a masked
+ensemble) build its intermediates once between them.  The statistics are
+kept in the profile too, so each is computed at most once per profile, and
+weights that are the adjacency bit for bit (0/1 weights) answer
 ``NS``/``ANNS``/``WCC`` with the ``ND``/``ANND``/``BCC`` values already
 computed: the cube root of 1 is 1, so they are equal.
 
@@ -43,8 +46,8 @@ form would change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +69,84 @@ WEIGHTED_KINDS = (
 STAT_KINDS = BINARY_KINDS + WEIGHTED_KINDS
 
 
+class _built_once:
+    """A lazily built attribute: ``functools.cached_property`` without the
+    lock that one takes on every first access under Python 3.10 and 3.11.
+    The value goes into the instance's ``__dict__``, which shadows this
+    non-data descriptor from then on."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
+class _Support:
+    """A validated adjacency and the intermediates that read it alone.
+
+    Each network validates its adjacency into one of these; a network
+    handed another's support as its adjacency checks only its weights
+    against it, and shares everything built here.  ``a`` is the float
+    adjacency, ``a_sym`` is ``A + A^T``, ``degree`` maps
+    ``in``/``out``/``tot`` to the column sums, row sums and their total of
+    ``a``, and ``k_recip`` counts each node's bilateral partners.  Each is
+    built on first use and at most once, as is each ratio denominator
+    (:func:`_denominator`).
+    """
+
+    def __init__(self, adjacency: np.ndarray):
+        adjacency.setflags(write=False)
+        self.adjacency = adjacency
+        self.denominators = {}
+
+    @_built_once
+    def a(self) -> np.ndarray:
+        return self.adjacency.astype(float)
+
+    @_built_once
+    def a_sym(self) -> np.ndarray:
+        return self.a + self.a.T
+
+    @_built_once
+    def degree(self) -> dict:
+        return _by_direction(self.a)
+
+    @_built_once
+    def k_recip(self) -> np.ndarray:
+        return (self.a * self.a.T).sum(axis=1)
+
+    @_built_once
+    def off(self) -> np.ndarray:
+        """Flat positions of the adjacency's zeros."""
+        return np.flatnonzero(self.adjacency == 0)
+
+    @_built_once
+    def everywhere(self) -> np.ndarray:
+        """The ``defined`` flags of a statistic defined at every node."""
+        defined = np.ones(self.adjacency.shape[0], dtype=bool)
+        defined.setflags(write=False)
+        return defined
+
+
+def _validated_support(raw, shape) -> _Support:
+    """``raw`` as a support for weights of ``shape``, or the refusal."""
+    raw = np.asarray(raw)
+    if raw.shape != shape:
+        raise ValidationError(f"adjacency shape {raw.shape} != weights shape {shape}")
+    if not ((raw == 0) | (raw == 1)).all():
+        raise ValidationError("adjacency entries must be 0 or 1")
+    a = raw.astype(np.int8)
+    if a.diagonal().any():
+        raise ValidationError("adjacency must have a zero diagonal")
+    return _Support(a)
+
+
 @dataclass(frozen=True)
 class TradeNetwork:
     """One directed network: an N x N weight matrix plus its adjacency.
@@ -74,7 +155,10 @@ class TradeNetwork:
     requires non-negative weights (level scale).  An explicit adjacency
     permits real-valued weights (e.g. log-scale predictions, where negative
     entries are meaningful); in that case weights must vanish off the
-    adjacency support.
+    adjacency support.  Inside the package, ``adjacency`` may also be
+    another network's ``_support``: the adjacency is then taken as already
+    validated, only the weights are checked against it, and the
+    intermediates built from it are shared.
     """
 
     weights: np.ndarray
@@ -84,34 +168,34 @@ class TradeNetwork:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError(f"weights must be square, got shape {w.shape}")
-        if not np.isfinite(w).all():
+        # a NaN propagates through both reductions and an infinity is one of
+        # them; ``initial`` keeps the 0 x 0 network, which has no entry
+        lo, hi = w.min(initial=0.0), w.max(initial=0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("weights must be finite")
-        if np.any(np.diag(w) != 0.0):
+        if w.diagonal().any():
             raise ValidationError("weight matrix must have a zero diagonal")
-        if self.adjacency is None:
-            if np.any(w < 0.0):
+        support = self.adjacency
+        if support is None:
+            if lo < 0.0:
                 raise ValidationError(
                     "negative weights require an explicit adjacency matrix"
                 )
-            a = (w > 0.0).astype(np.int8)
+            support = _Support((w > 0.0).view(np.int8))
         else:
-            raw = np.asarray(self.adjacency)
-            if raw.shape != w.shape:
+            if not isinstance(support, _Support):
+                support = _validated_support(support, w.shape)
+            elif support.adjacency.shape != w.shape:
                 raise ValidationError(
-                    f"adjacency shape {raw.shape} != weights shape {w.shape}"
+                    f"adjacency shape {support.adjacency.shape} != weights shape {w.shape}"
                 )
-            if not ((raw == 0) | (raw == 1)).all():
-                raise ValidationError("adjacency entries must be 0 or 1")
-            a = raw.astype(np.int8)
-            if np.any(np.diag(a) != 0):
-                raise ValidationError("adjacency must have a zero diagonal")
-            # w is finite here, so no NaN slips through the comparison
-            if np.any((w != 0.0) & (a == 0)):
+            # w is finite here, so a nonzero is a number, and -0.0 is zero
+            if w.take(support.off).any():
                 raise ValidationError("weights must be zero where adjacency is zero")
         w.setflags(write=False)
-        a.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "adjacency", a)
+        object.__setattr__(self, "adjacency", support.adjacency)
+        object.__setattr__(self, "_support", support)
 
     @property
     def n(self) -> int:
@@ -124,7 +208,8 @@ class NodeStatVector:
 
     ``values`` holds NaN at undefined entries; ``defined`` marks the nodes
     where the statistic exists.  Both are read-only: a statistic read from
-    another one (see :class:`_Profile`) shares its arrays.
+    another one (see :class:`_Profile`) shares its arrays, and statistics
+    with one denominator share their ``defined`` flags.
     """
 
     kind: str
@@ -135,6 +220,16 @@ class NodeStatVector:
         for name in ("values", "defined"):
             object.__setattr__(self, name, np.asarray(getattr(self, name)))
             getattr(self, name).setflags(write=False)
+
+
+def _node_stat(kind: str, values: np.ndarray, defined: np.ndarray) -> NodeStatVector:
+    """``NodeStatVector(kind, values, defined)`` of arrays built here, which
+    its ``__post_init__`` would keep as they are: ``values`` is set
+    read-only, and ``defined`` is a read-only flag array already."""
+    values.setflags(write=False)
+    stat = object.__new__(NodeStatVector)
+    stat.__dict__.update(kind=kind, values=values, defined=defined)
+    return stat
 
 
 def log_positive(net: TradeNetwork) -> TradeNetwork:
@@ -160,63 +255,76 @@ def check_statistics(kinds) -> None:
             raise ValidationError(f"unknown statistic kind {kind!r}")
 
 
-def _ratio_stat(kind: str, numer: np.ndarray, denom: np.ndarray) -> NodeStatVector:
-    defined = denom > 0
-    values = np.divide(numer, denom, out=np.full(numer.shape, np.nan), where=defined)
-    return NodeStatVector(kind=kind, values=values, defined=defined)
+#: Each ratio denominator, by name, from a support's intermediates: the
+#: binary degrees (the partner averages) and the clustering denominators.
+_DENOMINATORS = {
+    "in": lambda s: s.degree["in"],
+    "out": lambda s: s.degree["out"],
+    "tot": lambda s: s.degree["tot"],
+    "cyc_mid": lambda s: s.degree["in"] * s.degree["out"] - s.k_recip,
+    "in_pairs": lambda s: s.degree["in"] * (s.degree["in"] - 1.0),
+    "out_pairs": lambda s: s.degree["out"] * (s.degree["out"] - 1.0),
+    "tot_pairs": lambda s: 2.0 * (s.degree["tot"] * (s.degree["tot"] - 1.0) - 2.0 * s.k_recip),
+}
 
 
-def _defined_everywhere(kind: str, values: np.ndarray) -> NodeStatVector:
-    return NodeStatVector(kind=kind, values=values, defined=np.ones(values.size, dtype=bool))
+def _denominator(s: _Support, name: str) -> tuple:
+    """``(divisor, defined)`` of the denominator ``name`` on ``s``, built once.
+
+    ``defined`` is where the denominator is positive; ``divisor`` is the
+    denominator there and NaN elsewhere, so one division gives a ratio
+    statistic's values, NaN where undefined, with no division by zero.
+    """
+    pair = s.denominators.get(name)
+    if pair is None:
+        denom = _DENOMINATORS[name](s)
+        defined = denom > 0
+        defined.setflags(write=False)
+        pair = s.denominators[name] = (np.where(defined, denom, np.nan), defined)
+    return pair
+
+
+def _ratio_stat(kind: str, numer: np.ndarray, s: _Support, denominator: str) -> NodeStatVector:
+    divisor, defined = _denominator(s, denominator)
+    return _node_stat(kind, numer / divisor, defined)
+
+
+def _defined_everywhere(kind: str, p: _Profile, values: np.ndarray) -> NodeStatVector:
+    return _node_stat(kind, values, p.support.everywhere)
 
 
 class _Profile:
     """Intermediates one network's statistics share.
 
-    Each is built on first use and at most once, so a subset of kinds pays
-    only for the intermediates it reads.  ``a`` is the float adjacency and
-    ``w_hat`` the element-wise cube roots of the network's weights;
-    ``degree`` and ``strength`` map ``in``/``out``/``tot`` to the column
-    sums, row sums and their total of ``a`` and of the weights.  ``stats``
-    keeps every statistic computed from the profile, so each is computed
-    at most once.
+    Those of its adjacency are its network's :class:`_Support`, shared with
+    every network on it; ``w_hat`` (the element-wise cube roots of the
+    weights) and ``strength`` (``in``/``out``/``tot`` to the column sums,
+    row sums and their total of the weights) read the weights.  Each is
+    built on first use and at most once, so a subset of kinds pays only
+    for the intermediates it reads.  ``stats`` keeps every statistic
+    computed from the profile, so each is computed at most once.
     """
 
     def __init__(self, net: TradeNetwork):
         self.net = net
+        self.support = net._support
         self.stats = {}
 
-    @cached_property
-    def a(self) -> np.ndarray:
-        return self.net.adjacency.astype(float)
-
-    @cached_property
-    def a_sym(self) -> np.ndarray:
-        return self.a + self.a.T
-
-    @cached_property
-    def degree(self) -> dict:
-        return _by_direction(self.a)
-
-    @cached_property
-    def k_recip(self) -> np.ndarray:
-        return (self.a * self.a.T).sum(axis=1)
-
-    @cached_property
+    @_built_once
     def strength(self) -> dict:
         return _by_direction(self.net.weights)
 
-    @cached_property
+    @_built_once
     def w_hat(self) -> np.ndarray:
         return np.cbrt(self.net.weights)
 
-    @cached_property
+    @_built_once
     def w_is_a(self) -> bool:
         """Whether the weights are ``a`` bit for bit, as for 0/1 weights:
         each weighted statistic then equals its binary twin, the cube root
         of 1 being 1.  Bits, not values, so a -0.0 weight counts as a
         difference."""
-        return np.array_equal(self.net.weights.view(np.uint64), self.a.view(np.uint64))
+        return bool((self.net.weights.view(np.uint64) == self.support.a.view(np.uint64)).all())
 
 
 def _by_direction(m: np.ndarray) -> dict:
@@ -235,50 +343,46 @@ def _neighbor_average(kind: str, p: _Profile, neighbor: dict, variant: str) -> N
     twice in numerator and denominator alike; that double counting is
     intentional.  Undefined where the denominator degree is 0.
     """
-    k = p.degree
+    s = p.support
     if variant == "in_in":
-        numer, denom = p.a.T @ neighbor["in"], k["in"]
+        numer, denom = s.a.T @ neighbor["in"], "in"
     elif variant == "in_out":
-        numer, denom = p.a.T @ neighbor["out"], k["in"]
+        numer, denom = s.a.T @ neighbor["out"], "in"
     elif variant == "out_in":
-        numer, denom = p.a @ neighbor["in"], k["out"]
+        numer, denom = s.a @ neighbor["in"], "out"
     elif variant == "out_out":
-        numer, denom = p.a @ neighbor["out"], k["out"]
+        numer, denom = s.a @ neighbor["out"], "out"
     else:  # tot
-        numer, denom = p.a_sym @ neighbor["tot"], k["tot"]
-    return _ratio_stat(kind, numer, denom)
+        numer, denom = s.a_sym @ neighbor["tot"], "tot"
+    return _ratio_stat(kind, numer, s, denom)
 
 
 def _clustering(kind: str, p: _Profile, variant: str, weighted: bool) -> NodeStatVector:
     """Shared motif machinery: triple products of m count motifs, where m is
     the adjacency for the binary case and the element-wise cube roots of the
-    weights otherwise; the binary degrees drive the denominators.
+    weights otherwise; the binary degrees drive the denominators, which the
+    binary and weighted kinds of a variant share.
 
     Variants: ``cyc`` (i->j->k->i), ``mid`` (i imports from j and exports to
     k, j->k), ``in`` (two suppliers of i trading), ``out`` (two customers of
     i trading), ``tot`` (all motifs, undirected total).  Weights are
     deliberately not rescaled into [0, 1], so a weighted value may exceed 1.
     """
-    m = p.w_hat if weighted else p.a
+    s = p.support
+    m = p.w_hat if weighted else s.a
     mt = m.T
-    k_in, k_out, k_tot = p.degree["in"], p.degree["out"], p.degree["tot"]
     if variant == "cyc":
-        factors = (m, m, m)
-        denom = k_in * k_out - p.k_recip
+        factors, denom = (m, m, m), "cyc_mid"
     elif variant == "mid":
-        factors = (m, mt, m)
-        denom = k_in * k_out - p.k_recip
+        factors, denom = (m, mt, m), "cyc_mid"
     elif variant == "in":
-        factors = (mt, m, m)
-        denom = k_in * (k_in - 1.0)
+        factors, denom = (mt, m, m), "in_pairs"
     elif variant == "out":
-        factors = (m, m, mt)
-        denom = k_out * (k_out - 1.0)
+        factors, denom = (m, m, mt), "out_pairs"
     else:  # tot
-        s = m + mt if weighted else p.a_sym
-        factors = (s, s, s)
-        denom = 2.0 * (k_tot * (k_tot - 1.0) - 2.0 * p.k_recip)
-    return _ratio_stat(kind, _diag_of_product(*factors, exact=not weighted), denom)
+        sym = m + mt if weighted else s.a_sym
+        factors, denom = (sym, sym, sym), "tot_pairs"
+    return _ratio_stat(kind, _diag_of_product(*factors, exact=not weighted), s, denom)
 
 
 def _diag_of_product(x: np.ndarray, y: np.ndarray, z: np.ndarray, exact: bool) -> np.ndarray:
@@ -293,7 +397,7 @@ def _diag_of_product(x: np.ndarray, y: np.ndarray, z: np.ndarray, exact: bool) -
     """
     if exact:
         return ((x @ y) * z.T).sum(axis=1)
-    return np.diag(x @ y @ z)
+    return (x @ y @ z).diagonal()
 
 
 #: The binary statistic each weighted one equals when the weights are the
@@ -308,7 +412,7 @@ def _statistic(p: _Profile, kind: str) -> NodeStatVector:
         twin = _BINARY_TWIN.get(kind)
         if twin is not None and p.w_is_a:
             same = _statistic(p, twin)
-            stat = NodeStatVector(kind, same.values, same.defined)
+            stat = _node_stat(kind, same.values, same.defined)
         else:
             stat = _compute(p, kind)
         p.stats[kind] = stat
@@ -319,11 +423,11 @@ def _compute(p: _Profile, kind: str) -> NodeStatVector:
     """One catalogue statistic, computed from the profile's intermediates."""
     family, _, rest = kind.partition("_")
     if family == "ND":
-        return _defined_everywhere(kind, p.degree[rest])
+        return _defined_everywhere(kind, p, p.support.degree[rest])
     if family == "NS":
-        return _defined_everywhere(kind, p.strength[rest])
+        return _defined_everywhere(kind, p, p.strength[rest])
     if family == "ANND":
-        return _neighbor_average(kind, p, p.degree, rest)
+        return _neighbor_average(kind, p, p.support.degree, rest)
     if family == "ANNS":
         return _neighbor_average(kind, p, p.strength, rest)
     return _clustering(kind, p, rest, weighted=family == "WCC")

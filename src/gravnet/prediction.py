@@ -493,18 +493,23 @@ def stream_weighted_ensemble(
             raise ValidationError("log-linear sampling needs the prediction's mask and sigma2")
         sd = np.sqrt(pred.sigma2)
         mask = pred.mask
-        linked = mask != 0
-        value = pred.value[linked]
+        # the masked dyads' flat positions, in row-major order
+        linked = np.flatnonzero(mask)
+        value = pred.value.take(linked)
 
         def draw(g):
-            out = np.zeros((n, n))
+            out = np.zeros(n * n)
             out[linked] = value + sd * g.standard_normal(value.size)
-            return out
+            return out.reshape(n, n)
 
     elif pred.model_tag == "PPML":
 
         def draw(g):
-            return np.where(off, g.poisson(pred.value), 0.0)
+            # a diagonal mean is drawn, as every entry is, and its count
+            # discarded: the diagonal of a network is empty
+            out = g.poisson(pred.value).astype(float)
+            out.ravel()[:: n + 1] = 0.0
+            return out
 
     elif pred.model_tag == "ZIP":
         if link_probs is None:
@@ -514,15 +519,15 @@ def stream_weighted_ensemble(
         xi = link_probs.xi
         # no uniform falls below a link probability of 0, so such a dyad is
         # never linked and needs no count-stage mean
-        mu = np.divide(pred.value, xi, out=np.zeros((n, n)), where=off & (xi > 0))
+        mu = np.divide(pred.value, xi, out=np.zeros((n, n)), where=off & (xi > 0)).ravel()
 
         def draw(g):
             # uniforms on the whole grid, then one count per drawn link in
             # row-major order: the order is part of the seeded format
-            links = (g.random((n, n)) < xi) & off
-            out = np.zeros((n, n))
-            out[links] = g.poisson(mu[links])
-            return out
+            links = np.flatnonzero((g.random((n, n)) < xi) & off)
+            out = np.zeros(n * n)
+            out[links] = g.poisson(mu.take(links))
+            return out.reshape(n, n)
 
     else:
         raise ValidationError(f"cannot sample weighted networks for {pred.model_tag}")

@@ -5,13 +5,16 @@ by term from the defining sums, sharing no code with the package. The tests
 assert agreement between the vectorized package code and these; keep them
 dumb and readable rather than fast.
 
-Two references are former package code rather than transcriptions.
+Several references are former package code rather than transcriptions.
 ``loop_ensemble_summary`` is the former per-kind ensemble summary, kept as
-the reference for the one-pass version. It reuses the package's network and
-statistic code, so it pins only the restructured replication loop, and
-agreement with it is exact. ``loop_load_panel`` is the former row-by-row CSV
-loader, one frozen record per row, kept as the reference for the columnar
-one: same values, same first fault, same message. ``loop_countries_csv`` and
+the reference for the one-pass version, and ``loop_replication_summary`` the
+former one-pass loop, which validated a fresh network per draw, kept as the
+reference for the loop that validates a masked ensemble's adjacency once.
+Both reuse the package's network and statistic code, so they pin only the
+restructured replication loop, and agreement with them is exact.
+``loop_load_panel`` is the former row-by-row CSV loader, one frozen record
+per row, kept as the reference for the columnar one: same values, same
+first fault, same message. ``loop_countries_csv`` and
 ``loop_dyads_csv`` are the former synth writers, one hand-joined line per row
 and one formatted numpy scalar per cell, kept as the reference for the
 row writer: same text, byte for byte. ``_render`` is the former cell
@@ -46,6 +49,7 @@ from gravnet.netstats import (
     TradeNetwork,
     _defined_everywhere,
     _Profile,
+    all_statistics,
     compute_statistic,
     population_average,
 )
@@ -457,6 +461,25 @@ def loop_ensemble_summary(ens, kind):
             dropped += 1
             continue
         values.append(avg)
+    return _summary_of(kind, values, dropped)
+
+
+def loop_replication_summary(ens, kinds):
+    """Summaries of ``kinds`` by the former replication loop: each draw
+    validated into a fresh network on the ensemble's mask, every kind taken
+    from it by ``all_statistics`` and averaged by ``population_average``."""
+    values = {kind: [] for kind in kinds}
+    for w in ens:
+        net = TradeNetwork(w, adjacency=ens.mask)
+        for kind, stat in all_statistics(net, kinds).items():
+            try:
+                values[kind].append(population_average(stat)[0])
+            except ValidationError:
+                continue
+    return tuple(_summary_of(kind, values[kind], ens.m - len(values[kind])) for kind in kinds)
+
+
+def _summary_of(kind, values, dropped):
     if not values:
         raise ValidationError(f"{kind}: undefined in every replication")
     arr = np.asarray(values)
@@ -713,4 +736,5 @@ def analytical_var_avg_ns(pred, zip_fit=None, dm=None):
 
 def reciprocal_degree(net):
     """``ND_recip``: the number of bilateral partners, sum_j a_ij a_ji."""
-    return _defined_everywhere("ND_recip", _Profile(net).k_recip)
+    profile = _Profile(net)
+    return _defined_everywhere("ND_recip", profile, profile.support.k_recip)

@@ -18,6 +18,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -893,6 +894,44 @@ def test_compare_bytes_do_not_depend_on_the_worker_count(zip_panel, tmp_path, mo
     assert trees[1].keys() == trees[2].keys()
     for rel in trees[1]:
         assert trees[1][rel] == trees[2][rel], f"{rel} differs between 1 and 2 workers"
+
+
+def test_compare_cells_log_the_time_they_spend_drawing(zip_panel, tmp_path, monkeypatch):
+    # each compare cell's record splits its duration: draw_s is the part
+    # spent drawing replications, generator set-up included, measured in
+    # the process that ran the cell, in process and in workers alike
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out)
+    run_pipeline(cfg, ("fit", "predict"))
+    # the LOGIT ensemble sleeps 2 ms in each of its 40 draws
+    stream = gravnet.cli.stream_bernoulli_ensemble
+
+    def sleepy(*args):
+        real = stream(*args)
+
+        def draw(g):
+            time.sleep(0.002)
+            return real.draw(g)
+
+        return replace(real, draw=draw)
+
+    monkeypatch.setattr(gravnet.cli, "stream_bernoulli_ensemble", sleepy)
+    for workers in (1, 2):
+        monkeypatch.setattr(gravnet.cli, "_usable_cpus", lambda: workers)
+        before = len((out / LOG_NAME).read_text().splitlines())
+        assert main(["compare", "--config", cfg]) == EXIT_OK
+        records = [json.loads(line) for line in (out / LOG_NAME).read_text().splitlines()]
+        cells = records[before:]
+        assert [(r["command"], r["year"], r["model"]) for r in cells] == [
+            ("compare", year, tag) for year in (1995, 2000) for tag in MODEL_TAGS
+        ]
+        for r in cells:
+            assert isinstance(r["draw_s"], float), r
+            assert 0.0 < r["draw_s"] <= r["duration_s"], r
+            if r["model"] == "LOGIT":
+                assert r["draw_s"] >= 40 * 0.002, r
+    # the log stays out of the manifest
+    assert LOG_NAME not in json.loads((out / MANIFEST_NAME).read_text())["artifacts"]
 
 
 def test_in_order_reads_at_most_two_calls_per_worker_ahead():

@@ -30,6 +30,7 @@ from gravnet.errors import ValidationError
 from gravnet.estimation import fit_ols, fit_poisson_pml, fit_zip
 from gravnet.netstats import TradeNetwork, density
 from gravnet.prediction import (
+    EnsembleStream,
     LinkProbabilityMatrix,
     NetworkEnsemble,
     PredictedWeights,
@@ -227,6 +228,38 @@ def test_mask_ensemble_undefined_binary_kinds_are_dropped_every_time():
             loop_ensemble_summary(stack, kind)
         with pytest.raises(ValidationError, match=f"{kind}: undefined in every replication"):
             ensemble_summary(stream, ("ND_tot", kind))
+
+
+def test_ensemble_summary_refuses_a_replication_of_the_wrong_shape():
+    # 4 x 4 draws for 3 countries: summarised as 4-node networks when
+    # unmasked, refused with the mask's shape message when masked; each is
+    # refused by its index, masked or not, eager or streamed
+    ids = country_names(3)
+    four = np.roll(np.eye(4), 1, axis=1)
+    three = np.roll(np.eye(3), 1, axis=1)
+    mask = three.astype(np.int8)
+    ensembles = {
+        "unmasked": EnsembleStream("PPML", ids, 3, 0, lambda g: four),
+        "masked": EnsembleStream("OLS", ids, 3, 0, lambda g: four, mask),
+        "eager": NetworkEnsemble("PPML", ids, np.stack([four] * 3), seed=0),
+    }
+    for ens in ensembles.values():
+        with pytest.raises(
+            ValidationError, match=r"^replication 0 has shape \(4, 4\), expected \(3, 3\)$"
+        ):
+            ensemble_summary(ens, REPORT_KINDS)
+    # a later replication by its own index, after the mask was handed on
+    for mask_or_none in (mask, None):
+        stack = NetworkEnsemble("PPML", ids, np.stack([three, three, three]), 0, mask_or_none)
+        draws = iter([three, three, three[:2]])
+        late = EnsembleStream("PPML", ids, 3, 0, lambda g: next(draws), mask_or_none)
+        with pytest.raises(
+            ValidationError, match=r"^replication 2 has shape \(2, 3\), expected \(3, 3\)$"
+        ):
+            ensemble_summary(late, REPORT_KINDS)
+        # the same stream of the right shape is summarised
+        draws = iter([three, three, three])
+        assert ensemble_summary(late, ("ND_tot",)) == ensemble_summary(stack, ("ND_tot",))
 
 
 def test_ensemble_summary_rejects_an_unknown_kind():

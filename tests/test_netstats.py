@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,135 @@ def test_network_validation():
             TradeNetwork(stray, adjacency=a)
     with pytest.raises(ValidationError, match="finite"):
         TradeNetwork(np.where(a == 1, np.nan, 0.0), adjacency=a)
+
+
+def _refusal_case(adjacency=None, **entries):
+    """``(weights, adjacency)`` of a 3-node network with one link, 0 -> 1,
+    with ``entries`` written in: ``w12=v`` sets weight (1, 2) to v, and
+    ``a12=v`` the entry (1, 2) of a copy of ``adjacency``."""
+    w = np.zeros((3, 3))
+    w[0, 1] = 1.0
+    a = None if adjacency is None else adjacency.copy()
+    for at, value in entries.items():
+        target = w if at[0] == "w" else a
+        target[int(at[1]), int(at[2])] = value
+    return w, a
+
+
+def _link_adjacency(dtype=int):
+    a = np.zeros((3, 3), dtype=dtype)
+    a[0, 1] = 1
+    return a
+
+
+# each refusal with its message, alone and where several faults meet, so the
+# first check that fails is the one named: shape, finite, weight diagonal,
+# then the sign (derived adjacency) or the adjacency's shape, entries,
+# diagonal and support (given adjacency)
+_REFUSALS = {
+    "not square": (np.zeros((2, 3)), None, "weights must be square, got shape (2, 3)"),
+    "nan": (*_refusal_case(w12=np.nan), "weights must be finite"),
+    "+inf": (*_refusal_case(w12=np.inf), "weights must be finite"),
+    "-inf": (*_refusal_case(w12=-np.inf), "weights must be finite"),
+    "nan on the diagonal": (*_refusal_case(w11=np.nan), "weights must be finite"),
+    "nonzero diagonal": (*_refusal_case(w22=2.0), "weight matrix must have a zero diagonal"),
+    "nonzero diagonal before negative": (
+        *_refusal_case(w22=2.0, w10=-1.0), "weight matrix must have a zero diagonal"
+    ),
+    "negative without adjacency": (
+        *_refusal_case(w10=-1.0), "negative weights require an explicit adjacency matrix"
+    ),
+    "-inf before negative": (*_refusal_case(w10=-1.0, w12=-np.inf), "weights must be finite"),
+    "adjacency shape": (
+        *_refusal_case(adjacency=np.zeros((2, 2), dtype=int)),
+        "adjacency shape (2, 2) != weights shape (3, 3)",
+    ),
+    "adjacency 0.5": (
+        *_refusal_case(adjacency=_link_adjacency(float), a12=0.5),
+        "adjacency entries must be 0 or 1",
+    ),
+    "adjacency 2": (
+        *_refusal_case(adjacency=_link_adjacency(), a12=2), "adjacency entries must be 0 or 1"
+    ),
+    "adjacency nan": (
+        *_refusal_case(adjacency=_link_adjacency(float), a12=np.nan),
+        "adjacency entries must be 0 or 1",
+    ),
+    "adjacency diagonal": (
+        *_refusal_case(adjacency=_link_adjacency(), a00=1), "adjacency must have a zero diagonal"
+    ),
+    "weight off the support": (
+        *_refusal_case(adjacency=_link_adjacency(), w20=3.0),
+        "weights must be zero where adjacency is zero",
+    ),
+    "negative weight off the support": (
+        *_refusal_case(adjacency=_link_adjacency(), w20=-1e-300),
+        "weights must be zero where adjacency is zero",
+    ),
+    "non-0/1 adjacency before the support": (
+        *_refusal_case(adjacency=_link_adjacency(float), a12=0.5, w20=3.0),
+        "adjacency entries must be 0 or 1",
+    ),
+    "adjacency diagonal before the support": (
+        *_refusal_case(adjacency=_link_adjacency(), a11=1, w20=3.0),
+        "adjacency must have a zero diagonal",
+    ),
+    "weight diagonal before the adjacency": (
+        *_refusal_case(adjacency=_link_adjacency(float), a12=0.5, w11=1.0),
+        "weight matrix must have a zero diagonal",
+    ),
+    "nan before the adjacency": (
+        *_refusal_case(adjacency=np.zeros((2, 2)), w20=np.nan), "weights must be finite"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS, ids=list(_REFUSALS))
+def test_every_refusal_keeps_its_message_and_precedence(case):
+    weights, adjacency, message = _REFUSALS[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        TradeNetwork(weights, adjacency)
+
+
+_HANDED_REFUSALS = {
+    "nan": (_refusal_case(w12=np.nan)[0], "weights must be finite"),
+    "nonzero diagonal": (_refusal_case(w22=2.0)[0], "weight matrix must have a zero diagonal"),
+    "weight off the support": (
+        _refusal_case(w20=3.0)[0], "weights must be zero where adjacency is zero"
+    ),
+    "nan off the support": (_refusal_case(w20=np.nan)[0], "weights must be finite"),
+    "shape": (np.zeros((4, 4)), "adjacency shape (3, 3) != weights shape (4, 4)"),
+}
+
+
+@pytest.mark.parametrize("case", _HANDED_REFUSALS, ids=list(_HANDED_REFUSALS))
+def test_a_network_on_a_handed_over_adjacency_checks_its_weights(case):
+    # a validated network's adjacency, handed to the next network as the
+    # replications of a masked ensemble hand it on: only the weights are
+    # checked, with the messages of a given adjacency
+    first = TradeNetwork(*_refusal_case(adjacency=_link_adjacency()))
+    weights, message = _HANDED_REFUSALS[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        TradeNetwork(weights, first._support)
+    # what it accepts it accepts as on the given adjacency, sharing it
+    signed = _refusal_case(w01=-2.5)[0]
+    handed = TradeNetwork(signed, first._support)
+    given = TradeNetwork(signed, _link_adjacency())
+    assert handed.adjacency is first.adjacency
+    assert handed.adjacency.tobytes() == given.adjacency.tobytes()
+    assert handed.adjacency.dtype == given.adjacency.dtype == np.int8
+    assert not handed.weights.flags.writeable and not handed.adjacency.flags.writeable
+    want = all_statistics(given)
+    for kind, stat in all_statistics(handed).items():
+        assert stat.values.tobytes() == want[kind].values.tobytes(), kind
+
+
+def test_the_empty_network_is_accepted():
+    # no entry to reduce over: the 0 x 0 network passes every check
+    for adjacency in (None, np.zeros((0, 0), dtype=int)):
+        net = TradeNetwork(np.zeros((0, 0)), adjacency)
+        assert net.n == 0 and net.adjacency.shape == (0, 0)
+        assert net.adjacency.dtype == np.int8
 
 
 def test_unknown_kind_and_direction_rejected():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -88,7 +89,13 @@ from gravnet.synth import (
     write_synth_panel,
 )
 
-from oracles import loop_ensemble_summary, loop_load_panel, rendered_csv_text, transform_weight
+from oracles import (
+    loop_ensemble_summary,
+    loop_load_panel,
+    loop_replication_summary,
+    rendered_csv_text,
+    transform_weight,
+)
 
 # a small value set makes tied probabilities, and ties with the observed
 # links, common
@@ -300,6 +307,78 @@ def test_replication_draws_what_a_fresh_generator_draws(method, seed, m):
     for r, w in enumerate(drawn):
         fresh = draw(np.random.default_rng([seed, r]))
         assert w.dtype == fresh.dtype and w.tobytes() == fresh.tobytes()
+
+
+@st.composite
+def summary_streams(draw):
+    """``(stream, kinds)``: a stream of 0/1 weights (as bool draws or as
+    floats), of levels, or of signed logs on a mask, on a support with an
+    isolated node (0) and a degree-1 node (1, which exports to 2 only).
+    Unmasked, a replication is empty now and then, so the partner averages
+    and clusterings are dropped in some replications; a sparse support
+    leaves some undefined in every one."""
+    n = draw(st.integers(min_value=4, max_value=10))
+    m = draw(st.integers(min_value=2, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    scale = draw(st.sampled_from(("bool", "zero_one", "levels", "logs")))
+    masked = scale == "logs" or (scale != "bool" and draw(st.booleans()))
+    density = draw(st.sampled_from((0.0, 0.5, 0.7, 0.9)))
+    p_empty = draw(st.sampled_from((0.0, 0.3)))
+    kinds = draw(st.sampled_from((REPORT_KINDS, STAT_KINDS)))
+    support = np.random.default_rng(seed).random((n, n)) < density
+    np.fill_diagonal(support, False)
+    support[:2, :] = support[:, :2] = False
+    support[1, 2] = True
+
+    def draw_weights(g):
+        links = support if masked else support & (g.random((n, n)) < 0.7)
+        if not masked and g.random() < p_empty:
+            links = np.zeros((n, n), dtype=bool)
+        if scale == "bool":
+            return links
+        if scale == "zero_one":
+            # half the draws weigh every link 1, so the weights are the
+            # adjacency; the others leave some links at weight 0
+            keep = g.random((n, n)) < (1.0 if g.random() < 0.5 else 0.9)
+            return (links & keep).astype(float)
+        if scale == "levels":
+            return np.where(links, g.poisson(2.0, (n, n)) * g.exponential(size=(n, n)), 0.0)
+        return np.where(links, g.normal(scale=2.0, size=(n, n)), 0.0)
+
+    mask = support.astype(np.int8) if masked else None
+    ids = tuple(f"c{i}" for i in range(n))
+    stream = EnsembleStream(scale, ids, m, seed, draw_weights, mask)
+    return stream, kinds
+
+
+def _summary_bits(summary) -> tuple:
+    return tuple(
+        np.float64(v).tobytes() if isinstance(v, float) else v
+        for v in dataclasses.astuple(summary)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(summary_streams())
+def test_ensemble_summary_equals_the_fresh_network_loop_bit_for_bit(case):
+    """A masked ensemble's adjacency is validated once and handed on with
+    its intermediates; every summary equals, bit for bit, the former loop's,
+    which built and validated a fresh network per draw, and a kind that is
+    undefined in every replication is refused with the same message (and
+    the others are then compared without it)."""
+    stream, kinds = case
+    kinds = list(kinds)
+    while True:
+        try:
+            want = loop_replication_summary(stream, kinds)
+            break
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                ensemble_summary(stream, kinds)
+            # the rest of the kinds without the one refused
+            kinds.remove(str(exc).split(":")[0])
+    got = ensemble_summary(stream, kinds)
+    assert [_summary_bits(s) for s in got] == [_summary_bits(s) for s in want]
 
 
 @st.composite
