@@ -69,6 +69,7 @@ from .compare import build_comparison_report, check_countries, report_as_dict, r
 from .errors import ConvergenceError, DependencyError, SchemaError, ValidationError
 from .estimation import (
     ZipFitResult,
+    _ndtr,
     attach_vuong,
     fit_from_dict,
     fit_logit,
@@ -476,11 +477,9 @@ def _variant_fits(fits: dict) -> list:
 
 
 def _significance(estimate: float, se: float) -> str:
-    from scipy.special import ndtr
-
     if not np.isfinite(se) or se <= 0.0:
         return ""
-    p = 2.0 * float(ndtr(-abs(estimate / se)))
+    p = 2.0 * _ndtr(-abs(estimate / se))
     if p < 0.001:
         return "***"
     if p < 0.01:

@@ -11,12 +11,17 @@ log-likelihood change, and report classical inverse-Fisher covariance
 matrices.  The ZIP covariance comes from the observed information of the
 mixture likelihood, not from the two M-step solvers, so the reported
 standard errors account for the latent zero labels being estimated.
+
+The special functions the fits need (the logistic and its log, log(y!) and
+the normal CDF) and the rank check of each design are computed here with
+scipy's bits and scipy's rank decisions, so fitting loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +57,12 @@ STEP_TOL = 1e-6
 #: Step-halving budget per IRLS iteration; 2^-30 of a Newton step is as
 #: good as stuck, so further halving cannot rescue the iteration.
 MAX_STEP_HALVINGS = 30
+
+#: LAPACK's threshold for computing a downdated column norm again.
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+#: The largest x whose exp(x) is finite, log(DBL_MAX) (cephes' MAXLOG).
+_EXP_LIMIT = 709.782712893384
 
 
 @dataclass(frozen=True)
@@ -175,9 +186,55 @@ class VuongResult:
     n_obs: int
 
 
-def _check_design(X: np.ndarray, names, min_rows: int = None) -> None:
-    from scipy.linalg import qr
+def _pivoted_r_diagonal(X: np.ndarray):
+    """|diag(R)| of the column-pivoted QR of ``X``, and its column order.
 
+    The pivot rule of LAPACK's unblocked ``xLAQP2``, which ``dgeqp3``
+    (behind ``scipy.linalg.qr(pivoting=True)``) runs on designs of fewer
+    than 32 columns: each step takes the first column of largest partial
+    norm, reflects it onto its diagonal with a Householder reflection,
+    and downdates the norms of the columns left, computing a norm again
+    where the downdate has lost most of its digits (LAPACK Working Note
+    176).
+    """
+    a = np.array(X, dtype=float, order="F")
+    n, p = a.shape
+    order = np.arange(p)
+    partial = np.linalg.norm(a, axis=0)
+    exact = partial.copy()  # each column's norm when last computed in full
+    diag = np.zeros(min(n, p))
+    for i in range(min(n, p)):
+        pivot = i + int(np.argmax(partial[i:]))
+        if pivot != i:
+            a[:, [i, pivot]] = a[:, [pivot, i]]
+            order[[i, pivot]] = order[[pivot, i]]
+            partial[pivot], exact[pivot] = partial[i], exact[i]
+        alpha = a[i, i]
+        below = a[i + 1:, i]
+        below_norm = float(np.linalg.norm(below))
+        if below_norm == 0.0:  # the reflection is the identity
+            diag[i] = abs(alpha)
+            update = [0.0] * (p - i - 1)
+        else:
+            beta = -math.copysign(math.hypot(alpha, below_norm), alpha)
+            diag[i] = abs(beta)
+            v = np.concatenate(([1.0], below * (1.0 / (alpha - beta))))
+            # xLARF: w = C' v, then C -= tau v w', tau = (beta - alpha) / beta
+            update = ((alpha - beta) / beta * (v @ a[i:, i + 1:])).tolist()
+        for j, coefficient in enumerate(update, start=i + 1):
+            column = a[i:, j]
+            if coefficient:
+                column += coefficient * v
+            if partial[j] != 0.0:
+                kept = max(1.0 - (abs(column[0]) / partial[j]) ** 2, 0.0)
+                if kept * (partial[j] / exact[j]) ** 2 <= _SQRT_EPS:
+                    partial[j] = exact[j] = float(np.linalg.norm(column[1:]))
+                else:
+                    partial[j] *= math.sqrt(kept)
+    return diag, order
+
+
+def _check_design(X: np.ndarray, names, min_rows: int = None) -> None:
     n, p = X.shape
     if len(names) != p:
         raise ValidationError(f"{len(names)} names for {p} columns")
@@ -186,8 +243,7 @@ def _check_design(X: np.ndarray, names, min_rows: int = None) -> None:
         raise ValidationError(f"{n} rows are too few for {p} regressors")
     if not np.isfinite(X).all():
         raise ValidationError("design matrix contains non-finite entries")
-    _, r, pivot = qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    diag, pivot = _pivoted_r_diagonal(X)
     if diag.size and diag[0] > 0.0:
         rank = int((diag > diag[0] * max(X.shape) * np.finfo(float).eps).sum())
     else:
@@ -259,34 +315,140 @@ def fit_ols(dm) -> FitResult:
     return _fitted("OLS", dm, beta, vcov, float(loglik), r2, 0, sigma2=sigma2)
 
 
+def _per_element(func, x: np.ndarray) -> np.ndarray:
+    """``func`` of each element of the 1-D float array ``x``: the C library's
+    ``exp`` or ``log`` through ``math``, where numpy's vectorised ones differ
+    from it in the last bits."""
+    return np.fromiter(map(func, x.tolist()), dtype=float, count=x.size)
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.expit(x)`` bit for bit, without importing scipy.
+
+    scipy computes ``1 / (1 + exp(-x))`` with the C library's ``exp``.
+    Here that ``exp`` runs, through ``math.exp``, on each element whose
+    ``exp(-x)`` is finite; the rest take ``inf``, so 1 / (1 + inf) is 0.
+    The mask is written so that a NaN takes the ``exp`` path and stays NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    neg = -x
+    finite = ~(neg > _EXP_LIMIT)
+    e = np.full(x.shape, np.inf)
+    e[finite] = _per_element(math.exp, neg[finite])
+    return 1.0 / (1.0 + e)
+
+
+def _log_expit(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.log_expit(x)`` bit for bit, without importing scipy.
+
+    scipy computes ``x - log1p(exp(x))`` for ``x < 0`` and
+    ``-log1p(exp(-x))`` otherwise with the C library's ``exp`` and
+    ``log1p``; numpy's float64 ``logaddexp(0, -x)`` calls the same two,
+    element by element, in the same branch order.  A NaN compares as
+    invalid inside it, and comes out as NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        return -np.logaddexp(0.0, -np.asarray(x, dtype=float))
+
+
+# cephes lgam's rational approximations: A for the Stirling correction up
+# to x = 1000, B / C on [2, 3)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+           -3.31612992738871184744e5, -1.16237097492762307383e6,
+           -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4,
+           -2.20528590553854454839e5, -1.13933444367982507207e6,
+           -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_LGAM_MAX = 2.556348e305  # above it lgam overflows
+
+
+def _polevl(x, coefficients):
+    """cephes ``polevl``: Horner's rule, highest power first."""
+    value = coefficients[0]
+    for c in coefficients[1:]:
+        value = value * x + c
+    return value
+
+
+def _p1evl(x, coefficients):
+    """cephes ``p1evl``: ``_polevl`` with a leading coefficient of 1."""
+    return _polevl(x, (1.0, *coefficients))
+
+
+def _log_factorial(y: np.ndarray) -> np.ndarray:
+    """``scipy.special.gammaln(y + 1)`` bit for bit for ``y >= 0``, without
+    importing scipy: cephes ``lgam``, which scipy runs, on x = y + 1 >= 1.
+
+    Below 13, the recurrence shifts x into [2, 3), and a rational function
+    there is added to the log of the shifts' product; from 13 on it is
+    Stirling's series, with fewer terms from 1000 and none above 1e8.  Each
+    log is the C library's, through ``math.log``.
+    """
+    x = y + 1.0
+    out = x.copy()  # inf stays inf
+    small = x < 13.0
+    xs = x[small]
+    shift = np.zeros_like(xs)
+    product = np.ones_like(xs)
+    u = xs.copy()
+    down = u >= 3.0
+    while down.any():
+        shift[down] -= 1.0
+        u[down] = xs[down] + shift[down]
+        product[down] *= u[down]
+        down = u >= 3.0
+    up = u < 2.0  # x in [1, 2): one step up
+    product[up] /= u[up]
+    shift[up] += 1.0
+    u[up] = xs[up] + shift[up]
+    t = xs + (shift - 2.0)
+    log_product = _per_element(math.log, product)
+    out[small] = np.where(
+        u == 2.0, log_product, log_product + t * _polevl(t, _LGAM_B) / _p1evl(t, _LGAM_C)
+    )
+    large = (x >= 13.0) & (x <= _LGAM_MAX)
+    xl = x[large]
+    q = (xl - 0.5) * _per_element(math.log, xl) - xl + _LOG_SQRT_2PI
+    series = xl <= 1.0e8
+    xm = xl[series]
+    p = 1.0 / (xm * xm)
+    q[series] += np.where(
+        xm >= 1000.0,
+        ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+         + 0.0833333333333333333333) / xm,
+        _polevl(p, _LGAM_A) / xm,
+    )
+    out[large] = q
+    out[(x > _LGAM_MAX) & np.isfinite(x)] = np.inf
+    return out
+
+
 def _poisson_moments(eta):
     mu = np.exp(eta)
     return mu, mu
 
 
-def _poisson_rows(y, eta, mu):
-    from scipy.special import gammaln
-
+def _poisson_rows(y, eta, mu, log_y_factorial):
     # per-row Poisson log likelihood, lgamma normalizer included
-    return y * eta - mu - gammaln(y + 1.0)
+    return y * eta - mu - log_y_factorial
 
 
-def _poisson_q(y, eta, mu, omega):
-    return float(np.sum(omega * _poisson_rows(y, eta, mu)))
+def _poisson_q(y, eta, mu, omega, log_y_factorial):
+    return float(np.sum(omega * _poisson_rows(y, eta, mu, log_y_factorial)))
 
 
 def _logit_moments(eta):
-    from scipy.special import expit
-
-    prob = expit(eta)
+    prob = _expit(eta)
     return prob, prob * (1.0 - prob)
 
 
 def _bernoulli_q(r, eta, prob, omega):
-    from scipy.special import log_expit
-
     # log_expit keeps the tails finite where log(prob) would underflow
-    return float(np.sum(omega * (r * log_expit(eta) + (1.0 - r) * log_expit(-eta))))
+    return float(np.sum(omega * (r * _log_expit(eta) + (1.0 - r) * _log_expit(-eta))))
 
 
 def _irls(X, y, omega, start, moments, loglik):
@@ -362,14 +524,20 @@ def _glm_fit(tag, family, dm, y, outcome, moments, null_loglik):
     return _fitted(tag, dm, beta, vcov, loglik, 1.0 - loglik / null_loglik(y), len(trace) - 1)
 
 
+def _nonnegative_flows(dm) -> np.ndarray:
+    """``dm``'s flows as floats, refused unless every one is non-negative."""
+    y = np.asarray(dm.y, dtype=float)
+    if np.any(y < 0):
+        raise ValidationError("flows must be non-negative")
+    return y
+
+
 def _count_response(dm, both_zero_and_positive: bool = False) -> np.ndarray:
     """The float response of a count model (PPML, logit, ZIP) fitted on
     ``dm``, once the design and the response are checked: the flows must
     be non-negative, and include zeros and positives when asked."""
     _check_design(dm.X, dm.columns)
-    y = np.asarray(dm.y, dtype=float)
-    if np.any(y < 0):
-        raise ValidationError("flows must be non-negative")
+    y = _nonnegative_flows(dm)
     zero = y == 0.0
     if both_zero_and_positive and (zero.all() or not zero.any()):
         raise ValidationError("flows must include both zeros and positives")
@@ -380,9 +548,10 @@ def _ols_log1p_start(X, y):
     return np.linalg.solve(X.T @ X, X.T @ np.log1p(y))
 
 
-def _poisson_null_loglik(y):
+def _poisson_null_loglik(y, log_y_factorial):
     ybar = y.mean()
-    return _poisson_q(y, np.full_like(y, np.log(ybar)), np.full_like(y, ybar), 1.0)
+    return _poisson_q(y, np.full_like(y, np.log(ybar)), np.full_like(y, ybar), 1.0,
+                      log_y_factorial)
 
 
 def fit_poisson_pml(dm) -> FitResult:
@@ -393,8 +562,11 @@ def fit_poisson_pml(dm) -> FitResult:
     """
     X = dm.X
     y = _count_response(dm)
-    outcome = _irls(X, y, 1.0, _ols_log1p_start(X, y), _poisson_moments, _poisson_q)
-    return _glm_fit("PPML", "Poisson", dm, y, outcome, _poisson_moments, _poisson_null_loglik)
+    log_y_factorial = _log_factorial(y)
+    outcome = _irls(X, y, 1.0, _ols_log1p_start(X, y), _poisson_moments,
+                    partial(_poisson_q, log_y_factorial=log_y_factorial))
+    return _glm_fit("PPML", "Poisson", dm, y, outcome, _poisson_moments,
+                    partial(_poisson_null_loglik, log_y_factorial=log_y_factorial))
 
 
 def _bernoulli_null_loglik(a):
@@ -432,67 +604,28 @@ def fit_logit(dm) -> FitResult:
     return _glm_fit("LOGIT", "logit", dm, a, outcome, _logit_moments, _bernoulli_null_loglik)
 
 
-def _per_element(func, x: np.ndarray) -> np.ndarray:
-    """``func`` of each element of the float array ``x``, as a float array."""
-    values = map(func, x.ravel().tolist())
-    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
-
-
-def _logistic(v: float) -> float:
-    try:
-        return 1.0 / (1.0 + math.exp(-v))
-    except OverflowError:  # exp(-v) is inf, and 1 / (1 + inf) is 0
-        return 0.0
-
-
-def _log_logistic(v: float) -> float:
-    return v - math.log1p(math.exp(v)) if v < 0.0 else -math.log1p(math.exp(-v))
-
-
-def _expit(x: np.ndarray) -> np.ndarray:
-    """``scipy.special.expit(x)`` bit for bit, without importing scipy.
-
-    scipy computes ``1 / (1 + exp(-x))`` with the C library's ``exp``,
-    which ``math.exp`` also calls, so each element here has the same
-    bits; numpy's vectorised ``exp`` differs from it in the last bits.
-    One Python call per element: for the few logistic evaluations of
-    ``predict`` and ``synth``, not for the iterations of a fit.
-    """
-    return _per_element(_logistic, x)
-
-
-def _log_expit(x: np.ndarray) -> np.ndarray:
-    """``scipy.special.log_expit(x)`` bit for bit, without importing scipy.
-
-    scipy computes ``x - log1p(exp(x))`` for ``x < 0`` and
-    ``-log1p(exp(-x))`` otherwise, with the C library's ``exp`` and
-    ``log1p``, which ``math`` also calls; neither ``exp`` can overflow.
-    """
-    return _per_element(_log_logistic, x)
-
-
 def _zip_log_p0(log_psi, log_one_minus_psi, mu):
     """ln P(0) = ln(psi + (1-psi) e^{-mu}) in log space, from ln psi and
     ln(1 - psi) of psi = expit(u), i.e. log_expit(u) and log_expit(-u)."""
     return np.logaddexp(log_psi, log_one_minus_psi - mu)
 
 
-def _zip_row_loglik(y, u, v):
+def _zip_row_loglik(y, u, v, log_y_factorial):
     """Per-row ZIP log likelihood; u is the logit stage linear predictor
     (zero probability side), v the Poisson stage predictor."""
-    from scipy.special import log_expit
-
     mu = np.exp(v)
     zero = y == 0.0
     out = np.empty_like(y)
-    out[zero] = _zip_log_p0(log_expit(u[zero]), log_expit(-u[zero]), mu[zero])
+    out[zero] = _zip_log_p0(_log_expit(u[zero]), _log_expit(-u[zero]), mu[zero])
     pos = ~zero
-    out[pos] = log_expit(-u[pos]) + _poisson_rows(y[pos], v[pos], mu[pos])
+    out[pos] = _log_expit(-u[pos]) + _poisson_rows(
+        y[pos], v[pos], mu[pos], log_y_factorial[pos]
+    )
     return out
 
 
-def _zip_loglik(y, u, v) -> float:
-    return float(_zip_row_loglik(y, u, v).sum())
+def _zip_loglik(y, u, v, log_y_factorial) -> float:
+    return float(_zip_row_loglik(y, u, v, log_y_factorial).sum())
 
 
 def _zip_failure(message, theta, gamma, trace) -> ConvergenceError:
@@ -502,34 +635,31 @@ def _zip_failure(message, theta, gamma, trace) -> ConvergenceError:
     )
 
 
-def _zip_em(X, y, theta, gamma):
+def _zip_em(X, y, log_y_factorial, theta, gamma):
     """EM for the ZIP likelihood. Returns (theta, gamma, trace, converged)."""
-    from scipy.special import log_expit
-
     zero = y == 0.0
+    poisson_q = partial(_poisson_q, log_y_factorial=log_y_factorial)
     u, v = X @ theta, X @ gamma
     with np.errstate(over="ignore"):  # an overflow is a non-finite start, refused below
-        ll = _zip_loglik(y, u, v)
+        ll = _zip_loglik(y, u, v, log_y_factorial)
     trace = [ll]
     if not np.isfinite(ll):
         raise _zip_failure("ZIP starting values give non-finite likelihood", theta, gamma, trace)
     for _ in range(MAX_EM_ITERATIONS):
         # E-step: posterior probability that a zero is structural
         z_hat = np.zeros_like(y)
-        log_psi = log_expit(u[zero])
-        log_p0 = _zip_log_p0(log_psi, log_expit(-u[zero]), np.exp(v[zero]))
+        log_psi = _log_expit(u[zero])
+        log_p0 = _zip_log_p0(log_psi, _log_expit(-u[zero]), np.exp(v[zero]))
         z_hat[zero] = np.exp(log_psi - log_p0)
 
         # M-steps: fractional-response logit and case-weighted Poisson
         theta, _, th_ok, th_div = _irls(X, z_hat, 1.0, theta, _logit_moments, _bernoulli_q)
-        gamma, _, ga_ok, ga_div = _irls(
-            X, y, 1.0 - z_hat, gamma, _poisson_moments, _poisson_q
-        )
+        gamma, _, ga_ok, ga_div = _irls(X, y, 1.0 - z_hat, gamma, _poisson_moments, poisson_q)
         if th_div or ga_div or not (th_ok and ga_ok):
             raise _zip_failure("ZIP M-step failed to converge", theta, gamma, trace)
 
         u, v = X @ theta, X @ gamma
-        ll_new = _zip_loglik(y, u, v)
+        ll_new = _zip_loglik(y, u, v, log_y_factorial)
         trace.append(ll_new)
         if ll_new < ll - 1e-8 * (1.0 + abs(ll)):
             raise _zip_failure(f"EM log-likelihood decreased ({ll} -> {ll_new})",
@@ -545,12 +675,10 @@ def _zip_em(X, y, theta, gamma):
 def _zip_information(X, y, theta, gamma):
     """Observed information of the ZIP likelihood at (theta, gamma),
     assembled from per-row second derivatives in (u, v) = (x'theta, x'gamma)."""
-    from scipy.special import expit, log_expit
-
     u = X @ theta
     v = X @ gamma
     mu = np.exp(v)
-    psi = expit(u)
+    psi = _expit(u)
     s = psi * (1.0 - psi)
     zero = y == 0.0
 
@@ -563,7 +691,7 @@ def _zip_information(X, y, theta, gamma):
     psz = psi[zero]
     sz = s[zero]
     ez = np.exp(-muz)
-    p0 = np.exp(_zip_log_p0(log_expit(uz), log_expit(-uz), muz))
+    p0 = np.exp(_zip_log_p0(_log_expit(uz), _log_expit(-uz), muz))
     one_e = 1.0 - ez
     h_uu[zero] = sz * one_e * ((1.0 - 2.0 * psz) * p0 - sz * one_e) / p0**2
     h_uv[zero] = sz * muz * ez * (p0 + (1.0 - psz) * one_e) / p0**2
@@ -579,10 +707,10 @@ def _zip_information(X, y, theta, gamma):
     return -np.vstack([top, bottom])
 
 
-def _fit_zip_core(X, y):
+def _fit_zip_core(X, y, log_y_factorial):
     theta0 = np.zeros(X.shape[1])
     gamma0 = _ols_log1p_start(X, y)
-    theta, gamma, trace, converged = _zip_em(X, y, theta0, gamma0)
+    theta, gamma, trace, converged = _zip_em(X, y, log_y_factorial, theta0, gamma0)
     if not converged:
         raise _zip_failure("ZIP EM did not converge", theta, gamma, trace)
     return theta, gamma, trace
@@ -597,7 +725,8 @@ def fit_zip(dm) -> ZipFitResult:
     """
     X = dm.X
     y = _count_response(dm, both_zero_and_positive=True)
-    theta, gamma, trace = _fit_zip_core(X, y)
+    log_y_factorial = _log_factorial(y)
+    theta, gamma, trace = _fit_zip_core(X, y, log_y_factorial)
     loglik = trace[-1]
     iterations = len(trace) - 1
 
@@ -611,7 +740,7 @@ def fit_zip(dm) -> ZipFitResult:
 
     # Pseudo-R2 against the intercept-only ZIP null, fitted by the same EM
     ones = np.ones((len(y), 1))
-    null_trace = _fit_zip_core(ones, y)[2]
+    null_trace = _fit_zip_core(ones, y, log_y_factorial)[2]
     pseudo = 1.0 - loglik / null_trace[-1]
 
     return ZipFitResult(
@@ -621,16 +750,69 @@ def fit_zip(dm) -> ZipFitResult:
     )
 
 
+# cephes ndtr.c's rational approximations: erfc on [1, 8) (P / Q) and from
+# 8 on (R / S), erf below 1 (T / U)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _erf(x: float) -> float:
+    """cephes ``erf`` for |x| < 1/sqrt(2), the arguments ``_ndtr`` passes."""
+    if x < 0.0:
+        return -_erf(-x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """cephes ``erfc`` for x >= 1/sqrt(2), the arguments ``_ndtr`` passes."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_EXP_LIMIT:
+        return 0.0  # exp(z) underflows
+    if x < 8.0:
+        p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
+    else:
+        p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
+    return (math.exp(z) * p) / q
+
+
+def _ndtr(a: float) -> float:
+    """``scipy.special.ndtr(a)``, the standard normal CDF, bit for bit
+    without importing scipy: cephes ``ndtr``, which scipy runs, with the
+    C library's ``exp`` through ``math.exp``."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y
+
+
 def vuong_test(zip_result: ZipFitResult, poisson_result: FitResult, dm) -> VuongResult:
     """Vuong non-nested comparison of the ZIP fit against plain Poisson.
 
     Positive values favor the zero-inflated model.  Both fits must come
     from the same design matrix rows.
     """
-    from scipy.special import ndtr
-
     X = dm.X
-    y = np.asarray(dm.y, dtype=float)
+    y = _nonnegative_flows(dm)
     names = tuple(dm.columns)
     for part in (zip_result.logit_part, zip_result.poisson_part, poisson_result):
         if part.names != names:
@@ -638,12 +820,13 @@ def vuong_test(zip_result: ZipFitResult, poisson_result: FitResult, dm) -> Vuong
         if part.n_obs != X.shape[0]:
             raise ValidationError("fits cover a different number of rows")
 
+    log_y_factorial = _log_factorial(y)
     ll_zip = _zip_row_loglik(
         y, X @ zip_result.logit_part.coefficients,
-        X @ zip_result.poisson_part.coefficients,
+        X @ zip_result.poisson_part.coefficients, log_y_factorial,
     )
     eta = X @ poisson_result.coefficients
-    ll_pois = _poisson_rows(y, eta, np.exp(eta))
+    ll_pois = _poisson_rows(y, eta, np.exp(eta), log_y_factorial)
 
     m = ll_zip - ll_pois
     sd = float(m.std())
@@ -652,7 +835,7 @@ def vuong_test(zip_result: ZipFitResult, poisson_result: FitResult, dm) -> Vuong
             "per-row likelihoods are identical; the Vuong statistic is undefined"
         )
     statistic = float(np.sqrt(len(m)) * m.mean() / sd)
-    p_value = float(2.0 * ndtr(-abs(statistic)))
+    p_value = 2.0 * _ndtr(-abs(statistic))
     return VuongResult(statistic=statistic, p_value=p_value, n_obs=len(m))
 
 

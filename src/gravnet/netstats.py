@@ -238,7 +238,7 @@ def log_positive(net: TradeNetwork) -> TradeNetwork:
     (log 0) stays a link.  The scale on which level observations meet
     log-scale predictions."""
     w = net.weights
-    return TradeNetwork(np.log(w, out=np.zeros_like(w), where=w > 0.0), net.adjacency)
+    return TradeNetwork(np.log(w, out=np.zeros_like(w), where=w > 0.0), net._support)
 
 
 def check_statistics(kinds) -> None:

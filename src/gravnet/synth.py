@@ -315,7 +315,7 @@ def _json_text(value, indent: str = "") -> str:
         ]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        if value and not any(isinstance(item, (list, tuple, dict)) for item in value):
+        if value and not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, value))):
             # the item separator carries the line break and the indent
             items = [json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]]
         else:

@@ -21,6 +21,7 @@ import oracles
 from gravnet.cli import main
 from gravnet.compare import build_comparison_report, ks_two_sample
 from gravnet.estimation import (
+    _log_factorial,
     _ols_log1p_start,
     _zip_em,
     fit_logit,
@@ -194,7 +195,8 @@ def test_estimators_recover_generating_coefficients(tmp_path):
             hits["ZIP"] += _within_3se(zf.poisson_part, gamma)
             hits["ZIP"] += _within_3se(zf.logit_part, theta)
             trace = np.array(
-                _zip_em(dm.X, y, np.zeros(dm.X.shape[1]), _ols_log1p_start(dm.X, y))[2]
+                _zip_em(dm.X, y, _log_factorial(y), np.zeros(dm.X.shape[1]),
+                        _ols_log1p_start(dm.X, y))[2]
             )
             assert np.all(np.diff(trace) >= -1e-8 * (1.0 + np.abs(trace[:-1])))
     for tag, events in hits.items():

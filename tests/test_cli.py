@@ -1111,11 +1111,12 @@ def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
     assert trees[0] == trees[1]
 
 
-def test_stages_without_scipy_work_do_not_import_it(tmp_path):
-    """`import gravnet`, `predict`, `netstats`, `compare`, `report` and
-    `synth` with every noise, the default and benchmark `zip` among them,
-    never load scipy; `predict` runs on the tree `fit` left.  `compare` is
-    pinned to one CPU, so its cells run in process."""
+def test_no_stage_imports_scipy(tmp_path):
+    """`import gravnet`, every stage (`fit`, `predict`, `netstats`,
+    `compare`, `report`) and `synth` with every noise, the default and
+    benchmark `zip` among them, never load scipy; the stages rerun on the
+    tree a first pass left.  `compare` is pinned to one CPU, so its cells
+    run in process."""
     spec = SynthSpec(n_countries=8, years=(2000,), noise="zip", seed=11)
     panel = write_synth_panel(spec, str(tmp_path / "panel"))
     args = ["--dyads", panel["dyads"], "--countries", panel["countries"],
@@ -1129,7 +1130,7 @@ def test_stages_without_scipy_work_do_not_import_it(tmp_path):
     stages = (
         "import sys; from gravnet.cli import main\n"
         "codes = [main([command, *sys.argv[1:]])\n"
-        "         for command in ('predict', 'netstats', 'report')]\n"
+        "         for command in ('fit', 'predict', 'netstats', 'report')]\n"
         f"print(codes); {loaded}"
     )
     synth = (
@@ -1142,7 +1143,7 @@ def test_stages_without_scipy_work_do_not_import_it(tmp_path):
         f"print(main(['compare', *sys.argv[1:]])); {loaded}"
     )
     runs = [(f"import sys, gravnet; {loaded}", args, ["[]"]),
-            (stages, args, [f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}]", "[]"]),
+            (stages, args, [f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}, {EXIT_OK}]", "[]"]),
             (compare, args, [f"{EXIT_OK}", "[]"])]
     for noise in ("zip", "poisson", "lognormal"):
         synth_args = ["--out", str(tmp_path / noise), "--n-countries", "6", "--noise", noise]

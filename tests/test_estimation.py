@@ -16,6 +16,7 @@ from gravnet.errors import (
 from gravnet.estimation import (
     FitResult,
     ZipFitResult,
+    _log_factorial,
     _zip_em,
     _zip_information,
     _zip_loglik,
@@ -389,7 +390,7 @@ def test_zip_em_trace_is_monotone():
     X, y = simulate_zip(rng, 600, [-0.2, 0.7], [0.9, 0.6])
     theta0 = np.zeros(2)
     gamma0 = np.linalg.solve(X.T @ X, X.T @ np.log1p(y))
-    _, _, trace, converged = _zip_em(X, y, theta0, gamma0)
+    _, _, trace, converged = _zip_em(X, y, _log_factorial(y), theta0, gamma0)
     assert converged
     diffs = np.diff(np.array(trace))
     assert np.all(diffs >= -1e-8 * (1.0 + np.abs(np.array(trace[:-1]))))
@@ -400,7 +401,7 @@ def test_zip_failure_at_a_non_finite_start_carries_its_coefficients():
     X, y = simulate_zip(rng, 60, [-0.2, 0.7], [0.9, 0.6])
     theta0, gamma0 = np.zeros(2), np.array([800.0, 0.0])  # exp(800) overflows
     with pytest.raises(ConvergenceError) as info:
-        _zip_em(X, y, theta0, gamma0)
+        _zip_em(X, y, _log_factorial(y), theta0, gamma0)
     assert "non-finite likelihood" in str(info.value)
     # the last (theta, gamma), stacked, as every ZIP failure carries them
     np.testing.assert_array_equal(info.value.last_coefficients, [0.0, 0.0, 800.0, 0.0])
@@ -424,7 +425,7 @@ def test_zip_on_pure_poisson_data_nests():
     # Likelihood-level nesting: psi pinned to ~0 reproduces the Poisson fit
     u = np.full(n, -40.0)
     v = with_const(x) @ pois_fit.coefficients
-    assert _zip_loglik(y, u, v) == pytest.approx(pois_fit.loglik, abs=1e-6)
+    assert _zip_loglik(y, u, v, _log_factorial(y)) == pytest.approx(pois_fit.loglik, abs=1e-6)
 
 
 def test_zip_loglik_matches_direct_maximizer():
@@ -490,7 +491,7 @@ def test_zip_row_loglik_matches_loop_oracle_row_by_row():
     v = rng.normal(1.0, 1.0, n)
     y = np.where(rng.random(n) < expit(u), 0.0, rng.poisson(np.exp(v))).astype(float)
     assert (y == 0).any() and (y > 0).any()
-    rows = _zip_row_loglik(y, u, v)
+    rows = _zip_row_loglik(y, u, v, _log_factorial(y))
     want = [oracles.loop_zip_loglik([yi], [expit(ui)], [math.exp(vi)])
             for yi, ui, vi in zip(y, u, v)]
     np.testing.assert_allclose(rows, want, rtol=1e-12, atol=0.0)
@@ -579,6 +580,10 @@ def test_vuong_checks_matching_design():
     other = make_dm(X[:100], y[:100], ("const", "x"))
     with pytest.raises(ValidationError):
         vuong_test(zip_fit, pois_fit, other)
+    # the same rows with one negative flow: log(y!) has no meaning there
+    negative = make_dm(X, np.where(np.arange(len(y)) == 7, -1.0, y), ("const", "x"))
+    with pytest.raises(ValidationError, match="non-negative"):
+        vuong_test(zip_fit, pois_fit, negative)
 
 
 @pytest.mark.slow

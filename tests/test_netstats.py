@@ -90,11 +90,21 @@ def test_shared_profile_matches_per_kind_calls_and_builds_weights_once(monkeypat
         return original(m)
 
     monkeypatch.setattr(netstats, "_by_direction", counting)
-    all_statistics(log_positive(net), STAT_KINDS)
+    # counted on fresh networks, which have built nothing yet
+    logged = log_positive(TradeNetwork(net.weights))
+    all_statistics(logged, STAT_KINDS)
     assert len(calls) == 2  # degrees and strengths, shared by all 26 kinds
     calls.clear()
-    all_statistics(log_positive(net), BINARY_KINDS)
+    all_statistics(log_positive(TradeNetwork(net.weights)), BINARY_KINDS)
     assert len(calls) == 1  # binary kinds never read the weights
+
+    # the log scale is the same support: the levels reuse its degrees
+    levels = TradeNetwork(net.weights)
+    assert log_positive(levels)._support is levels._support
+    all_statistics(log_positive(levels), BINARY_KINDS)
+    calls.clear()
+    all_statistics(levels, STAT_KINDS)
+    assert len(calls) == 1  # the strengths of the levels only
 
 
 def test_three_cycle_known_values():

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from scipy.special import expit, kolmogorov, log_expit
+from scipy.linalg import qr
+from scipy.special import expit, gammaln, kolmogorov, log_expit, ndtr
 
 import gravnet.netstats as netstats
 import gravnet.panel as panel_module
@@ -36,13 +37,16 @@ from gravnet.compare import (
     report_as_dict,
     report_from_dict,
 )
-from gravnet.errors import ValidationError
+from gravnet.errors import SingularDesignError, ValidationError
 from gravnet.estimation import (
     EM_TOL,
     FitResult,
     ZipFitResult,
+    _check_design,
     _expit,
     _log_expit,
+    _log_factorial,
+    _ndtr,
     fit_from_dict,
     fit_logit,
     fit_ols,
@@ -801,9 +805,15 @@ def test_design_rows_carry_their_grid_positions(case):
 
 _EXPIT_EDGES = (0.0, 709.78, 710.0, 745.2, 1e308, np.inf)
 
+# long enough for any SIMD loop numpy may run, wide enough to reach both
+# tails, and a strided view of it
+_WIDE_NORMALS = np.random.default_rng(20261020).normal(0.0, 300.0, 4099)
+
 
 @settings(max_examples=300, deadline=None)
 @example(np.array([*_EXPIT_EDGES, *(-v for v in _EXPIT_EDGES), np.nan]))
+@example(_WIDE_NORMALS)
+@example(_WIDE_NORMALS.reshape(-1, 1)[::3, 0])
 @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=40),
               elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
 def test_expit_equals_scipy_bit_for_bit(x):
@@ -825,6 +835,8 @@ _LOG_EXPIT_EDGES = (0.0, 5e-324, 2.2250738585072014e-308, 1e-17, 36.7, 37.0, 709
 
 @settings(max_examples=300, deadline=None)
 @example(np.array([*_LOG_EXPIT_EDGES, *(-v for v in _LOG_EXPIT_EDGES), np.nan, -np.nan]))
+@example(_WIDE_NORMALS)
+@example(_WIDE_NORMALS.reshape(-1, 1)[::3, 0])
 @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=40),
               elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
 def test_log_expit_equals_scipy_bit_for_bit(x):
@@ -836,6 +848,137 @@ def test_log_expit_equals_scipy_bit_for_bit(x):
     want = log_expit(x)
     assert got.shape == want.shape == x.shape
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _float_neighbours(v, steps=3):
+    """``v`` and the ``steps`` floats on each side of it."""
+    out = [v]
+    below = above = v
+    for _ in range(steps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [float(below), float(above)]
+    return out
+
+
+# y + 1 at and around cephes lgam's branch points 13, 1000 and 1e8 (each y
+# exact: y and y + 1 share a binade), the recurrence's ends, 2^53 and its
+# neighbours, where lgam overflows, and inf
+_LOG_FACTORIAL_EDGES = (
+    *(v - 1.0 for b in (13.0, 1000.0, 1e8) for v in _float_neighbours(b)),
+    0.0, 5e-324, 0.5, 1.0, 2.0, 11.0, 2.0**53 - 1.0, 2.0**53, 2.0**53 + 2.0, 2e17,
+    2.5e305, 2.6e305, 1e308, np.inf,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(np.array(_LOG_FACTORIAL_EDGES))
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=60),
+              elements=st.one_of(
+                  st.integers(min_value=0, max_value=2**53).map(float),
+                  st.floats(min_value=0.0, max_value=20.0),
+                  st.floats(min_value=0.0, max_value=2000.0),
+                  st.floats(min_value=0.0, max_value=1e17),
+                  st.floats(min_value=0.0, allow_infinity=True, allow_subnormal=True),
+              )))
+def test_log_factorial_equals_scipy_bit_for_bit(y):
+    """Integers up to 2^53, fractions, every branch of cephes lgam and inf,
+    with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_factorial(y)
+    want = gammaln(y + 1.0)
+    assert got.shape == want.shape == y.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# a * sqrt(1/2) at and around the cut points of cephes ndtr (1/sqrt(2)) and
+# erfc (1 and 8), and where exp(-x^2) underflows (x^2 = MAXLOG), both signs
+_NDTR_EDGES = (
+    *(
+        sign * a
+        for x in (math.sqrt(0.5), 1.0, 8.0, math.sqrt(709.782712893384))
+        for a in _float_neighbours(x / math.sqrt(0.5))
+        for sign in (1.0, -1.0)
+    ),
+    0.0, -0.0, 5e-324, 38.0, -38.0, 1e308, -1e308, np.inf, -np.inf, np.nan,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(_NDTR_EDGES)
+@given(st.lists(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats(min_value=-40.0, max_value=40.0),
+    ),
+    min_size=1, max_size=20,
+))
+def test_ndtr_equals_scipy_bit_for_bit(xs):
+    """Any float, NaN and ±inf included; most draws land where the normal
+    tail is neither 0 nor 1."""
+    for x in xs:
+        assert np.float64(_ndtr(x)).tobytes() == ndtr(x).tobytes(), x
+
+
+def _scipy_rank(X):
+    """The rank ``_check_design`` decides, from scipy's pivoted QR, and the
+    columns it would name."""
+    _, r, pivot = qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    threshold = diag[0] * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
+    rank = int((diag > threshold).sum()) if diag.size and diag[0] > 0.0 else 0
+    return rank, sorted(pivot[rank:].tolist())
+
+
+def _named_columns(X):
+    """The column positions ``_check_design`` names as collinear."""
+    names = [f"x{j}" for j in range(X.shape[1])]
+    try:
+        _check_design(X, names)
+    except SingularDesignError as err:
+        return sorted(names.index(name) for name in err.columns)
+    return []
+
+
+@st.composite
+def _designs(draw):
+    """(collinearity, X): small integers times a power of two per column,
+    then one exact collinearity of the given kind, if any."""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(max(p, 6), 40))
+    X = draw(arrays(np.float64, (n, p), elements=st.integers(-3, 3).map(float)))
+    X = X * draw(arrays(np.float64, p, elements=st.sampled_from([0.125, 1.0, 64.0])))
+    kind = draw(st.sampled_from(["none", "zero", "scaled", "sum", "dummies"]))
+    j, k, l = draw(st.permutations(range(max(p, 3))))[:3]
+    if kind == "zero":
+        X[:, j % p] = 0.0
+    elif kind == "scaled" and p >= 2:
+        X[:, j % p] = draw(st.sampled_from([1.0, 2.0, -3.0])) * X[:, k % p]
+    elif kind == "sum" and p >= 3:
+        X[:, j] = X[:, k] + X[:, l]
+    elif kind == "dummies" and p >= 3:
+        dummy = draw(arrays(np.bool_, n))
+        X[:, j], X[:, k], X[:, l] = 1.0, dummy, ~dummy
+    return kind, X
+
+
+@settings(max_examples=400, deadline=None)
+@given(_designs())
+def test_rank_check_decides_scipys_rank(design):
+    """The rank equals scipy's on every design.  Where no column is
+    collinear with others (none, or a zero column) the named columns are
+    scipy's too; where rounding decides which of exactly collinear columns
+    is named, the choice may differ, but dropping the named columns
+    always leaves a full-rank design."""
+    kind, X = design
+    named = _named_columns(X)
+    want_rank, want_named = _scipy_rank(X)
+    assert X.shape[1] - len(named) == want_rank
+    if kind in ("none", "zero"):
+        assert named == want_named
+    kept = [j for j in range(X.shape[1]) if j not in named]
+    assert _named_columns(X[:, kept]) == []
+    assert np.linalg.matrix_rank(X[:, kept]) == len(kept)
 
 
 # ----------------------------------------------------------------- csv cells
