@@ -730,15 +730,23 @@ def _in_order(fn, calls, workers: int):
     that is due.  An error in a call re-raises here with its type.
     Closing the generator cancels the calls not yet started and waits for
     the pool's processes to exit.
+
+    The workers are forked wherever the platform can fork, whatever its
+    default start method: a forked worker starts with this process's
+    modules and imports nothing again.
     """
     if workers == 1:
         for key, args in calls:
             yield key, fn(*args)
         return
-    # imported here, so the stages that run no pool do not load it
+    # imported here, so the stages that run no pool do not load them
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers)
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork") if forks else None
+    )
     try:
         pending = collections.deque()
         for key, args in calls:

@@ -15,6 +15,14 @@ standard errors account for the latent zero labels being estimated.
 The special functions the fits need (the logistic and its log, log(y!) and
 the normal CDF) and the rank check of each design are computed here with
 scipy's bits and scipy's rank decisions, so fitting loads no scipy.
+
+Each quantity is computed once.  Per design (``_Design``, kept on the
+design from its first fit on): the pivoted QR of the rank check, log(y!)
+and the OLS-on-log1p start; every fit still decides the rank, and raises,
+from that QR.  Per linear predictor (``_Linear``): exp, the logistic and
+its two logs, which an IRLS iterate's likelihood, moments and covariance
+share, and which the EM's likelihood, E-step and next M-step read off the
+predictor that each M-step ended on.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .errors import (
     SingularDesignError,
     ValidationError,
 )
+from .netstats import _built_once
 
 #: IRLS stops when the relative log-likelihood change drops below this.
 IRLS_TOL = 1e-10
@@ -186,6 +195,12 @@ class VuongResult:
     n_obs: int
 
 
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=0)`` of a Fortran-ordered ``a``, bit for bit:
+    one column at a time, so no temporary of ``a``'s size is made."""
+    return np.array([math.sqrt(np.add.reduce(c * c)) for c in a.T])
+
+
 def _pivoted_r_diagonal(X: np.ndarray):
     """|diag(R)| of the column-pivoted QR of ``X``, and its column order.
 
@@ -200,7 +215,7 @@ def _pivoted_r_diagonal(X: np.ndarray):
     a = np.array(X, dtype=float, order="F")
     n, p = a.shape
     order = np.arange(p)
-    partial = np.linalg.norm(a, axis=0)
+    partial = _column_norms(a)
     exact = partial.copy()  # each column's norm when last computed in full
     diag = np.zeros(min(n, p))
     for i in range(min(n, p)):
@@ -234,7 +249,38 @@ def _pivoted_r_diagonal(X: np.ndarray):
     return diag, order
 
 
-def _check_design(X: np.ndarray, names, min_rows: int = None) -> None:
+class _Design:
+    """What every fit on one design reads off its ``X`` and ``y`` alone:
+    the float response, and, each built on first use, the pivoted diag(R)
+    and column order of the rank check, log(y!) and the OLS-on-log1p start."""
+
+    def __init__(self, X, y):
+        self.X, self.y = X, np.asarray(y, dtype=float)
+
+    @_built_once
+    def r_diagonal(self) -> tuple:
+        return _pivoted_r_diagonal(self.X)
+
+    @_built_once
+    def log_y_factorial(self) -> np.ndarray:
+        return _log_factorial(self.y)
+
+    @_built_once
+    def log1p_start(self) -> np.ndarray:
+        return _ols_log1p_start(self.X, self.y)
+
+
+def _design(dm) -> _Design:
+    """``dm``'s ``_Design``, made by its first fit and kept in its instance
+    dict, so it lives as long as ``dm``, whose ``X`` and ``y`` are read-only."""
+    memo = vars(dm).get("_design")
+    if memo is None:
+        memo = vars(dm)["_design"] = _Design(dm.X, dm.y)
+    return memo
+
+
+def _check_design(dm, min_rows: int = None) -> None:
+    X, names = dm.X, dm.columns
     n, p = X.shape
     if len(names) != p:
         raise ValidationError(f"{len(names)} names for {p} columns")
@@ -243,7 +289,7 @@ def _check_design(X: np.ndarray, names, min_rows: int = None) -> None:
         raise ValidationError(f"{n} rows are too few for {p} regressors")
     if not np.isfinite(X).all():
         raise ValidationError("design matrix contains non-finite entries")
-    diag, pivot = _pivoted_r_diagonal(X)
+    diag, pivot = _design(dm).r_diagonal
     if diag.size and diag[0] > 0.0:
         rank = int((diag > diag[0] * max(X.shape) * np.finfo(float).eps).sum())
     else:
@@ -291,7 +337,7 @@ def fit_ols(dm) -> FitResult:
     and at least one more row than there are columns.
     """
     X = dm.X
-    _check_design(X, dm.columns, min_rows=X.shape[1] + 1)
+    _check_design(dm, min_rows=X.shape[1] + 1)
     y = dm.log_flows()
     n, p = X.shape
 
@@ -427,9 +473,33 @@ def _log_factorial(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poisson_moments(eta):
-    mu = np.exp(eta)
-    return mu, mu
+class _Linear:
+    """A linear predictor ``eta`` and the terms the fits read off it, each
+    built on first use: ``exp``, ``expit``, and ``log_expit`` and
+    ``log_expit_neg``, the logs of expit(eta) and of expit(-eta)."""
+
+    def __init__(self, eta):
+        self.eta = eta
+
+    @_built_once
+    def exp(self) -> np.ndarray:
+        return np.exp(self.eta)
+
+    @_built_once
+    def expit(self) -> np.ndarray:
+        return _expit(self.eta)
+
+    @_built_once
+    def log_expit(self) -> np.ndarray:
+        return _log_expit(self.eta)
+
+    @_built_once
+    def log_expit_neg(self) -> np.ndarray:
+        return _log_expit(-self.eta)
+
+
+def _poisson_moments(lp):
+    return lp.exp, lp.exp
 
 
 def _poisson_rows(y, eta, mu, log_y_factorial):
@@ -437,45 +507,46 @@ def _poisson_rows(y, eta, mu, log_y_factorial):
     return y * eta - mu - log_y_factorial
 
 
-def _poisson_q(y, eta, mu, omega, log_y_factorial):
-    return float(np.sum(omega * _poisson_rows(y, eta, mu, log_y_factorial)))
+def _poisson_q(y, lp, omega, log_y_factorial):
+    return float(np.sum(omega * _poisson_rows(y, lp.eta, lp.exp, log_y_factorial)))
 
 
-def _logit_moments(eta):
-    prob = _expit(eta)
+def _logit_moments(lp):
+    prob = lp.expit
     return prob, prob * (1.0 - prob)
 
 
-def _bernoulli_q(r, eta, prob, omega):
+def _bernoulli_q(r, lp, omega):
     # log_expit keeps the tails finite where log(prob) would underflow
-    return float(np.sum(omega * (r * _log_expit(eta) + (1.0 - r) * _log_expit(-eta))))
+    return float(np.sum(omega * (r * lp.log_expit + (1.0 - r) * lp.log_expit_neg)))
 
 
-def _irls(X, y, omega, start, moments, loglik):
-    """Weighted IRLS for a canonical-link GLM (Poisson or logit).
+def _irls(X, y, omega, beta, lp, moments, loglik):
+    """Weighted IRLS for a canonical-link GLM (Poisson or logit), from
+    ``beta`` and its linear predictor ``lp``, a ``_Linear`` of ``X @ beta``.
 
-    ``moments(eta)`` returns the (mean, variance) at the linear predictor
-    and ``loglik(y, eta, mean, omega)`` the omega-weighted log likelihood.
-    Responses may be fractional.  Returns (beta, trace, converged, diverged).
+    ``moments(lp)`` returns the (mean, variance) at a linear predictor
+    and ``loglik(y, lp, omega)`` the omega-weighted log likelihood.
+    Responses may be fractional.  Returns (beta, lp, trace, converged,
+    diverged), with the last accepted iterate and its linear predictor.
     """
-    beta = np.asarray(start, dtype=float)
-    eta = X @ beta
+    beta = np.asarray(beta, dtype=float)
     # an exp that overflows makes the likelihood non-finite, and a
     # non-finite likelihood is refused: the start fails, a candidate halves
     with np.errstate(over="ignore"):
-        mean, var = moments(eta)
-        ll = loglik(y, eta, mean, omega)
+        ll = loglik(y, lp, omega)
     trace = [ll]
     if not np.isfinite(ll):
-        return beta, trace, False, True
+        return beta, lp, trace, False, True
     for _ in range(MAX_IRLS_ITERATIONS):
+        mean, var = moments(lp)
         w = omega * var
-        wz = omega * (var * eta + y - mean)
+        wz = omega * (var * lp.eta + y - mean)
         try:
             target = _solve_weighted(X, w, wz)
         except np.linalg.LinAlgError:
             # weights collapsed; the current iterate is the diagnosis
-            return beta, trace, False, True
+            return beta, lp, trace, False, True
         # step-halve on overshoot: a cold start far below the response
         # scale would otherwise send exp(eta) to overflow in one step
         direction = target - beta
@@ -483,35 +554,35 @@ def _irls(X, y, omega, start, moments, loglik):
         accepted = False
         for _half in range(MAX_STEP_HALVINGS):
             candidate = beta + fraction * direction
-            eta_new = X @ candidate
+            lp_new = _Linear(X @ candidate)
             with np.errstate(over="ignore"):
-                mean_new, var_new = moments(eta_new)
-                ll_new = loglik(y, eta_new, mean_new, omega)
+                ll_new = loglik(y, lp_new, omega)
             if np.isfinite(ll_new) and ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
                 accepted = True
                 break
             fraction *= 0.5
         if not accepted:
-            return beta, trace, False, True
+            return beta, lp, trace, False, True
         step = np.linalg.norm(candidate - beta)
-        beta = candidate
-        eta = eta_new
-        mean, var = mean_new, var_new
+        # no step returns to the iterate it leaves: drop its terms now, as
+        # the EM still holds its stage's start until this call returns
+        vars(lp).clear()
+        beta, lp = candidate, lp_new
         trace.append(ll_new)
-        if np.abs(eta).max() > MAX_LINEAR_PREDICTOR:
-            return beta, trace, False, True
+        if np.abs(lp.eta).max() > MAX_LINEAR_PREDICTOR:
+            return beta, lp, trace, False, True
         if abs(ll_new - ll) <= IRLS_TOL * (1.0 + abs(ll)) and step <= STEP_TOL * (
             1.0 + np.linalg.norm(beta)
         ):
-            return beta, trace, True, False
+            return beta, lp, trace, True, False
         ll = ll_new
-    return beta, trace, False, False
+    return beta, lp, trace, False, False
 
 
 def _glm_fit(tag, family, dm, y, outcome, moments, null_loglik):
     """The FitResult of a converged ``_irls`` outcome, else ConvergenceError.
     ``null_loglik(y)`` runs only after that check: it may be log(0)."""
-    beta, trace, converged, diverged = outcome
+    beta, lp, trace, converged, diverged = outcome
     if diverged or not converged:
         raise ConvergenceError(
             f"{family} IRLS did not converge" + (" (diverging iterates)" if diverged else ""),
@@ -519,29 +590,29 @@ def _glm_fit(tag, family, dm, y, outcome, moments, null_loglik):
             trace=trace,
         )
     X = dm.X
-    vcov = _symmetrized_inverse((X.T * moments(X @ beta)[1]) @ X)
+    vcov = _symmetrized_inverse((X.T * moments(lp)[1]) @ X)
     loglik = trace[-1]
     return _fitted(tag, dm, beta, vcov, loglik, 1.0 - loglik / null_loglik(y), len(trace) - 1)
 
 
-def _nonnegative_flows(dm) -> np.ndarray:
-    """``dm``'s flows as floats, refused unless every one is non-negative."""
-    y = np.asarray(dm.y, dtype=float)
-    if np.any(y < 0):
+def _nonnegative_flows(dm) -> _Design:
+    """``dm``'s ``_Design``, refused unless every flow is non-negative."""
+    design = _design(dm)
+    if np.any(design.y < 0):
         raise ValidationError("flows must be non-negative")
-    return y
+    return design
 
 
-def _count_response(dm, both_zero_and_positive: bool = False) -> np.ndarray:
-    """The float response of a count model (PPML, logit, ZIP) fitted on
-    ``dm``, once the design and the response are checked: the flows must
-    be non-negative, and include zeros and positives when asked."""
-    _check_design(dm.X, dm.columns)
-    y = _nonnegative_flows(dm)
-    zero = y == 0.0
+def _count_response(dm, both_zero_and_positive: bool = False) -> _Design:
+    """``dm``'s ``_Design`` for a count model (PPML, logit, ZIP), once the
+    design and the response are checked: the flows must be non-negative,
+    and include zeros and positives when asked."""
+    _check_design(dm)
+    design = _nonnegative_flows(dm)
+    zero = design.y == 0.0
     if both_zero_and_positive and (zero.all() or not zero.any()):
         raise ValidationError("flows must include both zeros and positives")
-    return y
+    return design
 
 
 def _ols_log1p_start(X, y):
@@ -549,9 +620,10 @@ def _ols_log1p_start(X, y):
 
 
 def _poisson_null_loglik(y, log_y_factorial):
+    # the null's mean is ybar itself, not exp(log(ybar))
     ybar = y.mean()
-    return _poisson_q(y, np.full_like(y, np.log(ybar)), np.full_like(y, ybar), 1.0,
-                      log_y_factorial)
+    return float(np.sum(_poisson_rows(y, np.full_like(y, np.log(ybar)), np.full_like(y, ybar),
+                                      log_y_factorial)))
 
 
 def fit_poisson_pml(dm) -> FitResult:
@@ -560,10 +632,10 @@ def fit_poisson_pml(dm) -> FitResult:
     Zero flows stay in the sample; the response may be any non-negative
     real.  Starts from OLS on ln(1+flow).
     """
-    X = dm.X
-    y = _count_response(dm)
-    log_y_factorial = _log_factorial(y)
-    outcome = _irls(X, y, 1.0, _ols_log1p_start(X, y), _poisson_moments,
+    design = _count_response(dm)
+    X, y, start = design.X, design.y, design.log1p_start
+    log_y_factorial = design.log_y_factorial
+    outcome = _irls(X, y, 1.0, start, _Linear(X @ start), _poisson_moments,
                     partial(_poisson_q, log_y_factorial=log_y_factorial))
     return _glm_fit("PPML", "Poisson", dm, y, outcome, _poisson_moments,
                     partial(_poisson_null_loglik, log_y_factorial=log_y_factorial))
@@ -571,8 +643,7 @@ def fit_poisson_pml(dm) -> FitResult:
 
 def _bernoulli_null_loglik(a):
     share = a.mean()
-    eta = np.full_like(a, np.log(share / (1.0 - share)))
-    return _bernoulli_q(a, eta, np.full_like(a, share), 1.0)
+    return _bernoulli_q(a, _Linear(np.full_like(a, np.log(share / (1.0 - share)))), 1.0)
 
 
 def _perfectly_separated(eta, a):
@@ -588,14 +659,16 @@ def fit_logit(dm) -> FitResult:
     probability (see ``prediction.link_probabilities``).  Flows must be
     non-negative and include both zeros and positives.
     """
-    X = dm.X
-    a = (_count_response(dm, both_zero_and_positive=True) == 0.0).astype(float)
-    outcome = _irls(X, a, 1.0, np.zeros(X.shape[1]), _logit_moments, _bernoulli_q)
-    beta, trace = outcome[:2]
+    design = _count_response(dm, both_zero_and_positive=True)
+    X = design.X
+    a = (design.y == 0.0).astype(float)
+    start = np.zeros(X.shape[1])
+    outcome = _irls(X, a, 1.0, start, _Linear(X @ start), _logit_moments, _bernoulli_q)
+    beta, lp, trace = outcome[:3]
     # A finite logit MLE exists only when no coefficient vector classifies
     # every row correctly, so a perfectly-separating iterate is proof of
     # separation even if the likelihood change already went quiet.
-    if _perfectly_separated(X @ beta, a):
+    if _perfectly_separated(lp.eta, a):
         raise SeparationError(
             "complete separation: the classes are perfectly divided",
             last_coefficients=beta,
@@ -611,15 +684,15 @@ def _zip_log_p0(log_psi, log_one_minus_psi, mu):
 
 
 def _zip_row_loglik(y, u, v, log_y_factorial):
-    """Per-row ZIP log likelihood; u is the logit stage linear predictor
-    (zero probability side), v the Poisson stage predictor."""
-    mu = np.exp(v)
+    """Per-row ZIP log likelihood; u is the logit stage's ``_Linear``
+    (zero probability side), v the Poisson stage's."""
+    mu = v.exp
     zero = y == 0.0
     out = np.empty_like(y)
-    out[zero] = _zip_log_p0(_log_expit(u[zero]), _log_expit(-u[zero]), mu[zero])
+    out[zero] = _zip_log_p0(u.log_expit[zero], u.log_expit_neg[zero], mu[zero])
     pos = ~zero
-    out[pos] = _log_expit(-u[pos]) + _poisson_rows(
-        y[pos], v[pos], mu[pos], log_y_factorial[pos]
+    out[pos] = u.log_expit_neg[pos] + _poisson_rows(
+        y[pos], v.eta[pos], mu[pos], log_y_factorial[pos]
     )
     return out
 
@@ -636,10 +709,15 @@ def _zip_failure(message, theta, gamma, trace) -> ConvergenceError:
 
 
 def _zip_em(X, y, log_y_factorial, theta, gamma):
-    """EM for the ZIP likelihood. Returns (theta, gamma, trace, converged)."""
+    """EM for the ZIP likelihood. Returns (theta, gamma, trace, converged).
+
+    Each stage's linear predictor is the one its M-step ended on, so the
+    logistic terms of u are computed once: in the logit M-step, and read
+    again by the likelihood, the next E-step and the next M-step's start.
+    """
     zero = y == 0.0
     poisson_q = partial(_poisson_q, log_y_factorial=log_y_factorial)
-    u, v = X @ theta, X @ gamma
+    u, v = _Linear(X @ theta), _Linear(X @ gamma)
     with np.errstate(over="ignore"):  # an overflow is a non-finite start, refused below
         ll = _zip_loglik(y, u, v, log_y_factorial)
     trace = [ll]
@@ -648,23 +726,24 @@ def _zip_em(X, y, log_y_factorial, theta, gamma):
     for _ in range(MAX_EM_ITERATIONS):
         # E-step: posterior probability that a zero is structural
         z_hat = np.zeros_like(y)
-        log_psi = _log_expit(u[zero])
-        log_p0 = _zip_log_p0(log_psi, _log_expit(-u[zero]), np.exp(v[zero]))
+        log_psi = u.log_expit[zero]
+        log_p0 = _zip_log_p0(log_psi, u.log_expit_neg[zero], v.exp[zero])
         z_hat[zero] = np.exp(log_psi - log_p0)
 
         # M-steps: fractional-response logit and case-weighted Poisson
-        theta, _, th_ok, th_div = _irls(X, z_hat, 1.0, theta, _logit_moments, _bernoulli_q)
-        gamma, _, ga_ok, ga_div = _irls(X, y, 1.0 - z_hat, gamma, _poisson_moments, poisson_q)
+        theta, u, _, th_ok, th_div = _irls(X, z_hat, 1.0, theta, u, _logit_moments,
+                                           _bernoulli_q)
+        gamma, v, _, ga_ok, ga_div = _irls(X, y, 1.0 - z_hat, gamma, v, _poisson_moments,
+                                           poisson_q)
         if th_div or ga_div or not (th_ok and ga_ok):
             raise _zip_failure("ZIP M-step failed to converge", theta, gamma, trace)
 
-        u, v = X @ theta, X @ gamma
         ll_new = _zip_loglik(y, u, v, log_y_factorial)
         trace.append(ll_new)
         if ll_new < ll - 1e-8 * (1.0 + abs(ll)):
             raise _zip_failure(f"EM log-likelihood decreased ({ll} -> {ll_new})",
                                theta, gamma, trace)
-        if max(np.abs(u).max(), np.abs(v).max()) > MAX_LINEAR_PREDICTOR:
+        if max(np.abs(u.eta).max(), np.abs(v.eta).max()) > MAX_LINEAR_PREDICTOR:
             raise _zip_failure("ZIP iterates diverged", theta, gamma, trace)
         if abs(ll_new - ll) <= EM_TOL * (1.0 + abs(ll)):
             return theta, gamma, trace, True
@@ -707,9 +786,8 @@ def _zip_information(X, y, theta, gamma):
     return -np.vstack([top, bottom])
 
 
-def _fit_zip_core(X, y, log_y_factorial):
+def _fit_zip_core(X, y, log_y_factorial, gamma0):
     theta0 = np.zeros(X.shape[1])
-    gamma0 = _ols_log1p_start(X, y)
     theta, gamma, trace, converged = _zip_em(X, y, log_y_factorial, theta0, gamma0)
     if not converged:
         raise _zip_failure("ZIP EM did not converge", theta, gamma, trace)
@@ -723,10 +801,9 @@ def fit_zip(dm) -> ZipFitResult:
     The covariance of each stage is the corresponding diagonal block of the
     inverse observed information of the full mixture likelihood.
     """
-    X = dm.X
-    y = _count_response(dm, both_zero_and_positive=True)
-    log_y_factorial = _log_factorial(y)
-    theta, gamma, trace = _fit_zip_core(X, y, log_y_factorial)
+    design = _count_response(dm, both_zero_and_positive=True)
+    X, y, log_y_factorial = design.X, design.y, design.log_y_factorial
+    theta, gamma, trace = _fit_zip_core(X, y, log_y_factorial, design.log1p_start)
     loglik = trace[-1]
     iterations = len(trace) - 1
 
@@ -740,7 +817,7 @@ def fit_zip(dm) -> ZipFitResult:
 
     # Pseudo-R2 against the intercept-only ZIP null, fitted by the same EM
     ones = np.ones((len(y), 1))
-    null_trace = _fit_zip_core(ones, y, log_y_factorial)[2]
+    null_trace = _fit_zip_core(ones, y, log_y_factorial, _ols_log1p_start(ones, y))[2]
     pseudo = 1.0 - loglik / null_trace[-1]
 
     return ZipFitResult(
@@ -811,8 +888,8 @@ def vuong_test(zip_result: ZipFitResult, poisson_result: FitResult, dm) -> Vuong
     Positive values favor the zero-inflated model.  Both fits must come
     from the same design matrix rows.
     """
-    X = dm.X
-    y = _nonnegative_flows(dm)
+    design = _nonnegative_flows(dm)
+    X, y = design.X, design.y
     names = tuple(dm.columns)
     for part in (zip_result.logit_part, zip_result.poisson_part, poisson_result):
         if part.names != names:
@@ -820,10 +897,10 @@ def vuong_test(zip_result: ZipFitResult, poisson_result: FitResult, dm) -> Vuong
         if part.n_obs != X.shape[0]:
             raise ValidationError("fits cover a different number of rows")
 
-    log_y_factorial = _log_factorial(y)
+    log_y_factorial = design.log_y_factorial
     ll_zip = _zip_row_loglik(
-        y, X @ zip_result.logit_part.coefficients,
-        X @ zip_result.poisson_part.coefficients, log_y_factorial,
+        y, _Linear(X @ zip_result.logit_part.coefficients),
+        _Linear(X @ zip_result.poisson_part.coefficients), log_y_factorial,
     )
     eta = X @ poisson_result.coefficients
     ll_pois = _poisson_rows(y, eta, np.exp(eta), log_y_factorial)

@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,10 @@ class DyadPanel:
         Line one names the format version and line two holds the sha256 of
         everything after it: a header line, which is UTF-8 JSON of the two
         file digests, ``ids`` and each column's table, name, dtype and
-        shape, and then every column's raw bytes in header order.  The
-        bytes depend on nothing but the panel and the digests.
+        shape, and then every column's raw bytes in header order.  Spaces
+        after the header and zero bytes after each column start every
+        column at a multiple of 8 bytes, so a column read in place is
+        aligned.  The bytes depend on nothing but the panel and the digests.
         """
         columns = [(table, name, array) for table in ("countries", "dyads")
                    for name, array in getattr(self, table).items()]
@@ -128,29 +131,43 @@ class DyadPanel:
             "columns": [[table, name, a.dtype.str, list(a.shape)] for table, name, a in columns],
         }
         line = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-        body = b"\n".join([line, b"".join(a.tobytes() for _, _, a in columns)])
+        # the payload follows the format line, the 64-digit sha256, this line
+        # and a newline after each
+        line += b" " * (-(len(_COPY_FORMAT) + 64 + len(line) + 3) % 8)
+        body = b"\n".join(
+            [line, b"".join(a.tobytes() + bytes(-a.nbytes % 8) for _, _, a in columns)]
+        )
         return b"\n".join([_COPY_FORMAT, hashlib.sha256(body).hexdigest().encode(), body])
 
     @classmethod
-    def from_bytes(cls, data: bytes, sources: dict):
+    def from_bytes(cls, data, sources: dict):
         """The panel that ``as_bytes(sources)`` stored in ``data``, or None
         when ``data`` is no such copy: another format version, other file
-        digests, or a truncated or altered byte.  Nothing is unpickled."""
+        digests, or a truncated or altered byte.  Nothing is unpickled.
+
+        ``data`` is ``bytes`` or a ``bytearray``.  Nothing but the header
+        line is copied: each column is a view of ``data``, writable when
+        ``data`` is, as a parse leaves it.
+        """
         try:
-            version, digest, body = data.split(b"\n", 2)
-            if version != _COPY_FORMAT or digest != hashlib.sha256(body).hexdigest().encode():
+            view = memoryview(data)
+            digest_at = data.index(b"\n") + 1
+            body_at = data.index(b"\n", digest_at) + 1
+            payload_at = data.index(b"\n", body_at) + 1
+            if view[:digest_at - 1] != _COPY_FORMAT or (
+                view[digest_at:body_at - 1] != hashlib.sha256(view[body_at:]).hexdigest().encode()
+            ):
                 return None
-            line, payload = body.split(b"\n", 1)
-            header = json.loads(line)
+            header = json.loads(bytes(view[body_at:payload_at - 1]))
             if any(header[name] != sources[name] for name in ("countries", "dyads")):
                 return None
-            tables, offset = {"countries": {}, "dyads": {}}, 0
+            tables, offset = {"countries": {}, "dyads": {}}, payload_at
             for table, name, dtype, shape in header["columns"]:
                 dtype, count = np.dtype(dtype), math.prod(shape)
-                array = np.frombuffer(payload, dtype, count, offset).reshape(shape)
-                tables[table][name] = array.copy()  # writable, as a parse leaves it
-                offset += count * dtype.itemsize
-            if offset != len(payload):
+                tables[table][name] = np.frombuffer(data, dtype, count, offset).reshape(shape)
+                nbytes = count * dtype.itemsize
+                offset += nbytes + -nbytes % 8
+            if offset != len(data):
                 return None
             return cls(tuple(header["ids"]), tables["countries"], tables["dyads"])
         except (ValueError, KeyError, TypeError):
@@ -187,7 +204,8 @@ class DesignMatrix:
     ``importer`` hold each row's positions in it: row ``k`` is the dyad
     ``country_ids[exporter[k]] -> country_ids[importer[k]]``, so the same
     positions place a per-row prediction on the n-by-n grid.  The position
-    arrays are read-only.
+    arrays, ``X`` and ``y`` are read-only, so what a fit computes from a
+    design once stays true of it.
     """
 
     country_ids: tuple
@@ -212,6 +230,8 @@ class DesignMatrix:
                 )
             index.setflags(write=False)
             object.__setattr__(self, name, index)
+        for array in (self.X, self.y):
+            array.setflags(write=False)
 
     @property
     def n_obs(self) -> int:
@@ -250,7 +270,7 @@ class SummaryStats:
 
 
 #: First line of a stored panel copy; a copy of another version is ignored.
-_COPY_FORMAT = b"gravnet-panel-copy 2"
+_COPY_FORMAT = b"gravnet-panel-copy 3"
 
 #: Rows converted at a time; bounds the transient text a load holds.
 _BLOCK_ROWS = 4096
@@ -483,7 +503,10 @@ def read_panel(dyads_path, countries_path, copy_path) -> tuple:
     digests = {"dyads": _hash_file(dyads_path), "countries": _hash_file(countries_path)}
     try:
         with open(copy_path, "rb") as handle:
-            panel = DyadPanel.from_bytes(handle.read(), digests)
+            # one buffer, which the panel's columns then view
+            data = bytearray(os.fstat(handle.fileno()).st_size)
+            read = handle.readinto(data)
+        panel = DyadPanel.from_bytes(data, digests) if read == len(data) else None
     except OSError:
         panel = None
     if panel is not None:
@@ -573,15 +596,14 @@ def build_design_matrix(
         keep = y > 0.0
         exp_idx, imp_idx, y = exp_idx[keep], imp_idx[keep], y[keep]
     X = np.empty((len(y), len(columns)))
-    dm = DesignMatrix(
-        country_ids=cs.country_ids, exporter=exp_idx, importer=imp_idx,
-        columns=columns, X=X, y=y,
-    )
+
+    def dyad(k):
+        return cs.country_ids[exp_idx[k]], cs.country_ids[imp_idx[k]]
 
     dyad_rows = cs.dyad_rows[exp_idx, imp_idx]
     if any(_DESIGN_SPEC[c][0] == "dyad" for c in columns):
         if (dyad_rows < 0).any():
-            exporter, importer = dm.dyad(int(np.argmax(dyad_rows < 0)))
+            exporter, importer = dyad(int(np.argmax(dyad_rows < 0)))
             raise ValidationError(
                 f"dyad {exporter!r}->{importer!r} ({cs.year}) "
                 f"has no bilateral covariates"
@@ -602,7 +624,7 @@ def build_design_matrix(
         if logged:
             bad = np.flatnonzero(~(values > 0))
             if bad.size:
-                exporter, importer = dm.dyad(bad[0])
+                exporter, importer = dyad(bad[0])
                 raise ValidationError(
                     f"dyad {exporter!r}->{importer!r}: column {col!r} requires a "
                     f"strictly positive value, got {values[bad[0]]}"
@@ -610,9 +632,10 @@ def build_design_matrix(
             values = np.log(values)
         X[:, k] = values
 
-    for array in (X, y):
-        array.setflags(write=False)
-    return dm
+    return DesignMatrix(
+        country_ids=cs.country_ids, exporter=exp_idx, importer=imp_idx,
+        columns=columns, X=X, y=y,
+    )
 
 
 def _minimal_count(sorted_desc: np.ndarray, share: float) -> int:

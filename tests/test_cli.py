@@ -285,6 +285,62 @@ def test_fit_error_keeps_its_type_and_names_the_cell(zip_panel):
     assert str(info.value).startswith("year 2000 model PPML: ")
 
 
+def test_a_fit_year_checks_each_design_once_and_takes_one_log_factorial(
+        zip_panel, tmp_path, monkeypatch):
+    """OLS's positive design and the full design of PPML, ZIP and the logit
+    are each rank-checked once, and the full response's log(y!) is taken
+    once for PPML, ZIP and the Vuong test."""
+    calls = collections.Counter()
+    for name in ("_pivoted_r_diagonal", "_log_factorial"):
+        def counted(*args, _original=getattr(gravnet.estimation, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(gravnet.estimation, name, counted)
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, tmp_path / "out", years=[1995])
+    assert main(["fit", "--config", cfg]) == EXIT_OK
+    assert calls == {"_pivoted_r_diagonal": 2, "_log_factorial": 1}
+
+
+def test_a_singular_full_design_fails_in_the_first_models_cell(zip_panel, tmp_path, capsys):
+    paths = copied_panel(zip_panel, tmp_path / "panel")
+    with open(paths["countries"], encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    column = rows[0].index("landlocked")
+    for row in rows[1:]:
+        row[column] = "0"  # landl_i is then a zero column
+    with open(paths["countries"], "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", paths, out, models=["PPML", "ZIP", "LOGIT"],
+                       covariates=["const", "ln_gdp_i", "ln_gdp_j", "landl_i"])
+    assert main(["fit", "--config", cfg]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "gravnet: error: year 1995 model PPML: design matrix is rank deficient; "
+        "collinear column(s): ['landl_i']\n"
+    )
+
+
+@pytest.mark.parametrize("models,checked", [
+    (["LOGIT"], "LOGIT"),
+    (["PPML"], "PPML"),
+    (["PPML", "ZIP"], "ZIP"),
+])
+def test_a_models_fit_does_not_depend_on_the_models_fitted_before_it(
+        zip_panel, tmp_path, models, checked):
+    """What one fit computes for the next on the same design gives the
+    bytes that fit gives when it runs alone."""
+    trees = {}
+    for label, run in (("all", list(MODEL_TAGS)), ("some", models)):
+        out = tmp_path / label
+        cfg = write_config(tmp_path / f"{label}.json", zip_panel, out, models=run)
+        assert main(["fit", "--config", cfg]) == EXIT_OK
+        trees[label] = out
+    for year in ("1995", "2000"):
+        rel = os.path.join(year, checked, "fit.json")
+        assert (trees["some"] / rel).read_bytes() == (trees["all"] / rel).read_bytes()
+
+
 def test_a_cell_scope_times_its_work_and_names_its_errors():
     with _cell(2000, "OLS") as note:
         note["message"] = "done"
@@ -981,6 +1037,34 @@ def test_compare_error_in_a_worker_exits_as_in_process(zip_panel, tmp_path, monk
     )
     # no compare entry reached the manifest
     assert (out / MANIFEST_NAME).read_bytes() == manifest
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform cannot fork")
+def test_compare_workers_fork_whatever_the_default_start_method(zip_panel, tmp_path,
+                                                                monkeypatch, capsys):
+    """A worker started by forkserver or spawn imports gravnet afresh and
+    would run the real function; a forked one sees the patch."""
+    out = tmp_path / "out"
+    # two cells, so compare runs a pool of two workers
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out, models=["LOGIT"])
+    run_pipeline(cfg, commands=("fit", "predict"))
+
+    def failing(*args, **kwargs):
+        raise ValidationError("patched in the parent")
+
+    monkeypatch.setattr(gravnet.cli, "build_comparison_report", failing)
+    monkeypatch.setattr(gravnet.cli, "_usable_cpus", lambda: 2)
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    try:
+        assert main(["compare", "--config", cfg]) == EXIT_VALIDATION
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    assert capsys.readouterr().err == (
+        "gravnet: error: year 1995 model LOGIT: patched in the parent\n"
+    )
+    assert multiprocessing.active_children() == []
 
 
 def test_every_csv_cell_is_a_type_the_writer_spells_as_rendered(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from gravnet.errors import (
 from gravnet.estimation import (
     FitResult,
     ZipFitResult,
+    _Linear,
     _log_factorial,
     _zip_em,
     _zip_information,
@@ -114,6 +115,21 @@ def test_ols_rank_deficiency_names_columns():
         fit_ols(dm)
     assert info.value.columns
     assert set(info.value.columns) <= {"x", "x_doubled"}
+
+
+def test_a_singular_design_fails_every_count_fit_on_it_in_turn():
+    """The rank check is computed once per design, and its outcome is
+    decided again, and raised, by every fit on it."""
+    x = np.linspace(0.0, 1.0, 12)
+    X = np.column_stack([np.ones(12), x, 2.0 * x])
+    dm = make_dm(X, [0.0, 1.0, 3.0] * 4, ("const", "x", "x_doubled"))
+    raised = []
+    for fit in (fit_poisson_pml, fit_logit, fit_zip, fit_poisson_pml):
+        with pytest.raises(SingularDesignError) as info:
+            fit(dm)
+        raised.append((str(info.value), info.value.columns))
+    assert raised[0][1] and set(raised[0][1]) <= {"x", "x_doubled"}
+    assert raised == [raised[0]] * 4
 
 
 def test_ols_requires_spare_row():
@@ -425,7 +441,8 @@ def test_zip_on_pure_poisson_data_nests():
     # Likelihood-level nesting: psi pinned to ~0 reproduces the Poisson fit
     u = np.full(n, -40.0)
     v = with_const(x) @ pois_fit.coefficients
-    assert _zip_loglik(y, u, v, _log_factorial(y)) == pytest.approx(pois_fit.loglik, abs=1e-6)
+    ll = _zip_loglik(y, _Linear(u), _Linear(v), _log_factorial(y))
+    assert ll == pytest.approx(pois_fit.loglik, abs=1e-6)
 
 
 def test_zip_loglik_matches_direct_maximizer():
@@ -491,7 +508,7 @@ def test_zip_row_loglik_matches_loop_oracle_row_by_row():
     v = rng.normal(1.0, 1.0, n)
     y = np.where(rng.random(n) < expit(u), 0.0, rng.poisson(np.exp(v))).astype(float)
     assert (y == 0).any() and (y > 0).any()
-    rows = _zip_row_loglik(y, u, v, _log_factorial(y))
+    rows = _zip_row_loglik(y, _Linear(u), _Linear(v), _log_factorial(y))
     want = [oracles.loop_zip_loglik([yi], [expit(ui)], [math.exp(vi)])
             for yi, ui, vi in zip(y, u, v)]
     np.testing.assert_allclose(rows, want, rtol=1e-12, atol=0.0)

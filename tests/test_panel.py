@@ -15,10 +15,12 @@ from gravnet.panel import (
     DESIGN_COLUMNS,
     DYAD_COLUMNS,
     CrossSection,
+    DesignMatrix,
     DyadPanel,
     build_cross_section,
     build_design_matrix,
     load_panel,
+    read_panel,
     summary_stats,
 )
 from gravnet.synth import SynthSpec, write_synth_panel
@@ -472,6 +474,47 @@ def test_load_panel_peak_memory_is_below_the_record_loader(tmp_path):
             tracemalloc.stop()
 
     assert peak(load_panel) <= peak(oracles.loop_load_panel)
+
+
+def test_a_panel_cache_read_holds_one_copy_of_the_cache(tmp_path):
+    """The cache's bytes are read into one buffer and the columns view it,
+    so the read's traced peak is the cache's size and a small header."""
+    paths = write_synth_panel(
+        SynthSpec(n_countries=60, years=(1999, 2000), noise="zip", seed=5), str(tmp_path)
+    )
+    cache = str(tmp_path / "panel.cache")
+    parsed, _, copy = read_panel(paths["dyads"], paths["countries"], cache)
+    with open(cache, "wb") as handle:
+        handle.write(copy)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        panel, source, _ = read_panel(paths["dyads"], paths["countries"], cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert source["cached"] is True
+    assert peak <= 1.2 * len(copy), (peak, len(copy))
+    for table in ("countries", "dyads"):
+        for name, column in getattr(parsed, table).items():
+            got = getattr(panel, table)[name]
+            assert got.tobytes() == column.tobytes() and got.dtype == column.dtype, name
+            assert got.flags.writeable, name  # as a parse leaves it
+            assert got.flags.aligned, name
+
+
+def test_a_design_matrix_freezes_its_regressors_and_response(small_files):
+    dyads, countries, _ = small_files
+    panel = load_panel(dyads, countries)
+    full = build_design_matrix(build_cross_section(panel, 2000), panel)
+    X, y = np.array(full.X), np.array(full.y)
+    again = DesignMatrix(country_ids=full.country_ids, exporter=full.exporter,
+                         importer=full.importer, columns=full.columns, X=X, y=y)
+    for dm in (full, again):
+        for array in (dm.X, dm.y):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 def _outcome(load, dyads, countries):

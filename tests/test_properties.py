@@ -10,6 +10,7 @@ import re
 import tempfile
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,7 @@ from gravnet.estimation import (
     FitResult,
     ZipFitResult,
     _check_design,
+    _column_norms,
     _expit,
     _log_expit,
     _log_factorial,
@@ -934,7 +936,7 @@ def _named_columns(X):
     """The column positions ``_check_design`` names as collinear."""
     names = [f"x{j}" for j in range(X.shape[1])]
     try:
-        _check_design(X, names)
+        _check_design(SimpleNamespace(X=X, y=np.zeros(len(X)), columns=names))
     except SingularDesignError as err:
         return sorted(names.index(name) for name in err.columns)
     return []
@@ -960,6 +962,19 @@ def _designs(draw):
         dummy = draw(arrays(np.bool_, n))
         X[:, j], X[:, k], X[:, l] = 1.0, dummy, ~dummy
     return kind, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 20_000), st.integers(1, 6), st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+)
+def test_column_norms_equal_numpys_bit_for_bit(n, p, seed, scale):
+    """Rows past numpy's 8192-element buffer included, and scales where a
+    square under- or overflows."""
+    a = np.asfortranarray(np.random.default_rng(seed).standard_normal((n, p)) * scale)
+    with np.errstate(over="ignore", under="ignore"):
+        assert _column_norms(a).tobytes() == np.linalg.norm(a, axis=0).tobytes()
 
 
 @settings(max_examples=400, deadline=None)
