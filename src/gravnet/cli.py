@@ -361,11 +361,12 @@ class _Stage:
         self.cfg = cfg = load_config(args.config, overrides)
         cache = os.path.join(cfg.out, PANEL_CACHE_NAME)
         self.panel, self.panel_source, copy = read_panel(cfg.dyads, cfg.countries, cache)
-        years = cfg.years or self.panel.years
-        missing = [y for y in years if y not in self.panel.years]
+        present = self.panel.years
+        years = cfg.years or present
+        missing = [y for y in years if y not in present]
         if missing:
             raise ValidationError(
-                f"year(s) {missing} not present in the panel; it has {list(self.panel.years)}"
+                f"year(s) {missing} not present in the panel; it has {list(present)}"
             )
         self.years = tuple(years)
         self._pending = []  # (rel, temporary file), in write order
@@ -452,12 +453,26 @@ def _cell(year: int, tag: str):
     note["duration_s"] = time.perf_counter() - started
 
 
-def _design_matrices(cfg: RunConfig, panel, cs) -> dict:
-    """A cross-section's design matrix per ``design`` the configured models use."""
-    return {
-        design: build_design_matrix(cs, panel, cfg.covariates, positive_only=design == "positive")
-        for design in dict.fromkeys(MODELS[tag].design for tag in cfg.models)
-    }
+def _model_designs(cfg: RunConfig, panel, cs):
+    """(tag, design matrix) per configured model, in MODELS order.
+
+    A design is built when the first model that reads it comes up and let
+    go when its last one does, and the cross-section once every design is
+    built, so a year holds a design only while a model that reads it runs.
+    """
+    last = {MODELS[tag].design: tag for tag in cfg.models}
+    unbuilt = len(last)
+    built = {}
+    for tag in cfg.models:
+        design = MODELS[tag].design
+        if design not in built:
+            built[design] = build_design_matrix(
+                cs, panel, cfg.covariates, positive_only=design == "positive"
+            )
+            unbuilt -= 1
+            if not unbuilt:
+                cs = None
+        yield tag, built.pop(design) if last[design] == tag else built[design]
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +554,12 @@ def cmd_fit(args) -> None:
     """Estimate every configured (year, model) cell and write fit artifacts."""
     with _Stage(args, "fit") as stage:
         for year in stage.years:
-            cs = build_cross_section(stage.panel, year)
-            dms = _design_matrices(stage.cfg, stage.panel, cs)
+            # the cross-section lives in the designs' builder alone
+            designs = _model_designs(stage.cfg, stage.panel, build_cross_section(stage.panel, year))
             fits = {}
-            for tag in stage.cfg.models:
+            for tag, dm in designs:
                 model = MODELS[tag]
                 with _cell(year, tag) as note:
-                    dm = dms[model.design]
                     # looked up per call, so a rebinding of a layer function is seen
                     fit = globals()[model.fit](dm)
                     if model.vuong in fits:  # models run in MODEL_TAGS order
@@ -570,13 +584,11 @@ def cmd_predict(args) -> None:
     with _Stage(args, "predict", "fit", lambda tag: ("fit.json",)) as stage:
         for year in stage.years:
             cs = build_cross_section(stage.panel, year)
-            dms = _design_matrices(stage.cfg, stage.panel, cs)
             rho = density(cs.network())
-            for tag in stage.cfg.models:
+            for tag, dm in _model_designs(stage.cfg, stage.panel, cs):
                 model = MODELS[tag]
                 with _cell(year, tag) as note:
                     fit = fit_from_dict(*stage.inputs(year, tag))
-                    dm = dms[model.design]
                     if model.predict:
                         # looked up per call, so a rebinding of a layer function is seen
                         pred = globals()[model.predict](fit, dm)

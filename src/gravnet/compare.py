@@ -277,10 +277,34 @@ def _summarise(kind: str, values: array, dropped: int) -> EnsembleSummary:
         return EnsembleSummary(kind, v, 0.0, v, v, v, v, arr.size, dropped)
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1))
-    lo, hi = (float(q) for q in np.percentile(arr, [2.5, 97.5]))
+    lo, hi = _percentiles(arr, (2.5, 97.5))
     return EnsembleSummary(
         kind, mean, sd, lo, hi, mean - _Z975 * sd, mean + _Z975 * sd, arr.size, dropped
     )
+
+
+def _percentiles(arr: np.ndarray, percents) -> tuple:
+    """``np.percentile(arr, percents)``, its default linear method, bit for
+    bit, as floats, for percents strictly between 0 and 100 of two or more
+    values.  These are numpy's steps: one partition of a copy at the order
+    statistics either side of each percentile and at both ends, NaN
+    everywhere when a NaN sorts last, and the interpolation from whichever
+    side is nearer.  numpy takes the partition's positions with
+    ``np.unique``, whose NaN check imports ``numpy.ma``; here a set does.
+    """
+    n = arr.size
+    virtual = [(n - 1) * (percent / 100) for percent in percents]
+    below = [math.floor(v) for v in virtual]
+    ordered = np.partition(arr, sorted({0, -1, *below, *(k + 1 for k in below)}))
+    if math.isnan(ordered[-1]):
+        return (float(ordered[-1]),) * len(percents)
+    values = []
+    for v, k in zip(virtual, below):
+        a, b = float(ordered[k]), float(ordered[k + 1])
+        t = v - k
+        diff = b - a
+        values.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return tuple(values)
 
 
 def check_countries(observed_ids, ids, what: str) -> None:

@@ -709,11 +709,13 @@ def _zip_failure(message, theta, gamma, trace) -> ConvergenceError:
 
 
 def _zip_em(X, y, log_y_factorial, theta, gamma):
-    """EM for the ZIP likelihood. Returns (theta, gamma, trace, converged).
+    """EM for the ZIP likelihood.  Returns ((theta, u), (gamma, v), trace,
+    converged): each stage's coefficients with the linear predictor, a
+    ``_Linear``, that its last M-step ended on.
 
-    Each stage's linear predictor is the one its M-step ended on, so the
-    logistic terms of u are computed once: in the logit M-step, and read
-    again by the likelihood, the next E-step and the next M-step's start.
+    So the logistic terms of u are computed once: in the logit M-step, and
+    read again by the likelihood, the next E-step, the next M-step's start
+    and, after the last, the information matrix.
     """
     zero = y == 0.0
     poisson_q = partial(_poisson_q, log_y_factorial=log_y_factorial)
@@ -746,18 +748,17 @@ def _zip_em(X, y, log_y_factorial, theta, gamma):
         if max(np.abs(u.eta).max(), np.abs(v.eta).max()) > MAX_LINEAR_PREDICTOR:
             raise _zip_failure("ZIP iterates diverged", theta, gamma, trace)
         if abs(ll_new - ll) <= EM_TOL * (1.0 + abs(ll)):
-            return theta, gamma, trace, True
+            return (theta, u), (gamma, v), trace, True
         ll = ll_new
-    return theta, gamma, trace, False
+    return (theta, u), (gamma, v), trace, False
 
 
-def _zip_information(X, y, theta, gamma):
-    """Observed information of the ZIP likelihood at (theta, gamma),
-    assembled from per-row second derivatives in (u, v) = (x'theta, x'gamma)."""
-    u = X @ theta
-    v = X @ gamma
-    mu = np.exp(v)
-    psi = _expit(u)
+def _zip_information(X, y, u, v):
+    """Observed information of the ZIP likelihood at the linear predictors
+    ``u`` = x'theta and ``v`` = x'gamma, ``_Linear``s whose terms the EM's
+    last M-steps hold, assembled from per-row second derivatives in (u, v)."""
+    mu = v.exp
+    psi = u.expit
     s = psi * (1.0 - psi)
     zero = y == 0.0
 
@@ -765,12 +766,11 @@ def _zip_information(X, y, theta, gamma):
     h_uv = np.zeros_like(y)
     h_vv = np.where(zero, 0.0, -mu)
 
-    uz = u[zero]
     muz = mu[zero]
     psz = psi[zero]
     sz = s[zero]
     ez = np.exp(-muz)
-    p0 = np.exp(_zip_log_p0(_log_expit(uz), _log_expit(-uz), muz))
+    p0 = np.exp(_zip_log_p0(u.log_expit[zero], u.log_expit_neg[zero], muz))
     one_e = 1.0 - ez
     h_uu[zero] = sz * one_e * ((1.0 - 2.0 * psz) * p0 - sz * one_e) / p0**2
     h_uv[zero] = sz * muz * ez * (p0 + (1.0 - psz) * one_e) / p0**2
@@ -788,10 +788,10 @@ def _zip_information(X, y, theta, gamma):
 
 def _fit_zip_core(X, y, log_y_factorial, gamma0):
     theta0 = np.zeros(X.shape[1])
-    theta, gamma, trace, converged = _zip_em(X, y, log_y_factorial, theta0, gamma0)
+    (theta, u), (gamma, v), trace, converged = _zip_em(X, y, log_y_factorial, theta0, gamma0)
     if not converged:
         raise _zip_failure("ZIP EM did not converge", theta, gamma, trace)
-    return theta, gamma, trace
+    return (theta, u), (gamma, v), trace
 
 
 def fit_zip(dm) -> ZipFitResult:
@@ -803,17 +803,18 @@ def fit_zip(dm) -> ZipFitResult:
     """
     design = _count_response(dm, both_zero_and_positive=True)
     X, y, log_y_factorial = design.X, design.y, design.log_y_factorial
-    theta, gamma, trace = _fit_zip_core(X, y, log_y_factorial, design.log1p_start)
+    (theta, u), (gamma, v), trace = _fit_zip_core(X, y, log_y_factorial, design.log1p_start)
     loglik = trace[-1]
     iterations = len(trace) - 1
 
     p = X.shape[1]
     try:
-        vcov = _symmetrized_inverse(_zip_information(X, y, theta, gamma))
+        vcov = _symmetrized_inverse(_zip_information(X, y, u, v))
     except np.linalg.LinAlgError:
         raise _zip_failure(
             "ZIP information matrix is singular at the optimum", theta, gamma, trace
         ) from None
+    del u, v  # the null fit below reads neither predictor nor its terms
 
     # Pseudo-R2 against the intercept-only ZIP null, fitted by the same EM
     ones = np.ones((len(y), 1))

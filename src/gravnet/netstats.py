@@ -37,11 +37,15 @@ weights that are the adjacency bit for bit (0/1 weights) answer
 ``NS``/``ANNS``/``WCC`` with the ``ND``/``ANND``/``BCC`` values already
 computed: the cube root of 1 is 1, so they are equal.
 
-Binary clustering counts its motifs with one matrix product and a row sum
-(:func:`_diag_of_product`): on 0/1 factors every count is an integer below
-2**53, so the result equals the triple product's diagonal bit for bit.
-Weighted clustering keeps the triple product, whose rounding the one-product
-form would change.
+Clustering takes each motif sum with one matrix product and a row-wise
+dot (:func:`_diag_of_product`), not the triple product's diagonal, which
+computes a whole second product to keep its diagonal.  Binary clustering
+multiplies its 0/1 (0/1/2 for ``tot``) factors in float32 up to
+``_FLOAT32_COUNTS_MAX_N`` nodes, where every partial sum is an integer that
+float32 holds exactly, so each count, and each BCC value, has the bits of
+the float64 triple product.  Weighted clustering multiplies float64 cube
+roots, whose sums round differently in the one-product form: WCC values sit
+within a few ulps of the triple product's.
 """
 
 from __future__ import annotations
@@ -68,6 +72,11 @@ WEIGHTED_KINDS = (
 #: Full catalogue of node-statistic kinds.
 STAT_KINDS = BINARY_KINDS + WEIGHTED_KINDS
 
+#: The most nodes whose binary motif counts are exact in float32.  Every
+#: partial sum of a count on 0/1/2 factors is an integer of at most 8n**2,
+#: and 8 * 1448**2 < 2**24 < 8 * 1449**2.
+_FLOAT32_COUNTS_MAX_N = 1448
+
 
 class _built_once:
     """A lazily built attribute: ``functools.cached_property`` without the
@@ -93,7 +102,8 @@ class _Support:
     Each network validates its adjacency into one of these; a network
     handed another's support as its adjacency checks only its weights
     against it, and shares everything built here.  ``a`` is the float
-    adjacency, ``a_sym`` is ``A + A^T``, ``degree`` maps
+    adjacency, ``a_sym`` is ``A + A^T``, ``a_counts`` and ``a_sym_counts``
+    are the two as binary clustering counts motifs on them, ``degree`` maps
     ``in``/``out``/``tot`` to the column sums, row sums and their total of
     ``a``, and ``k_recip`` counts each node's bilateral partners.  Each is
     built on first use and at most once, as is each ratio denominator
@@ -112,6 +122,19 @@ class _Support:
     @_built_once
     def a_sym(self) -> np.ndarray:
         return self.a + self.a.T
+
+    @_built_once
+    def a_counts(self) -> np.ndarray:
+        """``a`` in float32 up to ``_FLOAT32_COUNTS_MAX_N`` nodes, where
+        every motif count is exact in it, and ``a`` itself above."""
+        if self.adjacency.shape[0] > _FLOAT32_COUNTS_MAX_N:
+            return self.a
+        return self.adjacency.astype(np.float32)
+
+    @_built_once
+    def a_sym_counts(self) -> np.ndarray:
+        """``A + A^T`` in the dtype of ``a_counts``."""
+        return self.a_counts + self.a_counts.T
 
     @_built_once
     def degree(self) -> dict:
@@ -359,9 +382,10 @@ def _neighbor_average(kind: str, p: _Profile, neighbor: dict, variant: str) -> N
 
 def _clustering(kind: str, p: _Profile, variant: str, weighted: bool) -> NodeStatVector:
     """Shared motif machinery: triple products of m count motifs, where m is
-    the adjacency for the binary case and the element-wise cube roots of the
-    weights otherwise; the binary degrees drive the denominators, which the
-    binary and weighted kinds of a variant share.
+    the adjacency for the binary case (``a_counts``, float32 wherever that is
+    exact) and the element-wise cube roots of the weights otherwise; the
+    binary degrees drive the denominators, which the binary and weighted
+    kinds of a variant share.
 
     Variants: ``cyc`` (i->j->k->i), ``mid`` (i imports from j and exports to
     k, j->k), ``in`` (two suppliers of i trading), ``out`` (two customers of
@@ -369,7 +393,7 @@ def _clustering(kind: str, p: _Profile, variant: str, weighted: bool) -> NodeSta
     deliberately not rescaled into [0, 1], so a weighted value may exceed 1.
     """
     s = p.support
-    m = p.w_hat if weighted else s.a
+    m = p.w_hat if weighted else s.a_counts
     mt = m.T
     if variant == "cyc":
         factors, denom = (m, m, m), "cyc_mid"
@@ -380,24 +404,23 @@ def _clustering(kind: str, p: _Profile, variant: str, weighted: bool) -> NodeSta
     elif variant == "out":
         factors, denom = (m, m, mt), "out_pairs"
     else:  # tot
-        sym = m + mt if weighted else s.a_sym
+        sym = m + mt if weighted else s.a_sym_counts
         factors, denom = (sym, sym, sym), "tot_pairs"
-    return _ratio_stat(kind, _diag_of_product(*factors, exact=not weighted), s, denom)
+    # a float32 count divides as the float64 integer it is
+    return _ratio_stat(kind, _diag_of_product(*factors), s, denom)
 
 
-def _diag_of_product(x: np.ndarray, y: np.ndarray, z: np.ndarray, exact: bool) -> np.ndarray:
-    """``diag(x @ y @ z)``.
+def _diag_of_product(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``diag(x @ y @ z)``, as one product and a row-wise dot.
 
-    ``exact`` says the factors are 0/1, so every entry along the way is an
-    integer count below 2**53 and exact in any summation order: one product
-    and a row sum, ``((x @ y) * z.T).sum(axis=1)``, then give the same
-    floats at about half the cost.  Other factors (cube-rooted weights) keep
-    the triple product's diagonal, whose rounding the one-product form
-    would change.
+    Row i is the dot of row i of ``x @ y`` with column i of ``z``, so the
+    second product, of which the diagonal keeps n of n**2 entries, is never
+    formed.  On 0/1/2 factors every partial sum is an integer, exact in
+    the factors' dtype below its bound (``_FLOAT32_COUNTS_MAX_N`` for
+    float32), and the result equals the triple product's diagonal bit for
+    bit; on other factors it is within rounding of it.
     """
-    if exact:
-        return ((x @ y) * z.T).sum(axis=1)
-    return (x @ y @ z).diagonal()
+    return np.vecdot(x @ y, z.T)
 
 
 #: The binary statistic each weighted one equals when the weights are the

@@ -108,7 +108,8 @@ class DyadPanel:
 
     @property
     def years(self) -> tuple:
-        return tuple(np.union1d(self.dyads["year"], self.countries["year"]).tolist())
+        years = np.concatenate((self.dyads["year"], self.countries["year"]))
+        return tuple(_distinct(years).tolist())
 
     def as_bytes(self, sources: dict) -> bytes:
         """The stored copy of this panel, parsed from the files whose sha256s
@@ -274,6 +275,17 @@ _COPY_FORMAT = b"gravnet-panel-copy 3"
 
 #: Rows converted at a time; bounds the transient text a load holds.
 _BLOCK_ROWS = 4096
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``values``, as ``np.unique`` gives
+    them: one sort and an adjacent-difference mask, without ``np.unique``'s
+    NaN check, which imports ``numpy.ma`` into every process that calls it."""
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def _blocks(reader):

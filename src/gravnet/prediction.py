@@ -40,7 +40,7 @@ import numpy as np
 from .errors import PredictionOverflowError, SchemaError, ValidationError
 from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult, _expit
 from .netstats import link_density
-from .panel import DesignMatrix
+from .panel import DesignMatrix, _distinct
 
 DEFAULT_REPLICATIONS = 10_000
 
@@ -420,7 +420,7 @@ def threshold_by_manhattan(
     off = ~np.eye(n, dtype=bool)
     xi = link_probs.xi[off]
     linked = np.asarray(observed, dtype=float)[off] != 0
-    candidates = np.unique(np.concatenate(([0.0], xi)))
+    candidates = _distinct(np.concatenate(([0.0], xi)))
     links, non_links = np.sort(xi[linked]), np.sort(xi[~linked])
     dist = np.searchsorted(links, candidates, side="right") + (
         non_links.size - np.searchsorted(non_links, candidates, side="right")

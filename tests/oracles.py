@@ -189,6 +189,16 @@ def loop_statistics(weights, adjacency, transform="identity"):
     return stats
 
 
+def loop_diag_of_product(x, y, z):
+    """diag(x @ y @ z) by the triple loop: each row's n**2 rounded products
+    summed exactly (``math.fsum``), so only the products round."""
+    n = len(x)
+    return [
+        math.fsum(x[i][j] * y[j][k] * z[k][i] for j in range(n) for k in range(n))
+        for i in range(n)
+    ]
+
+
 @dataclass(frozen=True)
 class CountryRecord:
     country_id: str

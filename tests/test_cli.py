@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -300,6 +301,28 @@ def test_a_fit_year_checks_each_design_once_and_takes_one_log_factorial(
     cfg = write_config(tmp_path / "cfg.json", zip_panel, tmp_path / "out", years=[1995])
     assert main(["fit", "--config", cfg]) == EXIT_OK
     assert calls == {"_pivoted_r_diagonal": 2, "_log_factorial": 1}
+
+
+def test_a_fit_year_lets_go_of_the_positive_design_before_the_full_design_fits(
+        zip_panel, tmp_path, monkeypatch):
+    """OLS's positive design is released after OLS, its only model: no
+    full-design fit of the year runs while it is alive."""
+    positive, alive = [], []
+    fit_ols, fit_poisson_pml = gravnet.cli.fit_ols, gravnet.cli.fit_poisson_pml
+
+    def ols(dm):
+        positive.append(weakref.ref(dm))
+        return fit_ols(dm)
+
+    def ppml(dm):
+        alive.append(positive[-1]() is not None)
+        return fit_poisson_pml(dm)
+
+    monkeypatch.setattr(gravnet.cli, "fit_ols", ols)
+    monkeypatch.setattr(gravnet.cli, "fit_poisson_pml", ppml)
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, tmp_path / "out", years=[1995, 2000])
+    assert main(["fit", "--config", cfg]) == EXIT_OK
+    assert alive == [False, False]
 
 
 def test_a_singular_full_design_fails_in_the_first_models_cell(zip_panel, tmp_path, capsys):
@@ -1238,6 +1261,46 @@ def test_no_stage_imports_scipy(tmp_path):
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-len(want):] == want
+
+
+@pytest.fixture(scope="module")
+def finished_tree(tmp_path_factory):
+    """A panel and the stage arguments of a tree every stage has run on."""
+    root = tmp_path_factory.mktemp("finished")
+    spec = SynthSpec(n_countries=8, years=(2000,), noise="zip", seed=11)
+    panel = write_synth_panel(spec, str(root / "panel"))
+    args = ["--dyads", panel["dyads"], "--countries", panel["countries"],
+            "--out", str(root / "out"), "--covariates", ",".join(COVARIATES),
+            "--replications", "20"]
+    for command in ("fit", "predict", "netstats", "compare", "report"):
+        assert main([command, *args]) == EXIT_OK, command
+    return root, args
+
+
+@pytest.mark.parametrize("stage", ["synth", "fit", "predict", "netstats", "compare", "report"])
+def test_no_stage_imports_numpy_ma(finished_tree, tmp_path, stage):
+    """A stage, rerun on a copy of a finished tree (``synth`` into a new
+    directory), never imports ``numpy.ma``, which ``np.unique`` and
+    ``np.percentile`` load through their NaN check.  The script makes the
+    import fail, in its own process and in the workers compare forks to run
+    its four cells on every usable CPU, so a stage that needs it exits
+    nonzero."""
+    root, args = finished_tree
+    shutil.copytree(root / "out", tmp_path / "out")
+    if stage == "synth":
+        argv = ["--out", str(tmp_path / "panel"), "--n-countries", "6", "--noise", "zip"]
+    else:
+        argv = [tmp_path / "out" if arg == str(root / "out") else arg for arg in args]
+    src = os.path.dirname(os.path.dirname(gravnet.cli.__file__))
+    script = (
+        "import sys; sys.modules['numpy.ma'] = None\n"
+        "from gravnet.cli import main\n"
+        f"print(main([{stage!r}, *sys.argv[1:]]), sys.modules['numpy.ma'])"
+    )
+    done = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} None"
 
 
 def test_prediction_artifact_roundtrips_exactly(zip_panel, tmp_path):

@@ -490,7 +490,7 @@ def test_zip_information_matches_numeric_hessian():
     packed = list(np.concatenate([theta, gamma]))
     # step large enough to beat cancellation in the double differences
     h_num = np.array(oracles.numeric_hessian(loglik, packed, step=1e-4))
-    info = _zip_information(X, y, theta, gamma)
+    info = _zip_information(X, y, _Linear(X @ theta), _Linear(X @ gamma))
     np.testing.assert_allclose(info, -h_num, rtol=1e-3, atol=1e-5)
 
     vcov_joint = np.linalg.inv(info)

@@ -16,6 +16,7 @@ from gravnet.netstats import (
     log_positive,
     population_average,
     stat_correlation,
+    _diag_of_product,
 )
 
 import oracles
@@ -211,6 +212,25 @@ def test_weighted_clustering_scales_linearly_in_weights():
         np.testing.assert_allclose(
             scaled.values[ok], scale * base.values[ok], rtol=1e-10
         )
+
+
+def test_binary_motif_counts_are_float32_up_to_1448_nodes():
+    """Every partial sum of a binary count is an integer of at most 8n**2,
+    exact in float32 below 2**24, so up to 1448 nodes the counts are taken
+    in float32 and from 1449 in float64.  On the complete graph at the bound
+    every motif closes, so each BCC is exactly 1, and the ``tot`` count,
+    8(n-1)(n-2), the largest, equals the float64 count bit for bit."""
+    net = TradeNetwork(1.0 - np.eye(1448))
+    support = net._support
+    assert support.a_counts.dtype == np.float32
+    kinds = [f"BCC_{variant}" for variant in ("cyc", "mid", "in", "out", "tot")]
+    for kind, stat in all_statistics(net, kinds).items():
+        assert (stat.values == 1.0).all(), kind
+    counts = _diag_of_product(*(support.a_sym_counts,) * 3)
+    want = _diag_of_product(*(support.a_sym,) * 3)
+    assert counts.astype(float).tobytes() == want.tobytes()
+    assert (want == 8.0 * 1447 * 1446).all()
+    assert TradeNetwork(1.0 - np.eye(1449))._support.a_counts.dtype == np.float64
 
 
 def test_strength_and_degree_handshake_sums():

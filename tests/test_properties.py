@@ -33,6 +33,7 @@ from gravnet.compare import (
     StatComparison,
     _KOLMOGOROV_CUTOVER_MIN,
     _kolmogorov_sf,
+    _percentiles,
     ensemble_summary,
     ks_two_sample,
     report_as_dict,
@@ -96,6 +97,7 @@ from gravnet.synth import (
 )
 
 from oracles import (
+    loop_diag_of_product,
     loop_ensemble_summary,
     loop_load_panel,
     loop_replication_summary,
@@ -405,16 +407,51 @@ def test_one_product_motif_counts_equal_the_triple_product_diagonal(a):
         "cyc": (a, a, a), "mid": (a, at, a), "in": (at, a, a), "out": (a, a, at), "tot": (s, s, s)
     }
     for variant, (x, y, z) in factors.items():
-        got = netstats._diag_of_product(x, y, z, exact=True)
-        assert got.tobytes() == np.diag(x @ y @ z).tobytes(), variant
-    # through the statistic: binary clustering takes the one product, the
-    # weighted path on the same 0/1 weights the triple product's diagonal
+        want = np.diag(x @ y @ z).tobytes()
+        for dtype in (np.float32, np.float64):
+            got = netstats._diag_of_product(*(f.astype(dtype) for f in (x, y, z)))
+            assert got.astype(float).tobytes() == want, (variant, dtype)
+    # through the statistic: binary clustering counts in float32, the
+    # weighted path on the same 0/1 weights in float64
     profile = netstats._Profile(TradeNetwork(a))
+    assert profile.support.a_counts.dtype == np.float32
     for variant in factors:
-        one = netstats._clustering(f"BCC_{variant}", profile, variant, weighted=False)
-        triple = netstats._clustering(f"WCC_{variant}", profile, variant, weighted=True)
-        assert one.defined.tobytes() == triple.defined.tobytes(), variant
-        assert one.values.tobytes() == triple.values.tobytes(), variant
+        binary = netstats._clustering(f"BCC_{variant}", profile, variant, weighted=False)
+        weighted = netstats._clustering(f"WCC_{variant}", profile, variant, weighted=True)
+        assert binary.defined.tobytes() == weighted.defined.tobytes(), variant
+        assert binary.values.tobytes() == weighted.values.tobytes(), variant
+
+
+@st.composite
+def signed_weights(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    # log-scale weights: negative below a flow of 1; magnitudes from 1e-3
+    # keep every product of cube roots clear of underflow
+    magnitude = st.floats(min_value=1e-3, max_value=30.0)
+    cell = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+    w = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_weights())
+def test_weighted_motif_sums_are_within_rounding_of_the_triple_loop(w):
+    """On cube-rooted weights of either sign, one product and a row-wise
+    dot give each motif sum within n * eps * diag(|x| @ |y| @ |z|) of the
+    exactly summed triple loop: two dot products of length n round that
+    much at most."""
+    m = np.cbrt(w)
+    mt, s = m.T, m + m.T
+    factors = {
+        "cyc": (m, m, m), "mid": (m, mt, m), "in": (mt, m, m), "out": (m, m, mt), "tot": (s, s, s)
+    }
+    eps = np.finfo(float).eps
+    for variant, (x, y, z) in factors.items():
+        got = netstats._diag_of_product(x, y, z)
+        want = np.array(loop_diag_of_product(x.tolist(), y.tolist(), z.tolist()))
+        bound = len(w) * eps * np.diag(np.abs(x) @ np.abs(y) @ np.abs(z))
+        assert (np.abs(got - want) <= bound).all(), variant
 
 
 @st.composite
@@ -437,6 +474,18 @@ def test_population_average_equals_ndarray_mean_bit_for_bit(case):
         want = float(values[defined].mean())
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert n_excluded == int((~defined).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(min_value=2, max_value=300),
+              elements=st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0]))))
+def test_ensemble_percentiles_equal_numpys_bit_for_bit(values):
+    """The 2.5 and 97.5 percentiles of an ensemble summary are
+    ``np.percentile``'s, ties, signed zeros, infinities and NaN included."""
+    with np.errstate(all="ignore"):  # inf - inf is part of the domain
+        want = np.percentile(values, [2.5, 97.5])
+    got = np.array(_percentiles(values, (2.5, 97.5)))
+    assert got.tobytes() == want.tobytes()
 
 
 # a coarse grid keeps distinct values distinct after exp() and cubing,
