@@ -23,10 +23,12 @@ process ran it.  Every artifact is written to a temporary name, and a
 stage renames its artifacts into place only when the command completes,
 so a command that fails or is interrupted leaves every artifact and the
 manifest as they were; a cell's log record says that its work finished.
-``MODELS`` is the one place where a model's seed code, design, fit and
-predict functions and link artifacts are stated; each stage reads its
-row.  Each model is compared on the scale it predicts: OLS with the
-observed log flows, the other models with the observed levels.
+``MODELS`` is the one place where a model's seed code, design, scale,
+fit and predict functions and link artifacts are stated; each stage reads
+its row.  Each model is compared on the scale it predicts, its row's
+``scale``, a key of ``netstats.SCALES``: OLS with the observed log flows,
+PPML and ZIP with the observed levels, the logit with the observed
+adjacency; ``netstats`` labels a model's weighted rows by it.
 ``run.log.jsonl`` carries one timestamped record per logged event and
 stays out of the manifest: with the log set aside, two runs from the
 same configuration and seed produce byte-identical output trees.
@@ -78,12 +80,12 @@ from .estimation import (
     fit_zip,
 )
 from .netstats import (
+    SCALES,
     STAT_KINDS,
     WEIGHTED_KINDS,
     TradeNetwork,
     all_statistics,
     density,
-    log_positive,
 )
 from .panel import (
     DESIGN_COLUMNS,
@@ -100,6 +102,8 @@ from .prediction import (
     EnsembleStream,
     LinkProbabilityMatrix,
     PredictedWeights,
+    binary_as_dict,
+    binary_from_dict,
     density_induced_binary,
     link_probabilities,
     predict_ols,
@@ -126,13 +130,17 @@ from .synth import (
 class _Model:
     """One model's facts, stated once.  ``code`` is its fixed part of a cell
     seed; ``design`` its rows, the ``"positive"`` flows or every ordered pair
-    (``"full"``); ``fit`` and ``predict`` name its layer functions in this
-    module (no ``predict``: its point network is its thresholded adjacency);
-    a ``links`` model writes ``xi.json`` and ``binary.json``; ``vuong`` names
-    the model its Vuong test is taken against, when that one runs too."""
+    (``"full"``); ``scale`` the key of ``netstats.SCALES`` it predicts on,
+    which the observed network takes in its comparisons and which labels
+    its weighted node statistics; ``fit`` and ``predict`` name its layer
+    functions in this module (no ``predict``: its point network is its
+    thresholded adjacency); a ``links`` model writes ``xi.json`` and
+    ``binary.json``; ``vuong`` names the model its Vuong test is taken
+    against, when that one runs too."""
 
     code: int
     design: str
+    scale: str
     fit: str
     predict: str = None
     links: bool = False
@@ -145,10 +153,10 @@ class _Model:
 
 
 MODELS = {
-    "OLS": _Model(1, "positive", "fit_ols", "predict_ols"),
-    "PPML": _Model(2, "full", "fit_poisson_pml", "predict_ppml"),
-    "ZIP": _Model(3, "full", "fit_zip", "predict_zip", links=True, vuong="PPML"),
-    "LOGIT": _Model(4, "full", "fit_logit", links=True),
+    "OLS": _Model(1, "positive", "log_positive", "fit_ols", "predict_ols"),
+    "PPML": _Model(2, "full", "identity", "fit_poisson_pml", "predict_ppml"),
+    "ZIP": _Model(3, "full", "identity", "fit_zip", "predict_zip", links=True, vuong="PPML"),
+    "LOGIT": _Model(4, "full", "binary", "fit_logit", links=True),
 }
 MODEL_TAGS = tuple(MODELS)
 
@@ -362,6 +370,10 @@ class _Stage:
         cache = os.path.join(cfg.out, PANEL_CACHE_NAME)
         self.panel, self.panel_source, copy = read_panel(cfg.dyads, cfg.countries, cache)
         present = self.panel.years
+        if not present:
+            raise ValidationError(
+                f"the panel has no years: {cfg.dyads!r} and {cfg.countries!r} hold no data rows"
+            )
         years = cfg.years or present
         missing = [y for y in years if y not in present]
         if missing:
@@ -596,14 +608,12 @@ def cmd_predict(args) -> None:
                     if model.links:
                         lp = link_probabilities(fit, dm)
                         stage.write_cell(year, tag, "xi.json", lp.as_dict())
-                        induced = density_induced_binary(lp, rho)
-                        binary = {
-                            "country_ids": list(lp.country_ids),
-                            "adjacency": induced.adjacency.astype(int).tolist(),
-                            "density_induced": induced.as_dict(),
-                            "matched_density": threshold_matching_density(lp, rho).as_dict(),
-                            "manhattan": threshold_by_manhattan(lp, cs.adjacency).as_dict(),
-                        }
+                        binary = binary_as_dict(
+                            lp.country_ids,
+                            density_induced_binary(lp, rho),
+                            threshold_matching_density(lp, rho),
+                            threshold_by_manhattan(lp, cs.adjacency),
+                        )
                         stage.write_cell(year, tag, "binary.json", binary)
                     note["message"] = "predictions written"
                 stage.log_cell(year, tag, note)
@@ -615,8 +625,9 @@ def _cell_network(tag: str, payload: dict):
     predicts; ``pred`` is the decoded PredictedWeights, None for a model
     without ``predict``, whose network is its thresholded adjacency."""
     if not MODELS[tag].predict:
-        a = np.array(payload["adjacency"], dtype=np.int8)
-        return tuple(payload["country_ids"]), TradeNetwork(a.astype(float), a), None
+        ids, induced = binary_from_dict(payload)
+        a = induced.adjacency
+        return ids, TradeNetwork(a.astype(float), a), None
     pred = PredictedWeights.from_dict(payload)
     return pred.country_ids, TradeNetwork(pred.value, pred.mask), pred
 
@@ -649,7 +660,8 @@ def cmd_netstats(args) -> None:
         for year in stage.years:
             cs = build_cross_section(stage.panel, year)
             observed = cs.network()
-            scales = {"identity": observed, "log_positive": log_positive(observed)}
+            # a binary-scale weighted row would repeat its binary twin's
+            scales = {label: SCALES[label](observed) for label in ("identity", "log_positive")}
             rows = _stats_rows(cs.country_ids, scales)
             stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
             for tag in stage.cfg.models:
@@ -657,7 +669,7 @@ def cmd_netstats(args) -> None:
                     (payload,) = stage.inputs(year, tag)
                     ids, net, _ = _cell_network(tag, payload)
                     check_countries(cs.country_ids, ids, "predicted")
-                    rows = _stats_rows(ids, {"identity": net})
+                    rows = _stats_rows(ids, {MODELS[tag].scale: net})
                     stage.write_csv(f"{year}/{tag}/node_stats.csv", _STATS_FIELDS, rows)
                     note["message"] = "statistics written"
                 stage.log_cell(year, tag, note)
@@ -682,9 +694,10 @@ class _TimedStream(EnsembleStream):
 def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
     """One compare cell from picklable inputs: ``(report payload, note)``.
 
-    ``inputs`` is the decoded JSON of the cell's declared inputs: its
-    model's ``network_artifact``, then its ``xi.json`` for a ``links``
-    model; the ensemble streams from the cell's seed.  This
+    ``observed`` is the year's observed network, which the cell takes on
+    its model's ``scale``.  ``inputs`` is the decoded JSON of the cell's
+    declared inputs: its model's ``network_artifact``, then its ``xi.json``
+    for a ``links`` model; the ensemble streams from the cell's seed.  This
     is all of a cell's work, run in its ``_cell`` scope in the stage's
     process or in a worker, so its bytes do not depend on which.  The
     note's ``duration_s``, ``draw_s`` (the part of it spent drawing
@@ -696,6 +709,7 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
         seed = cell_seed(cfg.seed, year, tag)
         network, *xi = inputs
         _, net, pred = _cell_network(tag, network)
+        observed = SCALES[MODELS[tag].scale](observed)
         lp = LinkProbabilityMatrix.from_dict(*xi) if xi else None
         if pred is None:
             stream = stream_bernoulli_ensemble(lp, cfg.replications, seed)

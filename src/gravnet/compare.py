@@ -36,7 +36,6 @@ from .netstats import (
     TradeNetwork,
     all_statistics,
     check_statistics,
-    log_positive,
     population_average,
     stat_correlation,
 )
@@ -341,10 +340,10 @@ def build_comparison_report(
     ``ensemble``.  Correlations between paired statistics are reported for
     the observed and the predicted network.  Every row carries ``tag``.
 
-    ``network`` and ``ensemble`` are taken on the scale they were
-    predicted on, and the observed side on the same scale: in logs when
-    the ensemble has a mask (log-linear draws, with ``network`` the
-    observed-mask network of predicted logs), in levels otherwise.
+    Every network is taken as given: the caller hands ``observed`` on the
+    scale the model predicts, as ``network`` and ``ensemble`` are, e.g. the
+    observed log flows for a model that predicts logs (``netstats.SCALES``
+    holds each scale).  An ensemble's mask is its draws' support only.
     """
     if observed.n != len(observed_ids):
         raise ValidationError(
@@ -356,9 +355,7 @@ def build_comparison_report(
             f"predicted network has {network.n} countries, observed has {len(observed_ids)}"
         )
 
-    obs_stats = all_statistics(
-        observed if ensemble.mask is None else log_positive(observed), _NETWORK_KINDS
-    )
+    obs_stats = all_statistics(observed, _NETWORK_KINDS)
     pred_stats = all_statistics(network, _NETWORK_KINDS)
     summaries = ensemble_summary(ensemble, REPORT_KINDS)
     stat_rows = []

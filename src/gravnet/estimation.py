@@ -531,9 +531,10 @@ def _irls(X, y, omega, beta, lp, moments, loglik):
     diverged), with the last accepted iterate and its linear predictor.
     """
     beta = np.asarray(beta, dtype=float)
-    # an exp that overflows makes the likelihood non-finite, and a
-    # non-finite likelihood is refused: the start fails, a candidate halves
-    with np.errstate(over="ignore"):
+    # an exp that overflows makes the likelihood non-finite (an inf, or a
+    # NaN where a zero weight meets it), and a non-finite likelihood is
+    # refused: the start fails, a candidate halves
+    with np.errstate(over="ignore", invalid="ignore"):
         ll = loglik(y, lp, omega)
     trace = [ll]
     if not np.isfinite(ll):
@@ -555,7 +556,7 @@ def _irls(X, y, omega, beta, lp, moments, loglik):
         for _half in range(MAX_STEP_HALVINGS):
             candidate = beta + fraction * direction
             lp_new = _Linear(X @ candidate)
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 ll_new = loglik(y, lp_new, omega)
             if np.isfinite(ll_new) and ll_new >= ll - 1e-12 * (1.0 + abs(ll)):
                 accepted = True
@@ -720,7 +721,8 @@ def _zip_em(X, y, log_y_factorial, theta, gamma):
     zero = y == 0.0
     poisson_q = partial(_poisson_q, log_y_factorial=log_y_factorial)
     u, v = _Linear(X @ theta), _Linear(X @ gamma)
-    with np.errstate(over="ignore"):  # an overflow is a non-finite start, refused below
+    # an overflow is a non-finite start, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         ll = _zip_loglik(y, u, v, log_y_factorial)
     trace = [ll]
     if not np.isfinite(ll):

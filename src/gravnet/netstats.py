@@ -23,7 +23,8 @@ exporting to the node, out: partners it exports to, tot: both),
 ``ANND``/``ANNS`` neighbor averages (:func:`_neighbor_average`) and
 ``BCC``/``WCC`` binary/weighted clustering (:func:`_clustering`).  The
 weighted families read the network's weights as given; a scale is a
-network of its own, such as :func:`log_positive`, the log scale.
+network of its own, such as :func:`log_positive`, the log scale, or
+:func:`binary`, the adjacency as weights (``SCALES`` names each).
 
 Every statistic is read from one profile of the network: strengths and
 cube-rooted weights, and, from the network's validated adjacency (its
@@ -262,6 +263,18 @@ def log_positive(net: TradeNetwork) -> TradeNetwork:
     log-scale predictions."""
     w = net.weights
     return TradeNetwork(np.log(w, out=np.zeros_like(w), where=w > 0.0), net._support)
+
+
+def binary(net: TradeNetwork) -> TradeNetwork:
+    """``net`` on the binary scale: each link a weight of 1, on ``net``'s
+    adjacency, so each weighted statistic equals its binary twin.  The
+    scale on which observations meet a predicted adjacency."""
+    return TradeNetwork(net._support.a, net._support)
+
+
+#: Each comparison scale by label: a function from a network to the same
+#: network on that scale.
+SCALES = {"identity": lambda net: net, "log_positive": log_positive, "binary": binary}
 
 
 def check_statistics(kinds) -> None:

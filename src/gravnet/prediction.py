@@ -147,6 +147,31 @@ class BinaryPrediction:
         return out
 
 
+def binary_as_dict(
+    country_ids,
+    density_induced: BinaryPrediction,
+    matched_density: BinaryPrediction,
+    manhattan: BinaryPrediction,
+) -> dict:
+    """JSON-ready view of a cell's three threshold rules: the density-induced
+    adjacency, the cell's point network, and each rule's ``as_dict``;
+    :func:`binary_from_dict` reads it back."""
+    return {
+        "country_ids": list(country_ids),
+        "adjacency": density_induced.adjacency.astype(int).tolist(),
+        "density_induced": density_induced.as_dict(),
+        "matched_density": matched_density.as_dict(),
+        "manhattan": manhattan.as_dict(),
+    }
+
+
+def binary_from_dict(payload: dict) -> tuple[tuple[str, ...], BinaryPrediction]:
+    """``(country_ids, density_induced)`` of the :func:`binary_as_dict` that is
+    ``payload``; the other two rules are stored without their adjacency."""
+    threshold = payload["density_induced"]["threshold"]
+    return tuple(payload["country_ids"]), BinaryPrediction(payload["adjacency"], threshold)
+
+
 @dataclass(frozen=True)
 class NetworkEnsemble:
     """Stack of sampled network matrices.

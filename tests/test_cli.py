@@ -36,6 +36,7 @@ from gravnet.cli import (
     MANIFEST_LOCK_NAME,
     MANIFEST_NAME,
     MODEL_TAGS,
+    MODELS,
     PANEL_CACHE_NAME,
     RunConfig,
     _cell,
@@ -62,7 +63,14 @@ from gravnet.errors import (
     ValidationError,
 )
 from gravnet.estimation import fit_from_dict, fit_poisson_pml
-from gravnet.netstats import compute_statistic, density, log_positive, population_average
+from gravnet.netstats import (
+    BINARY_KINDS,
+    SCALES,
+    WEIGHTED_KINDS,
+    compute_statistic,
+    density,
+    population_average,
+)
 from gravnet.panel import (
     DESIGN_COLUMNS,
     build_cross_section,
@@ -1156,34 +1164,38 @@ def test_report_tables_of_a_decoded_report_match_the_oracle():
 
 def test_the_library_rebuilds_a_pipeline_cell_byte_for_byte(zip_panel, tmp_path):
     """A compare cell is the public API applied to the cell's predict
-    artifacts: the same report.json bytes, for OLS (log scale, masked
-    draws) and ZIP (level scale, link probabilities)."""
+    artifacts, with the observed network on the model's scale: the same
+    report.json bytes, for OLS (log scale, masked draws), ZIP (level
+    scale, link probabilities) and LOGIT (binary scale, its binary.json
+    adjacency and Bernoulli draws)."""
     out = tmp_path / "out"
-    cfg = write_config(tmp_path / "cfg.json", zip_panel, out, models=["OLS", "ZIP"])
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out, models=["OLS", "ZIP", "LOGIT"])
     run_pipeline(cfg, commands=("fit", "predict", "compare"))
     year = 2000
     panel = gravnet.load_panel(zip_panel["dyads"], zip_panel["countries"])
     cs = gravnet.build_cross_section(panel, year)
-    for tag in ("OLS", "ZIP"):
+    observed = gravnet.TradeNetwork(cs.weights)
+    for tag, scale in (("OLS", gravnet.log_positive), ("ZIP", lambda net: net),
+                       ("LOGIT", gravnet.binary)):
         cell = out / str(year) / tag
-        pred = gravnet.PredictedWeights.from_dict(
-            json.loads((cell / "prediction.json").read_text())
-        )
+        seed = cell_seed(5, year, tag)
         link_probs = None
-        if tag == "ZIP":
+        if tag != "OLS":
             link_probs = gravnet.LinkProbabilityMatrix.from_dict(
                 json.loads((cell / "xi.json").read_text())
             )
-        ensemble = gravnet.stream_weighted_ensemble(
-            pred, 40, cell_seed(5, year, tag), link_probs=link_probs
-        )
+        if tag == "LOGIT":
+            _, induced = gravnet.binary_from_dict(json.loads((cell / "binary.json").read_text()))
+            network = gravnet.TradeNetwork(induced.adjacency.astype(float), induced.adjacency)
+            ensemble = gravnet.stream_bernoulli_ensemble(link_probs, 40, seed)
+        else:
+            pred = gravnet.PredictedWeights.from_dict(
+                json.loads((cell / "prediction.json").read_text())
+            )
+            network = gravnet.TradeNetwork(pred.value, pred.mask)
+            ensemble = gravnet.stream_weighted_ensemble(pred, 40, seed, link_probs=link_probs)
         report = gravnet.build_comparison_report(
-            gravnet.TradeNetwork(cs.weights),
-            cs.country_ids,
-            tag,
-            gravnet.TradeNetwork(pred.value, pred.mask),
-            ensemble,
-            year=year,
+            scale(observed), cs.country_ids, tag, network, ensemble, year=year
         )
         rebuilt = tmp_path / f"{tag}.json"
         _write_json(str(rebuilt), gravnet.report_as_dict(report))
@@ -1363,7 +1375,9 @@ def test_binary_artifact_realized_density(zip_panel, tmp_path):
 
 def test_observed_side_takes_the_scale_the_model_predicts(zip_panel, tmp_path):
     """OLS predicts logs, so its observed NS_tot is the average of the
-    observed logs; the logit and PPML are compared with observed levels."""
+    observed logs; PPML is compared with observed levels, and the logit,
+    which predicts an adjacency, with the observed adjacency, where NS_tot
+    is ND_tot.  Each scale is read through its model's row."""
     out = tmp_path / "out"
     cfg = write_config(
         tmp_path / "cfg.json", zip_panel, out, models=["OLS", "PPML", "LOGIT"], years=[2000]
@@ -1371,15 +1385,117 @@ def test_observed_side_takes_the_scale_the_model_predicts(zip_panel, tmp_path):
     run_pipeline(cfg, commands=("fit", "predict", "compare"))
     panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
     observed = build_cross_section(panel, 2000).network()
-    logs = log_positive(observed)
-    for tag, scale in (("OLS", logs), ("PPML", observed), ("LOGIT", observed)):
+    averages = {}
+    for tag in ("OLS", "PPML", "LOGIT"):
+        scale = SCALES[MODELS[tag].scale](observed)
         report = json.loads((out / "2000" / tag / "report.json").read_text())
         (ns_tot,) = [s for s in report["statistics"] if s["kind"] == "NS_tot"]
         want, _ = population_average(compute_statistic(scale, "NS_tot"))
         assert ns_tot["observed_avg"] == want, tag
-    levels, _ = population_average(compute_statistic(observed, "NS_tot"))
-    in_logs, _ = population_average(compute_statistic(logs, "NS_tot"))
-    assert levels != in_logs
+        averages[tag] = want
+    assert (MODELS["OLS"].scale, MODELS["PPML"].scale, MODELS["LOGIT"].scale) == (
+        "log_positive", "identity", "binary"
+    )
+    assert averages["PPML"] == population_average(compute_statistic(observed, "NS_tot"))[0]
+    assert averages["LOGIT"] == population_average(compute_statistic(observed, "ND_tot"))[0]
+    assert len(set(averages.values())) == 3
+
+
+def test_node_stats_label_each_models_weighted_rows_by_its_scale(zip_panel, tmp_path):
+    """A model's weighted node statistics carry its scale's label, and its
+    binary ones none; a logit's binary-scale weighted rows repeat their
+    binary twins."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out, years=[2000])
+    run_pipeline(cfg, commands=("fit", "predict", "netstats"))
+    values = collections.defaultdict(list)
+    for tag in MODEL_TAGS:
+        with open(out / "2000" / tag / "node_stats.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        labels = ({row["transform"] for row in rows if row["kind"] in kinds}
+                  for kinds in (WEIGHTED_KINDS, BINARY_KINDS))
+        assert tuple(labels) == ({MODELS[tag].scale}, {""}), tag
+        for row in rows:
+            values[tag, row["kind"]].append(row["value"])
+    for kind, twin in zip(WEIGHTED_KINDS, BINARY_KINDS):
+        assert values["LOGIT", kind] == values["LOGIT", twin], kind
+
+
+def _panel_copy(panel, directory):
+    """Copies of ``panel``'s two CSVs in ``directory``, keyed as in ``panel``."""
+    return {name: shutil.copy(panel[name], directory) for name in ("dyads", "countries")}
+
+
+def _rewrite_data_rows(path, edit):
+    """Replace the data rows of the CSV at ``path`` by ``edit(rows)``,
+    keeping its header line."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        header, *rows = handle.read().splitlines(keepends=True)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines([header, *edit(rows)])
+
+
+@pytest.mark.parametrize("stage", ["fit", "predict", "netstats", "compare", "report"])
+def test_a_panel_without_years_is_refused_by_every_stage(tmp_path, capsys, stage):
+    """A panel whose two CSVs hold only their headers exits 2 naming both
+    files, before the stage writes anything."""
+    panel = write_synth_panel(SynthSpec(n_countries=6, years=(2000,), seed=1), str(tmp_path))
+    for name in ("dyads", "countries"):
+        _rewrite_data_rows(panel[name], lambda rows: [])
+    out = tmp_path / "out"
+    argv = [stage, "--dyads", panel["dyads"], "--countries", panel["countries"], "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("gravnet: error: the panel has no years"), err
+    assert panel["dyads"] in err and panel["countries"] in err
+    assert not out.exists()
+
+
+def test_shuffled_csv_rows_leave_every_artifact_unchanged(zip_panel, tmp_path):
+    """The order of the data rows of either CSV is not part of the panel:
+    with both shuffled, every stage writes the same bytes."""
+    rng = np.random.default_rng(14)
+    shuffled = _panel_copy(zip_panel, tmp_path)
+    for path in shuffled.values():
+        _rewrite_data_rows(path, lambda rows: [rows[k] for k in rng.permutation(len(rows))])
+    trees = []
+    for run, panel in (("a", zip_panel), ("b", shuffled)):
+        run_pipeline(write_config(tmp_path / f"{run}.json", panel, tmp_path / run))
+        trees.append(output_tree(tmp_path / run, skip=(LOG_NAME, PANEL_CACHE_NAME)))
+    assert any(rel.endswith("report.json") for rel in trees[0])
+    assert trees[0] == trees[1]
+
+
+def test_logit_artifacts_do_not_depend_on_the_flow_unit(zip_panel, tmp_path):
+    """The logit reads only which flows are zero, and is compared on the
+    binary scale: with every flow times 2**10 (exact in binary floating
+    point), each of its artifacts keeps its bytes.  The count models' fits
+    on the scaled flows raise no RuntimeWarning, which the suite turns
+    into an error."""
+    scaled = _panel_copy(zip_panel, tmp_path)
+    with open(scaled["dyads"], encoding="utf-8", newline="") as handle:
+        column = next(csv.reader(handle)).index("flow")
+
+    def times_1024(rows):
+        for line in rows:
+            cells = line.split(",")  # the flow is not the last cell
+            cells[column] = repr(float(cells[column]) * 2.0**10)
+            yield ",".join(cells)
+
+    _rewrite_data_rows(scaled["dyads"], times_1024)
+    trees = []
+    for run, panel in (("a", zip_panel), ("b", scaled)):
+        run_pipeline(write_config(tmp_path / f"{run}.json", panel, tmp_path / run))
+        trees.append(output_tree(tmp_path / run))
+    logit = [rel for rel in trees[0] if os.path.basename(os.path.dirname(rel)) == "LOGIT"]
+    assert sorted(os.path.basename(rel) for rel in logit) == sorted(
+        ["binary.json", "fit.json", "node_stats.csv", "report.json", "xi.json"] * 2
+    )
+    for rel in logit:
+        assert trees[0][rel] == trees[1][rel], rel
+    # the scaling reached the panel: the level-scale reports moved
+    ppml = os.path.join("2000", "PPML", "report.json")
+    assert trees[0][ppml] != trees[1][ppml]
 
 
 @pytest.mark.parametrize("flags,field", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,6 +274,23 @@ def test_candidates_that_overflow_are_halved_away_without_a_warning(tmp_path):
     assert fit_poisson_pml(dm).loglik == pytest.approx(-59053.1154, abs=1e-3)
     with pytest.raises(ConvergenceError, match="M-step"):
         fit_zip(dm)
+
+
+def test_a_nan_candidate_on_a_zero_weight_row_is_halved_away_without_a_warning(tmp_path):
+    """With every flow of this year times 2**10, ZIP's Poisson M-step tries
+    a candidate whose exp overflows on a row of weight ``1 - z_hat = 0``:
+    its likelihood term is ``0 * -inf``, a NaN, refused and halved as an
+    infinite one is.  The fit converges, and no "invalid value"
+    RuntimeWarning escapes, which the suite turns into an error."""
+    spec = SynthSpec(n_countries=12, years=(2000,), noise="zip", seed=11)
+    paths = write_synth_panel(spec, str(tmp_path))
+    panel = load_panel(paths["dyads"], paths["countries"])
+    dm = build_design_matrix(
+        build_cross_section(panel, 2000), panel,
+        ("const", "ln_gdp_i", "ln_gdp_j", "ln_dist", "contig", "rta"),
+    )
+    fit = fit_zip(replace(dm, y=dm.y * 2.0**10))
+    assert fit.converged and np.isfinite(fit.loglik)
 
 
 # ---------------------------------------------------------------- Logit

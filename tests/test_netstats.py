@@ -7,10 +7,12 @@ import pytest
 from gravnet.errors import ValidationError
 from gravnet.netstats import (
     BINARY_KINDS,
+    SCALES,
     STAT_KINDS,
     WEIGHTED_KINDS,
     TradeNetwork,
     all_statistics,
+    binary,
     compute_statistic,
     density,
     log_positive,
@@ -254,6 +256,29 @@ def test_log_positive_transform_values():
     assert s_out.values[1] == 0.0
     assert s_out.values[2] == pytest.approx(math.log(0.5))
     assert compute_statistic(logs, "ND_out").values.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_binary_scale_weighs_each_link_1_and_answers_with_the_binary_twins():
+    """``binary(net)`` is ``net``'s adjacency as weights, on ``net``'s
+    support, so every weighted statistic is its binary twin bit for bit;
+    ``SCALES`` names the three scales."""
+    rng = np.random.default_rng(33)
+    for _ in range(10):
+        net = TradeNetwork(random_network(rng)[0])
+        ones = binary(net)
+        assert ones._support is net._support
+        np.testing.assert_array_equal(ones.weights, net.adjacency)
+        stats = all_statistics(ones, STAT_KINDS)
+        for weighted, twin in zip(WEIGHTED_KINDS, BINARY_KINDS):
+            np.testing.assert_array_equal(stats[weighted].values, stats[twin].values)
+            np.testing.assert_array_equal(stats[weighted].defined, stats[twin].defined)
+            # and the twin is what the levels give
+            np.testing.assert_array_equal(
+                stats[twin].values, compute_statistic(net, twin).values
+            )
+    assert SCALES["identity"](net) is net
+    assert SCALES["log_positive"] is log_positive
+    assert SCALES["binary"] is binary
 
 
 def test_explicit_adjacency_allows_negative_weights():

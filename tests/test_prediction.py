@@ -6,6 +6,7 @@ against brute-force scans.  Samplers are checked on their first two moments
 with Monte Carlo error bounds and on exact reproducibility.
 """
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -31,6 +32,8 @@ from gravnet.prediction import (
     DEFAULT_REPLICATIONS,
     LinkProbabilityMatrix,
     PredictedWeights,
+    binary_as_dict,
+    binary_from_dict,
     density_induced_binary,
     link_probabilities,
     predict_ols,
@@ -385,6 +388,27 @@ def test_threshold_matching_density_breaks_ties_by_row_order():
     # 3 links requested out of 6 equal candidates: first three in row-major order
     want = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 0]], dtype=np.int8)
     np.testing.assert_array_equal(out.adjacency, want)
+
+
+def test_binary_artifact_roundtrips_its_point_network():
+    """``binary_as_dict`` stores the density-induced adjacency and each
+    rule's ``as_dict``; ``binary_from_dict`` gives back the country ids and
+    the density-induced prediction, through JSON."""
+    lp = hand_lp()
+    observed = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]], dtype=np.int8)
+    induced = density_induced_binary(lp, 0.5)
+    rules = (induced, threshold_matching_density(lp, 0.5), threshold_by_manhattan(lp, observed))
+    payload = json.loads(json.dumps(binary_as_dict(lp.country_ids, *rules)))
+    assert sorted(payload) == [
+        "adjacency", "country_ids", "density_induced", "manhattan", "matched_density"
+    ]
+    for key, rule in zip(("density_induced", "matched_density", "manhattan"), rules):
+        assert payload[key] == rule.as_dict(), key
+    ids, back = binary_from_dict(payload)
+    assert ids == lp.country_ids
+    assert back.adjacency.dtype == np.int8
+    np.testing.assert_array_equal(back.adjacency, induced.adjacency)
+    assert back.as_dict() == induced.as_dict()
 
 
 def test_threshold_by_manhattan_matches_bruteforce():
