@@ -197,6 +197,7 @@ class RunConfig:
         for name in ("dyads", "countries"):
             if not os.path.isfile(getattr(self, name)):
                 raise ValidationError(f"{name} file not found: {getattr(self, name)!r}")
+        _check_out_dir("config field 'out'", self.out)
         for name, kind, what in (
             ("years", (list, tuple), "a list"),
             ("models", (list, tuple), "a list"),
@@ -237,6 +238,16 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
+
+
+def _check_out_dir(what: str, path: str) -> None:
+    """Refuse an output directory ``path`` that exists as something else,
+    or that could be made only inside something else."""
+    existing = path
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing) or "."
+    if not os.path.isdir(existing):
+        raise ValidationError(f"{what} {path!r}: {existing!r} exists and is not a directory")
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
@@ -431,7 +442,8 @@ class _Stage:
         self._write(rel, _json_text(payload) + "\n")
 
     def write_cell(self, year: int, tag: str, name: str, payload: dict) -> None:
-        """A cell artifact: ``payload`` plus the cell's ``model`` and ``year``."""
+        """A cell artifact: ``payload`` stamped with the cell's ``model`` and
+        ``year``, the one label a cell artifact carries."""
         self.write_json(f"{year}/{tag}/{name}", {**payload, "model": tag, "year": year})
 
     def write_csv(self, rel: str, header, rows) -> None:
@@ -546,6 +558,7 @@ def cmd_synth(args) -> None:
     # each SynthSpec field has a flag of its own name; unset flags keep the default
     given = {f.name: getattr(args, f.name) for f in fields(SynthSpec)}
     spec = SynthSpec(**{name: value for name, value in given.items() if value is not None})
+    _check_out_dir("--out", args.out)
     started = time.perf_counter()
     paths = write_synth_panel(spec, args.out)
     _record_artifacts(args.out, sorted(os.path.basename(p) for p in paths.values()))
@@ -716,7 +729,7 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
         else:
             stream = stream_weighted_ensemble(pred, cfg.replications, seed, link_probs=lp)
         ensemble = _TimedStream(**{f.name: getattr(stream, f.name) for f in fields(stream)})
-        report = build_comparison_report(observed, observed_ids, tag, net, ensemble, year=year)
+        report = build_comparison_report(observed, observed_ids, net, ensemble)
         note.update(
             message=f"report written ({cfg.replications} replications)",
             replications=cfg.replications,
@@ -801,7 +814,7 @@ def cmd_compare(args) -> None:
     results = _in_order(_compare_cell, _compare_inputs(stage), workers)
     with stage, contextlib.closing(results):
         for (year, tag), (payload, note) in results:
-            stage.write_json(f"{year}/{tag}/report.json", payload)
+            stage.write_cell(year, tag, "report.json", payload)
             stage.log_cell(year, tag, note)
 
 
@@ -812,17 +825,17 @@ _CORR_HEADER = ("year", "model", "x", "y", "observed_r", "predicted_r")
 
 
 def _report_tables(reports) -> tuple:
-    """(ks_tests, averages, correlations) rows of ``(year, report)`` pairs."""
+    """(ks_tests, averages, correlations) rows of ``(year, tag, report)`` cells."""
     ks_rows, avg_rows, corr_rows = [], [], []
-    for year, report in reports:
+    for year, tag, report in reports:
         for s in report.statistics:
             ks = s.ks
-            ks_rows.append((year, s.model_tag, s.kind, ks.d_statistic, ks.p_value, ks.n1, ks.n2))
+            ks_rows.append((year, tag, s.kind, ks.d_statistic, ks.p_value, ks.n1, ks.n2))
             e = s.summary
-            avg_rows.append((year, s.model_tag, s.kind, s.observed_avg, s.predicted_avg,
+            avg_rows.append((year, tag, s.kind, s.observed_avg, s.predicted_avg,
                              e.ci_low, e.ci_high, e.mean))
         for c in report.correlations:
-            corr_rows.append((year, c.model_tag, c.kind_x, c.kind_y, c.observed_r, c.predicted_r))
+            corr_rows.append((year, tag, c.kind_x, c.kind_y, c.observed_r, c.predicted_r))
     return ks_rows, avg_rows, corr_rows
 
 
@@ -832,7 +845,7 @@ def cmd_report(args) -> None:
     with _Stage(args, "report", "compare", lambda tag: ("report.json",)) as stage:
         cfg = stage.cfg
         ks_rows, avg_rows, corr_rows = _report_tables(
-            (year, report_from_dict(*stage.inputs(year, tag)))
+            (year, tag, report_from_dict(*stage.inputs(year, tag)))
             for year in stage.years
             for tag in cfg.models
         )

@@ -16,8 +16,10 @@ binary kinds are taken once, from the first replication.
 
 Everything is pure computation over immutable inputs; replication order is
 fixed, so reports are deterministic given the inputs and the ensemble seed.
-``gravnet compare`` builds one report per (year, model) cell and runs its
-cells on every CPU the process may use; a report's bytes do not depend on
+A report holds one (year, model) cell's comparison and names neither: the
+cell labels it.  ``gravnet compare`` builds one report per cell, stamped
+with the cell's model and year, and runs its cells on every CPU the
+process may use; a report's bytes do not depend on
 the process that built it or on how many CPUs there are, and
 ``taskset -c 0 gravnet compare ...`` builds them serially.
 """
@@ -41,7 +43,7 @@ from .netstats import (
 )
 from .prediction import EnsembleStream, NetworkEnsemble
 
-REPORT_VERSION = "1"
+REPORT_VERSION = "2"
 
 # default report grid: the total-direction variants of the six
 # statistic families shown in the comparison tables
@@ -98,9 +100,8 @@ class EnsembleSummary:
 
 @dataclass(frozen=True)
 class StatComparison:
-    """One (model, statistic) cell of the report grid."""
+    """One statistic's row of a report."""
 
-    model_tag: str
     kind: str
     observed_avg: float
     predicted_avg: float
@@ -112,7 +113,6 @@ class StatComparison:
 class CorrelationComparison:
     """Observed and predicted correlation between two node statistics."""
 
-    model_tag: str
     kind_x: str
     kind_y: str
     observed_r: float
@@ -121,7 +121,8 @@ class CorrelationComparison:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    year: int | None
+    """One (year, model) cell's comparison; the cell states which."""
+
     n_countries: int
     statistics: tuple[StatComparison, ...]
     correlations: tuple[CorrelationComparison, ...]
@@ -326,10 +327,8 @@ def _correlation_or_nan(stats: dict, kx: str, ky: str) -> float:
 def build_comparison_report(
     observed: TradeNetwork,
     observed_ids: tuple[str, ...],
-    tag: str,
     network: TradeNetwork,
     ensemble: NetworkEnsemble | EnsembleStream,
-    year: int | None = None,
 ) -> ComparisonReport:
     """Compare one model's predictions with the observed network.
 
@@ -338,7 +337,8 @@ def build_comparison_report(
     test between the observed and predicted node sequences (restricted to
     nodes where each is defined), and the confidence band across
     ``ensemble``.  Correlations between paired statistics are reported for
-    the observed and the predicted network.  Every row carries ``tag``.
+    the observed and the predicted network.  The report is one (year,
+    model) cell's and names neither: the cell labels it.
 
     Every network is taken as given: the caller hands ``observed`` on the
     scale the model predicts, as ``network`` and ``ensemble`` are, e.g. the
@@ -365,23 +365,14 @@ def build_comparison_report(
         obs_avg, _ = population_average(obs_vec)
         pred_avg, _ = population_average(pred_vec)
         ks = ks_two_sample(obs_vec.values[obs_vec.defined], pred_vec.values[pred_vec.defined])
-        stat_rows.append(StatComparison(tag, kind, obs_avg, pred_avg, summary, ks))
+        stat_rows.append(StatComparison(kind, obs_avg, pred_avg, summary, ks))
     corr_rows = tuple(
         CorrelationComparison(
-            tag,
-            kx,
-            ky,
-            _correlation_or_nan(obs_stats, kx, ky),
-            _correlation_or_nan(pred_stats, kx, ky),
+            kx, ky, _correlation_or_nan(obs_stats, kx, ky), _correlation_or_nan(pred_stats, kx, ky)
         )
         for kx, ky in CORRELATION_PAIRS
     )
-    return ComparisonReport(
-        year=year,
-        n_countries=len(observed_ids),
-        statistics=tuple(stat_rows),
-        correlations=corr_rows,
-    )
+    return ComparisonReport(len(observed_ids), tuple(stat_rows), corr_rows)
 
 
 # a module-level function, not a method: callers name it through this
@@ -390,11 +381,9 @@ def report_as_dict(report: ComparisonReport) -> dict:
     """JSON-ready view of a report; :func:`report_from_dict` reads it back."""
     return {
         "report_version": report.report_version,
-        "year": report.year,
         "n_countries": report.n_countries,
         "statistics": [
             {
-                "model": s.model_tag,
                 "kind": s.kind,
                 "observed_avg": s.observed_avg,
                 "predicted_avg": s.predicted_avg,
@@ -417,7 +406,6 @@ def report_as_dict(report: ComparisonReport) -> dict:
         ],
         "correlations": [
             {
-                "model": c.model_tag,
                 "x": c.kind_x,
                 "y": c.kind_y,
                 "observed_r": c.observed_r,
@@ -435,15 +423,12 @@ def report_from_dict(payload: dict) -> ComparisonReport:
         summary = EnsembleSummary(s["kind"], **s["ensemble"])
         ks = KsResult(s["ks_d"], s["ks_p"], s["ks_n_observed"], s["ks_n_predicted"])
         statistics.append(
-            StatComparison(
-                s["model"], s["kind"], s["observed_avg"], s["predicted_avg"], summary, ks
-            )
+            StatComparison(s["kind"], s["observed_avg"], s["predicted_avg"], summary, ks)
         )
     correlations = tuple(
-        CorrelationComparison(c["model"], c["x"], c["y"], c["observed_r"], c["predicted_r"])
+        CorrelationComparison(c["x"], c["y"], c["observed_r"], c["predicted_r"])
         for c in payload["correlations"]
     )
     return ComparisonReport(
-        payload["year"], payload["n_countries"], tuple(statistics), correlations,
-        payload["report_version"],
+        payload["n_countries"], tuple(statistics), correlations, payload["report_version"]
     )

@@ -182,7 +182,6 @@ class NetworkEnsemble:
     ``mask`` records where draws are defined.
     """
 
-    model_tag: str
     country_ids: tuple[str, ...]
     replications: np.ndarray
     seed: int
@@ -217,7 +216,6 @@ class EnsembleStream:
     ``mask`` has the meaning it has there.
     """
 
-    model_tag: str
     country_ids: tuple[str, ...]
     m: int
     seed: int
@@ -462,7 +460,7 @@ def _collect(stream: EnsembleStream, dtype) -> NetworkEnsemble:
     reps = np.empty((stream.m, stream.n, stream.n), dtype=dtype)
     for r, w in enumerate(stream):
         reps[r] = w
-    return NetworkEnsemble(stream.model_tag, stream.country_ids, reps, stream.seed, stream.mask)
+    return NetworkEnsemble(stream.country_ids, reps, stream.seed, stream.mask)
 
 
 def stream_bernoulli_ensemble(
@@ -479,7 +477,7 @@ def stream_bernoulli_ensemble(
     xi = link_probs.xi
     off = ~np.eye(n, dtype=bool)
     return EnsembleStream(
-        "BERNOULLI", link_probs.country_ids, m, seed, lambda g: (g.random((n, n)) < xi) & off
+        link_probs.country_ids, m, seed, lambda g: (g.random((n, n)) < xi) & off
     )
 
 
@@ -556,7 +554,7 @@ def stream_weighted_ensemble(
 
     else:
         raise ValidationError(f"cannot sample weighted networks for {pred.model_tag}")
-    return EnsembleStream(pred.model_tag, pred.country_ids, m, seed, draw, mask)
+    return EnsembleStream(pred.country_ids, m, seed, draw, mask)
 
 
 def sample_weighted_ensemble(

@@ -641,25 +641,26 @@ def loop_dyads_csv(draws) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: csv column -> report.json key of each aggregated table, after "year";
-#: a dotted key reads a nested object, and reads empty where that is null
+#: csv column -> report.json key of each aggregated table, after "year" and
+#: "model", which the cell gives; a dotted key reads a nested object, and
+#: reads empty where that is null
 _KS_COLUMNS = {
-    "model": "model", "kind": "kind", "d_statistic": "ks_d", "p_value": "ks_p",
+    "kind": "kind", "d_statistic": "ks_d", "p_value": "ks_p",
     "n_observed": "ks_n_observed", "n_predicted": "ks_n_predicted",
 }
 _AVG_COLUMNS = {
-    "model": "model", "kind": "kind", "observed": "observed_avg",
+    "kind": "kind", "observed": "observed_avg",
     "predicted": "predicted_avg", "ci_low": "ensemble.ci_low",
     "ci_high": "ensemble.ci_high", "ensemble_mean": "ensemble.mean",
 }
 _CORR_COLUMNS = {
-    "model": "model", "x": "x", "y": "y", "observed_r": "observed_r",
+    "x": "x", "y": "y", "observed_r": "observed_r",
     "predicted_r": "predicted_r",
 }
 
 
-def _report_row(year: int, entry: dict, columns: dict) -> dict:
-    row = {"year": year}
+def _report_row(year: int, tag: str, entry: dict, columns: dict) -> dict:
+    row = {"year": year, "model": tag}
     for column, key in columns.items():
         value = entry
         for part in key.split("."):
@@ -668,16 +669,18 @@ def _report_row(year: int, entry: dict, columns: dict) -> dict:
     return row
 
 
-def loop_report_rows(year, payload):
-    """Headers and dict rows of (ks_tests, averages, correlations) for one
-    parsed ``report.json``."""
+def loop_report_rows(year, tag, payload):
+    """Headers and dict rows of (ks_tests, averages, correlations) for the
+    parsed ``report.json`` of the (``year``, ``tag``) cell."""
     ks_rows, avg_rows, corr_rows = [], [], []
     for s in payload["statistics"]:
-        ks_rows.append(_report_row(year, s, _KS_COLUMNS))
-        avg_rows.append(_report_row(year, s, _AVG_COLUMNS))
+        ks_rows.append(_report_row(year, tag, s, _KS_COLUMNS))
+        avg_rows.append(_report_row(year, tag, s, _AVG_COLUMNS))
     for c in payload["correlations"]:
-        corr_rows.append(_report_row(year, c, _CORR_COLUMNS))
-    headers = [("year", *columns) for columns in (_KS_COLUMNS, _AVG_COLUMNS, _CORR_COLUMNS)]
+        corr_rows.append(_report_row(year, tag, c, _CORR_COLUMNS))
+    headers = [
+        ("year", "model", *columns) for columns in (_KS_COLUMNS, _AVG_COLUMNS, _CORR_COLUMNS)
+    ]
     return headers, (ks_rows, avg_rows, corr_rows)
 
 

@@ -282,13 +282,12 @@ def _single_year_pvalues(seed, out_dir):
     zf = fit_zip(dm_full)
     pz = predict_zip(zf, dm_full)
 
-    def p_values(tag, pred, scale, **link_probs):
+    def p_values(pred, scale, **link_probs):
         # only the point prediction is read; a two-replication ensemble
         # stands in for the bands every report carries
         report = build_comparison_report(
             scale,
             cs.country_ids,
-            tag,
             TradeNetwork(pred.value, pred.mask),
             stream_weighted_ensemble(pred, 2, seed, **link_probs),
         )
@@ -297,14 +296,14 @@ def _single_year_pvalues(seed, out_dir):
     # log-scale predictions keep the observed support (the ensemble's
     # mask) and are compared against observed log weights; level
     # predictions cover every dyad and are compared in levels
-    log_p = p_values("OLS", po, log_positive(observed))
+    log_p = p_values(po, log_positive(observed))
     level_p = {
         (tag, kind): p
         for tag, pred, link_probs in (
             ("PPML", pp, {}),
             ("ZIP", pz, {"link_probs": link_probabilities(zf, dm_full)}),
         )
-        for kind, p in p_values(tag, pred, observed, **link_probs).items()
+        for kind, p in p_values(pred, observed, **link_probs).items()
     }
     return log_p, level_p
 

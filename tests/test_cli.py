@@ -48,6 +48,8 @@ from gravnet.cli import (
     main,
 )
 from gravnet.compare import (
+    CORRELATION_PAIRS,
+    REPORT_KINDS,
     ComparisonReport,
     CorrelationComparison,
     EnsembleSummary,
@@ -1130,13 +1132,13 @@ def test_report_csvs_match_the_dict_walking_oracle(zip_panel, tmp_path):
     cfg = write_config(tmp_path / "cfg.json", zip_panel, out, years=[2000], replications=10)
     run_pipeline(cfg)
     cases = [
-        (2000, json.loads((out / "2000" / tag / "report.json").read_text()))
+        (2000, tag, json.loads((out / "2000" / tag / "report.json").read_text()))
         for tag in MODEL_TAGS
     ]
     # what ``gravnet report`` wrote is the oracle's rows, cell after cell
     written = {}
-    for year, payload in cases:
-        headers, tables = loop_report_rows(year, payload)
+    for year, tag, payload in cases:
+        headers, tables = loop_report_rows(year, tag, payload)
         for name, header, rows in zip(("ks_tests", "averages", "correlations"), headers, tables):
             written.setdefault(name, [list(header)]).extend(rendered(r.values() for r in rows))
     for name, want in written.items():
@@ -1149,14 +1151,13 @@ def test_report_tables_of_a_decoded_report_match_the_oracle():
     ks = KsResult(0.25, 0.5, 8, 7)
     summary = EnsembleSummary("NS_tot", 1.5, 0.1, 1.25, 1.75, 1.3, 1.7, 9, 1)
     report = ComparisonReport(
-        1999,
         8,
-        (StatComparison("PPML", "NS_tot", -0.0, 1.0, summary, ks),),
-        (CorrelationComparison("PPML", "ND_tot", "BCC_tot", math.nan, 0.5),),
+        (StatComparison("NS_tot", -0.0, 1.0, summary, ks),),
+        (CorrelationComparison("ND_tot", "BCC_tot", math.nan, 0.5),),
     )
     payload = json.loads(json.dumps(report_as_dict(report)))
-    _, tables = loop_report_rows(1999, payload)
-    typed = _report_tables([(1999, report_from_dict(payload))])
+    _, tables = loop_report_rows(1999, "PPML", payload)
+    typed = _report_tables([(1999, "PPML", report_from_dict(payload))])
     for rows, want in zip(typed, tables):
         assert rendered(rows) == rendered(r.values() for r in want)
     assert rendered(typed[2]) == [["1999", "PPML", "ND_tot", "BCC_tot", "nan", "0.5"]]
@@ -1194,11 +1195,10 @@ def test_the_library_rebuilds_a_pipeline_cell_byte_for_byte(zip_panel, tmp_path)
             )
             network = gravnet.TradeNetwork(pred.value, pred.mask)
             ensemble = gravnet.stream_weighted_ensemble(pred, 40, seed, link_probs=link_probs)
-        report = gravnet.build_comparison_report(
-            scale(observed), cs.country_ids, tag, network, ensemble, year=year
-        )
+        report = gravnet.build_comparison_report(scale(observed), cs.country_ids, network, ensemble)
         rebuilt = tmp_path / f"{tag}.json"
-        _write_json(str(rebuilt), gravnet.report_as_dict(report))
+        # the cell's model and year, as the compare stage stamps them
+        _write_json(str(rebuilt), {**gravnet.report_as_dict(report), "model": tag, "year": year})
         assert rebuilt.read_bytes() == (cell / "report.json").read_bytes(), tag
 
 
@@ -1313,6 +1313,24 @@ def test_no_stage_imports_numpy_ma(finished_tree, tmp_path, stage):
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"{EXIT_OK} None"
+
+
+def test_a_report_is_labelled_once_by_its_cell(finished_tree):
+    """Each ``<year>/<tag>/report.json`` states its cell's model and year
+    once, at the top, and none of its statistic or correlation rows
+    repeats them."""
+    root, _ = finished_tree
+    paths = sorted((root / "out").glob("*/*/report.json"))
+    assert sorted(p.parent.name for p in paths) == sorted(MODEL_TAGS)
+    for path in paths:
+        text = path.read_text()
+        assert text.count('"model"') == 1 and text.count('"year"') == 1, path
+        payload = json.loads(text)
+        assert payload["model"] == path.parent.name
+        assert payload["year"] == int(path.parent.parent.name)
+        rows = payload["statistics"] + payload["correlations"]
+        assert len(rows) == len(REPORT_KINDS) + len(CORRELATION_PAIRS)
+        assert not any("model" in row or "year" in row for row in rows), path
 
 
 def test_prediction_artifact_roundtrips_exactly(zip_panel, tmp_path):
@@ -1451,6 +1469,26 @@ def test_a_panel_without_years_is_refused_by_every_stage(tmp_path, capsys, stage
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["synth", "fit", "predict", "netstats", "compare", "report"])
+def test_an_out_that_is_a_file_is_refused_by_every_command(tmp_path, capsys, stage):
+    """An ``--out`` that exists and is not a directory, or that lies inside
+    such a file, exits 2 naming the option and the path, and the command
+    writes nothing and leaves the file as it was."""
+    panel = write_synth_panel(SynthSpec(n_countries=6, years=(2000,), seed=1),
+                              str(tmp_path / "panel"))
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"not a directory\n")
+    before = output_tree(tmp_path)
+    for out in (afile, afile / "sub"):
+        argv = [stage, "--out", str(out)]
+        if stage != "synth":
+            argv += ["--dyads", panel["dyads"], "--countries", panel["countries"]]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("gravnet: error: ") and "out" in err and repr(str(out)) in err, err
+        assert output_tree(tmp_path) == before
+
+
 def test_shuffled_csv_rows_leave_every_artifact_unchanged(zip_panel, tmp_path):
     """The order of the data rows of either CSV is not part of the panel:
     with both shuffled, every stage writes the same bytes."""
@@ -1466,13 +1504,10 @@ def test_shuffled_csv_rows_leave_every_artifact_unchanged(zip_panel, tmp_path):
     assert trees[0] == trees[1]
 
 
-def test_logit_artifacts_do_not_depend_on_the_flow_unit(zip_panel, tmp_path):
-    """The logit reads only which flows are zero, and is compared on the
-    binary scale: with every flow times 2**10 (exact in binary floating
-    point), each of its artifacts keeps its bytes.  The count models' fits
-    on the scaled flows raise no RuntimeWarning, which the suite turns
-    into an error."""
-    scaled = _panel_copy(zip_panel, tmp_path)
+def _flows_times_1024(panel, directory):
+    """A copy of ``panel`` in ``directory`` with every flow times 2**10,
+    which is exact in binary floating point."""
+    scaled = _panel_copy(panel, directory)
     with open(scaled["dyads"], encoding="utf-8", newline="") as handle:
         column = next(csv.reader(handle)).index("flow")
 
@@ -1483,6 +1518,16 @@ def test_logit_artifacts_do_not_depend_on_the_flow_unit(zip_panel, tmp_path):
             yield ",".join(cells)
 
     _rewrite_data_rows(scaled["dyads"], times_1024)
+    return scaled
+
+
+def test_logit_artifacts_do_not_depend_on_the_flow_unit(zip_panel, tmp_path):
+    """The logit reads only which flows are zero, and is compared on the
+    binary scale: with every flow times 2**10 (exact in binary floating
+    point), each of its artifacts keeps its bytes.  The count models' fits
+    on the scaled flows raise no RuntimeWarning, which the suite turns
+    into an error."""
+    scaled = _flows_times_1024(zip_panel, tmp_path)
     trees = []
     for run, panel in (("a", zip_panel), ("b", scaled)):
         run_pipeline(write_config(tmp_path / f"{run}.json", panel, tmp_path / run))
@@ -1496,6 +1541,52 @@ def test_logit_artifacts_do_not_depend_on_the_flow_unit(zip_panel, tmp_path):
     # the scaling reached the panel: the level-scale reports moved
     ppml = os.path.join("2000", "PPML", "report.json")
     assert trees[0][ppml] != trees[1][ppml]
+
+
+def test_ppml_comparison_scales_with_the_flow_unit(zip_panel, tmp_path):
+    """With every flow times c = 2**10, PPML's fit moves its intercept by
+    ln c and nothing else, so its point network scales by c: each K-S row
+    keeps its D, p and sample sizes, each weighted average scales by c
+    (strengths exactly; the clustering's cube roots to rounding), each
+    binary average and every correlation stays, and no RuntimeWarning is
+    raised, which the suite turns into an error.  The ensemble summaries
+    are left out, all but their counts: Poisson(c mu) is not c Poisson(mu),
+    so the scaled draws have less relative spread and fewer zeros: their
+    means and bands, the binary kinds' means too, move by up to about 1e-3."""
+    c = 2.0**10
+    scaled = _flows_times_1024(zip_panel, tmp_path)
+    runs = {}
+    for run, panel in (("a", zip_panel), ("b", scaled)):
+        run_pipeline(write_config(tmp_path / f"{run}.json", panel, tmp_path / run,
+                                  models=["PPML"]))
+        runs[run] = tmp_path / run
+    for year in (1995, 2000):
+        fit_a, fit_b, report_a, report_b = (
+            json.loads((runs[run] / str(year) / "PPML" / name).read_text())
+            for name in ("fit.json", "report.json") for run in "ab"
+        )
+        for a, b in zip(fit_a["coefficients"], fit_b["coefficients"]):
+            shift = math.log(c) if a["name"] == "const" else 0.0
+            assert abs(b["estimate"] - shift - a["estimate"]) <= 1e-8 * a["std_error"], a["name"]
+        for a, b in zip(report_a["statistics"], report_b["statistics"]):
+            kind = a["kind"]
+            for key in ("kind", "ks_d", "ks_p", "ks_n_observed", "ks_n_predicted"):
+                assert a[key] == b[key], (year, kind, key)
+            for key in ("m", "n_dropped"):
+                assert a["ensemble"][key] == b["ensemble"][key], (year, kind, key)
+            if kind in WEIGHTED_KINDS:
+                exact = not kind.startswith("WCC")
+                assert math.isclose(b["observed_avg"], c * a["observed_avg"],
+                                    rel_tol=0.0 if exact else 1e-12), (year, kind)
+                assert math.isclose(b["predicted_avg"], c * a["predicted_avg"],
+                                    rel_tol=1e-12), (year, kind)
+            else:
+                assert b["observed_avg"] == a["observed_avg"], (year, kind)
+                assert b["predicted_avg"] == a["predicted_avg"], (year, kind)
+        for a, b in zip(report_a["correlations"], report_b["correlations"]):
+            for key in ("observed_r", "predicted_r"):
+                same = math.isnan(a[key]) and math.isnan(b[key])
+                assert same or abs(a[key] - b[key]) <= 1e-12, (year, a["x"], a["y"])
 
 
 @pytest.mark.parametrize("flags,field", [

@@ -169,17 +169,17 @@ def test_ensemble_summary_drops_undefined_replications():
     for k in range(n):
         ring[k, (k + 1) % n] = 1.0
     reps = np.stack([empty, ring, empty, ring, ring])
-    ens = NetworkEnsemble("PPML", country_names(n), reps, seed=0)
+    ens = NetworkEnsemble(country_names(n), reps, seed=0)
 
     # partner averages are undefined on an empty network
     (summary,) = ensemble_summary(ens, ("ANND_tot",))
     assert summary.m == 3 and summary.n_dropped == 2
 
-    all_empty = NetworkEnsemble("PPML", country_names(n), np.zeros((3, n, n)), seed=0)
+    all_empty = NetworkEnsemble(country_names(n), np.zeros((3, n, n)), seed=0)
     with pytest.raises(ValidationError):
         ensemble_summary(all_empty, ("ANND_tot",))
     with pytest.raises(ValidationError):
-        ensemble_summary(NetworkEnsemble("PPML", country_names(n), reps[:1], seed=0),
+        ensemble_summary(NetworkEnsemble(country_names(n), reps[:1], seed=0),
                          ("ND_tot",))
 
 
@@ -239,9 +239,9 @@ def test_ensemble_summary_refuses_a_replication_of_the_wrong_shape():
     three = np.roll(np.eye(3), 1, axis=1)
     mask = three.astype(np.int8)
     ensembles = {
-        "unmasked": EnsembleStream("PPML", ids, 3, 0, lambda g: four),
-        "masked": EnsembleStream("OLS", ids, 3, 0, lambda g: four, mask),
-        "eager": NetworkEnsemble("PPML", ids, np.stack([four] * 3), seed=0),
+        "unmasked": EnsembleStream(ids, 3, 0, lambda g: four),
+        "masked": EnsembleStream(ids, 3, 0, lambda g: four, mask),
+        "eager": NetworkEnsemble(ids, np.stack([four] * 3), seed=0),
     }
     for ens in ensembles.values():
         with pytest.raises(
@@ -250,9 +250,9 @@ def test_ensemble_summary_refuses_a_replication_of_the_wrong_shape():
             ensemble_summary(ens, REPORT_KINDS)
     # a later replication by its own index, after the mask was handed on
     for mask_or_none in (mask, None):
-        stack = NetworkEnsemble("PPML", ids, np.stack([three, three, three]), 0, mask_or_none)
+        stack = NetworkEnsemble(ids, np.stack([three, three, three]), 0, mask_or_none)
         draws = iter([three, three, three[:2]])
-        late = EnsembleStream("PPML", ids, 3, 0, lambda g: next(draws), mask_or_none)
+        late = EnsembleStream(ids, 3, 0, lambda g: next(draws), mask_or_none)
         with pytest.raises(
             ValidationError, match=r"^replication 2 has shape \(2, 3\), expected \(3, 3\)$"
         ):
@@ -265,7 +265,7 @@ def test_ensemble_summary_refuses_a_replication_of_the_wrong_shape():
 def test_ensemble_summary_rejects_an_unknown_kind():
     n = 4
     reps = np.ones((3, n, n))
-    ens = NetworkEnsemble("PPML", country_names(n), reps, seed=0)
+    ens = NetworkEnsemble(country_names(n), reps, seed=0)
     with pytest.raises(ValidationError, match="unknown"):
         ensemble_summary(ens, ("FOO",))
 
@@ -284,7 +284,7 @@ def test_ensemble_summary_rejects_an_unknown_kind():
 
 
 def test_ensemble_summary_rejects_a_bare_string():
-    ens = NetworkEnsemble("PPML", country_names(4), np.ones((3, 4, 4)), seed=0)
+    ens = NetworkEnsemble(country_names(4), np.ones((3, 4, 4)), seed=0)
     with pytest.raises(ValidationError, match="sequence of kinds"):
         ensemble_summary(ens, "ND_tot")
 
@@ -315,7 +315,7 @@ def oracle_ensembles():
         "PPML": sample_weighted_ensemble(ppml, m=40, seed=2),
         "ZIP": sample_weighted_ensemble(predict_zip(zres, dm), m=40, seed=3, link_probs=lp),
         "BERNOULLI": sample_bernoulli_ensemble(lp, m=40, seed=4),
-        "DROPPED": NetworkEnsemble("PPML", country_names(4), dropped, seed=0),
+        "DROPPED": NetworkEnsemble(country_names(4), dropped, seed=0),
     }
 
 
@@ -500,10 +500,9 @@ def test_report_point_mass_recovers_observed():
     net = observed_network()
     ids = country_names(net.n)
     reps = np.repeat(net.weights[None], 5, axis=0)
-    ens = NetworkEnsemble("PPML", ids, reps, seed=0)
-    report = build_comparison_report(net, ids, "PPML", net, ens, year=1999)
+    ens = NetworkEnsemble(ids, reps, seed=0)
+    report = build_comparison_report(net, ids, net, ens)
 
-    assert report.year == 1999
     assert len(report.statistics) == len(REPORT_KINDS)
     for cell in report.statistics:
         assert cell.ks.d_statistic == 0.0
@@ -518,33 +517,32 @@ def test_report_alignment_errors():
     net = observed_network()
     ids = country_names(net.n)
     reps = np.repeat(net.weights[None], 3, axis=0)
-    ens = NetworkEnsemble("PPML", ids, reps, seed=0)
+    ens = NetworkEnsemble(ids, reps, seed=0)
 
     other_ids = ("Q",) + ids[1:]
-    bad_ens = NetworkEnsemble("PPML", other_ids, reps, seed=0)
+    bad_ens = NetworkEnsemble(other_ids, reps, seed=0)
     with pytest.raises(ValidationError) as err:
-        build_comparison_report(net, ids, "PPML", net, bad_ens)
+        build_comparison_report(net, ids, net, bad_ens)
     assert "Q" in str(err.value) and ids[0] in str(err.value)
 
     small = TradeNetwork(np.zeros((3, 3)))
     with pytest.raises(ValidationError):
-        build_comparison_report(net, ids, "PPML", small, ens)
+        build_comparison_report(net, ids, small, ens)
     with pytest.raises(ValidationError):
-        build_comparison_report(net, ids[:-1], "PPML", net, ens)
+        build_comparison_report(net, ids[:-1], net, ens)
 
 
 def test_report_rows_and_json():
     net = observed_network(seed=37)
     ids = country_names(net.n)
-    ens = NetworkEnsemble("PPML", ids, np.repeat(net.weights[None], 3, axis=0), seed=0)
-    report = build_comparison_report(net, ids, "PPML", net, ens, year=2000)
+    ens = NetworkEnsemble(ids, np.repeat(net.weights[None], 3, axis=0), seed=0)
+    report = build_comparison_report(net, ids, net, ens)
 
     assert len(report.statistics) == len(REPORT_KINDS)
     assert len(report.correlations) == len(CORRELATION_PAIRS)
-    assert {s.model_tag for s in report.statistics + report.correlations} == {"PPML"}
 
     payload = json.dumps(report_as_dict(report), sort_keys=True)
     assert payload == json.dumps(report_as_dict(report), sort_keys=True)
     decoded = json.loads(payload)
-    assert decoded["report_version"] == "1"
+    assert decoded["report_version"] == "2"
     assert decoded["n_countries"] == net.n

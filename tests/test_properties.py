@@ -310,7 +310,7 @@ def test_replication_draws_what_a_fresh_generator_draws(method, seed, m):
     """Replication r draws what ``default_rng([seed, r])`` draws (PCG64
     seeded by ``SeedSequence([seed, r])``), and nothing of r - 1's state."""
     draw = RAW_DRAWS[method]
-    drawn = list(EnsembleStream("RAW", ("c0",), m, seed, draw))
+    drawn = list(EnsembleStream(("c0",), m, seed, draw))
     assert len(drawn) == m
     for r, w in enumerate(drawn):
         fresh = draw(np.random.default_rng([seed, r]))
@@ -355,7 +355,7 @@ def summary_streams(draw):
 
     mask = support.astype(np.int8) if masked else None
     ids = tuple(f"c{i}" for i in range(n))
-    stream = EnsembleStream(scale, ids, m, seed, draw_weights, mask)
+    stream = EnsembleStream(ids, m, seed, draw_weights, mask)
     return stream, kinds
 
 
@@ -1215,7 +1215,6 @@ def stat_comparisons(draw):
         EnsembleSummary, st.just(kind), *[_FLOATS] * 6, _COUNTS, _COUNTS
     )
     return StatComparison(
-        draw(st.sampled_from(("OLS", "PPML", "ZIP", "LOGIT"))),
         kind,
         draw(_FLOATS),
         draw(_FLOATS),
@@ -1226,7 +1225,6 @@ def stat_comparisons(draw):
 
 _correlations = st.builds(
     CorrelationComparison,
-    st.sampled_from(("OLS", "PPML", "ZIP", "LOGIT")),
     st.sampled_from(REPORT_KINDS),
     st.sampled_from(REPORT_KINDS),
     _FLOATS | st.just(math.nan),
@@ -1235,7 +1233,6 @@ _correlations = st.builds(
 
 _comparison_reports = st.builds(
     ComparisonReport,
-    st.none() | st.integers(1900, 2100),
     _COUNTS,
     st.lists(stat_comparisons(), max_size=4).map(tuple),
     st.lists(_correlations, max_size=4).map(tuple),
