@@ -71,7 +71,7 @@ from .compare import build_comparison_report, check_countries, report_as_dict, r
 from .errors import ConvergenceError, DependencyError, SchemaError, ValidationError
 from .estimation import (
     ZipFitResult,
-    _ndtr,
+    _two_sided_p,
     attach_vuong,
     fit_from_dict,
     fit_logit,
@@ -518,7 +518,7 @@ def _variant_fits(fits: dict) -> list:
 def _significance(estimate: float, se: float) -> str:
     if not np.isfinite(se) or se <= 0.0:
         return ""
-    p = 2.0 * _ndtr(-abs(estimate / se))
+    p = _two_sided_p(estimate / se)
     if p < 0.001:
         return "***"
     if p < 0.01:

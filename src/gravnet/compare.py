@@ -62,7 +62,7 @@ CORRELATION_PAIRS = (
 # correlation pairs
 _NETWORK_KINDS = tuple(sorted({k for p in CORRELATION_PAIRS for k in p} | set(REPORT_KINDS)))
 
-# float(scipy.special.ndtri(0.975)) bit for bit, as a literal so that
+# scipy's standard normal 0.975 quantile bit for bit, as a literal so that
 # importing this module does not load scipy
 _Z975 = 1.959963984540054
 

@@ -193,6 +193,7 @@ def test_config_validation(zip_panel, tmp_path):
     pytest.param("covariates", [], id="covariates-empty"),
     pytest.param("covariates", ["const", "ln_price"], id="covariates-ln_price"),
     pytest.param("covariates", ["const", "const"], id="covariates-duplicate"),
+    pytest.param("dyads", "", id="dyads-empty"),
 ])
 def test_malformed_config_value_exits_2_naming_the_field(
     zip_panel, tmp_path, capsys, name, value
@@ -211,6 +212,15 @@ def test_a_config_that_sets_transforms_is_refused(zip_panel, tmp_path, capsys):
     )
     assert main(["fit", "--config", cfg]) == EXIT_VALIDATION
     assert "unknown config key(s) ['transforms']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_that_is_not_json_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"dyads": "d.csv",', encoding="utf-8")
+    assert main(["fit", "--config", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"gravnet: error: config file {str(cfg)!r} is not valid JSON"), err
     assert not (tmp_path / "out").exists()
 
 
@@ -281,6 +291,53 @@ def test_a_failed_fit_leaves_no_new_directory(tmp_path, capsys):
         capsys.readouterr().err
     )
     assert sorted(os.listdir(out)) == sorted([LOG_NAME, PANEL_CACHE_NAME])
+
+
+@pytest.fixture(scope="module")
+def separated_panel(tmp_path_factory):
+    """A one-year zip panel whose ``rta`` is 1 exactly on its 124 zero
+    flows: with ``rta`` a regressor, the Poisson, ZIP and logit likelihoods
+    have no maximum, and on the positive rows ``rta`` is the zero column."""
+    spec = SynthSpec(n_countries=16, years=(2000,), noise="zip", seed=3)
+    panel = write_synth_panel(spec, str(tmp_path_factory.mktemp("separated_panel")))
+    with open(panel["dyads"], encoding="utf-8", newline="") as handle:
+        header = next(csv.reader(handle))
+    flow, rta = header.index("flow"), header.index("rta")
+
+    def rta_on_the_zeros(rows):
+        for line in rows:
+            cells = line.rstrip("\n").split(",")
+            cells[rta] = "1" if float(cells[flow]) == 0.0 else "0"
+            yield ",".join(cells) + "\n"
+
+    _rewrite_data_rows(panel["dyads"], rta_on_the_zeros)
+    with open(panel["dyads"], encoding="utf-8", newline="") as handle:
+        assert sum(row["rta"] == "1" for row in csv.DictReader(handle)) == 124
+    return panel
+
+
+@pytest.mark.parametrize("model,code", [
+    ("OLS", EXIT_VALIDATION),
+    ("PPML", EXIT_CONVERGENCE),
+    ("ZIP", EXIT_CONVERGENCE),
+    ("LOGIT", EXIT_CONVERGENCE),
+])
+def test_a_fit_without_a_maximum_exits_3_and_writes_nothing(
+        separated_panel, tmp_path, capsys, model, code):
+    """A separating dummy stops PPML, ZIP and the logit with exit 3, naming
+    the cell; OLS, on the positive rows, refuses the column as collinear
+    with exit 2.  No fit artifact and no manifest is written."""
+    out = tmp_path / "out"
+    argv = ["fit", "--dyads", separated_panel["dyads"], "--countries", separated_panel["countries"],
+            "--out", str(out), "--covariates", "const,ln_dist,ln_gdp_i,ln_gdp_j,rta",
+            "--models", model]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"gravnet: error: year 2000 model {model}: "), err
+    if model == "OLS":
+        assert "['rta']" in err, err
+    assert not (out / MANIFEST_NAME).exists()
+    assert not (out / "2000").exists()
 
 
 def test_fit_error_keeps_its_type_and_names_the_cell(zip_panel):

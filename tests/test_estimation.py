@@ -140,6 +140,24 @@ def test_ols_requires_spare_row():
         fit_ols(dm)
 
 
+@pytest.mark.parametrize("columns,entry,message", [
+    pytest.param(("const",), 1.0, "1 names for 2 columns", id="one-name-two-columns"),
+    pytest.param(("const", "x", "z"), 1.0, "3 names for 2 columns", id="three-names-two-columns"),
+    pytest.param(("const", "x"), math.nan, "design matrix contains non-finite", id="nan"),
+    pytest.param(("const", "x"), -math.inf, "design matrix contains non-finite", id="-inf"),
+])
+def test_every_fit_refuses_a_malformed_design(columns, entry, message):
+    """A design whose column names do not match its columns, or whose X
+    holds a non-finite entry, is refused before any fit starts."""
+    X = with_const([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    X[2, 1] = entry
+    dm = make_dm(X, [0.0, 1.0, 0.0, 3.0, 2.0, 5.0], columns)
+    for fit in (fit_ols, fit_poisson_pml, fit_logit, fit_zip):
+        with pytest.raises(ValidationError) as info:
+            fit(dm)
+        assert str(info.value).startswith(message), (fit.__name__, info.value)
+
+
 def test_ols_shift_invariance():
     rng = np.random.default_rng(17)
     x = rng.uniform(0.0, 3.0, 50)

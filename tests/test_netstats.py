@@ -456,6 +456,12 @@ def test_a_network_on_a_handed_over_adjacency_checks_its_weights(case):
         assert stat.values.tobytes() == want[kind].values.tobytes(), kind
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_density_refuses_fewer_than_two_nodes(n):
+    with pytest.raises(ValidationError, match="density requires at least 2 nodes"):
+        density(TradeNetwork(np.zeros((n, n))))
+
+
 def test_the_empty_network_is_accepted():
     # no entry to reduce over: the 0 x 0 network passes every check
     for adjacency in (None, np.zeros((0, 0), dtype=int)):

@@ -82,6 +82,13 @@ def cross_section(w, year=2000, countries=None, dyad_rows=None):
     )
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_summary_stats_refuse_fewer_than_two_countries(n):
+    with pytest.raises(ValidationError,
+                       match="summary statistics require at least 2 countries"):
+        summary_stats(cross_section(np.zeros((n, n))))
+
+
 @pytest.fixture
 def small_files(tmp_path):
     countries = write_csv(

@@ -7,6 +7,7 @@ with Monte Carlo error bounds and on exact reproducibility.
 """
 
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -388,6 +389,35 @@ def test_threshold_matching_density_breaks_ties_by_row_order():
     # 3 links requested out of 6 equal candidates: first three in row-major order
     want = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 0]], dtype=np.int8)
     np.testing.assert_array_equal(out.adjacency, want)
+
+
+def _one_country_lp():
+    return LinkProbabilityMatrix(country_names(1), np.zeros((1, 1)))
+
+
+def _ols_fit_without_residual_variance():
+    ids = country_names(3)
+    dm = make_dm(ids, full_grid_rows(ids), np.ones((6, 3)), np.ones(6))
+    return manual_fit("OLS", (0.0, 0.0, 0.0), sigma2=None), dm
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: predict_ols(*_ols_fit_without_residual_variance()),
+                 "OLS fit carries no residual variance", id="ols-without-sigma2"),
+    pytest.param(lambda: density_induced_binary(_one_country_lp(), 0.5),
+                 "need at least two countries", id="density-induced-n1"),
+    pytest.param(lambda: threshold_matching_density(_one_country_lp(), 0.5),
+                 "need at least two countries", id="matching-density-n1"),
+    pytest.param(lambda: threshold_by_manhattan(_one_country_lp(), np.zeros((1, 1))),
+                 "need at least two countries", id="manhattan-n1"),
+    *(pytest.param(lambda rho=rho: threshold_matching_density(hand_lp(), rho),
+                   "target density must lie in [0, 1]", id=f"matching-density-rho-{rho}")
+      for rho in (-0.1, 1.5, math.nan)),
+])
+def test_prediction_refusals_name_the_problem(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value).startswith(message), info.value
 
 
 def test_binary_artifact_roundtrips_its_point_network():

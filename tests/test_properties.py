@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.linalg import qr
@@ -23,6 +23,7 @@ from scipy.special import expit, gammaln, kolmogorov, log_expit, ndtr
 
 import gravnet.netstats as netstats
 import gravnet.panel as panel_module
+from gravnet.cli import _significance
 from gravnet.compare import (
     REPORT_KINDS,
     REPORT_VERSION,
@@ -49,7 +50,7 @@ from gravnet.estimation import (
     _expit,
     _log_expit,
     _log_factorial,
-    _ndtr,
+    _two_sided_p,
     fit_from_dict,
     fit_logit,
     fit_ols,
@@ -942,21 +943,23 @@ def test_log_factorial_equals_scipy_bit_for_bit(y):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# a * sqrt(1/2) at and around the cut points of cephes ndtr (1/sqrt(2)) and
-# erfc (1 and 8), and where exp(-x^2) underflows (x^2 = MAXLOG), both signs
-_NDTR_EDGES = (
-    *(
-        sign * a
-        for x in (math.sqrt(0.5), 1.0, 8.0, math.sqrt(709.782712893384))
-        for a in _float_neighbours(x / math.sqrt(0.5))
-        for sign in (1.0, -1.0)
-    ),
-    0.0, -0.0, 5e-324, 38.0, -38.0, 1e308, -1e308, np.inf, -np.inf, np.nan,
+# ``_two_sided_p`` against scipy's 2 * ndtr(-|z|): the largest relative gap
+# measured on 10^7 uniform z in [0, 38] was 5.7e-14, growing with z.  Below
+# the smallest normal float the two underflow differently: scipy's cephes
+# returns 0 once z^2 / 2 passes MAXLOG (z > 37.68), erfc steps down through
+# the subnormals to 0 at z ~ 38.6, and both lie below 2.3e-308 from
+# z ~ 37.54 on.  The edges add scipy's branch points, z = 1, sqrt(2) and
+# 8 sqrt(2)
+_TWO_SIDED_P_RTOL = 1e-13
+_TWO_SIDED_P_EDGES = (
+    0.0, -0.0, 5e-324, 1.0, -1.0, math.sqrt(2.0), 8.0 / math.sqrt(0.5),
+    37.5, -37.5, 37.54, 37.68, 38.0, 38.5, -38.5, 39.0, 1e308, -1e308,
+    np.inf, -np.inf, np.nan,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@example(_NDTR_EDGES)
+@example(_TWO_SIDED_P_EDGES)
 @given(st.lists(
     st.one_of(
         st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -964,11 +967,61 @@ _NDTR_EDGES = (
     ),
     min_size=1, max_size=20,
 ))
-def test_ndtr_equals_scipy_bit_for_bit(xs):
-    """Any float, NaN and ±inf included; most draws land where the normal
-    tail is neither 0 nor 1."""
-    for x in xs:
-        assert np.float64(_ndtr(x)).tobytes() == ndtr(x).tobytes(), x
+def test_two_sided_p_is_scipys_within_1e_13(zs):
+    """Any float: NaN gives NaN, +-inf give 0, and the underflow tail stays
+    below the smallest normal float on both sides."""
+    for z in zs:
+        got, want = _two_sided_p(z), float(2.0 * ndtr(-abs(z)))
+        if math.isnan(z):
+            assert math.isnan(got) and math.isnan(want)
+        elif math.isinf(z):
+            assert got == want == 0.0
+        elif want >= np.finfo(float).tiny:
+            assert abs(got - want) <= _TWO_SIDED_P_RTOL * want, z
+        else:
+            assert 0.0 <= got < 2.3e-308, z
+
+
+_STAR_THRESHOLDS = ((0.001, "***"), (0.01, "**"), (0.05, "*"))
+
+
+def _scipy_stars(estimate, se):
+    """The stars of ``coefficients.csv`` from scipy's normal tail."""
+    if not np.isfinite(se) or se <= 0.0:
+        return ""
+    p = 2.0 * ndtr(-abs(estimate / se))
+    return next((stars for level, stars in _STAR_THRESHOLDS if p < level), "")
+
+
+@settings(max_examples=300, deadline=None)
+@example(1.0, 0.0)
+@example(1.0, -0.5)
+@example(1.0, np.nan)
+@example(1.0, np.inf)
+@example(-1.0, -np.inf)
+@example(np.nan, 1.0)
+@example(np.inf, 1.0)
+@example(-3.2905267314919255 * (1.0 - 1e-8), 1.0)
+@example(-3.2905267314919255 * (1.0 + 1e-8), 1.0)
+@example(2.5758293035489004 * (1.0 - 1e-8), 1.0)
+@example(2.5758293035489004 * (1.0 + 1e-8), 1.0)
+@example(1.959963984540054 * (1.0 - 1e-8), 1.0)
+@example(1.959963984540054 * (1.0 + 1e-8), 1.0)
+@given(
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.floats(-5.0, 5.0)),
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.floats(0.1, 5.0)),
+)
+def test_significance_stars_are_scipys(estimate, se):
+    """Stars from ``_two_sided_p`` equal stars from scipy's p wherever that
+    p lies more than twice ``_TWO_SIDED_P_RTOL`` (relative) from a
+    threshold; nearer, the two tails may round to opposite sides.  An ``se`` of 0,
+    below 0, NaN or inf gives no stars.  The examples sit within about
+    1e-8 (relative) of the z of each threshold, on both sides."""
+    if np.isfinite(se) and se > 0.0:
+        p = 2.0 * ndtr(-abs(estimate / se))
+        assume(all(abs(p - level) > 2 * _TWO_SIDED_P_RTOL * level
+                   for level, _ in _STAR_THRESHOLDS))
+    assert _significance(estimate, se) == _scipy_stars(estimate, se)
 
 
 def _scipy_rank(X):
