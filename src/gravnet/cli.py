@@ -360,7 +360,8 @@ class _Stage:
     manifest once and checks against it every input the cells declare,
     ``<year>/<tag>/<name>`` for each ``name`` in ``inputs(tag)``.  A
     refused command therefore writes nothing, not even ``out/``; a missing
-    or modified input names ``producer``, the command to rerun.  The copy
+    or modified input names ``producer``, the command to rerun, and in an
+    ``out/`` with no manifest also ``fit``, the first stage.  The copy
     of a freshly parsed panel is stored only once every check has passed.
     A cell reads its inputs through :meth:`inputs`, so it can read only
     what it declared; :meth:`log_cell` logs its ``_cell`` note.
@@ -420,6 +421,11 @@ class _Stage:
     def _checked_bytes(self, rel: str) -> bytes:
         path = _artifact_path(self.cfg.out, rel)
         if rel not in self._digests or not os.path.isfile(path):
+            if not self._digests and self.producer != "fit":  # no stage has run in out
+                raise DependencyError(
+                    f"missing artifact {rel}: {self.cfg.out!r} has no manifest; run 'gravnet fit' "
+                    f"first, then each stage through 'gravnet {self.producer}'"
+                )
             raise DependencyError(f"missing artifact {rel}: run 'gravnet {self.producer}' first")
         with open(path, "rb") as handle:
             data = handle.read()

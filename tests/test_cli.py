@@ -528,6 +528,17 @@ def test_each_stage_names_its_missing_producer(zip_panel, tmp_path, capsys):
     assert list(out.rglob("*")) == []
 
 
+@pytest.mark.parametrize("command", ["predict", "netstats", "compare", "report"])
+def test_a_stage_on_an_out_without_a_manifest_names_fit_first(zip_panel, tmp_path, capsys,
+                                                              command):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out, years=[1995])
+    assert main([command, "--config", cfg]) == EXIT_DEPENDENCY
+    err = capsys.readouterr().err
+    assert "run 'gravnet fit' first" in err, err
+    assert not out.exists()
+
+
 def test_stages_need_only_the_predict_artifacts_they_read(zip_panel, tmp_path, capsys):
     base = tmp_path / "base"
     run_pipeline(write_config(tmp_path / "base.json", zip_panel, base, years=[2000]),
