@@ -119,7 +119,7 @@ from .synth import (
     SynthSpec,
     _atomic_write,
     _csv_text,
-    _json_text,
+    _json_dump,
     _temp_write,
     _write_json,
     write_synth_panel,
@@ -445,7 +445,7 @@ class _Stage:
         self._pending.append((rel, _temp_write(self.cfg.out, text)))
 
     def write_json(self, rel: str, payload) -> None:
-        self._write(rel, _json_text(payload) + "\n")
+        self._write(rel, _json_dump(payload))
 
     def write_cell(self, year: int, tag: str, name: str, payload: dict) -> None:
         """A cell artifact: ``payload`` stamped with the cell's ``model`` and

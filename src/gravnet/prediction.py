@@ -17,6 +17,15 @@ fitted zero probability.  Binary predictions derive from those
 probabilities either through a fixed threshold, by matching the observed
 density, or by minimising the Manhattan distance to an observed adjacency.
 
+The artifact codecs store each n-by-n array, a prediction's ``value`` and
+``mask``, the link probabilities ``xi`` and a binary prediction's
+``adjacency``, as ``synth._encode_array`` encodes it: the base64 of its
+little-endian bytes, ``<f8`` or ``|i1``, which decodes to a read-only array
+equal bit for bit, NaN sign and payload and -0.0 included.  A decoder
+refuses, with a ``SchemaError`` naming the key, an array of another dtype,
+of another shape than its ``country_ids`` give, or text that is not base64
+of exactly its bytes.
+
 Ensembles are sampled with one generator per replication: replication ``r``
 of an ensemble seeded with ``seed`` always uses
 ``numpy.random.default_rng([seed, r])``, PCG64 seeded by
@@ -41,6 +50,7 @@ from .errors import PredictionOverflowError, SchemaError, ValidationError
 from .estimation import MAX_LINEAR_PREDICTOR, FitResult, ZipFitResult, _expit
 from .netstats import link_density
 from .panel import DesignMatrix, _distinct
+from .synth import _decode_array, _encode_array
 
 DEFAULT_REPLICATIONS = 10_000
 
@@ -77,10 +87,10 @@ class PredictedWeights:
         out = {
             "model": self.model_tag,
             "country_ids": list(self.country_ids),
-            "value": self.value.tolist(),
+            "value": _encode_array(self.value, "<f8"),
         }
         if self.mask is not None:
-            out["mask"] = self.mask.astype(int).tolist()
+            out["mask"] = _encode_array(self.mask, "|i1")
         if self.sigma2 is not None:
             out["sigma2"] = self.sigma2
         return out
@@ -88,12 +98,14 @@ class PredictedWeights:
     @classmethod
     def from_dict(cls, payload: dict) -> PredictedWeights:
         """The prediction whose ``as_dict()`` is ``payload``; other keys are ignored."""
+        ids = tuple(payload["country_ids"])
+        shape = (len(ids), len(ids))
         mask = payload.get("mask")
         return cls(
             payload["model"],
-            tuple(payload["country_ids"]),
-            np.array(payload["value"], dtype=float),
-            None if mask is None else np.array(mask, dtype=np.int8),
+            ids,
+            _decode_array(payload["value"], "value", "<f8", shape),
+            None if mask is None else _decode_array(mask, "mask", "|i1", shape),
             payload.get("sigma2"),
         )
 
@@ -114,12 +126,13 @@ class LinkProbabilityMatrix:
         return len(self.country_ids)
 
     def as_dict(self) -> dict:
-        return {"country_ids": list(self.country_ids), "xi": self.xi.tolist()}
+        return {"country_ids": list(self.country_ids), "xi": _encode_array(self.xi, "<f8")}
 
     @classmethod
     def from_dict(cls, payload: dict) -> LinkProbabilityMatrix:
         """The matrix whose ``as_dict()`` is ``payload``; other keys are ignored."""
-        return cls(tuple(payload["country_ids"]), np.array(payload["xi"], dtype=float))
+        ids = tuple(payload["country_ids"])
+        return cls(ids, _decode_array(payload["xi"], "xi", "<f8", (len(ids), len(ids))))
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,7 @@ def binary_as_dict(
     :func:`binary_from_dict` reads it back."""
     return {
         "country_ids": list(country_ids),
-        "adjacency": density_induced.adjacency.astype(int).tolist(),
+        "adjacency": _encode_array(density_induced.adjacency, "|i1"),
         "density_induced": density_induced.as_dict(),
         "matched_density": matched_density.as_dict(),
         "manhattan": manhattan.as_dict(),
@@ -168,8 +181,9 @@ def binary_as_dict(
 def binary_from_dict(payload: dict) -> tuple[tuple[str, ...], BinaryPrediction]:
     """``(country_ids, density_induced)`` of the :func:`binary_as_dict` that is
     ``payload``; the other two rules are stored without their adjacency."""
-    threshold = payload["density_induced"]["threshold"]
-    return tuple(payload["country_ids"]), BinaryPrediction(payload["adjacency"], threshold)
+    ids = tuple(payload["country_ids"])
+    adjacency = _decode_array(payload["adjacency"], "adjacency", "|i1", (len(ids), len(ids)))
+    return ids, BinaryPrediction(adjacency, payload["density_induced"]["threshold"])
 
 
 @dataclass(frozen=True)

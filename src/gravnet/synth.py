@@ -21,10 +21,17 @@ Each year draws from ``Generator(Philox(key=[seed, year]))``, so a year's
 data depends only on (seed, year) and files are byte-identical across
 runs.  The draw order within a year is fixed and documented in
 ``generate_year``.
+
+The byte format of every artifact, the panel's and each stage's, is stated
+here too: a CSV file is ``_csv_text``, a JSON file ``_json_dump``, and an
+array inside a JSON file ``_encode_array``, the base64 of its C-order
+little-endian bytes with its dtype and shape, which ``_decode_array`` reads
+back bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 from .estimation import _expit, _log_expit, _zip_log_p0
 from .panel import COUNTRY_COLUMNS, DYAD_COLUMNS
 
@@ -299,38 +306,52 @@ def _write_csv(path: str, header, rows) -> None:
     _atomic_write(path, _csv_text(header, rows))
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, nested at ``indent``.
-
-    Dicts and lists that hold a list or a dict are laid out here; a list of
-    scalars goes to ``json.dumps`` whole, so CPython's C encoder writes its
-    items.
-    """
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [
-            f"{json.dumps(key if isinstance(key, str) else json.dumps(key))}: "
-            f"{_json_text(item, inner)}"
-            for key, item in sorted(value.items())
-        ]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        if value and not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, value))):
-            # the item separator carries the line break and the indent
-            items = [json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]]
-        else:
-            items = [_json_text(item, inner) for item in value]
-        brackets = "[]"
-    else:
-        return json.dumps(value)
-    if not items:
-        return brackets
-    body = (",\n" + inner).join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+def _json_dump(payload) -> str:
+    """The text of every JSON artifact: ``json.dumps`` with ``indent=2`` and
+    sorted keys, and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _write_json(path: str, payload) -> None:
-    _atomic_write(path, _json_text(payload) + "\n")
+    _atomic_write(path, _json_dump(payload))
+
+
+def _encode_array(a, dtype: str) -> dict:
+    """``a`` as a JSON object: ``{"dtype": dtype, "shape": [...], "base64": ...}``.
+
+    ``base64`` is the standard, padded base64 of the array's C-order bytes at
+    ``dtype``, ``"<f8"`` or ``"|i1"``, so little-endian on any host.
+    :func:`_decode_array` reads it back bit for bit.
+    """
+    a = np.ascontiguousarray(a, dtype=dtype)
+    data = base64.b64encode(a.tobytes()).decode("ascii")
+    return {"dtype": dtype, "shape": list(a.shape), "base64": data}
+
+
+def _decode_array(encoded, key: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The read-only array that :func:`_encode_array` wrote as ``encoded``,
+    bit for bit: NaN keeps its sign and payload, and -0.0 stays -0.0.
+
+    Raises
+    ------
+    SchemaError
+        Naming ``key``, unless ``encoded`` is an encoded ``dtype`` array of
+        ``shape`` whose text is base64 of exactly its bytes.
+    """
+    if not isinstance(encoded, dict):
+        raise SchemaError(f"{key!r} is not an encoded array")
+    if encoded.get("dtype") != dtype:
+        raise SchemaError(f"{key!r} has dtype {encoded.get('dtype')!r}, expected {dtype!r}")
+    if encoded.get("shape") != list(shape):
+        raise SchemaError(f"{key!r} has shape {encoded.get('shape')!r}, expected {list(shape)}")
+    try:
+        data = base64.b64decode(encoded.get("base64"), validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise SchemaError(f"{key!r} is not base64 text") from None
+    want = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(data) != want:
+        raise SchemaError(f"{key!r} holds {len(data)} bytes, expected {want} for {list(shape)}")
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
 def _country_rows(draw: YearDraw):

@@ -79,7 +79,13 @@ from gravnet.panel import (
     build_design_matrix,
     load_panel,
 )
-from gravnet.prediction import DEFAULT_REPLICATIONS, predict_ppml
+from gravnet.prediction import (
+    DEFAULT_REPLICATIONS,
+    LinkProbabilityMatrix,
+    PredictedWeights,
+    binary_from_dict,
+    predict_ppml,
+)
 from gravnet.synth import SynthSpec, _write_json, write_synth_panel
 
 from oracles import _render, loop_report_rows
@@ -579,6 +585,21 @@ def test_tampered_artifact_is_rejected(zip_panel, tmp_path, capsys):
     target.write_text(json.dumps(payload))
     assert main(["predict", "--config", cfg]) == EXIT_DEPENDENCY
     assert "does not match the manifest" in capsys.readouterr().err
+
+
+def test_tampered_array_is_rejected(zip_panel, tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", zip_panel, out, models=["ZIP"], years=[2000])
+    run_pipeline(cfg, commands=("fit", "predict"))
+    target = out / "2000" / "ZIP" / "xi.json"
+    text = target.read_text()
+    # one character of the link probabilities' base64, swapped for another:
+    # the file still decodes, to other probabilities
+    k = text.index('"base64": "') + len('"base64": "')
+    target.write_text(text[:k] + ("B" if text[k] == "A" else "A") + text[k + 1:])
+    LinkProbabilityMatrix.from_dict(json.loads(target.read_text()))
+    assert main(["compare", "--config", cfg]) == EXIT_DEPENDENCY
+    assert "2000/ZIP/xi.json does not match the manifest" in capsys.readouterr().err
 
 
 def test_refused_stage_leaves_nothing_behind(zip_panel, tmp_path, capsys):
@@ -1417,8 +1438,10 @@ def test_prediction_artifact_roundtrips_exactly(zip_panel, tmp_path):
     cs = build_cross_section(panel, 2000)
     dm = build_design_matrix(cs, panel, COVARIATES)
     pred = predict_ppml(fit_poisson_pml(dm), dm)
-    assert tuple(payload["country_ids"]) == cs.country_ids
-    np.testing.assert_array_equal(np.array(payload["value"]), pred.value)
+    back = PredictedWeights.from_dict(payload)
+    assert back.country_ids == cs.country_ids
+    np.testing.assert_array_equal(back.value, pred.value)
+    assert back.value.tobytes() == pred.value.tobytes()
 
 
 def test_ols_cell_network_keeps_observed_structure(zip_panel, tmp_path):
@@ -1430,7 +1453,7 @@ def test_ols_cell_network_keeps_observed_structure(zip_panel, tmp_path):
     payload = json.loads((out / "2000" / "OLS" / "prediction.json").read_text())
     panel = load_panel(zip_panel["dyads"], zip_panel["countries"])
     cs = build_cross_section(panel, 2000)
-    np.testing.assert_array_equal(np.array(payload["mask"]), cs.adjacency)
+    np.testing.assert_array_equal(PredictedWeights.from_dict(payload).mask, cs.adjacency)
     assert sorted(payload) == ["country_ids", "mask", "model", "sigma2", "value", "year"]
     # the fit's one residual variance, not a matrix of copies
     fit = json.loads((out / "2000" / "OLS" / "fit.json").read_text())
@@ -1444,7 +1467,7 @@ def test_binary_artifact_realized_density(zip_panel, tmp_path):
     )
     run_pipeline(cfg, commands=("fit", "predict"))
     payload = json.loads((out / "2000" / "LOGIT" / "binary.json").read_text())
-    a = np.array(payload["adjacency"])
+    a = binary_from_dict(payload)[1].adjacency
     n = a.shape[0]
     assert payload["density_induced"]["realized_density"] == a.sum() / (n * (n - 1))
     # the observed density is stored once, as the density-induced threshold

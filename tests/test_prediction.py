@@ -6,6 +6,7 @@ against brute-force scans.  Samplers are checked on their first two moments
 with Monte Carlo error bounds and on exact reproducibility.
 """
 
+import base64
 import json
 import math
 import warnings
@@ -439,6 +440,69 @@ def test_binary_artifact_roundtrips_its_point_network():
     assert back.adjacency.dtype == np.int8
     np.testing.assert_array_equal(back.adjacency, induced.adjacency)
     assert back.as_dict() == induced.as_dict()
+
+
+def _encoded_artifacts():
+    """``{name: (payload, decoder, key)}``: one artifact per array field, the
+    encoded array under ``key``."""
+    lp = hand_lp()
+    induced = density_induced_binary(lp, 0.5)
+    mask = (lp.xi > 0).astype(np.int8)
+    return {
+        "prediction-value": (
+            PredictedWeights("PPML", lp.country_ids, lp.xi).as_dict(),
+            PredictedWeights.from_dict, "value"),
+        "prediction-mask": (
+            PredictedWeights("OLS", lp.country_ids, lp.xi, mask, 0.5).as_dict(),
+            PredictedWeights.from_dict, "mask"),
+        "xi": (lp.as_dict(), LinkProbabilityMatrix.from_dict, "xi"),
+        "binary": (
+            binary_as_dict(lp.country_ids, induced, induced, induced),
+            binary_from_dict, "adjacency"),
+    }
+
+
+def _reencoded(encoded, data):
+    return {**encoded, "base64": base64.b64encode(data).decode("ascii")}
+
+
+#: refusal -> (how the encoded array is broken, what the message says)
+_BROKEN_ARRAYS = {
+    "dtype": (lambda a: {**a, "dtype": "<i8"}, "has dtype '<i8'"),
+    # the same bytes, flat: only the shape disagrees with the country ids
+    "shape": (lambda a: {**a, "shape": [math.prod(a["shape"])]}, "has shape [9]"),
+    "bytes": (lambda a: _reencoded(a, base64.b64decode(a["base64"])[:-1]), "holds"),
+    # a line break is skipped by a lenient decoder, which would read the same array
+    "base64": (lambda a: {**a, "base64": a["base64"][:4] + "\n" + a["base64"][4:]},
+               "is not base64 text"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(_BROKEN_ARRAYS))
+@pytest.mark.parametrize("artifact", sorted(_encoded_artifacts()))
+def test_array_decoders_refuse_a_malformed_array(artifact, refusal):
+    payload, decode, key = _encoded_artifacts()[artifact]
+    decode(json.loads(json.dumps(payload)))  # the intact artifact decodes
+    broken, message = _BROKEN_ARRAYS[refusal]
+    payload[key] = broken(payload[key])
+    with pytest.raises(SchemaError) as info:
+        decode(json.loads(json.dumps(payload)))
+    assert str(info.value).startswith(f"{key!r} {message}"), info.value
+
+
+def test_array_codec_keeps_every_bit():
+    """NaN keeps its sign and payload, -0.0 its sign, and the decoded array is
+    read-only, C-order little-endian whatever the host."""
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000002], np.uint64)
+    xi = np.array([[0.0, -0.0, math.inf], [-math.inf, 5e-324, 1.0], [0.0, 0.0, 0.0]])
+    xi.ravel()[6:] = nans.view(np.float64)
+    lp = LinkProbabilityMatrix(country_names(3), xi)
+    payload = json.loads(json.dumps(lp.as_dict()))
+    assert payload["xi"]["dtype"] == "<f8" and payload["xi"]["shape"] == [3, 3]
+    assert base64.b64decode(payload["xi"]["base64"]) == xi.astype("<f8").tobytes()
+    back = LinkProbabilityMatrix.from_dict(payload)
+    assert back.xi.tobytes() == xi.tobytes()
+    assert not back.xi.flags.writeable
 
 
 def test_threshold_by_manhattan_matches_bruteforce():

@@ -77,9 +77,12 @@ from gravnet.panel import (
     read_panel,
 )
 from gravnet.prediction import (
+    BinaryPrediction,
     EnsembleStream,
     LinkProbabilityMatrix,
     PredictedWeights,
+    binary_as_dict,
+    binary_from_dict,
     link_probabilities,
     predict_ols,
     predict_ppml,
@@ -1288,6 +1291,21 @@ def link_probability_matrices(draw):
 
 
 @st.composite
+def binary_predictions(draw):
+    """``(country_ids, density_induced)``, what :func:`binary_from_dict` gives back."""
+    ids = draw(st.lists(_LABELS, min_size=2, max_size=5, unique=True).map(tuple))
+    adjacency = draw(_square(len(ids), np.int8, st.integers(0, 1)))
+    return ids, BinaryPrediction(adjacency, draw(_FLOATS))
+
+
+def _binary_as_dict(value):
+    # the decoder reads back the country ids and the density-induced rule;
+    # the other two rules are stored without their adjacency
+    ids, induced = value
+    return binary_as_dict(ids, induced, induced, induced)
+
+
+@st.composite
 def stat_comparisons(draw):
     kind = draw(st.sampled_from(REPORT_KINDS))
     summary = st.builds(
@@ -1323,32 +1341,37 @@ def _as_dict(value):
     return value.as_dict()
 
 
-#: artifact -> (values, encoder, decoder)
+#: artifact -> (values, encoder, decoder, arrays kept bit for bit)
 _CODECS = {
-    "fit": (fit_results(), _as_dict, fit_from_dict),
-    "zip_fit": (zip_fit_results(), _as_dict, fit_from_dict),
-    "prediction": (predicted_weights(), _as_dict, PredictedWeights.from_dict),
-    "xi": (link_probability_matrices(), _as_dict, LinkProbabilityMatrix.from_dict),
-    "report": (_comparison_reports, report_as_dict, report_from_dict),
+    "fit": (fit_results(), _as_dict, fit_from_dict, False),
+    "zip_fit": (zip_fit_results(), _as_dict, fit_from_dict, False),
+    "prediction": (predicted_weights(), _as_dict, PredictedWeights.from_dict, True),
+    "xi": (link_probability_matrices(), _as_dict, LinkProbabilityMatrix.from_dict, True),
+    "binary": (binary_predictions(), _binary_as_dict, binary_from_dict, True),
+    "report": (_comparison_reports, report_as_dict, report_from_dict, False),
 }
 
 
-def assert_same(got, want, where="value"):
+def assert_same(got, want, where="value", bits=False):
     """Equal field by field: arrays of the same dtype and shape, equal bit
-    for bit but for NaN payloads; scalars of the same type."""
+    for bit, but for NaN sign and payload unless ``bits``; scalars of the
+    same type."""
     assert type(got) is type(want), where
     if dataclasses.is_dataclass(want):
         for f in dataclasses.fields(want):
-            assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+            assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}", bits)
     elif isinstance(want, np.ndarray):
         assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        if bits:
+            assert got.tobytes() == want.tobytes(), where
+            return
         assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f"), where
         # -0.0 stays -0.0; a NaN keeps neither its sign nor its payload
         assert np.array_equal(np.signbit(got), np.signbit(want) & ~np.isnan(want)), where
     elif isinstance(want, tuple):
         assert len(got) == len(want), where
         for k, (g, w) in enumerate(zip(got, want)):
-            assert_same(g, w, f"{where}[{k}]")
+            assert_same(g, w, f"{where}[{k}]", bits)
     elif isinstance(want, float) and math.isnan(want):
         assert math.isnan(got), where
     else:
@@ -1361,9 +1384,9 @@ def assert_same(got, want, where="value"):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_artifact_codecs_round_trip_exactly(artifact, data):
-    values, encode, decode = _CODECS[artifact]
+    values, encode, decode, bits = _CODECS[artifact]
     value = data.draw(values)
     text = json.dumps(encode(value), indent=2, sort_keys=True)
     back = decode(json.loads(text))
     assert json.dumps(encode(back), indent=2, sort_keys=True) == text
-    assert_same(back, value)
+    assert_same(back, value, bits=bits)
