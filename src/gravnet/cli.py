@@ -655,16 +655,13 @@ def _stats_rows(ids, scales: dict) -> list:
     """Long-format node-statistic rows of ``scales``, ``{label: network}``,
     networks of one adjacency: the weighted kinds once per scale, the
     binary kinds, which read only the adjacency, once, labelled ``""``."""
-    stats = {}
-    for label, net in scales.items():
-        # binary kinds do not read the weights: take them with the first
-        kinds = WEIGHTED_KINDS if stats else STAT_KINDS
-        for kind, stat in all_statistics(net, kinds).items():
-            stats[kind, label if kind in WEIGHTED_KINDS else ""] = stat
+    stats = {label: all_statistics(net) for label, net in scales.items()}
+    # a binary kind is one statistic on every scale, kept on their support
+    stats[""] = next(iter(stats.values()))
     rows = []
     for kind in STAT_KINDS:
         for label in scales if kind in WEIGHTED_KINDS else ("",):
-            stat = stats[kind, label]
+            stat = stats[label][kind]
             for cid, value, defined in zip(ids, stat.values.tolist(), stat.defined.tolist()):
                 rows.append((cid, kind, label, value if defined else None))
     return rows

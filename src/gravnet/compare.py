@@ -6,13 +6,14 @@ statistics are compared with two-sample Kolmogorov-Smirnov tests, and
 ensemble spread turns into 95% confidence intervals.  An ensemble is walked
 once: each replication becomes one network, every reported statistic is
 taken from that network, and only the per-replication averages are kept.
-Every replication's weights are checked; a masked ensemble's adjacency, and
-what the statistics build from it, only once, at the first replication.
+Every replication's weights are checked; a masked ensemble's adjacency only
+once, at the first replication.
 Given an :class:`~gravnet.prediction.EnsembleStream`, each replication is
 drawn, summarised and dropped, so memory does not grow with the ensemble size
 beyond one scalar per replication and statistic.  An ensemble with a mask
-(log-linear draws) has the mask as every replication's adjacency, so its
-binary kinds are taken once, from the first replication.
+(log-linear draws) has the mask as every replication's adjacency, and each
+replication is handed the first one's support, so its binary kinds, which
+``netstats`` keeps on the support, are computed once, at the first.
 
 Everything is pure computation over immutable inputs; replication order is
 fixed, so reports are deterministic given the inputs and the ensemble seed.
@@ -34,7 +35,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .netstats import (
-    WEIGHTED_KINDS,
     TradeNetwork,
     all_statistics,
     check_statistics,
@@ -213,13 +213,12 @@ def ensemble_summary(
     one network, every requested kind is taken from it, and the
     replication is dropped before the next is drawn.  A masked ensemble's
     adjacency is validated once, at the first replication, and handed to
-    every later one with the intermediates built from it, so a later
-    replication checks only its weights.  Kinds that cannot change between
-    replications (the binary kinds of a masked ensemble) are taken from
-    the first and counted for all ``m``.  A replication's value is the
-    kind's average over the nodes where it is defined; one where it is
-    defined nowhere is dropped (and counted).  Returns one summary per
-    entry of ``kinds``, in order.
+    every later one with the intermediates and binary statistics kept on
+    it, so a later replication checks only its weights and computes no
+    binary kind again.  A replication's value is the kind's average over
+    the nodes where it is defined; one where it is defined nowhere is
+    dropped (and counted).  Returns one summary per entry of ``kinds``, in
+    order.
 
     Raises
     ------
@@ -234,11 +233,6 @@ def ensemble_summary(
     check_statistics(kinds)
     # 8 bytes per kept value, against 32 for a list of Python floats
     values = {kind: array("d") for kind in kinds}
-    # log-scale draws carry their support as the ensemble mask, since their
-    # weights may be negative; every replication's adjacency is then the
-    # mask, so the binary kinds take one value, from the first replication
-    once = [] if ens.mask is None else [k for k in values if k not in WEIGHTED_KINDS]
-    each = [kind for kind in values if kind not in once]
     shape = (ens.n, ens.n)
     adjacency = ens.mask
     for r, w in enumerate(ens):
@@ -247,24 +241,16 @@ def ensemble_summary(
                 f"replication {r} has shape {np.shape(w)}, expected {shape}"
             )
         net = TradeNetwork(w, adjacency=adjacency)
-        if r == 0:
-            if once:
-                _append_values(values, net, once, ens.m)
-            if adjacency is not None:
-                adjacency = net._support
-        _append_values(values, net, each, 1)
+        # log-scale draws carry their support as the ensemble mask, since
+        # their weights may be negative: every later draw is on this one's
+        if adjacency is not None:
+            adjacency = net._support
+        for kind, stat in all_statistics(net, kinds).items():
+            try:
+                values[kind].append(population_average(stat)[0])
+            except ValidationError:
+                continue  # undefined at every node: dropped
     return tuple(_summarise(kind, values[kind], ens.m - len(values[kind])) for kind in kinds)
-
-
-def _append_values(values: dict, net: TradeNetwork, kinds, times: int) -> None:
-    """Append each kind's population average on ``net`` to ``values[kind]``,
-    ``times`` times; one undefined at every node appends nothing (dropped)."""
-    for kind, stat in all_statistics(net, kinds).items():
-        try:
-            value = population_average(stat)[0]
-        except ValidationError:
-            continue  # undefined at every node
-        values[kind].extend(array("d", [value]) * times)
 
 
 def _summarise(kind: str, values: array, dropped: int) -> EnsembleSummary:

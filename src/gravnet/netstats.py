@@ -26,17 +26,15 @@ weighted families read the network's weights as given; a scale is a
 network of its own, such as :func:`log_positive`, the log scale, or
 :func:`binary`, the adjacency as weights (``SCALES`` names each).
 
-Every statistic is read from one profile of the network: strengths and
-cube-rooted weights, and, from the network's validated adjacency (its
-``_support``), the float adjacency, degrees, ``A + A^T``, reciprocated-partner
-counts and ratio denominators.  Each is built on first use and kept, so a
-set of kinds computed together by :func:`all_statistics` builds each of them
-at most once, and networks handed one support (the replications of a masked
-ensemble) build its intermediates once between them.  The statistics are
-kept in the profile too, so each is computed at most once per profile, and
-weights that are the adjacency bit for bit (0/1 weights) answer
-``NS``/``ANNS``/``WCC`` with the ``ND``/``ANND``/``BCC`` values already
-computed: the cube root of 1 is 1, so they are equal.
+Each statistic is kept on what it reads.  A binary kind reads only the
+network's validated adjacency (its ``_support``) and is kept there, beside
+the float adjacency, degrees, ``A + A^T``, reciprocated-partner counts and
+ratio denominators, so the networks on one support (a network's scales, the
+replications of a masked ensemble) compute it once between them.  A weighted
+kind is kept on the network, beside its strengths and cube-rooted weights.
+Each is built on first use and at most once, and weights that are the
+adjacency bit for bit (0/1 weights) answer ``NS``/``ANNS``/``WCC`` with the
+``ND``/``ANND``/``BCC`` values: the cube root of 1 is 1, so they are equal.
 
 Clustering takes each motif sum with one matrix product and a row-wise
 dot (:func:`_diag_of_product`), not the triple product's diagonal, which
@@ -108,13 +106,15 @@ class _Support:
     ``in``/``out``/``tot`` to the column sums, row sums and their total of
     ``a``, and ``k_recip`` counts each node's bilateral partners.  Each is
     built on first use and at most once, as is each ratio denominator
-    (:func:`_denominator`).
+    (:func:`_denominator`) and each binary statistic (``stats``), which
+    reads nothing else.
     """
 
     def __init__(self, adjacency: np.ndarray):
         adjacency.setflags(write=False)
         self.adjacency = adjacency
         self.denominators = {}
+        self.stats = {}
 
     @_built_once
     def a(self) -> np.ndarray:
@@ -182,7 +182,8 @@ class TradeNetwork:
     adjacency support.  Inside the package, ``adjacency`` may also be
     another network's ``_support``: the adjacency is then taken as already
     validated, only the weights are checked against it, and the
-    intermediates built from it are shared.
+    intermediates and binary statistics built from it are shared.  What
+    reads the weights too is built on first use and kept on the network.
     """
 
     weights: np.ndarray
@@ -225,15 +226,37 @@ class TradeNetwork:
     def n(self) -> int:
         return self.weights.shape[0]
 
+    @_built_once
+    def _strength(self) -> dict:
+        """``in``/``out``/``tot`` to the weights' column sums, row sums and sum."""
+        return _by_direction(self.weights)
+
+    @_built_once
+    def _w_hat(self) -> np.ndarray:
+        """The element-wise cube roots of the weights."""
+        return np.cbrt(self.weights)
+
+    @_built_once
+    def _w_is_a(self) -> bool:
+        """Whether the weights are ``a`` bit for bit, as 0/1 weights are: each
+        weighted statistic then equals its binary twin, the cube root of 1
+        being 1.  Bits, not values, so a -0.0 weight counts as a difference."""
+        return bool((self.weights.view(np.uint64) == self._support.a.view(np.uint64)).all())
+
+    @_built_once
+    def _stats(self) -> dict:
+        """The weighted statistics computed on this network, by kind."""
+        return {}
+
 
 @dataclass(frozen=True)
 class NodeStatVector:
     """Per-node values of one statistic, with an explicit defined flag.
 
     ``values`` holds NaN at undefined entries; ``defined`` marks the nodes
-    where the statistic exists.  Both are read-only: a statistic read from
-    another one (see :class:`_Profile`) shares its arrays, and statistics
-    with one denominator share their ``defined`` flags.
+    where the statistic exists.  Both are read-only: a weighted statistic
+    read from its binary twin (on 0/1 weights) shares its arrays, and
+    statistics with one denominator share their ``defined`` flags.
     """
 
     kind: str
@@ -325,42 +348,8 @@ def _ratio_stat(kind: str, numer: np.ndarray, s: _Support, denominator: str) -> 
     return _node_stat(kind, numer / divisor, defined)
 
 
-def _defined_everywhere(kind: str, p: _Profile, values: np.ndarray) -> NodeStatVector:
-    return _node_stat(kind, values, p.support.everywhere)
-
-
-class _Profile:
-    """Intermediates one network's statistics share.
-
-    Those of its adjacency are its network's :class:`_Support`, shared with
-    every network on it; ``w_hat`` (the element-wise cube roots of the
-    weights) and ``strength`` (``in``/``out``/``tot`` to the column sums,
-    row sums and their total of the weights) read the weights.  Each is
-    built on first use and at most once, so a subset of kinds pays only
-    for the intermediates it reads.  ``stats`` keeps every statistic
-    computed from the profile, so each is computed at most once.
-    """
-
-    def __init__(self, net: TradeNetwork):
-        self.net = net
-        self.support = net._support
-        self.stats = {}
-
-    @_built_once
-    def strength(self) -> dict:
-        return _by_direction(self.net.weights)
-
-    @_built_once
-    def w_hat(self) -> np.ndarray:
-        return np.cbrt(self.net.weights)
-
-    @_built_once
-    def w_is_a(self) -> bool:
-        """Whether the weights are ``a`` bit for bit, as for 0/1 weights:
-        each weighted statistic then equals its binary twin, the cube root
-        of 1 being 1.  Bits, not values, so a -0.0 weight counts as a
-        difference."""
-        return bool((self.net.weights.view(np.uint64) == self.support.a.view(np.uint64)).all())
+def _defined_everywhere(kind: str, s: _Support, values: np.ndarray) -> NodeStatVector:
+    return _node_stat(kind, values, s.everywhere)
 
 
 def _by_direction(m: np.ndarray) -> dict:
@@ -368,7 +357,7 @@ def _by_direction(m: np.ndarray) -> dict:
     return {"in": col, "out": row, "tot": col + row}
 
 
-def _neighbor_average(kind: str, p: _Profile, neighbor: dict, variant: str) -> NodeStatVector:
+def _neighbor_average(kind: str, s: _Support, neighbor: dict, variant: str) -> NodeStatVector:
     """Partner average of ``neighbor``, the partners' per-node values by direction.
 
     ``in_in``: average in-value (degree for ANND, strength for ANNS) of the
@@ -379,7 +368,6 @@ def _neighbor_average(kind: str, p: _Profile, neighbor: dict, variant: str) -> N
     twice in numerator and denominator alike; that double counting is
     intentional.  Undefined where the denominator degree is 0.
     """
-    s = p.support
     if variant == "in_in":
         numer, denom = s.a.T @ neighbor["in"], "in"
     elif variant == "in_out":
@@ -393,7 +381,7 @@ def _neighbor_average(kind: str, p: _Profile, neighbor: dict, variant: str) -> N
     return _ratio_stat(kind, numer, s, denom)
 
 
-def _clustering(kind: str, p: _Profile, variant: str, weighted: bool) -> NodeStatVector:
+def _clustering(kind: str, net: TradeNetwork, variant: str, weighted: bool) -> NodeStatVector:
     """Shared motif machinery: triple products of m count motifs, where m is
     the adjacency for the binary case (``a_counts``, float32 wherever that is
     exact) and the element-wise cube roots of the weights otherwise; the
@@ -405,8 +393,8 @@ def _clustering(kind: str, p: _Profile, variant: str, weighted: bool) -> NodeSta
     i trading), ``tot`` (all motifs, undirected total).  Weights are
     deliberately not rescaled into [0, 1], so a weighted value may exceed 1.
     """
-    s = p.support
-    m = p.w_hat if weighted else s.a_counts
+    s = net._support
+    m = net._w_hat if weighted else s.a_counts
     mt = m.T
     if variant == "cyc":
         factors, denom = (m, m, m), "cyc_mid"
@@ -441,32 +429,35 @@ def _diag_of_product(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 _BINARY_TWIN = dict(zip(WEIGHTED_KINDS, BINARY_KINDS))
 
 
-def _statistic(p: _Profile, kind: str) -> NodeStatVector:
-    """One catalogue statistic, read from the network's profile and kept there."""
-    stat = p.stats.get(kind)
+def _statistic(net: TradeNetwork, kind: str) -> NodeStatVector:
+    """One catalogue statistic on ``net``, kept on what it reads: a binary
+    kind on the network's support, a weighted kind on the network."""
+    twin = _BINARY_TWIN.get(kind)
+    stats = net._support.stats if twin is None else net._stats
+    stat = stats.get(kind)
     if stat is None:
-        twin = _BINARY_TWIN.get(kind)
-        if twin is not None and p.w_is_a:
-            same = _statistic(p, twin)
+        if twin is not None and net._w_is_a:
+            same = _statistic(net, twin)
             stat = _node_stat(kind, same.values, same.defined)
         else:
-            stat = _compute(p, kind)
-        p.stats[kind] = stat
+            stat = _compute(net, kind)
+        stats[kind] = stat
     return stat
 
 
-def _compute(p: _Profile, kind: str) -> NodeStatVector:
-    """One catalogue statistic, computed from the profile's intermediates."""
+def _compute(net: TradeNetwork, kind: str) -> NodeStatVector:
+    """One catalogue statistic, computed from the network's intermediates."""
+    s = net._support
     family, _, rest = kind.partition("_")
     if family == "ND":
-        return _defined_everywhere(kind, p, p.support.degree[rest])
+        return _defined_everywhere(kind, s, s.degree[rest])
     if family == "NS":
-        return _defined_everywhere(kind, p, p.strength[rest])
+        return _defined_everywhere(kind, s, net._strength[rest])
     if family == "ANND":
-        return _neighbor_average(kind, p, p.support.degree, rest)
+        return _neighbor_average(kind, s, s.degree, rest)
     if family == "ANNS":
-        return _neighbor_average(kind, p, p.strength, rest)
-    return _clustering(kind, p, rest, weighted=family == "WCC")
+        return _neighbor_average(kind, s, net._strength, rest)
+    return _clustering(kind, net, rest, weighted=family == "WCC")
 
 
 def link_density(links, n: int) -> float:
@@ -485,18 +476,19 @@ def density(net: TradeNetwork) -> float:
 def compute_statistic(net: TradeNetwork, kind: str) -> NodeStatVector:
     """Dispatch a statistic by catalogue kind (see ``STAT_KINDS``)."""
     check_statistics((kind,))
-    return _statistic(_Profile(net), kind)
+    return _statistic(net, kind)
 
 
 def all_statistics(net: TradeNetwork, kinds=STAT_KINDS) -> dict:
     """Compute a set of catalogue statistics, keyed by kind.
 
-    The kinds share one profile of the network, so each intermediate
-    (degrees, strengths, cube-rooted weights, ...) is built once.
+    Each statistic, and each intermediate it reads (degrees, strengths,
+    cube-rooted weights, ...), is built once and kept: a kind already
+    taken on ``net``, or a binary kind already taken on its support, is
+    not computed again.
     """
     check_statistics(kinds)
-    profile = _Profile(net)
-    return {kind: _statistic(profile, kind) for kind in kinds}
+    return {kind: _statistic(net, kind) for kind in kinds}
 
 
 def population_average(stat: NodeStatVector) -> tuple:

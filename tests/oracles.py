@@ -48,7 +48,6 @@ from gravnet.estimation import _zip_log_p0
 from gravnet.netstats import (
     TradeNetwork,
     _defined_everywhere,
-    _Profile,
     all_statistics,
     compute_statistic,
     population_average,
@@ -749,5 +748,4 @@ def analytical_var_avg_ns(pred, zip_fit=None, dm=None):
 
 def reciprocal_degree(net):
     """``ND_recip``: the number of bilateral partners, sum_j a_ij a_ji."""
-    profile = _Profile(net)
-    return _defined_everywhere("ND_recip", profile, profile.support.k_recip)
+    return _defined_everywhere("ND_recip", net._support, net._support.k_recip)

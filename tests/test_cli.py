@@ -670,7 +670,7 @@ def test_fit_and_netstats_call_layer_functions_through_module_names(
     calls.clear()
     assert main(["predict", "--config", cfg]) == EXIT_OK
     assert main(["netstats", "--config", cfg]) == EXIT_OK
-    # per year: the observed network under two transforms, then one per cell
+    # per year: the observed network on two scales, then one per cell
     assert calls == {"all_statistics": 2 * (2 + 4)}
 
 

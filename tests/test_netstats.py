@@ -71,7 +71,7 @@ def test_all_statistics_match_loop_oracle():
         assert abs(density(net) - expected["density"]) <= 1e-12
 
 
-def test_shared_profile_matches_per_kind_calls_and_builds_weights_once(monkeypatch):
+def test_kept_statistics_match_per_kind_calls_and_build_weights_once(monkeypatch):
     import gravnet.netstats as netstats
 
     rng = np.random.default_rng(20261018)
@@ -80,7 +80,8 @@ def test_shared_profile_matches_per_kind_calls_and_builds_weights_once(monkeypat
         for scale in (net, log_positive(net)):
             together = all_statistics(scale, STAT_KINDS)
             for kind in STAT_KINDS:
-                alone = compute_statistic(scale, kind)
+                # on a fresh network, which has kept nothing yet
+                alone = compute_statistic(TradeNetwork(scale.weights, scale.adjacency), kind)
                 assert alone.kind == kind
                 np.testing.assert_array_equal(alone.values, together[kind].values)
                 np.testing.assert_array_equal(alone.defined, together[kind].defined)
@@ -174,17 +175,23 @@ def test_zero_one_weights_make_weighted_equal_binary():
             assert np.array_equal(b.values[ok], v.values[ok])
 
 
-def test_each_statistic_computed_once_and_zero_one_weights_reuse_binary(monkeypatch):
+def _count_computed(monkeypatch) -> list:
+    """The kinds ``netstats._compute`` computes from here on, in order."""
     import gravnet.netstats as netstats
 
     computed = []
     original = netstats._compute
 
-    def counting(p, kind):
+    def counting(net, kind):
         computed.append(kind)
-        return original(p, kind)
+        return original(net, kind)
 
     monkeypatch.setattr(netstats, "_compute", counting)
+    return computed
+
+
+def test_each_statistic_computed_once_and_zero_one_weights_reuse_binary(monkeypatch):
+    computed = _count_computed(monkeypatch)
     _, a = random_network(np.random.default_rng(29), n=7)
     zero_one = TradeNetwork(a.astype(float))
     stats = all_statistics(zero_one, STAT_KINDS + STAT_KINDS)
@@ -193,13 +200,43 @@ def test_each_statistic_computed_once_and_zero_one_weights_reuse_binary(monkeypa
         assert stats[wgt_kind].kind == wgt_kind
         assert stats[wgt_kind].values.tobytes() == stats[bin_kind].values.tobytes()
 
-    # the reuse needs the adjacency's very bits: a -0.0 weight, or the log
-    # scale (log 1 = 0), sends every weighted kind to its own path
-    signed = TradeNetwork(np.where(a == 1, 1.0, -0.0))
-    for net in (log_positive(zero_one), signed):
-        computed.clear()
-        all_statistics(net, STAT_KINDS)
-        assert sorted(computed) == sorted(STAT_KINDS)
+    # the reuse needs the adjacency's very bits: the log scale (log 1 = 0)
+    # sends every weighted kind to its own path, and reads the binary kinds
+    # kept on the support it shares; a -0.0 weight, on a support of its own,
+    # computes every kind
+    computed.clear()
+    all_statistics(log_positive(zero_one), STAT_KINDS)
+    assert sorted(computed) == sorted(WEIGHTED_KINDS)
+    computed.clear()
+    all_statistics(TradeNetwork(np.where(a == 1, 1.0, -0.0)), STAT_KINDS)
+    assert sorted(computed) == sorted(STAT_KINDS)
+
+
+def test_a_second_request_on_one_network_computes_no_kind(monkeypatch):
+    computed = _count_computed(monkeypatch)
+    net = TradeNetwork(random_network(np.random.default_rng(31), n=8)[0])
+    first = all_statistics(net, STAT_KINDS)
+    assert sorted(computed) == sorted(STAT_KINDS)
+    computed.clear()
+    again = all_statistics(net, STAT_KINDS)
+    assert computed == []
+    assert all(again[kind] is first[kind] for kind in STAT_KINDS)
+    assert compute_statistic(net, "WCC_tot") is first["WCC_tot"]
+    assert computed == []
+
+
+def test_scales_of_a_network_compute_no_binary_kind_again(monkeypatch):
+    computed = _count_computed(monkeypatch)
+    net = TradeNetwork(random_network(np.random.default_rng(37), n=8)[0])
+    first = all_statistics(net, BINARY_KINDS)
+    computed.clear()
+    logged = all_statistics(log_positive(net), STAT_KINDS)
+    assert sorted(computed) == sorted(WEIGHTED_KINDS)  # what reads its weights only
+    computed.clear()
+    ones = all_statistics(binary(net), STAT_KINDS)
+    assert computed == []  # 0/1 weights read their binary twins
+    for stats in (logged, ones):
+        assert all(stats[kind] is first[kind] for kind in BINARY_KINDS)
 
 
 def test_weighted_clustering_scales_linearly_in_weights():

@@ -417,11 +417,11 @@ def test_one_product_motif_counts_equal_the_triple_product_diagonal(a):
             assert got.astype(float).tobytes() == want, (variant, dtype)
     # through the statistic: binary clustering counts in float32, the
     # weighted path on the same 0/1 weights in float64
-    profile = netstats._Profile(TradeNetwork(a))
-    assert profile.support.a_counts.dtype == np.float32
+    net = TradeNetwork(a)
+    assert net._support.a_counts.dtype == np.float32
     for variant in factors:
-        binary = netstats._clustering(f"BCC_{variant}", profile, variant, weighted=False)
-        weighted = netstats._clustering(f"WCC_{variant}", profile, variant, weighted=True)
+        binary = netstats._clustering(f"BCC_{variant}", net, variant, weighted=False)
+        weighted = netstats._clustering(f"WCC_{variant}", net, variant, weighted=True)
         assert binary.defined.tobytes() == weighted.defined.tobytes(), variant
         assert binary.values.tobytes() == weighted.values.tobytes(), variant
 
