@@ -264,6 +264,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
                 data = json.load(handle)
         except FileNotFoundError:
             raise ValidationError(f"config file not found: {path!r}")
+        except IsADirectoryError:
+            raise ValidationError(f"config file {path!r} is a directory")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file {path!r} is not UTF-8 text ({exc.reason})")
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {path!r} is not valid JSON: {exc}")
         if not isinstance(data, dict):

@@ -12,8 +12,9 @@ matrices.  The ZIP covariance comes from the observed information of the
 mixture likelihood, not from the two M-step solvers, so the reported
 standard errors account for the latent zero labels being estimated.
 
-Fitting loads no scipy.  The rank check of each design makes scipy's rank
-decisions, and the log of the logistic has scipy's bits.  The logistic
+Fitting loads no scipy.  The rank check of each design, a QR pivoted on
+exact column norms, made scipy's rank decisions on every design tested,
+and the log of the logistic has scipy's bits.  The logistic
 (numpy's ``exp``) and log(y!) (the C library's ``lgamma``) lie within a
 few ulp of scipy's, and the two-sided normal p-value of the significance
 stars and of the Vuong test (the C library's ``erfc``) within about 1e-13.
@@ -68,10 +69,6 @@ STEP_TOL = 1e-6
 #: Step-halving budget per IRLS iteration; 2^-30 of a Newton step is as
 #: good as stuck, so further halving cannot rescue the iteration.
 MAX_STEP_HALVINGS = 30
-
-#: LAPACK's threshold for computing a downdated column norm again.
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -194,57 +191,34 @@ class VuongResult:
     n_obs: int
 
 
-def _column_norms(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(a, axis=0)`` of a Fortran-ordered ``a``, bit for bit:
-    one column at a time, so no temporary of ``a``'s size is made."""
-    return np.array([math.sqrt(np.add.reduce(c * c)) for c in a.T])
-
-
 def _pivoted_r_diagonal(X: np.ndarray):
-    """|diag(R)| of the column-pivoted QR of ``X``, and its column order.
-
-    The pivot rule of LAPACK's unblocked ``xLAQP2``, which ``dgeqp3``
-    (behind ``scipy.linalg.qr(pivoting=True)``) runs on designs of fewer
-    than 32 columns: each step takes the first column of largest partial
-    norm, reflects it onto its diagonal with a Householder reflection,
-    and downdates the norms of the columns left, computing a norm again
-    where the downdate has lost most of its digits (LAPACK Working Note
-    176).
-    """
+    """|diag(R)| of the column-pivoted QR of ``X``, and its column order,
+    by Businger and Golub's rule (Numer. Math. 7:269, 1965): each step
+    reflects onto the diagonal the first column of largest norm over the
+    rows left, its square computed in full, one dot per column."""
     a = np.array(X, dtype=float, order="F")
     n, p = a.shape
     order = np.arange(p)
-    partial = _column_norms(a)
-    exact = partial.copy()  # each column's norm when last computed in full
     diag = np.zeros(min(n, p))
     for i in range(min(n, p)):
-        pivot = i + int(np.argmax(partial[i:]))
+        pivot = i + int(np.argmax([c @ c for c in a[i:, i:].T]))
         if pivot != i:
             a[:, [i, pivot]] = a[:, [pivot, i]]
             order[[i, pivot]] = order[[pivot, i]]
-            partial[pivot], exact[pivot] = partial[i], exact[i]
         alpha = a[i, i]
         below = a[i + 1:, i]
         below_norm = float(np.linalg.norm(below))
         if below_norm == 0.0:  # the reflection is the identity
             diag[i] = abs(alpha)
-            update = [0.0] * (p - i - 1)
-        else:
-            beta = -math.copysign(math.hypot(alpha, below_norm), alpha)
-            diag[i] = abs(beta)
-            v = np.concatenate(([1.0], below * (1.0 / (alpha - beta))))
-            # xLARF: w = C' v, then C -= tau v w', tau = (beta - alpha) / beta
-            update = ((alpha - beta) / beta * (v @ a[i:, i + 1:])).tolist()
+            continue
+        beta = -math.copysign(math.hypot(alpha, below_norm), alpha)
+        diag[i] = abs(beta)
+        v = np.concatenate(([1.0], below * (1.0 / (alpha - beta))))
+        # xLARF: w = C' v, then C -= tau v w', tau = (beta - alpha) / beta
+        update = ((alpha - beta) / beta * (v @ a[i:, i + 1:])).tolist()
         for j, coefficient in enumerate(update, start=i + 1):
-            column = a[i:, j]
             if coefficient:
-                column += coefficient * v
-            if partial[j] != 0.0:
-                kept = max(1.0 - (abs(column[0]) / partial[j]) ** 2, 0.0)
-                if kept * (partial[j] / exact[j]) ** 2 <= _SQRT_EPS:
-                    partial[j] = exact[j] = float(np.linalg.norm(column[1:]))
-                else:
-                    partial[j] *= math.sqrt(kept)
+                a[i:, j] += coefficient * v
     return diag, order
 
 

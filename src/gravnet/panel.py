@@ -452,16 +452,22 @@ def _read_table(path, required, convert, codes) -> dict:
     """One CSV file as named columns, converted and checked block by block."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = [name for name in required if name not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s) {missing}")
-        table, parts = _Table(path, header, codes), []
-        for rows, lines in _blocks(reader):
-            table.start(rows, lines)
-            part = convert(table)
-            table.raise_fault()
-            parts.append(part)
+        try:
+            header = next(reader, [])
+            missing = [name for name in required if name not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required column(s) {missing}")
+            table, parts = _Table(path, header, codes), []
+            for rows, lines in _blocks(reader):
+                table.start(rows, lines)
+                part = convert(table)
+                table.raise_fault()
+                parts.append(part)
+        except UnicodeDecodeError as exc:
+            # decoded a chunk at a time, not a row, so no line is named
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 

@@ -230,6 +230,20 @@ def test_a_config_file_that_is_not_json_exits_2_naming_the_file(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("make,message", [
+    pytest.param(lambda path: path.mkdir(), "is a directory", id="directory"),
+    pytest.param(lambda path: path.write_bytes(b'{"dyads": "\xff.csv"}'),
+                 "is not UTF-8 text (invalid start byte)", id="not-utf8"),
+])
+def test_a_config_file_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, make, message):
+    cfg = tmp_path / "cfg.json"
+    make(cfg)
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"gravnet: error: config file {str(cfg)!r} {message}\n", err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_errors(zip_panel, tmp_path):
     with pytest.raises(ValidationError):
         load_config(str(tmp_path / "missing.json"), None)
@@ -1557,6 +1571,32 @@ def test_a_panel_without_years_is_refused_by_every_stage(tmp_path, capsys, stage
     err = capsys.readouterr().err
     assert err.startswith("gravnet: error: the panel has no years"), err
     assert panel["dyads"] in err and panel["countries"] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["dyads", "countries"])
+@pytest.mark.parametrize("appended,message", [
+    pytest.param(b"\xff", "not UTF-8 text (invalid start byte)", id="not-utf8"),
+    pytest.param(b"x" * 140_000 + b"\n", "line {line}: field larger than field limit",
+                 id="field-too-large"),
+])
+def test_a_panel_file_the_reader_cannot_decode_exits_2_naming_it(
+    tmp_path, capsys, name, appended, message
+):
+    """A byte that is not UTF-8, or a field past the csv module's limit,
+    exits 2 naming the file (and the line, for the field: a byte is
+    decoded a chunk at a time), and the stage writes nothing, not even
+    its panel cache."""
+    panel = write_synth_panel(SynthSpec(n_countries=6, years=(2000,), seed=1), str(tmp_path))
+    with open(panel[name], "ab") as handle:
+        handle.write(appended)
+    with open(panel[name], "rb") as handle:
+        line = handle.read().count(b"\n")
+    out = tmp_path / "out"
+    argv = ["fit", "--dyads", panel["dyads"], "--countries", panel["countries"], "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"gravnet: error: {panel[name]}: {message.format(line=line)}"), err
     assert not out.exists()
 
 

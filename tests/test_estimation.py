@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from gravnet.estimation import (
     ZipFitResult,
     _Linear,
     _log_factorial,
+    _pivoted_r_diagonal,
     _zip_em,
     _zip_information,
     _zip_loglik,
@@ -131,6 +133,21 @@ def test_a_singular_design_fails_every_count_fit_on_it_in_turn():
         raised.append((str(info.value), info.value.columns))
     assert raised[0][1] and set(raised[0][1]) <= {"x", "x_doubled"}
     assert raised == [raised[0]] * 4
+
+
+def test_the_rank_check_holds_one_copy_of_the_design():
+    """Each column's norm is one dot over its rows, so on a design of
+    wide-n200's shape the check's traced peak is the Fortran-ordered copy
+    it reduces and a few columns, not a second temporary of X's size."""
+    X = np.random.default_rng(7).standard_normal((40_000, 21))
+    tracemalloc.start()
+    try:
+        diag, order = _pivoted_r_diagonal(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(order.tolist()) == list(range(21)) and (diag > 0.0).all()
+    assert peak < 1.25 * X.nbytes, (peak, X.nbytes)
 
 
 def test_ols_requires_spare_row():

@@ -46,7 +46,6 @@ from gravnet.estimation import (
     FitResult,
     ZipFitResult,
     _check_design,
-    _column_norms,
     _expit,
     _log_expit,
     _log_factorial,
@@ -1081,31 +1080,25 @@ def _designs(draw):
     n = draw(st.integers(max(p, 6), 40))
     X = draw(arrays(np.float64, (n, p), elements=st.integers(-3, 3).map(float)))
     X = X * draw(arrays(np.float64, p, elements=st.sampled_from([0.125, 1.0, 64.0])))
-    kind = draw(st.sampled_from(["none", "zero", "scaled", "sum", "dummies"]))
+    kind = draw(st.sampled_from(["none", "zero", "scaled", "reversed", "sum", "dummies"]))
     j, k, l = draw(st.permutations(range(max(p, 3))))[:3]
     if kind == "zero":
         X[:, j % p] = 0.0
     elif kind == "scaled" and p >= 2:
         X[:, j % p] = draw(st.sampled_from([1.0, 2.0, -3.0])) * X[:, k % p]
+    elif kind == "reversed" and p >= 2:
+        # column k's rows in reverse: two columns of tied norms, which
+        # pivot in column order, not in scipy's rounding order; collinear
+        # only where the reversal is a multiple of column k
+        j, k = j % p, (j + 1) % p
+        X[:, j] = X[::-1, k]
+        kind = "none" if np.linalg.matrix_rank(X[:, [j, k]]) == 2 else "scaled"
     elif kind == "sum" and p >= 3:
         X[:, j] = X[:, k] + X[:, l]
     elif kind == "dummies" and p >= 3:
         dummy = draw(arrays(np.bool_, n))
         X[:, j], X[:, k], X[:, l] = 1.0, dummy, ~dummy
     return kind, X
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 20_000), st.integers(1, 6), st.integers(0, 2**32 - 1),
-    st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
-)
-def test_column_norms_equal_numpys_bit_for_bit(n, p, seed, scale):
-    """Rows past numpy's 8192-element buffer included, and scales where a
-    square under- or overflows."""
-    a = np.asfortranarray(np.random.default_rng(seed).standard_normal((n, p)) * scale)
-    with np.errstate(over="ignore", under="ignore"):
-        assert _column_norms(a).tobytes() == np.linalg.norm(a, axis=0).tobytes()
 
 
 @settings(max_examples=400, deadline=None)
