@@ -195,8 +195,11 @@ class RunConfig:
             if not isinstance(value, str) or not value:
                 raise ValidationError(f"config field {name!r} must be a non-empty path")
         for name in ("dyads", "countries"):
-            if not os.path.isfile(getattr(self, name)):
-                raise ValidationError(f"{name} file not found: {getattr(self, name)!r}")
+            path = getattr(self, name)
+            if os.path.isdir(path):
+                raise ValidationError(f"config field {name!r}: {path!r} is a directory, not a file")
+            if not os.path.isfile(path):
+                raise ValidationError(f"config field {name!r}: file not found: {path!r}")
         _check_out_dir("config field 'out'", self.out)
         for name, kind, what in (
             ("years", (list, tuple), "a list"),

@@ -4,16 +4,19 @@ Point predictions answer "what does the model say this network looks like";
 the functions here answer "how far is that from the network we saw".  Node
 statistics are compared with two-sample Kolmogorov-Smirnov tests, and
 ensemble spread turns into 95% confidence intervals.  An ensemble is walked
-once: each replication becomes one network, every reported statistic is
-taken from that network, and only the per-replication averages are kept.
-Every replication's weights are checked; a masked ensemble's adjacency only
-once, at the first replication.
-Given an :class:`~gravnet.prediction.EnsembleStream`, each replication is
-drawn, summarised and dropped, so memory does not grow with the ensemble size
-beyond one scalar per replication and statistic.  An ensemble with a mask
-(log-linear draws) has the mask as every replication's adjacency, and each
-replication is handed the first one's support, so its binary kinds, which
-``netstats`` keeps on the support, are computed once, at the first.
+once, a block of replications at a time: each block becomes one block
+network (``netstats.TradeNetwork``), every reported statistic is taken from
+it by netstats' kernels, which give each replication the bits it would have
+alone, and only the per-replication averages are kept.  Every
+replication's weights are checked; a masked ensemble's adjacency only once,
+before the first draw.  Given an :class:`~gravnet.prediction.EnsembleStream`,
+each block is drawn, summarised and dropped, so memory does not grow with
+the ensemble size: it holds a block (``_BLOCK_ENTRIES`` weights and what
+the statistics build from them), the next block as it is drawn, and one
+scalar per replication and statistic.  An ensemble with a mask (log-linear
+draws) has the mask as every replication's adjacency, and every block is
+on the mask's one support, so its binary kinds, which ``netstats`` keeps on
+the support, are computed once, in the first block.
 
 Everything is pure computation over immutable inputs; replication order is
 fixed, so reports are deterministic given the inputs and the ensemble seed.
@@ -36,9 +39,11 @@ import numpy as np
 from .errors import ValidationError
 from .netstats import (
     TradeNetwork,
+    _validated_support,
     all_statistics,
     check_statistics,
     population_average,
+    population_averages,
     stat_correlation,
 )
 from .prediction import EnsembleStream, NetworkEnsemble
@@ -209,23 +214,27 @@ def ensemble_summary(
 ) -> tuple[EnsembleSummary, ...]:
     """Summarise statistics' population averages across replications.
 
-    One pass over the ensemble, eager or streamed: each replication becomes
-    one network, every requested kind is taken from it, and the
-    replication is dropped before the next is drawn.  A masked ensemble's
-    adjacency is validated once, at the first replication, and handed to
-    every later one with the intermediates and binary statistics kept on
-    it, so a later replication checks only its weights and computes no
-    binary kind again.  A replication's value is the kind's average over
-    the nodes where it is defined; one where it is defined nowhere is
-    dropped (and counted).  Returns one summary per entry of ``kinds``, in
-    order.
+    One pass over the ensemble, eager or streamed: the replications are
+    read in order into blocks of ``_BLOCK_ENTRIES // n**2`` (at least
+    one), each block becomes one block network, every requested kind is
+    taken from it by netstats' kernels, and the block is dropped once the
+    next is built.  A masked ensemble's adjacency is validated once, before the
+    first draw, and every block shares it with the intermediates and
+    binary statistics kept on it, so a block checks only its weights and
+    no binary kind is computed twice.  A replication's value is the kind's
+    average over the nodes where it is defined, the bits
+    ``population_average`` gives it alone; one where it is defined nowhere
+    is dropped (and counted).  Returns one summary per entry of ``kinds``,
+    in order.
 
     Raises
     ------
     ValidationError
         If fewer than two replications exist, ``kinds`` is a string or
-        names an unknown kind, a replication is not ``n`` by ``n`` (named
-        by its index), or a statistic is undefined in every replication.
+        names an unknown kind, the mask is not a valid ``n`` by ``n``
+        adjacency, a replication is not ``n`` by ``n`` or its weights are
+        refused (each named by its index), or a statistic is undefined in
+        every replication.
     """
     if ens.m < 2:
         raise ValidationError(f"need at least 2 replications, got {ens.m}")
@@ -233,24 +242,56 @@ def ensemble_summary(
     check_statistics(kinds)
     # 8 bytes per kept value, against 32 for a list of Python floats
     values = {kind: array("d") for kind in kinds}
+    # log-scale draws carry their support as the ensemble mask, since their
+    # weights may be negative: every block is on it
     shape = (ens.n, ens.n)
-    adjacency = ens.mask
+    support = None if ens.mask is None else _validated_support(ens.mask, shape)
+    size = max(1, _BLOCK_ENTRIES // max(1, ens.n * ens.n))
+    for first, draws in _blocks(ens, shape, size):
+        net = _block_network(draws, support, first)
+        for kind, stat in all_statistics(net, kinds).items():
+            kept = population_averages(stat).tolist()
+            # a binary kind on the mask is one network's, so every replication's
+            values[kind].extend(kept * len(draws) if stat.values.ndim == 1 else kept)
+    return tuple(_summarise(kind, values[kind], ens.m - len(values[kind])) for kind in kinds)
+
+
+#: The most entries, b n**2, of a block of replications: 512 KiB of
+#: float64 weights, so a block of 50-node networks holds 26 of them, one of
+#: 100-node networks 6, and a network of 182 nodes or more is a block alone.
+_BLOCK_ENTRIES = 65_536
+
+
+def _blocks(ens, shape: tuple, size: int):
+    """``(first, draws)`` for each run of ``size`` replications of ``ens``
+    in order, the last run possibly shorter: ``first`` is the index of its
+    first replication, ``draws`` the list of them, each checked for
+    ``shape`` as it is drawn."""
+    draws, first = [], 0
     for r, w in enumerate(ens):
         if np.shape(w) != shape:
-            raise ValidationError(
-                f"replication {r} has shape {np.shape(w)}, expected {shape}"
-            )
-        net = TradeNetwork(w, adjacency=adjacency)
-        # log-scale draws carry their support as the ensemble mask, since
-        # their weights may be negative: every later draw is on this one's
-        if adjacency is not None:
-            adjacency = net._support
-        for kind, stat in all_statistics(net, kinds).items():
+            raise ValidationError(f"replication {r} has shape {np.shape(w)}, expected {shape}")
+        draws.append(w)
+        if len(draws) == size:
+            yield first, draws
+            draws, first = [], r + 1
+    if draws:
+        yield first, draws
+
+
+def _block_network(draws: list, support, first: int) -> TradeNetwork:
+    """The replications ``draws`` as one block network on ``support``, or
+    the refusal of the first of them refused, named by its index as
+    ``first`` counts from."""
+    try:
+        return TradeNetwork(draws, support)
+    except ValidationError:
+        for r, w in enumerate(draws, first):
             try:
-                values[kind].append(population_average(stat)[0])
-            except ValidationError:
-                continue  # undefined at every node: dropped
-    return tuple(_summarise(kind, values[kind], ens.m - len(values[kind])) for kind in kinds)
+                TradeNetwork(w, support)
+            except ValidationError as err:
+                raise ValidationError(f"replication {r}: {err}") from None
+        raise
 
 
 def _summarise(kind: str, values: array, dropped: int) -> EnsembleSummary:

@@ -36,6 +36,16 @@ Each is built on first use and at most once, and weights that are the
 adjacency bit for bit (0/1 weights) answer ``NS``/``ANNS``/``WCC`` with the
 ``ND``/``ANND``/``BCC`` values: the cube root of 1 is 1, so they are equal.
 
+A network may also be a block: b networks of n nodes stacked as one
+(b, n, n) array, on one shared n x n support or each on its own.  Every
+kernel works on the trailing two axes, so a block's statistic holds each
+network's values, row by row, with the bits that network alone gives:
+numpy reduces, multiplies and dots each slice of a stack as it does one
+matrix, and a transposed factor is a view, so a stack's ``A^T A`` takes
+the symmetric product a single matrix takes.  A binary kind on a shared
+support is one network's values, the same for each network of the block.
+:func:`population_averages` averages each network of a block.
+
 Clustering takes each motif sum with one matrix product and a row-wise
 dot (:func:`_diag_of_product`), not the triple product's diagonal, which
 computes a whole second product to keep its diagonal.  Binary clustering
@@ -49,7 +59,6 @@ within a few ulps of the triple product's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +116,8 @@ class _Support:
     ``a``, and ``k_recip`` counts each node's bilateral partners.  Each is
     built on first use and at most once, as is each ratio denominator
     (:func:`_denominator`) and each binary statistic (``stats``), which
-    reads nothing else.
+    reads nothing else.  The adjacency of a block whose networks each have
+    their own is (b, n, n), and everything built here is then per network.
     """
 
     def __init__(self, adjacency: np.ndarray):
@@ -122,20 +132,20 @@ class _Support:
 
     @_built_once
     def a_sym(self) -> np.ndarray:
-        return self.a + self.a.T
+        return self.a + _t(self.a)
 
     @_built_once
     def a_counts(self) -> np.ndarray:
         """``a`` in float32 up to ``_FLOAT32_COUNTS_MAX_N`` nodes, where
         every motif count is exact in it, and ``a`` itself above."""
-        if self.adjacency.shape[0] > _FLOAT32_COUNTS_MAX_N:
+        if self.adjacency.shape[-1] > _FLOAT32_COUNTS_MAX_N:
             return self.a
         return self.adjacency.astype(np.float32)
 
     @_built_once
     def a_sym_counts(self) -> np.ndarray:
         """``A + A^T`` in the dtype of ``a_counts``."""
-        return self.a_counts + self.a_counts.T
+        return self.a_counts + _t(self.a_counts)
 
     @_built_once
     def degree(self) -> dict:
@@ -143,17 +153,17 @@ class _Support:
 
     @_built_once
     def k_recip(self) -> np.ndarray:
-        return (self.a * self.a.T).sum(axis=1)
+        return (self.a * _t(self.a)).sum(axis=-1)
 
     @_built_once
     def off(self) -> np.ndarray:
-        """Flat positions of the adjacency's zeros."""
+        """Flat positions of the zeros of an n x n adjacency."""
         return np.flatnonzero(self.adjacency == 0)
 
     @_built_once
     def everywhere(self) -> np.ndarray:
         """The ``defined`` flags of a statistic defined at every node."""
-        defined = np.ones(self.adjacency.shape[0], dtype=bool)
+        defined = np.ones(self.adjacency.shape[:-1], dtype=bool)
         defined.setflags(write=False)
         return defined
 
@@ -184,6 +194,12 @@ class TradeNetwork:
     validated, only the weights are checked against it, and the
     intermediates and binary statistics built from it are shared.  What
     reads the weights too is built on first use and kept on the network.
+
+    Inside the package, ``weights`` may also be a (b, N, N) block of b
+    networks, each checked as one network is: on one N x N ``adjacency``
+    they all share, or each on its own derived from its weights.  A block
+    is refused with the message of the first check, in the order a
+    network's checks run, that refuses any of its networks.
     """
 
     weights: np.ndarray
@@ -191,31 +207,30 @@ class TradeNetwork:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        if w.ndim not in (2, 3) or w.shape[-2] != w.shape[-1]:
             raise ValidationError(f"weights must be square, got shape {w.shape}")
-        # a NaN propagates through both reductions and an infinity is one of
-        # them; ``initial`` keeps the 0 x 0 network, which has no entry
-        lo, hi = w.min(initial=0.0), w.max(initial=0.0)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        # one bound per network: a NaN propagates through both reductions
+        # and an infinity is one of them; ``initial`` keeps the 0 x 0
+        # network, which has no entry
+        lo, hi = w.min(axis=(-2, -1), initial=0.0), w.max(axis=(-2, -1), initial=0.0)
+        if not (np.isfinite(lo) & np.isfinite(hi)).all():
             raise ValidationError("weights must be finite")
-        if w.diagonal().any():
+        if w.diagonal(axis1=-2, axis2=-1).any():
             raise ValidationError("weight matrix must have a zero diagonal")
         support = self.adjacency
         if support is None:
-            if lo < 0.0:
-                raise ValidationError(
-                    "negative weights require an explicit adjacency matrix"
-                )
+            if (lo < 0.0).any():
+                raise ValidationError("negative weights require an explicit adjacency matrix")
             support = _Support((w > 0.0).view(np.int8))
         else:
             if not isinstance(support, _Support):
-                support = _validated_support(support, w.shape)
-            elif support.adjacency.shape != w.shape:
+                support = _validated_support(support, w.shape[-2:])
+            elif support.adjacency.shape != w.shape[-2:]:
                 raise ValidationError(
-                    f"adjacency shape {support.adjacency.shape} != weights shape {w.shape}"
+                    f"adjacency shape {support.adjacency.shape} != weights shape {w.shape[-2:]}"
                 )
             # w is finite here, so a nonzero is a number, and -0.0 is zero
-            if w.take(support.off).any():
+            if w.reshape(*w.shape[:-2], -1).take(support.off, axis=-1).any():
                 raise ValidationError("weights must be zero where adjacency is zero")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -224,7 +239,7 @@ class TradeNetwork:
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-1]
 
     @_built_once
     def _strength(self) -> dict:
@@ -352,8 +367,21 @@ def _defined_everywhere(kind: str, s: _Support, values: np.ndarray) -> NodeStatV
     return _node_stat(kind, values, s.everywhere)
 
 
+def _t(m: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of ``m``, as a view: numpy multiplies a
+    matrix by its own transposed view with the symmetric product, in a
+    stack too, and a copy would take the general product, whose sums round
+    differently."""
+    return m.swapaxes(-1, -2)
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each matrix of ``m`` times the matching vector of ``v``."""
+    return (m @ v[..., None])[..., 0]
+
+
 def _by_direction(m: np.ndarray) -> dict:
-    col, row = m.sum(axis=0), m.sum(axis=1)
+    col, row = m.sum(axis=-2), m.sum(axis=-1)
     return {"in": col, "out": row, "tot": col + row}
 
 
@@ -369,15 +397,15 @@ def _neighbor_average(kind: str, s: _Support, neighbor: dict, variant: str) -> N
     intentional.  Undefined where the denominator degree is 0.
     """
     if variant == "in_in":
-        numer, denom = s.a.T @ neighbor["in"], "in"
+        numer, denom = _matvec(_t(s.a), neighbor["in"]), "in"
     elif variant == "in_out":
-        numer, denom = s.a.T @ neighbor["out"], "in"
+        numer, denom = _matvec(_t(s.a), neighbor["out"]), "in"
     elif variant == "out_in":
-        numer, denom = s.a @ neighbor["in"], "out"
+        numer, denom = _matvec(s.a, neighbor["in"]), "out"
     elif variant == "out_out":
-        numer, denom = s.a @ neighbor["out"], "out"
+        numer, denom = _matvec(s.a, neighbor["out"]), "out"
     else:  # tot
-        numer, denom = s.a_sym @ neighbor["tot"], "tot"
+        numer, denom = _matvec(s.a_sym, neighbor["tot"]), "tot"
     return _ratio_stat(kind, numer, s, denom)
 
 
@@ -395,7 +423,7 @@ def _clustering(kind: str, net: TradeNetwork, variant: str, weighted: bool) -> N
     """
     s = net._support
     m = net._w_hat if weighted else s.a_counts
-    mt = m.T
+    mt = _t(m)
     if variant == "cyc":
         factors, denom = (m, m, m), "cyc_mid"
     elif variant == "mid":
@@ -412,7 +440,7 @@ def _clustering(kind: str, net: TradeNetwork, variant: str, weighted: bool) -> N
 
 
 def _diag_of_product(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``diag(x @ y @ z)``, as one product and a row-wise dot.
+    """``diag(x @ y @ z)`` of each matrix of a stack, as one product and a row-wise dot.
 
     Row i is the dot of row i of ``x @ y`` with column i of ``z``, so the
     second product, of which the diagonal keeps n of n**2 entries, is never
@@ -421,7 +449,7 @@ def _diag_of_product(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     float32), and the result equals the triple product's diagonal bit for
     bit; on other factors it is within rounding of it.
     """
-    return np.vecdot(x @ y, z.T)
+    return np.vecdot(x @ y, _t(z))
 
 
 #: The binary statistic each weighted one equals when the weights are the
@@ -491,21 +519,41 @@ def all_statistics(net: TradeNetwork, kinds=STAT_KINDS) -> dict:
     return {kind: _statistic(net, kind) for kind in kinds}
 
 
+def population_averages(stat: NodeStatVector) -> np.ndarray:
+    """Each network's mean over its defined nodes, in order, for the
+    networks of ``stat`` that have a defined node: one entry or none for
+    one network's statistic, at most one per network for a block's.
+
+    A network's mean is ``ndarray.mean`` of its defined values, bit for
+    bit: one pairwise sum of them in node order, divided by their count.
+    Networks with the same count are summed together, as rows, which numpy
+    sums as it sums each row alone.
+    """
+    values, defined = stat.values, stat.defined
+    n = values.shape[-1]
+    if n and defined.all():
+        # every node defined in every network: nothing to select
+        return values.reshape(-1, n).sum(axis=-1) / n
+    defined = np.broadcast_to(defined, values.shape).reshape(-1, n)
+    values = values.reshape(-1, n)
+    n_defined = np.count_nonzero(defined, axis=-1)
+    averages = np.empty(len(n_defined))
+    for count in set(n_defined.flat) - {0}:
+        rows = n_defined == count
+        averages[rows] = values[rows][defined[rows]].reshape(-1, count).sum(axis=-1) / count
+    return averages[n_defined > 0]
+
+
 def population_average(stat: NodeStatVector) -> tuple:
     """Mean over defined nodes.
 
     Returns ``(average, n_excluded)`` where ``n_excluded`` counts the
     undefined nodes left out.  Raises if no node is defined.
     """
-    n_defined = np.count_nonzero(stat.defined)
-    if n_defined == 0:
+    averages = population_averages(stat)
+    if not averages.size:
         raise ValidationError(f"{stat.kind}: statistic undefined for every node")
-    n_excluded = stat.defined.size - n_defined
-    # what ndarray.mean computes (one add.reduce, one division by the
-    # count), bit for bit, without its Python-level dispatch; with every
-    # node defined the selection would copy the same values in order
-    kept = stat.values[stat.defined] if n_excluded else stat.values
-    return float(kept.sum() / n_defined), n_excluded
+    return float(averages[0]), stat.defined.size - np.count_nonzero(stat.defined)
 
 
 def stat_correlation(x: NodeStatVector, y: NodeStatVector) -> float:

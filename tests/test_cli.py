@@ -210,6 +210,27 @@ def test_malformed_config_value_exits_2_naming_the_field(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["dyads", "countries"])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_a_panel_path_that_is_a_directory_exits_2_saying_so(
+    zip_panel, tmp_path, capsys, name, given
+):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "out"
+    if given == "flag":
+        paths = {**zip_panel, name: str(folder)}
+        argv = ["--dyads", paths["dyads"], "--countries", paths["countries"], "--out", str(out)]
+    else:
+        argv = ["--config", write_config(tmp_path / "cfg.json", zip_panel, out, **{name: str(folder)})]
+    assert main(["fit", *argv]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (
+        f"gravnet: error: config field {name!r}: {str(folder)!r} is a directory, not a file\n"
+    ), err
+    assert not out.exists()
+
+
 def test_a_config_that_sets_transforms_is_refused(zip_panel, tmp_path, capsys):
     """A comparison's scale follows the model's prediction; there is no
     ``transforms`` field to set it."""

@@ -11,6 +11,7 @@ checked against their printed values and against Monte Carlo ensembles.
 
 import gc
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from scipy.special import ndtri
 
 from gravnet.compare import (
+    _BLOCK_ENTRIES,
     CORRELATION_PAIRS,
     REPORT_KINDS,
     _Z975,
@@ -205,9 +207,10 @@ def test_mask_ensemble_takes_its_binary_statistics_once(monkeypatch):
     monkeypatch.setattr(netstats, "_clustering", counting)
     got = ensemble_summary(stream_weighted_ensemble(pred, m=m, seed=6), kinds)
     assert got == want
-    # every replication's adjacency is the mask: one BCC_tot, m of WCC_tot
+    # every replication's adjacency is the mask: one BCC_tot, and one
+    # WCC_tot per block of replications, here all m of them in one
     assert computed.count("BCC_tot") == 1
-    assert computed.count("WCC_tot") == m
+    assert computed.count("WCC_tot") == -(-m // (_BLOCK_ENTRIES // pred.value.size)) == 1
 
 
 def test_mask_ensemble_undefined_binary_kinds_are_dropped_every_time():
@@ -260,6 +263,85 @@ def test_ensemble_summary_refuses_a_replication_of_the_wrong_shape():
         # the same stream of the right shape is summarised
         draws = iter([three, three, three])
         assert ensemble_summary(late, ("ND_tot",)) == ensemble_summary(stack, ("ND_tot",))
+
+
+# n = 120 nodes make blocks of 65 536 // 120**2 = 4 replications, so 11
+# replications are read as blocks of 4, 4 and 3
+_EDGE_N, _EDGE_M = 120, 11
+
+
+def block_edge_ensembles():
+    """Unmasked levels, masked logs and 0/1 draws over three blocks, the
+    last one partial.  Nodes 0 and 1 have no partner in any replication, so
+    the partner averages and clusterings are undefined there; replications
+    5 and 9, each mid-block, are empty where unmasked, so those kinds are
+    undefined everywhere in them."""
+    n, m = _EDGE_N, _EDGE_M
+    assert _BLOCK_ENTRIES // n**2 == 4
+    rng = np.random.default_rng(40)
+    links = rng.random((m, n, n)) < 0.05
+    links[:, :2, :] = links[:, :, :2] = False
+    links[:, np.arange(n), np.arange(n)] = False
+    links[[5, 9]] = False
+    mask = (rng.random((n, n)) < 0.05) & ~np.eye(n, dtype=bool)
+    mask[:2, :] = mask[:, :2] = False
+    ids = country_names(n)
+    return {
+        "unmasked": NetworkEnsemble(ids, np.where(links, rng.exponential(size=(m, n, n)), 0.0), 0),
+        "masked": NetworkEnsemble(
+            ids, np.where(mask, rng.normal(size=(m, n, n)), 0.0), 0, mask.astype(np.int8)
+        ),
+        "zero_one": NetworkEnsemble(ids, links.astype(np.int8), 0),
+    }
+
+
+def test_blocks_with_a_partial_last_one_match_the_per_kind_loop_oracle():
+    for tag, ens in block_edge_ensembles().items():
+        got = ensemble_summary(ens, REPORT_KINDS)
+        assert got == tuple(loop_ensemble_summary(ens, kind) for kind in REPORT_KINDS), tag
+        dropped = {s.kind: s.n_dropped for s in got if s.n_dropped}
+        if tag == "masked":
+            assert dropped == {}
+        else:
+            assert dropped == dict.fromkeys(("ANND_tot", "BCC_tot", "ANNS_tot", "WCC_tot"), 2)
+
+
+@pytest.mark.parametrize("at,value,masked,message", [
+    pytest.param((2, 3), np.nan, False, "weights must be finite", id="nan"),
+    pytest.param((2, 3), -np.inf, True, "weights must be finite", id="-inf-masked"),
+    pytest.param((4, 4), 1.0, False, "weight matrix must have a zero diagonal", id="diagonal"),
+    pytest.param((4, 4), 1.0, True, "weight matrix must have a zero diagonal",
+                 id="diagonal-masked"),
+    pytest.param((2, 3), -1.0, False, "negative weights require an explicit adjacency matrix",
+                 id="negative"),
+    pytest.param((0, 3), 1.0, True, "weights must be zero where adjacency is zero",
+                 id="off-the-mask"),
+])
+@pytest.mark.parametrize("r", [0, 6, 10])
+def test_a_refused_replication_is_named_by_its_index(at, value, masked, message, r):
+    # replication 6 is mid-block, 10 the last of the partial block
+    ens = block_edge_ensembles()["masked" if masked else "unmasked"]
+    w = ens.replications[r].copy()
+    w[at] = value
+    draws = [*ens.replications[:r], w, *ens.replications[r + 1:]]
+    stream = EnsembleStream(ens.country_ids, ens.m, 0, lambda g: draws.pop(0), ens.mask)
+    with pytest.raises(ValidationError, match=f"^replication {r}: {re.escape(message)}$"):
+        ensemble_summary(stream, REPORT_KINDS)
+
+
+def test_the_first_refused_replication_of_a_block_is_named():
+    # replication 5 is refused by a later check than replication 6, and is
+    # named first, as a replication-by-replication pass would name it
+    ens = block_edge_ensembles()["masked"]
+    draws = list(ens.replications)
+    draws[5] = draws[5].copy()
+    draws[5][0, 3] = 1.0
+    draws[6] = draws[6].copy()
+    draws[6][2, 3] = np.nan
+    stack = NetworkEnsemble(ens.country_ids, np.stack(draws), 0, ens.mask)
+    message = "replication 5: weights must be zero where adjacency is zero"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ensemble_summary(stack, REPORT_KINDS)
 
 
 def test_ensemble_summary_rejects_an_unknown_kind():

@@ -62,6 +62,7 @@ from gravnet.netstats import (
     TradeNetwork,
     all_statistics,
     log_positive,
+    population_average,
 )
 from gravnet.panel import (
     COUNTRY_COLUMNS,
@@ -390,6 +391,54 @@ def test_ensemble_summary_equals_the_fresh_network_loop_bit_for_bit(case):
             kinds.remove(str(exc).split(":")[0])
     got = ensemble_summary(stream, kinds)
     assert [_summary_bits(s) for s in got] == [_summary_bits(s) for s in want]
+
+
+@st.composite
+def network_blocks(draw):
+    """(weights, adjacency): a block of 1-5 networks of 2-12 nodes, with
+    level weights each on its own support, signed weights on one shared
+    support, or 0/1 weights, in some networks times 2 on some links."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    b = draw(st.integers(min_value=1, max_value=5))
+    layout = draw(st.sampled_from(("own", "shared", "zero_one")))
+    density = draw(st.sampled_from((0.0, 0.3, 0.6, 0.9)))
+    g = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    off = ~np.eye(n, dtype=bool)
+    if layout == "shared":
+        support = (g.random((n, n)) < density) & off
+        return np.where(support, g.normal(scale=2.0, size=(b, n, n)), 0.0), support.astype(np.int8)
+    links = (g.random((b, n, n)) < density) & off
+    if layout == "own":
+        return np.where(links, g.exponential(size=(b, n, n)) * 10.0 ** g.integers(-3, 4), 0.0), None
+    doubled = (g.random((b, 1, 1)) < 0.5) & (g.random((b, n, n)) < 0.3)
+    return np.where(doubled, 2.0, 1.0) * links, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(network_blocks())
+def test_a_block_gives_each_network_the_statistics_it_has_alone(case):
+    """Each of the 26 kinds on a block holds, for each of its networks, the
+    values and defined flags the network alone has, bit for bit, and each
+    network's population average is the one it has alone; a binary kind on
+    a shared support is the one network's that every network of it has."""
+    w, adjacency = case
+    b, n = w.shape[:2]
+    block = all_statistics(TradeNetwork(w, adjacency), STAT_KINDS)
+    alone = [all_statistics(TradeNetwork(w[r], adjacency), STAT_KINDS) for r in range(b)]
+    for kind in STAT_KINDS:
+        got = block[kind]
+        values = np.broadcast_to(got.values, (b, n))
+        defined = np.broadcast_to(got.defined, (b, n))
+        for r in range(b):
+            assert values[r].tobytes() == alone[r][kind].values.tobytes(), (kind, r)
+            assert defined[r].tobytes() == alone[r][kind].defined.tobytes(), (kind, r)
+        # each network's average where it has one, in order; a binary kind
+        # on a shared support is averaged once, for the one network it is
+        want = [population_average(stats[kind])[0] for stats in alone if stats[kind].defined.any()]
+        if got.values.ndim == 1:
+            want = want[:1]
+        averages = netstats.population_averages(got)
+        assert averages.tobytes() == np.array(want, dtype=float).tobytes(), kind
 
 
 @st.composite
