@@ -6,6 +6,7 @@ kept small since the statistical behaviour of each stage is covered by
 the per-module tests.
 """
 
+import argparse
 import collections
 import csv
 import io
@@ -1792,3 +1793,73 @@ def test_synth_command_writes_panel_and_manifest(tmp_path):
     truth = json.loads((out / "truth.json").read_text())
     assert truth["noise"] == "poisson"
     assert sorted(truth["years"]) == ["1990", "1991"]
+
+
+# ---------------------------------------------------------------------------
+# run log and command-line surface
+
+
+_RECORD_BASE = {"ts", "command", "message", "duration_s", "peak_rss_mb", "panel"}
+_CELL_FIELDS = {
+    "fit": _RECORD_BASE | {"year", "model", "loglik", "converged", "iterations"},
+    "predict": _RECORD_BASE | {"year", "model"},
+    "netstats": _RECORD_BASE | {"year", "model"},
+    "compare": _RECORD_BASE | {"year", "model", "replications", "draw_s", "n_dropped"},
+}
+
+
+def test_every_stage_logs_its_cells_in_order_with_the_same_fields(zip_panel, tmp_path,
+                                                                  monkeypatch):
+    """A two-year pipeline logs one record per (year, model) cell of fit,
+    predict, netstats and compare, in cell order, then one record of report;
+    each record has its command's field names (ZIP's fit also its Vuong z),
+    and the sequence, messages included, is the same in process and pooled."""
+    want = [(command, year, tag) for command in _CELL_FIELDS
+            for year in (1995, 2000) for tag in MODEL_TAGS]
+    want.append(("report", None, None))
+    sequences = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(gravnet.cli, "_usable_cpus", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        run_pipeline(write_config(tmp_path / f"cfg{workers}.json", zip_panel, out))
+        records = [json.loads(line) for line in (out / LOG_NAME).read_text().splitlines()]
+        assert [(r["command"], r.get("year"), r.get("model")) for r in records] == want
+        for r in records:
+            if r["command"] == "report":
+                expected = _RECORD_BASE | {"years", "models"}
+            else:
+                expected = _CELL_FIELDS[r["command"]] | (
+                    {"vuong_z"} if (r["command"], r["model"]) == ("fit", "ZIP") else set())
+            assert set(r) == expected, r
+            assert r["message"].startswith(
+                "aggregated " if r["command"] == "report"
+                else f"year {r['year']} model {r['model']}: "), r
+        sequences[workers] = [(r["command"], r.get("year"), r.get("model"), r["message"])
+                              for r in records]
+    assert sequences[1] == sequences[2]
+
+
+_RUN_FLAGS = ["--config", "--dyads", "--countries", "--out", "--years", "--models",
+              "--covariates", "--replications", "--seed"]
+
+
+def test_the_parser_offers_each_command_with_its_help_and_flags():
+    parser = gravnet.cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {a.dest: a.help for a in commands._choices_actions} == {
+        "synth": "generate a synthetic dyad panel with recorded parameters",
+        "fit": "estimate the configured models year by year",
+        "predict": "write predicted weight and link-probability matrices",
+        "netstats": "tabulate observed and predicted node statistics",
+        "compare": "K-S tests and ensemble bands against the observed network",
+        "report": "aggregate per-cell reports into flat CSV tables",
+    }
+    assert list(commands.choices) == ["synth", "fit", "predict", "netstats", "compare",
+                                      "report"]
+    for name, sub in commands.choices.items():
+        flags = [flag for action in sub._actions for flag in action.option_strings
+                 if flag not in ("-h", "--help")]
+        if name != "synth":
+            assert flags == _RUN_FLAGS, name
+        args = parser.parse_args([name, "--out", "x"])
+        assert args.command == name and callable(args.func), name
