@@ -10,19 +10,20 @@ The pipeline is a chain of subcommands sharing one output directory::
     gravnet report   # aggregate the per-cell reports into flat CSV tables
 
 Artifacts live under ``out/<year>/<model>/`` and are hashed into a
-top-level ``manifest.json`` when the producing command completes.  The
-five run commands share one stage driver, ``_Stage``.  Before any work it
-reads the manifest once and hashes every input artifact the stage's cells
-declare, so a command whose inputs are missing or modified fails with the
-name of the command to run and writes nothing.  A cell that reads an
-input hashes the bytes it read against the manifest and parses those
-same bytes, so what a stage uses is what it checked.  Each cell's work
-runs in one scope, ``_cell``, which times it for the cell's log record
-and names the cell in a validation or convergence error, whichever
-process ran it.  Every artifact is written to a temporary name, and a
-stage renames its artifacts into place only when the command completes,
-so a command that fails or is interrupted leaves every artifact and the
-manifest as they were; a cell's log record says that its work finished.
+top-level ``manifest.json`` when the producing command completes.  Each
+command of (year, model) cells is a row of ``STAGES``, and one driver,
+``_run_stage``, runs every row: it alone writes a cell's artifacts and
+logs the cell.  ``report``, which has no cells, runs apart.  Each builds
+a ``_Stage``, which before any work reads the manifest once and hashes
+every input artifact the cells declare, so a command whose manifest is
+damaged, or whose inputs are missing or modified, writes nothing; a
+missing or modified input names the command to run.  A cell hashes the
+bytes it reads against the manifest and parses those same bytes.  Each
+cell's work runs in one scope, ``_cell``, which times it for the cell's
+log record and names the cell in a validation or convergence error,
+whichever process ran it.  Artifacts are renamed into place from
+temporary names only when the command completes, so a command that fails
+or is interrupted leaves every artifact and the manifest as they were.
 ``MODELS`` is the one place where a model's seed code, design, scale,
 fit and predict functions and link artifacts are stated; each stage reads
 its row.  Each model is compared on the scale it predicts, its row's
@@ -79,14 +80,7 @@ from .estimation import (
     fit_poisson_pml,
     fit_zip,
 )
-from .netstats import (
-    SCALES,
-    STAT_KINDS,
-    WEIGHTED_KINDS,
-    TradeNetwork,
-    all_statistics,
-    density,
-)
+from .netstats import SCALES, STAT_KINDS, WEIGHTED_KINDS, TradeNetwork, all_statistics, density
 from .panel import (
     DESIGN_COLUMNS,
     SummaryStats,
@@ -307,11 +301,20 @@ def _artifact_path(out: str, rel: str) -> str:
 
 
 def _load_manifest(out: str) -> dict:
+    """The ``artifacts`` object of ``out``'s manifest, empty if it has none."""
     path = os.path.join(out, MANIFEST_NAME)
-    if not os.path.isfile(path):
+    if not os.path.exists(path):
         return {}
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle).get("artifacts", {})
+    try:
+        with open(path, encoding="utf-8") as handle:
+            artifacts = json.load(handle)["artifacts"]  # a decode error is a ValueError
+    except (IsADirectoryError, ValueError, LookupError, TypeError):
+        artifacts = None
+    if not isinstance(artifacts, dict):
+        raise DependencyError(
+            f"{path!r} is not a manifest: UTF-8 JSON of an object whose 'artifacts' is an object"
+        )
+    return artifacts
 
 
 def _record_artifacts(out: str, relpaths) -> None:
@@ -371,7 +374,7 @@ class _Stage:
     ``out/`` with no manifest also ``fit``, the first stage.  The copy
     of a freshly parsed panel is stored only once every check has passed.
     A cell reads its inputs through :meth:`inputs`, so it can read only
-    what it declared; :meth:`log_cell` logs its ``_cell`` note.
+    what it declared; ``_run_stage`` writes and logs each cell through it.
 
     Each artifact is written to a temporary file in ``out/`` itself.
     When the ``with`` block ends normally, every one is renamed into place
@@ -381,8 +384,8 @@ class _Stage:
     the directories as they were.
     """
 
-    def __init__(self, args, name: str, producer: str = "", inputs=lambda tag: ()):
-        self.name, self.producer = name, producer
+    def __init__(self, args, producer: str, inputs):
+        self.name, self.producer = args.command, producer
         # every config field has a flag of its own name
         overrides = {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
         self.cfg = cfg = load_config(args.config, overrides)
@@ -448,25 +451,11 @@ class _Stage:
         return [json.loads(self._checked_bytes(f"{year}/{tag}/{base}"))
                 for base in self._inputs(tag)]
 
-    def _write(self, rel: str, text: str) -> None:
+    def write(self, rel: str, text: str) -> None:
         self._pending.append((rel, _temp_write(self.cfg.out, text)))
 
-    def write_json(self, rel: str, payload) -> None:
-        self._write(rel, _json_dump(payload))
-
-    def write_cell(self, year: int, tag: str, name: str, payload: dict) -> None:
-        """A cell artifact: ``payload`` stamped with the cell's ``model`` and
-        ``year``, the one label a cell artifact carries."""
-        self.write_json(f"{year}/{tag}/{name}", {**payload, "model": tag, "year": year})
-
     def write_csv(self, rel: str, header, rows) -> None:
-        self._write(rel, _csv_text(header, rows))
-
-    def log_cell(self, year: int, tag: str, note: dict) -> None:
-        """A cell's record: ``note["message"]`` after the cell's name, the rest
-        of the ``_cell`` scope's note, ``duration_s`` among it, as fields."""
-        message = f"year {year} model {tag}: {note.pop('message')}"
-        self.log(message, year=year, model=tag, **note)
+        self.write(rel, _csv_text(header, rows))
 
     def log(self, message: str, duration_s: float, **fields_) -> None:
         """A run-log record of this command, with where its panel came from."""
@@ -532,12 +521,9 @@ def _significance(estimate: float, se: float) -> str:
     if not np.isfinite(se) or se <= 0.0:
         return ""
     p = _two_sided_p(estimate / se)
-    if p < 0.001:
-        return "***"
-    if p < 0.01:
-        return "**"
-    if p < 0.05:
-        return "*"
+    for bound, stars in ((0.001, "***"), (0.01, "**"), (0.05, "*")):
+        if p < bound:
+            return stars
     return ""
 
 
@@ -572,77 +558,71 @@ def cmd_synth(args) -> None:
     given = {f.name: getattr(args, f.name) for f in fields(SynthSpec)}
     spec = SynthSpec(**{name: value for name, value in given.items() if value is not None})
     _check_out_dir("--out", args.out)
+    _load_manifest(args.out)  # a damaged manifest is refused before any file is written
     started = time.perf_counter()
     paths = write_synth_panel(spec, args.out)
     _record_artifacts(args.out, sorted(os.path.basename(p) for p in paths.values()))
     _log(
-        args.out,
-        "synth",
-        f"wrote a {spec.noise} panel of {spec.n_countries} countries "
-        f"for {len(spec.years)} year(s)",
+        args.out, "synth",
+        f"wrote a {spec.noise} panel of {spec.n_countries} countries for {len(spec.years)} year(s)",
         time.perf_counter() - started,
-        n_countries=spec.n_countries,
-        noise=spec.noise,
-        seed=spec.seed,
-        years=list(spec.years),
+        n_countries=spec.n_countries, noise=spec.noise, seed=spec.seed, years=list(spec.years),
     )
 
 
-def cmd_fit(args) -> None:
-    """Estimate every configured (year, model) cell and write fit artifacts."""
-    with _Stage(args, "fit") as stage:
-        for year in stage.years:
-            # the cross-section lives in the designs' builder alone
-            designs = _model_designs(stage.cfg, stage.panel, build_cross_section(stage.panel, year))
-            fits = {}
-            for tag, dm in designs:
-                model = MODELS[tag]
-                with _cell(year, tag) as note:
+def _fit_cells(stage: _Stage):
+    """Estimate every configured (year, model) cell: its ``fit.json``, and
+    after a year's cells the year's coefficient table."""
+    for year in stage.years:
+        # the cross-section lives in the designs' builder alone
+        designs = _model_designs(stage.cfg, stage.panel, build_cross_section(stage.panel, year))
+        fits = {}
+        for tag, dm in designs:
+            model = MODELS[tag]
+            with _cell(year, tag) as note:
+                # looked up per call, so a rebinding of a layer function is seen
+                fit = globals()[model.fit](dm)
+                if model.vuong in fits:  # models run in MODEL_TAGS order
+                    fit = attach_vuong(fit, fits[model.vuong], dm)
+                fits[tag] = fit
+                payload = fit.as_dict()
+                vuong = getattr(fit, "vuong_vs_poisson", None)
+                note.update(
+                    message=f"loglik {fit.loglik:.6g}",
+                    loglik=fit.loglik,
+                    converged=bool(fit.converged),
+                    iterations=fit.iterations,
+                    **({} if vuong is None else {"vuong_z": vuong}),
+                )
+            yield year, tag, {"fit.json": payload}, note
+        table = _coefficient_table(stage.cfg.covariates, fits)
+        stage.write_csv(f"{year}/coefficients.csv", *table)
+
+
+def _predict_cells(stage: _Stage):
+    """Turn each cell's fit into its predicted matrices."""
+    for year in stage.years:
+        cs = build_cross_section(stage.panel, year)
+        rho = density(cs.network())
+        for tag, dm in _model_designs(stage.cfg, stage.panel, cs):
+            model = MODELS[tag]
+            with _cell(year, tag) as note:
+                fit = fit_from_dict(*stage.inputs(year, tag))
+                artifacts = {}
+                if model.predict:
                     # looked up per call, so a rebinding of a layer function is seen
-                    fit = globals()[model.fit](dm)
-                    if model.vuong in fits:  # models run in MODEL_TAGS order
-                        fit = attach_vuong(fit, fits[model.vuong], dm)
-                    fits[tag] = fit
-                    stage.write_cell(year, tag, "fit.json", fit.as_dict())
-                    vuong = getattr(fit, "vuong_vs_poisson", None)
-                    note.update(
-                        message=f"loglik {fit.loglik:.6g}",
-                        loglik=fit.loglik,
-                        converged=bool(fit.converged),
-                        iterations=fit.iterations,
-                        **({} if vuong is None else {"vuong_z": vuong}),
+                    artifacts["prediction.json"] = globals()[model.predict](fit, dm).as_dict()
+                if model.links:
+                    lp = link_probabilities(fit, dm)
+                    artifacts["xi.json"] = lp.as_dict()
+                    artifacts["binary.json"] = binary_as_dict(
+                        lp.country_ids,
+                        density_induced_binary(lp, rho),
+                        threshold_matching_density(lp, rho),
+                        threshold_by_manhattan(lp, cs.adjacency),
                     )
-                stage.log_cell(year, tag, note)
-            table = _coefficient_table(stage.cfg.covariates, fits)
-            stage.write_csv(f"{year}/coefficients.csv", *table)
-
-
-def cmd_predict(args) -> None:
-    """Turn fit artifacts into predicted matrices, one set per cell."""
-    with _Stage(args, "predict", "fit", lambda tag: ("fit.json",)) as stage:
-        for year in stage.years:
-            cs = build_cross_section(stage.panel, year)
-            rho = density(cs.network())
-            for tag, dm in _model_designs(stage.cfg, stage.panel, cs):
-                model = MODELS[tag]
-                with _cell(year, tag) as note:
-                    fit = fit_from_dict(*stage.inputs(year, tag))
-                    if model.predict:
-                        # looked up per call, so a rebinding of a layer function is seen
-                        pred = globals()[model.predict](fit, dm)
-                        stage.write_cell(year, tag, "prediction.json", pred.as_dict())
-                    if model.links:
-                        lp = link_probabilities(fit, dm)
-                        stage.write_cell(year, tag, "xi.json", lp.as_dict())
-                        binary = binary_as_dict(
-                            lp.country_ids,
-                            density_induced_binary(lp, rho),
-                            threshold_matching_density(lp, rho),
-                            threshold_by_manhattan(lp, cs.adjacency),
-                        )
-                        stage.write_cell(year, tag, "binary.json", binary)
-                    note["message"] = "predictions written"
-                stage.log_cell(year, tag, note)
+                note["message"] = "predictions written"
+            yield year, tag, artifacts, note
 
 
 def _cell_network(tag: str, payload: dict):
@@ -677,25 +657,24 @@ def _stats_rows(ids, scales: dict) -> list:
 _STATS_FIELDS = ("country_id", "kind", "transform", "value")
 
 
-def cmd_netstats(args) -> None:
-    """Tabulate node statistics for the observed and predicted networks."""
-    with _Stage(args, "netstats", "predict", lambda tag: (MODELS[tag].network_artifact,)) as stage:
-        for year in stage.years:
-            cs = build_cross_section(stage.panel, year)
-            observed = cs.network()
-            # a binary-scale weighted row would repeat its binary twin's
-            scales = {label: SCALES[label](observed) for label in ("identity", "log_positive")}
-            rows = _stats_rows(cs.country_ids, scales)
-            stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
-            for tag in stage.cfg.models:
-                with _cell(year, tag) as note:
-                    (payload,) = stage.inputs(year, tag)
-                    ids, net, _ = _cell_network(tag, payload)
-                    check_countries(cs.country_ids, ids, "predicted")
-                    rows = _stats_rows(ids, {MODELS[tag].scale: net})
-                    stage.write_csv(f"{year}/{tag}/node_stats.csv", _STATS_FIELDS, rows)
-                    note["message"] = "statistics written"
-                stage.log_cell(year, tag, note)
+def _netstats_cells(stage: _Stage):
+    """Tabulate node statistics of each year's observed network, before its
+    cells, and of each cell's predicted network."""
+    for year in stage.years:
+        cs = build_cross_section(stage.panel, year)
+        observed = cs.network()
+        # a binary-scale weighted row would repeat its binary twin's
+        scales = {label: SCALES[label](observed) for label in ("identity", "log_positive")}
+        rows = _stats_rows(cs.country_ids, scales)
+        stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
+        for tag in stage.cfg.models:
+            with _cell(year, tag) as note:
+                (payload,) = stage.inputs(year, tag)
+                ids, net, _ = _cell_network(tag, payload)
+                check_countries(cs.country_ids, ids, "predicted")
+                rows = _stats_rows(ids, {MODELS[tag].scale: net})
+                note["message"] = "statistics written"
+            yield year, tag, {"node_stats.csv": (_STATS_FIELDS, rows)}, note
 
 
 @dataclass(frozen=True)
@@ -751,17 +730,6 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
     return payload, note
 
 
-def _compare_inputs(stage: _Stage):
-    """``((year, tag), arguments of _compare_cell)`` per cell, in cell order;
-    a cell's artifacts are read only when it is reached."""
-    for year in stage.years:
-        cs = build_cross_section(stage.panel, year)
-        observed = cs.network()
-        for tag in stage.cfg.models:
-            inputs = stage.inputs(year, tag)
-            yield (year, tag), (year, tag, observed, cs.country_ids, inputs, stage.cfg)
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -809,23 +777,55 @@ def _in_order(fn, calls, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def cmd_compare(args) -> None:
-    """K-S tests and ensemble bands for every cell against the observed ITN.
+def _compare_cells(stage: _Stage):
+    """K-S tests and ensemble bands for every cell against the observed ITN,
+    on every CPU this process may use (see ``_in_order``), in cell order; a
+    cell's artifacts are read only when it is submitted."""
 
-    The cells run on every CPU this process may use (see ``_in_order``);
-    each report is written, and its cell logged, in cell order.
-    """
-    stage = _Stage(
-        args, "compare", "predict",
-        # the point network, and the link probabilities the ensemble draws from
-        lambda tag: (MODELS[tag].network_artifact, *(("xi.json",) if MODELS[tag].links else ())),
-    )
+    def calls():
+        for year in stage.years:
+            cs = build_cross_section(stage.panel, year)
+            observed = cs.network()
+            for tag in stage.cfg.models:
+                inputs = stage.inputs(year, tag)
+                yield (year, tag), (year, tag, observed, cs.country_ids, inputs, stage.cfg)
+
     workers = min(_usable_cpus(), len(stage.years) * len(stage.cfg.models))
-    results = _in_order(_compare_cell, _compare_inputs(stage), workers)
-    with stage, contextlib.closing(results):
+    with contextlib.closing(_in_order(_compare_cell, calls(), workers)) as results:
         for (year, tag), (payload, note) in results:
-            stage.write_cell(year, tag, "report.json", payload)
-            stage.log_cell(year, tag, note)
+            yield year, tag, {"report.json": payload}, note
+
+
+# Each command of (year, model) cells: the command that writes its inputs,
+# a cell's input names by model tag, and the name of its cell generator,
+# which takes the ``_Stage`` and yields ``(year, tag, {artifact name:
+# payload}, note)`` once the cell's ``_cell`` scope has closed.
+STAGES = {
+    "fit": ("", lambda tag: (), "_fit_cells"),
+    "predict": ("fit", lambda tag: ("fit.json",), "_predict_cells"),
+    "netstats": ("predict", lambda tag: (MODELS[tag].network_artifact,), "_netstats_cells"),
+    # the point network, and the link probabilities the ensemble draws from
+    "compare": ("predict", lambda tag: (MODELS[tag].network_artifact,
+                                        *(("xi.json",) if MODELS[tag].links else ())),
+                "_compare_cells"),
+}
+
+
+def _run_stage(args) -> None:
+    """Run the cells of the command's ``STAGES`` row; the one writer and
+    logger of a cell.  A JSON artifact is stamped with the cell's ``model``
+    and ``year``, the one label a cell artifact carries; a CSV artifact,
+    ``(header, rows)``, is written as it is."""
+    producer, inputs, generator = STAGES[args.command]
+    stage = _Stage(args, producer, inputs)
+    with stage, contextlib.closing(globals()[generator](stage)) as cells:
+        for year, tag, artifacts, note in cells:
+            for name, payload in artifacts.items():
+                text = (_csv_text(*payload) if name.endswith(".csv")
+                        else _json_dump({**payload, "model": tag, "year": year}))
+                stage.write(f"{year}/{tag}/{name}", text)
+            message = f"year {year} model {tag}: {note.pop('message')}"
+            stage.log(message, year=year, model=tag, **note)
 
 
 _KS_HEADER = ("year", "model", "kind", "d_statistic", "p_value", "n_observed", "n_predicted")
@@ -852,7 +852,7 @@ def _report_tables(reports) -> tuple:
 def cmd_report(args) -> None:
     """Aggregate per-cell comparison reports into flat CSV tables."""
     started = time.perf_counter()
-    with _Stage(args, "report", "compare", lambda tag: ("report.json",)) as stage:
+    with _Stage(args, "compare", lambda tag: ("report.json",)) as stage:
         cfg = stage.cfg
         ks_rows, avg_rows, corr_rows = _report_tables(
             (year, tag, report_from_dict(*stage.inputs(year, tag)))
@@ -889,10 +889,7 @@ def _list_of(kind, what: str):
 
 _int_list = _list_of(int, "integers")
 _float_list = _list_of(float, "numbers")
-
-
-def _name_list(text: str):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+_name_list = _list_of(str.strip, "names")
 
 
 def _add_run_arguments(sub) -> None:
@@ -935,10 +932,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=cmd_synth)
 
     for name, func, help_text in (
-        ("fit", cmd_fit, "estimate the configured models year by year"),
-        ("predict", cmd_predict, "write predicted weight and link-probability matrices"),
-        ("netstats", cmd_netstats, "tabulate observed and predicted node statistics"),
-        ("compare", cmd_compare, "K-S tests and ensemble bands against the observed network"),
+        ("fit", _run_stage, "estimate the configured models year by year"),
+        ("predict", _run_stage, "write predicted weight and link-probability matrices"),
+        ("netstats", _run_stage, "tabulate observed and predicted node statistics"),
+        ("compare", _run_stage, "K-S tests and ensemble bands against the observed network"),
         ("report", cmd_report, "aggregate per-cell reports into flat CSV tables"),
     ):
         sub = commands.add_parser(name, help=help_text)

@@ -1863,3 +1863,43 @@ def test_the_parser_offers_each_command_with_its_help_and_flags():
             assert flags == _RUN_FLAGS, name
         args = parser.parse_args([name, "--out", "x"])
         assert args.command == name and callable(args.func), name
+
+
+# ---------------------------------------------------------------------------
+# damaged manifest
+
+
+_DAMAGED_MANIFESTS = {
+    "truncated": b'{"artifacts": {"1995/OLS/fit.json": "ab',
+    "list": b'["artifacts"]',
+    "not-utf8": b'{"artifacts": {"\xff": "00"}}',
+    "null-artifacts": b'{"artifacts": null}',
+    "directory": None,
+}
+
+
+def tree_listing(out) -> dict:
+    """Relative path -> bytes (None for a directory) of everything under ``out``."""
+    return {str(path.relative_to(out)): None if path.is_dir() else path.read_bytes()
+            for path in sorted(out.rglob("*"))}
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGED_MANIFESTS))
+@pytest.mark.parametrize("command", ["synth", "fit", "predict", "netstats", "compare", "report"])
+def test_a_damaged_manifest_exits_4_naming_it_and_changes_nothing(zip_panel, tmp_path, capsys,
+                                                                  command, damage):
+    out = tmp_path / "out"
+    out.mkdir()
+    if _DAMAGED_MANIFESTS[damage] is None:
+        (out / MANIFEST_NAME).mkdir()
+    else:
+        (out / MANIFEST_NAME).write_bytes(_DAMAGED_MANIFESTS[damage])
+    before = tree_listing(out)
+    if command == "synth":
+        argv = ["synth", "--out", str(out), "--n-countries", "6"]
+    else:
+        argv = [command, "--config", write_config(tmp_path / "cfg.json", zip_panel, out)]
+    assert main(argv) == EXIT_DEPENDENCY
+    err = capsys.readouterr().err
+    assert err.startswith("gravnet: error: ") and str(out / MANIFEST_NAME) in err, err
+    assert tree_listing(out) == before
