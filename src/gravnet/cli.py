@@ -56,6 +56,7 @@ compare ...`` runs the stage serially.
 import argparse
 import collections
 import contextlib
+import ctypes
 import fcntl
 import hashlib
 import json
@@ -703,11 +704,13 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
     is all of a cell's work, run in its ``_cell`` scope in the stage's
     process or in a worker, so its bytes do not depend on which.  The
     note's ``duration_s``, ``draw_s`` (the part of it spent drawing
-    replications, generators' set-up included; the rest is statistics)
-    and ``peak_rss_mb`` are measured, and an error is named, in the
-    process that ran the cell.
+    replications, generators' set-up included; the rest is statistics),
+    ``minflt`` (the minor page faults its process took meanwhile) and
+    ``peak_rss_mb`` are measured, and an error is named, in the process
+    that ran the cell.
     """
     with _cell(year, tag) as note:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         seed = cell_seed(cfg.seed, year, tag)
         network, *xi = inputs
         _, net, pred = _cell_network(tag, network)
@@ -723,6 +726,7 @@ def _compare_cell(year, tag, observed, observed_ids, inputs, cfg: RunConfig):
             message=f"report written ({cfg.replications} replications)",
             replications=cfg.replications,
             draw_s=ensemble.draw_s[0],
+            minflt=resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults,
             n_dropped={s.kind: s.summary.n_dropped for s in report.statistics},
             peak_rss_mb=_peak_rss_mb(),
         )
@@ -777,10 +781,41 @@ def _in_order(fn, calls, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep the memory this process frees for reuse.
+
+    Compare frees each block of replications (``compare._BLOCK_ENTRIES``
+    float64 values, or one n-by-n network) and its intermediates together;
+    under glibc's dynamic thresholds the top of the heap is then trimmed,
+    and the next block faults the same pages back in.  So the mmap
+    threshold goes to 32 MiB, glibc's 64-bit maximum and above every block
+    and intermediate below n = 2 048, and then the trim threshold to twice
+    that, glibc's own dynamic rule: setting either alone turns off the
+    dynamic adjustment of both, and more faults were measured that way.
+    Only compare sets them: with a fixed 4 MiB mmap threshold, fit's IRLS
+    arrays (5.4 MB at n = 200) were mapped afresh on each use, and fit
+    ran 1.09× slower.  Where there is no ``mallopt`` (not glibc) or it
+    refuses the value, nothing changes.  No computed value depends on it.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _compare_cells(stage: _Stage):
     """K-S tests and ensemble bands for every cell against the observed ITN,
     on every CPU this process may use (see ``_in_order``), in cell order; a
-    cell's artifacts are read only when it is submitted."""
+    cell's artifacts are read only when it is submitted.  The thresholds of
+    ``_keep_freed_memory`` are set before any worker forks, so every worker
+    inherits them."""
+    _keep_freed_memory()
 
     def calls():
         for year in stage.years:

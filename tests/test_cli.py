@@ -9,6 +9,7 @@ the per-module tests.
 import argparse
 import collections
 import csv
+import ctypes
 import io
 import json
 import math
@@ -1804,7 +1805,7 @@ _CELL_FIELDS = {
     "fit": _RECORD_BASE | {"year", "model", "loglik", "converged", "iterations"},
     "predict": _RECORD_BASE | {"year", "model"},
     "netstats": _RECORD_BASE | {"year", "model"},
-    "compare": _RECORD_BASE | {"year", "model", "replications", "draw_s", "n_dropped"},
+    "compare": _RECORD_BASE | {"year", "model", "replications", "draw_s", "minflt", "n_dropped"},
 }
 
 
@@ -1837,6 +1838,54 @@ def test_every_stage_logs_its_cells_in_order_with_the_same_fields(zip_panel, tmp
         sequences[workers] = [(r["command"], r.get("year"), r.get("model"), r["message"])
                               for r in records]
     assert sequences[1] == sequences[2]
+
+
+def test_only_compare_keeps_freed_memory_once_per_stage(zip_panel, tmp_path, monkeypatch):
+    """``_keep_freed_memory`` runs once in each compare stage and in no other
+    stage: process-wide, a raised mmap threshold slows fit.  The cells run
+    in this process, so a call made for a cell would be counted too."""
+    calls = []
+    monkeypatch.setattr(gravnet.cli, "_keep_freed_memory", lambda: calls.append(None))
+    monkeypatch.setattr(gravnet.cli, "_usable_cpus", lambda: 1)
+    config = write_config(tmp_path / "cfg.json", zip_panel, tmp_path / "out", replications=8)
+    counts = []
+    for command in ("fit", "predict", "netstats", "compare", "report", "compare"):
+        run_pipeline(config, (command,))
+        counts.append(len(calls))
+    assert counts == [0, 0, 0, 1, 1, 2]
+
+
+_SECOND_PASS_FAULTS = """
+import resource
+import numpy as np
+from gravnet.cli import _keep_freed_memory
+from gravnet.compare import REPORT_KINDS, ensemble_summary
+from gravnet.prediction import PredictedWeights, stream_weighted_ensemble
+_keep_freed_memory()
+n = 100
+level = np.random.default_rng(41).uniform(0.0, 20.0, size=(n, n))
+np.fill_diagonal(level, 0.0)
+pred = PredictedWeights("PPML", tuple(f"C{i:03d}" for i in range(n)), level)
+stream = stream_weighted_ensemble(pred, 120, seed=5)
+ensemble_summary(stream, REPORT_KINDS)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+ensemble_summary(stream, REPORT_KINDS)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt")
+def test_a_compare_block_keeps_its_memory_mapped():
+    """With the compare thresholds set, a second ``ensemble_summary`` of 20
+    blocks of six 100-node networks faults in less than one block's 512 KiB
+    (128 pages of 4 KiB): every block reuses the pages the first pass
+    mapped.  It runs in a fresh process, since this one's thresholds depend
+    on the tests before it."""
+    src = os.path.dirname(os.path.dirname(gravnet.cli.__file__))
+    done = subprocess.run([sys.executable, "-c", _SECOND_PASS_FAULTS],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 128
 
 
 _RUN_FLAGS = ["--config", "--dyads", "--countries", "--out", "--years", "--models",
