@@ -1952,3 +1952,72 @@ def test_a_damaged_manifest_exits_4_naming_it_and_changes_nothing(zip_panel, tmp
     err = capsys.readouterr().err
     assert err.startswith("gravnet: error: ") and str(out / MANIFEST_NAME) in err, err
     assert tree_listing(out) == before
+
+
+# ---------------------------------------------------------------------------
+# artifact writes
+
+
+def test_each_command_writes_its_artifacts_in_one_fixed_order(zip_panel, tmp_path, monkeypatch):
+    """Each run command hands ``_Stage.write`` its artifacts in one fixed
+    order, the order they are renamed into place in: fit a year's four
+    ``fit.json`` and then the year's coefficient table, predict each cell's
+    artifacts in the order the cell yields them, netstats a year's observed
+    table before its cells, compare one report per cell, and report its
+    four tables."""
+    written = []
+    write = gravnet.cli._Stage.write
+
+    def recording(stage, rel, text):
+        written.append(rel)
+        return write(stage, rel, text)
+
+    monkeypatch.setattr(gravnet.cli._Stage, "write", recording)
+    monkeypatch.setattr(gravnet.cli, "_usable_cpus", lambda: 1)
+    config = write_config(tmp_path / "cfg.json", zip_panel, tmp_path / "out", replications=8)
+    years = (1995, 2000)
+    predicted = {"OLS": ["prediction.json"], "PPML": ["prediction.json"],
+                 "ZIP": ["prediction.json", "xi.json", "binary.json"],
+                 "LOGIT": ["xi.json", "binary.json"]}
+    want = {
+        "fit": [rel for y in years for rel in
+                [f"{y}/{tag}/fit.json" for tag in MODEL_TAGS] + [f"{y}/coefficients.csv"]],
+        "predict": [f"{y}/{tag}/{name}" for y in years for tag in MODEL_TAGS
+                    for name in predicted[tag]],
+        "netstats": [rel for y in years for rel in
+                     [f"{y}/observed_stats.csv"] + [f"{y}/{tag}/node_stats.csv"
+                                                    for tag in MODEL_TAGS]],
+        "compare": [f"{y}/{tag}/report.json" for y in years for tag in MODEL_TAGS],
+        "report": ["ks_tests.csv", "averages.csv", "correlations.csv", "summary.csv"],
+    }
+    for command, rels in want.items():
+        written.clear()
+        run_pipeline(config, (command,))
+        assert written == rels, command
+
+
+def test_a_report_that_fails_on_a_table_writes_and_logs_nothing(zip_panel, tmp_path, monkeypatch,
+                                                                capsys):
+    """A report refused while it writes its third table, with two tables
+    pending, leaves no table, no temporary file, the manifest and the run
+    log as they were."""
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "cfg.json", zip_panel, out, replications=8)
+    run_pipeline(config, ("fit", "predict", "netstats", "compare"))
+    before = tree_listing(out)
+    csv_text = gravnet.cli._csv_text
+
+    def failing(header, rows):
+        if tuple(header) == gravnet.cli._CORR_HEADER:
+            raise ValidationError("no correlations")
+        return csv_text(header, rows)
+
+    monkeypatch.setattr(gravnet.cli, "_csv_text", failing)
+    assert main(["report", "--config", config]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "gravnet: error: no correlations\n"
+    for name in ("ks_tests.csv", "averages.csv", "correlations.csv", "summary.csv"):
+        assert not (out / name).exists(), name
+    assert list(out.rglob(".tmp-*")) == []
+    records = [json.loads(line) for line in (out / LOG_NAME).read_text().splitlines()]
+    assert "report" not in {r["command"] for r in records}
+    assert tree_listing(out) == before
