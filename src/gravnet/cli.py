@@ -11,19 +11,21 @@ The pipeline is a chain of subcommands sharing one output directory::
 
 Artifacts live under ``out/<year>/<model>/`` and are hashed into a
 top-level ``manifest.json`` when the producing command completes.  Each
-command of (year, model) cells is a row of ``STAGES``, and one driver,
-``_run_stage``, runs every row: it alone writes a cell's artifacts and
-logs the cell.  ``report``, which has no cells, runs apart.  Each builds
-a ``_Stage``, which before any work reads the manifest once and hashes
-every input artifact the cells declare, so a command whose manifest is
-damaged, or whose inputs are missing or modified, writes nothing; a
-missing or modified input names the command to run.  A cell hashes the
+run command, ``fit`` through ``report``, is a row of ``STAGES``, and one
+driver, ``_run_stage``, runs every row: it alone builds the command's
+``_Stage``, writes its artifacts and logs its records.  The ``_Stage``
+before any work reads the manifest once and hashes every input artifact
+the cells declare, so a command whose manifest is damaged, or whose
+inputs are missing or modified, writes nothing; a missing or modified
+input names the command to run.  A cell hashes the
 bytes it reads against the manifest and parses those same bytes.  Each
 cell's work runs in one scope, ``_cell``, which times it for the cell's
 log record and names the cell in a validation or convergence error,
 whichever process ran it.  Artifacts are renamed into place from
-temporary names only when the command completes, so a command that fails
-or is interrupted leaves every artifact and the manifest as they were.
+temporary names only when the command completes, and only once every
+destination has been checked, so a command that fails, is interrupted or
+finds a path of ``out/`` taken by a directory or a file leaves every
+artifact and the manifest as they were.
 ``MODELS`` is the one place where a model's seed code, design, scale,
 fit and predict functions and link artifacts are stated; each stage reads
 its row.  Each model is compared on the scale it predicts, its row's
@@ -301,6 +303,17 @@ def _artifact_path(out: str, rel: str) -> str:
     return os.path.join(out, *rel.split("/"))
 
 
+def _check_files(out: str, rels) -> None:
+    """Refuse, naming it, each file ``rel`` of ``out`` that an entry other
+    than a regular file takes, or whose directory could be made only inside
+    something else (see ``_check_out_dir``)."""
+    for rel in rels:
+        path = _artifact_path(out, rel)
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ValidationError(f"cannot write {rel}: {path!r} exists and is not a regular file")
+        _check_out_dir(f"cannot write {rel} into", os.path.dirname(path))
+
+
 def _load_manifest(out: str) -> dict:
     """The ``artifacts`` object of ``out``'s manifest, empty if it has none."""
     path = os.path.join(out, MANIFEST_NAME)
@@ -374,22 +387,26 @@ class _Stage:
     or modified input names ``producer``, the command to rerun, and in an
     ``out/`` with no manifest also ``fit``, the first stage.  The copy
     of a freshly parsed panel is stored only once every check has passed.
-    A cell reads its inputs through :meth:`inputs`, so it can read only
-    what it declared; ``_run_stage`` writes and logs each cell through it.
+    A manifest lock, run log or panel cache that is not a regular file is
+    refused first.  A cell reads its inputs through :meth:`inputs`, so it
+    can read only what it declared; ``_run_stage`` writes each artifact
+    through :meth:`write`.
 
     Each artifact is written to a temporary file in ``out/`` itself.
-    When the ``with`` block ends normally, every one is renamed into place
-    in write order, its directory made then, and the manifest merges their
-    digests; when it raises, the temporary files are removed, so a command
-    that fails after starting work leaves every artifact, the manifest and
-    the directories as they were.
+    When the ``with`` block ends normally, every destination is checked
+    (``_check_files``), then every one is renamed into place in write
+    order, its directory made then, and the manifest merges their digests;
+    when it raises, or a destination is refused, the temporary files are
+    removed, so a command that fails after starting work leaves every
+    artifact, the manifest and the directories as they were.
     """
 
     def __init__(self, args, producer: str, inputs):
-        self.name, self.producer = args.command, producer
+        self.producer = producer
         # every config field has a flag of its own name
         overrides = {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
         self.cfg = cfg = load_config(args.config, overrides)
+        _check_files(cfg.out, (MANIFEST_LOCK_NAME, LOG_NAME, PANEL_CACHE_NAME))
         cache = os.path.join(cfg.out, PANEL_CACHE_NAME)
         self.panel, self.panel_source, copy = read_panel(cfg.dyads, cfg.countries, cache)
         present = self.panel.years
@@ -419,15 +436,24 @@ class _Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        rels = [rel for rel, _ in self._pending]
+        try:
+            if exc_type is None:  # every destination, before the first rename
+                _check_files(self.cfg.out, rels)
+        except ValidationError:
+            exc_type = ValidationError
+            raise
+        finally:
+            if exc_type is not None:
+                for _, tmp in self._pending:
+                    os.unlink(tmp)
         if exc_type is not None:
-            for _, tmp in self._pending:
-                os.unlink(tmp)
             return
         for rel, tmp in self._pending:
             path = _artifact_path(self.cfg.out, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             os.replace(tmp, path)
-        _record_artifacts(self.cfg.out, [rel for rel, _ in self._pending])
+        _record_artifacts(self.cfg.out, rels)
 
     def _checked_bytes(self, rel: str) -> bytes:
         path = _artifact_path(self.cfg.out, rel)
@@ -454,13 +480,6 @@ class _Stage:
 
     def write(self, rel: str, text: str) -> None:
         self._pending.append((rel, _temp_write(self.cfg.out, text)))
-
-    def write_csv(self, rel: str, header, rows) -> None:
-        self.write(rel, _csv_text(header, rows))
-
-    def log(self, message: str, duration_s: float, **fields_) -> None:
-        """A run-log record of this command, with where its panel came from."""
-        _log(self.cfg.out, self.name, message, duration_s, panel=self.panel_source, **fields_)
 
 
 @contextlib.contextmanager
@@ -560,6 +579,8 @@ def cmd_synth(args) -> None:
     spec = SynthSpec(**{name: value for name, value in given.items() if value is not None})
     _check_out_dir("--out", args.out)
     _load_manifest(args.out)  # a damaged manifest is refused before any file is written
+    _check_files(args.out, ("dyads.csv", "countries.csv", "truth.json",
+                            MANIFEST_LOCK_NAME, LOG_NAME))
     started = time.perf_counter()
     paths = write_synth_panel(spec, args.out)
     _record_artifacts(args.out, sorted(os.path.basename(p) for p in paths.values()))
@@ -596,8 +617,7 @@ def _fit_cells(stage: _Stage):
                     **({} if vuong is None else {"vuong_z": vuong}),
                 )
             yield year, tag, {"fit.json": payload}, note
-        table = _coefficient_table(stage.cfg.covariates, fits)
-        stage.write_csv(f"{year}/coefficients.csv", *table)
+        yield year, None, {"coefficients.csv": _coefficient_table(stage.cfg.covariates, fits)}, None
 
 
 def _predict_cells(stage: _Stage):
@@ -667,7 +687,7 @@ def _netstats_cells(stage: _Stage):
         # a binary-scale weighted row would repeat its binary twin's
         scales = {label: SCALES[label](observed) for label in ("identity", "log_positive")}
         rows = _stats_rows(cs.country_ids, scales)
-        stage.write_csv(f"{year}/observed_stats.csv", _STATS_FIELDS, rows)
+        yield year, None, {"observed_stats.csv": (_STATS_FIELDS, rows)}, None
         for tag in stage.cfg.models:
             with _cell(year, tag) as note:
                 (payload,) = stage.inputs(year, tag)
@@ -831,38 +851,6 @@ def _compare_cells(stage: _Stage):
             yield year, tag, {"report.json": payload}, note
 
 
-# Each command of (year, model) cells: the command that writes its inputs,
-# a cell's input names by model tag, and the name of its cell generator,
-# which takes the ``_Stage`` and yields ``(year, tag, {artifact name:
-# payload}, note)`` once the cell's ``_cell`` scope has closed.
-STAGES = {
-    "fit": ("", lambda tag: (), "_fit_cells"),
-    "predict": ("fit", lambda tag: ("fit.json",), "_predict_cells"),
-    "netstats": ("predict", lambda tag: (MODELS[tag].network_artifact,), "_netstats_cells"),
-    # the point network, and the link probabilities the ensemble draws from
-    "compare": ("predict", lambda tag: (MODELS[tag].network_artifact,
-                                        *(("xi.json",) if MODELS[tag].links else ())),
-                "_compare_cells"),
-}
-
-
-def _run_stage(args) -> None:
-    """Run the cells of the command's ``STAGES`` row; the one writer and
-    logger of a cell.  A JSON artifact is stamped with the cell's ``model``
-    and ``year``, the one label a cell artifact carries; a CSV artifact,
-    ``(header, rows)``, is written as it is."""
-    producer, inputs, generator = STAGES[args.command]
-    stage = _Stage(args, producer, inputs)
-    with stage, contextlib.closing(globals()[generator](stage)) as cells:
-        for year, tag, artifacts, note in cells:
-            for name, payload in artifacts.items():
-                text = (_csv_text(*payload) if name.endswith(".csv")
-                        else _json_dump({**payload, "model": tag, "year": year}))
-                stage.write(f"{year}/{tag}/{name}", text)
-            message = f"year {year} model {tag}: {note.pop('message')}"
-            stage.log(message, year=year, model=tag, **note)
-
-
 _KS_HEADER = ("year", "model", "kind", "d_statistic", "p_value", "n_observed", "n_predicted")
 _AVG_HEADER = ("year", "model", "kind", "observed", "predicted",
                "ci_low", "ci_high", "ensemble_mean")
@@ -884,28 +872,70 @@ def _report_tables(reports) -> tuple:
     return ks_rows, avg_rows, corr_rows
 
 
-def cmd_report(args) -> None:
-    """Aggregate per-cell comparison reports into flat CSV tables."""
+def _report_cells(stage: _Stage):
+    """Aggregate the per-cell comparison reports, and each year's panel
+    summary, into the run's four flat tables and its one record."""
     started = time.perf_counter()
-    with _Stage(args, "compare", lambda tag: ("report.json",)) as stage:
-        cfg = stage.cfg
-        ks_rows, avg_rows, corr_rows = _report_tables(
-            (year, tag, report_from_dict(*stage.inputs(year, tag)))
-            for year in stage.years
-            for tag in cfg.models
-        )
-        summaries = [summary_stats(build_cross_section(stage.panel, y)) for y in stage.years]
-        stage.write_csv("ks_tests.csv", _KS_HEADER, ks_rows)
-        stage.write_csv("averages.csv", _AVG_HEADER, avg_rows)
-        stage.write_csv("correlations.csv", _CORR_HEADER, corr_rows)
-        stage.write_csv("summary.csv", [f.name for f in fields(SummaryStats)],
-                        map(astuple, summaries))
-    stage.log(
-        f"aggregated {len(stage.years)} year(s) x {len(cfg.models)} model(s)",
-        time.perf_counter() - started,
-        years=list(stage.years),
-        models=list(cfg.models),
+    ks_rows, avg_rows, corr_rows = _report_tables(
+        (year, tag, report_from_dict(*stage.inputs(year, tag)))
+        for year in stage.years
+        for tag in stage.cfg.models
     )
+    summaries = [summary_stats(build_cross_section(stage.panel, y)) for y in stage.years]
+    tables = {
+        "ks_tests.csv": (_KS_HEADER, ks_rows),
+        "averages.csv": (_AVG_HEADER, avg_rows),
+        "correlations.csv": (_CORR_HEADER, corr_rows),
+        "summary.csv": ([f.name for f in fields(SummaryStats)], map(astuple, summaries)),
+    }
+    message = f"aggregated {len(stage.years)} year(s) x {len(stage.cfg.models)} model(s)"
+    yield None, None, tables, dict(message=message, duration_s=time.perf_counter() - started,
+                                   years=list(stage.years), models=list(stage.cfg.models))
+
+
+# Each run command: its help, the command that writes its inputs, a cell's
+# input names by model tag, and the name of its generator, which takes the
+# ``_Stage`` and yields ``(year, tag, {artifact name: payload}, note)``, a
+# cell's once its ``_cell`` scope has closed (see ``_run_stage``).
+STAGES = {
+    "fit": ("estimate the configured models year by year", "", lambda tag: (), "_fit_cells"),
+    "predict": ("write predicted weight and link-probability matrices",
+                "fit", lambda tag: ("fit.json",), "_predict_cells"),
+    "netstats": ("tabulate observed and predicted node statistics",
+                 "predict", lambda tag: (MODELS[tag].network_artifact,), "_netstats_cells"),
+    # the point network, and the link probabilities the ensemble draws from
+    "compare": ("K-S tests and ensemble bands against the observed network",
+                "predict", lambda tag: (MODELS[tag].network_artifact,
+                                        *(("xi.json",) if MODELS[tag].links else ())),
+                "_compare_cells"),
+    "report": ("aggregate per-cell reports into flat CSV tables",
+               "compare", lambda tag: ("report.json",), "_report_cells"),
+}
+
+
+def _run_stage(args) -> None:
+    """Run the command's ``STAGES`` row: the only code that builds a
+    ``_Stage``, writes an artifact or logs a record of a run command.
+    An artifact goes under ``<year>/<tag>/``, ``<year>/`` with no tag, or
+    ``out/`` with no year either.  A JSON artifact, a cell's, is stamped
+    with its ``model`` and ``year``, the one label a cell artifact carries;
+    a CSV artifact, ``(header, rows)``, is written as it is.  A note is
+    logged once its artifacts are written, a cell's naming it; None logs nothing."""
+    _, producer, inputs, generator = STAGES[args.command]
+    stage = _Stage(args, producer, inputs)
+    with stage, contextlib.closing(globals()[generator](stage)) as items:
+        for year, tag, artifacts, note in items:
+            where = "".join(f"{key}/" for key in (year, tag) if key is not None)
+            for name, payload in artifacts.items():
+                text = (_csv_text(*payload) if name.endswith(".csv")
+                        else _json_dump({**payload, "model": tag, "year": year}))
+                stage.write(where + name, text)
+            if note is not None:
+                message = note.pop("message")
+                if tag is not None:
+                    message = f"year {year} model {tag}: {message}"
+                    note.update(year=year, model=tag)
+                _log(stage.cfg.out, args.command, message, panel=stage.panel_source, **note)
 
 
 # ---------------------------------------------------------------------------
@@ -966,16 +996,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--theta-slopes", type=_float_list, help="zero-stage slope overrides")
     synth.set_defaults(func=cmd_synth)
 
-    for name, func, help_text in (
-        ("fit", _run_stage, "estimate the configured models year by year"),
-        ("predict", _run_stage, "write predicted weight and link-probability matrices"),
-        ("netstats", _run_stage, "tabulate observed and predicted node statistics"),
-        ("compare", _run_stage, "K-S tests and ensemble bands against the observed network"),
-        ("report", cmd_report, "aggregate per-cell reports into flat CSV tables"),
-    ):
+    for name, (help_text, *_) in STAGES.items():
         sub = commands.add_parser(name, help=help_text)
         _add_run_arguments(sub)
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=_run_stage)
     return parser
 
 

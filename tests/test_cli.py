@@ -2021,3 +2021,54 @@ def test_a_report_that_fails_on_a_table_writes_and_logs_nothing(zip_panel, tmp_p
     records = [json.loads(line) for line in (out / LOG_NAME).read_text().splitlines()]
     assert "report" not in {r["command"] for r in records}
     assert tree_listing(out) == before
+
+
+_TAKEN_PATHS = {
+    "year-table-a-directory": ("fit", "2000/coefficients.csv"),
+    "year-a-file": ("fit", "2000"),
+    "manifest-lock-a-directory": ("predict", MANIFEST_LOCK_NAME),
+    "panel-cache-a-directory": ("netstats", PANEL_CACHE_NAME),
+    "run-log-a-directory": ("compare", LOG_NAME),
+    "run-table-a-directory": ("report", "summary.csv"),
+    "panel-file-a-directory": ("synth", "truth.json"),
+    "panel-manifest-lock-a-directory": ("synth", MANIFEST_LOCK_NAME),
+}
+
+
+@pytest.mark.parametrize("case", list(_TAKEN_PATHS))
+def test_a_path_taken_by_the_wrong_kind_of_entry_exits_2_and_changes_nothing(
+        finished_tree, tmp_path, capsys, case):
+    """A command whose artifact, or whose manifest lock, run log or panel
+    cache, is taken by a directory, or must be made inside a file, exits 2
+    naming it.  It renames no artifact and leaves no temporary file: the
+    tree is as it was, but for the command's records of the work that ran,
+    which say that it finished, not that its artifacts were kept."""
+    root, args = finished_tree
+    command, rel = _TAKEN_PATHS[case]
+    if command == "synth":
+        out = tmp_path / "panel"
+        shutil.copytree(root / "panel", out)
+        argv = ["synth", "--out", str(out), "--n-countries", "6", "--seed", "2"]
+    else:
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        argv = [command, *(str(out) if arg == str(root / "out") else arg for arg in args)]
+    taken = out / rel
+    if taken.is_dir():
+        shutil.rmtree(taken)
+        taken.write_bytes(b"a file\n")
+    else:
+        taken.unlink(missing_ok=True)
+        taken.mkdir()
+    before = tree_listing(out)
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("gravnet: error: ") and repr(str(taken)) in err, err
+    after = tree_listing(out)
+    if before.get(LOG_NAME) is not None:
+        old, new = before.pop(LOG_NAME), after.pop(LOG_NAME)
+        assert new.startswith(old)
+        added = [json.loads(line) for line in new[len(old):].decode("utf-8").splitlines()]
+        assert {r["command"] for r in added} <= {command}, added
+    assert after == before
+    assert list(out.rglob(".tmp-*")) == []
